@@ -4,10 +4,22 @@ The integrator is classical RK4 on the first-order system (x' = v,
 v' = -2 G(x, v)).  Fixed steps keep runs reproducible and make the
 discrete flow commute with fiberwise differentiation, which the lifted
 flow identity checks rely on.  Dense output is cubic Hermite per step.
+
+The stage and update arithmetic runs on lists of Python floats.  A state
+holds from two to a few dozen numbers, so a numpy expression per stage
+costs mostly call overhead; element by element the operations are the
+same IEEE double operations in the same order, and the node arrays are
+built once at the end.  That order is an invariant, not a detail: the
+carrier columns of a lifted run (the leading ``dim`` positions and
+velocities) must equal the run of the base spray bit for bit, because the
+primal part of jet arithmetic repeats the float computation and
+``subspray.geodesic`` takes its base geodesic from the lifted run.  The
+loop may not reorder, fuse or regroup any of these operations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,8 +101,18 @@ class Trajectory:
         return JetPoint(self.spray.level + 1, self.spray.dim,
                         np.concatenate([self.positions[-1], self.velocities[-1]]))
 
-    def to_csv(self, path) -> None:
-        write_trajectory_csv(self, path)
+    def columns(self, idx, spray: Spray) -> Trajectory:
+        """The curve formed by the coordinate columns ``idx``, under ``spray``."""
+        return Trajectory(
+            spray=spray,
+            times=self.times,
+            positions=self.positions[:, idx],
+            velocities=self.velocities[:, idx],
+            accelerations=self.accelerations[:, idx],
+            h=self.h,
+            requested=self.requested,
+            exit_reason=self.exit_reason,
+        )
 
 
 def _hermite(y0, d0, y1, d1, tau, dt):
@@ -99,21 +121,39 @@ def _hermite(y0, d0, y1, d1, tau, dt):
             + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * dt * d1)
 
 
-def _check_state(s: Spray, x: np.ndarray, v: np.ndarray) -> str | None:
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+def _check_node(s: Spray, x: list, v: list) -> str | None:
+    """Exit reason of the node (x, v), or None if the run goes on."""
+    if not all(map(math.isfinite, x + v)):
         raise IntegrationBlowupError("non-finite state during integration")
-    if float(np.linalg.norm(v[: s.dim])) <= EPS_SLASHED:
+    vd = np.array(v[: s.dim])
+    if math.sqrt(vd.dot(vd)) <= EPS_SLASHED:  # np.linalg.norm(vd), bit for bit
         return EXIT_SLASHED
     if not s.in_domain(x):
         return EXIT_DOMAIN
     return None
 
 
+def _euler(x: list, v: list, dx: list, dv: list, c: float) -> tuple[list, list]:
+    """The stage point (x + c*dx, v + c*dv), element by element."""
+    xs, vs = [], []
+    for xi, vi, dxi, dvi in zip(x, v, dx, dv):
+        xs.append(xi + c * dxi)
+        vs.append(vi + c * dvi)
+    return xs, vs
+
+
+class _StageOutsideDomain(Exception):
+    """A coefficient evaluation failed at a stage position outside the chart."""
+
+
 def integrate(s: Spray, init: JetPoint, t_span: tuple[float, float], h: float) -> Trajectory:
     """Integrate the geodesic with initial jet ``init`` over ``t_span``.
 
     The trajectory is truncated with an exit reason if the state leaves
-    the slashed bundle or the chart domain; non-finite values raise.
+    the slashed bundle or the chart domain; a coefficient evaluation that
+    fails at an RK4 stage outside the domain also ends the run at the last
+    node with ``"domain"``.  Non-finite values, and coefficient failures
+    inside the domain, raise :class:`IntegrationBlowupError`.
     """
 
     if h <= 0.0:
@@ -123,50 +163,62 @@ def integrate(s: Spray, init: JetPoint, t_span: tuple[float, float], h: float) -
             f"initial jet must sit one level above the spray ({s.level + 1}), got {init.level}"
         )
     half = init.coords.size // 2
-    x = init.coords[:half].copy()
-    v = init.coords[half:].copy()
+    x = init.coords[:half].tolist()
+    v = init.coords[half:].tolist()
     t0, t1 = float(t_span[0]), float(t_span[1])
 
-    bad = _check_state(s, x, v)
+    bad = _check_node(s, x, v)
     if bad is not None:
         raise DomainError(f"initial state rejected: {bad}")
 
     span = t1 - t0
     nsteps = max(1, int(np.ceil(abs(span) / h - 1e-12))) if span != 0.0 else 0
     sign = 1.0 if span >= 0.0 else -1.0
+    acceleration = s.acceleration
+
+    def accel(xp: list, vp: list) -> list:
+        try:
+            return acceleration(xp, vp).tolist()
+        except (ArithmeticError, ValueError) as exc:
+            if not s.in_domain(xp):
+                raise _StageOutsideDomain from exc
+            raise IntegrationBlowupError(f"coefficient evaluation failed: {exc!r}") from exc
 
     times = [t0]
     xs = [x]
     vs = [v]
-    accs = [s.acceleration(x, v)]
+    accs = [accel(x, v)]
     exit_reason = None
 
     t = t0
-    for k in range(nsteps):
-        t_next = t1 if k == nsteps - 1 else t0 + sign * (k + 1) * h
-        dt = t_next - t
-        a1 = accs[-1]
-        x2 = x + 0.5 * dt * v
-        v2 = v + 0.5 * dt * a1
-        a2 = s.acceleration(x2, v2)
-        x3 = x + 0.5 * dt * v2
-        v3 = v + 0.5 * dt * a2
-        a3 = s.acceleration(x3, v3)
-        x4 = x + dt * v3
-        v4 = v + dt * a3
-        a4 = s.acceleration(x4, v4)
-        xn = x + dt * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-        vn = v + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+    try:
+        for k in range(nsteps):
+            t_next = t1 if k == nsteps - 1 else t0 + sign * (k + 1) * h
+            dt = t_next - t
+            a1 = accs[-1]
+            x2, v2 = _euler(x, v, v, a1, 0.5 * dt)
+            a2 = accel(x2, v2)
+            x3, v3 = _euler(x, v, v2, a2, 0.5 * dt)
+            a3 = accel(x3, v3)
+            x4, v4 = _euler(x, v, v3, a3, dt)
+            a4 = accel(x4, v4)
+            xn, vn = [], []
+            for xi, k1, k2, k3, k4, vi, l1, l2, l3, l4 in zip(x, v, v2, v3, v4,
+                                                              v, a1, a2, a3, a4):
+                xn.append(xi + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+                vn.append(vi + dt * (l1 + 2.0 * l2 + 2.0 * l3 + l4) / 6.0)
 
-        reason = _check_state(s, xn, vn)
-        if reason is not None:
-            exit_reason = reason
-            break
-        x, v, t = xn, vn, t_next
-        times.append(t)
-        xs.append(x)
-        vs.append(v)
-        accs.append(s.acceleration(x, v))
+            reason = _check_node(s, xn, vn)
+            if reason is not None:
+                exit_reason = reason
+                break
+            x, v, t = xn, vn, t_next
+            times.append(t)
+            xs.append(x)
+            vs.append(v)
+            accs.append(accel(x, v))
+    except _StageOutsideDomain:
+        exit_reason = EXIT_DOMAIN
 
     return Trajectory(
         spray=s,
@@ -225,16 +277,16 @@ def residual(s: Spray, tr: Trajectory) -> float:
     curvature against the spray acceleration there.
     """
 
+    p0, p1 = tr.positions[:-1], tr.positions[1:]
+    v0, v1 = tr.velocities[:-1], tr.velocities[1:]
+    dt = np.diff(tr.times)[:, None]
+    xm = _hermite(p0, v0, p1, v1, 0.5, dt)
+    vm = _hermite_d1(p0, v0, p1, v1, 0.5, dt)
+    curv = (v1 - v0) / dt
     worst = 0.0
-    for i in range(len(tr.times) - 1):
-        dt = tr.times[i + 1] - tr.times[i]
-        x = _hermite(tr.positions[i], tr.velocities[i],
-                     tr.positions[i + 1], tr.velocities[i + 1], 0.5, dt)
-        v = _hermite_d1(tr.positions[i], tr.velocities[i],
-                        tr.positions[i + 1], tr.velocities[i + 1], 0.5, dt)
-        curv = (tr.velocities[i + 1] - tr.velocities[i]) / dt
-        defect = float(np.linalg.norm(curv - s.acceleration(x, v)))
-        worst = max(worst, defect)
+    for c, x, v in zip(curv, xm, vm):
+        d = c - s.acceleration(x, v)
+        worst = max(worst, math.sqrt(d.dot(d)))  # np.linalg.norm(d), bit for bit
     return worst
 
 

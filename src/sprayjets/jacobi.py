@@ -62,22 +62,9 @@ class JacobiField:
         }
 
 
-def _sub_trajectory(tr: Trajectory, idx: np.ndarray, spray: Spray) -> Trajectory:
-    return Trajectory(
-        spray=spray,
-        times=tr.times,
-        positions=tr.positions[:, idx],
-        velocities=tr.velocities[:, idx],
-        accelerations=tr.accelerations[:, idx],
-        h=tr.h,
-        requested=tr.requested,
-        exit_reason=tr.exit_reason,
-    )
-
-
 def base_of(tr: Trajectory, parent: Spray) -> Trajectory:
     half = tr.positions.shape[1] // 2
-    return _sub_trajectory(tr, np.arange(half), parent)
+    return tr.columns(np.arange(half), parent)
 
 
 def jacobi_from_initial(s: Spray, init: JetPoint, t_span: tuple[float, float],
@@ -135,7 +122,7 @@ def variation_oracle(s: Spray, gamma: Trajectory, w, eps: float = 1e-4,
         requested=span,
         exit_reason=None if nodes == len(gamma.times) else "truncated",
     )
-    base = _sub_trajectory(gamma, np.arange(gamma.positions.shape[1]), s)
+    base = gamma.columns(np.arange(gamma.positions.shape[1]), s)
     return JacobiField(field=field, base=base, kind="variation-oracle")
 
 
@@ -168,9 +155,9 @@ def decompose_double_lift(s: Spray, tr: Trajectory, zero_tol: float = 1e-12) -> 
     idx_inner = np.arange(2 * quarter)
     idx_outer = _dproject_idx(level2, s.dim)
 
-    carrier = _sub_trajectory(tr, idx_c, s)
-    inner = _sub_trajectory(tr, idx_inner, lifted)
-    outer = _sub_trajectory(tr, idx_outer, lifted)
+    carrier = tr.columns(idx_c, s)
+    inner = tr.columns(idx_inner, lifted)
+    outer = tr.columns(idx_outer, lifted)
     mixed = tr.positions[:, 3 * quarter :]
 
     outer_fiber_sup = float(np.max(np.abs(tr.positions[:, 2 * quarter : 3 * quarter])))

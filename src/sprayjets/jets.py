@@ -66,7 +66,7 @@ class Dual:
             return NotImplemented
         if k == 2:
             return self * self
-        return Dual(jpow(self.re, k), (k * jpow(self.re, k - 1)) * self.du)
+        return Dual(self.re ** k, (k * self.re ** (k - 1)) * self.du)
 
     def sqrt(self):
         r = jsqrt(self.re)
@@ -84,10 +84,6 @@ class Dual:
 
     def log(self):
         return Dual(jlog(self.re), self.du / self.re)
-
-
-def jpow(z, k):
-    return z ** k
 
 
 def jsqrt(z):

@@ -160,7 +160,9 @@ def geodesic(s: Spray, x0, v0, alpha: float, beta: float,
     """Propagate the parallel curve and cross-check it two ways.
 
     The curve is integrated under the doubly lifted spray and compared with
-    the closed-form assembly from the base trajectory; with ``node_checks``
+    the closed-form assembly from the base trajectory, which is the carrier
+    (first quarter of the columns) of that run: it equals a separate run of
+    ``s`` bit for bit, so it is not integrated twice.  With ``node_checks``
     every node's jet is pushed back through :func:`membership` and the
     recovered scalars are kept (the first drifts affinely, the second is
     constant).  A deviation above ``tol`` raises, the trajectory is not
@@ -172,16 +174,14 @@ def geodesic(s: Spray, x0, v0, alpha: float, beta: float,
     lifted2 = complete_lift(complete_lift(s))
     init = JetPoint(s.level + 3, s.dim, delta_coordinates(s, x0, v0, alpha, beta))
     tr = integrate(lifted2, init, t_span, h)
+    btr = tr.columns(slice(0, s.fiber_dim), s)
 
-    binit = JetPoint(s.level + 1, s.dim, np.concatenate([x0, v0]))
-    btr = integrate(s, binit, t_span, h)
-
-    n = min(len(tr.times), len(btr.times))
-    t = btr.times[:n, None]
-    x, dx, ddx = btr.positions[:n], btr.velocities[:n], btr.accelerations[:n]
+    n = len(tr.times)
+    t = btr.times[:, None]
+    x, dx, ddx = btr.positions, btr.velocities, btr.accelerations
     formula = np.hstack([x, dx, (alpha + beta * t) * dx,
                          (alpha + beta * t) * ddx + beta * dx])
-    deviation = float(np.max(np.abs(tr.positions[:n] - formula)))
+    deviation = float(np.max(np.abs(tr.positions - formula)))
     if deviation > tol:
         raise InconsistentTrajectoryError(
             f"closed form and reintegration disagree by {deviation:.3e}"
@@ -210,10 +210,6 @@ def geodesic(s: Spray, x0, v0, alpha: float, beta: float,
         reintegration_deviation=deviation, membership_max=membership_max,
         recovered_alpha=rec_a, recovered_beta=rec_b,
     )
-
-
-def project_to_base(sg: SubsprayGeodesic) -> Trajectory:
-    return sg.base
 
 
 @dataclass

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sprayjets import (DomainError, InconsistentTrajectoryError, JetPoint,
-                       make_flat, make_sphere)
+                       integrate, make_finsler_example, make_flat, make_sphere)
 from sprayjets import subspray as sub
 from sprayjets.subspray import CONSTRAINTS, MembershipRejection, MembershipResult
 
@@ -120,12 +120,21 @@ def test_geodesic_strictness():
         sub.geodesic(s, SPHERE_X0, SPHERE_V0, 1.0, 0.5, (0.0, 1.0), 1e-3, tol=0.0)
 
 
-def test_project_to_base():
-    f = make_flat(2)
-    sg = sub.geodesic(f, [0.0, 0.0], [1.0, 0.0], 1.0, 1.0, (0.0, 1.0), 1e-2)
-    base = sub.project_to_base(sg)
-    assert base is sg.base
-    np.testing.assert_allclose(base.positions[:, 0], base.times, atol=1e-13)
+@pytest.mark.parametrize("spray, x0, v0", [
+    (make_sphere(), SPHERE_X0, SPHERE_V0),
+    (make_flat(2), [0.0, 0.0], [1.0, 0.0]),
+    (make_finsler_example((0.3, -0.2)), [0.1, 0.2], [0.9, -0.4]),
+], ids=["sphere", "flat", "finsler"])
+def test_base_is_carrier_of_lifted_run(spray, x0, v0):
+    # the base geodesic is read off the doubly lifted run, not re-integrated
+    sg = sub.geodesic(spray, x0, v0, 1.0, 0.5, (0.0, 0.5), 1e-2)
+    ref = integrate(spray, JetPoint(1, 2, np.concatenate([x0, v0])), (0.0, 0.5), 1e-2)
+    assert sg.base.spray is spray
+    assert sg.base.exit_reason == ref.exit_reason
+    for name in ("times", "positions", "velocities", "accelerations"):
+        np.testing.assert_array_equal(getattr(sg.base, name), getattr(ref, name), err_msg=name)
+    if spray.tag == "flat":
+        np.testing.assert_allclose(sg.base.positions[:, 0], sg.base.times, atol=1e-13)
 
 
 def test_uniqueness_of_recovered_scalars():
