@@ -15,3 +15,7 @@ class IntegrationBlowupError(RuntimeError):
 
 class InconsistentTrajectoryError(RuntimeError):
     """A constructed trajectory failed its own consistency check."""
+
+
+class TraceError(TypeError):
+    """A traced evaluation asked for the value of a symbolic scalar."""

@@ -142,6 +142,11 @@ def _euler(x: list, v: list, dx: list, dv: list, c: float) -> tuple[list, list]:
     return xs, vs
 
 
+def _outside(s: Spray, x: list) -> bool:
+    """Whether the finite position ``x`` lies outside the spray's chart."""
+    return all(map(math.isfinite, x)) and not s.in_domain(x)
+
+
 class _StageOutsideDomain(Exception):
     """A coefficient evaluation failed at a stage position outside the chart."""
 
@@ -150,10 +155,12 @@ def integrate(s: Spray, init: JetPoint, t_span: tuple[float, float], h: float) -
     """Integrate the geodesic with initial jet ``init`` over ``t_span``.
 
     The trajectory is truncated with an exit reason if the state leaves
-    the slashed bundle or the chart domain; a coefficient evaluation that
+    the slashed bundle or the chart domain.  A coefficient evaluation that
     fails at an RK4 stage outside the domain also ends the run at the last
-    node with ``"domain"``.  Non-finite values, and coefficient failures
-    inside the domain, raise :class:`IntegrationBlowupError`.
+    node with ``"domain"``, and so does a non-finite node when one of its
+    step's finite stage positions lies outside the domain.  Other
+    non-finite values, and coefficient failures inside the domain, raise
+    :class:`IntegrationBlowupError`.
     """
 
     if h <= 0.0:
@@ -208,7 +215,15 @@ def integrate(s: Spray, init: JetPoint, t_span: tuple[float, float], h: float) -
                 xn.append(xi + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
                 vn.append(vi + dt * (l1 + 2.0 * l2 + 2.0 * l3 + l4) / 6.0)
 
-            reason = _check_node(s, xn, vn)
+            try:
+                reason = _check_node(s, xn, vn)
+            except IntegrationBlowupError:
+                # a stage that left the chart may have made the node
+                # non-finite without raising; that is a domain exit
+                if any(_outside(s, xp) for xp in (x2, x3, x4)):
+                    exit_reason = EXIT_DOMAIN
+                    break
+                raise
             if reason is not None:
                 exit_reason = reason
                 break
@@ -274,7 +289,8 @@ def residual(s: Spray, tr: Trajectory) -> float:
 
     At each step midpoint the Hermite reconstruction provides position,
     velocity, and curvature from node data alone; the defect compares the
-    curvature against the spray acceleration there.
+    curvature against the spray acceleration there.  A NaN defect at any
+    step makes the result NaN.
     """
 
     p0, p1 = tr.positions[:-1], tr.positions[1:]
@@ -286,7 +302,10 @@ def residual(s: Spray, tr: Trajectory) -> float:
     worst = 0.0
     for c, x, v in zip(curv, xm, vm):
         d = c - s.acceleration(x, v)
-        worst = max(worst, math.sqrt(d.dot(d)))  # np.linalg.norm(d), bit for bit
+        norm = math.sqrt(d.dot(d))  # np.linalg.norm(d), bit for bit
+        if math.isnan(norm):
+            return norm  # max() would skip it and report a broken run as clean
+        worst = max(worst, norm)
     return worst
 
 

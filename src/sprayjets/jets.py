@@ -1,17 +1,32 @@
-"""First-order dual numbers that nest, plus generic scalar math helpers.
+"""First-order dual numbers that nest, a tracer for them, and generic scalar helpers.
 
 Every coefficient evaluator in this package is written against plain
 arithmetic and the ``j*`` helpers below, so the same code runs on floats,
 on ``Dual`` values, and on ``Dual`` values whose components are again
 ``Dual``.  Nesting two layers propagates mixed second directional
 derivatives, which is all the lift machinery needs.
+
+``Dual`` is the semantics of jet arithmetic; nothing else defines it.
+:func:`compile_trace` runs an evaluator once on ``Sym`` scalars, which
+have a name but no value, and records every float operation and math call
+that the nested ``Dual`` arithmetic performs, in order and with its exact
+operands.  The recording becomes one function of straight-line float
+statements.  On float inputs it performs the same IEEE operations in the
+same order as the ``Dual`` evaluation, so every component of its result,
+primal, tangent and mixed, is bitwise equal by construction.  Control flow
+that depends on a value cannot be recorded: a ``Sym`` raises
+:class:`~sprayjets.errors.TraceError` when it is compared, tested for
+truth or converted to a number, and the evaluator is then not compiled.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 
-_NUMERIC = (int, float)
+from .errors import TraceError
+
+_NUMERIC = (float, int)  # float first: the common case, checked without an MRO walk
 
 
 class Dual:
@@ -87,23 +102,23 @@ class Dual:
 
 
 def jsqrt(z):
-    return z.sqrt() if isinstance(z, Dual) else math.sqrt(z)
+    return math.sqrt(z) if isinstance(z, _NUMERIC) else z.sqrt()
 
 
 def jsin(z):
-    return z.sin() if isinstance(z, Dual) else math.sin(z)
+    return math.sin(z) if isinstance(z, _NUMERIC) else z.sin()
 
 
 def jcos(z):
-    return z.cos() if isinstance(z, Dual) else math.cos(z)
+    return math.cos(z) if isinstance(z, _NUMERIC) else z.cos()
 
 
 def jexp(z):
-    return z.exp() if isinstance(z, Dual) else math.exp(z)
+    return math.exp(z) if isinstance(z, _NUMERIC) else z.exp()
 
 
 def jlog(z):
-    return z.log() if isinstance(z, Dual) else math.log(z)
+    return math.log(z) if isinstance(z, _NUMERIC) else z.log()
 
 
 def jet_re(z):
@@ -131,3 +146,160 @@ def jdot(a, b):
 
 def jnorm(a):
     return jsqrt(jdot(a, a))
+
+
+# --- tracing ----------------------------------------------------------------
+
+_MATH = ("sqrt", "sin", "cos", "exp", "log")
+
+
+class _Tape:
+    """Statements recorded from ``Sym`` arithmetic, and the names they use."""
+
+    def __init__(self):
+        self.body: list[str] = []
+        self.namespace = {name: getattr(math, name) for name in _MATH}
+        self._consts: dict[int, str] = {}
+        self._count = 0
+        self.refused = False
+
+    def fresh(self, expr: str | None = None) -> "Sym":
+        name = f"t{self._count}"
+        self._count += 1
+        if expr is not None:
+            self.body.append(f"{name} = {expr}")
+        return Sym(self, name)
+
+    def operand(self, z) -> str | None:
+        """The name of ``z`` in the generated code; None if it is no scalar."""
+        if isinstance(z, Sym):
+            return z.name
+        if not isinstance(z, _NUMERIC):
+            return None
+        # Constants are bound by identity, never written as literals, so
+        # int and float, -0.0, inf and nan reach the program exactly.  The
+        # namespace keeps each one alive, so its id is never reused.
+        name = self._consts.get(id(z))
+        if name is None:
+            name = self._consts[id(z)] = f"c{len(self._consts)}"
+            self.namespace[name] = z
+        return name
+
+    def binary(self, a, op: str, b):
+        x, y = self.operand(a), self.operand(b)
+        if x is None or y is None:
+            return NotImplemented
+        return self.fresh(f"{x} {op} {y}")
+
+
+class Sym:
+    """A traced scalar: a name on a tape, with no value.
+
+    Arithmetic appends one statement to the tape and returns a new
+    ``Sym``.  Anything that needs the value raises ``TraceError``.
+    """
+
+    __slots__ = ("tape", "name")
+    # numpy scalars defer to the reflected methods below instead of
+    # wrapping a Sym in an object array, so their type reaches the tape.
+    __array_ufunc__ = None
+
+    def __init__(self, tape: _Tape, name: str):
+        self.tape = tape
+        self.name = name
+
+    def __repr__(self):
+        return f"Sym({self.name})"
+
+    def __add__(self, o):
+        return self.tape.binary(self, "+", o)
+
+    def __radd__(self, o):
+        return self.tape.binary(o, "+", self)
+
+    def __sub__(self, o):
+        return self.tape.binary(self, "-", o)
+
+    def __rsub__(self, o):
+        return self.tape.binary(o, "-", self)
+
+    def __mul__(self, o):
+        return self.tape.binary(self, "*", o)
+
+    def __rmul__(self, o):
+        return self.tape.binary(o, "*", self)
+
+    def __truediv__(self, o):
+        return self.tape.binary(self, "/", o)
+
+    def __rtruediv__(self, o):
+        return self.tape.binary(o, "/", self)
+
+    def __pow__(self, o):
+        return self.tape.binary(self, "**", o)
+
+    def __neg__(self):
+        return self.tape.fresh(f"-{self.name}")
+
+    def sqrt(self):
+        return self.tape.fresh(f"sqrt({self.name})")
+
+    def sin(self):
+        return self.tape.fresh(f"sin({self.name})")
+
+    def cos(self):
+        return self.tape.fresh(f"cos({self.name})")
+
+    def exp(self):
+        return self.tape.fresh(f"exp({self.name})")
+
+    def log(self):
+        return self.tape.fresh(f"log({self.name})")
+
+    def _refuse(self, *args):
+        # Flagged on the tape as well, in case the evaluator catches the error.
+        self.tape.refused = True
+        raise TraceError("a traced scalar has no value to branch on or convert")
+
+    __bool__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+    __float__ = __int__ = __index__ = _refuse
+
+
+def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
+    """Straight-line float code recorded from one evaluation of ``fn(pos, vel)``.
+
+    ``fn`` runs once on ``n_pos`` and ``n_vel`` symbolic scalars and must
+    return a sequence of scalars.  The result is a function of two float
+    sequences of those lengths that returns the same list ``fn`` would,
+    bit for bit.  Returns None when the evaluation cannot be recorded:
+    it needed a value (``TraceError``) or failed in any other way, in
+    which case the caller keeps evaluating ``fn`` itself and meets the
+    same failure there if it was a real one.  The source is registered
+    with :mod:`linecache` under ``filename``, so tracebacks show the
+    failing statement.
+    """
+
+    tape = _Tape()
+    pos = [tape.fresh() for _ in range(n_pos)]
+    vel = [tape.fresh() for _ in range(n_vel)]
+    try:
+        out = [tape.operand(z) for z in fn(pos, vel)]
+    except Exception:
+        return None
+    if tape.refused or None in out:
+        return None
+    lines = ["def program(pos, vel):",
+             f"    {''.join(z.name + ', ' for z in pos)}= pos",
+             f"    {''.join(z.name + ', ' for z in vel)}= vel"]
+    lines += [f"    {stmt}" for stmt in tape.body]
+    lines.append(f"    return [{', '.join(out)}]")
+    source = "\n".join(lines) + "\n"
+    text = source.splitlines(True)
+    name, k = filename, 1
+    while name in linecache.cache and linecache.cache[name][2] != text:
+        k += 1
+        name = f"{filename} #{k}"
+    linecache.cache[name] = (len(source), None, text, name)
+    namespace = tape.namespace
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["program"]

@@ -7,18 +7,30 @@ the two coordinate halves of the level-(r+1) point as indexable sequences
 of generic scalars and must stay polymorphic over Dual entries: the
 complete lift is literally the same evaluator run on Dual pairs, and a
 second lift runs it on Duals of Duals.
+
+That ``Dual`` evaluation is the semantics of a lift, and it serves every
+call with ``Dual`` entries.  A call with plain int or float entries runs
+instead the straight-line program that :func:`~sprayjets.jets.compile_trace`
+recorded from the ``Dual`` evaluation at the lift's first such call; the
+program is a recording of the same operations, so its results are
+bitwise equal by construction.  An evaluator whose control flow depends
+on a value (a branch on ``jet_re(...)``, a comparison) refuses tracing
+and keeps the ``Dual`` evaluation for floats too.  Level-0 sprays,
+pushed and projected sprays are not compiled; a lift of a pushed spray
+is, since tracing runs straight through ``jet_apply``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InvalidLevelError
 from .jetspace import JetPoint, is_slashed
-from .jets import Dual, jet_du, jet_re, jnorm, jcos, jsin
+from .jets import Dual, compile_trace, jet_du, jet_re, jnorm, jcos, jsin
 
 
 @dataclass(frozen=True)
@@ -87,35 +99,77 @@ def homogeneity_check(s: Spray, p: JetPoint, lam: float) -> float:
     return float(np.linalg.norm(scaled - ref) / (1.0 + np.linalg.norm(ref)))
 
 
-def complete_lift(s: Spray) -> Spray:
-    """The lifted spray one level up, via one layer of jet arithmetic.
+def dual_lift(parent_fn: Callable) -> Callable:
+    """The lifted evaluator of ``parent_fn``, run on Dual pairs.
 
     Evaluating the parent coefficients on Dual pairs yields the vertical
     part as the primal component and the derivative part as the tangent
     component; both land in the block layout of the lifted level.
     """
 
-    parent_fn = s.coeff_fn
-
-    def lifted(pos, vel):
-        if isinstance(pos, np.ndarray) and pos.dtype != object:
-            pos = pos.tolist()
-        if isinstance(vel, np.ndarray) and vel.dtype != object:
-            vel = vel.tolist()
+    def on_duals(pos, vel):
         half = len(pos) // 2
         ppos = [Dual(pos[i], pos[half + i]) for i in range(half)]
         pvel = [Dual(vel[i], vel[half + i]) for i in range(half)]
         out = parent_fn(ppos, pvel)
         return [jet_re(z) for z in out] + [jet_du(z) for z in out]
 
+    return on_duals
+
+
+_PLAIN = frozenset((int, float))
+
+
+def complete_lift(s: Spray) -> Spray:
+    """The lifted spray one level up, via one layer of jet arithmetic.
+
+    Float calls run the program traced from :func:`dual_lift` at the first
+    of them; calls with Dual entries, and every call of a lift whose
+    tracing was refused, run :func:`dual_lift` itself.  Lifts are memoized
+    per parent, so repeated lifts of one spray share one program; a spray
+    with an unhashable field (say, a coefficient object with ``__eq__``)
+    is lifted afresh each time.
+    """
+
+    try:
+        hash(s)
+    except TypeError:
+        return _lift(s)
+    return _memo_lift(s)
+
+
+def _lift(s: Spray) -> Spray:
+    on_duals = dual_lift(s.coeff_fn)
+    level = s.level + 1
+    tag = f"lifted({s.tag})"
+    n = 2 * s.fiber_dim
+    program = None  # traced at the first float call; False once refused
+
+    def lifted(pos, vel):
+        nonlocal program
+        if isinstance(pos, np.ndarray) and pos.dtype != object:
+            pos = pos.tolist()
+        if isinstance(vel, np.ndarray) and vel.dtype != object:
+            vel = vel.tolist()
+        if (program is not False and len(pos) == n == len(vel)
+                and _PLAIN.issuperset(map(type, pos)) and _PLAIN.issuperset(map(type, vel))):
+            if program is None:
+                program = compile_trace(on_duals, n, n, f"<{tag} L{level}>") or False
+            if program:
+                return program(pos, vel)
+        return on_duals(pos, vel)
+
     return Spray(
-        level=s.level + 1,
+        level=level,
         dim=s.dim,
         coeff_fn=lifted,
-        tag=f"lifted({s.tag})",
+        tag=tag,
         domain=s.domain,
         parent=s,
     )
+
+
+_memo_lift = lru_cache(maxsize=128)(_lift)
 
 
 def project_spray(s: Spray) -> Spray:

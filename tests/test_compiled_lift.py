@@ -1,0 +1,201 @@
+"""Compiled complete lifts: the traced program against the Dual evaluation it records."""
+
+import math
+import operator
+import traceback
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sprayjets import (JetPoint, Spray, complete_lift, conjugate_search, integrate,
+                       make_finsler_example, make_flat, make_sphere, pushforward_spray,
+                       shear_chart)
+from sprayjets import spray as spray_mod
+from sprayjets.errors import TraceError
+from sprayjets.jets import Sym, _Tape, jet_re
+from sprayjets.spray import dual_lift
+
+BASES = {
+    "sphere": make_sphere(),
+    "flat": make_flat(2),
+    "finsler": make_finsler_example((0.3, -0.2)),
+    "pushed": pushforward_spray(shear_chart(), make_sphere()),
+}
+
+
+def _lift(s, level):
+    for _ in range(level):
+        s = complete_lift(s)
+    return s
+
+
+def _outcome(fn, pos, vel):
+    """The result bytes, or the type of the exception raised."""
+    try:
+        return np.asarray(fn(pos, vel), dtype=float).tobytes()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def _halves(name, n):
+    """Strategies for the two coordinate halves of a point over the base chart."""
+    coord = st.floats(-3.0, 3.0)
+    # sphere colatitude, and the shear chart's image of it: x1 = theta + x2**2
+    first = {"sphere": st.floats(0.3, math.pi - 0.3), "pushed": st.floats(1.3, 2.0)}.get(name, coord)
+    second = st.floats(-0.9, 0.9) if name == "pushed" else coord
+    rest = st.lists(coord, min_size=n - 2, max_size=n - 2)
+    pos = st.builds(lambda a, b, r: [a, b, *r], first, second, rest)
+    return pos, st.lists(coord, min_size=n, max_size=n)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("name", list(BASES))
+def test_compiled_lift_is_bitwise_the_dual_path(name, level):
+    lifted = _lift(BASES[name], level)
+    reference = dual_lift(lifted.parent.coeff_fn)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(*_halves(name, 2 * lifted.parent.fiber_dim))
+    def check(pos, vel):
+        want = _outcome(reference, pos, vel)
+        assert _outcome(lifted.coeff_fn, pos, vel) == want
+        assert _outcome(lifted.coeff_fn, np.array(pos), np.array(vel)) == want
+
+    check()
+
+
+def _count_traces(monkeypatch):
+    traces = []
+    orig = spray_mod.compile_trace
+
+    def counted(fn, n_pos, n_vel, filename):
+        program = orig(fn, n_pos, n_vel, filename)
+        traces.append((filename, program))
+        return program
+
+    monkeypatch.setattr(spray_mod, "compile_trace", counted)
+    return traces
+
+
+def _branch_on_primal(pos, vel):
+    sign = 1.0 if jet_re(pos[0]) > 0.0 else -1.0
+    return [sign * vel[0] * vel[0]]
+
+
+def _guarded_division(pos, vel):
+    if jet_re(pos[0]) == 0.0:
+        return [0.0 * vel[0]]
+    return [vel[0] * vel[0] / pos[0]]
+
+
+@pytest.mark.parametrize("coeff", [_branch_on_primal, _guarded_division])
+def test_value_dependent_coefficient_keeps_the_dual_path(monkeypatch, coeff):
+    traces = _count_traces(monkeypatch)
+    lifted = complete_lift(Spray(level=0, dim=1, coeff_fn=coeff, tag=coeff.__name__))
+    reference = dual_lift(coeff)
+    # a branch baked in at tracing time would give the wrong sign at -0.7,
+    # or divide by zero at 0.0
+    for x in (0.7, -0.7, 0.0):
+        pos, vel = [x, 0.4], [1.3, -0.2]
+        assert _outcome(lifted.coeff_fn, pos, vel) == _outcome(reference, pos, vel)
+    assert [program for _, program in traces] == [None]
+
+
+@pytest.mark.parametrize("use", [bool, float, int, operator.index,
+                                 lambda z: z == 1.0, lambda z: 1.0 == z, lambda z: z != 1.0,
+                                 lambda z: z < 1.0, lambda z: z <= 1.0, lambda z: z > 1.0,
+                                 lambda z: z >= 1.0])
+def test_sym_refuses_value_dependent_operations(use):
+    tape = _Tape()
+    with pytest.raises(TraceError):
+        use(tape.fresh())
+    assert tape.refused
+
+
+def test_lifts_are_memoized_and_traced_once(monkeypatch):
+    traces = _count_traces(monkeypatch)
+    s = make_sphere()
+    assert complete_lift(s) is complete_lift(s)
+    init = JetPoint(1, 2, [math.pi / 2, 0.0, 0.0, 1.0])
+    for _ in range(2):
+        scan = conjugate_search(s, init, 3.5, 1e-2)
+        assert len(scan.times) == 1
+    assert [name for name, _ in traces] == ["<lifted(sphere) L1>"]
+
+
+@dataclass
+class _Drag:
+    """A coefficient object with value equality, hence unhashable."""
+
+    c: float
+
+    def __call__(self, pos, vel):
+        return [self.c * vel[0] * vel[0]]
+
+
+def test_unhashable_coefficient_is_lifted_without_memo():
+    s = Spray(level=0, dim=1, coeff_fn=_Drag(0.5), tag="drag")
+    lifted = complete_lift(s)
+    assert lifted is not complete_lift(s)
+    pos, vel = [0.3, -0.2], [1.5, 0.7]
+    assert _outcome(lifted.coeff_fn, pos, vel) == _outcome(dual_lift(s.coeff_fn), pos, vel)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_lifted_stage_on_pole_is_domain_exit(level):
+    # carrier as in test_stage_on_pole_is_domain_exit: the 4th stage of step
+    # 2 lands on colatitude 0.0, where sin(theta) = 0 divides
+    lifted = _lift(make_sphere(), level)
+    half = (1 << level) * 2
+    coords = np.full(2 * half, 0.1)
+    coords[:2] = [0.5, 0.0]
+    coords[half:half + 2] = [-1.0, 0.0]
+    init = JetPoint(level + 1, 2, coords)
+    reference = Spray(level=lifted.level, dim=2, coeff_fn=dual_lift(lifted.parent.coeff_fn),
+                      tag="dual", domain=lifted.domain)
+    got = integrate(lifted, init, (0.0, 2.0), 0.25)
+    want = integrate(reference, init, (0.0, 2.0), 0.25)
+    assert got.exit_reason == want.exit_reason == "domain"
+    assert got.t_end == want.t_end == 0.25
+    for field in ("times", "positions", "velocities", "accelerations"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    pole = [0.0] * half, [1.0] * half
+    with pytest.raises(ZeroDivisionError):
+        lifted.coeff_fn(*pole)
+    with pytest.raises(ZeroDivisionError):
+        reference.coeff_fn(*pole)
+
+
+def test_traceback_shows_the_failing_generated_statement():
+    lifted = _lift(make_sphere(), 2)
+    with pytest.raises(ZeroDivisionError) as err:
+        lifted.coeff_fn([0.0] * 8, [1.0] * 8)
+    frame = traceback.extract_tb(err.value.__traceback__)[-1]
+    assert frame.filename == "<lifted(lifted(sphere)) L2>"
+    assert "/" in frame.line
+
+
+def test_constants_reach_the_program_exactly():
+    # the sign of zero, inf, nan and int operands survive compilation, and
+    # so does the operand order of a reflected subtraction (1 - 1 is +0.0)
+    def coeff(pos, vel):
+        return [vel[0] * -0.0 + -0.0, pos[0] * math.inf, vel[0] + math.nan, 3 * vel[0] / 2,
+                1.0 - pos[0]]
+
+    lifted = complete_lift(Spray(level=0, dim=1, coeff_fn=coeff, tag="consts"))
+    reference = dual_lift(coeff)
+    for pos, vel in (([-1.0, 2.0], [0.5, 0.25]), ([2.0, -0.0], [1.0, -0.0]),
+                     ([1.0, 0.0], [1.0, 0.0])):
+        want = _outcome(reference, pos, vel)
+        assert _outcome(lifted.coeff_fn, pos, vel) == want
+    assert math.copysign(1.0, lifted.coeff_fn([2.0, 0.0], [1.0, 0.0])[0]) == -1.0
+
+
+def test_sym_defers_numpy_scalars_to_the_tape():
+    tape = _Tape()
+    assert isinstance(np.float64(2.0) * tape.fresh(), Sym)
+    assert tape.body == ["t1 = c0 * t0"]
+    assert type(tape.namespace["c0"]) is np.float64

@@ -1,5 +1,6 @@
 """Fixed-step integration, dense output, exit handling, and the flow map."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -90,6 +91,23 @@ def test_residual_flags_corruption():
     pos = tr.positions.copy()
     pos[50, 0] += 1e-3
     assert residual(s, replace(tr, positions=pos)) > 1e-2
+
+
+def test_residual_propagates_nan_node():
+    s = make_sphere()
+    tr = integrate(s, tilted_init(), (0.0, 1.0), 1e-2)
+    vel = tr.velocities.copy()
+    vel[50, 0] = np.nan
+    assert math.isnan(residual(s, replace(tr, velocities=vel)))
+
+
+def test_residual_propagates_nan_acceleration_at_midpoint():
+    # unit-speed line with nodes at x = 0, 0.1, ..., 1: only the midpoint
+    # x = 0.25 meets the NaN coefficient
+    line = integrate(make_flat(1), JetPoint(1, 1, [0.0, 1.0]), (0.0, 1.0), 0.1)
+    spiky = Spray(level=0, dim=1, tag="spiky",
+                  coeff_fn=lambda x, v: [math.nan if 0.24 < x[0] < 0.26 else 0.0])
+    assert math.isnan(residual(spiky, line))
 
 
 def test_domain_exit_truncates():
@@ -244,6 +262,28 @@ def test_stage_failure_inside_domain_raises_blowup():
     with pytest.raises(IntegrationBlowupError) as err:
         integrate(singular, JetPoint(1, 1, [0.5, -1.0]), (0.0, 2.0), 0.25)
     assert isinstance(err.value.__cause__, ZeroDivisionError)
+
+
+def _pole_stage_spray(domain):
+    # numpy scalars turn 0/0 into NaN instead of raising; the 4th stage of
+    # the first step, from (0.5, 1.0) with h = 0.5, sits at x = 1.0
+    return Spray(level=0, dim=1, tag="pole-stage", domain=domain,
+                 coeff_fn=lambda x, v: [np.float64(0.0) * v[0] / (np.float64(x[0]) - 1.0)])
+
+
+def test_nonfinite_stage_outside_domain_is_domain_exit():
+    s = _pole_stage_spray(lambda x: x[0] < 0.75)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tr = integrate(s, JetPoint(1, 1, [0.5, 1.0]), (0.0, 2.0), 0.5)
+    assert tr.exit_reason == "domain"
+    assert tr.t_end == 0.0
+
+
+def test_nonfinite_stage_inside_domain_raises_blowup():
+    s = _pole_stage_spray(lambda x: x[0] < 10.0)
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(IntegrationBlowupError, match="non-finite"):
+        integrate(s, JetPoint(1, 1, [0.5, 1.0]), (0.0, 2.0), 0.5)
 
 
 # --- the array-arithmetic RK4 loop, kept as the reference for integrate ----
