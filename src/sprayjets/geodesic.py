@@ -5,26 +5,34 @@ v' = -2 G(x, v)).  Fixed steps keep runs reproducible and make the
 discrete flow commute with fiberwise differentiation, which the lifted
 flow identity checks rely on.  Dense output is cubic Hermite per step.
 
-The stage and update arithmetic runs on lists of Python floats.  A state
-holds from two to a few dozen numbers, so a numpy expression per stage
-costs mostly call overhead; element by element the operations are the
-same IEEE double operations in the same order, and the node arrays are
-built once at the end.  That order is an invariant, not a detail: the
-carrier columns of a lifted run (the leading ``dim`` positions and
+One step is straight-line code generated once per state length
+(:func:`_rk4_step`): the three stage evaluations and the stage and update
+arithmetic on Python floats, one statement per element.  Every
+evaluation, at a stage or a node, is :meth:`Spray.acceleration` on float
+lists, which runs the spray's compiled kernel and returns its list.
+
+The generated step carries the order invariant.  Each element is
+computed by the same IEEE double operations, in the same order and
+association, as the numpy expressions ``x + 0.5*dt*v`` and
+``x + dt*(k1 + 2.0*k2 + 2.0*k3 + k4)/6.0``.  That order is not a detail:
+the carrier columns of a lifted run (the leading ``dim`` positions and
 velocities) must equal the run of the base spray bit for bit, because the
 primal part of jet arithmetic repeats the float computation and
 ``subspray.geodesic`` takes its base geodesic from the lifted run.  The
-loop may not reorder, fuse or regroup any of these operations.
+generator may not reorder, fuse or regroup any of these operations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, IntegrationBlowupError, InvalidLevelError
+from .jets import compile_source
 from .jetspace import EPS_SLASHED, JetPoint, kappa
 from .spray import Spray
 
@@ -121,10 +129,8 @@ def _hermite(y0, d0, y1, d1, tau, dt):
             + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * dt * d1)
 
 
-def _check_node(s: Spray, x: list, v: list) -> str | None:
-    """Exit reason of the node (x, v), or None if the run goes on."""
-    if not all(map(math.isfinite, x + v)):
-        raise IntegrationBlowupError("non-finite state during integration")
+def _node_exit(s: Spray, x: list, v: list) -> str | None:
+    """Exit reason of the finite node (x, v), or None if the run goes on."""
     vd = np.array(v[: s.dim])
     if math.sqrt(vd.dot(vd)) <= EPS_SLASHED:  # np.linalg.norm(vd), bit for bit
         return EXIT_SLASHED
@@ -133,22 +139,66 @@ def _check_node(s: Spray, x: list, v: list) -> str | None:
     return None
 
 
-def _euler(x: list, v: list, dx: list, dv: list, c: float) -> tuple[list, list]:
-    """The stage point (x + c*dx, v + c*dv), element by element."""
-    xs, vs = [], []
-    for xi, vi, dxi, dvi in zip(x, v, dx, dv):
-        xs.append(xi + c * dxi)
-        vs.append(vi + c * dvi)
-    return xs, vs
+def _finite(x: list, v: list) -> bool:
+    return all(map(math.isfinite, x + v))
 
 
-def _outside(s: Spray, x: list) -> bool:
-    """Whether the finite position ``x`` lies outside the spray's chart."""
-    return all(map(math.isfinite, x)) and not s.in_domain(x)
+@cache
+def _rk4_step(n: int) -> Callable:
+    """The RK4 step ``step(f, x, v, a1, dt) -> (xn, vn)`` for ``n`` positions.
+
+    ``f(x, v)`` is the acceleration as a list and ``a1`` its value at the
+    node (x, v).  Stage k is ``xk = x + c*d``, ``vk = v + c*a`` with
+    (c, d, a) = (0.5*dt, v, a1), (0.5*dt, v2, a2), (dt, v3, a3); the
+    update is ``x + dt*(v + 2.0*v2 + 2.0*v3 + v4)/6.0`` and likewise for v.
+    """
+
+    def each(template: str) -> list[str]:
+        return [template.replace("#", str(i)) for i in range(n)]
+
+    def row(template: str) -> str:
+        return ", ".join(each(template))
+
+    lines = ["def step(f, x, v, a1, dt):",
+             f"    {row('x_#')}, = x",
+             f"    {row('v_#')}, = v",
+             f"    {row('a1_#')}, = a1",
+             "    c = 0.5 * dt"]
+    for k, c, d, a in ((2, "c", "v", "a1"), (3, "c", "v2", "a2"), (4, "dt", "v3", "a3")):
+        lines += each(f"    x{k}_# = x_# + {c} * {d}_#")
+        lines += each(f"    v{k}_# = v_# + {c} * {a}_#")
+        lines.append(f"    {row(f'a{k}_#')}, = f([{row(f'x{k}_#')}], [{row(f'v{k}_#')}])")
+    lines.append(f"    return ([{row('x_# + dt * (v_# + 2.0 * v2_# + 2.0 * v3_# + v4_#) / 6.0')}],")
+    lines.append(f"            [{row('v_# + dt * (a1_# + 2.0 * a2_# + 2.0 * a3_# + a4_#) / 6.0')}])")
+    return compile_source("\n".join(lines) + "\n", f"<rk4 step n={n}>", {}, "step")
 
 
-class _StageOutsideDomain(Exception):
-    """A coefficient evaluation failed at a stage position outside the chart."""
+def _failed_step(s: Spray, step, f, x: list, v: list, a1: list, dt: float) -> str:
+    """How a run ends whose step raised or reached a non-finite node.
+
+    The step runs again with an evaluator that records each stage
+    position.  A coefficient failure at a stage outside the chart ends the
+    run with ``"domain"``, and so does a non-finite node when one of the
+    step's finite stage positions lies outside the chart; anything else
+    raises :class:`IntegrationBlowupError`.
+    """
+
+    stages = []
+
+    def recording(xp, vp):
+        stages.append(xp)
+        return f(xp, vp)
+
+    try:
+        step(recording, x, v, a1, dt)
+    except (ArithmeticError, ValueError) as exc:
+        if stages and not s.in_domain(stages[-1]):
+            return EXIT_DOMAIN
+        raise IntegrationBlowupError(f"coefficient evaluation failed: {exc!r}") from exc
+    # a NaN stage position is not outside: a NaN made inside the chart is a blowup
+    if any(all(map(math.isfinite, xp)) and not s.in_domain(xp) for xp in stages):
+        return EXIT_DOMAIN
+    raise IntegrationBlowupError("non-finite state during integration")
 
 
 def integrate(s: Spray, init: JetPoint, t_span: tuple[float, float], h: float) -> Trajectory:
@@ -160,11 +210,12 @@ def integrate(s: Spray, init: JetPoint, t_span: tuple[float, float], h: float) -
     node with ``"domain"``, and so does a non-finite node when one of its
     step's finite stage positions lies outside the domain.  Other
     non-finite values, and coefficient failures inside the domain, raise
-    :class:`IntegrationBlowupError`.
+    :class:`IntegrationBlowupError`.  A step size or span that is not
+    finite raises :class:`DomainError`.
     """
 
-    if h <= 0.0:
-        raise DomainError(f"step size must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"step size must be positive and finite, got {h}")
     if init.level != s.level + 1:
         raise InvalidLevelError(
             f"initial jet must sit one level above the spray ({s.level + 1}), got {init.level}"
@@ -174,66 +225,53 @@ def integrate(s: Spray, init: JetPoint, t_span: tuple[float, float], h: float) -
     v = init.coords[half:].tolist()
     t0, t1 = float(t_span[0]), float(t_span[1])
 
-    bad = _check_node(s, x, v)
+    if not _finite(x, v):
+        raise IntegrationBlowupError("non-finite state during integration")
+    bad = _node_exit(s, x, v)
     if bad is not None:
         raise DomainError(f"initial state rejected: {bad}")
 
     span = t1 - t0
-    nsteps = max(1, int(np.ceil(abs(span) / h - 1e-12))) if span != 0.0 else 0
+    ratio = abs(span) / h
+    if not math.isfinite(ratio):
+        raise DomainError(f"time span ({t0}, {t1}) is not finite in steps of {h}")
+    nsteps = max(1, math.ceil(ratio - 1e-12)) if span != 0.0 else 0
     sign = 1.0 if span >= 0.0 else -1.0
-    acceleration = s.acceleration
+    f = s.acceleration
+    step = _rk4_step(half)
 
-    def accel(xp: list, vp: list) -> list:
+    def node_acceleration(xp: list, vp: list) -> list:
         try:
-            return acceleration(xp, vp).tolist()
+            return f(xp, vp)
         except (ArithmeticError, ValueError) as exc:
-            if not s.in_domain(xp):
-                raise _StageOutsideDomain from exc
             raise IntegrationBlowupError(f"coefficient evaluation failed: {exc!r}") from exc
 
     times = [t0]
     xs = [x]
     vs = [v]
-    accs = [accel(x, v)]
+    accs = [node_acceleration(x, v)]
     exit_reason = None
 
     t = t0
-    try:
-        for k in range(nsteps):
-            t_next = t1 if k == nsteps - 1 else t0 + sign * (k + 1) * h
-            dt = t_next - t
-            a1 = accs[-1]
-            x2, v2 = _euler(x, v, v, a1, 0.5 * dt)
-            a2 = accel(x2, v2)
-            x3, v3 = _euler(x, v, v2, a2, 0.5 * dt)
-            a3 = accel(x3, v3)
-            x4, v4 = _euler(x, v, v3, a3, dt)
-            a4 = accel(x4, v4)
-            xn, vn = [], []
-            for xi, k1, k2, k3, k4, vi, l1, l2, l3, l4 in zip(x, v, v2, v3, v4,
-                                                              v, a1, a2, a3, a4):
-                xn.append(xi + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
-                vn.append(vi + dt * (l1 + 2.0 * l2 + 2.0 * l3 + l4) / 6.0)
-
-            try:
-                reason = _check_node(s, xn, vn)
-            except IntegrationBlowupError:
-                # a stage that left the chart may have made the node
-                # non-finite without raising; that is a domain exit
-                if any(_outside(s, xp) for xp in (x2, x3, x4)):
-                    exit_reason = EXIT_DOMAIN
-                    break
-                raise
-            if reason is not None:
-                exit_reason = reason
-                break
-            x, v, t = xn, vn, t_next
-            times.append(t)
-            xs.append(x)
-            vs.append(v)
-            accs.append(accel(x, v))
-    except _StageOutsideDomain:
-        exit_reason = EXIT_DOMAIN
+    for k in range(nsteps):
+        t_next = t1 if k == nsteps - 1 else t0 + sign * (k + 1) * h
+        dt = t_next - t
+        a1 = accs[-1]
+        try:
+            xn, vn = step(f, x, v, a1, dt)
+        except (ArithmeticError, ValueError):
+            reason = _failed_step(s, step, f, x, v, a1, dt)
+        else:
+            reason = (_node_exit(s, xn, vn) if _finite(xn, vn)
+                      else _failed_step(s, step, f, x, v, a1, dt))
+        if reason is not None:
+            exit_reason = reason
+            break
+        x, v, t = xn, vn, t_next
+        times.append(t)
+        xs.append(x)
+        vs.append(v)
+        accs.append(node_acceleration(x, v))
 
     return Trajectory(
         spray=s,
@@ -290,7 +328,8 @@ def residual(s: Spray, tr: Trajectory) -> float:
     At each step midpoint the Hermite reconstruction provides position,
     velocity, and curvature from node data alone; the defect compares the
     curvature against the spray acceleration there.  A NaN defect at any
-    step makes the result NaN.
+    step makes the result NaN, and so does a midpoint where the
+    coefficient evaluation fails (the NaN that numpy arithmetic would give).
     """
 
     p0, p1 = tr.positions[:-1], tr.positions[1:]
@@ -301,7 +340,10 @@ def residual(s: Spray, tr: Trajectory) -> float:
     curv = (v1 - v0) / dt
     worst = 0.0
     for c, x, v in zip(curv, xm, vm):
-        d = c - s.acceleration(x, v)
+        try:
+            d = c - s.acceleration(x, v)
+        except (ArithmeticError, ValueError):
+            return math.nan
         norm = math.sqrt(d.dot(d))  # np.linalg.norm(d), bit for bit
         if math.isnan(norm):
             return norm  # max() would skip it and report a broken run as clean

@@ -326,7 +326,8 @@ def lift_conjugate_check(s: Spray, jac: JacobiField, eps_var: float = 1e-4,
     """
 
     if s.level + 2 > 2:
-        raise InvalidLevelError("witness construction needs two lifts; base spray only")
+        raise InvalidLevelError("witnesses run two lifts above the spray, so only base sprays "
+                                "are checked: a cost policy, not a limit of the jet type")
     fib = jac.fiber_nodes()
     norms = np.linalg.norm(fib, axis=1)
     if norms[0] > end_tol or norms[-1] > end_tol:
@@ -407,7 +408,8 @@ def new_from_old_suite(base: Spray, j: Trajectory, shift: float | None = None,
     curve, Liouville composite) is rebuilt from its own initial jet with
     the same integrator; the sup deviation against the derived curve is
     returned per item.  Constructions that would need a third lift are
-    skipped with a reason.
+    skipped with a reason; that is a cost policy, since nested ``Dual``
+    arithmetic has no depth limit and level-3 sprays integrate like any other.
     """
 
     r = j.spray.level
@@ -484,7 +486,7 @@ def new_from_old_suite(base: Spray, j: Trajectory, shift: float | None = None,
 
     # (vi)-(viii) live one level up
     if r + 1 > 2:
-        reason = "needs a third lift, beyond the jet nesting budget"
+        reason = "needs a third lift, which this suite leaves out to bound its cost"
         skip("tangent_curve", reason)
         skip("scaled_tangent_curve", reason)
         skip("liouville_composite", reason)

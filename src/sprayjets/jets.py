@@ -271,12 +271,13 @@ def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
     ``fn`` runs once on ``n_pos`` and ``n_vel`` symbolic scalars and must
     return a sequence of scalars.  The result is a function of two float
     sequences of those lengths that returns the same list ``fn`` would,
-    bit for bit.  Returns None when the evaluation cannot be recorded:
-    it needed a value (``TraceError``) or failed in any other way, in
-    which case the caller keeps evaluating ``fn`` itself and meets the
-    same failure there if it was a real one.  The source is registered
-    with :mod:`linecache` under ``filename``, so tracebacks show the
-    failing statement.
+    bit for bit; a numpy scalar that a numpy constant made is returned
+    as the Python float of the same value.  Returns None when the
+    evaluation cannot be recorded: it needed a value (``TraceError``) or
+    failed in any other way, in which case the caller keeps evaluating
+    ``fn`` itself and meets the same failure there if it was a real one.
+    The source is registered with :mod:`linecache` under ``filename``, so
+    tracebacks show the failing statement.
     """
 
     tape = _Tape()
@@ -292,14 +293,27 @@ def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
              f"    {''.join(z.name + ', ' for z in pos)}= pos",
              f"    {''.join(z.name + ', ' for z in vel)}= vel"]
     lines += [f"    {stmt}" for stmt in tape.body]
+    if any(type(c) not in _NUMERIC for c in tape.namespace.values() if not callable(c)):
+        # a numpy scalar constant makes numpy scalars of what it touches;
+        # the caller gets the Python floats the same values convert to
+        out = [f"float({z})" for z in out]
     lines.append(f"    return [{', '.join(out)}]")
-    source = "\n".join(lines) + "\n"
+    return compile_source("\n".join(lines) + "\n", filename, tape.namespace, "program")
+
+
+def compile_source(source: str, filename: str, namespace: dict, fn_name: str):
+    """The function ``fn_name`` that generated ``source`` defines in ``namespace``.
+
+    The source is registered with :mod:`linecache` under ``filename``, or
+    ``filename #k`` if another source already holds that name, so
+    tracebacks show the generated lines.
+    """
+
     text = source.splitlines(True)
     name, k = filename, 1
     while name in linecache.cache and linecache.cache[name][2] != text:
         k += 1
         name = f"{filename} #{k}"
     linecache.cache[name] = (len(source), None, text, name)
-    namespace = tape.namespace
     exec(compile(source, name, "exec"), namespace)
-    return namespace["program"]
+    return namespace[fn_name]

@@ -8,22 +8,24 @@ of generic scalars and must stay polymorphic over Dual entries: the
 complete lift is literally the same evaluator run on Dual pairs, and a
 second lift runs it on Duals of Duals.
 
-That ``Dual`` evaluation is the semantics of a lift, and it serves every
-call with ``Dual`` entries.  A call with plain int or float entries runs
-instead the straight-line program that :func:`~sprayjets.jets.compile_trace`
-recorded from the ``Dual`` evaluation at the lift's first such call; the
-program is a recording of the same operations, so its results are
-bitwise equal by construction.  An evaluator whose control flow depends
-on a value (a branch on ``jet_re(...)``, a comparison) refuses tracing
-and keeps the ``Dual`` evaluation for floats too.  Level-0 sprays,
-pushed and projected sprays are not compiled; a lift of a pushed spray
-is, since tracing runs straight through ``jet_apply``.
+That ``Dual`` evaluation is the semantics of a lift, and ``coeff_fn``
+always runs it.  Float accelerations run instead each spray's
+:attr:`Spray.kernel`: the straight-line program that
+:func:`~sprayjets.jets.compile_trace` records from ``-2 * coeff_fn`` at the
+spray's first float evaluation.  Level-0, lifted and projected sprays
+have one, and so do lifts of pushed sprays, since tracing runs straight
+through nested ``Dual`` arithmetic and ``jet_apply``.  The program is a
+recording of the same operations, so its results are bitwise equal by
+construction.  An evaluator whose control flow depends on a value (a
+branch on ``jet_re(...)``, a comparison) refuses tracing, and its kernel
+evaluates ``coeff_fn`` itself, as does a level-0 pushed spray (see
+:func:`pushforward_spray`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +43,7 @@ class Spray:
     of ``2**level * dim`` scalars.  ``domain``, when set, restricts the
     base chart: it receives the leading ``dim`` coordinates of a position.
     ``parent`` records the spray a lift or a projection was derived from.
+    ``traced=False`` keeps :attr:`kernel` on ``coeff_fn`` itself.
     """
 
     level: int
@@ -49,6 +52,7 @@ class Spray:
     tag: str
     domain: Callable | None = None
     parent: "Spray | None" = None
+    traced: bool = True
 
     @property
     def fiber_dim(self) -> int:
@@ -66,8 +70,41 @@ class Spray:
         half = p.coords.size // 2
         return np.asarray(self.coeff_fn(p.coords[:half], p.coords[half:]), dtype=float)
 
-    def acceleration(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return -2.0 * np.asarray(self.coeff_fn(x, v), dtype=float)
+    def acceleration(self, x: Sequence[float], v: Sequence[float]) -> list[float] | np.ndarray:
+        """The acceleration -2 G(x, v) at float coordinates, run by :attr:`kernel`.
+
+        Two lists give the kernel's list of floats, which is what the
+        integrator steps with; other sequences (ndarrays) give an ndarray.
+        """
+        if type(x) is list and type(v) is list:
+            return self.kernel(x, v)
+        x = np.asarray(x, dtype=float).tolist()
+        v = np.asarray(v, dtype=float).tolist()
+        return np.array(self.kernel(x, v), dtype=float)
+
+    @cached_property
+    def kernel(self) -> Callable:
+        """The acceleration as a function of two float lists, returning floats.
+
+        Traced from ``coeff_fn`` at its first use and kept on the spray, so
+        memoized lifts share it.  Equals ``-2.0 * np.asarray(coeff_fn(x, v))``
+        bit for bit; when tracing is refused or ``traced`` is off it is that
+        expression.
+        """
+        coeff_fn, n = self.coeff_fn, self.fiber_dim
+
+        def negated(pos, vel):
+            return [-2.0 * g for g in coeff_fn(pos, vel)]
+
+        if self.traced:
+            program = compile_trace(negated, n, n, f"<{self.tag} L{self.level}>")
+            if program is not None:
+                return program
+
+        def interpreted(pos, vel):
+            return (-2.0 * np.asarray(coeff_fn(pos, vel), dtype=float)).tolist()
+
+        return interpreted
 
     def in_domain(self, x: Sequence[float]) -> bool:
         return self.domain is None or bool(self.domain(np.asarray(x)[: self.dim]))
@@ -117,18 +154,12 @@ def dual_lift(parent_fn: Callable) -> Callable:
     return on_duals
 
 
-_PLAIN = frozenset((int, float))
-
-
 def complete_lift(s: Spray) -> Spray:
-    """The lifted spray one level up, via one layer of jet arithmetic.
+    """The lifted spray one level up: :func:`dual_lift` of the coefficients.
 
-    Float calls run the program traced from :func:`dual_lift` at the first
-    of them; calls with Dual entries, and every call of a lift whose
-    tracing was refused, run :func:`dual_lift` itself.  Lifts are memoized
-    per parent, so repeated lifts of one spray share one program; a spray
-    with an unhashable field (say, a coefficient object with ``__eq__``)
-    is lifted afresh each time.
+    Lifts are memoized per parent, so repeated lifts of one spray share one
+    :attr:`Spray.kernel`; a spray with an unhashable field (say, a
+    coefficient object with ``__eq__``) is lifted afresh each time.
     """
 
     try:
@@ -139,31 +170,11 @@ def complete_lift(s: Spray) -> Spray:
 
 
 def _lift(s: Spray) -> Spray:
-    on_duals = dual_lift(s.coeff_fn)
-    level = s.level + 1
-    tag = f"lifted({s.tag})"
-    n = 2 * s.fiber_dim
-    program = None  # traced at the first float call; False once refused
-
-    def lifted(pos, vel):
-        nonlocal program
-        if isinstance(pos, np.ndarray) and pos.dtype != object:
-            pos = pos.tolist()
-        if isinstance(vel, np.ndarray) and vel.dtype != object:
-            vel = vel.tolist()
-        if (program is not False and len(pos) == n == len(vel)
-                and _PLAIN.issuperset(map(type, pos)) and _PLAIN.issuperset(map(type, vel))):
-            if program is None:
-                program = compile_trace(on_duals, n, n, f"<{tag} L{level}>") or False
-            if program:
-                return program(pos, vel)
-        return on_duals(pos, vel)
-
     return Spray(
-        level=level,
+        level=s.level + 1,
         dim=s.dim,
-        coeff_fn=lifted,
-        tag=tag,
+        coeff_fn=dual_lift(s.coeff_fn),
+        tag=f"lifted({s.tag})",
         domain=s.domain,
         parent=s,
     )
@@ -310,6 +321,12 @@ def pushforward_spray(t, s: Spray) -> Spray:
     the result is pushed forward with one more tangent level.  The
     evaluator stays generic over Dual coordinates so pushed sprays can be
     lifted like any other.
+
+    The pushed spray itself is not traced: each float evaluation runs
+    ``jet_apply`` twice, so the per-layer ``jet_apply`` counters of the
+    benchmark count its evaluations per pass.  A traced kernel would call
+    ``jet_apply`` only once per spray, and those counters would then
+    depend on the number of passes.  Its lifts are traced as usual.
     """
 
     from .jetspace import jet_apply
@@ -337,4 +354,5 @@ def pushforward_spray(t, s: Spray) -> Spray:
         tag=f"pushed({s.tag},{t.name})",
         domain=None if s.domain is None else domain,
         parent=s,
+        traced=False,
     )

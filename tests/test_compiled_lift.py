@@ -1,4 +1,9 @@
-"""Compiled complete lifts: the traced program against the Dual evaluation it records."""
+"""Compiled spray kernels: the traced program against the evaluation it records.
+
+A spray's float acceleration (:attr:`Spray.kernel`) is a program traced
+from its coefficient evaluator, at level 0 as well as on the nested
+``Dual`` evaluation of a lift; a level-0 pushed spray keeps its evaluator.
+"""
 
 import math
 import operator
@@ -10,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sprayjets import (JetPoint, Spray, complete_lift, conjugate_search, integrate,
+from sprayjets import (IntegrationBlowupError, JetPoint, Spray, complete_lift, conjugate_search, integrate,
                        make_finsler_example, make_flat, make_sphere, pushforward_spray,
                        shear_chart)
 from sprayjets import spray as spray_mod
@@ -51,18 +56,27 @@ def _halves(name, n):
     return pos, st.lists(coord, min_size=n, max_size=n)
 
 
-@pytest.mark.parametrize("level", [1, 2, 3])
+def _interpreted(coeff_fn):
+    """The acceleration ``-2 G`` evaluated by ``coeff_fn`` itself."""
+    return lambda pos, vel: -2.0 * np.asarray(coeff_fn(pos, vel), dtype=float)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
 @pytest.mark.parametrize("name", list(BASES))
 def test_compiled_lift_is_bitwise_the_dual_path(name, level):
-    lifted = _lift(BASES[name], level)
-    reference = dual_lift(lifted.parent.coeff_fn)
+    s = _lift(BASES[name], level)
+    # at level 0 the base coefficients, above it dual_lift of the parent's
+    reference = _interpreted(s.coeff_fn if level == 0 else dual_lift(s.parent.coeff_fn))
+    # traced everywhere but at the pushed spray itself; its lifts are traced
+    assert s.traced == (name != "pushed" or level > 0)
+    assert (s.kernel.__code__.co_filename == f"<{s.tag} L{level}>") == s.traced
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-    @given(*_halves(name, 2 * lifted.parent.fiber_dim))
+    @given(*_halves(name, s.fiber_dim))
     def check(pos, vel):
         want = _outcome(reference, pos, vel)
-        assert _outcome(lifted.coeff_fn, pos, vel) == want
-        assert _outcome(lifted.coeff_fn, np.array(pos), np.array(vel)) == want
+        assert _outcome(s.kernel, pos, vel) == want
+        assert _outcome(s.acceleration, np.array(pos), np.array(vel)) == want
 
     check()
 
@@ -94,14 +108,15 @@ def _guarded_division(pos, vel):
 @pytest.mark.parametrize("coeff", [_branch_on_primal, _guarded_division])
 def test_value_dependent_coefficient_keeps_the_dual_path(monkeypatch, coeff):
     traces = _count_traces(monkeypatch)
-    lifted = complete_lift(Spray(level=0, dim=1, coeff_fn=coeff, tag=coeff.__name__))
-    reference = dual_lift(coeff)
+    base = Spray(level=0, dim=1, coeff_fn=coeff, tag=coeff.__name__)
+    lifted = complete_lift(base)
     # a branch baked in at tracing time would give the wrong sign at -0.7,
     # or divide by zero at 0.0
     for x in (0.7, -0.7, 0.0):
         pos, vel = [x, 0.4], [1.3, -0.2]
-        assert _outcome(lifted.coeff_fn, pos, vel) == _outcome(reference, pos, vel)
-    assert [program for _, program in traces] == [None]
+        assert _outcome(lifted.kernel, pos, vel) == _outcome(_interpreted(dual_lift(coeff)), pos, vel)
+        assert _outcome(base.kernel, pos[:1], vel[:1]) == _outcome(_interpreted(coeff), pos[:1], vel[:1])
+    assert traces == [(f"<lifted({coeff.__name__}) L1>", None), (f"<{coeff.__name__} L0>", None)]
 
 
 @pytest.mark.parametrize("use", [bool, float, int, operator.index,
@@ -119,11 +134,14 @@ def test_lifts_are_memoized_and_traced_once(monkeypatch):
     traces = _count_traces(monkeypatch)
     s = make_sphere()
     assert complete_lift(s) is complete_lift(s)
+    # building sprays and lifts traces nothing; the first float evaluation does
+    assert traces == []
     init = JetPoint(1, 2, [math.pi / 2, 0.0, 0.0, 1.0])
     for _ in range(2):
         scan = conjugate_search(s, init, 3.5, 1e-2)
         assert len(scan.times) == 1
     assert [name for name, _ in traces] == ["<lifted(sphere) L1>"]
+    assert complete_lift(s).kernel is traces[0][1]
 
 
 @dataclass
@@ -141,11 +159,11 @@ def test_unhashable_coefficient_is_lifted_without_memo():
     lifted = complete_lift(s)
     assert lifted is not complete_lift(s)
     pos, vel = [0.3, -0.2], [1.5, 0.7]
-    assert _outcome(lifted.coeff_fn, pos, vel) == _outcome(dual_lift(s.coeff_fn), pos, vel)
+    assert _outcome(lifted.kernel, pos, vel) == _outcome(_interpreted(dual_lift(s.coeff_fn)), pos, vel)
 
 
 @pytest.mark.parametrize("level", [1, 2])
-def test_lifted_stage_on_pole_is_domain_exit(level):
+def test_lifted_stage_on_pole_is_domain_exit(monkeypatch, level):
     # carrier as in test_stage_on_pole_is_domain_exit: the 4th stage of step
     # 2 lands on colatitude 0.0, where sin(theta) = 0 divides
     lifted = _lift(make_sphere(), level)
@@ -156,6 +174,9 @@ def test_lifted_stage_on_pole_is_domain_exit(level):
     init = JetPoint(level + 1, 2, coords)
     reference = Spray(level=lifted.level, dim=2, coeff_fn=dual_lift(lifted.parent.coeff_fn),
                       tag="dual", domain=lifted.domain)
+    # the reference evaluates the Dual path at every stage, untraced
+    monkeypatch.setitem(vars(reference), "kernel",
+                        lambda pos, vel: _interpreted(reference.coeff_fn)(pos, vel).tolist())
     got = integrate(lifted, init, (0.0, 2.0), 0.25)
     want = integrate(reference, init, (0.0, 2.0), 0.25)
     assert got.exit_reason == want.exit_reason == "domain"
@@ -164,15 +185,15 @@ def test_lifted_stage_on_pole_is_domain_exit(level):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
     pole = [0.0] * half, [1.0] * half
     with pytest.raises(ZeroDivisionError):
-        lifted.coeff_fn(*pole)
+        lifted.kernel(*pole)
     with pytest.raises(ZeroDivisionError):
-        reference.coeff_fn(*pole)
+        reference.kernel(*pole)
 
 
 def test_traceback_shows_the_failing_generated_statement():
     lifted = _lift(make_sphere(), 2)
     with pytest.raises(ZeroDivisionError) as err:
-        lifted.coeff_fn([0.0] * 8, [1.0] * 8)
+        lifted.kernel([0.0] * 8, [1.0] * 8)
     frame = traceback.extract_tb(err.value.__traceback__)[-1]
     assert frame.filename == "<lifted(lifted(sphere)) L2>"
     assert "/" in frame.line
@@ -185,13 +206,23 @@ def test_constants_reach_the_program_exactly():
         return [vel[0] * -0.0 + -0.0, pos[0] * math.inf, vel[0] + math.nan, 3 * vel[0] / 2,
                 1.0 - pos[0]]
 
-    lifted = complete_lift(Spray(level=0, dim=1, coeff_fn=coeff, tag="consts"))
-    reference = dual_lift(coeff)
+    def padded(*values):
+        # the coefficients read only the first coordinate of each block
+        return [z for value in values for z in (value, 0.0, 0.0, 0.0, 0.0)]
+
+    base = Spray(level=0, dim=5, coeff_fn=coeff, tag="consts")
+    lifted = complete_lift(base)
     for pos, vel in (([-1.0, 2.0], [0.5, 0.25]), ([2.0, -0.0], [1.0, -0.0]),
                      ([1.0, 0.0], [1.0, 0.0])):
-        want = _outcome(reference, pos, vel)
-        assert _outcome(lifted.coeff_fn, pos, vel) == want
-    assert math.copysign(1.0, lifted.coeff_fn([2.0, 0.0], [1.0, 0.0])[0]) == -1.0
+        pos, vel = padded(*pos), padded(*vel)
+        want = _outcome(_interpreted(dual_lift(coeff)), pos, vel)
+        assert _outcome(lifted.kernel, pos, vel) == want
+        want = _outcome(_interpreted(coeff), pos[:5], vel[:5])
+        assert _outcome(base.kernel, pos[:5], vel[:5]) == want
+    # 1.0 * -0.0 + -0.0 is -0.0, and -2.0 times that is +0.0; a -0.0
+    # constant that reached the program as +0.0 would give -0.0
+    assert math.copysign(1.0, base.kernel(padded(2.0), padded(1.0))[0]) == 1.0
+    assert math.copysign(1.0, lifted.kernel(padded(2.0, 0.0), padded(1.0, 0.0))[0]) == 1.0
 
 
 def test_sym_defers_numpy_scalars_to_the_tape():
@@ -199,3 +230,33 @@ def test_sym_defers_numpy_scalars_to_the_tape():
     assert isinstance(np.float64(2.0) * tape.fresh(), Sym)
     assert tape.body == ["t1 = c0 * t0"]
     assert type(tape.namespace["c0"]) is np.float64
+
+
+def _numpy_constant(pos, vel):
+    # a numpy scalar constant: the traced program computes numpy scalars
+    return [0.0 * (1.0 / pos[0]) + np.float64(0.0) * vel[0]]
+
+
+def test_kernel_returns_python_floats():
+    s = Spray(level=0, dim=1, coeff_fn=_numpy_constant, tag="numpy-constant")
+    assert s.kernel.__code__.co_filename == "<numpy-constant L0>"
+    out = s.kernel([-1.0], [1.0])
+    assert [type(a) for a in out] == [float]
+    # float lists in, the kernel's list out: the integrator's evaluations
+    assert s.acceleration([-1.0], [1.0]) == out
+    assert type(s.acceleration([-1.0], [1.0])) is list
+    assert type(s.acceleration(np.array([-1.0]), np.array([1.0]))) is np.ndarray
+    assert _outcome(s.kernel, [-1.0], [1.0]) == _outcome(_interpreted(_numpy_constant), [-1.0], [1.0])
+    with pytest.raises(ZeroDivisionError):
+        s.kernel([0.0], [1.0])
+
+
+def test_numpy_constant_leaves_the_state_python_floats():
+    # x runs -1.0, -0.5, and the 4th stage of step 2 lands on x = 0.0.  On
+    # Python floats 1.0 / x raises there; had a numpy scalar from the first
+    # step's accelerations reached the state, it would give inf instead and
+    # the run would end on a NaN node, with no ZeroDivisionError behind it
+    s = Spray(level=0, dim=1, coeff_fn=_numpy_constant, tag="numpy-constant")
+    with pytest.raises(IntegrationBlowupError) as err:
+        integrate(s, JetPoint(1, 1, [-1.0, 1.0]), (0.0, 2.0), 0.5)
+    assert isinstance(err.value.__cause__, ZeroDivisionError)

@@ -1,6 +1,8 @@
 """Fixed-step integration, dense output, exit handling, and the flow map."""
 
 import math
+import sys
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ from sprayjets import (EPS_SLASHED, DomainError, IntegrationBlowupError,
                        make_finsler_example, make_flat, make_sphere,
                        pushforward_spray, residual, shear_chart,
                        write_trajectory_csv)
+from sprayjets.jets import jet_re
 
 TILT, OMEGA = 0.3, 3.0
 
@@ -108,6 +111,16 @@ def test_residual_propagates_nan_acceleration_at_midpoint():
     spiky = Spray(level=0, dim=1, tag="spiky",
                   coeff_fn=lambda x, v: [math.nan if 0.24 < x[0] < 0.26 else 0.0])
     assert math.isnan(residual(spiky, line))
+
+
+def test_residual_is_nan_where_the_coefficients_fail_at_a_midpoint():
+    # one unit step of a line from x = -0.5: the Hermite midpoint is 0.0,
+    # where the coefficient divides by zero
+    line = integrate(make_flat(1), JetPoint(1, 1, [-0.5, 1.0]), (0.0, 1.0), 1.0)
+    inverse = Spray(level=0, dim=1, tag="inverse", coeff_fn=lambda x, v: [0.0 * v[0] / x[0]])
+    with pytest.raises(ZeroDivisionError):
+        inverse.acceleration(np.array([0.0]), np.array([1.0]))
+    assert math.isnan(residual(inverse, line))
 
 
 def test_domain_exit_truncates():
@@ -248,20 +261,59 @@ def test_tangent_flow_level_guard():
         flow_tangent_fd(s, tilted_init(), 0.5, 1e-3)
 
 
-def test_stage_on_pole_is_domain_exit():
+def _record_accelerations(monkeypatch):
+    """Log (level, caller) for every ``Spray.acceleration`` call.
+
+    In ``integrate`` the caller is ``step`` for a stage of the generated
+    RK4 step, ``node_acceleration`` for a stored node and ``recording``
+    for a stage of a failed step run again.
+    """
+    calls = []
+    orig = Spray.acceleration
+
+    def logged(self, x, v):
+        calls.append((self.level, sys._getframe(1).f_code.co_name))
+        return orig(self, x, v)
+
+    monkeypatch.setattr(Spray, "acceleration", logged)
+    return calls
+
+
+def _callers(calls):
+    return [caller for _, caller in calls]
+
+
+# node 0, the three stages of step 1, node 1, and the failed step 2
+# whose last stage raises, then that step again, recorded
+FAILED_SECOND_STEP = ["node_acceleration"] + ["step"] * 3 + ["node_acceleration"] \
+    + ["step"] * 3 + ["recording"] * 3
+
+
+def test_stage_on_pole_is_domain_exit(monkeypatch):
     # the 4th stage of step 2 lands on colatitude 0.0 exactly, where the
     # sphere coefficients divide by sin(theta) = 0
-    tr = integrate(make_sphere(), JetPoint(1, 2, [0.5, 0.0, -1.0, 0.0]), (0.0, 2.0), 0.25)
+    s = make_sphere()
+    assert s.kernel.__code__.co_filename == "<sphere L0>"
+    calls = _record_accelerations(monkeypatch)
+    tr = integrate(s, JetPoint(1, 2, [0.5, 0.0, -1.0, 0.0]), (0.0, 2.0), 0.25)
     assert tr.exit_reason == "domain"
     assert tr.t_end == 0.25
+    assert _callers(calls) == FAILED_SECOND_STEP
 
 
-def test_stage_failure_inside_domain_raises_blowup():
+def test_stage_failure_inside_domain_raises_blowup(monkeypatch):
     # no domain, so a division by zero at a stage is a blowup, not an exit
     singular = Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.0 * v[0] / x[0]], tag="singular")
+    assert singular.kernel.__code__.co_filename == "<singular L0>"
+    calls = _record_accelerations(monkeypatch)
     with pytest.raises(IntegrationBlowupError) as err:
         integrate(singular, JetPoint(1, 1, [0.5, -1.0]), (0.0, 2.0), 0.25)
     assert isinstance(err.value.__cause__, ZeroDivisionError)
+    assert _callers(calls) == FAILED_SECOND_STEP
+    # the generated step is in linecache, so the traceback shows its line
+    frames = traceback.extract_tb(err.value.__cause__.__traceback__)
+    step = [fr for fr in frames if fr.filename == "<rk4 step n=1>"]
+    assert step and step[-1].line.startswith("a4_0, = f([x4_0], [v4_0])")
 
 
 def _pole_stage_spray(domain):
@@ -271,19 +323,48 @@ def _pole_stage_spray(domain):
                  coeff_fn=lambda x, v: [np.float64(0.0) * v[0] / (np.float64(x[0]) - 1.0)])
 
 
-def test_nonfinite_stage_outside_domain_is_domain_exit():
+# np.float64(x[0]) refuses tracing: node 0, the three stages of step 1,
+# whose node is NaN, then that step again, recorded
+NONFINITE_FIRST_STEP = ["node_acceleration"] + ["step"] * 3 + ["recording"] * 3
+
+
+def test_nonfinite_stage_outside_domain_is_domain_exit(monkeypatch):
     s = _pole_stage_spray(lambda x: x[0] < 0.75)
+    calls = _record_accelerations(monkeypatch)
     with np.errstate(divide="ignore", invalid="ignore"):
         tr = integrate(s, JetPoint(1, 1, [0.5, 1.0]), (0.0, 2.0), 0.5)
     assert tr.exit_reason == "domain"
     assert tr.t_end == 0.0
+    assert _callers(calls) == NONFINITE_FIRST_STEP
 
 
-def test_nonfinite_stage_inside_domain_raises_blowup():
+def test_nonfinite_stage_inside_domain_raises_blowup(monkeypatch):
     s = _pole_stage_spray(lambda x: x[0] < 10.0)
+    calls = _record_accelerations(monkeypatch)
     with np.errstate(divide="ignore", invalid="ignore"), \
             pytest.raises(IntegrationBlowupError, match="non-finite"):
         integrate(s, JetPoint(1, 1, [0.5, 1.0]), (0.0, 2.0), 0.5)
+    assert _callers(calls) == NONFINITE_FIRST_STEP
+
+
+def test_nonfinite_stage_position_inside_domain_raises_blowup():
+    # the 4th stage position of the first step is inf; only a finite stage
+    # position outside the chart makes a non-finite node a domain exit
+    wilder = Spray(level=0, dim=1, coeff_fn=lambda x, v: [-1e300 * v[0]], tag="wilder",
+                   domain=lambda x: x[0] < 1e300)
+    with pytest.raises(IntegrationBlowupError, match="non-finite"):
+        integrate(wilder, JetPoint(1, 1, [0.0, 1.0]), (0.0, 1.0), 1e-3)
+
+
+@pytest.mark.parametrize("t_span, h", [
+    ((0.0, 1.0), math.nan), ((0.0, 1.0), math.inf), ((0.0, math.nan), 1e-2),
+    ((math.nan, 1.0), 1e-2), ((0.0, math.inf), 1e-2), ((-math.inf, 0.0), 1e-2),
+    ((math.inf, math.inf), 1e-2), ((0.0, 1e300), 1e-10),
+], ids=["h-nan", "h-inf", "t1-nan", "t0-nan", "t1-inf", "t0-inf", "both-inf", "too-many-steps"])
+def test_nonfinite_step_or_span_is_domain_error(t_span, h):
+    init = JetPoint(1, 2, [0.0, 0.0, 1.0, 0.0])
+    with pytest.raises(DomainError, match="finite"):
+        integrate(make_flat(2), init, t_span, h)
 
 
 # --- the array-arithmetic RK4 loop, kept as the reference for integrate ----
@@ -297,6 +378,11 @@ def _reference_check_state(s, x, v):
     if not s.in_domain(x):
         return "domain"
     return None
+
+
+def _reference_acceleration(s, x, v):
+    # the coefficient evaluator itself, never the spray's compiled kernel
+    return -2.0 * np.asarray(s.coeff_fn(x, v), dtype=float)
 
 
 def _reference_integrate(s, init, t_span, h):
@@ -316,7 +402,7 @@ def _reference_integrate(s, init, t_span, h):
     times = [t0]
     xs = [x]
     vs = [v]
-    accs = [s.acceleration(x, v)]
+    accs = [_reference_acceleration(s, x, v)]
     exit_reason = None
 
     t = t0
@@ -326,13 +412,13 @@ def _reference_integrate(s, init, t_span, h):
         a1 = accs[-1]
         x2 = x + 0.5 * dt * v
         v2 = v + 0.5 * dt * a1
-        a2 = s.acceleration(x2, v2)
+        a2 = _reference_acceleration(s, x2, v2)
         x3 = x + 0.5 * dt * v2
         v3 = v + 0.5 * dt * a2
-        a3 = s.acceleration(x3, v3)
+        a3 = _reference_acceleration(s, x3, v3)
         x4 = x + dt * v3
         v4 = v + dt * a3
-        a4 = s.acceleration(x4, v4)
+        a4 = _reference_acceleration(s, x4, v4)
         xn = x + dt * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
         vn = v + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
 
@@ -344,7 +430,7 @@ def _reference_integrate(s, init, t_span, h):
         times.append(t)
         xs.append(x)
         vs.append(v)
-        accs.append(s.acceleration(x, v))
+        accs.append(_reference_acceleration(s, x, v))
 
     return Trajectory(
         spray=s,
@@ -365,14 +451,33 @@ def _lifted_sphere(level):
     return s
 
 
-def _lifted_init(level):
-    # tilted great circle in the carrier, seeded values in every other block
+def _lifted_init(level, carrier=None):
+    # tilted great circle (or ``carrier``) in the carrier, seeded values in
+    # every other block
+    base = tilted_init().coords if carrier is None else np.asarray(carrier, dtype=float)
+    dim = base.size // 2
     rng = np.random.default_rng(level)
-    half = (1 << level) * 2
+    half = (1 << level) * dim
     coords = 0.3 * rng.standard_normal(2 * half)
-    coords[:2] = tilted_init().coords[:2]
-    coords[half : half + 2] = tilted_init().coords[2:]
-    return JetPoint(level + 1, 2, coords)
+    coords[:dim] = base[:dim]
+    coords[half : half + dim] = base[dim:]
+    return JetPoint(level + 1, dim, coords)
+
+
+def _switching_drag(pos, vel):
+    # a branch on the primal value refuses tracing at every level
+    sign = 1.0 if jet_re(pos[0]) > 0.0 else -1.0
+    return [sign * 0.2 * vel[0] * vel[0]]
+
+
+def _scalar_types(pos, vel):
+    # a numpy scalar constant in the arithmetic, and a bare int coefficient
+    return [np.float64(0.1) * vel[0] * vel[1], 1]
+
+
+SWITCHING = Spray(level=0, dim=1, coeff_fn=_switching_drag, tag="switching-drag")
+PUSHED_SPHERE = pushforward_spray(shear_chart(), make_sphere())
+PUSHED_START = [1.2 + 0.4 ** 2, 0.4, 0.3, 1.0]
 
 
 REFERENCE_CASES = {
@@ -383,8 +488,12 @@ REFERENCE_CASES = {
     "flat": (make_flat(2), JetPoint(1, 2, [0.2, -0.4, 1.5, 0.7]), 0.8, 1e-2),
     "finsler": (make_finsler_example((0.3, -0.2)),
                 JetPoint(1, 2, [0.1, 0.2, 0.9, -0.4]), 1.0, 1e-2),
-    "pushed-sphere": (pushforward_spray(shear_chart(), make_sphere()),
-                      JetPoint(1, 2, [1.2 + 0.4 ** 2, 0.4, 0.3, 1.0]), 0.5, 2e-2),
+    "pushed-sphere": (PUSHED_SPHERE, JetPoint(1, 2, PUSHED_START), 0.5, 2e-2),
+    "pushed-sphere-L1": (complete_lift(PUSHED_SPHERE), _lifted_init(1, PUSHED_START), 0.5, 2e-2),
+    "refused-trace-L0": (SWITCHING, JetPoint(1, 1, [-0.3, 1.0]), 1.0, 1e-2),
+    "refused-trace-L1": (complete_lift(SWITCHING), _lifted_init(1, [-0.3, 1.0]), 1.0, 1e-2),
+    "scalar-types": (Spray(level=0, dim=2, coeff_fn=_scalar_types, tag="scalar-types"),
+                     JetPoint(1, 2, [0.0, 0.0, 1.0, 0.5]), 1.0, 1e-2),
     "disk-domain-exit": (make_flat(2, domain=lambda x: float(x @ x) < 4.0),
                          JetPoint(1, 2, [0.0, 0.0, 1.0, 0.0]), 3.0, 1e-2),
     "brake-slashed-exit": (Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.5], tag="brake"),
@@ -413,28 +522,22 @@ def test_integrate_matches_reference_loop_bitwise(case, direction):
     assert got.requested == want.requested
 
 
-def _count_accelerations(monkeypatch):
-    calls = []
-    orig = Spray.acceleration
-
-    def counted(self, x, v):
-        calls.append(self.level)
-        return orig(self, x, v)
-
-    monkeypatch.setattr(Spray, "acceleration", counted)
-    return calls
-
-
 @pytest.mark.parametrize("level", [0, 2])
 def test_acceleration_calls_per_step(monkeypatch, level):
     s, init = _lifted_sphere(level), _lifted_init(level)
-    calls = _count_accelerations(monkeypatch)
+    calls = _record_accelerations(monkeypatch)
+    kernel_runs = []
+    kernel = s.kernel
+    monkeypatch.setitem(vars(s), "kernel", lambda x, v: kernel_runs.append(1) or kernel(x, v))
     tr = integrate(s, init, (0.0, 0.5), 0.1)
     steps = len(tr.times) - 1
     assert tr.complete and steps == 5
-    # three stage evaluations per step and one per stored node
+    # three stage evaluations per step and one per stored node, each
+    # through Spray.acceleration and each running the kernel once
     assert len(calls) == 3 * steps + len(tr.times) == 4 * steps + 1
-    assert set(calls) == {level}
+    assert {lvl for lvl, _ in calls} == {level}
+    assert _callers(calls).count("step") == 3 * steps
+    assert len(kernel_runs) == 4 * steps + 1
     calls.clear()
     residual(s, tr)
     assert len(calls) == steps
