@@ -20,6 +20,11 @@ construction.  An evaluator whose control flow depends on a value (a
 branch on ``jet_re(...)``, a comparison) refuses tracing, and its kernel
 evaluates ``coeff_fn`` itself, as does a level-0 pushed spray (see
 :func:`pushforward_spray`).
+
+Every float evaluation goes through a kernel, so outside those
+interpreted kernels no float path runs ``Dual`` arithmetic: the time
+derivative of the acceleration (:func:`acceleration_jet`) is read off the
+complete lift's kernel rather than evaluated on ``Dual`` pairs.
 """
 
 from __future__ import annotations
@@ -212,13 +217,16 @@ def project_spray(s: Spray) -> Spray:
 
 
 def acceleration_jet(s: Spray, x: np.ndarray, v: np.ndarray):
-    """Acceleration and its time derivative along the geodesic through (x, v)."""
+    """Acceleration and its time derivative along the geodesic through (x, v).
+
+    The jolt is the tangent half of the complete lift's acceleration at
+    (x, v; v, a): the parent coefficients on the pairs Dual(x, v),
+    Dual(v, a), run by the lift's :attr:`Spray.kernel`.
+    """
     a = s.acceleration(x, v)
-    dx = [Dual(float(x[i]), float(v[i])) for i in range(len(x))]
-    dv = [Dual(float(v[i]), float(a[i])) for i in range(len(v))]
-    out = s.coeff_fn(dx, dv)
-    jolt = -2.0 * np.asarray([jet_du(z) for z in out], dtype=float)
-    return a, jolt
+    pos, vel, acc = (np.asarray(z, dtype=float).tolist() for z in (x, v, a))
+    lifted = complete_lift(s).acceleration(pos + vel, vel + acc)
+    return a, np.array(lifted[len(pos):])
 
 
 # --- builders -------------------------------------------------------------

@@ -8,6 +8,11 @@ the two scalars.  This module builds that parametrization, tests membership
 of arbitrary jets, propagates and re-verifies the curves, and probes the
 global structure (uniqueness, reparametrization, conjugate-point absence,
 completeness, dimensions).
+
+The membership constraints have one definition, :func:`_check_jets`, which
+evaluates them on a whole stack of jets at once: :func:`membership` runs it
+on one jet, and :func:`geodesic` on the jets at all nodes of a propagated
+curve.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from .spray import Spray, acceleration_jet, complete_lift
 
 
 def _blocks(xi: np.ndarray, m: int) -> list[np.ndarray]:
-    return [xi[k * m : (k + 1) * m] for k in range(len(xi) // m)]
+    """The width-``m`` blocks of a jet, or the block columns of a stack of jets."""
+    return [xi[..., k * m : (k + 1) * m] for k in range(xi.shape[-1] // m)]
 
 
 def configuration_point(s: Spray, x0, v0, alpha: float, beta: float) -> JetPoint:
@@ -82,62 +88,121 @@ class MembershipRejection:
     constraints: dict
 
 
+@dataclass
+class _JetChecks:
+    """The constraints of a stack of jets, one row per jet.
+
+    ``values`` holds them in :data:`CONSTRAINTS` order, NaN past a row's
+    first failure, whose index is in ``failed`` (-1 for an accepted row).
+    ``alpha`` and ``beta`` are NaN where they were not recovered.
+    """
+
+    values: np.ndarray
+    failed: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+
+    @property
+    def residual(self) -> np.ndarray:
+        """The largest constraint past "slashed" per row, NaN if one is NaN."""
+        return self.values[:, 1:].max(axis=1)
+
+
+def _norms(d: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(d, d))
+
+
+def _check_jets(s: Spray, jets: np.ndarray, tol: float) -> _JetChecks:
+    """Evaluate :data:`CONSTRAINTS` in order on every row of an ``(N, 8m)`` stack.
+
+    A row stops at its first failure, and only the rows still accepted
+    reach the next constraint, so a row meets the coefficients only past
+    the cheaper constraints before them: its base acceleration (one
+    ``s.acceleration`` call) after "base-velocity", its jolt (the tangent
+    half of one call of the complete lift's acceleration, see
+    :func:`~sprayjets.spray.acceleration_jet`) after "fiber-velocity".
+
+    Dots and norms are ``np.vecdot`` over ``(rows, m)`` blocks, which takes
+    on each row the same dot as ``b @ b`` and ``np.linalg.norm`` (whose
+    square root it is), so each row's figures are bitwise those of the
+    row checked alone and do not depend on the other rows.
+    """
+
+    m = s.fiber_dim
+    if not np.all(np.isfinite(jets)):
+        raise DomainError("jet coordinates must be finite")
+    if jets.shape[1] != 8 * m:
+        raise DomainError(f"expected {8 * m} coordinates, got {jets.shape[1]}")
+    n = len(jets)
+    out = _JetChecks(values=np.full((n, len(CONSTRAINTS)), np.nan), failed=np.full(n, -1),
+                     alpha=np.full(n, np.nan), beta=np.full(n, np.nan))
+    acc = np.full((n, m), np.nan)
+    live = np.arange(n)
+
+    def rows():
+        """Blocks, acceleration and scalars of the rows still accepted."""
+        return _blocks(jets[live], m), acc[live], out.alpha[live, None], out.beta[live, None]
+
+    def passed(k: int, value: np.ndarray, bad: np.ndarray) -> bool:
+        nonlocal live
+        out.values[live, k] = value
+        out.failed[live[bad]] = k
+        live = live[~bad]
+        return live.size > 0
+
+    def fits(k: int, d: np.ndarray) -> bool:
+        value = _norms(d)
+        return passed(k, value, value > tol)
+
+    b, *_ = rows()
+    speed = _norms(b[1])
+    if not passed(0, speed, speed <= EPS_SLASHED):
+        return out
+    b, *_ = rows()
+    if not fits(1, b[4] - b[1]):
+        return out
+    b, *_ = rows()
+    acc[live] = [s.acceleration(x, v) for x, v in zip(b[0].tolist(), b[1].tolist())]
+    if not fits(2, b[5] - acc[live]):
+        return out
+    b, *_ = rows()
+    out.alpha[live] = np.vecdot(b[2], b[1]) / np.vecdot(b[1], b[1])
+    if not fits(3, b[2] - out.alpha[live, None] * b[1]):
+        return out
+    b, a, al, _ = rows()
+    out.beta[live] = np.vecdot(b[3] - al * a, b[1]) / np.vecdot(b[1], b[1])
+    if not fits(4, b[3] - al * a - out.beta[live, None] * b[1]):
+        return out
+    b, a, al, be = rows()
+    if not fits(5, b[6] - be * b[1] - al * a):
+        return out
+    b, a, al, be = rows()
+    lift = complete_lift(s).acceleration
+    jolt = np.array([lift(x + v, v + ai)[m:]
+                     for x, v, ai in zip(b[0].tolist(), b[1].tolist(), a.tolist())])
+    fits(6, b[7] - al * jolt - 2.0 * be * a)
+    return out
+
+
 def membership(s: Spray, xi, tol: float = 1e-8):
     """Decide whether a jet lies on the parallel-curve slice.
 
     Constraints are evaluated in a fixed order and the first failure names
     the rejection; the scalars are recovered by projection onto the base
     velocity before the dependent blocks are checked.  Non-finite input is
-    a domain error rather than a rejection.
+    a domain error rather than a rejection.  This is :func:`_check_jets`
+    on a stack of one jet.
     """
 
     xi = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(xi)):
-        raise DomainError("jet coordinates must be finite")
-    m = s.fiber_dim
-    if xi.size != 8 * m:
-        raise DomainError(f"expected {8 * m} coordinates, got {xi.size}")
-    b = _blocks(xi, m)
-    checks: dict[str, float] = {}
-
-    speed = float(np.linalg.norm(b[1]))
-    checks["slashed"] = speed
-    if speed <= EPS_SLASHED:
-        return MembershipRejection("slashed", speed, checks)
-
-    def fail_if(name: str, value: float):
-        checks[name] = value
-        if value > tol:
-            return MembershipRejection(name, value, checks)
-        return None
-
-    r = fail_if("base-velocity", float(np.linalg.norm(b[4] - b[1])))
-    if r:
-        return r
-    a = np.asarray(s.acceleration(b[0], b[1]), dtype=float)
-    r = fail_if("base-acceleration", float(np.linalg.norm(b[5] - a)))
-    if r:
-        return r
-
-    vv = float(b[1] @ b[1])
-    alpha = float(b[2] @ b[1]) / vv
-    r = fail_if("alpha-fit", float(np.linalg.norm(b[2] - alpha * b[1])))
-    if r:
-        return r
-    beta = float((b[3] - alpha * a) @ b[1]) / vv
-    r = fail_if("beta-fit", float(np.linalg.norm(b[3] - alpha * a - beta * b[1])))
-    if r:
-        return r
-    r = fail_if("fiber-velocity", float(np.linalg.norm(b[6] - beta * b[1] - alpha * a)))
-    if r:
-        return r
-    _, jolt = acceleration_jet(s, b[0], b[1])
-    r = fail_if("fiber-acceleration",
-                float(np.linalg.norm(b[7] - alpha * jolt - 2.0 * beta * a)))
-    if r:
-        return r
-    residual = max(checks[name] for name in CONSTRAINTS[1:])
-    return MembershipResult(alpha, beta, residual, checks)
+    checks = _check_jets(s, xi.reshape(1, -1), tol)
+    k = int(checks.failed[0])
+    names = CONSTRAINTS if k < 0 else CONSTRAINTS[: k + 1]
+    values = dict(zip(names, checks.values[0].tolist()))
+    if k >= 0:
+        return MembershipRejection(CONSTRAINTS[k], values[CONSTRAINTS[k]], values)
+    return MembershipResult(float(checks.alpha[0]), float(checks.beta[0]),
+                            float(checks.residual[0]), values)
 
 
 @dataclass
@@ -163,10 +228,12 @@ def geodesic(s: Spray, x0, v0, alpha: float, beta: float,
     the closed-form assembly from the base trajectory, which is the carrier
     (first quarter of the columns) of that run: it equals a separate run of
     ``s`` bit for bit, so it is not integrated twice.  With ``node_checks``
-    every node's jet is pushed back through :func:`membership` and the
-    recovered scalars are kept (the first drifts affinely, the second is
-    constant).  A deviation above ``tol`` raises, the trajectory is not
-    silently accepted.
+    the jets of all nodes are checked against the slice in one whole-array
+    pass of the :func:`membership` constraints, and the recovered scalars
+    are kept (the first drifts affinely, the second is constant).  A node
+    that fails a constraint, or a deviation above ``tol``, raises
+    :class:`InconsistentTrajectoryError`: the trajectory is not silently
+    accepted.
     """
 
     x0 = np.asarray(x0, dtype=float)
@@ -176,7 +243,6 @@ def geodesic(s: Spray, x0, v0, alpha: float, beta: float,
     tr = integrate(lifted2, init, t_span, h)
     btr = tr.columns(slice(0, s.fiber_dim), s)
 
-    n = len(tr.times)
     t = btr.times[:, None]
     x, dx, ddx = btr.positions, btr.velocities, btr.accelerations
     formula = np.hstack([x, dx, (alpha + beta * t) * dx,
@@ -190,20 +256,21 @@ def geodesic(s: Spray, x0, v0, alpha: float, beta: float,
     membership_max = None
     rec_a = rec_b = None
     if node_checks:
-        residues = np.empty(n)
-        rec_a = np.empty(n)
-        rec_b = np.empty(n)
-        for k in range(n):
-            jet = np.concatenate([tr.positions[k], tr.velocities[k]])
-            res = membership(s, jet, tol=np.inf)
-            residues[k] = res.residual
-            rec_a[k] = res.alpha
-            rec_b[k] = res.beta
-        membership_max = float(np.max(residues))
+        checks = _check_jets(s, np.hstack([tr.positions, tr.velocities]), np.inf)
+        rejected = np.flatnonzero(checks.failed >= 0)
+        if rejected.size:
+            k = rejected[0]
+            c = checks.failed[k]
+            raise InconsistentTrajectoryError(
+                f"node jet at t={tr.times[k]:.6g} fails the {CONSTRAINTS[c]} "
+                f"constraint ({checks.values[k, c]:.3e})"
+            )
+        membership_max = float(np.max(checks.residual))
         if membership_max > tol:
             raise InconsistentTrajectoryError(
                 f"node jets leave the parallel slice by {membership_max:.3e}"
             )
+        rec_a, rec_b = checks.alpha, checks.beta
 
     return SubsprayGeodesic(
         traj=tr, base=btr, alpha=alpha, beta=beta,

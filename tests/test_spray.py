@@ -1,5 +1,7 @@
 """Spray coefficients, lifts of sprays, and chart transport of sprays."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from sprayjets import (DomainError, InvalidLevelError, JetPoint, Spray,
                        homogeneity_check, make_finsler_example, make_flat, make_riemannian,
                        make_sphere, project_spray, pushforward, pushforward_spray,
                        shear_chart, spray_value, sphere_christoffels)
+from sprayjets import spray as spray_mod
+from sprayjets.jets import Dual, jet_du, jet_re
 from sprayjets.samples import random_slashed_jet, sphere_phase
 
 
@@ -177,6 +181,81 @@ def test_acceleration_jet_flat_and_sphere():
 
     fd = (acc(eps) - acc(-eps)) / (2 * eps)
     np.testing.assert_allclose(jolt, fd, atol=1e-7)
+
+
+def _reference_acceleration_jet(s, x, v):
+    """The jolt as it was evaluated before: ``coeff_fn`` on Dual pairs."""
+    a = s.acceleration(x, v)
+    dx = [Dual(float(x[i]), float(v[i])) for i in range(len(x))]
+    dv = [Dual(float(v[i]), float(a[i])) for i in range(len(v))]
+    out = s.coeff_fn(dx, dv)
+    return a, -2.0 * np.asarray([jet_du(z) for z in out], dtype=float)
+
+
+def _branch_on_primal(pos, vel):
+    sign = 1.0 if jet_re(pos[0]) > 0.0 else -1.0
+    return [sign * vel[0] * vel[0]]
+
+
+@dataclass(eq=True)
+class _Drag:
+    """A coefficient object with value equality, hence unhashable."""
+
+    c: float
+
+    def __call__(self, pos, vel):
+        return [self.c * vel[0] * vel[0]]
+
+
+JOLT_SPRAYS = {
+    "sphere": make_sphere(),
+    "flat": make_flat(2),
+    "finsler": make_finsler_example((0.3, -0.2)),
+    "pushed": pushforward_spray(shear_chart(), make_sphere()),
+    "lifted-sphere": complete_lift(make_sphere()),
+    "refused-trace": Spray(level=0, dim=1, coeff_fn=_branch_on_primal, tag="branch"),
+    "unhashable": Spray(level=0, dim=1, coeff_fn=_Drag(0.5), tag="drag"),
+}
+
+
+@pytest.mark.parametrize("name", list(JOLT_SPRAYS))
+def test_acceleration_jet_is_bitwise_the_dual_evaluation(name):
+    s = JOLT_SPRAYS[name]
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        x = rng.uniform(-2.0, 2.0, s.fiber_dim)
+        v = rng.uniform(-2.0, 2.0, s.fiber_dim)
+        if name in ("sphere", "lifted-sphere"):
+            x[0] = rng.uniform(0.3, np.pi - 0.3)
+        elif name == "pushed":
+            x[:2] = rng.uniform(1.3, 2.0), rng.uniform(-0.9, 0.9)
+        a, jolt = acceleration_jet(s, x, v)
+        want_a, want_jolt = _reference_acceleration_jet(s, x, v)
+        assert a.tobytes() == want_a.tobytes()
+        assert jolt.tobytes() == want_jolt.tobytes()
+    # the jolt came from the lift's kernel, a traced program unless tracing is refused
+    lift = complete_lift(s)
+    assert (lift.kernel.__code__.co_filename == f"<{lift.tag} L{lift.level}>") \
+        == (name != "refused-trace")
+
+
+def test_acceleration_jet_traces_the_lift_once(monkeypatch):
+    traces = []
+    orig = spray_mod.compile_trace
+
+    def counted(fn, n_pos, n_vel, filename):
+        traces.append(filename)
+        return orig(fn, n_pos, n_vel, filename)
+
+    monkeypatch.setattr(spray_mod, "compile_trace", counted)
+    s = make_finsler_example((0.7, -0.1))
+    for k in range(3):
+        acceleration_jet(s, np.array([0.1, k]), np.array([0.9, -0.4]))
+    assert traces == ["<finsler-example L0>", "<lifted(finsler-example) L1>"]
+    lifted = complete_lift(s)
+    assert vars(lifted)["kernel"].__code__.co_filename == "<lifted(finsler-example) L1>"
+    acceleration_jet(s, [0.3, 0.2], [1.0, 0.5])
+    assert len(traces) == 2
 
 
 def test_riemannian_assembly_uses_christoffels():

@@ -2,13 +2,75 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sprayjets import (DomainError, InconsistentTrajectoryError, JetPoint,
-                       integrate, make_finsler_example, make_flat, make_sphere)
+from sprayjets import (EPS_SLASHED, DomainError, InconsistentTrajectoryError, JetPoint, Spray,
+                       acceleration_jet, integrate, make_finsler_example, make_flat,
+                       make_sphere, pushforward_spray, shear_chart)
 from sprayjets import subspray as sub
 from sprayjets.subspray import CONSTRAINTS, MembershipRejection, MembershipResult
 
 SPHERE_X0, SPHERE_V0 = [1.2, 0.4], [0.3, 1.0]
+
+# spray, base point, base velocity
+CURVES = {
+    "sphere": (make_sphere(), SPHERE_X0, SPHERE_V0),
+    "flat": (make_flat(2), [0.0, 0.0], [1.0, 0.0]),
+    "finsler": (make_finsler_example((0.3, -0.2)), [0.1, 0.2], [0.9, -0.4]),
+    "pushed": (pushforward_spray(shear_chart(), make_sphere()), [1.6, 0.3], [0.3, 1.0]),
+}
+
+
+def _reference_membership(s, xi, tol):
+    """Membership of one jet as it was checked before the whole-array pass."""
+    xi = np.asarray(xi, dtype=float)
+    m = s.fiber_dim
+    b = [xi[k * m : (k + 1) * m] for k in range(8)]
+    checks = {}
+    speed = float(np.linalg.norm(b[1]))
+    checks["slashed"] = speed
+    if speed <= EPS_SLASHED:
+        return MembershipRejection("slashed", speed, checks)
+
+    def fail_if(name, value):
+        checks[name] = value
+        return MembershipRejection(name, value, checks) if value > tol else None
+
+    r = fail_if("base-velocity", float(np.linalg.norm(b[4] - b[1])))
+    if r:
+        return r
+    a = np.asarray(s.acceleration(b[0], b[1]), dtype=float)
+    r = fail_if("base-acceleration", float(np.linalg.norm(b[5] - a)))
+    if r:
+        return r
+    vv = float(b[1] @ b[1])
+    alpha = float(b[2] @ b[1]) / vv
+    r = fail_if("alpha-fit", float(np.linalg.norm(b[2] - alpha * b[1])))
+    if r:
+        return r
+    beta = float((b[3] - alpha * a) @ b[1]) / vv
+    r = fail_if("beta-fit", float(np.linalg.norm(b[3] - alpha * a - beta * b[1])))
+    if r:
+        return r
+    r = fail_if("fiber-velocity", float(np.linalg.norm(b[6] - beta * b[1] - alpha * a)))
+    if r:
+        return r
+    _, jolt = acceleration_jet(s, b[0], b[1])
+    r = fail_if("fiber-acceleration", float(np.linalg.norm(b[7] - alpha * jolt - 2.0 * beta * a)))
+    if r:
+        return r
+    return MembershipResult(alpha, beta, max(checks[name] for name in CONSTRAINTS[1:]), checks)
+
+
+def _reference_node_checks(s, tr):
+    """The per-node loop: membership_max, recovered alpha and beta of a lifted run."""
+    n = len(tr.times)
+    residues, rec_a, rec_b = np.empty(n), np.empty(n), np.empty(n)
+    for k in range(n):
+        res = _reference_membership(s, np.concatenate([tr.positions[k], tr.velocities[k]]), np.inf)
+        residues[k], rec_a[k], rec_b[k] = res.residual, res.alpha, res.beta
+    return float(np.max(residues)), rec_a, rec_b
 
 
 def test_flat_delta_coordinates_frozen():
@@ -41,10 +103,9 @@ def test_membership_flat_exact():
     assert res.alpha == 1.0 and res.beta == 3.0 and res.residual == 0.0
 
 
-@pytest.mark.parametrize("name", CONSTRAINTS)
-def test_membership_rejects_each_constraint(name):
-    s = make_sphere()
-    xi = sub.delta_coordinates(s, SPHERE_X0, SPHERE_V0, 1.0, 0.5)
+def _broken_jet(name):
+    """A sphere slice jet with one block moved so that ``name`` fails first."""
+    xi = sub.delta_coordinates(make_sphere(), SPHERE_X0, SPHERE_V0, 1.0, 0.5)
     m = 2
     b = lambda k: slice(k * m, (k + 1) * m)
     v0 = xi[b(1)].copy()
@@ -63,10 +124,62 @@ def test_membership_rejects_each_constraint(name):
         xi[b(6)] += 0.3
     elif name == "fiber-acceleration":
         xi[b(7)] += 0.3
-    res = sub.membership(s, xi)
+    return xi
+
+
+@pytest.mark.parametrize("name", CONSTRAINTS)
+def test_membership_rejects_each_constraint(name):
+    res = sub.membership(make_sphere(), _broken_jet(name))
     assert isinstance(res, MembershipRejection)
     assert res.constraint == name
     assert res.residual > 0.1 or name == "slashed"
+
+
+def _count_accelerations(monkeypatch):
+    """Log the spray level of every ``Spray.acceleration`` call."""
+    levels = []
+    orig = Spray.acceleration
+
+    def counted(self, x, v):
+        levels.append(self.level)
+        return orig(self, x, v)
+
+    monkeypatch.setattr(Spray, "acceleration", counted)
+    return levels
+
+
+@pytest.mark.parametrize("name", CONSTRAINTS)
+def test_membership_evaluates_no_coefficient_past_the_first_failure(monkeypatch, name):
+    s, xi = make_sphere(), _broken_jet(name)
+    levels = _count_accelerations(monkeypatch)
+    assert sub.membership(s, xi).constraint == name
+    k = CONSTRAINTS.index(name)
+    # the base acceleration is needed from "base-acceleration" on, the jolt
+    # only by "fiber-acceleration"
+    assert levels.count(0) == (k >= CONSTRAINTS.index("base-acceleration"))
+    assert levels.count(1) == (name == "fiber-acceleration")
+
+
+def test_stack_skips_the_coefficients_of_rejected_rows(monkeypatch):
+    s = make_sphere()
+    stack = np.stack([_broken_jet(name) for name in
+                      ("slashed", "fiber-acceleration", "base-velocity", "fiber-velocity")])
+    levels = _count_accelerations(monkeypatch)
+    checks = sub._check_jets(s, stack, 1e-8)
+    assert [CONSTRAINTS[c] for c in checks.failed] == [
+        "slashed", "fiber-acceleration", "base-velocity", "fiber-velocity"]
+    assert levels == [0, 0, 1]
+
+
+def test_slashed_finsler_jet_is_rejected_without_evaluation():
+    # at zero speed the lifted Finsler coefficients divide by |y| = 0
+    s = make_finsler_example((0.3, -0.2))
+    xi = sub.delta_coordinates(s, [0.1, 0.2], [0.9, -0.4], 1.0, 0.5)
+    xi[2:4] = 0.0
+    xi[8:10] = 0.0
+    res = sub.membership(s, xi)
+    assert isinstance(res, MembershipRejection)
+    assert res.constraint == "slashed" and res.residual == 0.0
 
 
 def test_membership_rejects_double_speed_jet():
@@ -90,6 +203,90 @@ def test_membership_domain_errors():
         sub.membership(s, bad)
     with pytest.raises(DomainError):
         sub.membership(s, xi[:-1])
+
+
+def test_whole_array_check_reports_a_rejected_row():
+    s = make_sphere()
+    good = sub.delta_coordinates(s, SPHERE_X0, SPHERE_V0, 1.0, 0.5)
+    slashed = good.copy()
+    slashed[2:4] = 0.0
+    checks = sub._check_jets(s, np.stack([good, slashed, good]), np.inf)
+    assert checks.failed.tolist() == [-1, 0, -1]
+    assert checks.values[1, 0] == 0.0 and np.isnan(checks.values[1, 1:]).all()
+    assert np.isnan([checks.alpha[1], checks.beta[1], checks.residual[1]]).all()
+    for k in (0, 2):
+        res = sub.membership(s, good, tol=np.inf)
+        assert checks.values[k].tolist() == list(res.constraints.values())
+        assert (checks.alpha[k], checks.beta[k], checks.residual[k]) == (res.alpha, res.beta, res.residual)
+
+
+def test_rejected_node_raises_with_constraint_and_time(monkeypatch):
+    # a node whose base velocity block is slashed: reported, not read as a result
+    s = make_sphere()
+
+    def slash_node(*args):
+        tr = integrate(*args)
+        tr.positions[7, 2:4] = 0.0
+        return tr
+
+    monkeypatch.setattr(sub, "integrate", slash_node)
+    with pytest.raises(InconsistentTrajectoryError, match=r"t=0\.07 fails the slashed"):
+        sub.geodesic(s, SPHERE_X0, SPHERE_V0, 1.0, 0.5, (0.0, 0.2), 1e-2, tol=np.inf)
+
+
+@pytest.mark.parametrize("span", [(0.0, 0.6), (0.0, -0.6)], ids=["forward", "reversed"])
+@pytest.mark.parametrize("name", list(CURVES))
+def test_node_checks_are_bitwise_the_per_node_loop(name, span):
+    s, x0, v0 = CURVES[name]
+    sg = sub.geodesic(s, x0, v0, 1.0, 0.5, span, 1e-2)
+    want = _reference_node_checks(s, sg.traj)
+    got = (sg.membership_max, sg.recovered_alpha, sg.recovered_beta)
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def _outcome(res):
+    """A membership result as (rejected constraint, constraint values, alpha, beta, residual)."""
+    if isinstance(res, MembershipRejection):
+        return repr((res.constraint, res.constraints, None, None, res.residual))
+    return repr((None, res.constraints, res.alpha, res.beta, res.residual))
+
+
+def _stack_row(checks, k):
+    c = int(checks.failed[k])
+    n = len(CONSTRAINTS) if c < 0 else c + 1
+    values = dict(zip(CONSTRAINTS[:n], checks.values[k, :n].tolist()))
+    if c >= 0:
+        return repr((CONSTRAINTS[c], values, None, None, values[CONSTRAINTS[c]]))
+    return repr((None, values, float(checks.alpha[k]), float(checks.beta[k]),
+                 float(checks.residual[k])))
+
+
+@pytest.mark.parametrize("name", list(CURVES))
+def test_every_stack_row_is_its_membership(name):
+    s, x0, v0 = CURVES[name]
+    m = s.fiber_dim
+    row = st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.integers(-1, 8 * m - 1),
+                    st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 0.3]))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.lists(row, min_size=1, max_size=6), st.sampled_from([np.inf, 1e-8]))
+    def check(rows, tol):
+        stack = []
+        for alpha, beta, coord, eps in rows:
+            xi = sub.delta_coordinates(s, x0, v0, alpha, beta)
+            if coord < 0:
+                xi[m : 2 * m] = 0.0
+            else:
+                xi[coord] += eps
+            stack.append(xi)
+        checks = sub._check_jets(s, np.stack(stack), tol)
+        for k, xi in enumerate(stack):
+            want = _outcome(sub.membership(s, xi, tol=tol))
+            assert _stack_row(checks, k) == want
+            assert want == _outcome(_reference_membership(s, xi, tol))
+
+    check()
 
 
 def test_flat_parallel_curve_closed_form():
