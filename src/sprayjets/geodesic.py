@@ -11,6 +11,14 @@ arithmetic on Python floats, one statement per element.  Every
 evaluation, at a stage or a node, is :meth:`Spray.acceleration` on float
 lists, which runs the spray's compiled kernel and returns its list.
 
+The checks at each node stay in plain Python floats, behind prefilters
+that decide exactly what the full tests decide: a node is finite when the
+sum of its entries is, and its velocity is not slashed when the Python sum
+of squares lies clearly above ``EPS_SLASHED**2``.  Only near the threshold
+(or on an overflowing sum) does the entrywise or numpy test run.  The
+residual evaluates every step midpoint and then takes all the defect norms
+in one ``np.vecdot``.
+
 The generated step carries the order invariant.  Each element is
 computed by the same IEEE double operations, in the same order and
 association, as the numpy expressions ``x + 0.5*dt*v`` and
@@ -98,6 +106,39 @@ class Trajectory:
                      self.velocities[i + 1], self.accelerations[i + 1], tau, dt)
         return x, v
 
+    def states_at(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`state_at` at every time in ``times``, as two row arrays.
+
+        Row k equals ``state_at(times[k])`` bit for bit; a time outside the
+        span raises :class:`DomainError`.
+        """
+        t = np.asarray(times, dtype=float).reshape(-1)
+        ts = self.times
+        n = len(ts)
+        if n == 1:
+            outside = np.abs(t - ts[0]) > 1e-12
+        else:
+            lo, hi = sorted((ts[0], ts[-1]))
+            outside = ~((lo - 1e-12 <= t) & (t <= hi + 1e-12))
+        if outside.any():
+            bad = t[np.argmax(outside)]
+            raise DomainError(f"time {bad} outside trajectory span [{ts[0]}, {ts[-1]}]")
+        if n == 1:
+            idx = np.zeros(t.size, dtype=np.intp)
+            return self.positions[idx], self.velocities[idx]
+        if ts[-1] >= ts[0]:
+            i = np.searchsorted(ts, t, side="right") - 1
+        else:
+            i = n - 1 - np.searchsorted(ts[::-1], t, side="left")
+        i = np.clip(i, 0, n - 2)
+        dt = (ts[i + 1] - ts[i])[:, None]
+        tau = (t[:, None] - ts[i][:, None]) / dt
+        x = _hermite(self.positions[i], self.velocities[i],
+                     self.positions[i + 1], self.velocities[i + 1], tau, dt)
+        v = _hermite(self.velocities[i], self.accelerations[i],
+                     self.velocities[i + 1], self.accelerations[i + 1], tau, dt)
+        return x, v
+
     def position_at(self, t: float) -> np.ndarray:
         return self.state_at(t)[0]
 
@@ -129,18 +170,35 @@ def _hermite(y0, d0, y1, d1, tau, dt):
             + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * dt * d1)
 
 
+# Above this bound a sum of squares over a velocity is far from
+# EPS_SLASHED**2: the terms are non-negative, so the Python sum and BLAS's
+# ``ddot`` differ by a few ulps, and the margin of 1e-6 covers that many
+# times over.  At or below it the exact numpy test decides.
+_NOT_SLASHED_ABOVE = EPS_SLASHED**2 * (1.0 + 1e-6)
+
+
 def _node_exit(s: Spray, x: list, v: list) -> str | None:
-    """Exit reason of the finite node (x, v), or None if the run goes on."""
-    vd = np.array(v[: s.dim])
-    if math.sqrt(vd.dot(vd)) <= EPS_SLASHED:  # np.linalg.norm(vd), bit for bit
-        return EXIT_SLASHED
+    """Exit reason of the finite node (x, v), or None if the run goes on.
+
+    The slashed test is ``np.linalg.norm(v[:dim]) <= EPS_SLASHED`` bit for
+    bit, but numpy runs only near the threshold (see _NOT_SLASHED_ABOVE).
+    """
+    vd = v[: s.dim]
+    sq = 0.0
+    for z in vd:
+        sq += z * z
+    if sq <= _NOT_SLASHED_ABOVE:
+        vd = np.array(vd)
+        if math.sqrt(vd.dot(vd)) <= EPS_SLASHED:  # np.linalg.norm(vd), bit for bit
+            return EXIT_SLASHED
     if not s.in_domain(x):
         return EXIT_DOMAIN
     return None
 
 
 def _finite(x: list, v: list) -> bool:
-    return all(map(math.isfinite, x + v))
+    # a finite sum has finite terms; a sum that overflows is checked entrywise
+    return math.isfinite(sum(x) + sum(v)) or all(map(math.isfinite, x + v))
 
 
 @cache
@@ -338,17 +396,16 @@ def residual(s: Spray, tr: Trajectory) -> float:
     xm = _hermite(p0, v0, p1, v1, 0.5, dt)
     vm = _hermite_d1(p0, v0, p1, v1, 0.5, dt)
     curv = (v1 - v0) / dt
-    worst = 0.0
-    for c, x, v in zip(curv, xm, vm):
-        try:
-            d = c - s.acceleration(x, v)
-        except (ArithmeticError, ValueError):
-            return math.nan
-        norm = math.sqrt(d.dot(d))  # np.linalg.norm(d), bit for bit
-        if math.isnan(norm):
-            return norm  # max() would skip it and report a broken run as clean
-        worst = max(worst, norm)
-    return worst
+    f = s.acceleration
+    try:
+        acc = [f(x, v) for x, v in zip(xm.tolist(), vm.tolist())]
+    except (ArithmeticError, ValueError):
+        return math.nan
+    d = curv - np.array(acc, dtype=float).reshape(curv.shape)
+    norms = np.sqrt(np.vecdot(d, d))  # np.linalg.norm of each row, bit for bit
+    # numpy's max propagates a NaN norm; Python's max() would skip it and
+    # report a broken run as clean
+    return float(norms.max(initial=0.0))
 
 
 def _hermite_d1(y0, d0, y1, d1, tau, dt):

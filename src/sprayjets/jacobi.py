@@ -437,7 +437,7 @@ def new_from_old_suite(base: Spray, j: Trajectory, shift: float | None = None,
     w_end = (t1 - shift) / stretch
     sub_times = np.arange(0.0, w_end + 0.5 * h, h)
     sub_times = sub_times[sub_times * stretch + shift <= t1 + 1e-12]
-    cand_pos = np.stack([j.position_at(stretch * t + shift) for t in sub_times])
+    cand_pos = j.states_at(stretch * sub_times + shift)[0]
     x0, v0 = j.state_at(shift)
     init = JetPoint(r + 1, base.dim, np.concatenate([x0, stretch * v0]))
     tr = integrate(own, init, (0.0, float(sub_times[-1])), h)

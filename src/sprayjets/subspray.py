@@ -410,12 +410,8 @@ def reparametrized(s: Spray, sg: SubsprayGeodesic, scale: float, shift: float,
     rep = geodesic(s, x_t0, scale * v_t0, new_alpha, new_beta, (0.0, t_end), h,
                    tol=np.inf, node_checks=False)
 
-    gap = 0.0
-    for k, t in enumerate(rep.traj.times):
-        orig = sg.traj.position_at(scale * float(t) + shift)
-        gap = max(gap, float(np.max(np.abs(
-            rep.traj.positions[k, 2 * m : 3 * m] - orig[2 * m : 3 * m]
-        ))))
+    orig = sg.traj.states_at(scale * rep.traj.times + shift)[0]
+    gap = float(np.max(np.abs(rep.traj.positions[:, 2 * m : 3 * m] - orig[:, 2 * m : 3 * m])))
     return ReparametrizedReport(new_alpha, new_beta, gap, rep)
 
 

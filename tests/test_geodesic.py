@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sprayjets import (EPS_SLASHED, DomainError, IntegrationBlowupError,
                        InvalidLevelError, JetPoint, Spray, Trajectory,
@@ -14,6 +16,7 @@ from sprayjets import (EPS_SLASHED, DomainError, IntegrationBlowupError,
                        make_finsler_example, make_flat, make_sphere,
                        pushforward_spray, residual, shear_chart,
                        write_trajectory_csv)
+from sprayjets.geodesic import _node_exit
 from sprayjets.jets import jet_re
 
 TILT, OMEGA = 0.3, 3.0
@@ -498,6 +501,8 @@ REFERENCE_CASES = {
                          JetPoint(1, 2, [0.0, 0.0, 1.0, 0.0]), 3.0, 1e-2),
     "brake-slashed-exit": (Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.5], tag="brake"),
                            JetPoint(1, 1, [0.0, 1.0]), 2.0, 1e-2),
+    # every entry is finite but the coordinate sum overflows to inf
+    "overflowing-sum": (make_flat(2), JetPoint(1, 2, [1e308, 1e308, 1.0, -0.5]), 1.0, 1e-1),
 }
 
 EXPECTED_EXIT = {"disk-domain-exit": "domain", "brake-slashed-exit": "slashed"}
@@ -522,6 +527,24 @@ def test_integrate_matches_reference_loop_bitwise(case, direction):
     assert got.requested == want.requested
 
 
+@pytest.mark.parametrize("coords", [
+    [math.inf, 0.0, 1.0, 0.0], [0.0, 0.0, math.nan, 1.0], [math.inf, -math.inf, 1.0, 0.0],
+    [1e308, 1e308, -math.inf, 0.0], [1e308, 1e308, 1.0, math.nan],
+], ids=["inf", "nan", "inf-minus-inf", "overflowing-sum-inf", "overflowing-sum-nan"])
+def test_nonfinite_initial_state_raises_blowup(coords):
+    for run in (integrate, _reference_integrate):
+        with pytest.raises(IntegrationBlowupError, match="non-finite"):
+            run(make_flat(2), JetPoint(1, 2, coords), (0.0, 1.0), 0.1)
+
+
+def test_node_overflowing_to_inf_raises_blowup():
+    # the first node is x = 1e308 + 1e308 = inf
+    init = JetPoint(1, 2, [1e308, 1e308, 1e308, 0.0])
+    for run in (integrate, _reference_integrate):
+        with np.errstate(over="ignore"), pytest.raises(IntegrationBlowupError, match="non-finite"):
+            run(make_flat(2), init, (0.0, 1.0), 1.0)
+
+
 @pytest.mark.parametrize("level", [0, 2])
 def test_acceleration_calls_per_step(monkeypatch, level):
     s, init = _lifted_sphere(level), _lifted_init(level)
@@ -544,21 +567,117 @@ def test_acceleration_calls_per_step(monkeypatch, level):
 
 
 def test_residual_matches_step_loop():
-    s = make_sphere()
-    tr = integrate(s, tilted_init(), (0.0, 1.0), 1e-2)
-    pos = tr.positions.copy()
-    pos[50, 0] += 1e-3
-    for case in (tr, replace(tr, positions=pos)):
-        worst = 0.0
-        for i in range(len(case.times) - 1):
-            dt = case.times[i + 1] - case.times[i]
-            t2, t3 = 0.25, 0.125
-            y0, d0, y1, d1 = (case.positions[i], case.velocities[i],
-                              case.positions[i + 1], case.velocities[i + 1])
-            x = ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + 0.5) * dt * d0
-                 + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * dt * d1)
-            v = ((6 * t2 - 6 * 0.5) * y0 / dt + (3 * t2 - 4 * 0.5 + 1) * d0
-                 + (-6 * t2 + 6 * 0.5) * y1 / dt + (3 * t2 - 2 * 0.5) * d1)
-            curv = (case.velocities[i + 1] - case.velocities[i]) / dt
-            worst = max(worst, float(np.linalg.norm(curv - s.acceleration(x, v))))
-        assert residual(s, case) == worst
+    # the defect rows have 2 (sphere, Finsler, pushed), 4, 8 and 16 columns
+    for case in ("sphere-L0", "sphere-L1", "sphere-L2", "sphere-L3", "finsler", "pushed-sphere"):
+        s, init, span, h = REFERENCE_CASES[case]
+        tr = integrate(s, init, (0.0, span), h)
+        pos = tr.positions.copy()
+        pos[len(pos) // 2, 0] += 1e-3
+        for run in (tr, replace(tr, positions=pos)):
+            worst = 0.0
+            for i in range(len(run.times) - 1):
+                dt = run.times[i + 1] - run.times[i]
+                t2, t3 = 0.25, 0.125
+                y0, d0, y1, d1 = (run.positions[i], run.velocities[i],
+                                  run.positions[i + 1], run.velocities[i + 1])
+                x = ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + 0.5) * dt * d0
+                     + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * dt * d1)
+                v = ((6 * t2 - 6 * 0.5) * y0 / dt + (3 * t2 - 4 * 0.5 + 1) * d0
+                     + (-6 * t2 + 6 * 0.5) * y1 / dt + (3 * t2 - 2 * 0.5) * d1)
+                curv = (run.velocities[i + 1] - run.velocities[i]) / dt
+                worst = max(worst, float(np.linalg.norm(curv - s.acceleration(x, v))))
+            assert residual(s, run) == worst, case
+
+
+# --- the slashed threshold --------------------------------------------------
+
+# components whose squares underflow to zero or to a subnormal
+SUBNORMALS = [5e-324, -5e-324, 1e-310, -7.3e-309, 2.2e-308, 0.0, -0.0]
+# the slashed threshold, and the norm at which _node_exit stops calling numpy
+THRESHOLDS = [EPS_SLASHED, EPS_SLASHED * math.sqrt(1.0 + 1e-6)]
+FLATS = {dim: make_flat(dim) for dim in range(1, 5)}
+
+
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+    return x
+
+
+def _slashed_decision(v, dim):
+    # v may carry entries past dim, as the velocity of a lifted state does
+    return _node_exit(FLATS[dim], [0.0] * dim, v)
+
+
+@st.composite
+def _near_threshold(draw):
+    dim = draw(st.integers(1, 4))
+    # None marks a subnormal component
+    u = draw(st.lists(st.floats(-1.0, 1.0) | st.none(), min_size=dim, max_size=dim))
+    n = float(np.linalg.norm([z for z in u if z is not None] or [0.0]))
+    assume(n > 0.0)
+    target = _ulps(draw(st.sampled_from(THRESHOLDS)), draw(st.integers(-4, 4)))
+    v = [draw(st.sampled_from(SUBNORMALS)) if z is None else z * (target / n) for z in u]
+    return dim, v + draw(st.lists(st.floats(-10.0, 10.0), max_size=4))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_near_threshold())
+def test_slashed_decision_is_the_numpy_norm(case):
+    dim, v = case
+    want = "slashed" if np.linalg.norm(v[:dim]) <= EPS_SLASHED else None
+    assert _slashed_decision(v, dim) == want
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_slashed_decision_at_the_threshold(dim, ulps):
+    # norm EPS_SLASHED exactly, and one ulp either side: sqrt(fl(y*y)) == y,
+    # and the squares of the subnormal fill underflow to zero
+    y = _ulps(EPS_SLASHED, ulps)
+    for k in range(dim):
+        for sign in (1.0, -1.0):
+            v = [5e-324 * (-1) ** i for i in range(dim)]
+            v[k] = sign * y
+            assert np.linalg.norm(v) == y
+            assert _slashed_decision(v + [1.0], dim) == ("slashed" if ulps <= 0 else None)
+
+
+# --- whole-array dense output ------------------------------------------------
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0], ids=["forward", "reversed"])
+@pytest.mark.parametrize("case", ["sphere-L0", "sphere-L2", "flat"])
+def test_states_at_rows_are_state_at(case, direction):
+    s, init, span, h = REFERENCE_CASES[case]
+    # a span that is not a whole number of steps leaves a short last step
+    tr = integrate(s, init, (0.0, direction * 0.93 * span), h)
+    ts = tr.times
+    lo, hi = sorted((ts[0], ts[-1]))
+    times = np.concatenate([ts, (ts[:-1] + ts[1:]) / 2, np.linspace(lo, hi, 37),
+                            [lo - 1e-12, hi + 1e-12, lo - 5e-13, hi + 5e-13]])
+    xs, vs = tr.states_at(times)
+    assert xs.shape == vs.shape == (times.size, tr.positions.shape[1])
+    for k, t in enumerate(times):
+        x, v = tr.state_at(t)
+        assert xs[k].tobytes() == x.tobytes() and vs[k].tobytes() == v.tobytes(), t
+    np.testing.assert_array_equal(tr.states_at(ts)[0], tr.positions)
+    for bad in (lo - 1e-11, hi + 1e-11, math.nan):
+        with pytest.raises(DomainError):
+            tr.state_at(bad)
+        with pytest.raises(DomainError):
+            tr.states_at(np.append(times, bad))
+
+
+def test_states_at_single_node():
+    tr = integrate(make_sphere(), tilted_init(), (0.0, 0.0), 1e-2)
+    times = [0.0, 1e-12, -1e-12, 5e-13]
+    xs, vs = tr.states_at(times)
+    for k, t in enumerate(times):
+        x, v = tr.state_at(t)
+        assert xs[k].tobytes() == x.tobytes() and vs[k].tobytes() == v.tobytes()
+    for bad in (0.5, -1e-11):
+        with pytest.raises(DomainError):
+            tr.state_at(bad)
+        with pytest.raises(DomainError):
+            tr.states_at([0.0, bad])

@@ -371,6 +371,17 @@ def test_reparametrized_scalar_map_is_forced():
     assert gap > 1.0
 
 
+def test_reparametrized_gap_is_the_per_node_loop():
+    s = make_sphere()
+    sg = sub.geodesic(s, SPHERE_X0, SPHERE_V0, 1.0, 0.5, (0.0, 1.0), 1e-2)
+    rep = sub.reparametrized(s, sg, 2.0, 0.2)
+    gap = 0.0
+    for k, t in enumerate(rep.curve.traj.times):
+        orig = sg.traj.position_at(2.0 * float(t) + 0.2)
+        gap = max(gap, float(np.max(np.abs(rep.curve.traj.positions[k, 4:6] - orig[4:6]))))
+    assert 0.0 < rep.field_gap == gap
+
+
 def test_reparametrized_rejects_bad_scale():
     f = make_flat(2)
     sg = sub.geodesic(f, [0.0, 0.0], [1.0, 0.0], 1.0, 0.0, (0.0, 1.0), 1e-2)
