@@ -47,6 +47,9 @@ from .spray import Spray
 EXIT_SLASHED = "slashed"
 EXIT_DOMAIN = "domain"
 
+# A time this close outside a trajectory's span still counts as inside it.
+_SPAN_SLACK = 1e-12
+
 
 @dataclass
 class Trajectory:
@@ -80,24 +83,40 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def _bracket(self, t: float) -> int:
+    def _bracket(self, t):
+        """Index i of the step [times[i], times[i + 1]] holding ``t``.
+
+        ``t`` is a float or an array of floats; both :meth:`state_at` and
+        :meth:`states_at` take their span check and step index from here.
+        A time outside the span (by more than _SPAN_SLACK) raises
+        :class:`DomainError`.  A single-node trajectory gives index 0.
+        """
         ts = self.times
-        lo, hi = (ts[0], ts[-1]) if ts[-1] >= ts[0] else (ts[-1], ts[0])
-        if not (lo - 1e-12 <= t <= hi + 1e-12):
-            raise DomainError(f"time {t} outside trajectory span [{ts[0]}, {ts[-1]}]")
-        if ts[-1] >= ts[0]:
-            i = int(np.searchsorted(ts, t, side="right")) - 1
+        n = len(ts)
+        forward = ts[-1] >= ts[0]
+        if n == 1:
+            inside = np.abs(t - ts[0]) <= _SPAN_SLACK
         else:
-            i = len(ts) - 1 - int(np.searchsorted(ts[::-1], t, side="left"))
-            i = max(0, min(i, len(ts) - 2))
-        return max(0, min(i, len(ts) - 2))
+            lo, hi = (ts[0], ts[-1]) if forward else (ts[-1], ts[0])
+            inside = (lo - _SPAN_SLACK <= t) & (t <= hi + _SPAN_SLACK)
+        if not inside.all():
+            bad = t if np.ndim(t) == 0 else t[np.argmin(inside)]
+            if n == 1:
+                raise DomainError(f"time {bad} outside single-node trajectory")
+            raise DomainError(f"time {bad} outside trajectory span [{ts[0]}, {ts[-1]}]")
+        if n == 1:
+            return np.zeros(np.shape(t), dtype=np.intp)
+        # Searching the interior nodes only gives an index in [0, n - 2]: a
+        # time at or past the last node (or within the slack before the
+        # first) falls in the end step without a clamp.
+        if forward:
+            return np.searchsorted(ts[1:-1], t, side="right")
+        return n - 2 - np.searchsorted(ts[-2:0:-1], t, side="left")
 
     def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        if len(self.times) == 1:
-            if abs(t - self.times[0]) > 1e-12:
-                raise DomainError(f"time {t} outside single-node trajectory")
-            return self.positions[0], self.velocities[0]
         i = self._bracket(t)
+        if len(self.times) == 1:
+            return self.positions[0], self.velocities[0]
         dt = self.times[i + 1] - self.times[i]
         tau = (t - self.times[i]) / dt
         x = _hermite(self.positions[i], self.velocities[i],
@@ -113,24 +132,10 @@ class Trajectory:
         span raises :class:`DomainError`.
         """
         t = np.asarray(times, dtype=float).reshape(-1)
+        i = self._bracket(t)
+        if len(self.times) == 1:
+            return self.positions[i], self.velocities[i]
         ts = self.times
-        n = len(ts)
-        if n == 1:
-            outside = np.abs(t - ts[0]) > 1e-12
-        else:
-            lo, hi = sorted((ts[0], ts[-1]))
-            outside = ~((lo - 1e-12 <= t) & (t <= hi + 1e-12))
-        if outside.any():
-            bad = t[np.argmax(outside)]
-            raise DomainError(f"time {bad} outside trajectory span [{ts[0]}, {ts[-1]}]")
-        if n == 1:
-            idx = np.zeros(t.size, dtype=np.intp)
-            return self.positions[idx], self.velocities[idx]
-        if ts[-1] >= ts[0]:
-            i = np.searchsorted(ts, t, side="right") - 1
-        else:
-            i = n - 1 - np.searchsorted(ts[::-1], t, side="left")
-        i = np.clip(i, 0, n - 2)
         dt = (ts[i + 1] - ts[i])[:, None]
         tau = (t[:, None] - ts[i][:, None]) / dt
         x = _hermite(self.positions[i], self.velocities[i],

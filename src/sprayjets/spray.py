@@ -114,14 +114,9 @@ class Spray:
     def in_domain(self, x: Sequence[float]) -> bool:
         """Whether the base point of the position ``x`` lies in the chart.
 
-        ``domain`` receives an ndarray of the leading ``dim`` coordinates;
-        a list is sliced before it is converted.
+        ``domain`` receives an ndarray of the leading ``dim`` coordinates.
         """
-        if self.domain is None:
-            return True
-        if type(x) is list:
-            return bool(self.domain(np.array(x[: self.dim])))
-        return bool(self.domain(np.asarray(x)[: self.dim]))
+        return self.domain is None or bool(self.domain(np.asarray(x[: self.dim])))
 
     def restricted(self, domain: Callable, tag: str | None = None) -> "Spray":
         return replace(self, domain=domain, tag=tag or self.tag)

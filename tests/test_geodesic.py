@@ -669,6 +669,25 @@ def test_states_at_rows_are_state_at(case, direction):
             tr.states_at(np.append(times, bad))
 
 
+@pytest.mark.parametrize("direction", [1.0, -1.0], ids=["forward", "reversed"])
+def test_bracket_is_the_clamped_node_count(direction):
+    # state_at and states_at share _bracket, so pin it to its definition:
+    # the step starts at the last node reached, clamped to the first and
+    # last steps
+    s, init, span, h = REFERENCE_CASES["sphere-L0"]
+    tr = integrate(s, init, (0.0, direction * 0.93 * span), h)
+    ts = tr.times
+    n = len(ts)
+    lo, hi = sorted((ts[0], ts[-1]))
+    near = [np.nextafter(ts, -math.inf), np.nextafter(ts, math.inf)]
+    times = np.concatenate([ts, *near, (ts[:-1] + ts[1:]) / 2, [lo - 1e-12, hi + 1e-12]])
+    times = times[(times >= lo - 1e-12) & (times <= hi + 1e-12)]
+    reached = (lambda t: np.sum(ts <= t)) if direction > 0 else (lambda t: np.sum(ts >= t))
+    expected = [max(0, min(n - 2, int(reached(t)) - 1)) for t in times]
+    assert tr._bracket(times).tolist() == expected
+    assert [int(tr._bracket(float(t))) for t in times] == expected
+
+
 def test_states_at_single_node():
     tr = integrate(make_sphere(), tilted_init(), (0.0, 0.0), 1e-2)
     times = [0.0, 1e-12, -1e-12, 5e-13]
