@@ -1,10 +1,19 @@
-"""First-order dual numbers that nest, a tracer for them, and generic scalar helpers.
+"""Dual numbers that nest, their packing of block layouts, a tracer, and scalar helpers.
 
 Every coefficient evaluator in this package is written against plain
 arithmetic and the ``j*`` helpers below, so the same code runs on floats,
 on ``Dual`` values, and on ``Dual`` values whose components are again
 ``Dual``.  Nesting two layers propagates mixed second directional
 derivatives, which is all the lift machinery needs.
+
+Jets are stored in a block layout: 2**r blocks of n coordinates, block b
+(an r-bit mask) differentiated at every tangent level whose bit is set.
+:func:`nest` packs such coordinates into n nested ``Dual`` values and
+:func:`unnest` lays results out again; nothing else knows the convention:
+block bit k is ``Dual`` layer k, counted from the innermost, so the top
+bit (the outermost tangent level) is the outermost layer.  A complete lift
+packs one level per lift around what its entries carry, so in a lift of a
+lift the outer lift's layer sits inside the inner one's.
 
 ``Dual`` is the semantics of jet arithmetic; nothing else defines it.
 :func:`compile_trace` runs an evaluator once on ``Sym`` scalars, which
@@ -131,10 +140,21 @@ def jet_du(z):
     return z.du if isinstance(z, Dual) else 0.0
 
 
-def jet_components(z):
-    if isinstance(z, Dual):
-        return z.re, z.du
-    return z, 0.0
+def nest(coords, level: int) -> list:
+    """Block-layout ``coords`` as nested Duals, ``level`` layers outside any they carry."""
+    if level == 0:
+        return list(coords)
+    half = len(coords) // 2
+    return [Dual(re, du) for re, du in zip(nest(coords[:half], level - 1),
+                                           nest(coords[half:], level - 1))]
+
+
+def unnest(values, level: int) -> list:
+    """The block layout of the outer ``level`` layers of ``values``; floats have zero tangents."""
+    if level == 0:
+        return list(values)
+    return (unnest([jet_re(z) for z in values], level - 1)
+            + unnest([jet_du(z) for z in values], level - 1))
 
 
 def jdot(a, b):

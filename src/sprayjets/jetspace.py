@@ -12,7 +12,8 @@ zero paddings, so the structural identities between them hold exactly in
 floating point.  Function lifts (vertical and complete) are evaluated with
 the scalar jet arithmetic from :mod:`sprayjets.jets`, and chart transitions
 act on jet coordinates through the same arithmetic, one nesting level per
-tangent level.
+tangent level, packed by :func:`~sprayjets.jets.nest` and unpacked by
+:func:`~sprayjets.jets.unnest` (whose module states the layer order).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidLevelError
-from .jets import Dual, jet_components, jet_du
+from .jets import nest, unnest
 
 # Points whose descent block is shorter than this are treated as lying on
 # the removed zero section.
@@ -226,16 +227,15 @@ def vlift(f: Callable, dim: int) -> Callable:
 def clift(f: Callable, dim: int) -> Callable:
     """Complete lift: differentiate ``f`` along the swapped-in direction.
 
-    One jet layer is spent per lift; stacking two clifts therefore needs
-    (and is the reason for) nested Dual components.
+    The tangent half of ``f`` on the one-level :func:`~sprayjets.jets.nest`
+    of the swapped coordinates.  One jet layer is spent per lift; stacking
+    two clifts therefore needs (and is the reason for) nested Duals.
     """
 
     def fc(coords):
         level = _level_of(len(coords), dim)
         q = _take(coords, _kappa_idx(level, dim))
-        half = len(q) // 2
-        args = [Dual(q[i], q[half + i]) for i in range(half)]
-        return jet_du(f(args))
+        return unnest([f(nest(q, 1))], 1)[1]
 
     return fc
 
@@ -282,31 +282,17 @@ class ChartTransition:
 def jet_apply(fn: Callable, coords, level: int, dim_in: int, dim_out: int):
     """Apply the ``level``-fold tangent functor of ``fn`` to flat coordinates.
 
-    Each base coordinate is packed into a nested Dual, one layer per
-    tangent level with the outermost level outermost, ``fn`` is evaluated
-    once, and the result is unpacked into the same block layout.
+    ``fn`` is evaluated once on the :func:`~sprayjets.jets.nest` of the
+    ``2**level * dim_in`` coordinates, and its ``dim_out`` values are
+    unpacked by :func:`~sprayjets.jets.unnest` into the same block layout.
+    Any other coordinate or value count raises ``InvalidLevelError``.
     """
-
-    def nest(j, mask, bit):
-        if bit < 0:
-            return coords[mask * dim_in + j]
-        return Dual(nest(j, mask, bit - 1), nest(j, mask | (1 << bit), bit - 1))
-
-    args = [nest(j, 0, level - 1) for j in range(dim_in)]
-    vals = fn(args)
-    out = [None] * ((1 << level) * dim_out)
-
-    def unnest(z, j, mask, bit):
-        if bit < 0:
-            out[mask * dim_out + j] = z
-            return
-        re, du = jet_components(z)
-        unnest(re, j, mask, bit - 1)
-        unnest(du, j, mask | (1 << bit), bit - 1)
-
-    for j in range(dim_out):
-        unnest(vals[j], j, 0, level - 1)
-    return out
+    if len(coords) != dim_in << level:
+        raise InvalidLevelError(f"level {level} needs {dim_in << level} coordinates, got {len(coords)}")
+    vals = fn(nest(coords, level))
+    if len(vals) != dim_out:
+        raise InvalidLevelError(f"expected {dim_out} values, got {len(vals)}")
+    return unnest(vals, level)
 
 
 def pushforward(t: ChartTransition, p: JetPoint) -> JetPoint:
@@ -315,10 +301,7 @@ def pushforward(t: ChartTransition, p: JetPoint) -> JetPoint:
         raise InvalidLevelError(f"transition dimension {t.dim} != point dimension {p.dim}")
     if t.domain is not None and not t.domain(p.base_block()):
         raise DomainError("base block outside the transition domain")
-    if p.level == 0:
-        out = [float(v) for v in t.forward(list(p.coords))]
-    else:
-        out = jet_apply(t.forward, list(p.coords), p.level, p.dim, p.dim)
+    out = jet_apply(t.forward, list(p.coords), p.level, p.dim, p.dim)
     return JetPoint(p.level, p.dim, np.asarray(out, dtype=float))
 
 

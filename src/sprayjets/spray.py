@@ -6,7 +6,8 @@ what distinguishes one spray from another.  Coefficient evaluators take
 the two coordinate halves of the level-(r+1) point as indexable sequences
 of generic scalars and must stay polymorphic over Dual entries: the
 complete lift is literally the same evaluator run on Dual pairs, and a
-second lift runs it on Duals of Duals.
+second lift runs it on Duals of Duals, packed as :mod:`sprayjets.jets`
+states.  Each spray keeps its lift (:attr:`Spray.lift`).
 
 That ``Dual`` evaluation is the semantics of a lift, and ``coeff_fn``
 always runs it.  Float accelerations run instead each spray's
@@ -29,15 +30,15 @@ complete lift's kernel rather than evaluated on ``Dual`` pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InvalidLevelError
 from .jetspace import JetPoint, is_slashed
-from .jets import Dual, compile_trace, jet_du, jet_re, jnorm, jcos, jsin
+from .jets import compile_trace, jcos, jnorm, jsin, nest, unnest
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,9 @@ class Spray:
         """The acceleration as a function of two float lists, returning floats.
 
         Traced from ``coeff_fn`` at its first use and kept on the spray, so
-        memoized lifts share it.  Equals ``-2.0 * np.asarray(coeff_fn(x, v))``
-        bit for bit; when tracing is refused or ``traced`` is off it is that
-        expression.
+        every caller of a memoized :attr:`lift` shares it.  Equals
+        ``-2.0 * np.asarray(coeff_fn(x, v))`` bit for bit; when tracing is
+        refused or ``traced`` is off it is that expression.
         """
         coeff_fn, n = self.coeff_fn, self.fiber_dim
 
@@ -118,8 +119,17 @@ class Spray:
         """
         return self.domain is None or bool(self.domain(np.asarray(x[: self.dim])))
 
-    def restricted(self, domain: Callable, tag: str | None = None) -> "Spray":
-        return replace(self, domain=domain, tag=tag or self.tag)
+    @cached_property
+    def lift(self) -> "Spray":
+        """The complete lift, :func:`dual_lift` of ``coeff_fn``, built once per spray."""
+        return Spray(
+            level=self.level + 1,
+            dim=self.dim,
+            coeff_fn=dual_lift(self.coeff_fn),
+            tag=f"lifted({self.tag})",
+            domain=self.domain,
+            parent=self,
+        )
 
 
 def spray_value(s: Spray, p: JetPoint) -> JetPoint:
@@ -148,48 +158,21 @@ def homogeneity_check(s: Spray, p: JetPoint, lam: float) -> float:
 def dual_lift(parent_fn: Callable) -> Callable:
     """The lifted evaluator of ``parent_fn``, run on Dual pairs.
 
-    Evaluating the parent coefficients on Dual pairs yields the vertical
-    part as the primal component and the derivative part as the tangent
-    component; both land in the block layout of the lifted level.
+    Position and velocity get one :func:`~sprayjets.jets.nest` level each;
+    the parent coefficients on those pairs give the vertical part as the
+    primal component and the derivative part as the tangent component,
+    which :func:`~sprayjets.jets.unnest` lays out at the lifted level.
     """
 
     def on_duals(pos, vel):
-        half = len(pos) // 2
-        ppos = [Dual(pos[i], pos[half + i]) for i in range(half)]
-        pvel = [Dual(vel[i], vel[half + i]) for i in range(half)]
-        out = parent_fn(ppos, pvel)
-        return [jet_re(z) for z in out] + [jet_du(z) for z in out]
+        return unnest(parent_fn(nest(pos, 1), nest(vel, 1)), 1)
 
     return on_duals
 
 
 def complete_lift(s: Spray) -> Spray:
-    """The lifted spray one level up: :func:`dual_lift` of the coefficients.
-
-    Lifts are memoized per parent, so repeated lifts of one spray share one
-    :attr:`Spray.kernel`; a spray with an unhashable field (say, a
-    coefficient object with ``__eq__``) is lifted afresh each time.
-    """
-
-    try:
-        hash(s)
-    except TypeError:
-        return _lift(s)
-    return _memo_lift(s)
-
-
-def _lift(s: Spray) -> Spray:
-    return Spray(
-        level=s.level + 1,
-        dim=s.dim,
-        coeff_fn=dual_lift(s.coeff_fn),
-        tag=f"lifted({s.tag})",
-        domain=s.domain,
-        parent=s,
-    )
-
-
-_memo_lift = lru_cache(maxsize=128)(_lift)
+    """The lifted spray one level up, memoized on ``s`` as :attr:`Spray.lift`."""
+    return s.lift
 
 
 def project_spray(s: Spray) -> Spray:

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sprayjets import (IntegrationBlowupError, JetPoint, Spray, complete_lift, conjugate_search, integrate,
-                       make_finsler_example, make_flat, make_sphere, pushforward_spray,
-                       shear_chart)
+from sprayjets import (IntegrationBlowupError, JetPoint, Spray, acceleration_jet, complete_lift,
+                       conjugate_search, integrate, make_finsler_example, make_flat, make_sphere,
+                       pushforward_spray, shear_chart)
 from sprayjets import spray as spray_mod
 from sprayjets.errors import TraceError
 from sprayjets.jets import Sym, _Tape, jet_re
@@ -154,12 +154,17 @@ class _Drag:
         return [self.c * vel[0] * vel[0]]
 
 
-def test_unhashable_coefficient_is_lifted_without_memo():
+def test_unhashable_coefficient_is_lifted_once(monkeypatch):
+    # the lift is kept on the spray, so it needs no hash of the coefficient
+    traces = _count_traces(monkeypatch)
     s = Spray(level=0, dim=1, coeff_fn=_Drag(0.5), tag="drag")
     lifted = complete_lift(s)
-    assert lifted is not complete_lift(s)
     pos, vel = [0.3, -0.2], [1.5, 0.7]
-    assert _outcome(lifted.kernel, pos, vel) == _outcome(_interpreted(dual_lift(s.coeff_fn)), pos, vel)
+    for k in range(3):
+        assert complete_lift(s) is lifted
+        assert _outcome(lifted.kernel, pos, vel) == _outcome(_interpreted(dual_lift(s.coeff_fn)), pos, vel)
+        acceleration_jet(s, [0.1 * k], [1.5])
+    assert [name for name, _ in traces] == ["<lifted(drag) L1>", "<drag L0>"]
 
 
 @pytest.mark.parametrize("level", [1, 2])

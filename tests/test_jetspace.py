@@ -233,3 +233,19 @@ def test_jet_apply_respects_level_zero():
     t = shear_chart()
     out = jet_apply(t.forward, np.array([1.0, 1.0]), 0, 2, 2)
     np.testing.assert_allclose(out, [2.0, 1.0])
+
+
+@pytest.mark.parametrize("coords, level", [([1, 2, 3, 4, 99, 98], 1), ([1, 2, 3], 1),
+                                           ([1, 2, 3], 0), ([1], 0), ([1, 2, 3, 4], 2)])
+def test_jet_apply_rejects_a_wrong_coordinate_count(coords, level):
+    # extra coordinates used to be dropped, missing ones raised IndexError
+    with pytest.raises(InvalidLevelError):
+        jet_apply(shear_chart().forward, coords, level, 2, 2)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("values", [lambda x: [*x, x[0]], lambda x: x[:1]])
+def test_jet_apply_rejects_a_wrong_value_count(values, level):
+    # extra values used to be dropped, missing ones raised IndexError
+    with pytest.raises(InvalidLevelError):
+        jet_apply(values, [1.0] * (2 << level), level, 2, 2)

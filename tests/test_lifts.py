@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sprayjets import JetPoint, clift, dkappa, jet_apply, kappa, vlift
-from sprayjets.jets import Dual, jcos, jexp, jsin
+from sprayjets import (JetPoint, clift, ddproject, dkappa, dproject, jet_apply, kappa, liouville,
+                       project, vlift)
+from sprayjets.jets import Dual, jcos, jet_du, jet_re, jexp, jsin, nest, unnest
+from sprayjets.jetspace import _kappa_idx, _level_of, _take
 from sprayjets.samples import random_slashed_jet
+from sprayjets.spray import dual_lift
 
 
 def poly(c):
@@ -145,3 +150,151 @@ def test_double_complete_lift_against_finite_differences():
             base, direction = q[:4], q[4:]
             fd = (fc(base + eps * direction) - fc(base - eps * direction)) / (2 * eps)
             np.testing.assert_allclose(fcc(p.coords), fd, rtol=1e-7, atol=1e-7)
+
+# --- one packing ------------------------------------------------------------
+#
+# Copies of the three packings that nest and unnest replaced, as they were:
+# jet_apply's recursive closures, clift's one-level pack and dual_lift's
+# pairs of halves.
+
+
+def _old_jet_apply(fn, coords, level, dim_in, dim_out):
+    def pack(j, mask, bit):
+        if bit < 0:
+            return coords[mask * dim_in + j]
+        return Dual(pack(j, mask, bit - 1), pack(j, mask | (1 << bit), bit - 1))
+
+    vals = fn([pack(j, 0, level - 1) for j in range(dim_in)])
+    out = [None] * ((1 << level) * dim_out)
+
+    def unpack(z, j, mask, bit):
+        if bit < 0:
+            out[mask * dim_out + j] = z
+            return
+        unpack(jet_re(z), j, mask, bit - 1)
+        unpack(jet_du(z), j, mask | (1 << bit), bit - 1)
+
+    for j in range(dim_out):
+        unpack(vals[j], j, 0, level - 1)
+    return out
+
+
+def _old_clift(f, dim):
+    def fc(coords):
+        q = _take(coords, _kappa_idx(_level_of(len(coords), dim), dim))
+        half = len(q) // 2
+        return jet_du(f([Dual(q[i], q[half + i]) for i in range(half)]))
+
+    return fc
+
+
+def _old_dual_lift(parent_fn):
+    def on_duals(pos, vel):
+        half = len(pos) // 2
+        out = parent_fn([Dual(pos[i], pos[half + i]) for i in range(half)],
+                        [Dual(vel[i], vel[half + i]) for i in range(half)])
+        return [jet_re(z) for z in out] + [jet_du(z) for z in out]
+
+    return on_duals
+
+
+def _mix(c):
+    # products of different coordinates, so that mixed components depend on
+    # which layer is outermost, down to the last bit
+    n = len(c)
+    return [jsin(c[i]) * c[(i + 1) % n] + c[i] * c[i] * c[(i + 2) % n] / (2.0 + c[(i + 1) % n] ** 2)
+            for i in range(n)]
+
+
+def _scalar(c):
+    acc = 0.0
+    for z in _mix(c):
+        acc = acc + z
+    return acc
+
+
+def _coeffs(pos, vel):
+    return [m * vel[i] * vel[(i + 1) % len(vel)] + jcos(pos[i]) for i, m in enumerate(_mix(pos))]
+
+
+def _bits(z):
+    """A value, nested Duals included, as nested pairs of float bytes."""
+    if isinstance(z, Dual):
+        return _bits(z.re), _bits(z.du)
+    return np.float64(z).tobytes()
+
+
+def _same(new, old):
+    assert type(new) is type(old)
+    if isinstance(new, list):
+        assert [_bits(z) for z in new] == [_bits(z) for z in old]
+    else:
+        assert _bits(new) == _bits(old)
+
+
+@st.composite
+def _layouts(draw, min_level):
+    """Level, dimension and block-layout coordinates; Dual entries carry a lower lift."""
+    level = draw(st.integers(min_level, 4))
+    dim = draw(st.integers(1, 3))
+    n = dim << level
+    x = st.floats(-2.0, 2.0)
+    coords = draw(st.lists(x, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        coords = [Dual(c, d) for c, d in zip(coords, draw(st.lists(x, min_size=n, max_size=n)))]
+    return level, dim, coords
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_layouts(0))
+def test_jet_apply_is_bitwise_the_old_packing(layout):
+    level, dim, coords = layout
+    assert [_bits(z) for z in unnest(nest(coords, level), level)] == [_bits(z) for z in coords]
+    _same(jet_apply(_mix, coords, level, dim, dim), _old_jet_apply(_mix, coords, level, dim, dim))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_layouts(1))
+def test_clift_is_bitwise_the_old_packing(layout):
+    level, dim, coords = layout
+    _same(clift(_scalar, dim)(coords), _old_clift(_scalar, dim)(coords))
+    if level >= 2:
+        _same(clift(clift(_scalar, dim), dim)(coords),
+              _old_clift(_old_clift(_scalar, dim), dim)(coords))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_layouts(1), st.data())
+def test_dual_lift_is_bitwise_the_old_packing(layout, data):
+    level, _, pos = layout
+    vel = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(pos), max_size=len(pos)))
+    _same(dual_lift(_coeffs)(pos, vel), _old_dual_lift(_coeffs)(pos, vel))
+    if level >= 2:
+        _same(dual_lift(dual_lift(_coeffs))(pos, vel),
+              _old_dual_lift(_old_dual_lift(_coeffs))(pos, vel))
+
+
+# name -> (lowest level, pair of maps that must agree exactly)
+IDENTITIES = {
+    "involution squares": (1, lambda p: (kappa(kappa(p)), p)),
+    "projection swap": (2, lambda p: (project(dkappa(p)), kappa(project(p)))),
+    "tangent projection": (2, lambda p: (dproject(p), project(kappa(p)))),
+    "double projection": (2, lambda p: (project(dproject(p)), project(project(p)))),
+    "projection mixing": (3, lambda p: (dproject(project(p)), project(ddproject(p)))),
+    "outer involution": (3, lambda p: (ddproject(kappa(p)), kappa(ddproject(p)))),
+    "projection collapse": (2, lambda p: (project(project(kappa(p))), project(project(p)))),
+    "section retraction": (1, lambda p: (dproject(kappa(liouville(p))), p)),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(IDENTITIES)), st.data())
+def test_block_permutation_identities_hold_exactly(name, data):
+    lowest, pair = IDENTITIES[name]
+    level = data.draw(st.integers(lowest, 5))
+    dim = data.draw(st.integers(1, 4))
+    n = dim << level
+    coords = data.draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n))
+    left, right = pair(JetPoint(level, dim, coords))
+    assert (left.level, left.dim) == (right.level, right.dim)
+    assert left.coords.tobytes() == right.coords.tobytes()
