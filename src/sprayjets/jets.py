@@ -20,12 +20,17 @@ lift the outer lift's layer sits inside the inner one's.
 have a name but no value, and records every float operation and math call
 that the nested ``Dual`` arithmetic performs, in order and with its exact
 operands.  The recording becomes one function of straight-line float
-statements.  On float inputs it performs the same IEEE operations in the
-same order as the ``Dual`` evaluation, so every component of its result,
-primal, tangent and mixed, is bitwise equal by construction.  Control flow
-that depends on a value cannot be recorded: a ``Sym`` raises
-:class:`~sprayjets.errors.TraceError` when it is compared, tested for
-truth or converted to a number, and the evaluator is then not compiled.
+statements, with two savings: a statement that repeats an earlier one
+(same operator, same operands, same order) is dropped and its readers
+read the earlier result, and a temporary's local is reused once its last
+reader has run.  No operation is moved, reordered or added.  On float
+inputs the function performs the same IEEE operations in the same order
+as the ``Dual`` evaluation, less the repeats, whose results it already
+holds, so every component of its result, primal, tangent and mixed, is
+bitwise equal by construction.  Control flow that depends on a value
+cannot be recorded: a ``Sym`` raises :class:`~sprayjets.errors.TraceError`
+when it is compared, tested for truth or converted to a number, and the
+evaluator is then not compiled.
 """
 
 from __future__ import annotations
@@ -174,20 +179,30 @@ _MATH = ("sqrt", "sin", "cos", "exp", "log")
 
 
 class _Tape:
-    """Statements recorded from ``Sym`` arithmetic, and the names they use."""
+    """Statements recorded from ``Sym`` arithmetic, and the names they use.
+
+    Each statement is ``(target, op, operands)``: ``op`` is a binary
+    operator, ``"-"`` on one operand for negation, or a name from
+    ``_MATH``; operands are names of ``Sym`` values or bound constants.
+    """
 
     def __init__(self):
-        self.body: list[str] = []
+        self.stmts: list[tuple[str, str, tuple[str, ...]]] = []
         self.namespace = {name: getattr(math, name) for name in _MATH}
         self._consts: dict[int, str] = {}
         self._count = 0
         self.refused = False
 
-    def fresh(self, expr: str | None = None) -> "Sym":
+    @property
+    def body(self) -> list[str]:
+        """The recorded statements as lines of code."""
+        return [_line(*stmt) for stmt in self.stmts]
+
+    def fresh(self, op: str | None = None, *operands: str) -> "Sym":
         name = f"t{self._count}"
         self._count += 1
-        if expr is not None:
-            self.body.append(f"{name} = {expr}")
+        if op is not None:
+            self.stmts.append((name, op, operands))
         return Sym(self, name)
 
     def operand(self, z) -> str | None:
@@ -209,7 +224,15 @@ class _Tape:
         x, y = self.operand(a), self.operand(b)
         if x is None or y is None:
             return NotImplemented
-        return self.fresh(f"{x} {op} {y}")
+        return self.fresh(op, x, y)
+
+
+def _line(target: str, op: str, operands: tuple[str, ...]) -> str:
+    if len(operands) == 2:
+        return f"{target} = {operands[0]} {op} {operands[1]}"
+    if op == "-":
+        return f"{target} = -{operands[0]}"
+    return f"{target} = {op}({operands[0]})"
 
 
 class Sym:
@@ -259,22 +282,22 @@ class Sym:
         return self.tape.binary(self, "**", o)
 
     def __neg__(self):
-        return self.tape.fresh(f"-{self.name}")
+        return self.tape.fresh("-", self.name)
 
     def sqrt(self):
-        return self.tape.fresh(f"sqrt({self.name})")
+        return self.tape.fresh("sqrt", self.name)
 
     def sin(self):
-        return self.tape.fresh(f"sin({self.name})")
+        return self.tape.fresh("sin", self.name)
 
     def cos(self):
-        return self.tape.fresh(f"cos({self.name})")
+        return self.tape.fresh("cos", self.name)
 
     def exp(self):
-        return self.tape.fresh(f"exp({self.name})")
+        return self.tape.fresh("exp", self.name)
 
     def log(self):
-        return self.tape.fresh(f"log({self.name})")
+        return self.tape.fresh("log", self.name)
 
     def _refuse(self, *args):
         # Flagged on the tape as well, in case the evaluator catches the error.
@@ -283,6 +306,52 @@ class Sym:
 
     __bool__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
     __float__ = __int__ = __index__ = _refuse
+
+
+def _drop_repeats(stmts, outputs):
+    """``stmts`` without those that repeat an earlier statement, and ``outputs``.
+
+    A statement repeats an earlier one when it applies the same operator to
+    the same operand names in the same order, after the substitutions made
+    so far; its readers, ``outputs`` included, read the earlier target
+    instead.  Same operation, same operands: same bits, same exception.
+    """
+    first: dict[tuple, str] = {}
+    alias: dict[str, str] = {}
+    kept = []
+    for target, op, operands in stmts:
+        operands = tuple(alias.get(a, a) for a in operands)
+        earlier = first.setdefault((op, operands), target)
+        if earlier == target:
+            kept.append((target, op, operands))
+        else:
+            alias[target] = earlier
+    return kept, [alias.get(z, z) for z in outputs]
+
+
+def _reuse_locals(stmts, inputs, outputs):
+    """``stmts`` and ``outputs`` with each local reused once its value is dead.
+
+    A value dies at its last reader (an unread one at once); outputs live
+    until the return, and the names of constants are left alone.  A
+    statement may write to the local of an operand it reads for the last
+    time, since Python evaluates the right side first.
+    """
+    last = {a: i for i, (_, _, operands) in enumerate(stmts) for a in operands}
+    last.update((z, len(stmts)) for z in outputs)
+    local = {name: name for name in inputs}
+    free = [name for name in reversed(inputs) if name not in last]
+    renamed = []
+    for i, (target, op, operands) in enumerate(stmts):
+        reads = tuple(local.get(a, a) for a in operands)
+        for a in dict.fromkeys(operands):
+            if last[a] == i and a in local:
+                free.append(local.pop(a))
+        local[target] = free.pop() if free else target
+        renamed.append((local[target], op, reads))
+        if target not in last:
+            free.append(local.pop(target))
+    return renamed, [local.get(z, z) for z in outputs]
 
 
 def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
@@ -296,8 +365,13 @@ def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
     evaluation cannot be recorded: it needed a value (``TraceError``) or
     failed in any other way, in which case the caller keeps evaluating
     ``fn`` itself and meets the same failure there if it was a real one.
-    The source is registered with :mod:`linecache` under ``filename``, so
-    tracebacks show the failing statement.
+
+    Between recording and code generation, statements that repeat an
+    earlier one are dropped (:func:`_drop_repeats`) and locals are reused
+    (:func:`_reuse_locals`); no operation is moved, merged or added.  The
+    source is registered with :mod:`linecache` under ``filename``, one
+    statement per line, so tracebacks show the failing statement; its
+    first line gives the recorded and kept statement counts.
     """
 
     tape = _Tape()
@@ -309,10 +383,13 @@ def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
         return None
     if tape.refused or None in out:
         return None
-    lines = ["def program(pos, vel):",
+    stmts, out = _drop_repeats(tape.stmts, out)
+    stmts, out = _reuse_locals(stmts, [z.name for z in pos + vel], out)
+    lines = [f"# {len(tape.stmts)} recorded, {len(stmts)} kept",
+             "def program(pos, vel):",
              f"    {''.join(z.name + ', ' for z in pos)}= pos",
              f"    {''.join(z.name + ', ' for z in vel)}= vel"]
-    lines += [f"    {stmt}" for stmt in tape.body]
+    lines += [f"    {_line(*stmt)}" for stmt in stmts]
     if any(type(c) not in _NUMERIC for c in tape.namespace.values() if not callable(c)):
         # a numpy scalar constant makes numpy scalars of what it touches;
         # the caller gets the Python floats the same values convert to

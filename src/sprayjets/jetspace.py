@@ -213,12 +213,20 @@ def _level_of(size: int, dim: int) -> int:
     return level
 
 
+def _swapped(coords, dim: int):
+    """``coords`` under the canonical involution; level-0 coordinates have no lift."""
+    level = _level_of(len(coords), dim)
+    if level < 1:
+        raise InvalidLevelError(f"function lifts need level >= 1, got {len(coords)} coordinates "
+                                f"over dimension {dim}")
+    return _take(coords, _kappa_idx(level, dim))
+
+
 def vlift(f: Callable, dim: int) -> Callable:
     """Vertical lift: evaluate ``f`` on the swapped-out base of a jet."""
 
     def fv(coords):
-        level = _level_of(len(coords), dim)
-        q = _take(coords, _kappa_idx(level, dim))
+        q = _swapped(coords, dim)
         return f(q[: len(q) // 2])
 
     return fv
@@ -233,9 +241,7 @@ def clift(f: Callable, dim: int) -> Callable:
     """
 
     def fc(coords):
-        level = _level_of(len(coords), dim)
-        q = _take(coords, _kappa_idx(level, dim))
-        return unnest([f(nest(q, 1))], 1)[1]
+        return unnest([f(nest(_swapped(coords, dim), 1))], 1)[1]
 
     return fc
 
@@ -285,8 +291,11 @@ def jet_apply(fn: Callable, coords, level: int, dim_in: int, dim_out: int):
     ``fn`` is evaluated once on the :func:`~sprayjets.jets.nest` of the
     ``2**level * dim_in`` coordinates, and its ``dim_out`` values are
     unpacked by :func:`~sprayjets.jets.unnest` into the same block layout.
-    Any other coordinate or value count raises ``InvalidLevelError``.
+    A negative level, or any other coordinate or value count, raises
+    ``InvalidLevelError``.
     """
+    if level < 0:
+        raise InvalidLevelError(f"negative level {level}")
     if len(coords) != dim_in << level:
         raise InvalidLevelError(f"level {level} needs {dim_in << level} coordinates, got {len(coords)}")
     vals = fn(nest(coords, level))

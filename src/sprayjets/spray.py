@@ -16,11 +16,12 @@ always runs it.  Float accelerations run instead each spray's
 spray's first float evaluation.  Level-0, lifted and projected sprays
 have one, and so do lifts of pushed sprays, since tracing runs straight
 through nested ``Dual`` arithmetic and ``jet_apply``.  The program is a
-recording of the same operations, so its results are bitwise equal by
-construction.  An evaluator whose control flow depends on a value (a
-branch on ``jet_re(...)``, a comparison) refuses tracing, and its kernel
-evaluates ``coeff_fn`` itself, as does a level-0 pushed spray (see
-:func:`pushforward_spray`).
+recording of the same operations in the same order, with repeated
+statements dropped and locals reused but no operation moved, so its
+results are bitwise equal by construction.  An evaluator whose control
+flow depends on a value (a branch on ``jet_re(...)``, a comparison)
+refuses tracing, and its kernel evaluates ``coeff_fn`` itself, as does a
+level-0 pushed spray (see :func:`pushforward_spray`).
 
 Every float evaluation goes through a kernel, so outside those
 interpreted kernels no float path runs ``Dual`` arithmetic: the time

@@ -5,6 +5,7 @@ from its coefficient evaluator, at level 0 as well as on the nested
 ``Dual`` evaluation of a lift; a level-0 pushed spray keeps its evaluator.
 """
 
+import linecache
 import math
 import operator
 import traceback
@@ -20,7 +21,7 @@ from sprayjets import (IntegrationBlowupError, JetPoint, Spray, acceleration_jet
                        pushforward_spray, shear_chart)
 from sprayjets import spray as spray_mod
 from sprayjets.errors import TraceError
-from sprayjets.jets import Sym, _Tape, jet_re
+from sprayjets.jets import Sym, _Tape, compile_trace, jet_re
 from sprayjets.spray import dual_lift
 
 BASES = {
@@ -61,8 +62,8 @@ def _interpreted(coeff_fn):
     return lambda pos, vel: -2.0 * np.asarray(coeff_fn(pos, vel), dtype=float)
 
 
-@pytest.mark.parametrize("level", [0, 1, 2, 3])
-@pytest.mark.parametrize("name", list(BASES))
+@pytest.mark.parametrize("name, level", [(name, level) for name in BASES for level in range(4)]
+                         + [("sphere", 4), ("finsler", 4)])
 def test_compiled_lift_is_bitwise_the_dual_path(name, level):
     s = _lift(BASES[name], level)
     # at level 0 the base coefficients, above it dual_lift of the parent's
@@ -265,3 +266,70 @@ def test_numpy_constant_leaves_the_state_python_floats():
     with pytest.raises(IntegrationBlowupError) as err:
         integrate(s, JetPoint(1, 1, [-1.0, 1.0]), (0.0, 2.0), 0.5)
     assert isinstance(err.value.__cause__, ZeroDivisionError)
+
+
+# --- the lean program: repeats dropped, locals reused ------------------------
+
+
+def _source(program):
+    return linecache.getlines(program.__code__.co_filename)
+
+
+def test_repeated_division_by_zero_still_raises():
+    def fn(pos, vel):
+        return [pos[0] / vel[0] + pos[0] / vel[0]]
+
+    program = compile_trace(fn, 1, 1, "<repeated-division>")
+    assert _source(program)[0] == "# 3 recorded, 2 kept\n"
+    for vel in ([7.0], [0.0]):
+        assert _outcome(program, [3.0], vel) == _outcome(fn, [3.0], vel)
+    assert _outcome(program, [3.0], [0.0]) is ZeroDivisionError
+
+
+def _odd_outputs(pos, vel):
+    # vel[2] is never read, so its local is free from the start
+    p = pos[0] * vel[0]
+    q = pos[0] * vel[0]
+    r = (p + vel[1]) * (q - pos[1]) / (p - vel[1])
+    # inputs read before, an input only returned, a constant, a repeat, a temporary
+    return [pos[0], -0.0, q, r, pos[1], vel[1], pos[2], math.inf]
+
+
+def test_outputs_that_are_inputs_constants_or_repeats():
+    program = compile_trace(_odd_outputs, 3, 3, "<odd-outputs>")
+    assert _source(program)[0] == "# 7 recorded, 6 kept\n"
+    for pos, vel in (([1.5, -2.0, 0.5], [0.25, 3.0, 9.0]), ([-0.0, 1.0, -0.0], [2.0, 0.5, 1.0]),
+                     ([2.0, 0.5, 7.0], [4.0, 3.0, 0.0])):
+        assert _outcome(program, pos, vel) == _outcome(_odd_outputs, pos, vel)
+    # the -0.0 constant keeps its sign
+    assert math.copysign(1.0, program([1.0, 1.0, 1.0], [1.0, 2.0, 1.0])[1]) == -1.0
+
+
+def test_repeated_numpy_constant_returns_python_floats():
+    c = np.float64(0.5)
+
+    def fn(pos, vel):
+        return [c * pos[0], c * pos[0] + vel[0], pos[0]]
+
+    program = compile_trace(fn, 1, 1, "<numpy-repeat>")
+    assert _source(program)[0] == "# 3 recorded, 2 kept\n"
+    out = program([3.0], [1.0])
+    assert [type(z) for z in out] == [float, float, float]
+    assert _outcome(program, [3.0], [1.0]) == _outcome(fn, [3.0], [1.0])
+
+
+@pytest.mark.parametrize("level, recorded, kept", [(1, 53, 50), (2, 162, 150), (3, 498, 458)])
+def test_sphere_programs_evaluate_each_operand_once(level, recorded, kept):
+    kernel = _lift(make_sphere(), level).kernel
+    source = _source(kernel)
+    assert source[0] == f"# {recorded} recorded, {kept} kept\n"
+    # the def, two unpacking lines, one line per kept statement, the return
+    assert len(source) == 1 + 3 + kept + 1
+    # sin and cos of the colatitude, once each at every level
+    text = "".join(source)
+    assert text.count("sin(") == text.count("cos(") == 1
+
+
+def test_sphere_level3_program_reuses_its_locals():
+    # one local per recorded temporary would be 532
+    assert _lift(make_sphere(), 3).kernel.__code__.co_nlocals <= 70

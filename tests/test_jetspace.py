@@ -163,6 +163,13 @@ def test_lift_fn_requires_slashed():
         clift_fn(f, p)
 
 
+@pytest.mark.parametrize("lift", [vlift, clift])
+def test_lift_rejects_level_zero_coordinates(lift):
+    # used to raise a bare ValueError (negative shift count) from the involution
+    with pytest.raises(InvalidLevelError):
+        lift(lambda c: c[0], 2)([1.0, 2.0])
+
+
 def test_clift_matches_directional_derivative():
     import math
 
@@ -241,6 +248,12 @@ def test_jet_apply_rejects_a_wrong_coordinate_count(coords, level):
     # extra coordinates used to be dropped, missing ones raised IndexError
     with pytest.raises(InvalidLevelError):
         jet_apply(shear_chart().forward, coords, level, 2, 2)
+
+
+def test_jet_apply_rejects_a_negative_level():
+    # used to raise a bare ValueError (negative shift count) from dim_in << level
+    with pytest.raises(InvalidLevelError):
+        jet_apply(shear_chart().forward, [1.0, 2.0], -1, 2, 2)
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
