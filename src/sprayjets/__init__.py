@@ -11,7 +11,7 @@ from .jetspace import (EPS_SLASHED, ChartTransition, JetPoint, clift, clift_fn,
                        vlift_fn)
 from .spray import (ChristoffelField, Spray, acceleration_jet, complete_lift,
                     homogeneity_check, make_finsler_example, make_flat,
-                    make_riemannian, make_sphere, project_spray,
+                    make_riemannian, make_round_sphere, make_sphere, project_spray,
                     pushforward_spray, sphere_christoffels, spray_value)
 from .geodesic import (Trajectory, flow, flow_tangent_fd, integrate, residual,
                        write_trajectory_csv)
@@ -30,8 +30,8 @@ __all__ = [
     "shear_chart", "vlift", "vlift_fn",
     "ChristoffelField", "Spray", "acceleration_jet", "complete_lift",
     "homogeneity_check", "make_finsler_example", "make_flat",
-    "make_riemannian", "make_sphere", "project_spray", "pushforward_spray",
-    "sphere_christoffels", "spray_value",
+    "make_riemannian", "make_round_sphere", "make_sphere", "project_spray",
+    "pushforward_spray", "sphere_christoffels", "spray_value",
     "Trajectory", "flow", "flow_tangent_fd", "integrate", "residual",
     "write_trajectory_csv",
     "ConjugateScan", "JacobiField", "conjugate_search",

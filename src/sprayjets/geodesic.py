@@ -9,7 +9,10 @@ One step is straight-line code generated once per state length
 (:func:`_rk4_step`): the three stage evaluations and the stage and update
 arithmetic on Python floats, one statement per element.  Every
 evaluation, at a stage or a node, is :meth:`Spray.acceleration` on float
-lists, which runs the spray's compiled kernel and returns its list.
+lists, which runs the spray's compiled kernel and returns its list.  The
+loop itself is :func:`_integrate`, on a float state and any evaluator of
+it; :mod:`sprayjets.jacobi` runs it on the state of several lifted fields
+over one carrier, with the lift's fan program as the evaluator.
 
 The checks at each node stay in plain Python floats, behind prefilters
 that decide exactly what the full tests decide: a node is finite when the
@@ -284,8 +287,23 @@ def integrate(s: Spray, init: JetPoint, t_span: tuple[float, float], h: float) -
             f"initial jet must sit one level above the spray ({s.level + 1}), got {init.level}"
         )
     half = init.coords.size // 2
-    x = init.coords[:half].tolist()
-    v = init.coords[half:].tolist()
+    return _integrate(s, s.acceleration, init.coords[:half].tolist(), init.coords[half:].tolist(),
+                      t_span, h, _failed_step)
+
+
+def _integrate(s: Spray, f: Callable, x: list, v: list, t_span: tuple[float, float], h: float,
+               failed: Callable) -> Trajectory:
+    """The run of :func:`integrate` from the float lists (x, v), stepping with ``f``.
+
+    ``h`` is positive and finite.  ``f(x, v)`` returns the acceleration as
+    a list of ``len(x)`` floats; the node checks read only ``x[:s.dim]``
+    and ``v[:s.dim]`` (and the finiteness of every entry), so a state may
+    carry more than one spray's worth of columns after its carrier.  A
+    step that raises or reaches a non-finite node ends in
+    ``failed(s, step, f, x, v, a1, dt)``, which returns the exit reason or
+    raises; :func:`integrate` passes :func:`_failed_step`.
+    """
+
     t0, t1 = float(t_span[0]), float(t_span[1])
 
     if not _finite(x, v):
@@ -300,8 +318,7 @@ def integrate(s: Spray, init: JetPoint, t_span: tuple[float, float], h: float) -
         raise DomainError(f"time span ({t0}, {t1}) is not finite in steps of {h}")
     nsteps = max(1, math.ceil(ratio - 1e-12)) if span != 0.0 else 0
     sign = 1.0 if span >= 0.0 else -1.0
-    f = s.acceleration
-    step = _rk4_step(half)
+    step = _rk4_step(len(x))
 
     def node_acceleration(xp: list, vp: list) -> list:
         try:
@@ -323,10 +340,10 @@ def integrate(s: Spray, init: JetPoint, t_span: tuple[float, float], h: float) -
         try:
             xn, vn = step(f, x, v, a1, dt)
         except (ArithmeticError, ValueError):
-            reason = _failed_step(s, step, f, x, v, a1, dt)
+            reason = failed(s, step, f, x, v, a1, dt)
         else:
             reason = (_node_exit(s, xn, vn) if _finite(xn, vn)
-                      else _failed_step(s, step, f, x, v, a1, dt))
+                      else failed(s, step, f, x, v, a1, dt))
         if reason is not None:
             exit_reason = reason
             break

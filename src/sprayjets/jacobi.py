@@ -6,16 +6,25 @@ equation is ever special-cased.  Finite-difference variations serve as
 independent oracles, the doubly lifted spray decomposes into the three
 coupled fields it transports, and conjugate points are located through the
 determinant of a fundamental system of lifted geodesics.
+
+Fields that share their base geodesic run as one trajectory of the lift's
+fan program (:meth:`Spray.fan`): the state is the carrier followed by each
+field's fiber half, the carrier statements run once per evaluation and the
+tangent statements once per field.  Each field's columns are bitwise its
+own run of the lift (see :func:`~sprayjets.jets.fan_program`).  A fan run
+that fails is not reported: the fields are run one by one instead, so
+exceptions and exit reasons are those of the separate runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidLevelError
-from .geodesic import Trajectory, integrate, residual
+from .errors import DomainError, IntegrationBlowupError, InvalidLevelError
+from .geodesic import Trajectory, _integrate, integrate, residual
 from .jetspace import JetPoint, _dproject_idx
 from .spray import Spray, complete_lift
 
@@ -195,8 +204,52 @@ def decompose_double_lift(s: Spray, tr: Trajectory, zero_tol: float = 1e-12) -> 
 # --- conjugate points -----------------------------------------------------
 
 
+class _FanStepFailed(Exception):
+    """A step of a fan run raised or reached a non-finite node."""
+
+
+def _refuse_failed_step(*args):
+    raise _FanStepFailed
+
+
+def _fan_run(s: Spray, carrier: tuple[list, list], tangents: list[tuple[list, list]],
+             t_span: tuple[float, float], h: float) -> Trajectory | None:
+    """One run of ``complete_lift(s)`` for fields that share a carrier, or None.
+
+    ``carrier`` is the base position and velocity, ``tangents`` each
+    field's fiber value and rate, all float lists of ``s.fiber_dim``
+    entries.  The trajectory's columns are the carrier, then each field's
+    fiber half; the lifted run from (carrier, tangent k) is its columns
+    ``[carrier, k]``, bit for bit.  None when the lift has no fan program
+    or the run fails in any way (a step that raises or ends non-finite, a
+    failed node evaluation, a rejected start): the caller then runs each
+    field alone and meets the failure in its own order.  A start of the
+    wrong length fails at its first evaluation, which unpacks exactly
+    ``(m + 1) * s.fiber_dim`` entries.
+    """
+
+    lifted = complete_lift(s)
+    program = lifted.fan(len(tangents))
+    # a step size integrate() would refuse might still run here
+    if program is None or not 0.0 < h < math.inf:
+        return None
+    x0, v0 = carrier
+    x = x0 + [z for xi, _ in tangents for z in xi]
+    v = v0 + [z for _, eta in tangents for z in eta]
+    try:
+        return _integrate(lifted, program, x, v, t_span, h, _refuse_failed_step)
+    except (_FanStepFailed, IntegrationBlowupError, DomainError):
+        return None
+
+
 @dataclass
 class ConjugateScan:
+    """Conjugate times along a geodesic and the determinant samples behind them.
+
+    ``bisections`` counts the determinant evaluations of the bisection; it
+    depends only on the inputs and is left out of :meth:`report`.
+    """
+
     spray_tag: str
     init: np.ndarray
     t_max: float
@@ -205,6 +258,7 @@ class ConjugateScan:
     sample_times: np.ndarray
     sample_dets: np.ndarray
     exit_reason: str | None
+    bisections: int
 
     def report(self, csv_path: str | None = None) -> dict:
         return {
@@ -226,36 +280,52 @@ def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float,
     conjugate times.  Sign changes between nodes are refined by bisection
     on the dense output; multiplicity is the rank deficiency of the fiber
     matrix at the root.
+
+    The m fields share the geodesic as their carrier, so they run as one
+    fan trajectory of the lift (:func:`_fan_run`), and each bisection step
+    takes all m fibers from one dense-output evaluation.  Field k is
+    bitwise its own :func:`jacobi_from_initial` run, so the scan is that
+    of m separate runs.  If the fan run fails, the fields run one by one
+    and the scan, or the exception, is theirs.
     """
 
     m = (1 << s.level) * s.dim
     half = init.coords.size // 2
     x0, v0 = init.coords[:half], init.coords[half:]
+    basis = np.eye(m)
 
-    fields = []
-    for k in range(m):
-        ek = np.zeros(m)
-        ek[k] = 1.0
-        jinit = JetPoint(s.level + 2, s.dim,
-                         np.concatenate([x0, np.zeros(m), v0, ek]))
-        fields.append(jacobi_from_initial(s, jinit, (0.0, t_max), h))
+    fan = _fan_run(s, (x0.tolist(), v0.tolist()),
+                   [([0.0] * m, e.tolist()) for e in basis], (0.0, t_max), h)
+    if fan is not None:
+        times = fan.times
+        nodes = len(times)
+        exit_reason = fan.exit_reason
+        # column m*(k+1) + i is fiber i of field k; the matrices hold fields as columns
+        fibers = fan.positions[:, m:].reshape(nodes, m, m).transpose(0, 2, 1)
 
-    nodes = min(len(f.times) for f in fields)
-    times = fields[0].times[:nodes]
-    exit_reason = None
-    for f in fields:
-        if f.field.exit_reason is not None:
-            exit_reason = f.field.exit_reason
+        def fibers_at(t: float) -> np.ndarray:
+            return fan.position_at(t)[m:].reshape(m, m).T
+    else:
+        fields = [jacobi_from_initial(s, JetPoint(s.level + 2, s.dim,
+                                                  np.concatenate([x0, np.zeros(m), v0, e])),
+                                      (0.0, t_max), h)
+                  for e in basis]
+        nodes = min(len(f.times) for f in fields)
+        times = fields[0].times[:nodes]
+        exit_reason = None
+        for f in fields:
+            if f.field.exit_reason is not None:
+                exit_reason = f.field.exit_reason
+        fibers = np.stack([f.fiber_nodes()[:nodes] for f in fields], axis=2)  # (nodes, m, m)
 
-    fibers = np.stack([f.fiber_nodes()[:nodes] for f in fields], axis=2)  # (nodes, m, m)
+        def fibers_at(t: float) -> np.ndarray:
+            return np.stack([f.fiber_at(t) for f in fields], axis=1)
+
     dets = np.linalg.det(fibers)
-
-    def det_at(t: float) -> np.ndarray:
-        cols = [f.fiber_at(t) for f in fields]
-        return np.stack(cols, axis=1)
 
     roots: list[float] = []
     mults: list[int] = []
+    bisections = 0
     for i in range(1, nodes - 1):
         a, b = float(times[i]), float(times[i + 1])
         da, db = float(dets[i]), float(dets[i + 1])
@@ -265,7 +335,8 @@ def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float,
             root = None
             while b - a > bracket_tol:
                 mid = 0.5 * (a + b)
-                dm = float(np.linalg.det(det_at(mid)))
+                dm = float(np.linalg.det(fibers_at(mid)))
+                bisections += 1
                 if abs(dm) < det_tol:
                     root = mid
                     break
@@ -279,7 +350,7 @@ def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float,
             continue
         if roots and abs(root - roots[-1]) < 10.0 * bracket_tol:
             continue
-        sv = np.linalg.svd(det_at(root), compute_uv=False)
+        sv = np.linalg.svd(fibers_at(root), compute_uv=False)
         deficiency = int(np.sum(sv < rank_rtol * sv[0])) if sv[0] > 0 else m
         roots.append(root)
         mults.append(max(1, deficiency))
@@ -293,6 +364,7 @@ def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float,
         sample_times=times.copy(),
         sample_dets=dets.copy(),
         exit_reason=exit_reason,
+        bisections=bisections,
     )
 
 
@@ -322,7 +394,10 @@ def lift_conjugate_check(s: Spray, jac: JacobiField, eps_var: float = 1e-4,
     the velocity-line variation), re-integrates each as a geodesic of the
     doubly lifted spray, and confirms both vanish fiberwise exactly at the
     ends.  The velocity-line field is also compared against its
-    finite-difference variation limit.
+    finite-difference variation limit.  Its two perturbed lifted runs share
+    the carrier (``gamma(0)``, ``gamma'(0)``), so they run as one fan
+    trajectory with m = 2, bitwise the two separate runs; if the fan run
+    fails they run separately, as :func:`conjugate_search` does.
     """
 
     if s.level + 2 > 2:
@@ -364,14 +439,20 @@ def lift_conjugate_check(s: Spray, jac: JacobiField, eps_var: float = 1e-4,
     v_end = (float(np.linalg.norm(vfib[0])), float(np.linalg.norm(vfib[-1])))
     v_sup = float(np.max(np.linalg.norm(vfib, axis=1)))
 
-    # finite-difference limit of the same variation
+    # finite-difference limit of the same variation: the two runs share the
+    # carrier (gpos[0], gvel[0]), so they are one fan run when it succeeds
     lifted = complete_lift(s)
-    z0 = np.concatenate([gpos[0], gvel[0] + eps_var * jfib[0],
-                         gvel[0], gacc[0] + eps_var * jrate[0]])
-    z1 = np.concatenate([gpos[0], gvel[0] - eps_var * jfib[0],
-                         gvel[0], gacc[0] - eps_var * jrate[0]])
-    pl = integrate(lifted, JetPoint(s.level + 2, s.dim, z0), span, h)
-    mi = integrate(lifted, JetPoint(s.level + 2, s.dim, z1), span, h)
+    plus = (gvel[0] + eps_var * jfib[0], gacc[0] + eps_var * jrate[0])
+    minus = (gvel[0] - eps_var * jfib[0], gacc[0] - eps_var * jrate[0])
+    fan = _fan_run(s, (gpos[0].tolist(), gvel[0].tolist()),
+                   [(xi.tolist(), eta.tolist()) for xi, eta in (plus, minus)], span, h)
+    if fan is not None:
+        n = s.fiber_dim
+        pl, mi = (fan.columns(np.r_[:n, k * n:(k + 1) * n], lifted) for k in (1, 2))
+    else:
+        pl, mi = (integrate(lifted, JetPoint(s.level + 2, s.dim,
+                                             np.concatenate([gpos[0], xi, gvel[0], eta])), span, h)
+                  for xi, eta in (plus, minus))
     n3 = min(len(pl.times), len(mi.times), len(vpos))
     fd_fiber = (pl.positions[:n3] - mi.positions[:n3]) / (2.0 * eps_var)
     fd_gap = float(np.max(np.abs(fd_fiber - np.hstack([zeros, jfib])[:n3])))

@@ -31,6 +31,11 @@ bitwise equal by construction.  Control flow that depends on a value
 cannot be recorded: a ``Sym`` raises :class:`~sprayjets.errors.TraceError`
 when it is compared, tested for truth or converted to a number, and the
 evaluator is then not compiled.
+
+The program keeps its recording, and :func:`fan_program` builds from it
+the program of several tangents over one carrier: vector forward mode,
+with the statements that read only the carrier run once and the others
+once per tangent, each copy bitwise the program on its own tangent.
 """
 
 from __future__ import annotations
@@ -192,6 +197,9 @@ class _Tape:
         self._consts: dict[int, str] = {}
         self._count = 0
         self.refused = False
+        # the names of the inputs and outputs, set once the evaluation is recorded
+        self.inputs: tuple[list[str], list[str]] = ([], [])
+        self.outputs: list[str] = []
 
     @property
     def body(self) -> list[str]:
@@ -371,7 +379,9 @@ def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
     (:func:`_reuse_locals`); no operation is moved, merged or added.  The
     source is registered with :mod:`linecache` under ``filename``, one
     statement per line, so tracebacks show the failing statement; its
-    first line gives the recorded and kept statement counts.
+    first line gives the recorded and kept statement counts.  The function
+    keeps its recording as its ``tape`` attribute, from which
+    :func:`fan_program` builds without tracing again.
     """
 
     tape = _Tape()
@@ -383,19 +393,87 @@ def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
         return None
     if tape.refused or None in out:
         return None
-    stmts, out = _drop_repeats(tape.stmts, out)
-    stmts, out = _reuse_locals(stmts, [z.name for z in pos + vel], out)
-    lines = [f"# {len(tape.stmts)} recorded, {len(stmts)} kept",
+    tape.inputs = [z.name for z in pos], [z.name for z in vel]
+    tape.outputs = out
+    program = _program(tape.stmts, *tape.inputs, out, tape.namespace, filename)
+    program.tape = tape
+    return program
+
+
+def fan_program(tape: _Tape, m: int, filename: str):
+    """The program of ``tape`` for one carrier and ``m`` tangents, or None.
+
+    ``tape`` is the recording kept by :func:`compile_trace`; the first half
+    of each of its inputs is the carrier and the second half the tangent,
+    as in a complete lift, whose primal half is the parent's point.  The
+    fan program takes ``pos`` and ``vel`` laid out as (carrier, tangent 1,
+    ..., tangent m) and returns the carrier half of the outputs, then the
+    tangent half for each tangent in turn.
+
+    A statement is carrier-only when each operand is a carrier input, a
+    bound constant or the target of a carrier-only statement.  Those
+    statements are emitted once, in tape order; then, for each tangent in
+    turn, the other statements, renamed to that copy and in tape order.
+    Repeats are dropped and locals reused as in :func:`compile_trace`.
+    Every statement of copy k applies the same operator to the same
+    values as the tape does on (carrier, tangent k), since a carrier-only
+    value never depends on a tangent, so copy k's outputs are bitwise
+    those of the tape's own program.  This is vector forward mode: the
+    primal once, the tangent statements once per direction.
+
+    Only the order of statements changes: carrier-only statements move
+    ahead of tangent statements they do not depend on, and copies run one
+    after another.  So on inputs where the tape's program raises, the fan
+    raises too, but possibly a different exception first; callers that
+    must report the program's own exception run it again per tangent
+    (``jacobi.conjugate_search`` falls back to separate runs).  Returns
+    None when a carrier-half output depends on a tangent input.
+    """
+
+    pos, vel = tape.inputs
+    half_pos, half_vel, half_out = len(pos) // 2, len(vel) // 2, len(tape.outputs) // 2
+    shared = set(tape.namespace) | set(pos[:half_pos]) | set(vel[:half_vel])
+    carrier, tangent = [], []
+    for stmt in tape.stmts:
+        if shared.issuperset(stmt[2]):
+            shared.add(stmt[0])
+            carrier.append(stmt)
+        else:
+            tangent.append(stmt)
+    if not shared.issuperset(tape.outputs[:half_out]):
+        return None
+
+    def copies(names):
+        return [z if z in shared else f"{z}_{k}" for k in range(m) for z in names]
+
+    stmts = carrier + [(f"{target}_{k}", op, tuple(a if a in shared else f"{a}_{k}" for a in operands))
+                       for k in range(m) for target, op, operands in tangent]
+    return _program(stmts, pos[:half_pos] + copies(pos[half_pos:]),
+                    vel[:half_vel] + copies(vel[half_vel:]),
+                    tape.outputs[:half_out] + copies(tape.outputs[half_out:]),
+                    tape.namespace, filename)
+
+
+def _program(stmts, pos, vel, out, namespace, filename):
+    """The function ``program(pos, vel)`` that runs ``stmts`` and returns ``out``.
+
+    ``pos`` and ``vel`` name the inputs; ``namespace`` binds the constants
+    and math functions the statements name, and is copied, not changed.
+    """
+
+    kept, out = _drop_repeats(stmts, out)
+    kept, out = _reuse_locals(kept, pos + vel, out)
+    lines = [f"# {len(stmts)} recorded, {len(kept)} kept",
              "def program(pos, vel):",
-             f"    {''.join(z.name + ', ' for z in pos)}= pos",
-             f"    {''.join(z.name + ', ' for z in vel)}= vel"]
-    lines += [f"    {_line(*stmt)}" for stmt in stmts]
-    if any(type(c) not in _NUMERIC for c in tape.namespace.values() if not callable(c)):
+             f"    {''.join(z + ', ' for z in pos)}= pos",
+             f"    {''.join(z + ', ' for z in vel)}= vel"]
+    lines += [f"    {_line(*stmt)}" for stmt in kept]
+    if any(type(c) not in _NUMERIC for c in namespace.values() if not callable(c)):
         # a numpy scalar constant makes numpy scalars of what it touches;
         # the caller gets the Python floats the same values convert to
         out = [f"float({z})" for z in out]
     lines.append(f"    return [{', '.join(out)}]")
-    return compile_source("\n".join(lines) + "\n", filename, tape.namespace, "program")
+    return compile_source("\n".join(lines) + "\n", filename, dict(namespace), "program")
 
 
 def compile_source(source: str, filename: str, namespace: dict, fn_name: str):

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidLevelError
 from .jetspace import JetPoint, is_slashed
-from .jets import compile_trace, jcos, jnorm, jsin, nest, unnest
+from .jets import compile_trace, fan_program, jcos, jnorm, jsin, nest, unnest
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,25 @@ class Spray:
             return (-2.0 * np.asarray(coeff_fn(pos, vel), dtype=float)).tolist()
 
         return interpreted
+
+    def fan(self, m: int) -> Callable | None:
+        """The kernel for one carrier and ``m`` tangents, or None.
+
+        Built by :func:`~sprayjets.jets.fan_program` from the tape the
+        traced :attr:`kernel` keeps, once per ``m``; None when the kernel
+        is not traced or its carrier half reads a tangent.  On a complete
+        lift, copy k of its result is bitwise ``kernel(carrier, tangent k)``.
+        """
+        fans = self._fans
+        if m not in fans:
+            tape = getattr(self.kernel, "tape", None)
+            fans[m] = None if tape is None else fan_program(
+                tape, m, f"<{self.tag} L{self.level} fan m={m}>")
+        return fans[m]
+
+    @cached_property
+    def _fans(self) -> dict:
+        return {}
 
     def in_domain(self, x: Sequence[float]) -> bool:
         """Whether the base point of the position ``x`` lies in the chart.
@@ -288,6 +307,50 @@ def make_sphere(pole_margin: float = 1e-8) -> Spray:
         return lo < float(x[0]) < hi
 
     return make_riemannian(sphere_christoffels(), tag="sphere", domain=domain)
+
+
+def round_sphere_christoffels(n: int) -> ChristoffelField:
+    """Round unit ``S^n`` in hyperspherical coordinates (theta_1, ..., theta_n).
+
+    The metric is diagonal, g_kk = prod_{j<k} sin(theta_j)**2, so the only
+    nonzero symbols are Gamma^k_jk = Gamma^k_kj = cot(theta_j) for j < k
+    and Gamma^j_kk = -sin(theta_j) cos(theta_j) prod_{j<l<k} sin(theta_l)**2
+    for j < k.  At n = 2 these are :func:`sphere_christoffels`.
+    """
+
+    if n < 1:
+        raise InvalidLevelError(f"sphere dimension must be positive, got {n}")
+
+    def fn(pos):
+        s = [jsin(pos[j]) for j in range(n - 1)]
+        c = [jcos(pos[j]) for j in range(n - 1)]
+        cot = [c[j] / s[j] for j in range(n - 1)]
+        gamma = [[[0.0] * n for _ in range(n)] for _ in range(n)]
+        for j in range(n - 1):
+            w = -s[j] * c[j]
+            for k in range(j + 1, n):
+                gamma[k][j][k] = gamma[k][k][j] = cot[j]
+                gamma[j][k][k] = w
+                if k < n - 1:
+                    w = w * s[k] * s[k]
+        return gamma
+
+    return ChristoffelField(dim=n, fn=fn, name=f"round-sphere-{n}")
+
+
+def make_round_sphere(n: int, pole_margin: float = 1e-8) -> Spray:
+    """Geodesic spray of round unit ``S^n`` in hyperspherical coordinates.
+
+    The chart keeps theta_1, ..., theta_{n-1} inside (0, pi), ``pole_margin``
+    away from the ends; theta_n is the longitude.
+    """
+
+    lo, hi = pole_margin, np.pi - pole_margin
+
+    def domain(x):
+        return all(lo < float(z) < hi for z in x[: n - 1])
+
+    return make_riemannian(round_sphere_christoffels(n), tag=f"round-sphere-{n}", domain=domain)
 
 
 def make_finsler_example(c: Sequence[float]) -> Spray:

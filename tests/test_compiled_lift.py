@@ -333,3 +333,61 @@ def test_sphere_programs_evaluate_each_operand_once(level, recorded, kept):
 def test_sphere_level3_program_reuses_its_locals():
     # one local per recorded temporary would be 532
     assert _lift(make_sphere(), 3).kernel.__code__.co_nlocals <= 70
+
+
+# --- the fan program: one carrier, m tangents -------------------------------
+
+
+@pytest.mark.parametrize("name, level, m", [(name, level, m) for name in ("sphere", "finsler", "pushed")
+                                            for level in (1, 2) for m in range(1, 5)])
+def test_fan_copies_are_the_kernel_on_each_tangent(name, level, m):
+    s = _lift(BASES[name], level)
+    n = s.fiber_dim // 2
+    fan = s.fan(m)
+    assert fan is s.fan(m)
+    pos, vel = _halves(name, s.fiber_dim)
+    coord = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+    # the zero carrier sits on the sphere's pole and the Finsler spray's zero
+    # speed, where every kernel raises
+    carrier = st.one_of(st.just(([0.0] * n, [0.0] * n)),
+                        st.tuples(pos.map(lambda p: p[:n]), vel.map(lambda v: v[:n])))
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(carrier, st.lists(st.tuples(coord, coord), min_size=m, max_size=m))
+    def check(carrier, tangents):
+        x, v = carrier
+        want = [_outcome(s.kernel, x + xi, v + eta) for xi, eta in tangents]
+        try:
+            out = fan(x + [z for xi, _ in tangents for z in xi],
+                      v + [z for _, eta in tangents for z in eta])
+        except (ArithmeticError, ValueError):
+            # the same failure, though not always the same exception first
+            assert not all(isinstance(w, bytes) for w in want)
+            return
+        assert all(isinstance(w, bytes) for w in want)
+        assert len(out) == (m + 1) * n
+        for k, w in enumerate(want):
+            assert np.asarray(out[:n] + out[(k + 1) * n:(k + 2) * n], dtype=float).tobytes() == w
+
+    check()
+
+
+def test_fan_shares_the_carrier_statements():
+    lifted = _lift(make_sphere(), 1)
+    # the level-1 tape: 21 carrier-only statements and 32 tangent statements
+    assert _source(lifted.fan(1))[0] == "# 53 recorded, 50 kept\n"
+    assert _source(lifted.fan(2))[0] == "# 85 recorded, 82 kept\n"
+    assert lifted.fan(2).__code__.co_filename == "<lifted(sphere) L1 fan m=2>"
+
+
+def _mixing(pos, vel):
+    return [pos[1] * vel[0], vel[1] * vel[1]]
+
+
+def test_fan_refuses_a_carrier_that_reads_a_tangent():
+    # a level-1 spray whose first output, the carrier half, reads pos[1]
+    s = Spray(level=1, dim=1, coeff_fn=_mixing, tag="mixing")
+    assert s.kernel.tape is not None
+    assert s.fan(2) is None
+    # an untraced kernel keeps no tape
+    assert Spray(level=1, dim=1, coeff_fn=_mixing, tag="mixing", traced=False).fan(2) is None

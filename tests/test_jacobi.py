@@ -1,13 +1,18 @@
 """Jacobi fields by lifting, the variation oracle, and conjugate points."""
 
+import math
+
 import numpy as np
 import pytest
 
-from sprayjets import (DomainError, InvalidLevelError, JetPoint, complete_lift,
-                       integrate, make_flat, make_sphere)
-from sprayjets.jacobi import (conjugate_search, decompose_double_lift,
+from sprayjets import (DomainError, IntegrationBlowupError, InvalidLevelError, JetPoint, Spray,
+                       complete_lift, integrate, make_finsler_example, make_flat,
+                       make_round_sphere, make_sphere)
+from sprayjets import jacobi
+from sprayjets.jacobi import (_fan_run, conjugate_search, decompose_double_lift,
                               jacobi_from_initial, lift_conjugate_check,
                               new_from_old_suite, variation_oracle)
+from sprayjets.jets import jlog, jsqrt
 from sprayjets.samples import sphere_phase
 
 
@@ -215,3 +220,237 @@ def test_suite_rejects_base_trajectory():
                    (0.0, 0.5), 1e-2)
     with pytest.raises(InvalidLevelError):
         new_from_old_suite(s, tr)
+
+
+# --- one fan run for fields over a shared carrier ---------------------------
+
+
+def reference_conjugate_search(s, init, t_max, h, det_tol=1e-10, bracket_tol=1e-6,
+                               rank_rtol=1e-6):
+    """The scan as it was before the fan run: m separate lifted runs, bisected per field."""
+    m = (1 << s.level) * s.dim
+    half = init.coords.size // 2
+    x0, v0 = init.coords[:half], init.coords[half:]
+
+    fields = []
+    for k in range(m):
+        ek = np.zeros(m)
+        ek[k] = 1.0
+        jinit = JetPoint(s.level + 2, s.dim,
+                         np.concatenate([x0, np.zeros(m), v0, ek]))
+        fields.append(jacobi_from_initial(s, jinit, (0.0, t_max), h))
+
+    nodes = min(len(f.times) for f in fields)
+    times = fields[0].times[:nodes]
+    exit_reason = None
+    for f in fields:
+        if f.field.exit_reason is not None:
+            exit_reason = f.field.exit_reason
+
+    fibers = np.stack([f.fiber_nodes()[:nodes] for f in fields], axis=2)  # (nodes, m, m)
+    dets = np.linalg.det(fibers)
+
+    def det_at(t):
+        cols = [f.fiber_at(t) for f in fields]
+        return np.stack(cols, axis=1)
+
+    roots, mults = [], []
+    for i in range(1, nodes - 1):
+        a, b = float(times[i]), float(times[i + 1])
+        da, db = float(dets[i]), float(dets[i + 1])
+        if da == 0.0:
+            root = a
+        elif da * db < 0.0:
+            root = None
+            while b - a > bracket_tol:
+                mid = 0.5 * (a + b)
+                dm = float(np.linalg.det(det_at(mid)))
+                if abs(dm) < det_tol:
+                    root = mid
+                    break
+                if da * dm < 0.0:
+                    b = mid
+                else:
+                    a, da = mid, dm
+            if root is None:
+                root = 0.5 * (a + b)
+        else:
+            continue
+        if roots and abs(root - roots[-1]) < 10.0 * bracket_tol:
+            continue
+        sv = np.linalg.svd(det_at(root), compute_uv=False)
+        deficiency = int(np.sum(sv < rank_rtol * sv[0])) if sv[0] > 0 else m
+        roots.append(root)
+        mults.append(max(1, deficiency))
+    return roots, mults, times.copy(), dets.copy(), exit_reason
+
+
+def assert_scan_is_reference(monkeypatch, s, init, t_max, h, separate_runs=0):
+    """The scan equals the reference; ``separate_runs`` counts the fields run alone."""
+    runs = []
+    monkeypatch.setattr(jacobi, "jacobi_from_initial",
+                        lambda *args: runs.append(args) or jacobi_from_initial(*args))
+    scan = conjugate_search(s, init, t_max, h)
+    monkeypatch.undo()
+    assert len(runs) == separate_runs
+    times, mults, sample_times, sample_dets, exit_reason = reference_conjugate_search(
+        s, init, t_max, h)
+    assert np.array(scan.times).tobytes() == np.array(times).tobytes()
+    assert scan.multiplicities == mults
+    assert scan.sample_times.tobytes() == sample_times.tobytes()
+    assert scan.sample_dets.tobytes() == sample_dets.tobytes()
+    assert scan.exit_reason == exit_reason
+    return scan
+
+
+def _runner_scan_inputs():
+    # the conjugate-scan scenarios of sprayjets-run, at its default t_max and h
+    return [(make_sphere(), JetPoint(1, 2, [np.pi / 2, 0.0, 0.0, 1.0])),
+            (make_flat(2), JetPoint(1, 2, [0.0, 0.0, 1.0, 0.0])),
+            (make_finsler_example((0.0, 1.0)), JetPoint(1, 2, [0.0, 0.0, 3.0, 4.0]))]
+
+
+@pytest.mark.parametrize("case", ["criterion 7 sphere", "criterion 7 flat",
+                                  "runner sphere", "runner flat", "runner finsler",
+                                  "level-1 spray"])
+def test_fan_scan_is_the_per_field_scan(monkeypatch, case):
+    if case == "criterion 7 sphere":
+        s, init, t_max, h = make_sphere(), JetPoint(1, 2, [np.pi / 2, 0.0, 0.0, 1.0]), 3.5, 1e-3
+    elif case == "criterion 7 flat":
+        s, init, t_max, h = make_flat(2), JetPoint(1, 2, [0.0, 0.0, 1.0, 0.3]), 10.0, 1e-3
+    elif case.startswith("runner"):
+        index = ("runner sphere", "runner flat", "runner finsler").index(case)
+        (s, init), t_max, h = _runner_scan_inputs()[index], 4.0, 1e-3
+    else:
+        # a level-1 spray: four fields, each a geodesic of the level-2 lift
+        s, t_max, h = complete_lift(make_sphere()), 3.5, 1e-2
+        init = JetPoint(2, 2, [np.pi / 2, 0.0, 0.1, -0.2, 0.0, 1.0, 0.3, 0.2])
+    scan = assert_scan_is_reference(monkeypatch, s, init, t_max, h)
+    assert scan.exit_reason is None
+    if case in ("criterion 7 sphere", "runner sphere"):
+        assert len(scan.times) >= 1 and scan.bisections > 0
+
+
+def test_fan_fields_are_their_own_runs():
+    s = make_sphere()
+    lifted = complete_lift(s)
+    rng = np.random.default_rng(5)
+    ph = sphere_phase(rng)
+    x0, v0 = ph.coords[:2].tolist(), ph.coords[2:].tolist()
+    tangents = [(rng.standard_normal(2).tolist(), rng.standard_normal(2).tolist())
+                for _ in range(3)]
+    fan = _fan_run(s, (x0, v0), tangents, (0.0, 2.0), 1e-2)
+    base = integrate(s, ph, (0.0, 2.0), 1e-2)
+    for field in ("positions", "velocities", "accelerations"):
+        assert getattr(fan, field)[:, :2].tobytes() == getattr(base, field).tobytes()
+    for k, (xi, eta) in enumerate(tangents):
+        own = jacobi_from_initial(s, JetPoint(2, 2, x0 + xi + v0 + eta), (0.0, 2.0), 1e-2).field
+        field_k = fan.columns(np.r_[:2, 2 + 2 * k:4 + 2 * k], lifted)
+        assert field_k.times.tobytes() == own.times.tobytes()
+        for field in ("positions", "velocities", "accelerations"):
+            assert getattr(field_k, field).tobytes() == getattr(own, field).tobytes()
+
+
+def test_fan_stage_on_the_pole_falls_back_to_the_same_domain_exit(monkeypatch):
+    # the 4th stage of step 2 lands on colatitude 0.0, where the kernel divides by zero
+    s = make_sphere()
+    init = JetPoint(1, 2, [0.5, 0.0, -1.0, 0.0])
+    assert _fan_run(s, ([0.5, 0.0], [-1.0, 0.0]), [([0.0, 0.0], [1.0, 0.0])] * 2,
+                    (0.0, 2.0), 0.25) is None
+    scan = assert_scan_is_reference(monkeypatch, s, init, 2.0, 0.25, separate_runs=2)
+    assert scan.exit_reason == "domain"
+    assert scan.sample_times.tolist() == [0.0, 0.25]
+
+
+def _sqrt_log(pos, vel):
+    # zero coefficients, so the base moves on straight lines; at pos = (0, 0)
+    # the lift's tangent of sqrt divides by zero before its primal log fails
+    return [0.0 * jsqrt(pos[0]), 0.0 * jlog(pos[1])]
+
+
+def test_fan_failure_inside_the_domain_raises_the_per_field_error():
+    s = Spray(level=0, dim=2, coeff_fn=_sqrt_log, tag="sqrt-log")
+    init = JetPoint(1, 2, [1.0, 1.0, -1.0, -1.0])
+    # the fan meets the carrier's log first, each separate run the tangent's division
+    lifted = complete_lift(s)
+    with pytest.raises(ZeroDivisionError):
+        lifted.kernel([0.0, 0.0, 0.0, 0.0], [-1.0, -1.0, 1.0, 0.0])
+    with pytest.raises(ValueError):
+        lifted.fan(2)([0.0] * 6, [-1.0, -1.0, 1.0, 0.0, 0.0, 1.0])
+    with pytest.raises(IntegrationBlowupError) as want:
+        reference_conjugate_search(s, init, 2.0, 0.5)
+    with pytest.raises(IntegrationBlowupError) as got:
+        conjugate_search(s, init, 2.0, 0.5)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert "ZeroDivisionError" in str(got.value)
+
+
+@pytest.mark.parametrize("coords, t_max, h", [
+    ([1.0, 0.0, 0.1, 0.2, 0.0, 1.0, 0.3, 0.1], 3.0, 1e-2),  # a start of the wrong length
+    ([1.0, 0.0, 0.0, 1.0], 3.0, -1.0),
+    ([1.0, 0.0, 0.0, 1.0], 3.0, 0.0),
+    ([1.0, 0.0, 0.0, 1.0], math.nan, 0.1),
+    ([1.0, 0.0, 0.0, 0.0], 3.0, 0.1),  # slashed
+    ([0.0, 0.0, 0.0, 1.0], 3.0, 0.1),  # on the pole
+])
+def test_rejected_scan_raises_the_per_field_error(coords, t_max, h):
+    s = make_sphere()
+    init = JetPoint({4: 1, 8: 2}[len(coords)], 2, coords)
+    with pytest.raises((InvalidLevelError, DomainError)) as want:
+        reference_conjugate_search(s, init, t_max, h)
+    with pytest.raises(type(want.value)) as got:
+        conjugate_search(s, init, t_max, h)
+    assert str(got.value) == str(want.value)
+
+
+def test_scan_bisections_repeat():
+    s = make_sphere()
+    eq = JetPoint(1, 2, [np.pi / 2, 0.0, 0.0, 1.0])
+    first = conjugate_search(s, eq, 6.5, 1e-2)
+    assert first.bisections > 0
+    assert conjugate_search(s, eq, 6.5, 1e-2).bisections == first.bisections
+    assert "bisections" not in first.report()
+    assert conjugate_search(make_flat(2), JetPoint(1, 2, [0.0, 0.0, 1.0, 0.3]),
+                            3.5, 1e-2).bisections == 0
+
+
+def test_fan_scan_on_round_three_sphere(monkeypatch):
+    # three fields in three dimensions along a great circle
+    s = make_round_sphere(3)
+    init = JetPoint(1, 3, [np.pi / 2, np.pi / 2, 0.0, 0.0, 0.0, 1.0])
+    scan = assert_scan_is_reference(monkeypatch, s, init, 3.5, 1e-2)
+    assert scan.exit_reason is None
+    assert scan.sample_dets.shape == (351,)
+
+
+def reference_fd_gap(s, jac, eps_var=1e-4):
+    """``lift_conjugate_check``'s finite-difference gap from two separate lifted runs."""
+    gpos, gvel, gacc = jac.base.positions, jac.base.velocities, jac.base.accelerations
+    jfib, jrate = jac.fiber_nodes(), jac.fiber_rate_nodes()
+    zeros = np.zeros_like(gpos)
+    span, h, lifted = (jac.field.t0, jac.field.t_end), jac.field.h, complete_lift(s)
+    z0 = np.concatenate([gpos[0], gvel[0] + eps_var * jfib[0],
+                         gvel[0], gacc[0] + eps_var * jrate[0]])
+    z1 = np.concatenate([gpos[0], gvel[0] - eps_var * jfib[0],
+                         gvel[0], gacc[0] - eps_var * jrate[0]])
+    pl = integrate(lifted, JetPoint(s.level + 2, s.dim, z0), span, h)
+    mi = integrate(lifted, JetPoint(s.level + 2, s.dim, z1), span, h)
+    n3 = min(len(pl.times), len(mi.times), len(gpos))
+    fd_fiber = (pl.positions[:n3] - mi.positions[:n3]) / (2.0 * eps_var)
+    return float(np.max(np.abs(fd_fiber - np.hstack([zeros, jfib])[:n3])))
+
+
+def test_lifted_conjugate_fd_pair_is_the_separate_runs(monkeypatch):
+    # criterion 7's sine field
+    s = make_sphere()
+    sine = jacobi_from_initial(s, JetPoint(2, 2, [np.pi / 2, 0, 0, 0, 0, 1, 1, 0.0]),
+                               (0.0, np.pi), 1e-3)
+    runs = []
+    monkeypatch.setattr(jacobi, "integrate", lambda sp, *args: runs.append(sp.level) or integrate(sp, *args))
+    rep = lift_conjugate_check(s, sine, end_tol=1e-5)
+    monkeypatch.undo()
+    # the two level-2 witnesses run alone, the level-1 pair as one fan
+    assert runs == [2, 2]
+    assert np.float64(rep.fd_gap).tobytes() == np.float64(reference_fd_gap(s, sine)).tobytes()
+    assert rep.fd_gap < 1e-9

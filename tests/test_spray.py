@@ -7,11 +7,11 @@ import pytest
 
 from sprayjets import (DomainError, InvalidLevelError, JetPoint, Spray,
                        acceleration_jet, complete_lift, dkappa,
-                       homogeneity_check, make_finsler_example, make_flat, make_riemannian,
-                       make_sphere, project_spray, pushforward, pushforward_spray,
+                       homogeneity_check, integrate, make_finsler_example, make_flat,
+                       make_riemannian, make_round_sphere, make_sphere, project_spray, pushforward, pushforward_spray,
                        shear_chart, spray_value, sphere_christoffels)
 from sprayjets import spray as spray_mod
-from sprayjets.jets import Dual, jet_du, jet_re
+from sprayjets.jets import Dual, jcos, jet_du, jet_re, jsin
 from sprayjets.samples import random_slashed_jet, sphere_phase
 
 
@@ -333,3 +333,46 @@ def test_involution_symmetry_of_double_lift():
         swapped = out_q.copy()
         swapped[2:4], swapped[4:6] = out_q[4:6].copy(), out_q[2:4].copy()
         np.testing.assert_allclose(out_p, swapped, atol=1e-12)
+
+# --- round S^n in hyperspherical coordinates ---------------------------------
+
+
+def _embed(theta):
+    """The point of the unit sphere in R^(n+1) with hyperspherical coordinates ``theta``."""
+    out, radius = [], 1.0
+    for th in theta[:-1]:
+        out.append(radius * jcos(th))
+        radius = radius * jsin(th)
+    return out + [radius * jcos(theta[-1]), radius * jsin(theta[-1])]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_round_sphere_great_circle(n):
+    # A unit-speed geodesic is cos t * P + sin t * U in the embedding, with
+    # P the start and U the velocity pushed into R^(n+1).  The start lies on
+    # theta_1 = ... = theta_(n-1) = pi/2 with speed 0.8 in the longitude, so
+    # the circle keeps prod sin(theta_j) >= 0.8, away from the chart's edge.
+    s = make_round_sphere(n)
+    tilt = np.random.default_rng(n).standard_normal(n - 1)
+    theta = np.array([np.pi / 2] * (n - 1) + [0.3])
+    v = np.concatenate([0.6 * tilt / np.linalg.norm(tilt), [0.8]])
+    tr = integrate(s, JetPoint(1, n, np.concatenate([theta, v])), (0.0, 2 * np.pi), 1e-3)
+    assert tr.exit_reason is None
+    start = _embed([Dual(a, b) for a, b in zip(theta, v)])
+    p, u = np.array([jet_re(z) for z in start]), np.array([jet_du(z) for z in start])
+    curve = np.array([_embed(list(x)) for x in tr.positions])
+    circle = np.cos(tr.times)[:, None] * p + np.sin(tr.times)[:, None] * u
+    assert np.max(np.abs(curve - circle)) < 1e-9
+
+
+def test_round_two_sphere_is_the_sphere():
+    rng = np.random.default_rng(8)
+    round2, sphere = make_round_sphere(2), make_sphere()
+    for _ in range(20):
+        p = sphere_phase(rng).coords.tolist()
+        assert round2.kernel(p[:2], p[2:]) == sphere.kernel(p[:2], p[2:])
+        lifted = (p[:2] + p[2:], p[2:] + [0.3, -0.1])
+        assert complete_lift(round2).kernel(*lifted) == complete_lift(sphere).kernel(*lifted)
+    assert not round2.in_domain([0.0, 1.0]) and round2.in_domain([1.0, 7.0])
+    with pytest.raises(InvalidLevelError):
+        make_round_sphere(0)
