@@ -12,7 +12,9 @@ evaluation, at a stage or a node, is :meth:`Spray.acceleration` on float
 lists, which runs the spray's compiled kernel and returns its list.  The
 loop itself is :func:`_integrate`, on a float state and any evaluator of
 it; :mod:`sprayjets.jacobi` runs it on the state of several lifted fields
-over one carrier, with the lift's fan program as the evaluator.
+over one carrier, evaluated by the lift's fan program or, when that
+fails or is missing, by its kernel once per field.  Every run, single or
+shared, ends a failed step in :func:`_failed_step`.
 
 The checks at each node stay in plain Python floats, behind prefilters
 that decide exactly what the full tests decide: a node is finite when the
@@ -62,7 +64,9 @@ class Trajectory:
     paired with its velocity is a slashed point one level up.  Node
     accelerations are stored to interpolate velocities.  ``exit_reason``
     is None for a run that covered the requested span, otherwise one of
-    ``"slashed"`` or ``"domain"``.
+    ``"slashed"`` or ``"domain"``; a finite-difference field of
+    :func:`~sprayjets.jacobi.variation_oracle` that stops short of its
+    geodesic's span carries ``"truncated"``.
     """
 
     spray: Spray
@@ -288,11 +292,11 @@ def integrate(s: Spray, init: JetPoint, t_span: tuple[float, float], h: float) -
         )
     half = init.coords.size // 2
     return _integrate(s, s.acceleration, init.coords[:half].tolist(), init.coords[half:].tolist(),
-                      t_span, h, _failed_step)
+                      t_span, h)
 
 
-def _integrate(s: Spray, f: Callable, x: list, v: list, t_span: tuple[float, float], h: float,
-               failed: Callable) -> Trajectory:
+def _integrate(s: Spray, f: Callable, x: list, v: list, t_span: tuple[float, float],
+               h: float) -> Trajectory:
     """The run of :func:`integrate` from the float lists (x, v), stepping with ``f``.
 
     ``h`` is positive and finite.  ``f(x, v)`` returns the acceleration as
@@ -300,8 +304,7 @@ def _integrate(s: Spray, f: Callable, x: list, v: list, t_span: tuple[float, flo
     and ``v[:s.dim]`` (and the finiteness of every entry), so a state may
     carry more than one spray's worth of columns after its carrier.  A
     step that raises or reaches a non-finite node ends in
-    ``failed(s, step, f, x, v, a1, dt)``, which returns the exit reason or
-    raises; :func:`integrate` passes :func:`_failed_step`.
+    :func:`_failed_step`, which returns the exit reason or raises.
     """
 
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -340,10 +343,10 @@ def _integrate(s: Spray, f: Callable, x: list, v: list, t_span: tuple[float, flo
         try:
             xn, vn = step(f, x, v, a1, dt)
         except (ArithmeticError, ValueError):
-            reason = failed(s, step, f, x, v, a1, dt)
+            reason = _failed_step(s, step, f, x, v, a1, dt)
         else:
             reason = (_node_exit(s, xn, vn) if _finite(xn, vn)
-                      else failed(s, step, f, x, v, a1, dt))
+                      else _failed_step(s, step, f, x, v, a1, dt))
         if reason is not None:
             exit_reason = reason
             break

@@ -11,9 +11,10 @@ Fields that share their base geodesic run as one trajectory of the lift's
 fan program (:meth:`Spray.fan`): the state is the carrier followed by each
 field's fiber half, the carrier statements run once per evaluation and the
 tangent statements once per field.  Each field's columns are bitwise its
-own run of the lift (see :func:`~sprayjets.jets.fan_program`).  A fan run
-that fails is not reported: the fields are run one by one instead, so
-exceptions and exit reasons are those of the separate runs.
+own run of the lift (see :func:`~sprayjets.jets.fan_program`).  An
+evaluation at which the fan raises is repeated with the lift's kernel
+once per field, and a lift without a fan program is evaluated that way
+throughout, so exceptions and exit reasons are those of the separate runs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrationBlowupError, InvalidLevelError
+from .errors import DomainError, InvalidLevelError
 from .geodesic import Trajectory, _integrate, integrate, residual
 from .jetspace import JetPoint, _dproject_idx
 from .spray import Spray, complete_lift
@@ -93,18 +94,18 @@ def jacobi_from_initial(s: Spray, init: JetPoint, t_span: tuple[float, float],
     return JacobiField(field=tr, base=base_of(tr, s), kind="lifted-geodesic")
 
 
-def variation_oracle(s: Spray, gamma: Trajectory, w, eps: float = 1e-4,
-                     h: float | None = None) -> JacobiField:
+def variation_oracle(s: Spray, gamma: Trajectory, w, eps: float = 1e-4) -> JacobiField:
     """Central-difference geodesic variation around ``gamma``.
 
     ``w`` perturbs the full initial phase point of ``gamma``; the field is
-    assembled from the symmetric difference of the two perturbed geodesics
-    and serves as an integrator-independent oracle for
-    :func:`jacobi_from_initial`.
+    assembled from the symmetric difference of the two perturbed geodesics,
+    run with ``gamma``'s step so that their nodes fall on its times, and
+    serves as an integrator-independent oracle for :func:`jacobi_from_initial`.
+    When a perturbed run ends early the field stops there too, with the
+    exit reason ``"truncated"``.
     """
 
-    if h is None:
-        h = gamma.h
+    h = gamma.h
     w = np.asarray(w, dtype=float)
     z0 = np.concatenate([gamma.positions[0], gamma.velocities[0]])
     if w.shape != z0.shape:
@@ -204,42 +205,45 @@ def decompose_double_lift(s: Spray, tr: Trajectory, zero_tol: float = 1e-12) -> 
 # --- conjugate points -----------------------------------------------------
 
 
-class _FanStepFailed(Exception):
-    """A step of a fan run raised or reached a non-finite node."""
+def _fan_run(s: Spray, starts: list[JetPoint], t_span: tuple[float, float],
+             h: float) -> Trajectory:
+    """One run of ``complete_lift(s)`` from ``starts``, which share a carrier.
 
+    Each start is a lifted initial jet (base position, fiber value, base
+    velocity, fiber rate, each ``s.fiber_dim`` entries) whose base half is
+    that of ``starts[0]``.  The trajectory's columns are the carrier, then
+    each start's fiber half: columns ``[carrier, k]`` are the lifted run
+    from ``starts[k]``, bit for bit, and so are the exit reason and any
+    exception, since every field shares the carrier's domain exits.  A step
+    size :func:`integrate` refuses raises its :class:`DomainError`.
 
-def _refuse_failed_step(*args):
-    raise _FanStepFailed
-
-
-def _fan_run(s: Spray, carrier: tuple[list, list], tangents: list[tuple[list, list]],
-             t_span: tuple[float, float], h: float) -> Trajectory | None:
-    """One run of ``complete_lift(s)`` for fields that share a carrier, or None.
-
-    ``carrier`` is the base position and velocity, ``tangents`` each
-    field's fiber value and rate, all float lists of ``s.fiber_dim``
-    entries.  The trajectory's columns are the carrier, then each field's
-    fiber half; the lifted run from (carrier, tangent k) is its columns
-    ``[carrier, k]``, bit for bit.  None when the lift has no fan program
-    or the run fails in any way (a step that raises or ends non-finite, a
-    failed node evaluation, a rejected start): the caller then runs each
-    field alone and meets the failure in its own order.  A start of the
-    wrong length fails at its first evaluation, which unpacks exactly
-    ``(m + 1) * s.fiber_dim`` entries.
+    The evaluator is the lift's fan program for ``len(starts)`` tangents;
+    when the lift has none, it is the lift's kernel once per start.
     """
 
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"step size must be positive and finite, got {h}")
     lifted = complete_lift(s)
-    program = lifted.fan(len(tangents))
-    # a step size integrate() would refuse might still run here
-    if program is None or not 0.0 < h < math.inf:
-        return None
-    x0, v0 = carrier
-    x = x0 + [z for xi, _ in tangents for z in xi]
-    v = v0 + [z for _, eta in tangents for z in eta]
-    try:
-        return _integrate(lifted, program, x, v, t_span, h, _refuse_failed_step)
-    except (_FanStepFailed, IntegrationBlowupError, DomainError):
-        return None
+    kernel, fan, n = lifted.kernel, lifted.fan(len(starts)), s.fiber_dim
+
+    def per_start(x: list, v: list) -> list:
+        out = []
+        for k in range(len(starts)):
+            a = kernel(x[:n] + x[(k + 1) * n:(k + 2) * n], v[:n] + v[(k + 1) * n:(k + 2) * n])
+            out += a if k == 0 else a[n:]
+        return out
+
+    def fanned(x: list, v: list) -> list:
+        try:
+            return fan(x, v)
+        except (ArithmeticError, ValueError):
+            # the fan may meet another failing statement first; the kernel raises the field's own
+            return per_start(x, v)
+
+    coords = [p.coords.tolist() for p in starts]
+    x = coords[0][:n] + [z for c in coords for z in c[n:2 * n]]
+    v = coords[0][2 * n:3 * n] + [z for c in coords for z in c[3 * n:]]
+    return _integrate(lifted, per_start if fan is None else fanned, x, v, t_span, h)
 
 
 @dataclass
@@ -282,44 +286,26 @@ def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float,
     matrix at the root.
 
     The m fields share the geodesic as their carrier, so they run as one
-    fan trajectory of the lift (:func:`_fan_run`), and each bisection step
+    trajectory of the lift (:func:`_fan_run`), and each bisection step
     takes all m fibers from one dense-output evaluation.  Field k is
-    bitwise its own :func:`jacobi_from_initial` run, so the scan is that
-    of m separate runs.  If the fan run fails, the fields run one by one
-    and the scan, or the exception, is theirs.
+    bitwise its own :func:`jacobi_from_initial` run, so the scan, or the
+    exception, is that of m separate runs.  A negative ``t_max`` scans
+    backward in time.
     """
 
-    m = (1 << s.level) * s.dim
+    m = s.fiber_dim
     half = init.coords.size // 2
     x0, v0 = init.coords[:half], init.coords[half:]
-    basis = np.eye(m)
+    starts = [JetPoint(s.level + 2, s.dim, np.concatenate([x0, np.zeros(m), v0, e]))
+              for e in np.eye(m)]
+    fan = _fan_run(s, starts, (0.0, t_max), h)
+    times = fan.times
+    nodes = len(times)
+    # column m*(k+1) + i is fiber i of field k; the matrices hold fields as columns
+    fibers = fan.positions[:, m:].reshape(nodes, m, m).transpose(0, 2, 1)
 
-    fan = _fan_run(s, (x0.tolist(), v0.tolist()),
-                   [([0.0] * m, e.tolist()) for e in basis], (0.0, t_max), h)
-    if fan is not None:
-        times = fan.times
-        nodes = len(times)
-        exit_reason = fan.exit_reason
-        # column m*(k+1) + i is fiber i of field k; the matrices hold fields as columns
-        fibers = fan.positions[:, m:].reshape(nodes, m, m).transpose(0, 2, 1)
-
-        def fibers_at(t: float) -> np.ndarray:
-            return fan.position_at(t)[m:].reshape(m, m).T
-    else:
-        fields = [jacobi_from_initial(s, JetPoint(s.level + 2, s.dim,
-                                                  np.concatenate([x0, np.zeros(m), v0, e])),
-                                      (0.0, t_max), h)
-                  for e in basis]
-        nodes = min(len(f.times) for f in fields)
-        times = fields[0].times[:nodes]
-        exit_reason = None
-        for f in fields:
-            if f.field.exit_reason is not None:
-                exit_reason = f.field.exit_reason
-        fibers = np.stack([f.fiber_nodes()[:nodes] for f in fields], axis=2)  # (nodes, m, m)
-
-        def fibers_at(t: float) -> np.ndarray:
-            return np.stack([f.fiber_at(t) for f in fields], axis=1)
+    def fibers_at(t: float) -> np.ndarray:
+        return fan.position_at(t)[m:].reshape(m, m).T
 
     dets = np.linalg.det(fibers)
 
@@ -333,7 +319,7 @@ def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float,
             root = a
         elif da * db < 0.0:
             root = None
-            while b - a > bracket_tol:
+            while abs(b - a) > bracket_tol:
                 mid = 0.5 * (a + b)
                 dm = float(np.linalg.det(fibers_at(mid)))
                 bisections += 1
@@ -363,7 +349,7 @@ def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float,
         multiplicities=mults,
         sample_times=times.copy(),
         sample_dets=dets.copy(),
-        exit_reason=exit_reason,
+        exit_reason=fan.exit_reason,
         bisections=bisections,
     )
 
@@ -395,9 +381,8 @@ def lift_conjugate_check(s: Spray, jac: JacobiField, eps_var: float = 1e-4,
     doubly lifted spray, and confirms both vanish fiberwise exactly at the
     ends.  The velocity-line field is also compared against its
     finite-difference variation limit.  Its two perturbed lifted runs share
-    the carrier (``gamma(0)``, ``gamma'(0)``), so they run as one fan
-    trajectory with m = 2, bitwise the two separate runs; if the fan run
-    fails they run separately, as :func:`conjugate_search` does.
+    the carrier (``gamma(0)``, ``gamma'(0)``), so they run as one
+    trajectory of the lift (:func:`_fan_run`), bitwise the two separate runs.
     """
 
     if s.level + 2 > 2:
@@ -440,22 +425,16 @@ def lift_conjugate_check(s: Spray, jac: JacobiField, eps_var: float = 1e-4,
     v_sup = float(np.max(np.linalg.norm(vfib, axis=1)))
 
     # finite-difference limit of the same variation: the two runs share the
-    # carrier (gpos[0], gvel[0]), so they are one fan run when it succeeds
-    lifted = complete_lift(s)
-    plus = (gvel[0] + eps_var * jfib[0], gacc[0] + eps_var * jrate[0])
-    minus = (gvel[0] - eps_var * jfib[0], gacc[0] - eps_var * jrate[0])
-    fan = _fan_run(s, (gpos[0].tolist(), gvel[0].tolist()),
-                   [(xi.tolist(), eta.tolist()) for xi, eta in (plus, minus)], span, h)
-    if fan is not None:
-        n = s.fiber_dim
-        pl, mi = (fan.columns(np.r_[:n, k * n:(k + 1) * n], lifted) for k in (1, 2))
-    else:
-        pl, mi = (integrate(lifted, JetPoint(s.level + 2, s.dim,
-                                             np.concatenate([gpos[0], xi, gvel[0], eta])), span, h)
-                  for xi, eta in (plus, minus))
-    n3 = min(len(pl.times), len(mi.times), len(vpos))
-    fd_fiber = (pl.positions[:n3] - mi.positions[:n3]) / (2.0 * eps_var)
-    fd_gap = float(np.max(np.abs(fd_fiber - np.hstack([zeros, jfib])[:n3])))
+    # carrier (gpos[0], gvel[0]), so they are one run of the lift
+    plus = JetPoint(s.level + 2, s.dim, np.concatenate(
+        [gpos[0], gvel[0] + eps_var * jfib[0], gvel[0], gacc[0] + eps_var * jrate[0]]))
+    minus = JetPoint(s.level + 2, s.dim, np.concatenate(
+        [gpos[0], gvel[0] - eps_var * jfib[0], gvel[0], gacc[0] - eps_var * jrate[0]]))
+    fan = _fan_run(s, [plus, minus], span, h)
+    n, n3 = s.fiber_dim, min(len(fan.times), len(vpos))
+    # the shared carrier columns cancel exactly, so only the fibers differ
+    fd_fiber = (fan.positions[:n3, n:2 * n] - fan.positions[:n3, 2 * n:]) / (2.0 * eps_var)
+    fd_gap = float(np.max(np.abs(fd_fiber - jfib[:n3])))
 
     return LiftedConjugateReport(
         liouville_deviation=liouville_dev,

@@ -426,7 +426,7 @@ def fan_program(tape: _Tape, m: int, filename: str):
     after another.  So on inputs where the tape's program raises, the fan
     raises too, but possibly a different exception first; callers that
     must report the program's own exception run it again per tangent
-    (``jacobi.conjugate_search`` falls back to separate runs).  Returns
+    (``jacobi._fan_run`` repeats a failed call with the kernel).  Returns
     None when a carrier-half output depends on a tangent input.
     """
 

@@ -72,7 +72,7 @@ def test_compiled_lift_is_bitwise_the_dual_path(name, level):
     assert s.traced == (name != "pushed" or level > 0)
     assert (s.kernel.__code__.co_filename == f"<{s.tag} L{level}>") == s.traced
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(*_halves(name, s.fiber_dim))
     def check(pos, vel):
         want = _outcome(reference, pos, vel)
@@ -352,7 +352,7 @@ def test_fan_copies_are_the_kernel_on_each_tangent(name, level, m):
     carrier = st.one_of(st.just(([0.0] * n, [0.0] * n)),
                         st.tuples(pos.map(lambda p: p[:n]), vel.map(lambda v: v[:n])))
 
-    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=20)
     @given(carrier, st.lists(st.tuples(coord, coord), min_size=m, max_size=m))
     def check(carrier, tangents):
         x, v = carrier

@@ -621,7 +621,7 @@ def _near_threshold(draw):
     return dim, v + draw(st.lists(st.floats(-10.0, 10.0), max_size=4))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(_near_threshold())
 def test_slashed_decision_is_the_numpy_norm(case):
     dim, v = case

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sprayjets import (DomainError, IntegrationBlowupError, InvalidLevelError, JetPoint, Spray,
                        complete_lift, integrate, make_finsler_example, make_flat,
@@ -12,7 +14,7 @@ from sprayjets import jacobi
 from sprayjets.jacobi import (_fan_run, conjugate_search, decompose_double_lift,
                               jacobi_from_initial, lift_conjugate_check,
                               new_from_old_suite, variation_oracle)
-from sprayjets.jets import jlog, jsqrt
+from sprayjets.jets import jet_re, jlog, jsqrt
 from sprayjets.samples import sphere_phase
 
 
@@ -80,6 +82,16 @@ def test_oracle_rejects_shape_mismatch():
         variation_oracle(s, gamma, np.ones(3))
 
 
+def test_oracle_steps_with_its_geodesic():
+    # rows run at another step would carry gamma's times but sample other ones
+    s = make_sphere()
+    gamma = integrate(s, JetPoint(1, 2, np.array([np.pi / 2, 0.0, 0.0, 1.0])),
+                      (0.0, 1.0), 1e-2)
+    assert variation_oracle(s, gamma, np.ones(4)).field.h == gamma.h
+    with pytest.raises(TypeError):
+        variation_oracle(s, gamma, np.ones(4), h=5e-3)
+
+
 def test_conjugate_points_on_sphere():
     s = make_sphere()
     eq = JetPoint(1, 2, np.array([np.pi / 2, 0.0, 0.0, 1.0]))
@@ -91,6 +103,17 @@ def test_conjugate_points_on_sphere():
     assert scan.multiplicities == [1, 1]
     # determinant changes sign across each root
     assert np.min(scan.sample_dets) < 0 < np.max(scan.sample_dets)
+
+
+def test_backward_scan_mirrors_the_forward_scan():
+    s = make_sphere()
+    eq = JetPoint(1, 2, np.array([np.pi / 2, 0.0, 0.0, 1.0]))
+    forward = conjugate_search(s, eq, 3.5, 1e-2)
+    backward = conjugate_search(s, eq, -3.5, 1e-2)
+    assert len(forward.times) == 1 and abs(forward.times[0] - np.pi) < 1e-6
+    assert len(backward.times) == 1 and abs(backward.times[0] + np.pi) < 1e-6
+    assert backward.multiplicities == forward.multiplicities == [1]
+    assert backward.bisections == forward.bisections > 0
 
 
 def test_no_conjugate_points_on_flat():
@@ -285,14 +308,15 @@ def reference_conjugate_search(s, init, t_max, h, det_tol=1e-10, bracket_tol=1e-
     return roots, mults, times.copy(), dets.copy(), exit_reason
 
 
-def assert_scan_is_reference(monkeypatch, s, init, t_max, h, separate_runs=0):
-    """The scan equals the reference; ``separate_runs`` counts the fields run alone."""
+def assert_scan_is_reference(monkeypatch, s, init, t_max, h):
+    """The scan equals the reference, and no field runs alone."""
     runs = []
-    monkeypatch.setattr(jacobi, "jacobi_from_initial",
-                        lambda *args: runs.append(args) or jacobi_from_initial(*args))
+    for name in ("jacobi_from_initial", "integrate"):
+        run = getattr(jacobi, name)
+        monkeypatch.setattr(jacobi, name, lambda *args, run=run: runs.append(args) or run(*args))
     scan = conjugate_search(s, init, t_max, h)
     monkeypatch.undo()
-    assert len(runs) == separate_runs
+    assert runs == []
     times, mults, sample_times, sample_dets, exit_reason = reference_conjugate_search(
         s, init, t_max, h)
     assert np.array(scan.times).tobytes() == np.array(times).tobytes()
@@ -310,9 +334,22 @@ def _runner_scan_inputs():
             (make_finsler_example((0.0, 1.0)), JetPoint(1, 2, [0.0, 0.0, 3.0, 4.0]))]
 
 
+SPHERE = make_sphere()
+
+
+def _switching_sphere(pos, vel):
+    # the sphere's coefficients behind a branch on the primal colatitude, which refuses tracing
+    sign = 1.0 if jet_re(pos[0]) > 0.0 else -1.0
+    return [sign * g for g in SPHERE.coeff_fn(pos, vel)]
+
+
+SWITCHING_SPHERE = Spray(level=0, dim=2, coeff_fn=_switching_sphere, tag="switching-sphere",
+                         domain=SPHERE.domain)
+
+
 @pytest.mark.parametrize("case", ["criterion 7 sphere", "criterion 7 flat",
                                   "runner sphere", "runner flat", "runner finsler",
-                                  "level-1 spray"])
+                                  "level-1 spray", "refused trace"])
 def test_fan_scan_is_the_per_field_scan(monkeypatch, case):
     if case == "criterion 7 sphere":
         s, init, t_max, h = make_sphere(), JetPoint(1, 2, [np.pi / 2, 0.0, 0.0, 1.0]), 3.5, 1e-3
@@ -321,13 +358,17 @@ def test_fan_scan_is_the_per_field_scan(monkeypatch, case):
     elif case.startswith("runner"):
         index = ("runner sphere", "runner flat", "runner finsler").index(case)
         (s, init), t_max, h = _runner_scan_inputs()[index], 4.0, 1e-3
-    else:
+    elif case == "level-1 spray":
         # a level-1 spray: four fields, each a geodesic of the level-2 lift
         s, t_max, h = complete_lift(make_sphere()), 3.5, 1e-2
         init = JetPoint(2, 2, [np.pi / 2, 0.0, 0.1, -0.2, 0.0, 1.0, 0.3, 0.2])
+    else:
+        # the lift has no fan program, so its kernel evaluates each field
+        s, init, t_max, h = SWITCHING_SPHERE, JetPoint(1, 2, [np.pi / 2, 0.0, 0.0, 1.0]), 3.5, 1e-2
+        assert complete_lift(s).fan(2) is None
     scan = assert_scan_is_reference(monkeypatch, s, init, t_max, h)
     assert scan.exit_reason is None
-    if case in ("criterion 7 sphere", "runner sphere"):
+    if case in ("criterion 7 sphere", "runner sphere", "refused trace"):
         assert len(scan.times) >= 1 and scan.bisections > 0
 
 
@@ -339,7 +380,8 @@ def test_fan_fields_are_their_own_runs():
     x0, v0 = ph.coords[:2].tolist(), ph.coords[2:].tolist()
     tangents = [(rng.standard_normal(2).tolist(), rng.standard_normal(2).tolist())
                 for _ in range(3)]
-    fan = _fan_run(s, (x0, v0), tangents, (0.0, 2.0), 1e-2)
+    starts = [JetPoint(2, 2, x0 + xi + v0 + eta) for xi, eta in tangents]
+    fan = _fan_run(s, starts, (0.0, 2.0), 1e-2)
     base = integrate(s, ph, (0.0, 2.0), 1e-2)
     for field in ("positions", "velocities", "accelerations"):
         assert getattr(fan, field)[:, :2].tobytes() == getattr(base, field).tobytes()
@@ -355,9 +397,7 @@ def test_fan_stage_on_the_pole_falls_back_to_the_same_domain_exit(monkeypatch):
     # the 4th stage of step 2 lands on colatitude 0.0, where the kernel divides by zero
     s = make_sphere()
     init = JetPoint(1, 2, [0.5, 0.0, -1.0, 0.0])
-    assert _fan_run(s, ([0.5, 0.0], [-1.0, 0.0]), [([0.0, 0.0], [1.0, 0.0])] * 2,
-                    (0.0, 2.0), 0.25) is None
-    scan = assert_scan_is_reference(monkeypatch, s, init, 2.0, 0.25, separate_runs=2)
+    scan = assert_scan_is_reference(monkeypatch, s, init, 2.0, 0.25)
     assert scan.exit_reason == "domain"
     assert scan.sample_times.tolist() == [0.0, 0.25]
 
@@ -384,6 +424,55 @@ def test_fan_failure_inside_the_domain_raises_the_per_field_error():
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
     assert "ZeroDivisionError" in str(got.value)
+
+
+SQRT_LOG = Spray(level=0, dim=2, coeff_fn=_sqrt_log, tag="sqrt-log")
+
+
+@st.composite
+def shared_carrier_starts(draw):
+    """Starts of one carrier that heads for trouble: a sphere's pole, or sqrt-log's 0."""
+    m = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        s, t_span, h = SPHERE, (0.0, 3.0), draw(st.sampled_from([0.05, 0.1, 0.25, 0.5]))
+        x = [draw(st.floats(0.02, 0.8)), draw(st.floats(-1.0, 1.0))]
+        v = [draw(st.floats(-2.0, -0.2)), draw(st.floats(-1.0, 1.0))]
+    else:
+        # the straight path from x along v crosses 0 before t = 2
+        s, t_span, h = SQRT_LOG, (0.0, 2.5), draw(st.sampled_from([0.1, 0.25, 0.5]))
+        x = [draw(st.floats(0.1, 1.0)) for _ in range(2)]
+        v = [draw(st.floats(-2.0, -0.5)) for _ in range(2)]
+    tangent = st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)
+    starts = [JetPoint(2, 2, x + draw(tangent) + v + draw(tangent)) for _ in range(m)]
+    return s, starts, t_span, h
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except (IntegrationBlowupError, DomainError) as exc:
+        return None, exc
+
+
+@given(shared_carrier_starts())
+@settings(max_examples=300)
+def test_fan_run_is_the_separate_runs(case):
+    s, starts, t_span, h = case
+    lifted = complete_lift(s)
+    want, want_exc = _outcome(lambda: [integrate(lifted, p, t_span, h) for p in starts])
+    got, got_exc = _outcome(lambda: _fan_run(s, starts, t_span, h))
+    if want_exc is not None or got_exc is not None:
+        assert type(got_exc) is type(want_exc)
+        assert str(got_exc) == str(want_exc)
+        return
+    shortest = min(want, key=lambda tr: len(tr.times))
+    nodes = len(shortest.times)
+    assert got.times.tobytes() == shortest.times.tobytes()
+    assert got.exit_reason == shortest.exit_reason
+    for k, own in enumerate(want):
+        field_k = got.columns(np.r_[:2, 2 + 2 * k:4 + 2 * k], lifted)
+        for field in ("positions", "velocities", "accelerations"):
+            assert getattr(field_k, field).tobytes() == getattr(own, field)[:nodes].tobytes()
 
 
 @pytest.mark.parametrize("coords, t_max, h", [

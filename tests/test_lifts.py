@@ -245,7 +245,7 @@ def _layouts(draw, min_level):
     return level, dim, coords
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(_layouts(0))
 def test_jet_apply_is_bitwise_the_old_packing(layout):
     level, dim, coords = layout
@@ -253,7 +253,7 @@ def test_jet_apply_is_bitwise_the_old_packing(layout):
     _same(jet_apply(_mix, coords, level, dim, dim), _old_jet_apply(_mix, coords, level, dim, dim))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(_layouts(1))
 def test_clift_is_bitwise_the_old_packing(layout):
     level, dim, coords = layout
@@ -263,7 +263,7 @@ def test_clift_is_bitwise_the_old_packing(layout):
               _old_clift(_old_clift(_scalar, dim), dim)(coords))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(_layouts(1), st.data())
 def test_dual_lift_is_bitwise_the_old_packing(layout, data):
     level, _, pos = layout
@@ -287,7 +287,7 @@ IDENTITIES = {
 }
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.sampled_from(sorted(IDENTITIES)), st.data())
 def test_block_permutation_identities_hold_exactly(name, data):
     lowest, pair = IDENTITIES[name]

@@ -269,7 +269,7 @@ def test_every_stack_row_is_its_membership(name):
     row = st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.integers(-1, 8 * m - 1),
                     st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 0.3]))
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(st.lists(row, min_size=1, max_size=6), st.sampled_from([np.inf, 1e-8]))
     def check(rows, tol):
         stack = []
