@@ -275,15 +275,17 @@ class ConjugateScan:
 
 
 def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float,
-                     det_tol: float = 1e-10, bracket_tol: float = 1e-6,
-                     rank_rtol: float = 1e-6) -> ConjugateScan:
+                     bracket_tol: float = 1e-6, rank_rtol: float = 1e-6) -> ConjugateScan:
     """Scan for conjugate points along the geodesic through ``init``.
 
     A fundamental system of Jacobi fields with zero value and coordinate
     basis rates is propagated; zeros of its fiber determinant mark the
     conjugate times.  Sign changes between nodes are refined by bisection
-    on the dense output; multiplicity is the rank deficiency of the fiber
-    matrix at the root.
+    on the dense output, down to a bracket of ``bracket_tol`` or a
+    midpoint where the determinant is exactly zero; no threshold on its
+    size ends the bisection, since a root of multiplicity k makes it
+    small like the k-th power of the distance.  Multiplicity is the rank
+    deficiency of the fiber matrix at the root.
 
     The m fields share the geodesic as their carrier, so they run as one
     trajectory of the lift (:func:`_fan_run`), and each bisection step
@@ -323,7 +325,7 @@ def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float,
                 mid = 0.5 * (a + b)
                 dm = float(np.linalg.det(fibers_at(mid)))
                 bisections += 1
-                if abs(dm) < det_tol:
+                if dm == 0.0:
                     root = mid
                     break
                 if da * dm < 0.0:

@@ -35,7 +35,9 @@ evaluator is then not compiled.
 The program keeps its recording, and :func:`fan_program` builds from it
 the program of several tangents over one carrier: vector forward mode,
 with the statements that read only the carrier run once and the others
-once per tangent, each copy bitwise the program on its own tangent.
+once per tangent, each copy bitwise the program on its own tangent.  Both
+emit their statements through :func:`kept_lines`, and so does the fused
+RK4 step of :mod:`sprayjets.geodesic`, which inlines copies of a kernel.
 """
 
 from __future__ import annotations
@@ -459,21 +461,46 @@ def _program(stmts, pos, vel, out, namespace, filename):
 
     ``pos`` and ``vel`` name the inputs; ``namespace`` binds the constants
     and math functions the statements name, and is copied, not changed.
+    The body is :func:`kept_lines` reading the two arguments, the same
+    emitter that inlines a kernel into a fused RK4 step.
+    """
+
+    (note, *body), out = kept_lines(stmts, pos, vel, out, namespace, ("pos", "vel"))
+    lines = [note, "def program(pos, vel):"] + [f"    {line}" for line in body]
+    lines.append(f"    return [{', '.join(out)}]")
+    return compile_source("\n".join(lines) + "\n", filename, dict(namespace), "program")
+
+
+def kept_lines(stmts, pos, vel, out, namespace, sources, suffix=""):
+    """Source lines that run the kept ``stmts`` on ``sources``, and the output expressions.
+
+    The first line is a comment with the recorded and kept statement
+    counts.  The next two unpack the inputs ``pos`` and ``vel`` from the
+    expressions ``sources`` (two sequences); the rest are the statements
+    that :func:`_drop_repeats` keeps, with locals reused by
+    :func:`_reuse_locals`.  Every name that ``namespace`` does not bind
+    gets ``suffix``, so copies with different suffixes can run in one
+    function without sharing a local.  The expressions give ``out`` in
+    order; when ``namespace`` binds a numpy scalar constant, which makes
+    numpy scalars of what it touches, each is wrapped in ``float(...)``,
+    the Python float of the same value.
     """
 
     kept, out = _drop_repeats(stmts, out)
     kept, out = _reuse_locals(kept, pos + vel, out)
-    lines = [f"# {len(stmts)} recorded, {len(kept)} kept",
-             "def program(pos, vel):",
-             f"    {''.join(z + ', ' for z in pos)}= pos",
-             f"    {''.join(z + ', ' for z in vel)}= vel"]
-    lines += [f"    {_line(*stmt)}" for stmt in kept]
+
+    def local(z):
+        return z if z in namespace else z + suffix
+
+    lines = [f"# {len(stmts)} recorded, {len(kept)} kept"]
+    lines += [f"{''.join(local(z) + ', ' for z in names)}= {src}"
+              for names, src in zip((pos, vel), sources)]
+    lines += [_line(local(target), op, tuple(map(local, operands)))
+              for target, op, operands in kept]
+    out = [local(z) for z in out]
     if any(type(c) not in _NUMERIC for c in namespace.values() if not callable(c)):
-        # a numpy scalar constant makes numpy scalars of what it touches;
-        # the caller gets the Python floats the same values convert to
         out = [f"float({z})" for z in out]
-    lines.append(f"    return [{', '.join(out)}]")
-    return compile_source("\n".join(lines) + "\n", filename, dict(namespace), "program")
+    return lines, out
 
 
 def compile_source(source: str, filename: str, namespace: dict, fn_name: str):

@@ -78,10 +78,6 @@ class JetPoint:
         return f"JetPoint(level={self.level}, dim={self.dim}, blocks=[{inner}])"
 
 
-def from_blocks(level: int, dim: int, blocks) -> JetPoint:
-    return JetPoint(level, dim, np.concatenate([np.asarray(b, dtype=float) for b in blocks]))
-
-
 # --- index tables ---------------------------------------------------------
 #
 # Each table maps output coordinate slots to input slots, so applying an

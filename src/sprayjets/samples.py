@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .jetspace import JetPoint
-from .spray import Spray
 
 
 def random_jet(rng: np.random.Generator, level: int, dim: int,
@@ -46,15 +45,3 @@ def sphere_phase(rng: np.random.Generator, margin: float = 0.6,
     v = rng.standard_normal(2)
     v *= speed / np.linalg.norm(v)
     return JetPoint(1, 2, np.array([theta, phi, v[0], v[1]]))
-
-
-def random_phase(rng: np.random.Generator, s: Spray, scale: float = 1.0,
-                 min_speed: float = 0.1) -> JetPoint:
-    """Slashed initial jet for ``s``, drawn inside its chart domain."""
-
-    for _ in range(64):
-        p = random_slashed_jet(rng, s.level + 1, s.dim, scale=scale,
-                               min_speed=min_speed)
-        if s.in_domain(p.coords):
-            return p
-    raise RuntimeError("could not draw a phase point inside the spray domain")

@@ -23,10 +23,13 @@ flow depends on a value (a branch on ``jet_re(...)``, a comparison)
 refuses tracing, and its kernel evaluates ``coeff_fn`` itself, as does a
 level-0 pushed spray (see :func:`pushforward_spray`).
 
-Every float evaluation goes through a kernel, so outside those
+Every float evaluation runs a kernel's statements, so outside those
 interpreted kernels no float path runs ``Dual`` arithmetic: the time
 derivative of the acceleration (:func:`acceleration_jet`) is read off the
-complete lift's kernel rather than evaluated on ``Dual`` pairs.
+complete lift's kernel rather than evaluated on ``Dual`` pairs.  Most run
+through a call of the kernel; a fused RK4 step
+(:mod:`sprayjets.geodesic`) runs inlined copies of a traced kernel's
+statements instead, with the same results.
 """
 
 from __future__ import annotations
@@ -96,7 +99,10 @@ class Spray:
         Traced from ``coeff_fn`` at its first use and kept on the spray, so
         every caller of a memoized :attr:`lift` shares it.  Equals
         ``-2.0 * np.asarray(coeff_fn(x, v))`` bit for bit; when tracing is
-        refused or ``traced`` is off it is that expression.
+        refused or ``traced`` is off it is that expression.  A traced
+        kernel keeps its recording as its ``tape``, from which :meth:`fan`
+        and the fused RK4 step of :mod:`sprayjets.geodesic` generate
+        their own code; so a fused run's steps never call it.
         """
         coeff_fn, n = self.coeff_fn, self.fiber_dim
 

@@ -4,18 +4,20 @@ import math
 import sys
 import traceback
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sprayjets import (EPS_SLASHED, DomainError, IntegrationBlowupError,
                        InvalidLevelError, JetPoint, Spray, Trajectory,
                        complete_lift, flow, flow_tangent_fd, integrate,
-                       make_finsler_example, make_flat, make_sphere,
-                       pushforward_spray, residual, shear_chart,
+                       make_finsler_example, make_flat, make_round_sphere,
+                       make_sphere, pushforward_spray, residual, shear_chart,
                        write_trajectory_csv)
+from sprayjets import geodesic
 from sprayjets.geodesic import _node_exit
 from sprayjets.jets import jet_re
 
@@ -269,7 +271,7 @@ def _record_accelerations(monkeypatch):
 
     In ``integrate`` the caller is ``step`` for a stage of the generated
     RK4 step, ``node_acceleration`` for a stored node and ``recording``
-    for a stage of a failed step run again.
+    for a stage of a failed step run again.  A fused step calls nothing.
     """
     calls = []
     orig = Spray.acceleration
@@ -286,10 +288,9 @@ def _callers(calls):
     return [caller for _, caller in calls]
 
 
-# node 0, the three stages of step 1, node 1, and the failed step 2
-# whose last stage raises, then that step again, recorded
-FAILED_SECOND_STEP = ["node_acceleration"] + ["step"] * 3 + ["node_acceleration"] \
-    + ["step"] * 3 + ["recording"] * 3
+# node 0; step 1 fused; step 2 fused, which raises, then run again
+# unfused, whose last stage raises, then run again, recorded
+FAILED_SECOND_STEP = ["node_acceleration"] + ["step"] * 3 + ["recording"] * 3
 
 
 def test_stage_on_pole_is_domain_exit(monkeypatch):
@@ -555,8 +556,9 @@ def test_acceleration_calls_per_step(monkeypatch, level):
     tr = integrate(s, init, (0.0, 0.5), 0.1)
     steps = len(tr.times) - 1
     assert tr.complete and steps == 5
-    # three stage evaluations per step and one per stored node, each
-    # through Spray.acceleration and each running the kernel once
+    # the wrapped kernel keeps no tape, so no step is fused: three stage
+    # evaluations per step and one per stored node, each through
+    # Spray.acceleration and each running the kernel once
     assert len(calls) == 3 * steps + len(tr.times) == 4 * steps + 1
     assert {lvl for lvl, _ in calls} == {level}
     assert _callers(calls).count("step") == 3 * steps
@@ -564,6 +566,63 @@ def test_acceleration_calls_per_step(monkeypatch, level):
     calls.clear()
     residual(s, tr)
     assert len(calls) == steps
+
+
+def test_fused_level0_run_calls_the_evaluator_for_node_0_only(monkeypatch):
+    s = make_sphere()
+    calls = _record_accelerations(monkeypatch)
+    tr = integrate(s, tilted_init(), (0.0, 1.0), 1e-2)
+    assert tr.complete and len(tr.times) == 101
+    assert calls == [(0, "node_acceleration")]
+
+
+FUSED_SPRAYS = {"sphere": make_sphere(), "flat": make_flat(2),
+                "finsler": make_finsler_example((0.3, -0.2)), "round-sphere-3": make_round_sphere(3)}
+
+
+@st.composite
+def _fused_cases(draw):
+    """(name, level, coords, span, h), with sphere carriers near a pole."""
+    name = draw(st.sampled_from(sorted(FUSED_SPRAYS)))
+    level = draw(st.sampled_from(sorted(geodesic._FUSED_LEVELS)))
+    dim = FUSED_SPRAYS[name].dim
+    half = (1 << level) * dim
+    coords = draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * half, max_size=2 * half))
+    if name in ("sphere", "round-sphere-3"):
+        # colatitudes within 0.3 of a pole, the longitude anywhere
+        for i in range(dim - 1):
+            near = draw(st.floats(1e-3, 0.3))
+            coords[i] = draw(st.sampled_from([near, math.pi - near]))
+    assume(math.hypot(*coords[half:half + dim]) > 0.1)
+    span = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.5, 4.0))
+    return name, level, coords, span, draw(st.sampled_from([0.05, 0.25, 0.5]))
+
+
+def _run_outcome(s, init, span, h):
+    try:
+        tr = integrate(s, init, (0.0, span), h)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (tuple(getattr(tr, name).tobytes() for name in ("times", "positions", "velocities",
+                                                           "accelerations"))
+            + (tr.exit_reason,))
+
+
+@settings(max_examples=300)
+@given(_fused_cases())
+# the 4th stage of step 2 lands on the pole (as in test_stage_on_pole_is_domain_exit)
+@example(("sphere", 0, [0.5, 0.0, -1.0, 0.0], 2.0, 0.25))
+def test_fused_run_is_the_unfused_run(case):
+    name, level, coords, span, h = case
+    s = FUSED_SPRAYS[name]
+    for _ in range(level):
+        s = complete_lift(s)
+    init = JetPoint(level + 1, s.dim, coords)
+    fused = _run_outcome(s, init, span, h)
+    assert geodesic._fused_step(s) is not None
+    with mock.patch.object(geodesic, "_FUSED_LEVELS", frozenset()):
+        assert geodesic._fused_step(s) is None
+        assert fused == _run_outcome(s, init, span, h)
 
 
 def test_residual_matches_step_loop():
