@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationBlowupError, InvalidLevelError
 from .jets import _Tape, compile_source, kept_lines
-from .jetspace import EPS_SLASHED, JetPoint, kappa
+from .jetspace import EPS_SLASHED, JetPoint
 from .spray import Spray
 
 EXIT_SLASHED = "slashed"
@@ -461,33 +461,6 @@ def flow(s: Spray, p: JetPoint, t: float, h: float) -> JetPoint:
             f"flow left the bundle ({tr.exit_reason}) at t={tr.t_end:.6g} before {t}"
         )
     return tr.final_jet()
-
-
-def flow_tangent_fd(s: Spray, p: JetPoint, t: float, h: float,
-                    eps_fd: float = 1e-5) -> JetPoint:
-    """Conjugated tangent flow by central differences.
-
-    Splits ``kappa(p)`` into a phase point and a perturbation direction,
-    transports both endpoints of a symmetric chord with the plain flow,
-    and swaps the differenced result back.  This is the finite-difference
-    side of the lifted flow identity.
-    """
-
-    if p.level != s.level + 2:
-        raise InvalidLevelError(
-            f"tangent flow acts two levels above the spray, got level {p.level}"
-        )
-    q = kappa(p)
-    half = q.coords.size // 2
-    base = JetPoint(p.level - 1, p.dim, q.coords[:half])
-    direction = q.coords[half:]
-
-    center = flow(s, base, t, h)
-    plus = flow(s, JetPoint(p.level - 1, p.dim, q.coords[:half] + eps_fd * direction), t, h)
-    minus = flow(s, JetPoint(p.level - 1, p.dim, q.coords[:half] - eps_fd * direction), t, h)
-    diff = (plus.coords - minus.coords) / (2.0 * eps_fd)
-    out = JetPoint(p.level, p.dim, np.concatenate([center.coords, diff]))
-    return kappa(out)
 
 
 def residual(s: Spray, tr: Trajectory) -> float:

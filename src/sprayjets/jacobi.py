@@ -15,18 +15,28 @@ own run of the lift (see :func:`~sprayjets.jets.fan_program`).  An
 evaluation at which the fan raises is repeated with the lift's kernel
 once per field, and a lift without a fan program is evaluated that way
 throughout, so exceptions and exit reasons are those of the separate runs.
+
+Every finite difference of the package is one stencil,
+:func:`_central_difference`, handed a function that returns the two runs
+perturbed by ``+eps`` and ``-eps``: :func:`variation_oracle` and its end jet
+:func:`flow_tangent_fd`, the variation limit of :func:`lift_conjugate_check`,
+and the family field and rank probe of :mod:`sprayjets.subspray`.  A step
+that is not positive and finite raises :class:`DomainError` before either
+run starts: a zero step divides by zero, and a NaN one makes every
+comparison with a tolerance false, so a check would pass silently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, InvalidLevelError
 from .geodesic import Trajectory, _integrate, integrate, residual
-from .jetspace import JetPoint, _dproject_idx
+from .jetspace import JetPoint, _dproject_idx, _liouville_rows, kappa
 from .spray import Spray, complete_lift
 
 
@@ -94,6 +104,20 @@ def jacobi_from_initial(s: Spray, init: JetPoint, t_span: tuple[float, float],
     return JacobiField(field=tr, base=base_of(tr, s), kind="lifted-geodesic")
 
 
+def _central_difference(ends: Callable[[float], tuple[np.ndarray, np.ndarray]],
+                        eps: float) -> np.ndarray:
+    """``(plus - minus) / (2 eps)`` on the rows both of ``ends(eps) -> (plus, minus)`` have.
+
+    A step that is not positive and finite raises before ``ends`` runs.
+    """
+
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"finite-difference step must be positive and finite, got {eps}")
+    plus, minus = ends(eps)
+    n = min(len(plus), len(minus))
+    return (plus[:n] - minus[:n]) / (2.0 * eps)
+
+
 def variation_oracle(s: Spray, gamma: Trajectory, w, eps: float = 1e-4) -> JacobiField:
     """Central-difference geodesic variation around ``gamma``.
 
@@ -111,29 +135,53 @@ def variation_oracle(s: Spray, gamma: Trajectory, w, eps: float = 1e-4) -> Jacob
     if w.shape != z0.shape:
         raise InvalidLevelError(f"perturbation shape {w.shape} does not match phase {z0.shape}")
     span = (gamma.t0, gamma.t_end)
-    level = s.level + 1
-    plus = integrate(s, JetPoint(level, s.dim, z0 + eps * w), span, h)
-    minus = integrate(s, JetPoint(level, s.dim, z0 - eps * w), span, h)
 
-    nodes = min(len(gamma.times), len(plus.times), len(minus.times))
-    sl = slice(0, nodes)
-    dpos = (plus.positions[sl] - minus.positions[sl]) / (2.0 * eps)
-    dvel = (plus.velocities[sl] - minus.velocities[sl]) / (2.0 * eps)
-    dacc = (plus.accelerations[sl] - minus.accelerations[sl]) / (2.0 * eps)
+    def ends(e: float) -> list[np.ndarray]:
+        plus = integrate(s, JetPoint(s.level + 1, s.dim, z0 + e * w), span, h)
+        minus = integrate(s, JetPoint(s.level + 1, s.dim, z0 - e * w), span, h)
+        return [np.hstack([tr.positions, tr.velocities, tr.accelerations]) for tr in (plus, minus)]
 
-    lifted = complete_lift(s)
+    dpos, dvel, dacc = np.hsplit(_central_difference(ends, eps)[: len(gamma.times)], 3)
+    sl = slice(0, len(dpos))
     field = Trajectory(
-        spray=lifted,
+        spray=complete_lift(s),
         times=gamma.times[sl],
         positions=np.hstack([gamma.positions[sl], dpos]),
         velocities=np.hstack([gamma.velocities[sl], dvel]),
         accelerations=np.hstack([gamma.accelerations[sl], dacc]),
         h=h,
         requested=span,
-        exit_reason=None if nodes == len(gamma.times) else "truncated",
+        exit_reason=None if len(dpos) == len(gamma.times) else "truncated",
     )
     base = gamma.columns(np.arange(gamma.positions.shape[1]), s)
     return JacobiField(field=field, base=base, kind="variation-oracle")
+
+
+def flow_tangent_fd(s: Spray, p: JetPoint, t: float, h: float,
+                    eps_fd: float = 1e-5) -> JetPoint:
+    """Conjugated tangent flow by central differences.
+
+    Splits ``kappa(p)`` into a phase point and a perturbation direction and
+    returns the end jet of the :func:`variation_oracle` field along the
+    direction, over the phase point's geodesic up to ``t``.  The field's
+    node layout (position, its difference, velocity, its difference) is the
+    differenced flow swapped back by ``kappa``.  This is the
+    finite-difference side of the lifted flow identity.  A geodesic or
+    field that stops short of ``t`` raises :class:`DomainError`.
+    """
+
+    if p.level != s.level + 2:
+        raise InvalidLevelError(
+            f"tangent flow acts two levels above the spray, got level {p.level}"
+        )
+    q = kappa(p).coords
+    half = q.size // 2
+    gamma = integrate(s, JetPoint(p.level - 1, p.dim, q[:half]), (0.0, t), h)
+    field = variation_oracle(s, gamma, q[half:], eps_fd).field if gamma.complete else gamma
+    if not field.complete:
+        raise DomainError(f"tangent flow stopped ({field.exit_reason}) at t={field.t_end:.6g} "
+                          f"before {t}")
+    return field.final_jet()
 
 
 @dataclass
@@ -368,12 +416,6 @@ class LiftedConjugateReport:
     interior_sup: tuple[float, float]
 
 
-def _liouville_coords(rows: np.ndarray) -> np.ndarray:
-    half = rows.shape[1] // 2
-    zeros = np.zeros_like(rows[:, :half])
-    return np.hstack([rows, zeros, rows[:, half:]])
-
-
 def lift_conjugate_check(s: Spray, jac: JacobiField, eps_var: float = 1e-4,
                          end_tol: float = 1e-6, zero_tol: float = 1e-8) -> LiftedConjugateReport:
     """Re-verify that a two-ended Jacobi zero lifts to conjugate zero vectors.
@@ -402,12 +444,9 @@ def lift_conjugate_check(s: Spray, jac: JacobiField, eps_var: float = 1e-4,
     h = jac.field.h
 
     # Liouville composite of the field curve
-    lpos = _liouville_coords(jac.field.positions)
-    lvel = _liouville_coords(jac.field.velocities)
-    linit = JetPoint(s.level + 3, s.dim, np.concatenate([lpos[0], lvel[0]]))
-    ltr = integrate(lifted2, linit, span, h)
-    n1 = min(len(ltr.times), len(lpos))
-    liouville_dev = float(np.max(np.abs(ltr.positions[:n1] - lpos[:n1])))
+    lpos = _liouville_rows(jac.field.positions)
+    liouville_dev = _reintegrate_deviation(lifted2, lpos, _liouville_rows(jac.field.velocities),
+                                           jac.times, h)
     lfib = lpos[:, lpos.shape[1] // 2 :]
     l_end = (float(np.linalg.norm(lfib[0])), float(np.linalg.norm(lfib[-1])))
     l_sup = float(np.max(np.linalg.norm(lfib, axis=1)))
@@ -416,27 +455,25 @@ def lift_conjugate_check(s: Spray, jac: JacobiField, eps_var: float = 1e-4,
     gpos, gvel, gacc = jac.base.positions, jac.base.velocities, jac.base.accelerations
     jfib, jrate = jac.fiber_nodes(), jac.fiber_rate_nodes()
     zeros = np.zeros_like(gpos)
-    vpos = np.hstack([gpos, gvel, zeros, jfib])
-    vvel = np.hstack([gvel, gacc, zeros, jrate])
-    vinit = JetPoint(s.level + 3, s.dim, np.concatenate([vpos[0], vvel[0]]))
-    vtr = integrate(lifted2, vinit, span, h)
-    n2 = min(len(vtr.times), len(vpos))
-    velocity_dev = float(np.max(np.abs(vtr.positions[:n2] - vpos[:n2])))
+    velocity_dev = _reintegrate_deviation(lifted2, np.hstack([gpos, gvel, zeros, jfib]),
+                                          np.hstack([gvel, gacc, zeros, jrate]), jac.times, h)
     vfib = np.hstack([zeros, jfib])
     v_end = (float(np.linalg.norm(vfib[0])), float(np.linalg.norm(vfib[-1])))
     v_sup = float(np.max(np.linalg.norm(vfib, axis=1)))
 
     # finite-difference limit of the same variation: the two runs share the
-    # carrier (gpos[0], gvel[0]), so they are one run of the lift
-    plus = JetPoint(s.level + 2, s.dim, np.concatenate(
-        [gpos[0], gvel[0] + eps_var * jfib[0], gvel[0], gacc[0] + eps_var * jrate[0]]))
-    minus = JetPoint(s.level + 2, s.dim, np.concatenate(
-        [gpos[0], gvel[0] - eps_var * jfib[0], gvel[0], gacc[0] - eps_var * jrate[0]]))
-    fan = _fan_run(s, [plus, minus], span, h)
-    n, n3 = s.fiber_dim, min(len(fan.times), len(vpos))
-    # the shared carrier columns cancel exactly, so only the fibers differ
-    fd_fiber = (fan.positions[:n3, n:2 * n] - fan.positions[:n3, 2 * n:]) / (2.0 * eps_var)
-    fd_gap = float(np.max(np.abs(fd_fiber - jfib[:n3])))
+    # carrier (gpos[0], gvel[0]), so they are one run of the lift, and only
+    # its two fiber blocks differ
+    def ends(e: float) -> tuple[np.ndarray, np.ndarray]:
+        plus = JetPoint(s.level + 2, s.dim, np.concatenate(
+            [gpos[0], gvel[0] + e * jfib[0], gvel[0], gacc[0] + e * jrate[0]]))
+        minus = JetPoint(s.level + 2, s.dim, np.concatenate(
+            [gpos[0], gvel[0] - e * jfib[0], gvel[0], gacc[0] - e * jrate[0]]))
+        fan, n = _fan_run(s, [plus, minus], span, h), s.fiber_dim
+        return fan.positions[:, n:2 * n], fan.positions[:, 2 * n:]
+
+    fd_fiber = _central_difference(ends, eps_var)[: len(jfib)]
+    fd_gap = float(np.max(np.abs(fd_fiber - jfib[: len(fd_fiber)])))
 
     return LiftedConjugateReport(
         liouville_deviation=liouville_dev,
@@ -569,7 +606,7 @@ def new_from_old_suite(base: Spray, j: Trajectory, shift: float | None = None,
 
     # (viii) Liouville composite
     record("liouville_composite",
-           _reintegrate_deviation(up, _liouville_coords(j.positions),
-                                  _liouville_coords(j.velocities), times, h))
+           _reintegrate_deviation(up, _liouville_rows(j.positions),
+                                  _liouville_rows(j.velocities), times, h))
 
     return out

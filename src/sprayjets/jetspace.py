@@ -175,9 +175,13 @@ def liouville(p: JetPoint) -> JetPoint:
     half is zero except that the fiber of ``p`` reappears over itself.
     """
     _require_level(p, 1, "liouville")
-    half = p.coords.size // 2
-    out = np.concatenate([p.coords, np.zeros(half), p.coords[half:]])
-    return JetPoint(p.level + 1, p.dim, out)
+    return JetPoint(p.level + 1, p.dim, _liouville_rows(p.coords))
+
+
+def _liouville_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`liouville` of each row of ``rows``, or of one flat coordinate array."""
+    half = rows.shape[-1] // 2
+    return np.concatenate([rows, np.zeros_like(rows[..., :half]), rows[..., half:]], axis=-1)
 
 
 def is_slashed(p: JetPoint) -> bool:

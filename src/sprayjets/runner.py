@@ -17,8 +17,8 @@ import numpy as np
 from . import __version__
 from .errors import (DomainError, InconsistentTrajectoryError,
                      IntegrationBlowupError, InvalidLevelError)
-from .geodesic import flow, flow_tangent_fd, integrate, residual
-from .jacobi import conjugate_search
+from .geodesic import flow, integrate, residual
+from .jacobi import conjugate_search, flow_tangent_fd
 from .jetspace import (JetPoint, ddproject, dkappa, dproject, kappa, liouville,
                        project)
 from .samples import random_slashed_jet, sphere_phase
@@ -109,6 +109,12 @@ def _double_jet(cfg: ScenarioConfig, s, rng) -> JetPoint:
     return random_slashed_jet(rng, s.level + 2, s.dim)
 
 
+def _check(name: str, spray: str | None, params: dict, sup: float, tol: float) -> dict:
+    """One report entry: a residual ``sup`` that passes when it is at most ``tol``."""
+    return {"check": name, "spray": spray, "params": params,
+            "residuals": {"sup": sup, "tol": tol}, "pass": sup <= tol}
+
+
 def run_conjugate_scan(cfg: ScenarioConfig) -> list[dict]:
     s = make_scenario_spray(cfg)
     if cfg.manifold == "sphere":
@@ -155,11 +161,7 @@ def run_lift_verify(cfg: ScenarioConfig) -> list[dict]:
         a = np.asarray(s.coeffs(p), dtype=float)
         b = np.asarray(projected.coeffs(p), dtype=float)
         worst = max(worst, float(np.max(np.abs(a - b))))
-    checks = [{
-        "check": "projection-recovery", "spray": s.tag,
-        "params": {"samples": 100},
-        "residuals": {"sup": worst, "tol": 0.0}, "pass": worst <= 0.0,
-    }]
+    checks = [_check("projection-recovery", s.tag, {"samples": 100}, worst, 0.0)]
 
     p2 = _double_jet(cfg, s, rng)
     t = min(1.0, cfg.t_max)
@@ -167,21 +169,14 @@ def run_lift_verify(cfg: ScenarioConfig) -> list[dict]:
     fd_end = flow_tangent_fd(s, p2, t, cfg.h)
     gap = float(np.max(np.abs(lifted_end.coords - fd_end.coords)))
     tol_flow = 1e-6 * max(1.0, float(np.max(np.abs(lifted_end.coords))))
-    checks.append({
-        "check": "lifted-flow-identity", "spray": lifted.tag,
-        "params": {"t": t, "h": cfg.h, "eps_fd": 1e-5},
-        "residuals": {"sup": gap, "tol": tol_flow}, "pass": gap <= tol_flow,
-    })
+    checks.append(_check("lifted-flow-identity", lifted.tag,
+                         {"t": t, "h": cfg.h, "eps_fd": 1e-5}, gap, tol_flow))
 
     hom_worst = 0.0
     for _ in range(20):
         p = _phase_jet(cfg, s, rng)
         hom_worst = max(hom_worst, homogeneity_check(s, p, 2.0))
-    checks.append({
-        "check": "homogeneity", "spray": s.tag,
-        "params": {"lam": 2.0, "samples": 20},
-        "residuals": {"sup": hom_worst, "tol": 1e-12}, "pass": hom_worst <= 1e-12,
-    })
+    checks.append(_check("homogeneity", s.tag, {"lam": 2.0, "samples": 20}, hom_worst, 1e-12))
     return checks
 
 
@@ -198,10 +193,8 @@ def run_flow_check(cfg: ScenarioConfig) -> list[dict]:
     rich = float(np.max(np.abs(tr.positions[-1] - tr_half.positions[-1])))
     tol_rich = max(1e-8, 1e3 * cfg.h ** 4)
     checks = [
-        {"check": "defect", "spray": s.tag, "params": {"t": t1, "h": cfg.h},
-         "residuals": {"sup": defect, "tol": tol_defect}, "pass": defect <= tol_defect},
-        {"check": "richardson", "spray": s.tag, "params": {"t": t1, "h": cfg.h},
-         "residuals": {"sup": rich, "tol": tol_rich}, "pass": rich <= tol_rich},
+        _check("defect", s.tag, {"t": t1, "h": cfg.h}, defect, tol_defect),
+        _check("richardson", s.tag, {"t": t1, "h": cfg.h}, rich, tol_rich),
     ]
 
     if cfg.manifold in ("sphere", "flat"):
@@ -211,10 +204,7 @@ def run_flow_check(cfg: ScenarioConfig) -> list[dict]:
         else:
             energy = np.sum(tr.velocities ** 2, axis=1)
         drift = float(np.max(np.abs(energy - energy[0])))
-        checks.append({
-            "check": "energy-drift", "spray": s.tag, "params": {"t": t1, "h": cfg.h},
-            "residuals": {"sup": drift, "tol": 1e-8}, "pass": drift <= 1e-8,
-        })
+        checks.append(_check("energy-drift", s.tag, {"t": t1, "h": cfg.h}, drift, 1e-8))
     return checks
 
 
@@ -236,9 +226,8 @@ def run_subspray_demo(cfg: ScenarioConfig) -> list[dict]:
     rep = subspray.reparametrized(s, sg, 2.0, 0.2 * t1)
 
     def entry(name, value, tol):
-        return {"check": name, "spray": s.tag,
-                "params": {"alpha": cfg.alpha, "beta": cfg.beta, "t": t1, "h": cfg.h},
-                "residuals": {"sup": value, "tol": tol}, "pass": value <= tol}
+        return _check(name, s.tag, {"alpha": cfg.alpha, "beta": cfg.beta, "t": t1, "h": cfg.h},
+                      value, tol)
 
     return [
         entry("reintegration", sg.reintegration_deviation, 1e-6),
@@ -276,11 +265,7 @@ def run_invariant_suite(cfg: ScenarioConfig) -> list[dict]:
                 left, right = pair(p)
                 worst = max(worst, float(np.max(np.abs(left.coords - right.coords))))
                 count += 1
-        checks.append({
-            "check": name, "spray": None,
-            "params": {"levels": list(levels), "samples": count},
-            "residuals": {"sup": worst, "tol": 0.0}, "pass": worst <= 0.0,
-        })
+        checks.append(_check(name, None, {"levels": list(levels), "samples": count}, worst, 0.0))
     return checks
 
 

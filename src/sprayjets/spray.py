@@ -168,8 +168,8 @@ def spray_value(s: Spray, p: JetPoint) -> JetPoint:
 
 def homogeneity_check(s: Spray, p: JetPoint, lam: float) -> float:
     """Relative defect of positive 2-homogeneity in the fiber."""
-    if lam <= 0.0:
-        raise DomainError(f"homogeneity scaling must be positive, got {lam}")
+    if not 0.0 < lam < np.inf:
+        raise DomainError(f"homogeneity scaling must be positive and finite, got {lam}")
     if p.level != s.level + 1:
         raise InvalidLevelError("homogeneity check point must sit one level above the spray")
     if not is_slashed(p):

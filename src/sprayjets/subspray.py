@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DomainError, InconsistentTrajectoryError
 from .geodesic import Trajectory, integrate
+from .jacobi import _central_difference
 from .jetspace import EPS_SLASHED, JetPoint
 from .spray import Spray, acceleration_jet, complete_lift
 
@@ -30,6 +31,11 @@ from .spray import Spray, acceleration_jet, complete_lift
 def _blocks(xi: np.ndarray, m: int) -> list[np.ndarray]:
     """The width-``m`` blocks of a jet, or the block columns of a stack of jets."""
     return [xi[..., k * m : (k + 1) * m] for k in range(xi.shape[-1] // m)]
+
+
+def _position_blocks(x, v, a, alpha, beta) -> np.ndarray:
+    """P's position blocks (x, v, alpha v, alpha a + beta v), of one jet or of row stacks."""
+    return np.concatenate([x, v, alpha * v, alpha * a + beta * v], axis=-1)
 
 
 def configuration_point(s: Spray, x0, v0, alpha: float, beta: float) -> JetPoint:
@@ -42,8 +48,7 @@ def configuration_point(s: Spray, x0, v0, alpha: float, beta: float) -> JetPoint
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     a0 = np.asarray(s.acceleration(x0, v0), dtype=float)
-    coords = np.concatenate([x0, v0, alpha * v0, alpha * a0 + beta * v0])
-    return JetPoint(s.level + 2, s.dim, coords)
+    return JetPoint(s.level + 2, s.dim, _position_blocks(x0, v0, a0, alpha, beta))
 
 
 def delta_coordinates(s: Spray, x0, v0, alpha: float, beta: float) -> np.ndarray:
@@ -57,7 +62,7 @@ def delta_coordinates(s: Spray, x0, v0, alpha: float, beta: float) -> np.ndarray
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     a0, jolt0 = acceleration_jet(s, x0, v0)
-    pos = np.concatenate([x0, v0, alpha * v0, alpha * a0 + beta * v0])
+    pos = _position_blocks(x0, v0, a0, alpha, beta)
     vel = np.concatenate([v0, a0, beta * v0 + alpha * a0, alpha * jolt0 + 2.0 * beta * a0])
     return np.concatenate([pos, vel])
 
@@ -243,10 +248,8 @@ def geodesic(s: Spray, x0, v0, alpha: float, beta: float,
     tr = integrate(lifted2, init, t_span, h)
     btr = tr.columns(slice(0, s.fiber_dim), s)
 
-    t = btr.times[:, None]
-    x, dx, ddx = btr.positions, btr.velocities, btr.accelerations
-    formula = np.hstack([x, dx, (alpha + beta * t) * dx,
-                         (alpha + beta * t) * ddx + beta * dx])
+    formula = _position_blocks(btr.positions, btr.velocities, btr.accelerations,
+                               alpha + beta * btr.times[:, None], beta)
     deviation = float(np.max(np.abs(tr.positions - formula)))
     if deviation > tol:
         raise InconsistentTrajectoryError(
@@ -337,14 +340,15 @@ def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: floa
                           min_gap: float = 1e-3) -> ParallelJacobi:
     """Central-difference field of ``family(sigma) -> (x0, v0, alpha, beta)``."""
 
-    curves = {}
-    for sig in (-eps, 0.0, eps):
+    def curve(sig: float) -> SubsprayGeodesic:
         x0, v0, al, be = family(sig)
-        curves[sig] = geodesic(s, x0, v0, float(al), float(be), t_span, h,
-                               tol=np.inf, node_checks=False)
-    n = min(len(c.traj.times) for c in curves.values())
-    vals = (curves[eps].traj.positions[:n] - curves[-eps].traj.positions[:n]) / (2.0 * eps)
-    times = curves[0.0].traj.times[:n]
+        return geodesic(s, x0, v0, float(al), float(be), t_span, h, tol=np.inf,
+                        node_checks=False)
+
+    vals = _central_difference(lambda e: (curve(e).traj.positions, curve(-e).traj.positions), eps)
+    center = curve(0.0)
+    n = min(len(vals), len(center.traj.times))
+    vals, times = vals[:n], center.traj.times[:n]
     norms = np.linalg.norm(vals, axis=1)
 
     zeros: list[float] = []
@@ -353,7 +357,7 @@ def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: floa
             if not zeros or times[k] - zeros[-1] > min_gap:
                 zeros.append(float(times[k]))
     return ParallelJacobi(times=times, values=vals, sup_norm=float(np.max(norms)),
-                          zero_times=zeros, center=curves[0.0])
+                          zero_times=zeros, center=center)
 
 
 @dataclass
@@ -460,11 +464,8 @@ class DimensionReport:
 
 
 def _fd_jacobian(fn, p: np.ndarray, step: float) -> np.ndarray:
-    cols = []
-    for k in range(p.size):
-        dp = np.zeros_like(p)
-        dp[k] = step
-        cols.append((fn(p + dp) - fn(p - dp)) / (2.0 * step))
+    cols = [_central_difference(lambda e: (fn(p + e * u), fn(p - e * u)), step)
+            for u in np.eye(p.size)]
     return np.stack(cols, axis=1)
 
 

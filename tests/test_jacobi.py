@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sprayjets import (DomainError, IntegrationBlowupError, InvalidLevelError, JetPoint, Spray,
-                       complete_lift, integrate, make_finsler_example, make_flat,
-                       make_round_sphere, make_sphere)
+                       complete_lift, flow, flow_tangent_fd, integrate, kappa,
+                       make_finsler_example, make_flat, make_round_sphere, make_sphere)
 from sprayjets import jacobi
+from sprayjets import subspray as sub
 from sprayjets.jacobi import (_fan_run, conjugate_search, decompose_double_lift,
                               jacobi_from_initial, lift_conjugate_check,
                               new_from_old_suite, variation_oracle)
 from sprayjets.jets import jet_re, jlog, jsqrt
-from sprayjets.samples import sphere_phase
+from sprayjets.samples import random_slashed_jet, sphere_phase
 
 
 def equator_field(rate, t_end=np.pi, h=1e-3):
@@ -558,3 +559,108 @@ def test_lifted_conjugate_fd_pair_is_the_separate_runs(monkeypatch):
     assert runs == [2, 2]
     assert np.float64(rep.fd_gap).tobytes() == np.float64(reference_fd_gap(s, sine)).tobytes()
     assert rep.fd_gap < 1e-9
+
+
+# --- the one finite-difference stencil --------------------------------------
+
+
+def _log_calls(monkeypatch, module, name, runs):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: runs.append(args) or real(*args, **kw))
+
+
+def _fd_entry(name, monkeypatch):
+    """``(call, runs, centres)`` for one finite-difference entry point.
+
+    ``call(step)`` runs it at that step; ``runs`` logs the runs it starts,
+    of which at most ``centres`` are unperturbed centre runs.
+    """
+    s, runs = make_sphere(), []
+    if name == "variation_oracle":
+        gamma = integrate(s, JetPoint(1, 2, [np.pi / 2, 0.0, 0.0, 1.0]), (0.0, 1.0), 1e-2)
+        _log_calls(monkeypatch, jacobi, "integrate", runs)
+        return lambda e: variation_oracle(s, gamma, np.ones(4), eps=e), runs, 0
+    if name == "flow_tangent_fd":
+        p = JetPoint(2, 2, [np.pi / 2, 0.0, 0.1, 0.2, 0.0, 1.0, 0.3, 0.0])
+        _log_calls(monkeypatch, jacobi, "integrate", runs)
+        return lambda e: flow_tangent_fd(s, p, 0.5, 1e-2, eps_fd=e), runs, 1
+    if name == "lift_conjugate_check":
+        sine = jacobi_from_initial(s, JetPoint(2, 2, [np.pi / 2, 0, 0, 0, 0, 1, 1, 0.0]),
+                                   (0.0, np.pi), 1e-2)
+        _log_calls(monkeypatch, jacobi, "_fan_run", runs)
+        return lambda e: lift_conjugate_check(s, sine, eps_var=e, end_tol=1e-5), runs, 0
+    if name == "no_conjugate_check":
+        def family(sig):
+            runs.append(sig)
+            return [1.2 + sig, 0.4], [0.3, 1.0], 1.0, 0.5
+
+        return lambda e: sub.no_conjugate_check(s, family, (0.0, 1.0), 1e-2, eps=e), runs, 1
+    _log_calls(monkeypatch, sub, "delta_coordinates", runs)
+    _log_calls(monkeypatch, sub, "configuration_point", runs)
+    return lambda e: sub.dimension_probe(s, [1.2, 0.4], [0.3, 1.0], 1.0, 0.5, step=e), runs, 0
+
+
+@pytest.mark.parametrize("step", [0.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["variation_oracle", "flow_tangent_fd", "lift_conjugate_check",
+                                   "no_conjugate_check", "dimension_probe"])
+def test_fd_entry_points_reject_a_degenerate_step(entry, step, monkeypatch):
+    # unguarded, these steps gave NaN fields, a vacuous pass of property 3,
+    # a LinAlgError from the rank probe or a blowup of the perturbed runs
+    call, runs, centres = _fd_entry(entry, monkeypatch)
+    with pytest.raises(DomainError, match="finite-difference step"):
+        call(step)
+    assert len(runs) <= centres
+    call(1e-4)  # the log does see the perturbed runs of a valid step
+    assert len(runs) > 2 * centres
+
+
+def three_flow_tangent_fd(s, p, t, h, eps_fd=1e-5):
+    """Reference: the conjugated tangent flow from three plain flows and one chord."""
+    q = kappa(p)
+    half = q.coords.size // 2
+    base, direction = q.coords[:half], q.coords[half:]
+    center = flow(s, JetPoint(p.level - 1, p.dim, base), t, h)
+    plus = flow(s, JetPoint(p.level - 1, p.dim, base + eps_fd * direction), t, h)
+    minus = flow(s, JetPoint(p.level - 1, p.dim, base - eps_fd * direction), t, h)
+    diff = (plus.coords - minus.coords) / (2.0 * eps_fd)
+    return kappa(JetPoint(p.level, p.dim, np.concatenate([center.coords, diff])))
+
+
+@pytest.mark.parametrize("name", ["sphere", "finsler", "flat", "sphere-L1"])
+def test_flow_tangent_fd_is_the_three_flow_stencil(name):
+    # the variation oracle's end jet, bit for bit, or the same exception type; on
+    # the unit disk, and for the Finsler spray backward, some runs raise
+    s = {"sphere": make_sphere(), "finsler": make_finsler_example((0.0, 1.0)),
+         "flat": make_flat(2, domain=lambda x: float(x @ x) < 1.0),
+         "sphere-L1": complete_lift(make_sphere())}[name]
+
+    def outcome(fn, p, t):
+        try:
+            return fn(s, p, t, 1e-2).coords.tobytes()
+        except (DomainError, IntegrationBlowupError) as exc:
+            return type(exc)
+
+    outcomes = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        coords = random_slashed_jet(rng, s.level + 2, s.dim).coords.copy()
+        if name.startswith("sphere"):
+            coords[0] = rng.uniform(1.0, 1.3)  # colatitude clear of the poles
+        p = JetPoint(s.level + 2, s.dim, coords)
+        for t in (0.5, -0.7):
+            outcomes.append(outcome(flow_tangent_fd, p, t))
+            assert outcomes[-1] == outcome(three_flow_tangent_fd, p, t)
+    assert any(isinstance(o, bytes) for o in outcomes)
+
+
+def test_tangent_flow_end_leaving_the_chart_raises():
+    # kappa(p) = (centre (0, 0) moving along x1, direction (1, 0) in position):
+    # the centre stays in x1 < 1 up to t = 0.9, the end started 0.2 ahead leaves
+    s = make_flat(2, domain=lambda x: float(x[0]) < 1.0)
+    p = JetPoint(2, 2, [0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    q = kappa(p).coords
+    gamma = integrate(s, JetPoint(1, 2, q[:4]), (0.0, 0.9), 1e-2)
+    assert gamma.complete
+    assert variation_oracle(s, gamma, q[4:], eps=0.2).field.exit_reason == "truncated"
+    with pytest.raises(DomainError):
+        flow_tangent_fd(s, p, 0.9, 1e-2, eps_fd=0.2)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from sprayjets import (DomainError, InvalidLevelError, JetPoint, clift,
+from sprayjets import (ChartTransition, DomainError, InvalidLevelError, JetPoint, clift,
                        clift_fn, ddproject, dkappa, dproject, identity_chart,
                        inverse_transition, is_slashed, jet_apply, kappa,
                        liouville, project, pushforward, shear_chart, vlift,
                        vlift_fn)
+from sprayjets.jets import jexp, jlog
 from sprayjets.samples import random_jet, random_slashed_jet
 
 
@@ -228,6 +229,44 @@ def test_inverse_transition_round_trip():
             p = random_jet(rng, level, 2)
             back = pushforward(inv, pushforward(t, p))
             np.testing.assert_allclose(back.coords, p.coords, atol=1e-10)
+
+
+def exp_chart() -> ChartTransition:
+    """Triangular chart (x1, x2) -> (exp(x1), x2 + x1**2); its Jacobian and Hessian vary."""
+
+    def jac(x):
+        return np.array([[np.exp(x[0]), 0.0], [2.0 * x[0], 1.0]])
+
+    def hess(x):
+        out = np.zeros((2, 2, 2))
+        out[0, 0, 0], out[1, 0, 0] = np.exp(x[0]), 2.0
+        return out
+
+    return ChartTransition(dim=2, forward=lambda x: [jexp(x[0]), x[1] + x[0] * x[0]],
+                           inverse=lambda y: [jlog(y[0]), y[1] - jlog(y[0]) * jlog(y[0])],
+                           jacobian=jac, hessian=hess, name="exp")
+
+
+@pytest.mark.parametrize("chart", [shear_chart, exp_chart])
+def test_inverse_transition_derivatives_match_jet_apply(chart):
+    # the inverse's analytic derivatives against the tangent blocks of
+    # jet_apply on the inverse map: D g from levels 1 and 2, D^2 g from level 2
+    t = chart()
+    inv = inverse_transition(t)
+    rng = np.random.default_rng(5)
+    eye = np.eye(2).tolist()
+    for _ in range(10):
+        y = [float(z) for z in t.forward(rng.uniform(-1.0, 1.0, 2).tolist())]
+        lvl1 = np.column_stack([jet_apply(t.inverse, y + e, 1, 2, 2)[2:] for e in eye])
+        np.testing.assert_allclose(inv.jacobian(y), lvl1, rtol=1e-12, atol=1e-12)
+        hess = np.empty((2, 2, 2))
+        for j, a in enumerate(eye):
+            for k, b in enumerate(eye):
+                out = jet_apply(t.inverse, y + a + b + [0.0, 0.0], 2, 2, 2)
+                np.testing.assert_allclose(inv.jacobian(y) @ b, out[4:6], rtol=1e-12, atol=1e-12)
+                hess[:, j, k] = out[6:]
+        assert np.any(hess != 0.0)
+        np.testing.assert_allclose(inv.hessian(y), hess, rtol=1e-12, atol=1e-12)
 
 
 def test_identity_chart_is_identity():

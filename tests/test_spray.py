@@ -90,10 +90,9 @@ def test_homogeneity_of_builtin_sprays(lam):
 def test_homogeneity_rejects_nonpositive_scale():
     s = make_flat(2)
     p = JetPoint(1, 2, np.array([0.0, 0.0, 1.0, 0.0]))
-    with pytest.raises(DomainError):
-        homogeneity_check(s, p, 0.0)
-    with pytest.raises(DomainError):
-        homogeneity_check(s, p, -1.0)
+    for lam in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            homogeneity_check(s, p, lam)
 
 
 def test_complete_lift_blocks_against_directional_derivative():
