@@ -16,14 +16,15 @@ evaluation at which the fan raises is repeated with the lift's kernel
 once per field, and a lift without a fan program is evaluated that way
 throughout, so exceptions and exit reasons are those of the separate runs.
 
-Every finite difference of the package is one stencil,
+Finite differences are only oracles, all one stencil,
 :func:`_central_difference`, handed a function that returns the two runs
-perturbed by ``+eps`` and ``-eps``: :func:`variation_oracle` and its end jet
-:func:`flow_tangent_fd`, the variation limit of :func:`lift_conjugate_check`,
-and the family field and rank probe of :mod:`sprayjets.subspray`.  A step
-that is not positive and finite raises :class:`DomainError` before either
-run starts: a zero step divides by zero, and a NaN one makes every
-comparison with a tolerance false, so a check would pass silently.
+perturbed by ``+eps`` and ``-eps``: :func:`variation_oracle` and its end
+jet :func:`flow_tangent_fd`, and the variation limit of
+:func:`lift_conjugate_check`; :mod:`sprayjets.subspray` differentiates
+exactly, with ``Dual`` entries.  A step that is not positive and finite
+raises :class:`DomainError` before either run starts: a zero step divides
+by zero, and a NaN one makes every comparison with a tolerance false, so
+a check would pass silently.
 """
 
 from __future__ import annotations
@@ -421,9 +422,10 @@ def lift_conjugate_check(s: Spray, jac: JacobiField, eps_var: float = 1e-4,
     """Re-verify that a two-ended Jacobi zero lifts to conjugate zero vectors.
 
     Builds the two witness fields one level up (the Liouville composite and
-    the velocity-line variation), re-integrates each as a geodesic of the
-    doubly lifted spray, and confirms both vanish fiberwise exactly at the
-    ends.  The velocity-line field is also compared against its
+    the velocity-line variation) and re-integrates each as a geodesic of the
+    doubly lifted spray; the end fiber norms and interior suprema are those
+    of the runs, which must reach the field's end (or :class:`DomainError`).
+    The velocity-line field is also compared against its
     finite-difference variation limit.  Its two perturbed lifted runs share
     the carrier (``gamma(0)``, ``gamma'(0)``), so they run as one
     trajectory of the lift (:func:`_fan_run`), bitwise the two separate runs.
@@ -443,23 +445,24 @@ def lift_conjugate_check(s: Spray, jac: JacobiField, eps_var: float = 1e-4,
     span = (jac.field.t0, jac.field.t_end)
     h = jac.field.h
 
+    def witness(cand_pos: np.ndarray, cand_vel: np.ndarray):
+        """Deviation, end fiber norms and fiber supremum of the re-integrated witness."""
+        tr, dev = _reintegrate(lifted2, cand_pos, cand_vel, jac.times, h)
+        if not tr.complete:
+            raise DomainError(f"witness run stopped ({tr.exit_reason}) at t={tr.t_end:.6g}")
+        norms = np.linalg.norm(tr.positions[:, tr.positions.shape[1] // 2 :], axis=1)
+        return dev, (float(norms[0]), float(norms[-1])), float(np.max(norms))
+
     # Liouville composite of the field curve
-    lpos = _liouville_rows(jac.field.positions)
-    liouville_dev = _reintegrate_deviation(lifted2, lpos, _liouville_rows(jac.field.velocities),
-                                           jac.times, h)
-    lfib = lpos[:, lpos.shape[1] // 2 :]
-    l_end = (float(np.linalg.norm(lfib[0])), float(np.linalg.norm(lfib[-1])))
-    l_sup = float(np.max(np.linalg.norm(lfib, axis=1)))
+    liouville_dev, l_end, l_sup = witness(_liouville_rows(jac.field.positions),
+                                          _liouville_rows(jac.field.velocities))
 
     # variation along the velocity line gamma' + s J
     gpos, gvel, gacc = jac.base.positions, jac.base.velocities, jac.base.accelerations
     jfib, jrate = jac.fiber_nodes(), jac.fiber_rate_nodes()
     zeros = np.zeros_like(gpos)
-    velocity_dev = _reintegrate_deviation(lifted2, np.hstack([gpos, gvel, zeros, jfib]),
-                                          np.hstack([gvel, gacc, zeros, jrate]), jac.times, h)
-    vfib = np.hstack([zeros, jfib])
-    v_end = (float(np.linalg.norm(vfib[0])), float(np.linalg.norm(vfib[-1])))
-    v_sup = float(np.max(np.linalg.norm(vfib, axis=1)))
+    velocity_dev, v_end, v_sup = witness(np.hstack([gpos, gvel, zeros, jfib]),
+                                         np.hstack([gvel, gacc, zeros, jrate]))
 
     # finite-difference limit of the same variation: the two runs share the
     # carrier (gpos[0], gvel[0]), so they are one run of the lift, and only
@@ -487,13 +490,14 @@ def lift_conjugate_check(s: Spray, jac: JacobiField, eps_var: float = 1e-4,
 # --- derived geodesics ----------------------------------------------------
 
 
-def _reintegrate_deviation(target: Spray, cand_pos: np.ndarray, cand_vel: np.ndarray,
-                           times: np.ndarray, h: float) -> float:
+def _reintegrate(target: Spray, cand_pos: np.ndarray, cand_vel: np.ndarray,
+                 times: np.ndarray, h: float) -> tuple[Trajectory, float]:
+    """The run of ``target`` from a candidate's first node, and its sup gap to the candidate."""
     init = JetPoint(target.level + 1, target.dim,
                     np.concatenate([cand_pos[0], cand_vel[0]]))
     tr = integrate(target, init, (float(times[0]), float(times[-1])), h)
     n = min(len(tr.times), len(cand_pos))
-    return float(np.max(np.abs(tr.positions[:n] - cand_pos[:n])))
+    return tr, float(np.max(np.abs(tr.positions[:n] - cand_pos[:n])))
 
 
 def new_from_old_suite(base: Spray, j: Trajectory, shift: float | None = None,
@@ -521,6 +525,9 @@ def new_from_old_suite(base: Spray, j: Trajectory, shift: float | None = None,
 
     def record(name, dev):
         out[name] = {"status": "ok", "deviation": float(dev)}
+
+    def reintegrated(name, target, pos, vel, at=times):
+        record(name, _reintegrate(target, pos, vel, at, h)[1])
 
     def skip(name, reason):
         out[name] = {"status": "skipped", "reason": reason}
@@ -558,28 +565,22 @@ def new_from_old_suite(base: Spray, j: Trajectory, shift: float | None = None,
     comb_vel = j.velocities[:nn].copy()
     comb_pos[:, half:] = a * j.positions[:nn, half:] + b * ktr.positions[:nn, half:]
     comb_vel[:, half:] = a * j.velocities[:nn, half:] + b * ktr.velocities[:nn, half:]
-    record("fiber_combination",
-           _reintegrate_deviation(own, comb_pos, comb_vel, j.times[:nn], h))
+    reintegrated("fiber_combination", own, comb_pos, comb_vel, j.times[:nn])
 
     # (iii) involution image
     from .jetspace import _kappa_idx
 
     idx = _kappa_idx(r, base.dim)
-    record("involution",
-           _reintegrate_deviation(own, j.positions[:, idx], j.velocities[:, idx], times, h))
+    reintegrated("involution", own, j.positions[:, idx], j.velocities[:, idx])
 
     # (iv) projection one level down
-    if r >= 1:
-        record("projection",
-               _reintegrate_deviation(sprays[r - 1], j.positions[:, :half],
-                                      j.velocities[:, :half], times, h))
+    reintegrated("projection", sprays[r - 1], j.positions[:, :half], j.velocities[:, :half])
 
     # (v) derivative projection one level down
     if r >= 2:
         didx = _dproject_idx(r, base.dim)
-        record("derivative_projection",
-               _reintegrate_deviation(sprays[r - 1], j.positions[:, didx],
-                                      j.velocities[:, didx], times, h))
+        reintegrated("derivative_projection", sprays[r - 1], j.positions[:, didx],
+                     j.velocities[:, didx])
     else:
         skip("derivative_projection", "needs at least two tangent levels")
 
@@ -596,17 +597,16 @@ def new_from_old_suite(base: Spray, j: Trajectory, shift: float | None = None,
     # (vi) tangent curve j'
     tpos = np.hstack([j.positions, j.velocities])
     tvel = np.hstack([j.velocities, j.accelerations])
-    record("tangent_curve", _reintegrate_deviation(up, tpos, tvel, times, h))
+    reintegrated("tangent_curve", up, tpos, tvel)
 
     # (vii) scaled tangent curve t * j'(t)
     tcol = times[:, None]
     spos = np.hstack([j.positions, tcol * j.velocities])
     svel = np.hstack([j.velocities, j.velocities + tcol * j.accelerations])
-    record("scaled_tangent_curve", _reintegrate_deviation(up, spos, svel, times, h))
+    reintegrated("scaled_tangent_curve", up, spos, svel)
 
     # (viii) Liouville composite
-    record("liouville_composite",
-           _reintegrate_deviation(up, _liouville_rows(j.positions),
-                                  _liouville_rows(j.velocities), times, h))
+    reintegrated("liouville_composite", up, _liouville_rows(j.positions),
+                 _liouville_rows(j.velocities))
 
     return out

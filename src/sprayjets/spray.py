@@ -29,7 +29,8 @@ derivative of the acceleration (:func:`acceleration_jet`) is read off the
 complete lift's kernel rather than evaluated on ``Dual`` pairs.  Most run
 through a call of the kernel; a fused RK4 step
 (:mod:`sprayjets.geodesic`) runs inlined copies of a traced kernel's
-statements instead, with the same results.
+statements instead, with the same results.  On ``Dual`` entries
+:func:`acceleration_jet` runs ``coeff_fn`` itself.
 """
 
 from __future__ import annotations
@@ -80,17 +81,9 @@ class Spray:
         half = p.coords.size // 2
         return np.asarray(self.coeff_fn(p.coords[:half], p.coords[half:]), dtype=float)
 
-    def acceleration(self, x: Sequence[float], v: Sequence[float]) -> list[float] | np.ndarray:
-        """The acceleration -2 G(x, v) at float coordinates, run by :attr:`kernel`.
-
-        Two lists give the kernel's list of floats, which is what the
-        integrator steps with; other sequences (ndarrays) give an ndarray.
-        """
-        if type(x) is list and type(v) is list:
-            return self.kernel(x, v)
-        x = np.asarray(x, dtype=float).tolist()
-        v = np.asarray(v, dtype=float).tolist()
-        return np.array(self.kernel(x, v), dtype=float)
+    def acceleration(self, x: list[float], v: list[float]) -> list[float]:
+        """The acceleration -2 G(x, v) at two lists of floats, run by :attr:`kernel`."""
+        return self.kernel(x, v)
 
     @cached_property
     def kernel(self) -> Callable:
@@ -229,17 +222,21 @@ def project_spray(s: Spray) -> Spray:
     )
 
 
-def acceleration_jet(s: Spray, x: np.ndarray, v: np.ndarray):
-    """Acceleration and its time derivative along the geodesic through (x, v).
+def acceleration_jet(s: Spray, x: list, v: list) -> tuple[list, list]:
+    """Acceleration and its time derivative along the geodesic through (x, v), as lists.
 
     The jolt is the tangent half of the complete lift's acceleration at
     (x, v; v, a): the parent coefficients on the pairs Dual(x, v),
-    Dual(v, a), run by the lift's :attr:`Spray.kernel`.
+    Dual(v, a).  Float lists run the kernels of ``s`` and of its lift; if an
+    entry is a ``Dual``, both ``coeff_fn`` run instead, with exact tangents
+    and primal components bitwise the float results.
     """
-    a = s.acceleration(x, v)
-    pos, vel, acc = (np.asarray(z, dtype=float).tolist() for z in (x, v, a))
-    lifted = complete_lift(s).acceleration(pos + vel, vel + acc)
-    return a, np.array(lifted[len(pos):])
+    lift = complete_lift(s)
+    if all(type(z) is float for z in x + v):
+        a = s.acceleration(x, v)
+        return a, lift.acceleration(x + v, v + a)[len(x):]
+    a = [-2.0 * g for g in s.coeff_fn(x, v)]
+    return a, [-2.0 * g for g in lift.coeff_fn(x + v, v + a)][len(x):]
 
 
 # --- builders -------------------------------------------------------------

@@ -13,6 +13,11 @@ The membership constraints have one definition, :func:`_check_jets`, which
 evaluates them on a whole stack of jets at once: :func:`membership` runs it
 on one jet, and :func:`geodesic` on the jets at all nodes of a propagated
 curve.
+
+The initial jet has one builder, :func:`delta_coordinates`, on lists, so
+``Dual`` entries pass through it and every derivative here is exact: the
+rank Jacobian of :func:`dimension_probe` and the family field of
+:func:`parallel_jacobi_curve`.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, InconsistentTrajectoryError
 from .geodesic import Trajectory, integrate
-from .jacobi import _central_difference
+from .jets import Dual, jet_du, jet_re
 from .jetspace import EPS_SLASHED, JetPoint
 from .spray import Spray, acceleration_jet, complete_lift
 
@@ -33,38 +38,32 @@ def _blocks(xi: np.ndarray, m: int) -> list[np.ndarray]:
     return [xi[..., k * m : (k + 1) * m] for k in range(xi.shape[-1] // m)]
 
 
-def _position_blocks(x, v, a, alpha, beta) -> np.ndarray:
-    """P's position blocks (x, v, alpha v, alpha a + beta v), of one jet or of row stacks."""
-    return np.concatenate([x, v, alpha * v, alpha * a + beta * v], axis=-1)
+def _entries(z) -> list:
+    """The entries of ``z`` as a list: ``Dual`` entries kept, the others as floats."""
+    return [e if isinstance(e, Dual) else float(e) for e in np.asarray(z).tolist()]
+
+
+def delta_coordinates(s: Spray, x0, v0, alpha, beta) -> np.ndarray:
+    """Full initial jet of the parallel curve, one level above its positions.
+
+    Positions (x, v, alpha v, alpha a + beta v), then their time derivative
+    (v, a, beta v + alpha a, alpha a' + 2 beta a), with the acceleration a
+    and its time derivative from :func:`~sprayjets.spray.acceleration_jet`.
+    With ``Dual`` entries it is an object array carrying exact tangents.
+    """
+
+    x, v = _entries(x0), _entries(v0)
+    a, jolt = acceleration_jet(s, x, v)
+    pos = x + v + [alpha * vi for vi in v] + [alpha * ai + beta * vi for ai, vi in zip(a, v)]
+    vel = (v + a + [beta * vi + alpha * ai for vi, ai in zip(v, a)]
+           + [alpha * ji + 2.0 * beta * ai for ji, ai in zip(jolt, a)])
+    return np.array(pos + vel)
 
 
 def configuration_point(s: Spray, x0, v0, alpha: float, beta: float) -> JetPoint:
-    """Level-two position reached by the parallel curve at time zero.
-
-    Blocks: base point, base velocity, alpha * velocity, and the transport
-    block alpha * acceleration + beta * velocity.
-    """
-
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    a0 = np.asarray(s.acceleration(x0, v0), dtype=float)
-    return JetPoint(s.level + 2, s.dim, _position_blocks(x0, v0, a0, alpha, beta))
-
-
-def delta_coordinates(s: Spray, x0, v0, alpha: float, beta: float) -> np.ndarray:
-    """Full initial jet of the parallel curve, one level above its positions.
-
-    The velocity half differentiates the position half in time, which pulls
-    in the acceleration and its first time derivative along the base
-    geodesic.
-    """
-
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    a0, jolt0 = acceleration_jet(s, x0, v0)
-    pos = _position_blocks(x0, v0, a0, alpha, beta)
-    vel = np.concatenate([v0, a0, beta * v0 + alpha * a0, alpha * jolt0 + 2.0 * beta * a0])
-    return np.concatenate([pos, vel])
+    """Level-two position reached by the parallel curve, the position half of its jet."""
+    coords = delta_coordinates(s, x0, v0, alpha, beta)[: 4 * s.fiber_dim]
+    return JetPoint(s.level + 2, s.dim, coords)
 
 
 CONSTRAINTS = (
@@ -241,15 +240,20 @@ def geodesic(s: Spray, x0, v0, alpha: float, beta: float,
     accepted.
     """
 
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
     lifted2 = complete_lift(complete_lift(s))
     init = JetPoint(s.level + 3, s.dim, delta_coordinates(s, x0, v0, alpha, beta))
-    tr = integrate(lifted2, init, t_span, h)
+    return _checked(s, integrate(lifted2, init, t_span, h), alpha, beta, tol, node_checks)
+
+
+def _checked(s: Spray, tr: Trajectory, alpha: float, beta: float, tol: float,
+             node_checks: bool) -> SubsprayGeodesic:
+    """The checks of :func:`geodesic` on its doubly lifted run ``tr``."""
+
     btr = tr.columns(slice(0, s.fiber_dim), s)
 
-    formula = _position_blocks(btr.positions, btr.velocities, btr.accelerations,
-                               alpha + beta * btr.times[:, None], beta)
+    x, v, a = btr.positions, btr.velocities, btr.accelerations
+    al = alpha + beta * btr.times[:, None]  # the first scalar drifts affinely
+    formula = np.hstack([x, v, al * v, al * a + beta * v])
     deviation = float(np.max(np.abs(tr.positions - formula)))
     if deviation > tol:
         raise InconsistentTrajectoryError(
@@ -296,31 +300,31 @@ def uniqueness_check(s: Spray, x0, v0, alpha: float, beta: float,
                      t_span: tuple[float, float], h: float) -> UniquenessReport:
     """Recover the scalars two independent ways and compare the curves.
 
-    Sequential projection treats the alpha block first; the joint variant
-    solves one least-squares system over both dependent blocks.  The curve
-    from the recovered data must agree with the propagated one.
+    The sequential recovery is :func:`membership`'s, which projects the
+    alpha block first; the joint variant solves one least-squares system
+    over both dependent blocks.  The curve from the recovered data must
+    agree with the propagated one.  A start whose base velocity is not
+    slashed raises :class:`DomainError`.
     """
 
     m = s.fiber_dim
     xi = delta_coordinates(s, x0, v0, alpha, beta)
+    seq = membership(s, xi, tol=np.inf)
+    if isinstance(seq, MembershipRejection):
+        raise DomainError(f"base velocity is not slashed ({seq.residual:.3e})")
     b = _blocks(xi, m)
-    a = np.asarray(s.acceleration(b[0], b[1]), dtype=float)
-
-    vv = float(b[1] @ b[1])
-    a_seq = float(b[2] @ b[1]) / vv
-    b_seq = float((b[3] - a_seq * a) @ b[1]) / vv
 
     mat = np.zeros((2 * m, 2))
     mat[:m, 0] = b[1]
-    mat[m:, 0] = a
+    mat[m:, 0] = b[5]  # the base acceleration
     mat[m:, 1] = b[1]
     rhs = np.concatenate([b[2], b[3]])
     sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     a_joint, b_joint = float(sol[0]), float(sol[1])
 
-    gap = max(abs(a_seq - a_joint), abs(b_seq - b_joint))
-    sg = geodesic(s, x0, v0, a_seq, b_seq, t_span, h, tol=np.inf, node_checks=False)
-    return UniquenessReport(a_seq, b_seq, a_joint, b_joint, gap,
+    gap = max(abs(seq.alpha - a_joint), abs(seq.beta - b_joint))
+    sg = geodesic(s, x0, v0, seq.alpha, seq.beta, t_span, h, tol=np.inf, node_checks=False)
+    return UniquenessReport(seq.alpha, seq.beta, a_joint, b_joint, gap,
                             sg.reintegration_deviation)
 
 
@@ -336,23 +340,29 @@ class ParallelJacobi:
 
 
 def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: float,
-                          eps: float = 1e-4, zero_tol: float = 1e-8,
-                          min_gap: float = 1e-3) -> ParallelJacobi:
-    """Central-difference field of ``family(sigma) -> (x0, v0, alpha, beta)``."""
+                          zero_tol: float = 1e-8, min_gap: float = 1e-3) -> ParallelJacobi:
+    """The exact field of ``family(sigma) -> (x0, v0, alpha, beta)`` at sigma = 0.
 
-    def curve(sig: float) -> SubsprayGeodesic:
-        x0, v0, al, be = family(sig)
-        return geodesic(s, x0, v0, float(al), float(be), t_span, h, tol=np.inf,
-                        node_checks=False)
+    ``family`` is called once, at a 0-d object array holding Dual(0, 1), so
+    that ndarray arithmetic on sigma gives arrays of ``Dual`` entries.  One
+    run of the third lift from the jet and its sigma-derivative gives the
+    field as its tangent half and the centre curve as its carrier, bitwise
+    the run of :func:`geodesic`.
+    """
 
-    vals = _central_difference(lambda e: (curve(e).traj.positions, curve(-e).traj.positions), eps)
-    center = curve(0.0)
-    n = min(len(vals), len(center.traj.times))
-    vals, times = vals[:n], center.traj.times[:n]
+    x0, v0, al, be = family(np.array(Dual(0.0, 1.0), dtype=object))
+    xi = delta_coordinates(s, x0, v0, al, be).tolist()
+    n = 4 * s.fiber_dim
+    init = [f(z) for half in (xi[:n], xi[n:]) for f in (jet_re, jet_du) for z in half]
+    lifted2 = complete_lift(complete_lift(s))
+    tr = integrate(complete_lift(lifted2), JetPoint(s.level + 4, s.dim, init), t_span, h)
+    center = _checked(s, tr.columns(slice(0, n), lifted2), float(jet_re(al)), float(jet_re(be)),
+                      np.inf, False)
+    vals, times = tr.positions[:, n:], tr.times
     norms = np.linalg.norm(vals, axis=1)
 
     zeros: list[float] = []
-    for k in range(n):
+    for k in range(len(times)):
         if norms[k] <= zero_tol:
             if not zeros or times[k] - zeros[-1] > min_gap:
                 zeros.append(float(times[k]))
@@ -369,8 +379,7 @@ class NoConjugateReport:
 
 
 def no_conjugate_check(s: Spray, family, t_span: tuple[float, float], h: float,
-                       eps: float = 1e-4, zero_tol: float = 1e-8,
-                       trivial_tol: float = 1e-6) -> NoConjugateReport:
+                       zero_tol: float = 1e-8, trivial_tol: float = 1e-6) -> NoConjugateReport:
     """Two distinct zeros of a family field force the whole field to vanish.
 
     A family whose field has fewer than two zeros passes vacuously; with
@@ -378,7 +387,7 @@ def no_conjugate_check(s: Spray, family, t_span: tuple[float, float], h: float,
     fails and reports the offending supremum.
     """
 
-    pj = parallel_jacobi_curve(s, family, t_span, h, eps=eps, zero_tol=zero_tol)
+    pj = parallel_jacobi_curve(s, family, t_span, h, zero_tol=zero_tol)
     if len(pj.zero_times) < 2:
         return NoConjugateReport(pj.zero_times, pj.sup_norm, vacuous=True, ok=True)
     return NoConjugateReport(pj.zero_times, pj.sup_norm, vacuous=False,
@@ -463,12 +472,6 @@ class DimensionReport:
         return got == self.expected
 
 
-def _fd_jacobian(fn, p: np.ndarray, step: float) -> np.ndarray:
-    cols = [_central_difference(lambda e: (fn(p + e * u), fn(p - e * u)), step)
-            for u in np.eye(p.size)]
-    return np.stack(cols, axis=1)
-
-
 def _rank(mat: np.ndarray, rtol: float) -> int:
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
@@ -477,34 +480,31 @@ def _rank(mat: np.ndarray, rtol: float) -> int:
 
 
 def dimension_probe(s: Spray, x0, v0, alpha: float, beta: float,
-                    step: float = 1e-6, rank_rtol: float = 1e-6) -> DimensionReport:
+                    rank_rtol: float = 1e-6) -> DimensionReport:
     """Numerical ranks of the slice parametrizations at one point.
 
     The full-jet and configuration maps should both have rank 2n + 2 in
     the base fiber dimension n; freezing the scalars drops the rank to 2n,
-    and deleting only the beta column loses exactly one direction.
+    and deleting only the beta column loses exactly one direction.  The
+    Jacobian of :func:`delta_coordinates` in (x0, v0, alpha, beta) is exact,
+    column k from ``Dual`` entries with the k-th unit tangent; the other
+    maps take its position rows and a subset of its columns.
     """
 
     m = s.fiber_dim
-    p0 = np.concatenate([np.asarray(x0, float), np.asarray(v0, float), [alpha, beta]])
+    p0 = np.concatenate([np.asarray(x0, float), np.asarray(v0, float), [alpha, beta]]).tolist()
 
-    def full_jet(p):
-        return delta_coordinates(s, p[:m], p[m : 2 * m], p[2 * m], p[2 * m + 1])
+    def column(k: int) -> list[float]:
+        p = [Dual(z, float(i == k)) for i, z in enumerate(p0)]
+        xi = delta_coordinates(s, p[:m], p[m : 2 * m], p[2 * m], p[2 * m + 1])
+        return [jet_du(z) for z in xi]
 
-    def config(p):
-        return configuration_point(s, p[:m], p[m : 2 * m], p[2 * m], p[2 * m + 1]).coords
-
-    def config_fixed(q):
-        return configuration_point(s, q[:m], q[m:], alpha, beta).coords
-
-    j_full = _fd_jacobian(full_jet, p0, step)
-    j_conf = _fd_jacobian(config, p0, step)
-    j_fix = _fd_jacobian(config_fixed, p0[: 2 * m], step)
-
+    j_full = np.array([column(k) for k in range(len(p0))]).T
+    j_conf = j_full[: 4 * m]
     return DimensionReport(
         full_jet_rank=_rank(j_full, rank_rtol),
         configuration_rank=_rank(j_conf, rank_rtol),
-        fixed_parameter_rank=_rank(j_fix, rank_rtol),
+        fixed_parameter_rank=_rank(j_conf[:, : 2 * m], rank_rtol),
         configuration_rank_without_beta=_rank(j_conf[:, : 2 * m + 1], rank_rtol),
         expected=(2 * m + 2, 2 * m + 2, 2 * m, 2 * m + 1),
         parametrization_jacobian=j_full,

@@ -253,7 +253,7 @@ def test_criterion_09_subspray():
         al, be = 1.0, 0.5
         sg = sub.geodesic(spray, x0, v0, al, be, (0.0, 1.0), 1e-3)
         x0a, v0a = np.asarray(x0, float), np.asarray(v0, float)
-        a0 = np.asarray(spray.acceleration(x0a, v0a), float)
+        a0 = np.asarray(spray.acceleration(x0a.tolist(), v0a.tolist()), float)
         field_init = JetPoint(2, 2, np.concatenate([x0a, al * v0a,
                                                     v0a, al * a0 + be * v0a]))
         ftr = integrate(complete_lift(spray), field_init, (0.0, 1.0), 1e-3)

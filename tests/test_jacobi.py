@@ -11,8 +11,8 @@ from sprayjets import (DomainError, IntegrationBlowupError, InvalidLevelError, J
                        complete_lift, flow, flow_tangent_fd, integrate, kappa,
                        make_finsler_example, make_flat, make_round_sphere, make_sphere)
 from sprayjets import jacobi
-from sprayjets import subspray as sub
-from sprayjets.jacobi import (_fan_run, conjugate_search, decompose_double_lift,
+from sprayjets.geodesic import Trajectory
+from sprayjets.jacobi import (JacobiField, _fan_run, conjugate_search, decompose_double_lift,
                               jacobi_from_initial, lift_conjugate_check,
                               new_from_old_suite, variation_oracle)
 from sprayjets.jets import jet_re, jlog, jsqrt
@@ -195,6 +195,38 @@ def test_lifted_conjugate_witnesses():
     assert rep.fd_gap < 1e-10
     assert max(rep.end_fiber_norms) < 1e-10
     assert min(rep.interior_sup) > 0.5
+
+
+def _fabricated_sine_field(s, h=math.pi / 300):
+    """``sin t * e1`` along the unit line through the origin, posing as a Jacobi field of ``s``."""
+    t = np.arange(301) * h
+    zero, one = np.zeros_like(t), np.ones_like(t)
+    line = np.stack([t, zero], axis=1)
+    base = Trajectory(spray=s, times=t, positions=line, velocities=np.stack([one, zero], axis=1),
+                      accelerations=np.zeros((len(t), 2)), h=h, requested=(0.0, t[-1]))
+    fib = lambda f: np.stack([f(t), zero], axis=1)
+    field = Trajectory(spray=complete_lift(s), times=t,
+                       positions=np.hstack([base.positions, fib(np.sin)]),
+                       velocities=np.hstack([base.velocities, fib(np.cos)]),
+                       accelerations=np.hstack([base.accelerations, -fib(np.sin)]),
+                       h=h, requested=(0.0, t[-1]))
+    return JacobiField(field=field, base=base, kind="fabricated")
+
+
+def test_lifted_witness_ends_are_those_of_the_reintegrated_runs():
+    # on a flat chart sin t is no Jacobi field: each witness re-integrates to
+    # the fiber t * e1, which ends at pi, not at zero like the candidate
+    rep = lift_conjugate_check(make_flat(2), _fabricated_sine_field(make_flat(2)))
+    assert rep.end_fiber_norms[0] == rep.end_fiber_norms[2] == 0.0
+    assert rep.end_fiber_norms[1] == pytest.approx(math.pi, rel=1e-12)
+    assert rep.end_fiber_norms[3] == pytest.approx(math.pi, rel=1e-12)
+    assert rep.interior_sup == pytest.approx((math.pi, math.pi), rel=1e-12)
+
+
+def test_lifted_witness_that_stops_short_raises():
+    s = make_flat(2, domain=lambda x: float(x[0]) < 2.0)
+    with pytest.raises(DomainError, match="witness run stopped"):
+        lift_conjugate_check(s, _fabricated_sine_field(s))
 
 
 def test_lifted_conjugate_rejects_nonvanishing_field():
@@ -584,28 +616,16 @@ def _fd_entry(name, monkeypatch):
         p = JetPoint(2, 2, [np.pi / 2, 0.0, 0.1, 0.2, 0.0, 1.0, 0.3, 0.0])
         _log_calls(monkeypatch, jacobi, "integrate", runs)
         return lambda e: flow_tangent_fd(s, p, 0.5, 1e-2, eps_fd=e), runs, 1
-    if name == "lift_conjugate_check":
-        sine = jacobi_from_initial(s, JetPoint(2, 2, [np.pi / 2, 0, 0, 0, 0, 1, 1, 0.0]),
-                                   (0.0, np.pi), 1e-2)
-        _log_calls(monkeypatch, jacobi, "_fan_run", runs)
-        return lambda e: lift_conjugate_check(s, sine, eps_var=e, end_tol=1e-5), runs, 0
-    if name == "no_conjugate_check":
-        def family(sig):
-            runs.append(sig)
-            return [1.2 + sig, 0.4], [0.3, 1.0], 1.0, 0.5
-
-        return lambda e: sub.no_conjugate_check(s, family, (0.0, 1.0), 1e-2, eps=e), runs, 1
-    _log_calls(monkeypatch, sub, "delta_coordinates", runs)
-    _log_calls(monkeypatch, sub, "configuration_point", runs)
-    return lambda e: sub.dimension_probe(s, [1.2, 0.4], [0.3, 1.0], 1.0, 0.5, step=e), runs, 0
+    sine = jacobi_from_initial(s, JetPoint(2, 2, [np.pi / 2, 0, 0, 0, 0, 1, 1, 0.0]),
+                               (0.0, np.pi), 1e-2)
+    _log_calls(monkeypatch, jacobi, "_fan_run", runs)
+    return lambda e: lift_conjugate_check(s, sine, eps_var=e, end_tol=1e-5), runs, 0
 
 
 @pytest.mark.parametrize("step", [0.0, math.nan, math.inf])
-@pytest.mark.parametrize("entry", ["variation_oracle", "flow_tangent_fd", "lift_conjugate_check",
-                                   "no_conjugate_check", "dimension_probe"])
+@pytest.mark.parametrize("entry", ["variation_oracle", "flow_tangent_fd", "lift_conjugate_check"])
 def test_fd_entry_points_reject_a_degenerate_step(entry, step, monkeypatch):
-    # unguarded, these steps gave NaN fields, a vacuous pass of property 3,
-    # a LinAlgError from the rank probe or a blowup of the perturbed runs
+    # unguarded, these steps gave NaN fields or a blowup of the perturbed runs
     call, runs, centres = _fd_entry(entry, monkeypatch)
     with pytest.raises(DomainError, match="finite-difference step"):
         call(step)

@@ -19,7 +19,7 @@ def test_flat_spray_is_zero():
     s = make_flat(3)
     p = JetPoint(1, 3, np.array([1.0, 2.0, 3.0, 0.5, -0.5, 2.0]))
     np.testing.assert_array_equal(s.coeffs(p), np.zeros(3))
-    np.testing.assert_array_equal(s.acceleration(p.coords[:3], p.coords[3:]),
+    np.testing.assert_array_equal(s.acceleration(p.coords[:3].tolist(), p.coords[3:].tolist()),
                                   np.zeros(3))
 
 
@@ -165,18 +165,19 @@ def test_project_spray_requires_lifted_level():
 
 def test_acceleration_jet_flat_and_sphere():
     s = make_flat(2)
-    a, jolt = acceleration_jet(s, np.zeros(2), np.array([1.0, 2.0]))
+    a, jolt = acceleration_jet(s, [0.0, 0.0], [1.0, 2.0])
     np.testing.assert_array_equal(a, np.zeros(2))
     np.testing.assert_array_equal(jolt, np.zeros(2))
 
     sph = make_sphere()
     x, v = np.array([1.2, 0.3]), np.array([0.4, 0.9])
-    a, jolt = acceleration_jet(sph, x, v)
+    a, jolt = acceleration_jet(sph, x.tolist(), v.tolist())
+    a = np.array(a)
     eps = 1e-6
 
     def acc(t):
         # third derivative oracle: drag the argument along its own motion
-        return np.asarray(sph.acceleration(x + t * v, v + t * a), dtype=float)
+        return np.asarray(sph.acceleration((x + t * v).tolist(), (v + t * a).tolist()), dtype=float)
 
     fd = (acc(eps) - acc(-eps)) / (2 * eps)
     np.testing.assert_allclose(jolt, fd, atol=1e-7)
@@ -184,7 +185,7 @@ def test_acceleration_jet_flat_and_sphere():
 
 def _reference_acceleration_jet(s, x, v):
     """The jolt as it was evaluated before: ``coeff_fn`` on Dual pairs."""
-    a = s.acceleration(x, v)
+    a = np.array(s.acceleration(x.tolist(), v.tolist()))
     dx = [Dual(float(x[i]), float(v[i])) for i in range(len(x))]
     dv = [Dual(float(v[i]), float(a[i])) for i in range(len(v))]
     out = s.coeff_fn(dx, dv)
@@ -228,10 +229,10 @@ def test_acceleration_jet_is_bitwise_the_dual_evaluation(name):
             x[0] = rng.uniform(0.3, np.pi - 0.3)
         elif name == "pushed":
             x[:2] = rng.uniform(1.3, 2.0), rng.uniform(-0.9, 0.9)
-        a, jolt = acceleration_jet(s, x, v)
+        a, jolt = acceleration_jet(s, x.tolist(), v.tolist())
         want_a, want_jolt = _reference_acceleration_jet(s, x, v)
-        assert a.tobytes() == want_a.tobytes()
-        assert jolt.tobytes() == want_jolt.tobytes()
+        assert np.array(a).tobytes() == want_a.tobytes()
+        assert np.array(jolt).tobytes() == want_jolt.tobytes()
     # the jolt came from the lift's kernel, a traced program unless tracing is refused
     lift = complete_lift(s)
     assert (lift.kernel.__code__.co_filename == f"<{lift.tag} L{lift.level}>") \
@@ -249,7 +250,7 @@ def test_acceleration_jet_traces_the_lift_once(monkeypatch):
     monkeypatch.setattr(spray_mod, "compile_trace", counted)
     s = make_finsler_example((0.7, -0.1))
     for k in range(3):
-        acceleration_jet(s, np.array([0.1, k]), np.array([0.9, -0.4]))
+        acceleration_jet(s, [0.1, float(k)], [0.9, -0.4])
     assert traces == ["<finsler-example L0>", "<lifted(finsler-example) L1>"]
     lifted = complete_lift(s)
     assert vars(lifted)["kernel"].__code__.co_filename == "<lifted(finsler-example) L1>"
@@ -287,7 +288,7 @@ def test_pushforward_spray_flat_through_shear():
         q = pushforward(t, p)
         x, v = q.coords[:2], q.coords[2:]
         # images of straight lines satisfy d2(x1)/dt2 = 2 (v2)^2, x2 linear
-        acc = np.asarray(pushed.acceleration(x, v), dtype=float)
+        acc = np.asarray(pushed.acceleration(x.tolist(), v.tolist()), dtype=float)
         np.testing.assert_allclose(acc, [2.0 * v[1] ** 2, 0.0], atol=1e-10)
 
 

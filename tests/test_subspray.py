@@ -9,6 +9,7 @@ from sprayjets import (EPS_SLASHED, DomainError, InconsistentTrajectoryError, Je
                        acceleration_jet, integrate, make_finsler_example, make_flat,
                        make_sphere, pushforward_spray, shear_chart)
 from sprayjets import subspray as sub
+from sprayjets.jets import Dual, jet_re
 from sprayjets.subspray import CONSTRAINTS, MembershipRejection, MembershipResult
 
 SPHERE_X0, SPHERE_V0 = [1.2, 0.4], [0.3, 1.0]
@@ -40,7 +41,7 @@ def _reference_membership(s, xi, tol):
     r = fail_if("base-velocity", float(np.linalg.norm(b[4] - b[1])))
     if r:
         return r
-    a = np.asarray(s.acceleration(b[0], b[1]), dtype=float)
+    a = np.asarray(s.acceleration(b[0].tolist(), b[1].tolist()), dtype=float)
     r = fail_if("base-acceleration", float(np.linalg.norm(b[5] - a)))
     if r:
         return r
@@ -56,7 +57,7 @@ def _reference_membership(s, xi, tol):
     r = fail_if("fiber-velocity", float(np.linalg.norm(b[6] - beta * b[1] - alpha * a)))
     if r:
         return r
-    _, jolt = acceleration_jet(s, b[0], b[1])
+    jolt = np.array(acceleration_jet(s, b[0].tolist(), b[1].tolist())[1])
     r = fail_if("fiber-acceleration", float(np.linalg.norm(b[7] - alpha * jolt - 2.0 * beta * a)))
     if r:
         return r
@@ -343,6 +344,23 @@ def test_uniqueness_of_recovered_scalars():
     assert u.curve_gap < 1e-8
 
 
+@pytest.mark.parametrize("name", ["sphere", "flat", "finsler"])
+def test_uniqueness_scalars_are_the_sequential_projection(name):
+    # membership's recovery is bitwise the projection uniqueness_check made itself
+    s, x0, v0 = CURVES[name]
+    u = sub.uniqueness_check(s, x0, v0, 1.3, -0.7, (0.0, 0.1), 1e-2)
+    b = sub._blocks(sub.delta_coordinates(s, x0, v0, 1.3, -0.7), s.fiber_dim)
+    a = np.asarray(s.acceleration(b[0].tolist(), b[1].tolist()))
+    vv = float(b[1] @ b[1])
+    alpha = float(b[2] @ b[1]) / vv
+    assert (u.alpha_sequential, u.beta_sequential) == (alpha, float((b[3] - alpha * a) @ b[1]) / vv)
+
+
+def test_uniqueness_rejects_a_slashed_start():
+    with pytest.raises(DomainError, match="slashed"):
+        sub.uniqueness_check(make_sphere(), SPHERE_X0, [0.0, 0.0], 1.0, 0.5, (0.0, 0.1), 1e-2)
+
+
 def test_reparametrized_field_matches():
     s = make_sphere()
     sg = sub.geodesic(s, SPHERE_X0, SPHERE_V0, 1.0, 0.5, (0.0, 1.0), 1e-3)
@@ -433,6 +451,87 @@ def test_parallel_jacobi_curve_values():
     assert pj.sup_norm > 0.0
     assert pj.zero_times == []
     assert pj.center.alpha == pytest.approx(_random_family(3)(0.0)[2])
+
+
+def _fd_family_field(s, family, eps, t_span=(0.0, 1.0), h=1e-2):
+    """Oracle: the central difference of the parallel curves at sigma = +eps and -eps."""
+    def positions(sig):
+        x0, v0, al, be = family(sig)
+        return sub.geodesic(s, x0, v0, al, be, t_span, h, tol=np.inf,
+                            node_checks=False).traj.positions
+    return (positions(eps) - positions(-eps)) / (2.0 * eps)
+
+
+def test_family_field_is_the_limit_of_central_differences():
+    # the exact field differentiates the discrete runs, so the difference
+    # quotient's gap to it falls like eps**2, with no integration error
+    s = make_sphere()
+    pj = sub.parallel_jacobi_curve(s, _random_family(1), (0.0, 1.0), 1e-2)
+    gaps = [float(np.max(np.abs(_fd_family_field(s, _random_family(1), e) - pj.values)))
+            for e in (4e-3, 2e-3, 1e-3)]
+    orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+    np.testing.assert_allclose(orders, 2.0, atol=0.1)
+
+
+def test_ndarray_family_gives_the_field_of_scalar_arithmetic():
+    # the benchmark's family is ndarray arithmetic on sigma; written entry by
+    # entry on scalars it is the same family, and gives the same field bitwise
+    s = make_sphere()
+    x0, v0, al, be = np.array([1.1, 0.3]), np.array([0.6, -0.8]), 0.9, 0.2
+    dx, dv, da, db = np.array([0.2, -0.1]), np.array([0.05, 0.3]), -0.4, 0.1
+
+    def arrays(sig):
+        return x0 + sig * dx, v0 + sig * dv, al + sig * da, be + sig * db
+
+    def scalars(sig):
+        return ([float(x0[i]) + sig * float(dx[i]) for i in range(2)],
+                [float(v0[i]) + sig * float(dv[i]) for i in range(2)], al + sig * da, be + sig * db)
+
+    want = sub.parallel_jacobi_curve(s, scalars, (0.0, 1.0), 1e-2)
+    got = sub.parallel_jacobi_curve(s, arrays, (0.0, 1.0), 1e-2)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.sup_norm > 0.1
+
+
+def test_parallel_jacobi_curve_is_one_run_whose_carrier_is_the_centre(monkeypatch):
+    s, fam = make_sphere(), _random_family(3)
+    runs = []
+    real = sub.integrate
+    monkeypatch.setattr(sub, "integrate", lambda *args: runs.append(args[0].level) or real(*args))
+    pj = sub.parallel_jacobi_curve(s, fam, (0.0, 1.0), 1e-2)
+    assert runs == [3]
+    monkeypatch.setattr(sub, "integrate", real)
+    x0, v0, al, be = fam(0.0)
+    centre = sub.geodesic(s, x0, v0, al, be, (0.0, 1.0), 1e-2, tol=np.inf, node_checks=False)
+    for name in ("positions", "velocities", "accelerations"):
+        assert getattr(pj.center.traj, name).tobytes() == getattr(centre.traj, name).tobytes()
+    assert pj.center.reintegration_deviation == centre.reintegration_deviation
+
+
+@pytest.mark.parametrize("name", list(CURVES))
+def test_dual_entries_keep_the_float_jet_as_primal(name):
+    s, x0, v0 = CURVES[name]
+    want = sub.delta_coordinates(s, x0, v0, 1.7, -0.4)
+    duals = [Dual(z, 1.0) for z in x0]
+    got = sub.delta_coordinates(s, duals, v0, Dual(1.7, 0.0), -0.4)
+    assert got.dtype == object
+    assert np.array([jet_re(z) for z in got]).tobytes() == want.tobytes()
+
+
+def _fd_jacobian(fn, p, step=1e-6):
+    return np.stack([(fn(p + step * u) - fn(p - step * u)) / (2.0 * step)
+                     for u in np.eye(p.size)], axis=1)
+
+
+@pytest.mark.parametrize("name", ["sphere", "flat", "finsler", "pushed"])
+def test_exact_jacobian_matches_central_differences(name):
+    s, x0, v0 = CURVES[name]
+    m = s.fiber_dim
+    d = sub.dimension_probe(s, x0, v0, 1.0, 0.5)
+    jet = lambda p: sub.delta_coordinates(s, p[:m], p[m:2 * m], p[2 * m], p[2 * m + 1])
+    oracle = _fd_jacobian(jet, np.array([*x0, *v0, 1.0, 0.5]))
+    assert float(np.max(np.abs(d.parametrization_jacobian - oracle))) <= 1e-8
+    assert d.ok
 
 
 def test_completeness_probe_flat():
