@@ -20,17 +20,19 @@ recording of the same operations in the same order, with repeated
 statements dropped and locals reused but no operation moved, so its
 results are bitwise equal by construction.  An evaluator whose control
 flow depends on a value (a branch on ``jet_re(...)``, a comparison)
-refuses tracing, and its kernel evaluates ``coeff_fn`` itself, as does a
-level-0 pushed spray (see :func:`pushforward_spray`).
+refuses tracing, and its kernel evaluates ``coeff_fn`` itself.  So does a
+level-0 pushed spray (see :func:`pushforward_spray`), whose coefficient
+on floats still runs only compiled programs: the two chart jets of
+:func:`~sprayjets.jetspace.jet_apply` and the base spray's kernel.
 
-Every float evaluation runs a kernel's statements, so outside those
-interpreted kernels no float path runs ``Dual`` arithmetic: the time
-derivative of the acceleration (:func:`acceleration_jet`) is read off the
-complete lift's kernel rather than evaluated on ``Dual`` pairs.  Most run
-through a call of the kernel; a fused RK4 step
-(:mod:`sprayjets.geodesic`) runs inlined copies of a traced kernel's
-statements instead, with the same results.  On ``Dual`` entries
-:func:`acceleration_jet` runs ``coeff_fn`` itself.
+Every float evaluation runs compiled statements, so outside the kernels
+of refused evaluators, and ``jet_apply`` of a refused chart, no float
+path runs ``Dual`` arithmetic: the time derivative of the acceleration
+(:func:`acceleration_jet`) is read off the complete lift's kernel rather
+than evaluated on ``Dual`` pairs.  Most run through a call of the
+kernel; a fused RK4 step (:mod:`sprayjets.geodesic`) runs inlined copies
+of a traced kernel's statements instead, with the same results.  On
+``Dual`` entries :func:`acceleration_jet` runs ``coeff_fn`` itself.
 """
 
 from __future__ import annotations
@@ -92,7 +94,8 @@ class Spray:
         Traced from ``coeff_fn`` at its first use and kept on the spray, so
         every caller of a memoized :attr:`lift` shares it.  Equals
         ``-2.0 * np.asarray(coeff_fn(x, v))`` bit for bit; when tracing is
-        refused or ``traced`` is off it is that expression.  A traced
+        refused or ``traced`` is off it evaluates ``coeff_fn`` and returns
+        ``float(-2.0 * g)`` of each coefficient.  A traced
         kernel keeps its recording as its ``tape``, from which :meth:`fan`
         and the fused RK4 step of :mod:`sprayjets.geodesic` generate
         their own code; so a fused run's steps never call it.
@@ -108,7 +111,7 @@ class Spray:
                 return program
 
         def interpreted(pos, vel):
-            return (-2.0 * np.asarray(coeff_fn(pos, vel), dtype=float)).tolist()
+            return [float(-2.0 * g) for g in coeff_fn(pos, vel)]
 
         return interpreted
 
@@ -384,11 +387,15 @@ def pushforward_spray(t, s: Spray) -> Spray:
     evaluator stays generic over Dual coordinates so pushed sprays can be
     lifted like any other.
 
-    The pushed spray itself is not traced: each float evaluation runs
+    The pushed spray itself is not traced: each float evaluation calls
     ``jet_apply`` twice, so the per-layer ``jet_apply`` counters of the
     benchmark count its evaluations per pass.  A traced kernel would call
     ``jet_apply`` only once per spray, and those counters would then
-    depend on the number of passes.  Its lifts are traced as usual.
+    depend on the number of passes.  Each call on floats runs the compiled
+    program of its chart map, and the base acceleration between them is
+    ``s.kernel``, so a float evaluation builds no ``Dual``; other entries
+    run ``coeff_fn`` of ``s`` on ``Dual`` jets.  Its lifts are traced as
+    usual, through that ``Dual`` path.
     """
 
     from .jetspace import jet_apply
@@ -401,13 +408,15 @@ def pushforward_spray(t, s: Spray) -> Spray:
         back = jet_apply(t.inverse, coords, phase_level, s.dim, s.dim)
         n = len(pos)
         bpos, bvel = back[:n], back[n:]
-        g = s.coeff_fn(bpos, bvel)
-        value = list(back) + list(bvel) + [-2.0 * gi for gi in g]
-        pushed = jet_apply(t.forward, value, value_level, s.dim, s.dim)
+        if all(type(z) is float for z in coords):
+            acc = s.kernel(bpos, bvel)
+        else:
+            acc = [-2.0 * g for g in s.coeff_fn(bpos, bvel)]
+        pushed = jet_apply(t.forward, back + bvel + acc, value_level, s.dim, s.dim)
         return [-0.5 * z for z in pushed[3 * n :]]
 
     def domain(x):
-        return s.in_domain(np.asarray(t.inverse(list(np.asarray(x, dtype=float))), dtype=float))
+        return s.in_domain(t.inverse(x.tolist()))
 
     return Spray(
         level=s.level,

@@ -1,32 +1,63 @@
-"""The names the benchmark's span tracer wraps still exist in the package.
+"""The benchmark's span tracer still fits the package, and its counters still count.
 
 ``benchmarks/spans.py`` rebinds each ``(module, attribute)`` of its
 ``FUNCTIONS`` table and wraps two methods on their classes; a name that is
 gone makes ``Tracer.install`` raise ``AttributeError`` and ends the
-per-layer run.  The table is read from the file, not copied.
+per-layer run.  The table is read from the file, not copied, and the
+benchmark modules are loaded from their files, never edited.
 """
 
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 import sprayjets
 
-SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-def _functions():
-    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans.FUNCTIONS
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
-@pytest.mark.parametrize("module, attr", [*_functions(), ("spray.Spray", "acceleration"),
+@pytest.mark.parametrize("module, attr", [*_load("spans").FUNCTIONS, ("spray.Spray", "acceleration"),
                                           ("geodesic.Trajectory", "state_at")])
 def test_traced_name_resolves(module, attr):
     owner = sprayjets
     for part in module.split("."):
         owner = getattr(owner, part)
     assert callable(getattr(owner, attr))
+
+
+def test_lifted_jacobi_pass_keeps_its_counts():
+    # one traced pass at seed 1: the pushed spray stays an untraced level-0
+    # spray whose every evaluation calls jet_apply at levels 1 and 2, so the
+    # per-layer counters keep their meaning however jet_apply runs
+    spans, workloads = _load("spans"), _load("workloads")
+    for sub in ("geodesic", "jacobi", "jetspace", "samples", "spray", "subspray"):
+        importlib.import_module(f"sprayjets.{sub}")
+    tracer = spans.Tracer()
+    tracer.install(sprayjets)
+    try:
+        wl = workloads.build(sprayjets, "lifted-jacobi", 1)
+        for task in wl.tasks:
+            assert workloads.run_task(sprayjets, wl, task).failures == []
+    finally:
+        tracer.uninstall()
+    counts = tracer.layer_metrics(1, 1.0, 1.0, 0.0)
+    assert {name: counts[name] for name in ("spray.acceleration.L0.calls",
+                                            "jetspace.jet_apply.L1.calls",
+                                            "jetspace.jet_apply.L2.calls",
+                                            "jetspace.pushforward.calls")} == {
+        "spray.acceleration.L0.calls": 811,
+        "jetspace.jet_apply.L1.calls": 1003,
+        "jetspace.jet_apply.L2.calls": 801,
+        "jetspace.pushforward.calls": 202,
+    }

@@ -1,14 +1,19 @@
 """Block indexing, involutions, projections, and chart transport."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sprayjets import (ChartTransition, DomainError, InvalidLevelError, JetPoint, clift,
                        clift_fn, ddproject, dkappa, dproject, identity_chart,
                        inverse_transition, is_slashed, jet_apply, kappa,
                        liouville, project, pushforward, shear_chart, vlift,
                        vlift_fn)
-from sprayjets.jets import jexp, jlog
+from sprayjets import jetspace as jetspace_mod
+from sprayjets.jets import jet_re, jexp, jlog, nest, unnest
 from sprayjets.samples import random_jet, random_slashed_jet
 
 
@@ -295,9 +300,147 @@ def test_jet_apply_rejects_a_negative_level():
         jet_apply(shear_chart().forward, [1.0, 2.0], -1, 2, 2)
 
 
-@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
 @pytest.mark.parametrize("values", [lambda x: [*x, x[0]], lambda x: x[:1]])
 def test_jet_apply_rejects_a_wrong_value_count(values, level):
-    # extra values used to be dropped, missing ones raised IndexError
-    with pytest.raises(InvalidLevelError):
-        jet_apply(values, [1.0] * (2 << level), level, 2, 2)
+    # extra values used to be dropped, missing ones raised IndexError; on
+    # floats the refused trace is kept and the Dual path raises at every call
+    for _ in range(2):
+        with pytest.raises(InvalidLevelError):
+            jet_apply(values, [1.0] * (2 << level), level, 2, 2)
+    if level:
+        assert jetspace_mod._programs[values][(level, 2, 2)] is None
+
+
+# --- compiled jet_apply -----------------------------------------------------
+#
+# On float coordinates jet_apply runs a program traced from its Dual
+# evaluation; the reference below is that evaluation, written out.
+
+
+def _dual_jet_apply(fn, coords, level):
+    return unnest(fn(nest(coords, level)), level)
+
+
+def _outcome(fn, *args):
+    """The result bytes, or the type of the exception raised."""
+    try:
+        return np.asarray(fn(*args), dtype=float).tobytes()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+COMPILED_MAPS = {
+    "shear": shear_chart().forward,
+    "shear-inverse": shear_chart().inverse,
+    "identity": identity_chart(2).forward,
+    "inverse-of-shear": inverse_transition(shear_chart()).forward,
+    "exp": exp_chart().forward,
+    # the log of a non-positive first coordinate raises ValueError on both paths
+    "exp-inverse": exp_chart().inverse,
+}
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("name", list(COMPILED_MAPS))
+def test_compiled_jet_apply_is_bitwise_the_dual_path(name, level):
+    fn = COMPILED_MAPS[name]
+
+    @settings(max_examples=30)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=2 << level, max_size=2 << level))
+    def check(coords):
+        want = _outcome(_dual_jet_apply, fn, coords, level)
+        assert _outcome(jet_apply, fn, coords, level, 2, 2) == want
+
+    check()
+    assert jetspace_mod._programs[fn][(level, 2, 2)] is not None
+
+
+def _fold(x):
+    """(|x1|, x2): a chart that branches on the primal value of its first coordinate."""
+    primal = x[0]
+    while primal is not jet_re(primal):
+        primal = jet_re(primal)
+    return [x[0] if primal >= 0.0 else -x[0], x[1]]
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_chart_that_branches_keeps_the_dual_path(level):
+    rng = np.random.default_rng(4)
+    for sign in (1.0, -1.0, 1.0, -1.0):
+        coords = rng.uniform(0.5, 2.0, 2 << level).tolist()
+        coords[0] *= sign
+        # a branch baked in at tracing time would give the wrong sign on one side
+        out = jet_apply(_fold, coords, level, 2, 2)
+        assert np.array(out).tobytes() == np.array(_dual_jet_apply(_fold, coords, level)).tobytes()
+        assert out[0] == abs(coords[0])
+    assert jetspace_mod._programs[_fold][(level, 2, 2)] is None
+
+
+@dataclass
+class _Scaled:
+    """A chart map with value equality, hence unhashable and not weakly keyed."""
+
+    c: float
+
+    def __call__(self, x):
+        return [self.c * x[0] * x[1], x[1]]
+
+
+def test_unhashable_map_keeps_the_dual_path():
+    coords = [0.3, -1.2, 0.7, 0.4]
+    want = np.array(_dual_jet_apply(_Scaled(2.0), coords, 1))
+    assert np.array(jet_apply(_Scaled(2.0), coords, 1, 2, 2)).tobytes() == want.tobytes()
+
+
+class _Cubic:
+    def cube(self, x):
+        return [x[0] * x[0] * x[0], x[1] - x[0]]
+
+
+def test_jet_apply_traces_once_per_map_and_level(monkeypatch):
+    traces = []
+    orig = jetspace_mod.compile_trace
+
+    def counted(fn, n_pos, n_vel, filename):
+        traces.append(filename)
+        return orig(fn, n_pos, n_vel, filename)
+
+    monkeypatch.setattr(jetspace_mod, "compile_trace", counted)
+
+    def cube(x):
+        return [x[0] * x[0] * x[0], x[1] - x[0]]
+
+    obj = _Cubic()
+    for _ in range(3):
+        # obj.cube is a new bound method at each access
+        for fn in (cube, obj.cube):
+            for level in (0, 1, 2):
+                jet_apply(fn, [0.3] * (2 << level), level, 2, 2)
+            # Dual and numpy coordinates run the Dual path and trace nothing
+            jet_apply(fn, nest([0.3] * 8, 1), 1, 2, 2)
+            jet_apply(fn, np.full(4, 0.3), 1, 2, 2)
+    local = "test_jet_apply_traces_once_per_map_and_level.<locals>.cube"
+    assert traces == [f"<jet_apply {local} L1>", f"<jet_apply {local} L2>",
+                      "<jet_apply _Cubic.cube L1>", "<jet_apply _Cubic.cube L2>"]
+
+
+@pytest.mark.parametrize("chart", [shear_chart, lambda: identity_chart(2), exp_chart])
+@pytest.mark.parametrize("level", [1, 2])
+def test_pushforward_is_bitwise_the_dual_path_on_numpy_entries(chart, level):
+    # pushforward hands jet_apply Python floats; the reference runs Duals of np.float64
+    t = chart()
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        p = random_jet(rng, level, 2)
+        want = np.asarray(_dual_jet_apply(t.forward, list(p.coords), level), dtype=float)
+        assert pushforward(t, p).coords.tobytes() == want.tobytes()
+
+
+def test_pushforward_through_a_pole_raises_zero_division():
+    # float arithmetic raises where np.float64 arithmetic gave inf
+    t = ChartTransition(dim=2, forward=lambda x: [1.0 / x[0], x[1]],
+                        inverse=lambda y: [1.0 / y[0], y[1]],
+                        jacobian=None, hessian=None, name="reciprocal")
+    with pytest.raises(ZeroDivisionError):
+        pushforward(t, JetPoint(1, 2, np.array([0.0, 1.0, 1.0, 0.0])))

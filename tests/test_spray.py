@@ -11,7 +11,7 @@ from sprayjets import (DomainError, InvalidLevelError, JetPoint, Spray,
                        make_riemannian, make_round_sphere, make_sphere, project_spray, pushforward, pushforward_spray,
                        shear_chart, spray_value, sphere_christoffels)
 from sprayjets import spray as spray_mod
-from sprayjets.jets import Dual, jcos, jet_du, jet_re, jsin
+from sprayjets.jets import Dual, jcos, jet_du, jet_re, jsin, nest, unnest
 from sprayjets.samples import random_slashed_jet, sphere_phase
 
 
@@ -376,3 +376,69 @@ def test_round_two_sphere_is_the_sphere():
     assert not round2.in_domain([0.0, 1.0]) and round2.in_domain([1.0, 7.0])
     with pytest.raises(InvalidLevelError):
         make_round_sphere(0)
+
+
+# --- pushed sprays on compiled jet_apply ----------------------------------
+
+
+def _dual_pushed(t, s: Spray) -> Spray:
+    """``pushforward_spray(t, s)`` on the Dual path alone, the reference.
+
+    Both chart jets run nested Duals, the base coefficients come from
+    ``coeff_fn``, and the domain converts through ndarrays.
+    """
+
+    def jets(fn, coords, level):
+        return unnest(fn(nest(coords, level)), level)
+
+    def coeff(pos, vel):
+        coords = list(pos) + list(vel)
+        back = jets(t.inverse, coords, s.level + 1)
+        n = len(pos)
+        bpos, bvel = back[:n], back[n:]
+        g = s.coeff_fn(bpos, bvel)
+        value = list(back) + list(bvel) + [-2.0 * gi for gi in g]
+        pushed = jets(t.forward, value, s.level + 2)
+        return [-0.5 * z for z in pushed[3 * n:]]
+
+    def domain(x):
+        return s.in_domain(np.asarray(t.inverse(list(np.asarray(x, dtype=float))), dtype=float))
+
+    return Spray(level=s.level, dim=s.dim, coeff_fn=coeff, tag="dual-pushed",
+                 domain=None if s.domain is None else domain, traced=False)
+
+
+PUSHED_BASES = {
+    "sphere": make_sphere(),
+    "finsler": make_finsler_example((0.3, -0.2)),
+    "lifted-sphere": complete_lift(make_sphere()),
+}
+
+
+@pytest.mark.parametrize("name", list(PUSHED_BASES))
+def test_pushed_accelerations_are_bitwise_the_dual_coefficient(name):
+    s, t = PUSHED_BASES[name], shear_chart()
+    pushed, dual = pushforward_spray(t, s), _dual_pushed(t, s)
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        x = rng.uniform(-2.0, 2.0, s.fiber_dim)
+        v = rng.uniform(-2.0, 2.0, s.fiber_dim)
+        x[:2] = rng.uniform(1.3, 2.0), rng.uniform(-0.9, 0.9)
+        want = -2.0 * np.asarray(dual.coeff_fn(x.tolist(), v.tolist()), dtype=float)
+        assert np.array(pushed.acceleration(x.tolist(), v.tolist())).tobytes() == want.tobytes()
+        # numpy entries take the Dual path and the base coeff_fn
+        assert np.asarray(pushed.coeff_fn(x, v), dtype=float).tobytes() \
+            == np.asarray(dual.coeff_fn(x, v), dtype=float).tobytes()
+        assert pushed.in_domain(x) == dual.in_domain(x)
+
+
+@pytest.mark.parametrize("start", [[1.2, 0.3, 0.4, 1.1],   # an arc that stays in the chart
+                                   [1.0, 0.0, 1.0, 0.0]])  # a meridian that reaches the pole
+def test_pushed_geodesic_is_bitwise_the_dual_run(start):
+    s, t = make_sphere(), shear_chart()
+    init = pushforward(t, JetPoint(1, 2, np.array(start)))
+    runs = [integrate(sp, init, (0.0, 2.5), 1e-2)
+            for sp in (pushforward_spray(t, s), _dual_pushed(t, s))]
+    assert runs[0].exit_reason == runs[1].exit_reason
+    for field in ("times", "positions", "velocities", "accelerations"):
+        assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
