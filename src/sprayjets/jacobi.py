@@ -300,7 +300,7 @@ class ConjugateScan:
     """Conjugate times along a geodesic and the determinant samples behind them.
 
     ``bisections`` counts the determinant evaluations of the bisection; it
-    depends only on the inputs and is left out of :meth:`report`.
+    depends only on the inputs and is left out of the runner's report.
     """
 
     spray_tag: str
@@ -312,15 +312,6 @@ class ConjugateScan:
     sample_dets: np.ndarray
     exit_reason: str | None
     bisections: int
-
-    def report(self, csv_path: str | None = None) -> dict:
-        return {
-            "spray": self.spray_tag,
-            "init": [float(z) for z in self.init],
-            "t_max": self.t_max,
-            "conjugate_times": [round(t, 12) for t in self.times],
-            "det_samples_csv_path": csv_path,
-        }
 
 
 def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float,
@@ -523,11 +514,8 @@ def new_from_old_suite(base: Spray, j: Trajectory, shift: float | None = None,
     t0, t1 = float(times[0]), float(times[-1])
     out: dict[str, dict] = {}
 
-    def record(name, dev):
-        out[name] = {"status": "ok", "deviation": float(dev)}
-
     def reintegrated(name, target, pos, vel, at=times):
-        record(name, _reintegrate(target, pos, vel, at, h)[1])
+        out[name] = {"status": "ok", "deviation": _reintegrate(target, pos, vel, at, h)[1]}
 
     def skip(name, reason):
         out[name] = {"status": "skipped", "reason": reason}
@@ -541,14 +529,11 @@ def new_from_old_suite(base: Spray, j: Trajectory, shift: float | None = None,
     if shift is None:
         shift = t0 + 0.4 * (t1 - t0)
     w_end = (t1 - shift) / stretch
-    sub_times = np.arange(0.0, w_end + 0.5 * h, h)
-    sub_times = sub_times[sub_times * stretch + shift <= t1 + 1e-12]
-    cand_pos = j.states_at(stretch * sub_times + shift)[0]
-    x0, v0 = j.state_at(shift)
-    init = JetPoint(r + 1, base.dim, np.concatenate([x0, stretch * v0]))
-    tr = integrate(own, init, (0.0, float(sub_times[-1])), h)
-    n = min(len(tr.times), len(cand_pos))
-    record("affine_time", np.max(np.abs(tr.positions[:n] - cand_pos[:n])))
+    sign = -1.0 if w_end < 0.0 else 1.0  # a backward run of j gives a backward one here
+    sub_times = sign * np.arange(0.0, abs(w_end) + 0.5 * h, h)
+    sub_times = sub_times[sign * (sub_times * stretch + shift) <= sign * t1 + 1e-12]
+    xs, vs = j.states_at(stretch * sub_times + shift)
+    reintegrated("affine_time", own, xs, stretch * vs, sub_times)
 
     # (ii) fiber combination with a second geodesic over the same projection
     rng = np.random.default_rng(seed)

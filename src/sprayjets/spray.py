@@ -37,7 +37,7 @@ of a traced kernel's statements instead, with the same results.  On
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -292,18 +292,11 @@ def make_riemannian(chris: ChristoffelField, tag: str = "riemannian",
 
 
 def sphere_christoffels() -> ChristoffelField:
-    """Round unit sphere in colatitude/longitude coordinates."""
+    """Round unit sphere in colatitude/longitude coordinates, the field of :func:`make_sphere`.
 
-    def fn(pos):
-        th = pos[0]
-        s, c = jsin(th), jcos(th)
-        cot = c / s
-        return [
-            [[0.0, 0.0], [0.0, -s * c]],
-            [[0.0, cot], [cot, 0.0]],
-        ]
-
-    return ChristoffelField(dim=2, fn=fn, name="sphere")
+    It is :func:`round_sphere_christoffels` at n = 2, named "sphere".
+    """
+    return replace(round_sphere_christoffels(2), name="sphere")
 
 
 def make_sphere(pole_margin: float = 1e-8) -> Spray:
@@ -321,7 +314,8 @@ def round_sphere_christoffels(n: int) -> ChristoffelField:
     The metric is diagonal, g_kk = prod_{j<k} sin(theta_j)**2, so the only
     nonzero symbols are Gamma^k_jk = Gamma^k_kj = cot(theta_j) for j < k
     and Gamma^j_kk = -sin(theta_j) cos(theta_j) prod_{j<l<k} sin(theta_l)**2
-    for j < k.  At n = 2 these are :func:`sphere_christoffels`.
+    for j < k.  At n = 2 they are the sphere's symbols, which
+    :func:`sphere_christoffels` returns under the name "sphere".
     """
 
     if n < 1:

@@ -12,7 +12,8 @@ completeness, dimensions).
 The membership constraints have one definition, :func:`_check_jets`, which
 evaluates them on a whole stack of jets at once: :func:`membership` runs it
 on one jet, and :func:`geodesic` on the jets at all nodes of a propagated
-curve.
+curve.  It has one stop rule: the constraints run in order on the whole
+stack, and the check ends after the first one that any row fails.
 
 The initial jet has one builder, :func:`delta_coordinates`, on lists, so
 ``Dual`` entries pass through it and every derivative here is exact: the
@@ -96,13 +97,15 @@ class MembershipRejection:
 class _JetChecks:
     """The constraints of a stack of jets, one row per jet.
 
-    ``values`` holds them in :data:`CONSTRAINTS` order, NaN past a row's
-    first failure, whose index is in ``failed`` (-1 for an accepted row).
-    ``alpha`` and ``beta`` are NaN where they were not recovered.
+    ``values`` holds them in :data:`CONSTRAINTS` order, NaN past column
+    ``failed``, the constraint at which the check stopped (-1 if every row
+    passed them all); ``rejected`` marks the rows that failed it.
+    ``alpha`` and ``beta`` are NaN unless the check reached their recovery.
     """
 
     values: np.ndarray
-    failed: np.ndarray
+    failed: int
+    rejected: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
 
@@ -111,20 +114,33 @@ class _JetChecks:
         """The largest constraint past "slashed" per row, NaN if one is NaN."""
         return self.values[:, 1:].max(axis=1)
 
+    def stops(self, k: int, value: np.ndarray, bad: np.ndarray) -> bool:
+        """Record constraint ``k``; whether some row fails it, which ends the check."""
+        self.values[:, k] = value
+        if not bad.any():
+            return False
+        self.failed, self.rejected = k, bad
+        return True
+
+    def misfits(self, k: int, d: np.ndarray, tol: float) -> bool:
+        """:meth:`stops` at constraint ``k``, the norm of ``d`` past ``tol``."""
+        value = _norms(d)
+        return self.stops(k, value, value > tol)
+
 
 def _norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(d, d))
 
 
 def _check_jets(s: Spray, jets: np.ndarray, tol: float) -> _JetChecks:
-    """Evaluate :data:`CONSTRAINTS` in order on every row of an ``(N, 8m)`` stack.
+    """Evaluate :data:`CONSTRAINTS` in order on a whole ``(N, 8m)`` stack.
 
-    A row stops at its first failure, and only the rows still accepted
-    reach the next constraint, so a row meets the coefficients only past
-    the cheaper constraints before them: its base acceleration (one
-    ``s.acceleration`` call) after "base-velocity", its jolt (the tangent
-    half of one call of the complete lift's acceleration, see
-    :func:`~sprayjets.spray.acceleration_jet`) after "fiber-velocity".
+    The check stops after the first constraint that any row fails, so the
+    stack meets the coefficients only past the cheaper constraints before
+    them: its base accelerations (one ``s.acceleration`` call a row) after
+    "base-velocity", its jolts (the tangent half of one call of the complete
+    lift's acceleration, see :func:`~sprayjets.spray.acceleration_jet`)
+    after "fiber-velocity".
 
     Dots and norms are ``np.vecdot`` over ``(rows, m)`` blocks, which takes
     on each row the same dot as ``b @ b`` and ``np.linalg.norm`` (whose
@@ -138,53 +154,29 @@ def _check_jets(s: Spray, jets: np.ndarray, tol: float) -> _JetChecks:
     if jets.shape[1] != 8 * m:
         raise DomainError(f"expected {8 * m} coordinates, got {jets.shape[1]}")
     n = len(jets)
-    out = _JetChecks(values=np.full((n, len(CONSTRAINTS)), np.nan), failed=np.full(n, -1),
-                     alpha=np.full(n, np.nan), beta=np.full(n, np.nan))
-    acc = np.full((n, m), np.nan)
-    live = np.arange(n)
-
-    def rows():
-        """Blocks, acceleration and scalars of the rows still accepted."""
-        return _blocks(jets[live], m), acc[live], out.alpha[live, None], out.beta[live, None]
-
-    def passed(k: int, value: np.ndarray, bad: np.ndarray) -> bool:
-        nonlocal live
-        out.values[live, k] = value
-        out.failed[live[bad]] = k
-        live = live[~bad]
-        return live.size > 0
-
-    def fits(k: int, d: np.ndarray) -> bool:
-        value = _norms(d)
-        return passed(k, value, value > tol)
-
-    b, *_ = rows()
+    out = _JetChecks(values=np.full((n, len(CONSTRAINTS)), np.nan), failed=-1,
+                     rejected=np.zeros(n, dtype=bool), alpha=np.full(n, np.nan),
+                     beta=np.full(n, np.nan))
+    b = _blocks(jets, m)
     speed = _norms(b[1])
-    if not passed(0, speed, speed <= EPS_SLASHED):
+    if out.stops(0, speed, speed <= EPS_SLASHED) or out.misfits(1, b[4] - b[1], tol):
         return out
-    b, *_ = rows()
-    if not fits(1, b[4] - b[1]):
+    x, v = b[0].tolist(), b[1].tolist()
+    a = np.array([s.acceleration(xr, vr) for xr, vr in zip(x, v)])
+    if out.misfits(2, b[5] - a, tol):
         return out
-    b, *_ = rows()
-    acc[live] = [s.acceleration(x, v) for x, v in zip(b[0].tolist(), b[1].tolist())]
-    if not fits(2, b[5] - acc[live]):
+    out.alpha = np.vecdot(b[2], b[1]) / np.vecdot(b[1], b[1])
+    al = out.alpha[:, None]
+    if out.misfits(3, b[2] - al * b[1], tol):
         return out
-    b, *_ = rows()
-    out.alpha[live] = np.vecdot(b[2], b[1]) / np.vecdot(b[1], b[1])
-    if not fits(3, b[2] - out.alpha[live, None] * b[1]):
+    out.beta = np.vecdot(b[3] - al * a, b[1]) / np.vecdot(b[1], b[1])
+    be = out.beta[:, None]
+    if (out.misfits(4, b[3] - al * a - be * b[1], tol)
+            or out.misfits(5, b[6] - be * b[1] - al * a, tol)):
         return out
-    b, a, al, _ = rows()
-    out.beta[live] = np.vecdot(b[3] - al * a, b[1]) / np.vecdot(b[1], b[1])
-    if not fits(4, b[3] - al * a - out.beta[live, None] * b[1]):
-        return out
-    b, a, al, be = rows()
-    if not fits(5, b[6] - be * b[1] - al * a):
-        return out
-    b, a, al, be = rows()
     lift = complete_lift(s).acceleration
-    jolt = np.array([lift(x + v, v + ai)[m:]
-                     for x, v, ai in zip(b[0].tolist(), b[1].tolist(), a.tolist())])
-    fits(6, b[7] - al * jolt - 2.0 * be * a)
+    jolt = np.array([lift(xr + vr, vr + ar)[m:] for xr, vr, ar in zip(x, v, a.tolist())])
+    out.misfits(6, b[7] - al * jolt - 2.0 * be * a, tol)
     return out
 
 
@@ -200,7 +192,7 @@ def membership(s: Spray, xi, tol: float = 1e-8):
 
     xi = np.asarray(xi, dtype=float)
     checks = _check_jets(s, xi.reshape(1, -1), tol)
-    k = int(checks.failed[0])
+    k = checks.failed
     names = CONSTRAINTS if k < 0 else CONSTRAINTS[: k + 1]
     values = dict(zip(names, checks.values[0].tolist()))
     if k >= 0:
@@ -264,10 +256,9 @@ def _checked(s: Spray, tr: Trajectory, alpha: float, beta: float, tol: float,
     rec_a = rec_b = None
     if node_checks:
         checks = _check_jets(s, np.hstack([tr.positions, tr.velocities]), np.inf)
-        rejected = np.flatnonzero(checks.failed >= 0)
-        if rejected.size:
-            k = rejected[0]
-            c = checks.failed[k]
+        c = checks.failed
+        if c >= 0:
+            k = np.flatnonzero(checks.rejected)[0]
             raise InconsistentTrajectoryError(
                 f"node jet at t={tr.times[k]:.6g} fails the {CONSTRAINTS[c]} "
                 f"constraint ({checks.values[k, c]:.3e})"
@@ -298,13 +289,15 @@ class UniquenessReport:
 
 def uniqueness_check(s: Spray, x0, v0, alpha: float, beta: float,
                      t_span: tuple[float, float], h: float) -> UniquenessReport:
-    """Recover the scalars two independent ways and compare the curves.
+    """Recover the scalars two independent ways and rerun the curve from them.
 
     The sequential recovery is :func:`membership`'s, which projects the
     alpha block first; the joint variant solves one least-squares system
-    over both dependent blocks.  The curve from the recovered data must
-    agree with the propagated one.  A start whose base velocity is not
-    slashed raises :class:`DomainError`.
+    over both dependent blocks.  ``curve_gap`` is the
+    ``reintegration_deviation`` of a second :func:`geodesic` run from the
+    sequentially recovered scalars, its gap to its own closed form; no gap
+    to another propagated curve is computed.  A start whose base velocity
+    is not slashed raises :class:`DomainError`.
     """
 
     m = s.fiber_dim

@@ -305,6 +305,15 @@ def test_stage_on_pole_is_domain_exit(monkeypatch):
     assert _callers(calls) == FAILED_SECOND_STEP
 
 
+def test_coefficient_failure_at_the_initial_node_raises_blowup():
+    # no domain, so 1/x at x = 0 fails before the first step, not as an exit
+    singular = Spray(level=0, dim=1, coeff_fn=lambda x, v: [v[0] * v[0] / x[0]],
+                     tag="singular-start")
+    with pytest.raises(IntegrationBlowupError, match="coefficient evaluation failed") as err:
+        integrate(singular, JetPoint(1, 1, [0.0, 1.0]), (0.0, 1.0), 0.1)
+    assert isinstance(err.value.__cause__, ZeroDivisionError)
+
+
 def test_stage_failure_inside_domain_raises_blowup(monkeypatch):
     # no domain, so a division by zero at a stage is a blowup, not an exit
     singular = Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.0 * v[0] / x[0]], tag="singular")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sprayjets import (DomainError, IntegrationBlowupError, InvalidLevelError, JetPoint, Spray,
                        complete_lift, flow, flow_tangent_fd, integrate, kappa,
                        make_finsler_example, make_flat, make_round_sphere, make_sphere)
-from sprayjets import jacobi
+from sprayjets import jacobi, subspray
 from sprayjets.geodesic import Trajectory
 from sprayjets.jacobi import (JacobiField, _fan_run, conjugate_search, decompose_double_lift,
                               jacobi_from_initial, lift_conjugate_check,
@@ -142,19 +142,6 @@ def test_no_conjugate_points_on_flat():
     assert scan.exit_reason is None
 
 
-def test_scan_report_shape():
-    s = make_sphere()
-    eq = JetPoint(1, 2, np.array([np.pi / 2, 0.0, 0.0, 1.0]))
-    scan = conjugate_search(s, eq, 3.5, 1e-2)
-    rep = scan.report()
-    assert rep["spray"] == "sphere"
-    assert rep["det_samples_csv_path"] is None
-    assert rep["t_max"] == 3.5
-    assert len(rep["conjugate_times"]) == 1
-    rep2 = scan.report("dets.csv")
-    assert rep2["det_samples_csv_path"] == "dets.csv"
-
-
 GENERIC16 = np.array([1.1, 0.6, 0.2, -0.3, 0.4, 0.1, -0.2, 0.5,
                       0.3, 0.9, 0.7, -0.4, 0.2, 0.6, -0.1, 0.3])
 
@@ -284,6 +271,28 @@ def test_derived_geodesics_second_lift_skips_upward():
                  "projection", "derivative_projection"):
         assert out[name]["status"] == "ok"
         assert out[name]["deviation"] < 1e-10
+
+
+@pytest.mark.parametrize("lifts", [1, 2])
+def test_derived_geodesics_of_a_backward_run(lifts):
+    # a run backward in time gives a backward affine time change, not an
+    # empty grid of sub-times
+    s = make_sphere()
+    if lifts == 1:
+        init = JetPoint(2, 2, np.array([1.2, 0.4, 0.1, -0.2, 0.3, 1.0, 0.2, 0.1]))
+        j = integrate(complete_lift(s), init, (0.0, -1.0), 1e-2)
+    else:
+        j = subspray.geodesic(s, [1.2, 0.4], [0.3, 1.0], 1.0, 0.5, (0.0, -1.0), 1e-2).traj
+    assert j.complete and j.t_end == -1.0
+    out = new_from_old_suite(s, j)
+    done = {k: v for k, v in out.items() if v["status"] == "ok"}
+    applicable = {1: {"affine_time", "fiber_combination", "involution", "projection",
+                      "tangent_curve", "scaled_tangent_curve", "liouville_composite"},
+                  2: {"affine_time", "fiber_combination", "involution", "projection",
+                      "derivative_projection"}}
+    assert set(done) == applicable[lifts]
+    for k, v in done.items():
+        assert v["deviation"] < 1e-8, (k, v)
 
 
 def test_suite_rejects_base_trajectory():
@@ -547,7 +556,6 @@ def test_scan_bisections_repeat():
     first = conjugate_search(s, eq, 6.5, 1e-2)
     assert first.bisections > 0
     assert conjugate_search(s, eq, 6.5, 1e-2).bisections == first.bisections
-    assert "bisections" not in first.report()
     assert conjugate_search(make_flat(2), JetPoint(1, 2, [0.0, 0.0, 1.0, 0.3]),
                             3.5, 1e-2).bisections == 0
 

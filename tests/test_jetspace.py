@@ -1,6 +1,6 @@
 """Block indexing, involutions, projections, and chart transport."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -176,6 +176,13 @@ def test_lift_rejects_level_zero_coordinates(lift):
         lift(lambda c: c[0], 2)([1.0, 2.0])
 
 
+@pytest.mark.parametrize("lift", [vlift, clift])
+def test_lift_rejects_a_coordinate_count_off_the_levels(lift):
+    # three blocks of two coordinates are no level of a 2-dimensional chart
+    with pytest.raises(InvalidLevelError, match="power-of-two"):
+        lift(lambda c: c[0], 2)([1.0] * 6)
+
+
 def test_clift_matches_directional_derivative():
     import math
 
@@ -292,6 +299,17 @@ def test_jet_apply_rejects_a_wrong_coordinate_count(coords, level):
     # extra coordinates used to be dropped, missing ones raised IndexError
     with pytest.raises(InvalidLevelError):
         jet_apply(shear_chart().forward, coords, level, 2, 2)
+
+
+def test_pushforward_rejects_a_dimension_mismatch_and_points_off_its_domain():
+    with pytest.raises(InvalidLevelError, match="dimension"):
+        pushforward(shear_chart(), JetPoint(1, 3, np.ones(6)))
+    upper = replace(shear_chart(), domain=lambda x: x[1] > 0.0)
+    inside = JetPoint(1, 2, np.array([0.0, 1.0, 1.0, 0.0]))
+    want = pushforward(shear_chart(), inside).coords
+    assert pushforward(upper, inside).coords.tolist() == want.tolist()
+    with pytest.raises(DomainError, match="transition domain"):
+        pushforward(upper, JetPoint(1, 2, np.array([0.0, -1.0, 1.0, 0.0])))
 
 
 def test_jet_apply_rejects_a_negative_level():

@@ -1,6 +1,7 @@
 """Command-line runner: config handling, report schema, exit codes."""
 
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -163,3 +164,44 @@ def test_scenario_catalog_is_stable():
     assert SCENARIOS == ("conjugate-scan", "lift-verify", "flow-check",
                          "subspray-demo", "invariant-suite")
     assert MANIFOLDS == ("sphere", "flat", "finsler")
+
+
+# sha256 of every default report on stdout, and of the determinant sidecar of
+# each conjugate scan written with --out (its report embeds the sidecar's path)
+REPORT_DIGESTS = {
+    ("conjugate-scan", "sphere"): "ce980b72803a35d0596258fcdb63ede873ba47425e1782bb8187ad8d403ab9e9",
+    ("conjugate-scan", "flat"): "9d3ded6d68945c1a2256723d199b3bda13a3d951e36246904c43a127f3e32678",
+    ("conjugate-scan", "finsler"): "47c22ab23608822f86733890a90849a60c24dc9171a694444cd4341f2571e904",
+    ("lift-verify", "sphere"): "b30b655269ed3a3f8a4a9ce212cdd9ec9ce5d9b4d394fd16ae0a94921c4eff15",
+    ("lift-verify", "flat"): "e734453239e426f5601ef225fa9118cc2f8619fb4066790941972f9c21bb8ab0",
+    ("lift-verify", "finsler"): "4d365e5d8ba56a853f01933573157a3f8bdd3cf0f59e13e440e37c837bd2790d",
+    ("flow-check", "sphere"): "ad36ff1868e0bcd39a2676d4e49b53a385c1afacd53dc05a90d33c7a0e0405ea",
+    ("flow-check", "flat"): "7f977cdb8facc1a520933fd3c2b7401cdb05de75b6152f8c20f3fb0c08b03f7b",
+    ("flow-check", "finsler"): "f6dd670fc2317cfb6025960ffa9cd6fbaae4b48068bba2f7afab428d047eba25",
+    ("subspray-demo", "sphere"): "b46c3cd46453e0739fcbaa68a76806e712ccd0f3dcc0e959860dc13e82a32e9f",
+    ("subspray-demo", "flat"): "b6faf232d99dd66d758a6056ea0fab27549fedf39bb50ea80ce3d428ece660ba",
+    ("subspray-demo", "finsler"): "41102fc5507a243ad06d6bb27fcccd38f76c1f3a2c076a2cfb22ef64cefbbc1e",
+    ("invariant-suite", "sphere"): "406673bcd3ffd620e3ac8e76b68eafd97923614d49cace4289995a3c5135f8fe",
+    ("invariant-suite", "flat"): "ad0534607ba6b9d29401c49c0d28862be577520a448d278c88404fade30d1fa0",
+    ("invariant-suite", "finsler"): "e8eef0de902617da9e45193cf32c5ef14f02eec35598cf729d1e99488fb1a7bb",
+}
+SIDECAR_DIGESTS = {
+    "sphere": "5300537c9ea0a02cc3fb4e46eccc546a449c2f2ddb7f7eecaed47d887072bfa1",
+    "flat": "9ab7fe2c5124edf097c56d1c376288359dcceed7277594db78379d3321403120",
+    "finsler": "b34d5360719b83e17dc18d87fd0defcebf6bced233d3627eebdf4cfc01b3750e",
+}
+
+
+def test_every_report_is_pinned(tmp_path, capsys):
+    for scenario in SCENARIOS:
+        for manifold in MANIFOLDS:
+            assert main(["--scenario", scenario, "--manifold", manifold]) == 0
+            payload = capsys.readouterr().out.encode("utf-8")
+            assert hashlib.sha256(payload).hexdigest() == REPORT_DIGESTS[scenario, manifold], \
+                (scenario, manifold)
+    for manifold in MANIFOLDS:
+        out = tmp_path / f"{manifold}.json"
+        assert main(["--scenario", "conjugate-scan", "--manifold", manifold,
+                     "--out", str(out)]) == 0
+        sidecar = (tmp_path / f"{manifold}.json.det.csv").read_bytes()
+        assert hashlib.sha256(sidecar).hexdigest() == SIDECAR_DIGESTS[manifold], manifold

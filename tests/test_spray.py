@@ -95,6 +95,14 @@ def test_homogeneity_rejects_nonpositive_scale():
             homogeneity_check(s, p, lam)
 
 
+def test_homogeneity_rejects_a_wrong_level_and_a_slashed_point():
+    s = make_flat(2)
+    with pytest.raises(InvalidLevelError, match="one level above"):
+        homogeneity_check(s, JetPoint(2, 2, np.ones(8)), 2.0)
+    with pytest.raises(DomainError, match="slashed"):
+        homogeneity_check(s, JetPoint(1, 2, np.array([1.0, 2.0, 0.0, 0.0])), 2.0)
+
+
 def test_complete_lift_blocks_against_directional_derivative():
     s = make_sphere()
     lifted = complete_lift(s)

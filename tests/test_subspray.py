@@ -164,12 +164,18 @@ def test_membership_evaluates_no_coefficient_past_the_first_failure(monkeypatch,
 def test_stack_skips_the_coefficients_of_rejected_rows(monkeypatch):
     s = make_sphere()
     stack = np.stack([_broken_jet(name) for name in
-                      ("slashed", "fiber-acceleration", "base-velocity", "fiber-velocity")])
+                      ("fiber-acceleration", "slashed", "base-velocity", "fiber-velocity")])
     levels = _count_accelerations(monkeypatch)
+    # one slashed row stops the whole stack before any coefficient
     checks = sub._check_jets(s, stack, 1e-8)
-    assert [CONSTRAINTS[c] for c in checks.failed] == [
-        "slashed", "fiber-acceleration", "base-velocity", "fiber-velocity"]
-    assert levels == [0, 0, 1]
+    assert checks.failed == CONSTRAINTS.index("slashed")
+    assert checks.rejected.tolist() == [False, True, False, False]
+    assert levels == []
+    # a stack stopped by "fiber-velocity" takes one base acceleration a row, no jolt
+    checks = sub._check_jets(s, stack[[0, 3]], 1e-8)
+    assert checks.failed == CONSTRAINTS.index("fiber-velocity")
+    assert checks.rejected.tolist() == [False, True]
+    assert levels == [0, 0]
 
 
 def test_slashed_finsler_jet_is_rejected_without_evaluation():
@@ -212,11 +218,17 @@ def test_whole_array_check_reports_a_rejected_row():
     slashed = good.copy()
     slashed[2:4] = 0.0
     checks = sub._check_jets(s, np.stack([good, slashed, good]), np.inf)
-    assert checks.failed.tolist() == [-1, 0, -1]
-    assert checks.values[1, 0] == 0.0 and np.isnan(checks.values[1, 1:]).all()
-    assert np.isnan([checks.alpha[1], checks.beta[1], checks.residual[1]]).all()
-    for k in (0, 2):
-        res = sub.membership(s, good, tol=np.inf)
+    assert checks.failed == 0
+    assert checks.rejected.tolist() == [False, True, False]
+    speed = sub.membership(s, good, tol=np.inf).constraints["slashed"]
+    assert checks.values[:, 0].tolist() == [speed, 0.0, speed]
+    assert np.isnan(checks.values[:, 1:]).all()
+    assert np.isnan(np.concatenate([checks.alpha, checks.beta, checks.residual])).all()
+    # without the slashed row the stack passes, each row its own membership
+    checks = sub._check_jets(s, np.stack([good, good]), np.inf)
+    assert checks.failed == -1 and not checks.rejected.any()
+    res = sub.membership(s, good, tol=np.inf)
+    for k in (0, 1):
         assert checks.values[k].tolist() == list(res.constraints.values())
         assert (checks.alpha[k], checks.beta[k], checks.residual[k]) == (res.alpha, res.beta, res.residual)
 
@@ -253,16 +265,6 @@ def _outcome(res):
     return repr((None, res.constraints, res.alpha, res.beta, res.residual))
 
 
-def _stack_row(checks, k):
-    c = int(checks.failed[k])
-    n = len(CONSTRAINTS) if c < 0 else c + 1
-    values = dict(zip(CONSTRAINTS[:n], checks.values[k, :n].tolist()))
-    if c >= 0:
-        return repr((CONSTRAINTS[c], values, None, None, values[CONSTRAINTS[c]]))
-    return repr((None, values, float(checks.alpha[k]), float(checks.beta[k]),
-                 float(checks.residual[k])))
-
-
 @pytest.mark.parametrize("name", list(CURVES))
 def test_every_stack_row_is_its_membership(name):
     s, x0, v0 = CURVES[name]
@@ -282,10 +284,26 @@ def test_every_stack_row_is_its_membership(name):
                 xi[coord] += eps
             stack.append(xi)
         checks = sub._check_jets(s, np.stack(stack), tol)
-        for k, xi in enumerate(stack):
-            want = _outcome(sub.membership(s, xi, tol=tol))
-            assert _stack_row(checks, k) == want
-            assert want == _outcome(_reference_membership(s, xi, tol))
+        alone = [sub.membership(s, xi, tol=tol) for xi in stack]
+        for res, xi in zip(alone, stack):
+            assert _outcome(res) == _outcome(_reference_membership(s, xi, tol))
+        stops = [CONSTRAINTS.index(res.constraint) for res in alone
+                 if isinstance(res, MembershipRejection)]
+        if not stops:
+            assert checks.failed == -1 and not checks.rejected.any()
+            for k, res in enumerate(alone):
+                row = MembershipResult(float(checks.alpha[k]), float(checks.beta[k]),
+                                       float(checks.residual[k]),
+                                       dict(zip(CONSTRAINTS, checks.values[k].tolist())))
+                assert _outcome(row) == _outcome(res)
+            return
+        c = min(stops)
+        assert checks.failed == c
+        assert checks.rejected.tolist() == [isinstance(res, MembershipRejection)
+                                            and res.constraint == CONSTRAINTS[c] for res in alone]
+        assert np.isnan(checks.values[:, c + 1 :]).all()
+        for k, res in enumerate(alone):
+            assert checks.values[k, : c + 1].tolist() == list(res.constraints.values())[: c + 1]
 
     check()
 
