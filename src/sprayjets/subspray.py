@@ -6,8 +6,10 @@ are geodesics of the doubly lifted spray whose initial jets fill a slice of
 the double tangent fiber parametrized by base position, base velocity and
 the two scalars.  This module builds that parametrization, tests membership
 of arbitrary jets, propagates and re-verifies the curves, and probes the
-global structure (uniqueness, reparametrization, conjugate-point absence,
-completeness, dimensions).
+global structure (reparametrization, conjugate-point absence, completeness,
+dimensions).  Uniqueness is checked on the initial jet alone, which fixes
+the curve by ODE uniqueness: the scalars are recovered from it two ways and
+no curve is integrated.
 
 The membership constraints have one definition, :func:`_check_jets`, which
 evaluates them on a whole stack of jets at once: :func:`membership` runs it
@@ -279,25 +281,26 @@ def _checked(s: Spray, tr: Trajectory, alpha: float, beta: float, tol: float,
 
 @dataclass
 class UniquenessReport:
+    """Both recoveries of the scalars from one initial jet, and their gap."""
+
     alpha_sequential: float
     beta_sequential: float
     alpha_joint: float
     beta_joint: float
     parameter_gap: float
-    curve_gap: float
 
 
 def uniqueness_check(s: Spray, x0, v0, alpha: float, beta: float,
                      t_span: tuple[float, float], h: float) -> UniquenessReport:
-    """Recover the scalars two independent ways and rerun the curve from them.
+    """Recover the scalars from the initial jet two independent ways.
 
     The sequential recovery is :func:`membership`'s, which projects the
     alpha block first; the joint variant solves one least-squares system
-    over both dependent blocks.  ``curve_gap`` is the
-    ``reintegration_deviation`` of a second :func:`geodesic` run from the
-    sequentially recovered scalars, its gap to its own closed form; no gap
-    to another propagated curve is computed.  A start whose base velocity
-    is not slashed raises :class:`DomainError`.
+    over both dependent blocks, and ``parameter_gap`` is the larger
+    difference of the two.  The initial jet fixes the whole curve by ODE
+    uniqueness, so agreeing scalars fix it too and no curve is integrated:
+    ``t_span`` and ``h`` are accepted for existing callers and not read.
+    A start whose base velocity is not slashed raises :class:`DomainError`.
     """
 
     m = s.fiber_dim
@@ -316,9 +319,7 @@ def uniqueness_check(s: Spray, x0, v0, alpha: float, beta: float,
     a_joint, b_joint = float(sol[0]), float(sol[1])
 
     gap = max(abs(seq.alpha - a_joint), abs(seq.beta - b_joint))
-    sg = geodesic(s, x0, v0, seq.alpha, seq.beta, t_span, h, tol=np.inf, node_checks=False)
-    return UniquenessReport(seq.alpha, seq.beta, a_joint, b_joint, gap,
-                            sg.reintegration_deviation)
+    return UniquenessReport(seq.alpha, seq.beta, a_joint, b_joint, gap)
 
 
 @dataclass

@@ -36,28 +36,42 @@ def test_traced_name_resolves(module, attr):
     assert callable(getattr(owner, attr))
 
 
-def test_lifted_jacobi_pass_keeps_its_counts():
-    # one traced pass at seed 1: the pushed spray stays an untraced level-0
-    # spray whose every evaluation calls jet_apply at levels 1 and 2, so the
-    # per-layer counters keep their meaning however jet_apply runs
+def _traced_pass(workload, names):
+    """The named per-layer counters of one traced pass of ``workload`` at seed 1."""
     spans, workloads = _load("spans"), _load("workloads")
     for sub in ("geodesic", "jacobi", "jetspace", "samples", "spray", "subspray"):
         importlib.import_module(f"sprayjets.{sub}")
     tracer = spans.Tracer()
     tracer.install(sprayjets)
     try:
-        wl = workloads.build(sprayjets, "lifted-jacobi", 1)
+        wl = workloads.build(sprayjets, workload, 1)
         for task in wl.tasks:
             assert workloads.run_task(sprayjets, wl, task).failures == []
     finally:
         tracer.uninstall()
     counts = tracer.layer_metrics(1, 1.0, 1.0, 0.0)
-    assert {name: counts[name] for name in ("spray.acceleration.L0.calls",
-                                            "jetspace.jet_apply.L1.calls",
-                                            "jetspace.jet_apply.L2.calls",
-                                            "jetspace.pushforward.calls")} == {
+    return {name: counts[name] for name in names}
+
+
+def test_lifted_jacobi_pass_keeps_its_counts():
+    # the pushed spray stays an untraced level-0 spray whose every evaluation
+    # calls jet_apply at levels 1 and 2, so the per-layer counters keep their
+    # meaning however jet_apply runs
+    expected = {
         "spray.acceleration.L0.calls": 811,
         "jetspace.jet_apply.L1.calls": 1003,
         "jetspace.jet_apply.L2.calls": 801,
         "jetspace.pushforward.calls": 202,
     }
+    assert _traced_pass("lifted-jacobi", expected) == expected
+
+
+def test_parallel_curves_pass_keeps_its_counts():
+    # uniqueness_check integrates no curve of its own, so each parallel-curve
+    # task runs its P-geodesic once
+    expected = {
+        "geodesic.integrate.calls": 18,
+        "subspray.geodesic.calls": 9,
+        "spray.acceleration.L2.calls": 6573,
+    }
+    assert _traced_pass("parallel-curves", expected) == expected

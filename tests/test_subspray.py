@@ -1,5 +1,7 @@
 """Parallel-curve slice: membership, propagation, uniqueness, dimensions."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -359,7 +361,24 @@ def test_uniqueness_of_recovered_scalars():
     assert abs(u.alpha_sequential - 1.3) < 1e-8
     assert abs(u.beta_sequential + 0.7) < 1e-8
     assert u.parameter_gap < 1e-8
-    assert u.curve_gap < 1e-8
+    # the curve the recovered scalars start matches its own closed form
+    sg = sub.geodesic(s, SPHERE_X0, SPHERE_V0, u.alpha_sequential, u.beta_sequential,
+                      (0.0, 0.5), 1e-3, tol=np.inf, node_checks=False)
+    assert sg.reintegration_deviation < 1e-8
+
+
+def test_uniqueness_check_integrates_nothing(monkeypatch):
+    # the initial jet fixes the curve, so the check reads no run and ignores
+    # its span and step
+    def refuse(*args, **kwargs):
+        raise AssertionError("uniqueness_check integrated a curve")
+
+    monkeypatch.setattr(sub, "integrate", refuse)
+    s = make_sphere()
+    reports = [sub.uniqueness_check(s, SPHERE_X0, SPHERE_V0, 1.3, -0.7, t_span, h)
+               for t_span, h in (((0.0, 0.5), 1e-3), ((0.0, -2.0), 0.25))]
+    first, second = ([float(v).hex() for v in astuple(u)] for u in reports)
+    assert first == second
 
 
 @pytest.mark.parametrize("name", ["sphere", "flat", "finsler"])
