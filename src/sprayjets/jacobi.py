@@ -24,7 +24,9 @@ jet :func:`flow_tangent_fd`, and the variation limit of
 exactly, with ``Dual`` entries.  A step that is not positive and finite
 raises :class:`DomainError` before either run starts: a zero step divides
 by zero, and a NaN one makes every comparison with a tolerance false, so
-a check would pass silently.
+a check would pass silently.  Only the oracles' steps are arguments: the
+variation step of :func:`lift_conjugate_check` and the detectors'
+thresholds are constants, each written beside its one use.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidLevelError
 from .geodesic import Trajectory, _integrate, integrate, residual
-from .jetspace import JetPoint, _dproject_idx, _liouville_rows, kappa
+from .jetspace import JetPoint, _dproject_idx, _kappa_idx, _liouville_rows, kappa
 from .spray import Spray, complete_lift
 
 
@@ -47,12 +49,11 @@ class JacobiField:
 
     ``field`` carries level-(r+1) positions (base posture in the first
     half, fiber components in the second); ``base`` is the projected
-    geodesic.  ``kind`` records how the field was produced.
+    geodesic.
     """
 
     field: Trajectory
     base: Trajectory
-    kind: str
 
     @property
     def times(self) -> np.ndarray:
@@ -102,7 +103,7 @@ def jacobi_from_initial(s: Spray, init: JetPoint, t_span: tuple[float, float],
             f"initial jet must sit at level {lifted.level + 1}, got {init.level}"
         )
     tr = integrate(lifted, init, t_span, h)
-    return JacobiField(field=tr, base=base_of(tr, s), kind="lifted-geodesic")
+    return JacobiField(field=tr, base=base_of(tr, s))
 
 
 def _central_difference(ends: Callable[[float], tuple[np.ndarray, np.ndarray]],
@@ -155,7 +156,7 @@ def variation_oracle(s: Spray, gamma: Trajectory, w, eps: float = 1e-4) -> Jacob
         exit_reason=None if len(dpos) == len(gamma.times) else "truncated",
     )
     base = gamma.columns(np.arange(gamma.positions.shape[1]), s)
-    return JacobiField(field=field, base=base, kind="variation-oracle")
+    return JacobiField(field=field, base=base)
 
 
 def flow_tangent_fd(s: Spray, p: JetPoint, t: float, h: float,
@@ -204,7 +205,7 @@ class DoubleLiftDecomposition:
     residuals: dict
 
 
-def decompose_double_lift(s: Spray, tr: Trajectory, zero_tol: float = 1e-12) -> DoubleLiftDecomposition:
+def decompose_double_lift(s: Spray, tr: Trajectory) -> DoubleLiftDecomposition:
     """Split a trajectory of the doubly lifted spray into its parts."""
 
     lifted = complete_lift(s)
@@ -221,7 +222,7 @@ def decompose_double_lift(s: Spray, tr: Trajectory, zero_tol: float = 1e-12) -> 
 
     outer_fiber_sup = float(np.max(np.abs(tr.positions[:, 2 * quarter : 3 * quarter])))
     outer_rate_sup = float(np.max(np.abs(tr.velocities[:, 2 * quarter : 3 * quarter])))
-    invariant = outer_fiber_sup <= zero_tol and outer_rate_sup <= zero_tol
+    invariant = outer_fiber_sup <= 1e-12 and outer_rate_sup <= 1e-12
 
     res = {
         "carrier": residual(s, carrier),
@@ -229,16 +230,7 @@ def decompose_double_lift(s: Spray, tr: Trajectory, zero_tol: float = 1e-12) -> 
         "outer": residual(lifted, outer),
     }
     if invariant:
-        mixed_tr = Trajectory(
-            spray=lifted,
-            times=tr.times,
-            positions=np.hstack([carrier.positions, mixed]),
-            velocities=np.hstack([carrier.velocities, tr.velocities[:, 3 * quarter :]]),
-            accelerations=np.hstack([carrier.accelerations, tr.accelerations[:, 3 * quarter :]]),
-            h=tr.h,
-            requested=tr.requested,
-            exit_reason=tr.exit_reason,
-        )
+        mixed_tr = tr.columns(np.r_[0:quarter, 3 * quarter : 4 * quarter], lifted)
         res["mixed_as_jacobi"] = residual(lifted, mixed_tr)
 
     return DoubleLiftDecomposition(
@@ -295,6 +287,9 @@ def _fan_run(s: Spray, starts: list[JetPoint], t_span: tuple[float, float],
     return _integrate(lifted, per_start if fan is None else fanned, x, v, t_span, h)
 
 
+_BRACKET = 1e-6  # conjugate_search's bisection bracket; roots closer than 10 brackets are one
+
+
 @dataclass
 class ConjugateScan:
     """Conjugate times along a geodesic and the determinant samples behind them.
@@ -303,9 +298,6 @@ class ConjugateScan:
     depends only on the inputs and is left out of the runner's report.
     """
 
-    spray_tag: str
-    init: np.ndarray
-    t_max: float
     times: list[float]
     multiplicities: list[int]
     sample_times: np.ndarray
@@ -314,14 +306,13 @@ class ConjugateScan:
     bisections: int
 
 
-def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float,
-                     bracket_tol: float = 1e-6, rank_rtol: float = 1e-6) -> ConjugateScan:
+def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float) -> ConjugateScan:
     """Scan for conjugate points along the geodesic through ``init``.
 
     A fundamental system of Jacobi fields with zero value and coordinate
     basis rates is propagated; zeros of its fiber determinant mark the
     conjugate times.  Sign changes between nodes are refined by bisection
-    on the dense output, down to a bracket of ``bracket_tol`` or a
+    on the dense output, down to a bracket of :data:`_BRACKET` or a
     midpoint where the determinant is exactly zero; no threshold on its
     size ends the bisection, since a root of multiplicity k makes it
     small like the k-th power of the distance.  Multiplicity is the rank
@@ -361,7 +352,7 @@ def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float,
             root = a
         elif da * db < 0.0:
             root = None
-            while abs(b - a) > bracket_tol:
+            while abs(b - a) > _BRACKET:
                 mid = 0.5 * (a + b)
                 dm = float(np.linalg.det(fibers_at(mid)))
                 bisections += 1
@@ -376,17 +367,14 @@ def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float,
                 root = 0.5 * (a + b)
         else:
             continue
-        if roots and abs(root - roots[-1]) < 10.0 * bracket_tol:
+        if roots and abs(root - roots[-1]) < 10.0 * _BRACKET:
             continue
         sv = np.linalg.svd(fibers_at(root), compute_uv=False)
-        deficiency = int(np.sum(sv < rank_rtol * sv[0])) if sv[0] > 0 else m
+        deficiency = int(np.sum(sv < 1e-6 * sv[0])) if sv[0] > 0 else m
         roots.append(root)
         mults.append(max(1, deficiency))
 
     return ConjugateScan(
-        spray_tag=s.tag,
-        init=init.coords.copy(),
-        t_max=t_max,
         times=roots,
         multiplicities=mults,
         sample_times=times.copy(),
@@ -408,8 +396,7 @@ class LiftedConjugateReport:
     interior_sup: tuple[float, float]
 
 
-def lift_conjugate_check(s: Spray, jac: JacobiField, eps_var: float = 1e-4,
-                         end_tol: float = 1e-6, zero_tol: float = 1e-8) -> LiftedConjugateReport:
+def lift_conjugate_check(s: Spray, jac: JacobiField, end_tol: float = 1e-6) -> LiftedConjugateReport:
     """Re-verify that a two-ended Jacobi zero lifts to conjugate zero vectors.
 
     Builds the two witness fields one level up (the Liouville composite and
@@ -429,7 +416,7 @@ def lift_conjugate_check(s: Spray, jac: JacobiField, eps_var: float = 1e-4,
     norms = np.linalg.norm(fib, axis=1)
     if norms[0] > end_tol or norms[-1] > end_tol:
         raise DomainError("field does not vanish at both ends")
-    if float(np.max(norms)) <= zero_tol:
+    if float(np.max(norms)) <= 1e-8:
         raise DomainError("field is identically zero")
 
     lifted2 = complete_lift(complete_lift(s))
@@ -466,7 +453,7 @@ def lift_conjugate_check(s: Spray, jac: JacobiField, eps_var: float = 1e-4,
         fan, n = _fan_run(s, [plus, minus], span, h), s.fiber_dim
         return fan.positions[:, n:2 * n], fan.positions[:, 2 * n:]
 
-    fd_fiber = _central_difference(ends, eps_var)[: len(jfib)]
+    fd_fiber = _central_difference(ends, 1e-4)[: len(jfib)]
     fd_gap = float(np.max(np.abs(fd_fiber - jfib[: len(fd_fiber)])))
 
     return LiftedConjugateReport(
@@ -491,9 +478,7 @@ def _reintegrate(target: Spray, cand_pos: np.ndarray, cand_vel: np.ndarray,
     return tr, float(np.max(np.abs(tr.positions[:n] - cand_pos[:n])))
 
 
-def new_from_old_suite(base: Spray, j: Trajectory, shift: float | None = None,
-                       stretch: float = 0.5, combo: tuple[float, float] = (0.7, 1.3),
-                       seed: int = 7) -> dict:
+def new_from_old_suite(base: Spray, j: Trajectory) -> dict:
     """Derive new geodesics from ``j`` and re-integrate each one.
 
     ``j`` must be a geodesic of an iterated complete lift of ``base``.
@@ -526,8 +511,7 @@ def new_from_old_suite(base: Spray, j: Trajectory, shift: float | None = None,
     own = sprays[r]
 
     # (i) affine time change t -> stretch*t + shift
-    if shift is None:
-        shift = t0 + 0.4 * (t1 - t0)
+    stretch, shift = 0.5, t0 + 0.4 * (t1 - t0)
     w_end = (t1 - shift) / stretch
     sign = -1.0 if w_end < 0.0 else 1.0  # a backward run of j gives a backward one here
     sub_times = sign * np.arange(0.0, abs(w_end) + 0.5 * h, h)
@@ -536,7 +520,7 @@ def new_from_old_suite(base: Spray, j: Trajectory, shift: float | None = None,
     reintegrated("affine_time", own, xs, stretch * vs, sub_times)
 
     # (ii) fiber combination with a second geodesic over the same projection
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     half = j.positions.shape[1] // 2
     k_pos0 = j.positions[0].copy()
     k_vel0 = j.velocities[0].copy()
@@ -544,7 +528,7 @@ def new_from_old_suite(base: Spray, j: Trajectory, shift: float | None = None,
     k_vel0[half:] += rng.standard_normal(half)
     ktr = integrate(own, JetPoint(r + 1, base.dim, np.concatenate([k_pos0, k_vel0])),
                     (t0, t1), h)
-    a, b = combo
+    a, b = 0.7, 1.3
     nn = min(len(j.times), len(ktr.times))
     comb_pos = j.positions[:nn].copy()
     comb_vel = j.velocities[:nn].copy()
@@ -553,8 +537,6 @@ def new_from_old_suite(base: Spray, j: Trajectory, shift: float | None = None,
     reintegrated("fiber_combination", own, comb_pos, comb_vel, j.times[:nn])
 
     # (iii) involution image
-    from .jetspace import _kappa_idx
-
     idx = _kappa_idx(r, base.dim)
     reintegrated("involution", own, j.positions[:, idx], j.velocities[:, idx])
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, InconsistentTrajectoryError
 from .geodesic import Trajectory, integrate
-from .jets import Dual, jet_du, jet_re
+from .jets import Dual, jet_du, jet_re, unnest
 from .jetspace import EPS_SLASHED, JetPoint
 from .spray import Spray, acceleration_jet, complete_lift
 
@@ -333,8 +333,7 @@ class ParallelJacobi:
     center: SubsprayGeodesic
 
 
-def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: float,
-                          zero_tol: float = 1e-8, min_gap: float = 1e-3) -> ParallelJacobi:
+def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: float) -> ParallelJacobi:
     """The exact field of ``family(sigma) -> (x0, v0, alpha, beta)`` at sigma = 0.
 
     ``family`` is called once, at a 0-d object array holding Dual(0, 1), so
@@ -347,7 +346,7 @@ def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: floa
     x0, v0, al, be = family(np.array(Dual(0.0, 1.0), dtype=object))
     xi = delta_coordinates(s, x0, v0, al, be).tolist()
     n = 4 * s.fiber_dim
-    init = [f(z) for half in (xi[:n], xi[n:]) for f in (jet_re, jet_du) for z in half]
+    init = unnest(xi[:n], 1) + unnest(xi[n:], 1)
     lifted2 = complete_lift(complete_lift(s))
     tr = integrate(complete_lift(lifted2), JetPoint(s.level + 4, s.dim, init), t_span, h)
     center = _checked(s, tr.columns(slice(0, n), lifted2), float(jet_re(al)), float(jet_re(be)),
@@ -357,8 +356,8 @@ def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: floa
 
     zeros: list[float] = []
     for k in range(len(times)):
-        if norms[k] <= zero_tol:
-            if not zeros or times[k] - zeros[-1] > min_gap:
+        if norms[k] <= 1e-8:
+            if not zeros or times[k] - zeros[-1] > 1e-3:
                 zeros.append(float(times[k]))
     return ParallelJacobi(times=times, values=vals, sup_norm=float(np.max(norms)),
                           zero_times=zeros, center=center)
@@ -372,8 +371,7 @@ class NoConjugateReport:
     ok: bool
 
 
-def no_conjugate_check(s: Spray, family, t_span: tuple[float, float], h: float,
-                       zero_tol: float = 1e-8, trivial_tol: float = 1e-6) -> NoConjugateReport:
+def no_conjugate_check(s: Spray, family, t_span: tuple[float, float], h: float) -> NoConjugateReport:
     """Two distinct zeros of a family field force the whole field to vanish.
 
     A family whose field has fewer than two zeros passes vacuously; with
@@ -381,11 +379,11 @@ def no_conjugate_check(s: Spray, family, t_span: tuple[float, float], h: float,
     fails and reports the offending supremum.
     """
 
-    pj = parallel_jacobi_curve(s, family, t_span, h, zero_tol=zero_tol)
+    pj = parallel_jacobi_curve(s, family, t_span, h)
     if len(pj.zero_times) < 2:
         return NoConjugateReport(pj.zero_times, pj.sup_norm, vacuous=True, ok=True)
     return NoConjugateReport(pj.zero_times, pj.sup_norm, vacuous=False,
-                             ok=pj.sup_norm <= trivial_tol)
+                             ok=pj.sup_norm <= 1e-6)
 
 
 @dataclass
@@ -396,25 +394,23 @@ class ReparametrizedReport:
     curve: SubsprayGeodesic
 
 
-def reparametrized(s: Spray, sg: SubsprayGeodesic, scale: float, shift: float,
-                   h: float | None = None) -> ReparametrizedReport:
+def reparametrized(s: Spray, sg: SubsprayGeodesic, scale: float, shift: float) -> ReparametrizedReport:
     """Express the transported field over an affinely reparametrized base.
 
     With the base curve run as c(scale * t + shift), the field block stays
     pointwise identical when the first scalar becomes
-    (alpha + beta * shift) / scale and the second is unchanged.
+    (alpha + beta * shift) / scale and the second is unchanged.  The new
+    curve runs with ``sg``'s step, and ``scale`` must be positive and finite.
     """
 
-    if scale <= 0.0:
-        raise DomainError("scale must be positive")
-    if h is None:
-        h = sg.traj.h
+    if not 0.0 < scale < np.inf:
+        raise DomainError(f"scale must be positive and finite, got {scale}")
     m = s.fiber_dim
     x_t0, v_t0 = sg.base.state_at(shift)
     new_alpha = (sg.alpha + sg.beta * shift) / scale
     new_beta = sg.beta
     t_end = (sg.base.t_end - shift) / scale
-    rep = geodesic(s, x_t0, scale * v_t0, new_alpha, new_beta, (0.0, t_end), h,
+    rep = geodesic(s, x_t0, scale * v_t0, new_alpha, new_beta, (0.0, t_end), sg.traj.h,
                    tol=np.inf, node_checks=False)
 
     orig = sg.traj.states_at(scale * rep.traj.times + shift)[0]
@@ -466,15 +462,14 @@ class DimensionReport:
         return got == self.expected
 
 
-def _rank(mat: np.ndarray, rtol: float) -> int:
+def _rank(mat: np.ndarray) -> int:
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rtol * sv[0]))
+    return int(np.sum(sv > 1e-6 * sv[0]))
 
 
-def dimension_probe(s: Spray, x0, v0, alpha: float, beta: float,
-                    rank_rtol: float = 1e-6) -> DimensionReport:
+def dimension_probe(s: Spray, x0, v0, alpha: float, beta: float) -> DimensionReport:
     """Numerical ranks of the slice parametrizations at one point.
 
     The full-jet and configuration maps should both have rank 2n + 2 in
@@ -496,10 +491,10 @@ def dimension_probe(s: Spray, x0, v0, alpha: float, beta: float,
     j_full = np.array([column(k) for k in range(len(p0))]).T
     j_conf = j_full[: 4 * m]
     return DimensionReport(
-        full_jet_rank=_rank(j_full, rank_rtol),
-        configuration_rank=_rank(j_conf, rank_rtol),
-        fixed_parameter_rank=_rank(j_conf[:, : 2 * m], rank_rtol),
-        configuration_rank_without_beta=_rank(j_conf[:, : 2 * m + 1], rank_rtol),
+        full_jet_rank=_rank(j_full),
+        configuration_rank=_rank(j_conf),
+        fixed_parameter_rank=_rank(j_conf[:, : 2 * m]),
+        configuration_rank_without_beta=_rank(j_conf[:, : 2 * m + 1]),
         expected=(2 * m + 2, 2 * m + 2, 2 * m, 2 * m + 1),
         parametrization_jacobian=j_full,
     )

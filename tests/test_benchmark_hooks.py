@@ -53,6 +53,19 @@ def _traced_pass(workload, names):
     return {name: counts[name] for name in names}
 
 
+def test_base_flow_pass_keeps_its_counts():
+    # level-0 runs only: a base-flow call the library no longer accepts, or
+    # one more run or residual, shows up here before a benchmark run
+    expected = {
+        "geodesic.integrate.calls": 36,
+        "geodesic.integrate.steps": 9000,
+        "geodesic.residual.calls": 9,
+        "spray.acceleration.L0.calls": 1836,
+        "spray.acceleration.L1.calls": 0,
+    }
+    assert _traced_pass("base-flow", expected) == expected
+
+
 def test_lifted_jacobi_pass_keeps_its_counts():
     # the pushed spray stays an untraced level-0 spray whose every evaluation
     # calls jet_apply at levels 1 and 2, so the per-layer counters keep their

@@ -11,7 +11,7 @@ from sprayjets import (DomainError, IntegrationBlowupError, InvalidLevelError, J
                        complete_lift, flow, flow_tangent_fd, integrate, kappa,
                        make_finsler_example, make_flat, make_round_sphere, make_sphere)
 from sprayjets import jacobi, subspray
-from sprayjets.geodesic import Trajectory
+from sprayjets.geodesic import Trajectory, residual
 from sprayjets.jacobi import (JacobiField, _fan_run, conjugate_search, decompose_double_lift,
                               jacobi_from_initial, lift_conjugate_check,
                               new_from_old_suite, variation_oracle)
@@ -119,7 +119,7 @@ def test_backward_scan_mirrors_the_forward_scan():
 
 def test_odd_multiplicity_above_one_bisects_to_the_bracket():
     # on S^4 the determinant vanishes to third order at pi, so it is tiny
-    # long before the bracket is; bisection goes on down to bracket_tol
+    # long before the bracket is; bisection goes on down to the bracket
     s = make_round_sphere(4)
     init = JetPoint(1, 4, np.array([np.pi / 2, np.pi / 2, np.pi / 2, 0.0, 0.0, 0.0, 0.0, 1.0]))
     scan = conjugate_search(s, init, 3.5, 1e-2)
@@ -131,6 +131,25 @@ def test_odd_multiplicity_above_one_bisects_to_the_bracket():
     assert simple.times == [3.1415927124023435]
     assert simple.multiplicities == [1]
     assert simple.bisections == 14
+
+
+def test_multiplicity_counts_singular_values_below_1e_6_of_the_largest(monkeypatch):
+    # a fan whose field k has fiber d_k(t) e_k, d = (t - 1.125, 1, 3e-6, 3e-7):
+    # dense output is exact on it, so the first bisection midpoint is the root,
+    # where the singular values relative to the largest are 3e-6, 3e-7 and 0
+    s, t = make_flat(4), np.arange(9) * 0.25
+    d = np.stack([t - 1.125] + [np.full_like(t, c) for c in (1.0, 3e-6, 3e-7)], axis=1)
+    fibers = np.einsum("nk,kl->nkl", d, np.eye(4)).reshape(len(t), 16)
+    rates = np.zeros_like(fibers)
+    rates[:, 0] = 1.0
+    fan = Trajectory(spray=complete_lift(s), times=t,
+                     positions=np.hstack([np.zeros((len(t), 4)), fibers]),
+                     velocities=np.hstack([np.zeros((len(t), 4)), rates]),
+                     accelerations=np.zeros((len(t), 20)), h=0.25, requested=(0.0, 2.0))
+    monkeypatch.setattr(jacobi, "_fan_run", lambda *args: fan)
+    scan = conjugate_search(s, JetPoint(1, 4, [0.0] * 4 + [1.0, 0.0, 0.0, 0.0]), 2.0, 0.25)
+    assert scan.times == [1.125] and scan.bisections == 1
+    assert scan.multiplicities == [2]
 
 
 def test_no_conjugate_points_on_flat():
@@ -172,6 +191,29 @@ def test_double_lift_decomposition_zero_outer():
     d = decompose_double_lift(s, tr)
     assert d.mixed_is_chart_invariant
     assert d.residuals["mixed_as_jacobi"] < 1e-5
+    # the carrier and mixed columns, assembled block by block, give the same residual
+    lifted, q = complete_lift(s), 2
+    mixed_tr = Trajectory(
+        spray=lifted, times=tr.times,
+        positions=np.hstack([tr.positions[:, :q], tr.positions[:, 3 * q:]]),
+        velocities=np.hstack([tr.velocities[:, :q], tr.velocities[:, 3 * q:]]),
+        accelerations=np.hstack([tr.accelerations[:, :q], tr.accelerations[:, 3 * q:]]),
+        h=tr.h, requested=tr.requested, exit_reason=tr.exit_reason)
+    want = residual(lifted, mixed_tr)
+    assert np.float64(d.residuals["mixed_as_jacobi"]).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("scale, invariant", [(5e-13, True), (5e-12, False)])
+def test_outer_field_is_zero_up_to_1e_12(scale, invariant):
+    # the zero-outer start with its outer group scaled instead of zeroed: the
+    # outer field's supremum is its initial rate, 0.6 * scale
+    s = make_sphere()
+    z = GENERIC16.copy()
+    z[4:6] *= scale
+    z[12:14] *= scale
+    tr = integrate(complete_lift(complete_lift(s)), JetPoint(3, 2, z), (0.0, 0.5), 1e-2)
+    assert float(np.max(np.abs(tr.velocities[:, 4:6]))) == pytest.approx(0.6 * scale)
+    assert decompose_double_lift(s, tr).mixed_is_chart_invariant == invariant
 
 
 def test_lifted_conjugate_witnesses():
@@ -184,20 +226,20 @@ def test_lifted_conjugate_witnesses():
     assert min(rep.interior_sup) > 0.5
 
 
-def _fabricated_sine_field(s, h=math.pi / 300):
-    """``sin t * e1`` along the unit line through the origin, posing as a Jacobi field of ``s``."""
+def _fabricated_sine_field(s, h=math.pi / 300, amp=1.0):
+    """``amp sin t * e1`` along the unit line through the origin, posing as a Jacobi field of ``s``."""
     t = np.arange(301) * h
     zero, one = np.zeros_like(t), np.ones_like(t)
     line = np.stack([t, zero], axis=1)
     base = Trajectory(spray=s, times=t, positions=line, velocities=np.stack([one, zero], axis=1),
                       accelerations=np.zeros((len(t), 2)), h=h, requested=(0.0, t[-1]))
-    fib = lambda f: np.stack([f(t), zero], axis=1)
+    fib = lambda f: amp * np.stack([f(t), zero], axis=1)
     field = Trajectory(spray=complete_lift(s), times=t,
                        positions=np.hstack([base.positions, fib(np.sin)]),
                        velocities=np.hstack([base.velocities, fib(np.cos)]),
                        accelerations=np.hstack([base.accelerations, -fib(np.sin)]),
                        h=h, requested=(0.0, t[-1]))
-    return JacobiField(field=field, base=base, kind="fabricated")
+    return JacobiField(field=field, base=base)
 
 
 def test_lifted_witness_ends_are_those_of_the_reintegrated_runs():
@@ -226,6 +268,14 @@ def test_lifted_conjugate_rejects_zero_field():
     s, jac = equator_field((0.0, 0.0))
     with pytest.raises(DomainError):
         lift_conjugate_check(s, jac)
+
+
+def test_lifted_conjugate_zero_field_is_up_to_1e_8():
+    f = make_flat(2)
+    with pytest.raises(DomainError, match="identically zero"):
+        lift_conjugate_check(f, _fabricated_sine_field(f, amp=3e-9))
+    rep = lift_conjugate_check(f, _fabricated_sine_field(f, amp=3e-8))
+    assert rep.interior_sup == pytest.approx((3e-8 * math.pi, 3e-8 * math.pi), rel=1e-9)
 
 
 def test_lifted_conjugate_level_budget():
@@ -620,18 +670,13 @@ def _fd_entry(name, monkeypatch):
         gamma = integrate(s, JetPoint(1, 2, [np.pi / 2, 0.0, 0.0, 1.0]), (0.0, 1.0), 1e-2)
         _log_calls(monkeypatch, jacobi, "integrate", runs)
         return lambda e: variation_oracle(s, gamma, np.ones(4), eps=e), runs, 0
-    if name == "flow_tangent_fd":
-        p = JetPoint(2, 2, [np.pi / 2, 0.0, 0.1, 0.2, 0.0, 1.0, 0.3, 0.0])
-        _log_calls(monkeypatch, jacobi, "integrate", runs)
-        return lambda e: flow_tangent_fd(s, p, 0.5, 1e-2, eps_fd=e), runs, 1
-    sine = jacobi_from_initial(s, JetPoint(2, 2, [np.pi / 2, 0, 0, 0, 0, 1, 1, 0.0]),
-                               (0.0, np.pi), 1e-2)
-    _log_calls(monkeypatch, jacobi, "_fan_run", runs)
-    return lambda e: lift_conjugate_check(s, sine, eps_var=e, end_tol=1e-5), runs, 0
+    p = JetPoint(2, 2, [np.pi / 2, 0.0, 0.1, 0.2, 0.0, 1.0, 0.3, 0.0])
+    _log_calls(monkeypatch, jacobi, "integrate", runs)
+    return lambda e: flow_tangent_fd(s, p, 0.5, 1e-2, eps_fd=e), runs, 1
 
 
 @pytest.mark.parametrize("step", [0.0, math.nan, math.inf])
-@pytest.mark.parametrize("entry", ["variation_oracle", "flow_tangent_fd", "lift_conjugate_check"])
+@pytest.mark.parametrize("entry", ["variation_oracle", "flow_tangent_fd"])
 def test_fd_entry_points_reject_a_degenerate_step(entry, step, monkeypatch):
     # unguarded, these steps gave NaN fields or a blowup of the perturbed runs
     call, runs, centres = _fd_entry(entry, monkeypatch)

@@ -1,5 +1,6 @@
 """Parallel-curve slice: membership, propagation, uniqueness, dimensions."""
 
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -438,10 +439,12 @@ def test_reparametrized_gap_is_the_per_node_loop():
 
 
 def test_reparametrized_rejects_bad_scale():
+    # NaN and inf once reached the integrator and raised IntegrationBlowupError there
     f = make_flat(2)
     sg = sub.geodesic(f, [0.0, 0.0], [1.0, 0.0], 1.0, 0.0, (0.0, 1.0), 1e-2)
-    with pytest.raises(DomainError):
-        sub.reparametrized(f, sg, -1.0, 0.0)
+    for scale in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="scale must be positive and finite"):
+            sub.reparametrized(f, sg, scale, 0.0)
 
 
 def _random_family(seed):
@@ -466,6 +469,37 @@ def test_no_conjugate_along_random_families(seed):
     assert rep.ok
     assert rep.vacuous
     assert len(rep.zero_times) < 2
+
+
+def _line_family(eps):
+    """The flat line of test_reparametrized_scalar_map_is_forced, beta moving at rate ``eps``.
+
+    Its field is ``eps (0, 0, t v, v)`` with |v| = 1, of norm ``eps sqrt(1 + t^2)``.
+    """
+    return lambda sig: (np.zeros(2), np.array([1.0, 0.0]), 0.0, 1.0 + eps * sig)
+
+
+def test_node_zeros_are_norms_up_to_1e_8():
+    f = make_flat(2)
+    small = sub.parallel_jacobi_curve(f, _line_family(5e-9), (0.0, 1.0), 0.1)
+    assert small.zero_times == small.times.tolist()
+    assert sub.parallel_jacobi_curve(f, _line_family(2e-8), (0.0, 1.0), 0.1).zero_times == []
+
+
+def test_node_zeros_are_kept_more_than_1e_3_apart():
+    # every node of a trivial field is a zero; at a step of 4e-4 every third one is kept
+    pj = sub.parallel_jacobi_curve(make_flat(2), _line_family(0.0), (0.0, 0.02), 4e-4)
+    assert pj.sup_norm == 0.0
+    assert pj.zero_times == pj.times[::3].tolist()
+
+
+@pytest.mark.parametrize("t_end, ok", [(40.0, True), (400.0, False)])
+def test_two_zeros_need_a_field_within_1e_6(t_end, ok):
+    # zeros at t = 0 and 1 only; the supremum 5e-9 sqrt(1 + t_end^2) is 2e-7 or 2e-6
+    rep = sub.no_conjugate_check(make_flat(2), _line_family(5e-9), (0.0, t_end), 1.0)
+    assert rep.zero_times == [0.0, 1.0] and not rep.vacuous
+    assert rep.sup_norm == pytest.approx(5e-9 * math.hypot(1.0, t_end))
+    assert rep.ok == ok
 
 
 def test_constant_family_is_trivial_but_passes():
@@ -618,3 +652,14 @@ def test_dimension_probe_flat():
     d = sub.dimension_probe(f, [0.0, 0.0, 0.0], [1.0, 0.2, -0.3], 0.8, 0.1)
     assert d.expected == (8, 8, 6, 7)
     assert d.ok
+
+
+@pytest.mark.parametrize("speed, ranks", [(3e-7, (6, 6, 6, 6)), (3e-6, (8, 8, 6, 7))])
+def test_rank_counts_singular_values_above_1e_6_of_the_largest(speed, ranks):
+    # test_dimension_probe_flat's point at a small speed: the scalar columns scale
+    # with it, and their singular values sit at 0.5-0.95 times the speed, relative
+    # to the largest
+    f = make_flat(3)
+    d = sub.dimension_probe(f, [0.0, 0.0, 0.0], speed * np.array([1.0, 0.2, -0.3]), 0.8, 0.1)
+    assert (d.full_jet_rank, d.configuration_rank,
+            d.fixed_parameter_rank, d.configuration_rank_without_beta) == ranks
