@@ -5,32 +5,34 @@ v' = -2 G(x, v)).  Fixed steps keep runs reproducible and make the
 discrete flow commute with fiberwise differentiation, which the lifted
 flow identity checks rely on.  Dense output is cubic Hermite per step.
 
-One step is straight-line code generated from one template
-(:func:`_rk4_step`): the three stage evaluations and the stage and update
-arithmetic on Python floats, one statement per element.  The loop itself
-is :func:`_integrate`, on a float state and any evaluator of it.  In its
-unfused form, built once per state length, the step calls the evaluator
-at each stage, and the loop calls it at each new node; for a plain run
-that is :meth:`Spray.acceleration` on float lists, which runs the spray's
-kernel.  When the evaluator is the spray's own and its kernel is traced,
-at the levels in ``_FUSED_LEVELS``, the loop runs the fused form instead,
-built once per kernel: each stage, and the new node, runs an inlined copy
-of the kernel's statements, so a fused step makes no call.  A fused step
-that raises or reaches a non-finite node runs again unfused.
-:mod:`sprayjets.jacobi` runs the loop on the state of several lifted
-fields over one carrier, evaluated by the lift's fan program or, when that
-fails or is missing, by its kernel once per field.  Every run, single or
-shared, ends a failed step in :func:`_failed_step`.
+The run is straight-line code generated from one template (:func:`_rk4`):
+a loop whose steps each hold the three stage evaluations and the stage
+and update arithmetic on Python floats, one statement per element, then
+the node checks, and append each node.  The state stays in locals from
+step to step.  The calling loop, built once per state length, calls the
+evaluator at each stage and at each new node; for a plain run that is
+:meth:`Spray.acceleration` on float lists, which runs the spray's kernel.
+When the evaluator is the spray's own and its kernel is traced, at the
+levels in ``_FUSED_LEVELS``, the run uses the inlining loop instead, built
+once per kernel: each stage, and the new node, runs an inlined copy of the
+kernel's statements, so its steps make no call.  :mod:`sprayjets.jacobi`
+runs the calling loop on the state of several lifted fields over one
+carrier, evaluated by the lift's fan program or, when that fails or is
+missing, by its kernel once per field.
 
-The checks at each node stay in plain Python floats, behind prefilters
-that decide exactly what the full tests decide: a node is finite when the
-sum of its entries is, and its velocity is not slashed when the Python sum
-of squares lies clearly above ``EPS_SLASHED**2``.  Only near the threshold
-(or on an overflowing sum) does the entrywise or numpy test run.  The
-residual evaluates every step midpoint and then takes all the defect norms
-in one ``np.vecdot``.
+The loop checks each node in plain Python floats, by prefilters: the sum
+of its entries is finite, the Python sum of squares of its base velocity
+lies clearly above ``EPS_SLASHED**2``, and the chart domain, when the
+spray has one, holds it.  At the first step that raises or whose node
+fails a prefilter, the loop hands back to :func:`_integrate`, which
+decides that step by the exact tests (the entrywise or numpy test runs
+only near the threshold or on an overflowing sum), exits, raises or lets
+the loop go on.  Every failed step of a run, single or shared, ends in
+:func:`_failed_step`, which reruns it with the one-step form of the same
+template.  The residual evaluates every step midpoint and then takes all
+the defect norms in one ``np.vecdot``.
 
-The generated step, in both forms, carries the order invariant.  Each
+The generated code, in every form, carries the order invariant.  Each
 element is computed by the same IEEE double operations, in the same order
 and association, as the numpy expressions ``x + 0.5*dt*v`` and
 ``x + dt*(k1 + 2.0*k2 + 2.0*k3 + k4)/6.0``.  That order is not a detail:
@@ -220,24 +222,36 @@ def _finite(x: list, v: list) -> bool:
     return math.isfinite(sum(x) + sum(v)) or all(map(math.isfinite, x + v))
 
 
-def _rk4_step(n: int, tape: _Tape | None = None, filename: str | None = None) -> Callable:
-    """The RK4 step for ``n`` positions; with ``tape``, the fused step of a traced kernel.
+def _rk4(n: int, dim: int | None = None, tape: _Tape | None = None,
+         filename: str | None = None) -> Callable:
+    """The RK4 step for ``n`` positions or, given ``dim``, the run loop around it.
 
-    Without ``tape`` it is ``step(f, x, v, a1, dt) -> (xn, vn)``, where
+    Without ``dim`` it is ``step(f, x, v, a1, dt) -> (xn, vn)``, where
     ``f(x, v)`` is the acceleration as a list and ``a1`` its value at the
     node (x, v).  Stage k is ``xk = x + c*d``, ``vk = v + c*a`` with
     (c, d, a) = (0.5*dt, v, a1), (0.5*dt, v2, a2), (dt, v3, a3); the
     update is ``x + dt*(v + 2.0*v2 + 2.0*v3 + v4)/6.0`` and likewise for v.
 
+    With ``dim`` it is ``loop(f, g, in_domain, floor, times, xs, vs, accs,
+    k, nsteps, t0, t1, sign, h)``, which runs steps k, k + 1, ... of
+    :func:`_integrate` from the last node of the lists, keeping the state
+    in locals.  Each step is the step's statements, then the node checks'
+    prefilters: the sum of the node's entries is finite, the sum of squares
+    of its leading ``dim`` velocities lies above ``floor``, and
+    ``in_domain`` (unless None) accepts its position.  A node that passes
+    is appended with ``g(xn, vn)``, its acceleration.  The loop returns
+    ``(k, t_next, node)`` at the first step k that raises
+    ``ArithmeticError`` or ``ValueError`` (``node`` is None) or whose node
+    (xn, vn) fails a prefilter, and ``(nsteps, t, None)`` past the last.
+
     ``tape`` is the recording a traced kernel keeps
-    (:func:`~sprayjets.jets.compile_trace`).  The fused step
-    ``step(x, v, a1, dt) -> (xn, vn, an)`` is the same template in which
-    each stage evaluation, and then the acceleration ``an`` at the new
-    node, runs its own copy of the kernel's kept statements
-    (:func:`~sprayjets.jets.kept_lines`) instead of calling ``f``.  The
-    copies perform the kernel's operations on the same values, so every
-    result is bitwise that of the step calling the kernel, and of the
-    kernel at the new node.  The source is registered under ``filename``.
+    (:func:`~sprayjets.jets.compile_trace`).  With it, each stage
+    evaluation and the node's acceleration run their own copy of the
+    kernel's kept statements (:func:`~sprayjets.jets.kept_lines`) instead
+    of calling ``f`` and ``g``; a copy that raises counts as a raising
+    step.  The copies perform the kernel's operations on the same values,
+    so every result is bitwise that of the loop calling the kernel.  The
+    loop's source is registered under ``filename``.
     """
 
     def each(template: str) -> list[str]:
@@ -249,65 +263,99 @@ def _rk4_step(n: int, tape: _Tape | None = None, filename: str | None = None) ->
     def evaluate(k: str, x: str, v: str) -> list[str]:
         # the lines that set a{k}_# to the acceleration at (x_#, v_#)
         if tape is None:
-            return [f"    {row(f'a{k}_#')}, = f([{row(x)}], [{row(v)}])"]
+            return [f"{row(f'a{k}_#')}, = f([{row(x)}], [{row(v)}])"]
         lines, out = kept_lines(tape.stmts, *tape.inputs, tape.outputs, tape.namespace,
                                 (row(x) + ",", row(v) + ","), f"_{k}")
-        return [f"    {line}" for line in lines] + [f"    {row(f'a{k}_#')}, = {', '.join(out)},"]
+        return lines + [f"{row(f'a{k}_#')}, = {', '.join(out)},"]
 
-    lines = ["def step(f, x, v, a1, dt):" if tape is None else "def step(x, v, a1, dt):",
-             f"    {row('x_#')}, = x",
-             f"    {row('v_#')}, = v",
-             f"    {row('a1_#')}, = a1",
-             "    c = 0.5 * dt"]
+    def indent(depth: int, lines: list[str]) -> list[str]:
+        return [" " * depth + line for line in lines]
+
+    body = ["c = 0.5 * dt"]
     for k, c, d, a in (("2", "c", "v", "a1"), ("3", "c", "v2", "a2"), ("4", "dt", "v3", "a3")):
-        lines += each(f"    x{k}_# = x_# + {c} * {d}_#")
-        lines += each(f"    v{k}_# = v_# + {c} * {a}_#")
-        lines += evaluate(k, f"x{k}_#", f"v{k}_#")
-    lines += each("    xn_# = x_# + dt * (v_# + 2.0 * v2_# + 2.0 * v3_# + v4_#) / 6.0")
-    lines += each("    vn_# = v_# + dt * (a1_# + 2.0 * a2_# + 2.0 * a3_# + a4_#) / 6.0")
-    if tape is None:
-        lines.append(f"    return [{row('xn_#')}], [{row('vn_#')}]")
+        body += each(f"x{k}_# = x_# + {c} * {d}_#")
+        body += each(f"v{k}_# = v_# + {c} * {a}_#")
+        body += evaluate(k, f"x{k}_#", f"v{k}_#")
+    body += each("xn_# = x_# + dt * (v_# + 2.0 * v2_# + 2.0 * v3_# + v4_#) / 6.0")
+    body += each("vn_# = v_# + dt * (a1_# + 2.0 * a2_# + 2.0 * a3_# + a4_#) / 6.0")
+    unpack = [f"{row('x_#')}, = x", f"{row('v_#')}, = v", f"{row('a1_#')}, = a1"]
+    if dim is None:
+        lines = ["def step(f, x, v, a1, dt):", *indent(4, unpack + body),
+                 f"    return [{row('xn_#')}], [{row('vn_#')}]"]
         return compile_source("\n".join(lines) + "\n", f"<rk4 step n={n}>", {}, "step")
-    lines += evaluate("n", "xn_#", "vn_#")
-    lines.append(f"    return [{row('xn_#')}], [{row('vn_#')}], [{row('an_#')}]")
-    return compile_source("\n".join(lines) + "\n", filename, dict(tape.namespace), "step")
+
+    failed = ["except (ArithmeticError, ValueError):", "    return k, t_next, None"]
+    if tape is None:
+        node = [f"{row('a1_#')}, = an = g(xn, vn)"]
+    else:
+        node = ["try:", *indent(4, evaluate("1", "xn_#", "vn_#")), *failed,
+                f"an = [{row('a1_#')}]"]
+    squares = " + ".join(f"vn_{i} * vn_{i}" for i in range(dim))
+    lines = ["def loop(f, g, in_domain, floor, times, xs, vs, accs, k, nsteps, t0, t1, sign, h):",
+             "    x, v, a1, t = xs[-1], vs[-1], accs[-1], times[-1]",
+             *indent(4, unpack),
+             "    while k < nsteps:",
+             "        t_next = t1 if k == nsteps - 1 else t0 + sign * (k + 1) * h",
+             "        dt = t_next - t",
+             "        try:",
+             *indent(12, body),
+             *indent(8, failed),
+             f"        xn = [{row('xn_#')}]",
+             f"        vn = [{row('vn_#')}]",
+             f"        if (not isfinite({row('xn_#').replace(',', ' +')} + "
+             f"{row('vn_#').replace(',', ' +')}) or {squares} <= floor",
+             "                or in_domain is not None and not in_domain(xn)):",
+             "            return k, t_next, (xn, vn)",
+             *indent(8, node),
+             "        times.append(t_next)",
+             "        xs.append(xn)",
+             "        vs.append(vn)",
+             "        accs.append(an)",
+             *indent(8, each("x_# = xn_#") + each("v_# = vn_#")),
+             "        t = t_next",
+             "        k += 1",
+             "    return k, t, None"]
+    namespace = {"isfinite": math.isfinite}
+    if tape is None:
+        filename = f"<rk4 loop n={n} dim={dim}>"
+    else:
+        namespace.update(tape.namespace)
+    return compile_source("\n".join(lines) + "\n", filename, namespace, "loop")
 
 
 @cache
-def _unfused_step(n: int) -> Callable:
-    """The step calling its evaluator, for ``n`` positions, built once per length."""
-    return _rk4_step(n)
+def _calling(n: int, dim: int | None = None) -> Callable:
+    """The :func:`_rk4` step or loop calling its evaluator, built once per shape."""
+    return _rk4(n, dim)
 
 
-# The lift levels whose steps run fused.  Level 0 measured about a fifth
-# faster per step; levels 1-2 gained 2-3% end to end for 1-4% more peak
-# memory, and level 3 was slower per step.
+# The lift levels whose run loops inline a traced kernel.  Level 0 measured
+# about a fifth faster per step; levels 1-2 gained 2-3% end to end for 1-4%
+# more peak memory, and level 3 was slower per step.
 _FUSED_LEVELS = frozenset({0})
 
-# The fused step of each traced kernel, dropped with the kernel.
-_fused_steps: WeakKeyDictionary = WeakKeyDictionary()
+# The inlined run loop of each traced kernel, dropped with the kernel.
+_inlined_loops: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _fused_step(s: Spray) -> Callable | None:
-    """The fused :func:`_rk4_step` of the spray's traced kernel, or None.
+def _run_loop(s: Spray, f: Callable, n: int) -> tuple[Callable, bool]:
+    """The :func:`_rk4` loop for a run of ``s`` stepping with ``f`` on ``n`` positions.
 
-    None at a level outside _FUSED_LEVELS and for a kernel with no tape
-    (an untraced or refused spray).  Built at the first run of a kernel.
+    The flag says whether it inlines the kernel: it does when ``f`` is
+    ``s.acceleration``, the level is in _FUSED_LEVELS and the kernel keeps
+    a tape (it is traced); that loop is built at the kernel's first run.
     """
-    if s.level not in _FUSED_LEVELS:
-        return None
-    kernel = s.kernel
-    tape = getattr(kernel, "tape", None)
+    fused = f == s.acceleration and s.level in _FUSED_LEVELS
+    tape = getattr(s.kernel, "tape", None) if fused else None
     if tape is None:
-        return None
-    step = _fused_steps.get(kernel)
-    if step is None:
-        step = _fused_steps[kernel] = _rk4_step(
-            s.fiber_dim, tape, f"<rk4 step {s.tag} L{s.level}>")
-    return step
+        return _calling(n, s.dim), False
+    loop = _inlined_loops.get(s.kernel)
+    if loop is None:
+        loop = _inlined_loops[s.kernel] = _rk4(n, s.dim, tape, f"<rk4 loop {s.tag} L{s.level}>")
+    return loop, True
 
 
-def _failed_step(s: Spray, step, f, x: list, v: list, a1: list, dt: float) -> str:
+def _failed_step(s: Spray, f, x: list, v: list, a1: list, dt: float) -> str:
     """How a run ends whose step raised or reached a non-finite node.
 
     The step runs again with an evaluator that records each stage
@@ -324,7 +372,7 @@ def _failed_step(s: Spray, step, f, x: list, v: list, a1: list, dt: float) -> st
         return f(xp, vp)
 
     try:
-        step(recording, x, v, a1, dt)
+        _calling(len(x))(recording, x, v, a1, dt)
     except (ArithmeticError, ValueError) as exc:
         if stages and not s.in_domain(stages[-1]):
             return EXIT_DOMAIN
@@ -366,18 +414,18 @@ def _integrate(s: Spray, f: Callable, x: list, v: list, t_span: tuple[float, flo
     ``h`` is positive and finite.  ``f(x, v)`` returns the acceleration as
     a list of ``len(x)`` floats; the node checks read only ``x[:s.dim]``
     and ``v[:s.dim]`` (and the finiteness of every entry), so a state may
-    carry more than one spray's worth of columns after its carrier.  A
-    step that raises or reaches a non-finite node ends in
-    :func:`_failed_step`, which returns the exit reason or raises.
+    carry more than one spray's worth of columns after its carrier.
 
-    When ``f`` is ``s.acceleration`` and :func:`_fused_step` has a step for
-    ``s``, each step runs fused and gives the new node's acceleration
-    with it; ``f`` then runs only at node 0.  A fused step that raises
-    ``ArithmeticError`` or ``ValueError``, the failures the unfused path
-    handles, or reaches a non-finite node is run again on the unfused
-    path, which raises, exits or goes on exactly as it would have without
-    fusion, so exit reasons, exceptions and their tracebacks are those of
-    the unfused run.
+    The steps run in the run's :func:`_run_loop`.  At the first step the
+    loop hands back, this function decides it by the exact checks, never
+    running ``f`` again where the loop already did: a calling loop's step
+    that raised or reached a non-finite node (:func:`_finite`) ends in
+    :func:`_failed_step`, which returns the exit reason or raises; a finite
+    node meets :func:`_node_exit`, and if it passes, it is appended with
+    its acceleration from ``f`` and the loop goes on.  A step of the
+    inlining loop that raised or reached a non-finite node is run again by
+    the calling loop, which then runs the rest, so exit reasons, exceptions
+    and their tracebacks are those of the calling run.
     """
 
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -394,7 +442,6 @@ def _integrate(s: Spray, f: Callable, x: list, v: list, t_span: tuple[float, flo
         raise DomainError(f"time span ({t0}, {t1}) is not finite in steps of {h}")
     nsteps = max(1, math.ceil(ratio - 1e-12)) if span != 0.0 else 0
     sign = 1.0 if span >= 0.0 else -1.0
-    step = _unfused_step(len(x))
 
     def node_acceleration(xp: list, vp: list) -> list:
         try:
@@ -407,39 +454,29 @@ def _integrate(s: Spray, f: Callable, x: list, v: list, t_span: tuple[float, flo
     vs = [v]
     accs = [node_acceleration(x, v)]
     exit_reason = None
-    fused = _fused_step(s) if f == s.acceleration else None
+    loop, inlined = _run_loop(s, f, len(x))
+    in_domain = s.in_domain if s.domain is not None else None
 
-    t = t0
-    for k in range(nsteps):
-        t_next = t1 if k == nsteps - 1 else t0 + sign * (k + 1) * h
-        dt = t_next - t
-        a1 = accs[-1]
-        an = None
-        if fused is not None:
-            try:
-                xn, vn, an = fused(x, v, a1, dt)
-            except (ArithmeticError, ValueError):
-                pass  # the unfused step below runs it again and raises or exits
-            if an is not None and not _finite(xn, vn):
-                an = None
-        if an is not None:
-            reason = _node_exit(s, xn, vn)
-        else:
-            try:
-                xn, vn = step(f, x, v, a1, dt)
-            except (ArithmeticError, ValueError):
-                reason = _failed_step(s, step, f, x, v, a1, dt)
-            else:
-                reason = (_node_exit(s, xn, vn) if _finite(xn, vn)
-                          else _failed_step(s, step, f, x, v, a1, dt))
-        if reason is not None:
-            exit_reason = reason
+    k = 0
+    while k < nsteps:
+        k, t_next, node = loop(f, node_acceleration, in_domain, _NOT_SLASHED_ABOVE,
+                               times, xs, vs, accs, k, nsteps, t0, t1, sign, h)
+        if k == nsteps:
             break
-        x, v, t = xn, vn, t_next
-        times.append(t)
-        xs.append(x)
-        vs.append(v)
-        accs.append(node_acceleration(x, v) if an is None else an)
+        if node is None or not _finite(*node):
+            if inlined:
+                loop, inlined = _calling(len(x), s.dim), False
+                continue
+            exit_reason = _failed_step(s, f, xs[-1], vs[-1], accs[-1], t_next - times[-1])
+            break
+        exit_reason = _node_exit(s, *node)
+        if exit_reason is not None:
+            break
+        times.append(t_next)
+        xs.append(node[0])
+        vs.append(node[1])
+        accs.append(node_acceleration(*node))
+        k += 1
 
     return Trajectory(
         spray=s,

@@ -36,8 +36,8 @@ The program keeps its recording, and :func:`fan_program` builds from it
 the program of several tangents over one carrier: vector forward mode,
 with the statements that read only the carrier run once and the others
 once per tangent, each copy bitwise the program on its own tangent.  Both
-emit their statements through :func:`kept_lines`, and so does the fused
-RK4 step of :mod:`sprayjets.geodesic`, which inlines copies of a kernel.
+emit their statements through :func:`kept_lines`, and so does the RK4
+run loop of :mod:`sprayjets.geodesic`, which inlines copies of a kernel.
 """
 
 from __future__ import annotations
@@ -462,7 +462,7 @@ def _program(stmts, pos, vel, out, namespace, filename):
     ``pos`` and ``vel`` name the inputs; ``namespace`` binds the constants
     and math functions the statements name, and is copied, not changed.
     The body is :func:`kept_lines` reading the two arguments, the same
-    emitter that inlines a kernel into a fused RK4 step.
+    emitter that inlines a kernel into an RK4 run loop.
     """
 
     (note, *body), out = kept_lines(stmts, pos, vel, out, namespace, ("pos", "vel"))

@@ -363,8 +363,7 @@ def pushforward(t: ChartTransition, p: JetPoint) -> JetPoint:
         raise InvalidLevelError(f"transition dimension {t.dim} != point dimension {p.dim}")
     if t.domain is not None and not t.domain(p.base_block()):
         raise DomainError("base block outside the transition domain")
-    out = jet_apply(t.forward, p.coords.tolist(), p.level, p.dim, p.dim)
-    return JetPoint(p.level, p.dim, np.asarray(out, dtype=float))
+    return JetPoint(p.level, p.dim, jet_apply(t.forward, p.coords.tolist(), p.level, p.dim, p.dim))
 
 
 def inverse_transition(t: ChartTransition) -> ChartTransition:

@@ -30,8 +30,8 @@ of refused evaluators, and ``jet_apply`` of a refused chart, no float
 path runs ``Dual`` arithmetic: the time derivative of the acceleration
 (:func:`acceleration_jet`) is read off the complete lift's kernel rather
 than evaluated on ``Dual`` pairs.  Most run through a call of the
-kernel; a fused RK4 step (:mod:`sprayjets.geodesic`) runs inlined copies
-of a traced kernel's statements instead, with the same results.  On
+kernel; a level-0 RK4 run loop (:mod:`sprayjets.geodesic`) runs inlined
+copies of a traced kernel's statements instead, with the same results.  On
 ``Dual`` entries :func:`acceleration_jet` runs ``coeff_fn`` itself.
 """
 
@@ -97,8 +97,8 @@ class Spray:
         refused or ``traced`` is off it evaluates ``coeff_fn`` and returns
         ``float(-2.0 * g)`` of each coefficient.  A traced
         kernel keeps its recording as its ``tape``, from which :meth:`fan`
-        and the fused RK4 step of :mod:`sprayjets.geodesic` generate
-        their own code; so a fused run's steps never call it.
+        and the RK4 run loop of :mod:`sprayjets.geodesic` generate
+        their own code; so a loop that inlines it never calls it.
         """
         coeff_fn, n = self.coeff_fn, self.fiber_dim
 

@@ -477,7 +477,12 @@ def dimension_probe(s: Spray, x0, v0, alpha: float, beta: float) -> DimensionRep
     and deleting only the beta column loses exactly one direction.  The
     Jacobian of :func:`delta_coordinates` in (x0, v0, alpha, beta) is exact,
     column k from ``Dual`` entries with the k-th unit tangent; the other
-    maps take its position rows and a subset of its columns.
+    maps take its position rows and a subset of its columns.  The alpha and
+    beta columns scale with the speed ``|v0|``, so the ranks are taken with
+    them divided by it: column scaling keeps the exact rank, and a slow
+    start reads the rank of a fast one.  ``parametrization_jacobian`` is
+    the unscaled Jacobian.  A start whose base velocity is not slashed
+    raises :class:`DomainError`.
     """
 
     m = s.fiber_dim
@@ -488,10 +493,14 @@ def dimension_probe(s: Spray, x0, v0, alpha: float, beta: float) -> DimensionRep
         xi = delta_coordinates(s, p[:m], p[m : 2 * m], p[2 * m], p[2 * m + 1])
         return [jet_du(z) for z in xi]
 
+    speed = float(np.linalg.norm(p0[m : 2 * m]))
+    if speed <= EPS_SLASHED:
+        raise DomainError(f"base velocity is not slashed ({speed:.3e})")
     j_full = np.array([column(k) for k in range(len(p0))]).T
-    j_conf = j_full[: 4 * m]
+    scaled = np.hstack([j_full[:, : 2 * m], j_full[:, 2 * m :] / speed])
+    j_conf = scaled[: 4 * m]
     return DimensionReport(
-        full_jet_rank=_rank(j_full),
+        full_jet_rank=_rank(scaled),
         configuration_rank=_rank(j_conf),
         fixed_parameter_rank=_rank(j_conf[:, : 2 * m]),
         configuration_rank_without_beta=_rank(j_conf[:, : 2 * m + 1]),

@@ -19,6 +19,7 @@ from sprayjets import (EPS_SLASHED, DomainError, IntegrationBlowupError,
                        write_trajectory_csv)
 from sprayjets import geodesic
 from sprayjets.geodesic import _node_exit
+from sprayjets.jacobi import _fan_run
 from sprayjets.jets import jet_re
 
 TILT, OMEGA = 0.3, 3.0
@@ -269,9 +270,10 @@ def test_tangent_flow_level_guard():
 def _record_accelerations(monkeypatch):
     """Log (level, caller) for every ``Spray.acceleration`` call.
 
-    In ``integrate`` the caller is ``step`` for a stage of the generated
-    RK4 step, ``node_acceleration`` for a stored node and ``recording``
-    for a stage of a failed step run again.  A fused step calls nothing.
+    In ``integrate`` the caller is ``loop`` for a stage of the generated
+    RK4 run loop, ``node_acceleration`` for a stored node and ``recording``
+    for a stage of a failed step run again.  A loop that inlines the
+    kernel calls nothing.
     """
     calls = []
     orig = Spray.acceleration
@@ -288,9 +290,9 @@ def _callers(calls):
     return [caller for _, caller in calls]
 
 
-# node 0; step 1 fused; step 2 fused, which raises, then run again
-# unfused, whose last stage raises, then run again, recorded
-FAILED_SECOND_STEP = ["node_acceleration"] + ["step"] * 3 + ["recording"] * 3
+# node 0; step 1 inlined; step 2 inlined, which raises, then run again by
+# the calling loop, whose last stage raises, then run again, recorded
+FAILED_SECOND_STEP = ["node_acceleration"] + ["loop"] * 3 + ["recording"] * 3
 
 
 def test_stage_on_pole_is_domain_exit(monkeypatch):
@@ -338,7 +340,7 @@ def _pole_stage_spray(domain):
 
 # np.float64(x[0]) refuses tracing: node 0, the three stages of step 1,
 # whose node is NaN, then that step again, recorded
-NONFINITE_FIRST_STEP = ["node_acceleration"] + ["step"] * 3 + ["recording"] * 3
+NONFINITE_FIRST_STEP = ["node_acceleration"] + ["loop"] * 3 + ["recording"] * 3
 
 
 def test_nonfinite_stage_outside_domain_is_domain_exit(monkeypatch):
@@ -489,6 +491,11 @@ def _scalar_types(pos, vel):
 
 
 SWITCHING = Spray(level=0, dim=1, coeff_fn=_switching_drag, tag="switching-drag")
+DISK = make_flat(2, domain=lambda x: float(x @ x) < 4.0)
+# the chart keeps colatitude above 0.3; from this start the geodesic heads
+# for the pole and leaves the chart near t = 0.4
+EDGE_SPHERE = make_sphere(pole_margin=0.3)
+EDGE_START = [0.6, 0.0, -0.8, 0.3]
 PUSHED_SPHERE = pushforward_spray(shear_chart(), make_sphere())
 PUSHED_START = [1.2 + 0.4 ** 2, 0.4, 0.3, 1.0]
 
@@ -507,15 +514,20 @@ REFERENCE_CASES = {
     "refused-trace-L1": (complete_lift(SWITCHING), _lifted_init(1, [-0.3, 1.0]), 1.0, 1e-2),
     "scalar-types": (Spray(level=0, dim=2, coeff_fn=_scalar_types, tag="scalar-types"),
                      JetPoint(1, 2, [0.0, 0.0, 1.0, 0.5]), 1.0, 1e-2),
-    "disk-domain-exit": (make_flat(2, domain=lambda x: float(x @ x) < 4.0),
-                         JetPoint(1, 2, [0.0, 0.0, 1.0, 0.0]), 3.0, 1e-2),
+    "disk-domain-exit": (DISK, JetPoint(1, 2, [0.0, 0.0, 1.0, 0.0]), 3.0, 1e-2),
+    "disk-domain-exit-L1": (complete_lift(DISK), _lifted_init(1, [0.0, 0.0, 1.0, 0.0]), 3.0, 1e-2),
+    "disk-domain-exit-L2": (complete_lift(complete_lift(DISK)),
+                            _lifted_init(2, [0.0, 0.0, 1.0, 0.0]), 3.0, 2e-2),
+    "sphere-edge-L1": (complete_lift(EDGE_SPHERE), _lifted_init(1, EDGE_START), 1.0, 2e-2),
     "brake-slashed-exit": (Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.5], tag="brake"),
                            JetPoint(1, 1, [0.0, 1.0]), 2.0, 1e-2),
     # every entry is finite but the coordinate sum overflows to inf
     "overflowing-sum": (make_flat(2), JetPoint(1, 2, [1e308, 1e308, 1.0, -0.5]), 1.0, 1e-1),
 }
 
-EXPECTED_EXIT = {"disk-domain-exit": "domain", "brake-slashed-exit": "slashed"}
+EXPECTED_EXIT = {"disk-domain-exit": "domain", "disk-domain-exit-L1": "domain",
+                 "disk-domain-exit-L2": "domain", "sphere-edge-L1": "domain",
+                 "brake-slashed-exit": "slashed"}
 
 
 @pytest.mark.parametrize("direction", [1.0, -1.0], ids=["forward", "reversed"])
@@ -535,6 +547,55 @@ def test_integrate_matches_reference_loop_bitwise(case, direction):
         assert getattr(got, name).dtype == np.float64
     assert got.exit_reason == want.exit_reason == EXPECTED_EXIT.get(case)
     assert got.requested == want.requested
+
+
+def test_backward_fan_run_exits_at_the_chart_edge_as_its_fields_do():
+    # sphere-edge-L1 reversed, with two more fields on its carrier: run
+    # backward, the carrier reaches the pole margin and every run exits there
+    s, init, span, h = REFERENCE_CASES["sphere-edge-L1"]
+    carrier = EDGE_START[:2] + [-z for z in EDGE_START[2:]]
+    rng = np.random.default_rng(5)
+    starts = [JetPoint(2, 2, carrier[:2] + rng.standard_normal(2).tolist()
+                       + carrier[2:] + rng.standard_normal(2).tolist()) for _ in range(3)]
+    fan = _fan_run(EDGE_SPHERE, starts, (0.0, -span), h)
+    assert fan.exit_reason == "domain" and -span < fan.t_end < 0.0
+    for k, p in enumerate(starts):
+        field_k = fan.columns(np.r_[:2, 2 + 2 * k:4 + 2 * k], s)
+        for run in (integrate, _reference_integrate):
+            own = run(s, p, (0.0, -span), h)
+            assert own.exit_reason == "domain"
+            for name in ("times", "positions", "velocities", "accelerations"):
+                assert getattr(field_k, name).tobytes() == getattr(own, name).tobytes(), name
+
+
+@pytest.mark.parametrize("case", ["sphere-L0", "sphere-L1", "finsler", "disk-domain-exit",
+                                  "disk-domain-exit-L1", "sphere-edge-L1", "brake-slashed-exit",
+                                  "overflowing-sum"])
+def test_every_step_through_the_handback_is_the_loop(monkeypatch, case):
+    # with no floor, every node fails the loop's slashed prefilter, so each
+    # step is handed back to _integrate and decided there by _node_exit
+    s, init, span, h = REFERENCE_CASES[case]
+    calls = _record_accelerations(monkeypatch)
+    want = integrate(s, init, (0.0, span), h)
+    loop_calls = _callers(calls)
+    calls.clear()
+    monkeypatch.setattr(geodesic, "_NOT_SLASHED_ABOVE", math.inf)
+    checked = []
+    node_exit = geodesic._node_exit
+    monkeypatch.setattr(geodesic, "_node_exit", lambda *node: checked.append(1) or node_exit(*node))
+    got = integrate(s, init, (0.0, span), h)
+    # the initial state, then every node the run reached
+    assert len(checked) == len(got.times) + (got.exit_reason is not None)
+    for name in ("times", "positions", "velocities", "accelerations"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.exit_reason == want.exit_reason == EXPECTED_EXIT.get(case)
+    if geodesic._run_loop(s, s.acceleration, s.fiber_dim)[1]:
+        # the stages run inlined; each stored node's acceleration comes from f
+        assert _callers(calls) == ["node_acceleration"] * len(got.times)
+    else:
+        # no stage runs twice: the same evaluations, in the same order
+        assert _callers(calls) == loop_calls
+        assert loop_calls.count("loop") == 3 * (len(got.times) - 1 + (got.exit_reason is not None))
 
 
 @pytest.mark.parametrize("coords", [
@@ -565,12 +626,12 @@ def test_acceleration_calls_per_step(monkeypatch, level):
     tr = integrate(s, init, (0.0, 0.5), 0.1)
     steps = len(tr.times) - 1
     assert tr.complete and steps == 5
-    # the wrapped kernel keeps no tape, so no step is fused: three stage
+    # the wrapped kernel keeps no tape, so no loop inlines it: three stage
     # evaluations per step and one per stored node, each through
     # Spray.acceleration and each running the kernel once
     assert len(calls) == 3 * steps + len(tr.times) == 4 * steps + 1
     assert {lvl for lvl, _ in calls} == {level}
-    assert _callers(calls).count("step") == 3 * steps
+    assert _callers(calls).count("loop") == 3 * steps
     assert len(kernel_runs) == 4 * steps + 1
     calls.clear()
     residual(s, tr)
@@ -627,11 +688,11 @@ def test_fused_run_is_the_unfused_run(case):
     for _ in range(level):
         s = complete_lift(s)
     init = JetPoint(level + 1, s.dim, coords)
-    fused = _run_outcome(s, init, span, h)
-    assert geodesic._fused_step(s) is not None
+    inlined = _run_outcome(s, init, span, h)
+    assert geodesic._run_loop(s, s.acceleration, s.fiber_dim)[1]
     with mock.patch.object(geodesic, "_FUSED_LEVELS", frozenset()):
-        assert geodesic._fused_step(s) is None
-        assert fused == _run_outcome(s, init, span, h)
+        assert not geodesic._run_loop(s, s.acceleration, s.fiber_dim)[1]
+        assert inlined == _run_outcome(s, init, span, h)
 
 
 def test_residual_matches_step_loop():

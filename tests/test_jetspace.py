@@ -455,6 +455,20 @@ def test_pushforward_is_bitwise_the_dual_path_on_numpy_entries(chart, level):
         assert pushforward(t, p).coords.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_pushforward_coordinates_are_jet_apply_read_only(level):
+    # the list jet_apply returns becomes the JetPoint's array in one conversion
+    t = exp_chart()
+    p = random_jet(np.random.default_rng(level), level, 2)
+    got = pushforward(t, p).coords
+    want = np.asarray(jet_apply(t.forward, p.coords.tolist(), level, 2, 2), dtype=float)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0] = 0.0
+
+
 def test_pushforward_through_a_pole_raises_zero_division():
     # float arithmetic raises where np.float64 arithmetic gave inf
     t = ChartTransition(dim=2, forward=lambda x: [1.0 / x[0], x[1]],
