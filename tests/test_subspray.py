@@ -654,25 +654,22 @@ def test_dimension_probe_flat():
     assert d.ok
 
 
-def test_rank_counts_singular_values_above_1e_6_of_the_largest():
-    # singular values 1, 1.1e-6 and 0.9e-6 of the largest, at two scales: a
+@pytest.mark.parametrize("speed, ranks",
+                         [(3e-7, (8, 8, 6, 7)), (3e-6, (8, 8, 6, 7)), (1.0, (8, 8, 6, 7))])
+def test_rank_counts_singular_values_above_1e_6_of_the_largest(speed, ranks):
+    # singular values 1, 1.1e-6 and 0.9e-6 of the largest, scaled by the speed: a
     # cut of 1e-5 would count 1 and a cut of 1e-7 would count 3
-    for scale in (1.0, 3e-7):
-        assert sub._rank(scale * np.diag([1.0, 1.1e-6, 0.9e-6])) == 2
-        assert sub._rank(scale * np.diag([1.0, 1e-6])) == 1
+    assert sub._rank(speed * np.diag([1.0, 1.1e-6, 0.9e-6])) == 2
+    assert sub._rank(speed * np.diag([1.0, 1e-6])) == 1
     assert sub._rank(np.zeros((3, 2))) == 0
-
-
-@pytest.mark.parametrize("speed", [3e-7, 3e-6, 1.0])
-def test_dimension_probe_ranks_do_not_depend_on_the_speed(speed):
-    # test_dimension_probe_flat's point at a small speed: the scalar columns scale
+    # test_dimension_probe_flat's point at that speed: the scalar columns scale
     # with it, to singular values of 0.5-0.95 times the speed relative to the
     # largest; at 3e-7 unscaled columns read (6, 6, 6, 6)
     f = make_flat(3)
     v0 = speed * np.array([1.0, 0.2, -0.3])
     d = sub.dimension_probe(f, [0.0, 0.0, 0.0], v0, 0.8, 0.1)
     assert (d.full_jet_rank, d.configuration_rank,
-            d.fixed_parameter_rank, d.configuration_rank_without_beta) == (8, 8, 6, 7)
+            d.fixed_parameter_rank, d.configuration_rank_without_beta) == ranks
     assert d.ok
     # the reported Jacobian is unscaled: its alpha column at the first position row is v0
     assert d.parametrization_jacobian[6:9, 6].tolist() == v0.tolist()
