@@ -23,11 +23,11 @@ missing, by its kernel once per field.
 The loop checks each node in plain Python floats, by prefilters: the sum
 of its entries is finite, the Python sum of squares of its base velocity
 lies clearly above ``EPS_SLASHED**2``, and the chart domain, when the
-spray has one, holds it.  At the first step that raises or whose node
-fails a prefilter, the loop hands back to :func:`_integrate`, which
-decides that step by the exact tests (the entrywise or numpy test runs
-only near the threshold or on an overflowing sum), exits, raises or lets
-the loop go on.  Every failed step of a run, single or shared, ends in
+spray has one, holds it.  A node that fails a prefilter meets the exact
+tests in the loop (the entrywise or numpy test runs only near the
+threshold or on an overflowing sum), which end the run or let it go on.
+The loop runs the whole span in one call and returns how the run ended.
+Every failed step of a run, single or shared, ends in
 :func:`_failed_step`, which reruns it with the one-step form of the same
 template.  The residual evaluates every step midpoint and then takes all
 the defect norms in one ``np.vecdot``.
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from typing import Callable
 from weakref import WeakKeyDictionary
 
@@ -232,26 +232,32 @@ def _rk4(n: int, dim: int | None = None, tape: _Tape | None = None,
     (c, d, a) = (0.5*dt, v, a1), (0.5*dt, v2, a2), (dt, v3, a3); the
     update is ``x + dt*(v + 2.0*v2 + 2.0*v3 + v4)/6.0`` and likewise for v.
 
-    With ``dim`` it is ``loop(f, g, in_domain, floor, times, xs, vs, accs,
-    k, nsteps, t0, t1, sign, h)``, which runs steps k, k + 1, ... of
-    :func:`_integrate` from the last node of the lists, keeping the state
-    in locals.  Each step is the step's statements, then the node checks'
-    prefilters: the sum of the node's entries is finite, the sum of squares
-    of its leading ``dim`` velocities lies above ``floor``, and
-    ``in_domain`` (unless None) accepts its position.  A node that passes
-    is appended with ``g(xn, vn)``, its acceleration.  The loop returns
-    ``(k, t_next, node)`` at the first step k that raises
-    ``ArithmeticError`` or ``ValueError`` (``node`` is None) or whose node
-    (xn, vn) fails a prefilter, and ``(nsteps, t, None)`` past the last.
+    With ``dim`` it is ``loop(f, g, failed, node_exit, in_domain, floor,
+    times, xs, vs, accs, nsteps, t1, sign, h)``, which runs the ``nsteps``
+    steps of :func:`_integrate` from the one node in the lists, keeping
+    the state in locals, and returns the run's exit reason.  Each step is
+    the step's statements, then the node checks' prefilters: the sum of
+    the node's entries is finite, the sum of squares of its leading
+    ``dim`` velocities lies above ``floor``, and ``in_domain`` (unless
+    None) accepts its position.  A node (xn, vn) that fails one meets the
+    exact checks: the loop returns ``node_exit(xn, vn)`` when it is not
+    None and otherwise goes on.  Each node that goes on is appended with
+    ``g(xn, vn)``, its acceleration.  A step that raises
+    ``ArithmeticError`` or ``ValueError``, or whose node is not finite
+    (:func:`_finite`), ends the run with ``failed(x, v, a1, dt)`` from its
+    start node, which returns an exit reason or raises.  The loop returns
+    None past the last step.
 
     ``tape`` is the recording a traced kernel keeps
     (:func:`~sprayjets.jets.compile_trace`).  With it, each stage
     evaluation and the node's acceleration run their own copy of the
     kernel's kept statements (:func:`~sprayjets.jets.kept_lines`) instead
-    of calling ``f`` and ``g``; a copy that raises counts as a raising
-    step.  The copies perform the kernel's operations on the same values,
-    so every result is bitwise that of the loop calling the kernel.  The
-    loop's source is registered under ``filename``.
+    of calling ``f`` and ``g``; a stage copy that raises counts as a
+    raising step, and a node copy that raises calls ``g``, which raises
+    the calling loop's error.  The copies perform the kernel's operations
+    on the same values, so every result is bitwise that of the loop
+    calling the kernel.  The loop's source is registered under
+    ``filename``.
     """
 
     def each(template: str) -> list[str]:
@@ -284,28 +290,37 @@ def _rk4(n: int, dim: int | None = None, tape: _Tape | None = None,
                  f"    return [{row('xn_#')}], [{row('vn_#')}]"]
         return compile_source("\n".join(lines) + "\n", f"<rk4 step n={n}>", {}, "step")
 
-    failed = ["except (ArithmeticError, ValueError):", "    return k, t_next, None"]
     if tape is None:
         node = [f"{row('a1_#')}, = an = g(xn, vn)"]
     else:
-        node = ["try:", *indent(4, evaluate("1", "xn_#", "vn_#")), *failed,
+        node = ["try:", *indent(4, evaluate("1", "xn_#", "vn_#")),
+                "except (ArithmeticError, ValueError):",
+                f"    {row('a1_#')}, = g(xn, vn)",
                 f"an = [{row('a1_#')}]"]
     squares = " + ".join(f"vn_{i} * vn_{i}" for i in range(dim))
-    lines = ["def loop(f, g, in_domain, floor, times, xs, vs, accs, k, nsteps, t0, t1, sign, h):",
-             "    x, v, a1, t = xs[-1], vs[-1], accs[-1], times[-1]",
+    lines = ["def loop(f, g, failed, node_exit, in_domain, floor, times, xs, vs, accs, nsteps,",
+             "         t1, sign, h):",
+             "    x, v, a1, t0 = xs[0], vs[0], accs[0], times[0]",
              *indent(4, unpack),
+             "    t = t0",
+             "    k = 0",
              "    while k < nsteps:",
              "        t_next = t1 if k == nsteps - 1 else t0 + sign * (k + 1) * h",
              "        dt = t_next - t",
              "        try:",
              *indent(12, body),
-             *indent(8, failed),
+             "        except (ArithmeticError, ValueError):",
+             "            break",
              f"        xn = [{row('xn_#')}]",
              f"        vn = [{row('vn_#')}]",
              f"        if (not isfinite({row('xn_#').replace(',', ' +')} + "
              f"{row('vn_#').replace(',', ' +')}) or {squares} <= floor",
              "                or in_domain is not None and not in_domain(xn)):",
-             "            return k, t_next, (xn, vn)",
+             "            if not finite(xn, vn):",
+             "                break",
+             "            reason = node_exit(xn, vn)",
+             "            if reason is not None:",
+             "                return reason",
              *indent(8, node),
              "        times.append(t_next)",
              "        xs.append(xn)",
@@ -314,8 +329,10 @@ def _rk4(n: int, dim: int | None = None, tape: _Tape | None = None,
              *indent(8, each("x_# = xn_#") + each("v_# = vn_#")),
              "        t = t_next",
              "        k += 1",
-             "    return k, t, None"]
-    namespace = {"isfinite": math.isfinite}
+             "    else:",
+             "        return None",
+             "    return failed(xs[-1], vs[-1], accs[-1], dt)"]
+    namespace = {"isfinite": math.isfinite, "finite": _finite}
     if tape is None:
         filename = f"<rk4 loop n={n} dim={dim}>"
     else:
@@ -338,21 +355,21 @@ _FUSED_LEVELS = frozenset({0})
 _inlined_loops: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _run_loop(s: Spray, f: Callable, n: int) -> tuple[Callable, bool]:
+def _run_loop(s: Spray, f: Callable, n: int) -> Callable:
     """The :func:`_rk4` loop for a run of ``s`` stepping with ``f`` on ``n`` positions.
 
-    The flag says whether it inlines the kernel: it does when ``f`` is
-    ``s.acceleration``, the level is in _FUSED_LEVELS and the kernel keeps
-    a tape (it is traced); that loop is built at the kernel's first run.
+    It inlines the kernel when ``f`` is ``s.acceleration``, the level is in
+    _FUSED_LEVELS and the kernel keeps a tape (it is traced); that loop is
+    built at the kernel's first run.  Otherwise it is the calling loop.
     """
     fused = f == s.acceleration and s.level in _FUSED_LEVELS
     tape = getattr(s.kernel, "tape", None) if fused else None
     if tape is None:
-        return _calling(n, s.dim), False
+        return _calling(n, s.dim)
     loop = _inlined_loops.get(s.kernel)
     if loop is None:
         loop = _inlined_loops[s.kernel] = _rk4(n, s.dim, tape, f"<rk4 loop {s.tag} L{s.level}>")
-    return loop, True
+    return loop
 
 
 def _failed_step(s: Spray, f, x: list, v: list, a1: list, dt: float) -> str:
@@ -396,8 +413,6 @@ def integrate(s: Spray, init: JetPoint, t_span: tuple[float, float], h: float) -
     finite raises :class:`DomainError`.
     """
 
-    if not 0.0 < h < math.inf:
-        raise DomainError(f"step size must be positive and finite, got {h}")
     if init.level != s.level + 1:
         raise InvalidLevelError(
             f"initial jet must sit one level above the spray ({s.level + 1}), got {init.level}"
@@ -411,23 +426,18 @@ def _integrate(s: Spray, f: Callable, x: list, v: list, t_span: tuple[float, flo
                h: float) -> Trajectory:
     """The run of :func:`integrate` from the float lists (x, v), stepping with ``f``.
 
-    ``h`` is positive and finite.  ``f(x, v)`` returns the acceleration as
-    a list of ``len(x)`` floats; the node checks read only ``x[:s.dim]``
-    and ``v[:s.dim]`` (and the finiteness of every entry), so a state may
-    carry more than one spray's worth of columns after its carrier.
-
-    The steps run in the run's :func:`_run_loop`.  At the first step the
-    loop hands back, this function decides it by the exact checks, never
-    running ``f`` again where the loop already did: a calling loop's step
-    that raised or reached a non-finite node (:func:`_finite`) ends in
-    :func:`_failed_step`, which returns the exit reason or raises; a finite
-    node meets :func:`_node_exit`, and if it passes, it is appended with
-    its acceleration from ``f`` and the loop goes on.  A step of the
-    inlining loop that raised or reached a non-finite node is run again by
-    the calling loop, which then runs the rest, so exit reasons, exceptions
-    and their tracebacks are those of the calling run.
+    ``f(x, v)`` returns the acceleration as a list of ``len(x)`` floats;
+    the node checks read only ``x[:s.dim]`` and ``v[:s.dim]`` (and the
+    finiteness of every entry), so a state may carry more than one spray's
+    worth of columns after its carrier.  A step size that is not positive
+    and finite raises :class:`DomainError`.  The steps run in one call of
+    the run's :func:`_run_loop`, which decides each node by
+    :func:`_node_exit` and each failed step by :func:`_failed_step`, and
+    returns the exit reason.
     """
 
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"step size must be positive and finite, got {h}")
     t0, t1 = float(t_span[0]), float(t_span[1])
 
     if not _finite(x, v):
@@ -453,30 +463,10 @@ def _integrate(s: Spray, f: Callable, x: list, v: list, t_span: tuple[float, flo
     xs = [x]
     vs = [v]
     accs = [node_acceleration(x, v)]
-    exit_reason = None
-    loop, inlined = _run_loop(s, f, len(x))
-    in_domain = s.in_domain if s.domain is not None else None
-
-    k = 0
-    while k < nsteps:
-        k, t_next, node = loop(f, node_acceleration, in_domain, _NOT_SLASHED_ABOVE,
-                               times, xs, vs, accs, k, nsteps, t0, t1, sign, h)
-        if k == nsteps:
-            break
-        if node is None or not _finite(*node):
-            if inlined:
-                loop, inlined = _calling(len(x), s.dim), False
-                continue
-            exit_reason = _failed_step(s, f, xs[-1], vs[-1], accs[-1], t_next - times[-1])
-            break
-        exit_reason = _node_exit(s, *node)
-        if exit_reason is not None:
-            break
-        times.append(t_next)
-        xs.append(node[0])
-        vs.append(node[1])
-        accs.append(node_acceleration(*node))
-        k += 1
+    exit_reason = _run_loop(s, f, len(x))(
+        f, node_acceleration, partial(_failed_step, s, f), partial(_node_exit, s),
+        s.in_domain if s.domain is not None else None, _NOT_SLASHED_ABOVE,
+        times, xs, vs, accs, nsteps, t1, sign, h)
 
     return Trajectory(
         spray=s,

@@ -84,11 +84,6 @@ class JacobiField:
         }
 
 
-def base_of(tr: Trajectory, parent: Spray) -> Trajectory:
-    half = tr.positions.shape[1] // 2
-    return tr.columns(np.arange(half), parent)
-
-
 def jacobi_from_initial(s: Spray, init: JetPoint, t_span: tuple[float, float],
                         h: float) -> JacobiField:
     """Propagate a Jacobi field by integrating the lifted spray.
@@ -103,7 +98,7 @@ def jacobi_from_initial(s: Spray, init: JetPoint, t_span: tuple[float, float],
             f"initial jet must sit at level {lifted.level + 1}, got {init.level}"
         )
     tr = integrate(lifted, init, t_span, h)
-    return JacobiField(field=tr, base=base_of(tr, s))
+    return JacobiField(field=tr, base=tr.columns(np.arange(tr.positions.shape[1] // 2), s))
 
 
 def _central_difference(ends: Callable[[float], tuple[np.ndarray, np.ndarray]],
@@ -262,8 +257,6 @@ def _fan_run(s: Spray, starts: list[JetPoint], t_span: tuple[float, float],
     when the lift has none, it is the lift's kernel once per start.
     """
 
-    if not 0.0 < h < math.inf:
-        raise DomainError(f"step size must be positive and finite, got {h}")
     lifted = complete_lift(s)
     kernel, fan, n = lifted.kernel, lifted.fan(len(starts)), s.fiber_dim
 

@@ -290,9 +290,9 @@ def _callers(calls):
     return [caller for _, caller in calls]
 
 
-# node 0; step 1 inlined; step 2 inlined, which raises, then run again by
-# the calling loop, whose last stage raises, then run again, recorded
-FAILED_SECOND_STEP = ["node_acceleration"] + ["loop"] * 3 + ["recording"] * 3
+# node 0; step 1 inlined; step 2 inlined, whose last stage raises, then run
+# again, recorded
+FAILED_SECOND_STEP = ["node_acceleration"] + ["recording"] * 3
 
 
 def test_stage_on_pole_is_domain_exit(monkeypatch):
@@ -572,8 +572,8 @@ def test_backward_fan_run_exits_at_the_chart_edge_as_its_fields_do():
                                   "disk-domain-exit-L1", "sphere-edge-L1", "brake-slashed-exit",
                                   "overflowing-sum"])
 def test_every_step_through_the_handback_is_the_loop(monkeypatch, case):
-    # with no floor, every node fails the loop's slashed prefilter, so each
-    # step is handed back to _integrate and decided there by _node_exit
+    # with no floor, every node fails the loop's slashed prefilter, so the
+    # loop decides each by _node_exit
     s, init, span, h = REFERENCE_CASES[case]
     calls = _record_accelerations(monkeypatch)
     want = integrate(s, init, (0.0, span), h)
@@ -589,9 +589,10 @@ def test_every_step_through_the_handback_is_the_loop(monkeypatch, case):
     for name in ("times", "positions", "velocities", "accelerations"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.exit_reason == want.exit_reason == EXPECTED_EXIT.get(case)
-    if geodesic._run_loop(s, s.acceleration, s.fiber_dim)[1]:
-        # the stages run inlined; each stored node's acceleration comes from f
-        assert _callers(calls) == ["node_acceleration"] * len(got.times)
+    calling = geodesic._calling(s.fiber_dim, s.dim)
+    if geodesic._run_loop(s, s.acceleration, s.fiber_dim) is not calling:
+        # the stages and nodes run inlined; only node 0 calls f
+        assert _callers(calls) == ["node_acceleration"]
     else:
         # no stage runs twice: the same evaluations, in the same order
         assert _callers(calls) == loop_calls
@@ -646,8 +647,15 @@ def test_fused_level0_run_calls_the_evaluator_for_node_0_only(monkeypatch):
     assert calls == [(0, "node_acceleration")]
 
 
+# node 1 of the drag run 0.1*v*v from (0, 1) at h = 0.25, where the trap
+# divides by zero; its stages and other nodes give the drag run's values
+TRAP_X = 0.24395071134389243
+
 FUSED_SPRAYS = {"sphere": make_sphere(), "flat": make_flat(2),
-                "finsler": make_finsler_example((0.3, -0.2)), "round-sphere-3": make_round_sphere(3)}
+                "finsler": make_finsler_example((0.3, -0.2)),
+                "round-sphere-3": make_round_sphere(3),
+                "trap": Spray(level=0, dim=1, tag="trap",
+                              coeff_fn=lambda x, v: [0.1 * v[0] * v[0] + 0.0 / (x[0] - TRAP_X)])}
 
 
 @st.composite
@@ -672,7 +680,7 @@ def _run_outcome(s, init, span, h):
     try:
         tr = integrate(s, init, (0.0, span), h)
     except Exception as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), type(exc.__cause__)
     return (tuple(getattr(tr, name).tobytes() for name in ("times", "positions", "velocities",
                                                            "accelerations"))
             + (tr.exit_reason,))
@@ -682,17 +690,29 @@ def _run_outcome(s, init, span, h):
 @given(_fused_cases())
 # the 4th stage of step 2 lands on the pole (as in test_stage_on_pole_is_domain_exit)
 @example(("sphere", 0, [0.5, 0.0, -1.0, 0.0], 2.0, 0.25))
+# the inlined acceleration of node 1 raises (see TRAP_X)
+@example(("trap", 0, [0.0, 1.0], 1.0, 0.25))
 def test_fused_run_is_the_unfused_run(case):
     name, level, coords, span, h = case
     s = FUSED_SPRAYS[name]
     for _ in range(level):
         s = complete_lift(s)
     init = JetPoint(level + 1, s.dim, coords)
+    calling = geodesic._calling(s.fiber_dim, s.dim)
     inlined = _run_outcome(s, init, span, h)
-    assert geodesic._run_loop(s, s.acceleration, s.fiber_dim)[1]
+    assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is not calling
     with mock.patch.object(geodesic, "_FUSED_LEVELS", frozenset()):
-        assert not geodesic._run_loop(s, s.acceleration, s.fiber_dim)[1]
+        assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is calling
         assert inlined == _run_outcome(s, init, span, h)
+
+
+def test_trap_node_failure_is_a_blowup():
+    drag = Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.1 * v[0] * v[0]], tag="drag")
+    init = JetPoint(1, 1, [0.0, 1.0])
+    assert integrate(drag, init, (0.0, 1.0), 0.25).positions[1, 0] == TRAP_X
+    assert _run_outcome(FUSED_SPRAYS["trap"], init, 1.0, 0.25) == (
+        IntegrationBlowupError, "coefficient evaluation failed: ZeroDivisionError('float division "
+        "by zero')", ZeroDivisionError)
 
 
 def test_residual_matches_step_loop():
