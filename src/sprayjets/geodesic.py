@@ -28,19 +28,21 @@ tests in the loop (the entrywise or numpy test runs only near the
 threshold or on an overflowing sum), which end the run or let it go on.
 The loop runs the whole span in one call and returns how the run ended.
 Every failed step of a run, single or shared, ends in
-:func:`_failed_step`, which reruns it with the one-step form of the same
-template.  The residual evaluates every step midpoint and then takes all
+:func:`_failed_step`, which replays the step's stages in plain floats,
+with the template's operations in the template's order, to learn where
+they lie.  The residual evaluates every step midpoint and then takes all
 the defect norms in one ``np.vecdot``.
 
-The generated code, in every form, carries the order invariant.  Each
+The generated code, and the replay, carry the order invariant.  Each
 element is computed by the same IEEE double operations, in the same order
 and association, as the numpy expressions ``x + 0.5*dt*v`` and
 ``x + dt*(k1 + 2.0*k2 + 2.0*k3 + k4)/6.0``.  That order is not a detail:
 the carrier columns of a lifted run (the leading ``dim`` positions and
 velocities) must equal the run of the base spray bit for bit, because the
 primal part of jet arithmetic repeats the float computation and
-``subspray.geodesic`` takes its base geodesic from the lifted run.  The
-generator may not reorder, merge or regroup any of these operations.
+``subspray.geodesic`` takes its base geodesic from the lifted run.
+Neither the generator nor the replay may reorder, merge or regroup any of
+these operations.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ class Trajectory:
     velocities: np.ndarray
     accelerations: np.ndarray
     h: float
-    requested: tuple[float, float]
     exit_reason: str | None = field(default=None)
 
     @property
@@ -180,7 +181,6 @@ class Trajectory:
             velocities=self.velocities[:, idx],
             accelerations=self.accelerations[:, idx],
             h=self.h,
-            requested=self.requested,
             exit_reason=self.exit_reason,
         )
 
@@ -222,31 +222,29 @@ def _finite(x: list, v: list) -> bool:
     return math.isfinite(sum(x) + sum(v)) or all(map(math.isfinite, x + v))
 
 
-def _rk4(n: int, dim: int | None = None, tape: _Tape | None = None,
+def _rk4(n: int, dim: int, tape: _Tape | None = None,
          filename: str | None = None) -> Callable:
-    """The RK4 step for ``n`` positions or, given ``dim``, the run loop around it.
+    """The RK4 run loop for ``n`` positions, ``dim`` of them the base's.
 
-    Without ``dim`` it is ``step(f, x, v, a1, dt) -> (xn, vn)``, where
-    ``f(x, v)`` is the acceleration as a list and ``a1`` its value at the
-    node (x, v).  Stage k is ``xk = x + c*d``, ``vk = v + c*a`` with
-    (c, d, a) = (0.5*dt, v, a1), (0.5*dt, v2, a2), (dt, v3, a3); the
-    update is ``x + dt*(v + 2.0*v2 + 2.0*v3 + v4)/6.0`` and likewise for v.
-
-    With ``dim`` it is ``loop(f, g, failed, node_exit, in_domain, floor,
-    times, xs, vs, accs, nsteps, t1, sign, h)``, which runs the ``nsteps``
-    steps of :func:`_integrate` from the one node in the lists, keeping
-    the state in locals, and returns the run's exit reason.  Each step is
-    the step's statements, then the node checks' prefilters: the sum of
-    the node's entries is finite, the sum of squares of its leading
-    ``dim`` velocities lies above ``floor``, and ``in_domain`` (unless
-    None) accepts its position.  A node (xn, vn) that fails one meets the
-    exact checks: the loop returns ``node_exit(xn, vn)`` when it is not
-    None and otherwise goes on.  Each node that goes on is appended with
-    ``g(xn, vn)``, its acceleration.  A step that raises
-    ``ArithmeticError`` or ``ValueError``, or whose node is not finite
-    (:func:`_finite`), ends the run with ``failed(x, v, a1, dt)`` from its
-    start node, which returns an exit reason or raises.  The loop returns
-    None past the last step.
+    It is ``loop(f, g, failed, node_exit, in_domain, floor, times, xs, vs,
+    accs, nsteps, t1, sign, h)``, which runs the ``nsteps`` steps of
+    :func:`_integrate` from the one node in the lists, keeping the state
+    in locals, and returns the run's exit reason.  ``f(x, v)`` is the
+    acceleration as a list.  From the node (x, v) with acceleration a1,
+    stage k is ``xk = x + c*d``, ``vk = v + c*a`` with (c, d, a) =
+    (0.5*dt, v, a1), (0.5*dt, v2, a2), (dt, v3, a3), and ak is ``f`` there;
+    the update is ``x + dt*(v + 2.0*v2 + 2.0*v3 + v4)/6.0`` and likewise
+    for v.  Each step is those statements, then the node checks'
+    prefilters: the sum of the node's entries is finite, the sum of
+    squares of its leading ``dim`` velocities lies above ``floor``, and
+    ``in_domain`` (unless None) accepts its position.  A node (xn, vn)
+    that fails one meets the exact checks: the loop returns
+    ``node_exit(xn, vn)`` when it is not None and otherwise goes on.
+    Each node that goes on is appended with ``g(xn, vn)``, its
+    acceleration.  A step that raises ``ArithmeticError`` or
+    ``ValueError``, or whose node is not finite (:func:`_finite`), ends the
+    run with ``failed(x, v, a1, dt)`` from its start node, which returns an
+    exit reason or raises.  The loop returns None past the last step.
 
     ``tape`` is the recording a traced kernel keeps
     (:func:`~sprayjets.jets.compile_trace`).  With it, each stage
@@ -284,12 +282,6 @@ def _rk4(n: int, dim: int | None = None, tape: _Tape | None = None,
         body += evaluate(k, f"x{k}_#", f"v{k}_#")
     body += each("xn_# = x_# + dt * (v_# + 2.0 * v2_# + 2.0 * v3_# + v4_#) / 6.0")
     body += each("vn_# = v_# + dt * (a1_# + 2.0 * a2_# + 2.0 * a3_# + a4_#) / 6.0")
-    unpack = [f"{row('x_#')}, = x", f"{row('v_#')}, = v", f"{row('a1_#')}, = a1"]
-    if dim is None:
-        lines = ["def step(f, x, v, a1, dt):", *indent(4, unpack + body),
-                 f"    return [{row('xn_#')}], [{row('vn_#')}]"]
-        return compile_source("\n".join(lines) + "\n", f"<rk4 step n={n}>", {}, "step")
-
     if tape is None:
         node = [f"{row('a1_#')}, = an = g(xn, vn)"]
     else:
@@ -300,9 +292,10 @@ def _rk4(n: int, dim: int | None = None, tape: _Tape | None = None,
     squares = " + ".join(f"vn_{i} * vn_{i}" for i in range(dim))
     lines = ["def loop(f, g, failed, node_exit, in_domain, floor, times, xs, vs, accs, nsteps,",
              "         t1, sign, h):",
-             "    x, v, a1, t0 = xs[0], vs[0], accs[0], times[0]",
-             *indent(4, unpack),
-             "    t = t0",
+             f"    {row('x_#')}, = xs[0]",
+             f"    {row('v_#')}, = vs[0]",
+             f"    {row('a1_#')}, = accs[0]",
+             "    t = t0 = times[0]",
              "    k = 0",
              "    while k < nsteps:",
              "        t_next = t1 if k == nsteps - 1 else t0 + sign * (k + 1) * h",
@@ -341,8 +334,8 @@ def _rk4(n: int, dim: int | None = None, tape: _Tape | None = None,
 
 
 @cache
-def _calling(n: int, dim: int | None = None) -> Callable:
-    """The :func:`_rk4` step or loop calling its evaluator, built once per shape."""
+def _calling(n: int, dim: int) -> Callable:
+    """The :func:`_rk4` loop calling its evaluator, built once per shape."""
     return _rk4(n, dim)
 
 
@@ -373,27 +366,32 @@ def _run_loop(s: Spray, f: Callable, n: int) -> Callable:
 
 
 def _failed_step(s: Spray, f, x: list, v: list, a1: list, dt: float) -> str:
-    """How a run ends whose step raised or reached a non-finite node.
+    """How a run ends whose step from (x, v) raised or reached a non-finite node.
 
-    The step runs again with an evaluator that records each stage
-    position.  A coefficient failure at a stage outside the chart ends the
-    run with ``"domain"``, and so does a non-finite node when one of the
-    step's finite stage positions lies outside the chart; anything else
-    raises :class:`IntegrationBlowupError`.
+    The step's stages are replayed with the template's operations in the
+    template's order (see :func:`_rk4`), so ``f`` sees the stage points the
+    loop handed it, bit for bit, and each stage position is recorded before
+    its evaluation.  The update is not replayed: it calls nothing, float
+    arithmetic does not raise, and only the stage positions classify.  A
+    coefficient failure at a stage outside the chart ends the run with
+    ``"domain"``, and so does a non-finite node when one of the step's
+    finite stage positions lies outside the chart; anything else raises
+    :class:`IntegrationBlowupError`.
     """
 
     stages = []
-
-    def recording(xp, vp):
-        stages.append(xp)
-        return f(xp, vp)
-
-    try:
-        _calling(len(x))(recording, x, v, a1, dt)
-    except (ArithmeticError, ValueError) as exc:
-        if stages and not s.in_domain(stages[-1]):
-            return EXIT_DOMAIN
-        raise IntegrationBlowupError(f"coefficient evaluation failed: {exc!r}") from exc
+    c = 0.5 * dt
+    vk, a = v, a1
+    for ck in (c, c, dt):
+        xk = [xi + ck * vi for xi, vi in zip(x, vk)]
+        vk = [vi + ck * ai for vi, ai in zip(v, a)]
+        stages.append(xk)
+        try:
+            a = f(xk, vk)
+        except (ArithmeticError, ValueError) as exc:
+            if not s.in_domain(xk):
+                return EXIT_DOMAIN
+            raise IntegrationBlowupError(f"coefficient evaluation failed: {exc!r}") from exc
     # a NaN stage position is not outside: a NaN made inside the chart is a blowup
     if any(all(map(math.isfinite, xp)) and not s.in_domain(xp) for xp in stages):
         return EXIT_DOMAIN
@@ -475,7 +473,6 @@ def _integrate(s: Spray, f: Callable, x: list, v: list, t_span: tuple[float, flo
         velocities=np.asarray(vs),
         accelerations=np.asarray(accs),
         h=h,
-        requested=(t0, t1),
         exit_reason=exit_reason,
     )
 

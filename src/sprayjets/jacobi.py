@@ -147,7 +147,6 @@ def variation_oracle(s: Spray, gamma: Trajectory, w, eps: float = 1e-4) -> Jacob
         velocities=np.hstack([gamma.velocities[sl], dvel]),
         accelerations=np.hstack([gamma.accelerations[sl], dacc]),
         h=h,
-        requested=span,
         exit_reason=None if len(dpos) == len(gamma.times) else "truncated",
     )
     base = gamma.columns(np.arange(gamma.positions.shape[1]), s)

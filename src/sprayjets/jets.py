@@ -203,11 +203,6 @@ class _Tape:
         self.inputs: tuple[list[str], list[str]] = ([], [])
         self.outputs: list[str] = []
 
-    @property
-    def body(self) -> list[str]:
-        """The recorded statements as lines of code."""
-        return [_line(*stmt) for stmt in self.stmts]
-
     def fresh(self, op: str | None = None, *operands: str) -> "Sym":
         name = f"t{self._count}"
         self._count += 1

@@ -76,6 +76,8 @@ class Spray:
             raise InvalidLevelError(
                 f"spray at level {self.level} takes level-{self.level + 1} points, got {p.level}"
             )
+        if not np.isfinite(p.coords).all():
+            raise DomainError("spray coefficients need finite coordinates")
         if not is_slashed(p):
             raise DomainError("spray coefficients need a slashed point")
         if not self.in_domain(p.coords):
@@ -163,17 +165,16 @@ def spray_value(s: Spray, p: JetPoint) -> JetPoint:
 
 
 def homogeneity_check(s: Spray, p: JetPoint, lam: float) -> float:
-    """Relative defect of positive 2-homogeneity in the fiber."""
+    """Relative defect of positive 2-homogeneity in the fiber.
+
+    ``p`` meets the checks of :meth:`Spray.coeffs`; the scaled side calls
+    ``coeff_fn`` directly, so a small ``lam`` is not refused as unslashed.
+    """
     if not 0.0 < lam < np.inf:
         raise DomainError(f"homogeneity scaling must be positive and finite, got {lam}")
-    if p.level != s.level + 1:
-        raise InvalidLevelError("homogeneity check point must sit one level above the spray")
-    if not is_slashed(p):
-        raise DomainError("homogeneity check needs a slashed point")
+    ref = lam * lam * s.coeffs(p)
     half = p.coords.size // 2
-    pos, vel = p.coords[:half], p.coords[half:]
-    scaled = np.asarray(s.coeff_fn(pos, lam * vel), dtype=float)
-    ref = lam * lam * np.asarray(s.coeff_fn(pos, vel), dtype=float)
+    scaled = np.asarray(s.coeff_fn(p.coords[:half], lam * p.coords[half:]), dtype=float)
     return float(np.linalg.norm(scaled - ref) / (1.0 + np.linalg.norm(ref)))
 
 

@@ -481,12 +481,14 @@ def dimension_probe(s: Spray, x0, v0, alpha: float, beta: float) -> DimensionRep
     beta columns scale with the speed ``|v0|``, so the ranks are taken with
     them divided by it: column scaling keeps the exact rank, and a slow
     start reads the rank of a fast one.  ``parametrization_jacobian`` is
-    the unscaled Jacobian.  A start whose base velocity is not slashed
-    raises :class:`DomainError`.
+    the unscaled Jacobian.  A start that is not finite, or whose base
+    velocity is not slashed, raises :class:`DomainError`.
     """
 
     m = s.fiber_dim
     p0 = np.concatenate([np.asarray(x0, float), np.asarray(v0, float), [alpha, beta]]).tolist()
+    if not np.isfinite(p0).all():
+        raise DomainError(f"dimension probe needs a finite start and scalars, got {p0}")
 
     def column(k: int) -> list[float]:
         p = [Dual(z, float(i == k)) for i, z in enumerate(p0)]

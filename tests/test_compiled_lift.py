@@ -234,7 +234,7 @@ def test_constants_reach_the_program_exactly():
 def test_sym_defers_numpy_scalars_to_the_tape():
     tape = _Tape()
     assert isinstance(np.float64(2.0) * tape.fresh(), Sym)
-    assert tape.body == ["t1 = c0 * t0"]
+    assert tape.stmts == [("t1", "*", ("c0", "t0"))]
     assert type(tape.namespace["c0"]) is np.float64
 
 

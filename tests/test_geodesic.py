@@ -271,9 +271,9 @@ def _record_accelerations(monkeypatch):
     """Log (level, caller) for every ``Spray.acceleration`` call.
 
     In ``integrate`` the caller is ``loop`` for a stage of the generated
-    RK4 run loop, ``node_acceleration`` for a stored node and ``recording``
-    for a stage of a failed step run again.  A loop that inlines the
-    kernel calls nothing.
+    RK4 run loop, ``node_acceleration`` for a stored node and
+    ``_failed_step`` for a stage of a failed step replayed.  A loop that
+    inlines the kernel calls nothing.
     """
     calls = []
     orig = Spray.acceleration
@@ -290,9 +290,9 @@ def _callers(calls):
     return [caller for _, caller in calls]
 
 
-# node 0; step 1 inlined; step 2 inlined, whose last stage raises, then run
-# again, recorded
-FAILED_SECOND_STEP = ["node_acceleration"] + ["recording"] * 3
+# node 0; step 1 inlined; step 2 inlined, whose last stage raises, then
+# replayed
+FAILED_SECOND_STEP = ["node_acceleration"] + ["_failed_step"] * 3
 
 
 def test_stage_on_pole_is_domain_exit(monkeypatch):
@@ -325,10 +325,12 @@ def test_stage_failure_inside_domain_raises_blowup(monkeypatch):
         integrate(singular, JetPoint(1, 1, [0.5, -1.0]), (0.0, 2.0), 0.25)
     assert isinstance(err.value.__cause__, ZeroDivisionError)
     assert _callers(calls) == FAILED_SECOND_STEP
-    # the generated step is in linecache, so the traceback shows its line
+    # the replay calls the kernel, which is in linecache, so the traceback
+    # passes through _failed_step and ends on the kernel's division
     frames = traceback.extract_tb(err.value.__cause__.__traceback__)
-    step = [fr for fr in frames if fr.filename == "<rk4 step n=1>"]
-    assert step and step[-1].line.startswith("a4_0, = f([x4_0], [v4_0])")
+    assert [fr.name for fr in frames][0] == "_failed_step"
+    assert frames[-1].filename == "<singular L0>"
+    assert frames[-1].line == "t0 = t1 / t0"
 
 
 def _pole_stage_spray(domain):
@@ -339,8 +341,8 @@ def _pole_stage_spray(domain):
 
 
 # np.float64(x[0]) refuses tracing: node 0, the three stages of step 1,
-# whose node is NaN, then that step again, recorded
-NONFINITE_FIRST_STEP = ["node_acceleration"] + ["loop"] * 3 + ["recording"] * 3
+# whose node is NaN, then that step's stages replayed
+NONFINITE_FIRST_STEP = ["node_acceleration"] + ["loop"] * 3 + ["_failed_step"] * 3
 
 
 def test_nonfinite_stage_outside_domain_is_domain_exit(monkeypatch):
@@ -369,6 +371,55 @@ def test_nonfinite_stage_position_inside_domain_raises_blowup():
                    domain=lambda x: x[0] < 1e300)
     with pytest.raises(IntegrationBlowupError, match="non-finite"):
         integrate(wilder, JetPoint(1, 1, [0.0, 1.0]), (0.0, 1.0), 1e-3)
+
+
+def _replay_case(name):
+    # runs that end in _failed_step after a calling loop: each spray is
+    # untraced, refuses tracing or is lifted, so the loop calls f at every stage
+    if name == "raise-inside":
+        s = Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.0 * v[0] / x[0]], tag="singular",
+                  traced=False)
+        return s, JetPoint(1, 1, [0.5, -1.0]), 0.25, IntegrationBlowupError
+    if name == "raise-outside-L1":
+        init = JetPoint(2, 2, [0.5, 0.0, 0.1, 0.0, -1.0, 0.0, 0.2, 0.3])
+        return complete_lift(make_sphere()), init, 0.25, "domain"
+    if name == "nonfinite-outside":
+        return _pole_stage_spray(lambda x: x[0] < 0.75), JetPoint(1, 1, [0.5, 1.0]), 0.5, "domain"
+    if name == "nonfinite-inside":
+        s = _pole_stage_spray(lambda x: x[0] < 10.0)
+        return s, JetPoint(1, 1, [0.5, 1.0]), 0.5, IntegrationBlowupError
+    s = Spray(level=0, dim=1, coeff_fn=lambda x, v: [-1e300 * v[0]], tag="wilder",
+              domain=lambda x: x[0] < 1e300, traced=False)
+    return s, JetPoint(1, 1, [0.0, 1.0]), 1e-3, IntegrationBlowupError
+
+
+@pytest.mark.parametrize("name", ["raise-inside", "raise-outside-L1", "nonfinite-outside",
+                                  "nonfinite-inside", "inf-stage"])
+def test_failed_step_replays_the_stages_the_loop_evaluated(monkeypatch, name):
+    s, init, h, outcome = _replay_case(name)
+    assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is geodesic._calling(
+        s.fiber_dim, s.dim)
+    calls = []
+    orig = Spray.acceleration
+
+    def logged(self, x, v):
+        # bitwise images of the arguments, so NaN and -0.0 compare exactly
+        calls.append((sys._getframe(1).f_code.co_name,
+                      np.array(x, dtype=float).tobytes(), np.array(v, dtype=float).tobytes()))
+        return orig(self, x, v)
+
+    monkeypatch.setattr(Spray, "acceleration", logged)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if outcome == "domain":
+            assert integrate(s, init, (0.0, 2.0), h).exit_reason == "domain"
+        else:
+            with pytest.raises(outcome):
+                integrate(s, init, (0.0, 2.0), h)
+    replayed = [c[1:] for c in calls if c[0] == "_failed_step"]
+    looped = [c[1:] for c in calls if c[0] == "loop"]
+    # the failed step's evaluations are the loop's last ones: as many, at the same points
+    assert 1 <= len(replayed) <= 3 and len(looped) % 3 == len(replayed) % 3
+    assert replayed == looped[-len(replayed):]
 
 
 @pytest.mark.parametrize("t_span, h", [
@@ -454,7 +505,6 @@ def _reference_integrate(s, init, t_span, h):
         velocities=np.asarray(vs),
         accelerations=np.asarray(accs),
         h=h,
-        requested=(t0, t1),
         exit_reason=exit_reason,
     )
 
@@ -546,7 +596,6 @@ def test_integrate_matches_reference_loop_bitwise(case, direction):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
         assert getattr(got, name).dtype == np.float64
     assert got.exit_reason == want.exit_reason == EXPECTED_EXIT.get(case)
-    assert got.requested == want.requested
 
 
 def test_backward_fan_run_exits_at_the_chart_edge_as_its_fields_do():

@@ -145,7 +145,7 @@ def test_multiplicity_counts_singular_values_below_1e_6_of_the_largest(monkeypat
     fan = Trajectory(spray=complete_lift(s), times=t,
                      positions=np.hstack([np.zeros((len(t), 4)), fibers]),
                      velocities=np.hstack([np.zeros((len(t), 4)), rates]),
-                     accelerations=np.zeros((len(t), 20)), h=0.25, requested=(0.0, 2.0))
+                     accelerations=np.zeros((len(t), 20)), h=0.25)
     monkeypatch.setattr(jacobi, "_fan_run", lambda *args: fan)
     scan = conjugate_search(s, JetPoint(1, 4, [0.0] * 4 + [1.0, 0.0, 0.0, 0.0]), 2.0, 0.25)
     assert scan.times == [1.125] and scan.bisections == 1
@@ -198,7 +198,7 @@ def test_double_lift_decomposition_zero_outer():
         positions=np.hstack([tr.positions[:, :q], tr.positions[:, 3 * q:]]),
         velocities=np.hstack([tr.velocities[:, :q], tr.velocities[:, 3 * q:]]),
         accelerations=np.hstack([tr.accelerations[:, :q], tr.accelerations[:, 3 * q:]]),
-        h=tr.h, requested=tr.requested, exit_reason=tr.exit_reason)
+        h=tr.h, exit_reason=tr.exit_reason)
     want = residual(lifted, mixed_tr)
     assert np.float64(d.residuals["mixed_as_jacobi"]).tobytes() == np.float64(want).tobytes()
 
@@ -232,13 +232,13 @@ def _fabricated_sine_field(s, h=math.pi / 300, amp=1.0):
     zero, one = np.zeros_like(t), np.ones_like(t)
     line = np.stack([t, zero], axis=1)
     base = Trajectory(spray=s, times=t, positions=line, velocities=np.stack([one, zero], axis=1),
-                      accelerations=np.zeros((len(t), 2)), h=h, requested=(0.0, t[-1]))
+                      accelerations=np.zeros((len(t), 2)), h=h)
     fib = lambda f: amp * np.stack([f(t), zero], axis=1)
     field = Trajectory(spray=complete_lift(s), times=t,
                        positions=np.hstack([base.positions, fib(np.sin)]),
                        velocities=np.hstack([base.velocities, fib(np.cos)]),
                        accelerations=np.hstack([base.accelerations, -fib(np.sin)]),
-                       h=h, requested=(0.0, t[-1]))
+                       h=h)
     return JacobiField(field=field, base=base)
 
 

@@ -1,5 +1,6 @@
 """Spray coefficients, lifts of sprays, and chart transport of sprays."""
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,10 +98,42 @@ def test_homogeneity_rejects_nonpositive_scale():
 
 def test_homogeneity_rejects_a_wrong_level_and_a_slashed_point():
     s = make_flat(2)
-    with pytest.raises(InvalidLevelError, match="one level above"):
+    with pytest.raises(InvalidLevelError, match="takes level-1 points"):
         homogeneity_check(s, JetPoint(2, 2, np.ones(8)), 2.0)
     with pytest.raises(DomainError, match="slashed"):
         homogeneity_check(s, JetPoint(1, 2, np.array([1.0, 2.0, 0.0, 0.0])), 2.0)
+
+
+@pytest.mark.parametrize("coords, match", [
+    ([0.0, 0.3, 0.5, 1.0], "outside the spray's chart"),
+    ([np.inf, 0.3, 0.5, 1.0], "finite"),
+    ([np.nan, 0.3, 0.5, 1.0], "finite"),
+    ([1.0, 0.3, np.inf, 1.0], "finite"),
+], ids=["pole", "inf-position", "nan-position", "inf-velocity"])
+def test_sphere_coefficients_and_homogeneity_refuse_bad_points(coords, match):
+    # unchecked, the coefficients divide by zero at the pole, hit a math domain
+    # error at an infinite colatitude and give inf and NaN at an infinite
+    # velocity; every case is a DomainError, with no numpy warning
+    s = make_sphere()
+    p = JetPoint(1, 2, np.array(coords))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            s.coeffs(p)
+        with pytest.raises(DomainError, match=match):
+            homogeneity_check(s, p, 2.0)
+
+
+def test_homogeneity_keeps_its_value_and_takes_a_tiny_scale():
+    s = make_sphere()
+    p = JetPoint(1, 2, np.array([1.2, 0.4, 0.5, -1.0]))
+    for lam in (2.0, 1e-12):
+        pos, vel = p.coords[:2], p.coords[2:]
+        scaled = np.asarray(s.coeff_fn(pos, lam * vel), dtype=float)
+        ref = lam * lam * np.asarray(s.coeff_fn(pos, vel), dtype=float)
+        want = float(np.linalg.norm(scaled - ref) / (1.0 + np.linalg.norm(ref)))
+        # lam * vel at 1e-12 is not slashed, yet only p itself is checked
+        assert homogeneity_check(s, p, lam) == want
 
 
 def test_complete_lift_blocks_against_directional_derivative():

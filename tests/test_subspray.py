@@ -678,3 +678,13 @@ def test_rank_counts_singular_values_above_1e_6_of_the_largest(speed, ranks):
 def test_dimension_probe_rejects_a_start_that_is_not_slashed():
     with pytest.raises(DomainError, match="not slashed"):
         sub.dimension_probe(make_flat(3), [0.0, 0.0, 0.0], [0.0, 1e-11, 0.0], 0.8, 0.1)
+
+
+@pytest.mark.parametrize("x0, alpha, beta", [
+    ([math.nan, 0.0, 0.0], 0.8, 0.1), ([0.0, 0.0, 0.0], math.inf, 0.1),
+    ([0.0, 0.0, 0.0], 0.8, -math.inf), ([0.0, math.inf, 0.0], 0.8, 0.1),
+], ids=["nan-x0", "inf-alpha", "inf-beta", "inf-x0"])
+def test_dimension_probe_rejects_a_start_that_is_not_finite(x0, alpha, beta):
+    # a non-finite entry would reach _rank's SVD, which does not converge
+    with pytest.raises(DomainError, match="finite"):
+        sub.dimension_probe(make_flat(3), x0, [1.0, 0.2, -0.3], alpha, beta)
