@@ -10,7 +10,13 @@ class DomainError(ValueError):
 
 
 class IntegrationBlowupError(RuntimeError):
-    """Non-finite values appeared during integration."""
+    """Non-finite values appeared during integration.
+
+    ``t_end`` is the time of the run's last finite node when a step of the
+    run failed, and None when the start itself failed.
+    """
+
+    t_end: float | None = None
 
 
 class InconsistentTrajectoryError(RuntimeError):

@@ -407,7 +407,8 @@ def integrate(s: Spray, init: JetPoint, t_span: tuple[float, float], h: float) -
     node with ``"domain"``, and so does a non-finite node when one of its
     step's finite stage positions lies outside the domain.  Other
     non-finite values, and coefficient failures inside the domain, raise
-    :class:`IntegrationBlowupError`.  A step size or span that is not
+    :class:`IntegrationBlowupError`, whose ``t_end`` is the time of the
+    last finite node (None when the start fails).  A step size or span that is not
     finite raises :class:`DomainError`.
     """
 
@@ -461,10 +462,14 @@ def _integrate(s: Spray, f: Callable, x: list, v: list, t_span: tuple[float, flo
     xs = [x]
     vs = [v]
     accs = [node_acceleration(x, v)]
-    exit_reason = _run_loop(s, f, len(x))(
-        f, node_acceleration, partial(_failed_step, s, f), partial(_node_exit, s),
-        s.in_domain if s.domain is not None else None, _NOT_SLASHED_ABOVE,
-        times, xs, vs, accs, nsteps, t1, sign, h)
+    try:
+        exit_reason = _run_loop(s, f, len(x))(
+            f, node_acceleration, partial(_failed_step, s, f), partial(_node_exit, s),
+            s.in_domain if s.domain is not None else None, _NOT_SLASHED_ABOVE,
+            times, xs, vs, accs, nsteps, t1, sign, h)
+    except IntegrationBlowupError as exc:
+        exc.t_end = times[-1]
+        raise
 
     return Trajectory(
         spray=s,

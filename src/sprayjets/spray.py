@@ -13,17 +13,16 @@ That ``Dual`` evaluation is the semantics of a lift, and ``coeff_fn``
 always runs it.  Float accelerations run instead each spray's
 :attr:`Spray.kernel`: the straight-line program that
 :func:`~sprayjets.jets.compile_trace` records from ``-2 * coeff_fn`` at the
-spray's first float evaluation.  Level-0, lifted and projected sprays
-have one, and so do lifts of pushed sprays, since tracing runs straight
-through nested ``Dual`` arithmetic and ``jet_apply``.  The program is a
-recording of the same operations in the same order, with repeated
-statements dropped and locals reused but no operation moved, so its
-results are bitwise equal by construction.  An evaluator whose control
-flow depends on a value (a branch on ``jet_re(...)``, a comparison)
-refuses tracing, and its kernel evaluates ``coeff_fn`` itself.  So does a
-level-0 pushed spray (see :func:`pushforward_spray`), whose coefficient
-on floats still runs only compiled programs: the two chart jets of
-:func:`~sprayjets.jetspace.jet_apply` and the base spray's kernel.
+spray's first float evaluation.  Level-0, lifted, projected and pushed
+sprays have one, since tracing runs straight through nested ``Dual``
+arithmetic and ``jet_apply``.  The program is a recording of the same
+operations in the same order, with repeated statements dropped and
+locals reused but no operation moved, so its results are bitwise equal
+by construction.  An evaluator whose control flow depends on a value (a
+branch on ``jet_re(...)``, a comparison) refuses tracing, and its kernel
+evaluates ``coeff_fn`` itself.  A pushed spray whose trace is refused
+(see :func:`pushforward_spray`) still runs the base spray's kernel
+between the two chart jets of :func:`~sprayjets.jetspace.jet_apply`.
 
 Every float evaluation runs compiled statements, so outside the kernels
 of refused evaluators, and ``jet_apply`` of a refused chart, no float
@@ -56,7 +55,6 @@ class Spray:
     of ``2**level * dim`` scalars.  ``domain``, when set, restricts the
     base chart: it receives the leading ``dim`` coordinates of a position.
     ``parent`` records the spray a lift or a projection was derived from.
-    ``traced=False`` keeps :attr:`kernel` on ``coeff_fn`` itself.
     """
 
     level: int
@@ -65,7 +63,6 @@ class Spray:
     tag: str
     domain: Callable | None = None
     parent: "Spray | None" = None
-    traced: bool = True
 
     @property
     def fiber_dim(self) -> int:
@@ -96,21 +93,20 @@ class Spray:
         Traced from ``coeff_fn`` at its first use and kept on the spray, so
         every caller of a memoized :attr:`lift` shares it.  Equals
         ``-2.0 * np.asarray(coeff_fn(x, v))`` bit for bit; when tracing is
-        refused or ``traced`` is off it evaluates ``coeff_fn`` and returns
-        ``float(-2.0 * g)`` of each coefficient.  A traced
-        kernel keeps its recording as its ``tape``, from which :meth:`fan`
-        and the RK4 run loop of :mod:`sprayjets.geodesic` generate
-        their own code; so a loop that inlines it never calls it.
+        refused it evaluates ``coeff_fn`` and returns ``float(-2.0 * g)``
+        of each coefficient.  A traced kernel keeps its recording as its
+        ``tape``, from which :meth:`fan` and the RK4 run loop of
+        :mod:`sprayjets.geodesic` generate their own code; so a loop that
+        inlines it never calls it.
         """
         coeff_fn, n = self.coeff_fn, self.fiber_dim
 
         def negated(pos, vel):
             return [-2.0 * g for g in coeff_fn(pos, vel)]
 
-        if self.traced:
-            program = compile_trace(negated, n, n, f"<{self.tag} L{self.level}>")
-            if program is not None:
-                return program
+        program = compile_trace(negated, n, n, f"<{self.tag} L{self.level}>")
+        if program is not None:
+            return program
 
         def interpreted(pos, vel):
             return [float(-2.0 * g) for g in coeff_fn(pos, vel)]
@@ -382,15 +378,14 @@ def pushforward_spray(t, s: Spray) -> Spray:
     evaluator stays generic over Dual coordinates so pushed sprays can be
     lifted like any other.
 
-    The pushed spray itself is not traced: each float evaluation calls
-    ``jet_apply`` twice, so the per-layer ``jet_apply`` counters of the
-    benchmark count its evaluations per pass.  A traced kernel would call
-    ``jet_apply`` only once per spray, and those counters would then
-    depend on the number of passes.  Each call on floats runs the compiled
-    program of its chart map, and the base acceleration between them is
-    ``s.kernel``, so a float evaluation builds no ``Dual``; other entries
-    run ``coeff_fn`` of ``s`` on ``Dual`` jets.  Its lifts are traced as
-    usual, through that ``Dual`` path.
+    Its kernel is traced like any other, through the ``Dual`` branch
+    below: tracing runs both chart jets and ``coeff_fn`` of ``s`` on
+    symbolic entries, so the program calls neither ``jet_apply`` nor the
+    base kernel.  The float branch serves a spray whose trace is refused
+    (by the chart maps or by ``s``): each ``jet_apply`` call on floats
+    runs the compiled program of its chart map when there is one, and the
+    base acceleration between them is ``s.kernel``.  Its lifts are traced
+    as usual.
     """
 
     from .jetspace import jet_apply
@@ -420,5 +415,4 @@ def pushforward_spray(t, s: Spray) -> Spray:
         tag=f"pushed({s.tag},{t.name})",
         domain=None if s.domain is None else domain,
         parent=s,
-        traced=False,
     )

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InconsistentTrajectoryError
+from .errors import DomainError, InconsistentTrajectoryError, IntegrationBlowupError
 from .geodesic import Trajectory, integrate
 from .jets import Dual, jet_du, jet_re, unnest
 from .jetspace import EPS_SLASHED, JetPoint
@@ -423,7 +423,9 @@ def completeness_probe(s: Spray, cases, t_max: float, h: float) -> list[dict]:
 
     Each case is a mapping with label, x0, v0, alpha, beta.  Both
     integrations run to ``t_max`` or their common obstruction; the probe
-    reports whether the two stopping times agree to one step.
+    reports whether the two stopping times agree to one step.  A run that
+    blows up in finite time reports the exit ``"blowup"`` at its last
+    finite node.
     """
 
     rows = []
@@ -431,19 +433,34 @@ def completeness_probe(s: Spray, cases, t_max: float, h: float) -> list[dict]:
         x0 = np.asarray(case["x0"], dtype=float)
         v0 = np.asarray(case["v0"], dtype=float)
         binit = JetPoint(s.level + 1, s.dim, np.concatenate([x0, v0]))
-        btr = integrate(s, binit, (0.0, t_max), h)
-        sg = geodesic(s, x0, v0, float(case["alpha"]), float(case["beta"]),
-                      (0.0, t_max), h, tol=np.inf, node_checks=False)
-        str_ = sg.traj
+        base_exit, base_time = _run_end(lambda: integrate(s, binit, (0.0, t_max), h))
+        sub_exit, sub_time = _run_end(lambda: geodesic(
+            s, x0, v0, float(case["alpha"]), float(case["beta"]),
+            (0.0, t_max), h, tol=np.inf, node_checks=False).traj)
         rows.append({
             "label": case.get("label", ""),
-            "base_exit": btr.exit_reason,
-            "base_time": float(btr.t_end),
-            "sub_exit": str_.exit_reason,
-            "sub_time": float(str_.t_end),
-            "agree": abs(float(btr.t_end) - float(str_.t_end)) <= h + 1e-12,
+            "base_exit": base_exit,
+            "base_time": base_time,
+            "sub_exit": sub_exit,
+            "sub_time": sub_time,
+            "agree": abs(base_time - sub_time) <= h + 1e-12,
         })
     return rows
+
+
+def _run_end(run) -> tuple[str | None, float]:
+    """The exit reason and end time of the trajectory ``run()`` returns.
+
+    A run that raises :class:`IntegrationBlowupError` after its start ends
+    with ``"blowup"`` at its last finite node.
+    """
+    try:
+        tr = run()
+    except IntegrationBlowupError as exc:
+        if exc.t_end is None:
+            raise
+        return "blowup", exc.t_end
+    return tr.exit_reason, tr.t_end
 
 
 @dataclass

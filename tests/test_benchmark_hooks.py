@@ -67,13 +67,14 @@ def test_base_flow_pass_keeps_its_counts():
 
 
 def test_lifted_jacobi_pass_keeps_its_counts():
-    # the pushed spray stays an untraced level-0 spray whose every evaluation
-    # calls jet_apply at levels 1 and 2, so the per-layer counters keep their
-    # meaning however jet_apply runs
+    # the pushed spray's kernel is traced, and its geodesic runs in the
+    # inlining loop: no L0 call per stage, and jet_apply runs at levels 1
+    # and 2 once each, while the kernel is traced; the other L1 calls are
+    # those of pushforward
     expected = {
-        "spray.acceleration.L0.calls": 811,
-        "jetspace.jet_apply.L1.calls": 1003,
-        "jetspace.jet_apply.L2.calls": 801,
+        "spray.acceleration.L0.calls": 11,
+        "jetspace.jet_apply.L1.calls": 203,
+        "jetspace.jet_apply.L2.calls": 1,
         "jetspace.pushforward.calls": 202,
     }
     assert _traced_pass("lifted-jacobi", expected) == expected

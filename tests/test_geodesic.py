@@ -373,12 +373,28 @@ def test_nonfinite_stage_position_inside_domain_raises_blowup():
         integrate(wilder, JetPoint(1, 1, [0.0, 1.0]), (0.0, 1.0), 1e-3)
 
 
+def test_blowup_error_carries_the_last_finite_node_time():
+    s = Spray(level=0, dim=1, coeff_fn=lambda x, v: [-0.5 * v[0] * v[0]], tag="squared-speed")
+    init = JetPoint(1, 1, [0.0, 1.0])
+    with pytest.raises(IntegrationBlowupError, match="non-finite") as err:
+        integrate(s, init, (0.0, 3.0), 0.04)
+    t_end = err.value.t_end
+    assert integrate(s, init, (0.0, t_end), 0.04).t_end == t_end
+    with pytest.raises(IntegrationBlowupError):
+        integrate(s, init, (0.0, t_end + 0.04), 0.04)
+    # a start that fails is no run: no node is finite
+    with pytest.raises(IntegrationBlowupError) as err:
+        integrate(s, JetPoint(1, 1, [0.0, math.inf]), (0.0, 1.0), 0.04)
+    assert err.value.t_end is None
+
+
 def _replay_case(name):
-    # runs that end in _failed_step after a calling loop: each spray is
-    # untraced, refuses tracing or is lifted, so the loop calls f at every stage
+    # runs that end in _failed_step after a calling loop: each spray refuses
+    # tracing (float() of a traced scalar) or is lifted, so the loop calls f
+    # at every stage
     if name == "raise-inside":
-        s = Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.0 * v[0] / x[0]], tag="singular",
-                  traced=False)
+        s = Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.0 * v[0] / float(x[0])],
+                  tag="singular-refused")
         return s, JetPoint(1, 1, [0.5, -1.0]), 0.25, IntegrationBlowupError
     if name == "raise-outside-L1":
         init = JetPoint(2, 2, [0.5, 0.0, 0.1, 0.0, -1.0, 0.0, 0.2, 0.3])
@@ -388,8 +404,8 @@ def _replay_case(name):
     if name == "nonfinite-inside":
         s = _pole_stage_spray(lambda x: x[0] < 10.0)
         return s, JetPoint(1, 1, [0.5, 1.0]), 0.5, IntegrationBlowupError
-    s = Spray(level=0, dim=1, coeff_fn=lambda x, v: [-1e300 * v[0]], tag="wilder",
-              domain=lambda x: x[0] < 1e300, traced=False)
+    s = Spray(level=0, dim=1, coeff_fn=lambda x, v: [-1e300 * float(v[0])], tag="wilder-refused",
+              domain=lambda x: x[0] < 1e300)
     return s, JetPoint(1, 1, [0.0, 1.0]), 1e-3, IntegrationBlowupError
 
 

@@ -1,7 +1,7 @@
 """Spray coefficients, lifts of sprays, and chart transport of sprays."""
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from sprayjets import (DomainError, InvalidLevelError, JetPoint, Spray,
                        homogeneity_check, integrate, make_finsler_example, make_flat,
                        make_riemannian, make_round_sphere, make_sphere, project_spray, pushforward, pushforward_spray,
                        shear_chart, spray_value, sphere_christoffels)
+from sprayjets import geodesic
 from sprayjets import spray as spray_mod
 from sprayjets.jets import Dual, jcos, jet_du, jet_re, jsin, nest, unnest
 from sprayjets.samples import random_slashed_jet, sphere_phase
@@ -426,13 +427,16 @@ def _dual_pushed(t, s: Spray) -> Spray:
     """``pushforward_spray(t, s)`` on the Dual path alone, the reference.
 
     Both chart jets run nested Duals, the base coefficients come from
-    ``coeff_fn``, and the domain converts through ndarrays.
+    ``coeff_fn``, and the domain converts through ndarrays.  The
+    coefficient reads a value, so its trace is refused and the kernel
+    runs this Dual path too.
     """
 
     def jets(fn, coords, level):
         return unnest(fn(nest(coords, level)), level)
 
     def coeff(pos, vel):
+        float(pos[0])  # refuses tracing
         coords = list(pos) + list(vel)
         back = jets(t.inverse, coords, s.level + 1)
         n = len(pos)
@@ -446,7 +450,7 @@ def _dual_pushed(t, s: Spray) -> Spray:
         return s.in_domain(np.asarray(t.inverse(list(np.asarray(x, dtype=float))), dtype=float))
 
     return Spray(level=s.level, dim=s.dim, coeff_fn=coeff, tag="dual-pushed",
-                 domain=None if s.domain is None else domain, traced=False)
+                 domain=None if s.domain is None else domain)
 
 
 PUSHED_BASES = {
@@ -473,13 +477,58 @@ def test_pushed_accelerations_are_bitwise_the_dual_coefficient(name):
         assert pushed.in_domain(x) == dual.in_domain(x)
 
 
-@pytest.mark.parametrize("start", [[1.2, 0.3, 0.4, 1.1],   # an arc that stays in the chart
-                                   [1.0, 0.0, 1.0, 0.0]])  # a meridian that reaches the pole
-def test_pushed_geodesic_is_bitwise_the_dual_run(start):
-    s, t = make_sphere(), shear_chart()
+PUSHED_STARTS = [[1.2, 0.3, 0.4, 1.1],   # an arc that stays in the chart
+                 [1.0, 0.0, 1.0, 0.0]]   # a meridian that reaches the pole
+
+
+def _assert_pushed_run_is_the_dual_run(t, start):
+    s = make_sphere()
     init = pushforward(t, JetPoint(1, 2, np.array(start)))
     runs = [integrate(sp, init, (0.0, 2.5), 1e-2)
             for sp in (pushforward_spray(t, s), _dual_pushed(t, s))]
-    assert runs[0].exit_reason == runs[1].exit_reason
+    # the meridian (start[1] == 0.0) leaves the chart at the pole
+    assert runs[0].exit_reason == runs[1].exit_reason == (None if start[1] else "domain")
     for field in ("times", "positions", "velocities", "accelerations"):
         assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
+
+
+@pytest.mark.parametrize("start", PUSHED_STARTS)
+def test_pushed_geodesic_is_bitwise_the_dual_run(start):
+    _assert_pushed_run_is_the_dual_run(shear_chart(), start)
+
+
+def test_pushed_geodesic_runs_the_inlining_loop():
+    pushed = pushforward_spray(shear_chart(), make_sphere())
+    assert pushed.kernel.tape is not None
+    loop = geodesic._run_loop(pushed, pushed.acceleration, 2)
+    assert loop is not geodesic._calling(2, 2)
+    assert loop.__code__.co_filename.startswith(f"<rk4 loop {pushed.tag} L0>")
+
+
+def _primal(z):
+    while isinstance(z, Dual):
+        z = z.re
+    return z
+
+
+def _guarded_shear():
+    """``shear_chart()`` whose maps compare a primal value: tracing them is refused."""
+    t = shear_chart()
+
+    def guarded(fn):
+        def checked(x):
+            if not -1e150 < _primal(x[1]) < 1e150:
+                raise DomainError("shear coordinate out of range")
+            return fn(x)
+        return checked
+
+    return replace(t, forward=guarded(t.forward), inverse=guarded(t.inverse), name="guarded-shear")
+
+
+@pytest.mark.parametrize("start", PUSHED_STARTS)
+def test_refused_chart_keeps_an_untraced_pushed_kernel(start):
+    t = _guarded_shear()
+    pushed = pushforward_spray(t, make_sphere())
+    assert getattr(pushed.kernel, "tape", None) is None
+    assert geodesic._run_loop(pushed, pushed.acceleration, 2) is geodesic._calling(2, 2)
+    _assert_pushed_run_is_the_dual_run(t, start)

@@ -638,6 +638,29 @@ def test_completeness_probe_meridian_hits_pole_margin():
     assert abs(row["base_time"] - (np.pi / 2 - 0.05)) <= 1e-3 + 1e-12
 
 
+def _squared_speed_spray():
+    # acceleration v**2: the geodesic from (0, 1) is x = -log(1 - t), which
+    # blows up at t = 1
+    return Spray(level=0, dim=1, coeff_fn=lambda x, v: [-0.5 * v[0] * v[0]], tag="squared-speed")
+
+
+def test_completeness_probe_reports_finite_time_blowup():
+    s = _squared_speed_spray()
+    overshoot = []
+    for h in (0.04, 0.02, 0.01):
+        rows = sub.completeness_probe(
+            s, [{"label": "blowup", "x0": [0.0], "v0": [1.0], "alpha": 1.0, "beta": 0.5}],
+            3.0, h)
+        row = rows[0]
+        assert row["base_exit"] == "blowup" and row["sub_exit"] == "blowup"
+        assert row["agree"]
+        overshoot.append(row["base_time"] - 1.0)
+    # the last finite nodes converge to the blowup time, at order 1 in h
+    assert overshoot[0] > 0.0
+    for coarse, fine in zip(overshoot, overshoot[1:]):
+        assert 1.9 < coarse / fine < 2.1
+
+
 def test_dimension_probe_ranks():
     s = make_sphere()
     d = sub.dimension_probe(s, SPHERE_X0, SPHERE_V0, 1.0, 0.5)
