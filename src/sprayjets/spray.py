@@ -20,9 +20,7 @@ operations in the same order, with repeated statements dropped and
 locals reused but no operation moved, so its results are bitwise equal
 by construction.  An evaluator whose control flow depends on a value (a
 branch on ``jet_re(...)``, a comparison) refuses tracing, and its kernel
-evaluates ``coeff_fn`` itself.  A pushed spray whose trace is refused
-(see :func:`pushforward_spray`) still runs the base spray's kernel
-between the two chart jets of :func:`~sprayjets.jetspace.jet_apply`.
+evaluates ``coeff_fn`` itself.
 
 Every float evaluation runs compiled statements, so outside the kernels
 of refused evaluators, and ``jet_apply`` of a refused chart, no float
@@ -378,14 +376,9 @@ def pushforward_spray(t, s: Spray) -> Spray:
     evaluator stays generic over Dual coordinates so pushed sprays can be
     lifted like any other.
 
-    Its kernel is traced like any other, through the ``Dual`` branch
-    below: tracing runs both chart jets and ``coeff_fn`` of ``s`` on
-    symbolic entries, so the program calls neither ``jet_apply`` nor the
-    base kernel.  The float branch serves a spray whose trace is refused
-    (by the chart maps or by ``s``): each ``jet_apply`` call on floats
-    runs the compiled program of its chart map when there is one, and the
-    base acceleration between them is ``s.kernel``.  Its lifts are traced
-    as usual.
+    Its kernel is traced like any other: tracing runs both chart jets and
+    ``coeff_fn`` of ``s`` on symbolic entries, so the program calls
+    neither ``jet_apply`` nor ``coeff_fn``.  Its lifts are traced as usual.
     """
 
     from .jetspace import jet_apply
@@ -398,10 +391,7 @@ def pushforward_spray(t, s: Spray) -> Spray:
         back = jet_apply(t.inverse, coords, phase_level, s.dim, s.dim)
         n = len(pos)
         bpos, bvel = back[:n], back[n:]
-        if all(type(z) is float for z in coords):
-            acc = s.kernel(bpos, bvel)
-        else:
-            acc = [-2.0 * g for g in s.coeff_fn(bpos, bvel)]
+        acc = [-2.0 * g for g in s.coeff_fn(bpos, bvel)]
         pushed = jet_apply(t.forward, back + bvel + acc, value_level, s.dim, s.dim)
         return [-0.5 * z for z in pushed[3 * n :]]
 

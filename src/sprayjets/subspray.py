@@ -425,7 +425,8 @@ def completeness_probe(s: Spray, cases, t_max: float, h: float) -> list[dict]:
     integrations run to ``t_max`` or their common obstruction; the probe
     reports whether the two stopping times agree to one step.  A run that
     blows up in finite time reports the exit ``"blowup"`` at its last
-    finite node.
+    finite node; a coefficient evaluation that raises inside the chart
+    still raises :class:`IntegrationBlowupError`.
     """
 
     rows = []
@@ -451,13 +452,15 @@ def completeness_probe(s: Spray, cases, t_max: float, h: float) -> list[dict]:
 def _run_end(run) -> tuple[str | None, float]:
     """The exit reason and end time of the trajectory ``run()`` returns.
 
-    A run that raises :class:`IntegrationBlowupError` after its start ends
-    with ``"blowup"`` at its last finite node.
+    A run whose state turns non-finite after its start ends with
+    ``"blowup"`` at its last finite node.  A coefficient evaluation that
+    raises (the error's ``__cause__``) is a defect, not a blowup, and
+    propagates, as does a failure at the start.
     """
     try:
         tr = run()
     except IntegrationBlowupError as exc:
-        if exc.t_end is None:
+        if exc.t_end is None or exc.__cause__ is not None:
             raise
         return "blowup", exc.t_end
     return tr.exit_reason, tr.t_end

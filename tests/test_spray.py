@@ -464,6 +464,8 @@ PUSHED_BASES = {
 def test_pushed_accelerations_are_bitwise_the_dual_coefficient(name):
     s, t = PUSHED_BASES[name], shear_chart()
     pushed, dual = pushforward_spray(t, s), _dual_pushed(t, s)
+    # the reference runs the Dual path: its kernel is no traced program
+    assert getattr(dual.kernel, "tape", None) is None
     rng = np.random.default_rng(12)
     for _ in range(50):
         x = rng.uniform(-2.0, 2.0, s.fiber_dim)
@@ -471,7 +473,7 @@ def test_pushed_accelerations_are_bitwise_the_dual_coefficient(name):
         x[:2] = rng.uniform(1.3, 2.0), rng.uniform(-0.9, 0.9)
         want = -2.0 * np.asarray(dual.coeff_fn(x.tolist(), v.tolist()), dtype=float)
         assert np.array(pushed.acceleration(x.tolist(), v.tolist())).tobytes() == want.tobytes()
-        # numpy entries take the Dual path and the base coeff_fn
+        # numpy entries take the Dual path of the chart jets
         assert np.asarray(pushed.coeff_fn(x, v), dtype=float).tobytes() \
             == np.asarray(dual.coeff_fn(x, v), dtype=float).tobytes()
         assert pushed.in_domain(x) == dual.in_domain(x)
@@ -484,8 +486,9 @@ PUSHED_STARTS = [[1.2, 0.3, 0.4, 1.1],   # an arc that stays in the chart
 def _assert_pushed_run_is_the_dual_run(t, start):
     s = make_sphere()
     init = pushforward(t, JetPoint(1, 2, np.array(start)))
-    runs = [integrate(sp, init, (0.0, 2.5), 1e-2)
-            for sp in (pushforward_spray(t, s), _dual_pushed(t, s))]
+    dual = _dual_pushed(t, s)
+    assert getattr(dual.kernel, "tape", None) is None
+    runs = [integrate(sp, init, (0.0, 2.5), 1e-2) for sp in (pushforward_spray(t, s), dual)]
     # the meridian (start[1] == 0.0) leaves the chart at the pole
     assert runs[0].exit_reason == runs[1].exit_reason == (None if start[1] else "domain")
     for field in ("times", "positions", "velocities", "accelerations"):

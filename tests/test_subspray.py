@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sprayjets import (EPS_SLASHED, DomainError, InconsistentTrajectoryError, JetPoint, Spray,
-                       acceleration_jet, integrate, make_finsler_example, make_flat,
-                       make_sphere, pushforward_spray, shear_chart)
+from sprayjets import (EPS_SLASHED, DomainError, InconsistentTrajectoryError,
+                       IntegrationBlowupError, JetPoint, Spray, acceleration_jet, integrate,
+                       make_finsler_example, make_flat, make_sphere, pushforward_spray,
+                       shear_chart)
 from sprayjets import subspray as sub
 from sprayjets.jets import Dual, jet_re
 from sprayjets.subspray import CONSTRAINTS, MembershipRejection, MembershipResult
@@ -659,6 +660,17 @@ def test_completeness_probe_reports_finite_time_blowup():
     assert overshoot[0] > 0.0
     for coarse, fine in zip(overshoot, overshoot[1:]):
         assert 1.9 < coarse / fine < 2.1
+
+
+def test_completeness_probe_raises_a_coefficient_failure():
+    # the coefficient divides by x, which reaches 0 at t = 0.5 inside the
+    # chart: a defect of the spray, not a finite-time blowup
+    singular = Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.0 * v[0] / x[0]], tag="singular")
+    with pytest.raises(IntegrationBlowupError, match="coefficient evaluation failed") as err:
+        sub.completeness_probe(
+            singular, [{"label": "pole", "x0": [0.5], "v0": [-1.0], "alpha": 1.0, "beta": 0.5}],
+            2.0, 0.25)
+    assert isinstance(err.value.__cause__, ZeroDivisionError)
 
 
 def test_dimension_probe_ranks():
