@@ -14,23 +14,18 @@ the scalar jet arithmetic from :mod:`sprayjets.jets`, and chart transitions
 act on jet coordinates through the same arithmetic, one nesting level per
 tangent level, packed by :func:`~sprayjets.jets.nest` and unpacked by
 :func:`~sprayjets.jets.unnest` (whose module states the layer order).
-On float coordinates :func:`jet_apply` runs instead the straight-line
-program that :func:`~sprayjets.jets.compile_trace` records once from that
-``Dual`` evaluation, so its results are bitwise the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MethodType
 from typing import Callable
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .errors import DomainError, InvalidLevelError
-from .jets import compile_trace, nest, unnest
+from .jets import nest, unnest
 
 # Points whose descent block is shorter than this are treated as lying on
 # the removed zero section.
@@ -299,62 +294,18 @@ def jet_apply(fn: Callable, coords, level: int, dim_in: int, dim_out: int):
     A negative level, or any other coordinate or value count, raises
     ``InvalidLevelError``.
 
-    When ``level >= 1`` and every coordinate is a Python ``float``, the
-    compiled program of that evaluation runs instead (:func:`_compiled`):
-    the same float operations in the same order, so the result is bitwise
-    the same and so is the exception type of a failing operation.  A map
-    that refuses tracing (a branch on a value) keeps the ``Dual`` path, as
-    do ``Dual`` coordinates, so lifts through ``jet_apply`` trace as before.
-    A map is traced once per level and dimensions, so the constants it
-    reads are bound at its first float call, as in a spray's kernel.
+    That ``Dual`` evaluation is the only path, for float, numpy and
+    ``Dual`` coordinates alike, so a map reads its constants at every
+    call.
     """
     if level < 0:
         raise InvalidLevelError(f"negative level {level}")
     if len(coords) != dim_in << level:
         raise InvalidLevelError(f"level {level} needs {dim_in << level} coordinates, got {len(coords)}")
-    if level and all(type(z) is float for z in coords):
-        program = _compiled(fn, level, dim_in, dim_out)
-        if program is not None:
-            half = len(coords) >> 1
-            return program(coords[:half], coords[half:])
-    return _on_jets(fn, coords, level, dim_out)
-
-
-def _on_jets(fn: Callable, coords, level: int, dim_out: int) -> list:
-    """The ``Dual`` evaluation of :func:`jet_apply`, once its coordinate count is checked."""
     vals = fn(nest(coords, level))
     if len(vals) != dim_out:
         raise InvalidLevelError(f"expected {dim_out} values, got {len(vals)}")
     return unnest(vals, level)
-
-
-# The compiled programs of jet_apply, per map and (level, dim_in, dim_out);
-# None marks a map whose trace was refused or failed.
-_programs: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _compiled(fn: Callable, level: int, dim_in: int, dim_out: int) -> Callable | None:
-    """The program of :func:`_on_jets` on two float halves, traced at first use, or None.
-
-    Maps are held weakly, so a cached program never keeps a chart alive;
-    a map that cannot be a weak key (an unhashable one) gets None.  A
-    bound method is a new object at each attribute access, so it is held
-    by its instance, with its function in the key.
-    """
-    owner, key = fn, (level, dim_in, dim_out)
-    if isinstance(fn, MethodType):
-        owner, key = fn.__self__, (fn.__func__, *key)
-    try:
-        by_shape = _programs.setdefault(owner, {})
-    except TypeError:
-        return None
-    if key not in by_shape:
-        name = getattr(fn, "__qualname__", type(fn).__name__)
-        half = dim_in << (level - 1)
-        by_shape[key] = compile_trace(
-            lambda pos, vel: _on_jets(fn, pos + vel, level, dim_out),
-            half, half, f"<jet_apply {name} L{level}>")
-    return by_shape[key]
 
 
 def pushforward(t: ChartTransition, p: JetPoint) -> JetPoint:

@@ -22,9 +22,10 @@ by construction.  An evaluator whose control flow depends on a value (a
 branch on ``jet_re(...)``, a comparison) refuses tracing, and its kernel
 evaluates ``coeff_fn`` itself.
 
-Every float evaluation runs compiled statements, so outside the kernels
-of refused evaluators, and ``jet_apply`` of a refused chart, no float
-path runs ``Dual`` arithmetic: the time derivative of the acceleration
+Every float acceleration runs compiled statements, so outside the
+kernels of refused evaluators no acceleration runs ``Dual`` arithmetic
+on floats; chart actions on jets (``jet_apply``, ``pushforward``) always
+do.  The time derivative of the acceleration
 (:func:`acceleration_jet`) is read off the complete lift's kernel rather
 than evaluated on ``Dual`` pairs.  Most run through a call of the
 kernel; a level-0 RK4 run loop (:mod:`sprayjets.geodesic`) runs inlined

@@ -12,6 +12,7 @@ from sprayjets import (ChartTransition, DomainError, InvalidLevelError, JetPoint
                        inverse_transition, is_slashed, jet_apply, kappa,
                        liouville, project, pushforward, shear_chart, vlift,
                        vlift_fn)
+from sprayjets import jets as jets_mod
 from sprayjets import jetspace as jetspace_mod
 from sprayjets.jets import jet_re, jexp, jlog, nest, unnest
 from sprayjets.samples import random_jet, random_slashed_jet
@@ -321,19 +322,16 @@ def test_jet_apply_rejects_a_negative_level():
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 @pytest.mark.parametrize("values", [lambda x: [*x, x[0]], lambda x: x[:1]])
 def test_jet_apply_rejects_a_wrong_value_count(values, level):
-    # extra values used to be dropped, missing ones raised IndexError; on
-    # floats the refused trace is kept and the Dual path raises at every call
+    # extra values used to be dropped, missing ones raised IndexError
     for _ in range(2):
         with pytest.raises(InvalidLevelError):
             jet_apply(values, [1.0] * (2 << level), level, 2, 2)
-    if level:
-        assert jetspace_mod._programs[values][(level, 2, 2)] is None
 
 
-# --- compiled jet_apply -----------------------------------------------------
+# --- jet_apply on floats ----------------------------------------------------
 #
-# On float coordinates jet_apply runs a program traced from its Dual
-# evaluation; the reference below is that evaluation, written out.
+# jet_apply has one path, the Dual evaluation; the reference below is that
+# evaluation, written out, so any faster float path must match it bitwise.
 
 
 def _dual_jet_apply(fn, coords, level):
@@ -371,7 +369,6 @@ def test_compiled_jet_apply_is_bitwise_the_dual_path(name, level):
         assert _outcome(jet_apply, fn, coords, level, 2, 2) == want
 
     check()
-    assert jetspace_mod._programs[fn][(level, 2, 2)] is not None
 
 
 def _fold(x):
@@ -392,7 +389,6 @@ def test_chart_that_branches_keeps_the_dual_path(level):
         out = jet_apply(_fold, coords, level, 2, 2)
         assert np.array(out).tobytes() == np.array(_dual_jet_apply(_fold, coords, level)).tobytes()
         assert out[0] == abs(coords[0])
-    assert jetspace_mod._programs[_fold][(level, 2, 2)] is None
 
 
 @dataclass
@@ -416,31 +412,39 @@ class _Cubic:
         return [x[0] * x[0] * x[0], x[1] - x[0]]
 
 
-def test_jet_apply_traces_once_per_map_and_level(monkeypatch):
-    traces = []
-    orig = jetspace_mod.compile_trace
+def test_jet_apply_never_traces(monkeypatch):
+    def refused(*args):
+        raise AssertionError("jet_apply traced its map")
 
-    def counted(fn, n_pos, n_vel, filename):
-        traces.append(filename)
-        return orig(fn, n_pos, n_vel, filename)
-
-    monkeypatch.setattr(jetspace_mod, "compile_trace", counted)
+    monkeypatch.setattr(jets_mod, "compile_trace", refused)
+    monkeypatch.setattr(jetspace_mod, "compile_trace", refused, raising=False)
 
     def cube(x):
         return [x[0] * x[0] * x[0], x[1] - x[0]]
 
+    # obj.cube is a new bound method at each access; _Scaled is unhashable
     obj = _Cubic()
-    for _ in range(3):
-        # obj.cube is a new bound method at each access
-        for fn in (cube, obj.cube):
-            for level in (0, 1, 2):
-                jet_apply(fn, [0.3] * (2 << level), level, 2, 2)
-            # Dual and numpy coordinates run the Dual path and trace nothing
-            jet_apply(fn, nest([0.3] * 8, 1), 1, 2, 2)
-            jet_apply(fn, np.full(4, 0.3), 1, 2, 2)
-    local = "test_jet_apply_traces_once_per_map_and_level.<locals>.cube"
-    assert traces == [f"<jet_apply {local} L1>", f"<jet_apply {local} L2>",
-                      "<jet_apply _Cubic.cube L1>", "<jet_apply _Cubic.cube L2>"]
+    for fn in (cube, obj.cube, _Scaled(2.0)):
+        for level in (0, 1, 2):
+            coords = [0.3] * (2 << level)
+            want = np.array(_dual_jet_apply(fn, coords, level)).tobytes()
+            for entries in (coords, np.array(coords)):
+                assert np.array(jet_apply(fn, entries, level, 2, 2)).tobytes() == want
+        jet_apply(fn, nest([0.3] * 8, 1), 1, 2, 2)
+
+
+def test_jet_apply_reads_a_chart_constant_at_every_call():
+    # the chart's constants used to be frozen at its first float call
+    k = [2.0]
+    t = ChartTransition(dim=2, forward=lambda x: [k[0] * x[0], x[1]],
+                        inverse=lambda y: [y[0] / k[0], y[1]],
+                        jacobian=None, hessian=None, name="scale")
+    p = JetPoint(1, 2, np.ones(4))
+    assert jet_apply(t.forward, [1.0] * 4, 1, 2, 2) == [2.0, 1.0, 2.0, 1.0]
+    assert pushforward(t, p).coords.tolist() == [2.0, 1.0, 2.0, 1.0]
+    k[0] = 3.0
+    assert jet_apply(t.forward, [1.0] * 4, 1, 2, 2) == [3.0, 1.0, 3.0, 1.0]
+    assert pushforward(t, p).coords.tolist() == [3.0, 1.0, 3.0, 1.0]
 
 
 @pytest.mark.parametrize("chart", [shear_chart, lambda: identity_chart(2), exp_chart])

@@ -420,7 +420,7 @@ def test_round_two_sphere_is_the_sphere():
         make_round_sphere(0)
 
 
-# --- pushed sprays on compiled jet_apply ----------------------------------
+# --- pushed sprays against the Dual path ----------------------------------
 
 
 def _dual_pushed(t, s: Spray) -> Spray:

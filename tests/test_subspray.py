@@ -5,13 +5,13 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sprayjets import (EPS_SLASHED, DomainError, InconsistentTrajectoryError,
                        IntegrationBlowupError, JetPoint, Spray, acceleration_jet, integrate,
-                       make_finsler_example, make_flat, make_sphere, pushforward_spray,
-                       shear_chart)
+                       make_finsler_example, make_flat, make_sphere, pushforward,
+                       pushforward_spray, shear_chart)
 from sprayjets import subspray as sub
 from sprayjets.jets import Dual, jet_re
 from sprayjets.subspray import CONSTRAINTS, MembershipRejection, MembershipResult
@@ -214,6 +214,29 @@ def test_membership_domain_errors():
         sub.membership(s, bad)
     with pytest.raises(DomainError):
         sub.membership(s, xi[:-1])
+
+
+@pytest.mark.parametrize("spray", [make_sphere, lambda: make_flat(2),
+                                   lambda: make_finsler_example((0.3, 1.0))],
+                         ids=["sphere", "flat", "finsler"])
+def test_pushed_jet_is_in_the_pushed_slice(spray):
+    # P is natural: a chart change maps P onto the P of the pushed spray,
+    # with alpha and beta unchanged
+    s, t = spray(), shear_chart()
+    pushed = pushforward_spray(t, s)
+    unit = st.floats(-1.0, 1.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.5, 2.6), unit, unit, unit, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    def check(x1, x2, v1, v2, alpha, beta):
+        assume(math.hypot(v1, v2) > 0.1)
+        xi = sub.delta_coordinates(s, [x1, x2], [v1, v2], alpha, beta)
+        q = pushforward(t, JetPoint(3, 2, xi))
+        res = sub.membership(pushed, q.coords)
+        assert isinstance(res, MembershipResult)
+        assert abs(res.alpha - alpha) <= 1e-12 and abs(res.beta - beta) <= 1e-12
+
+    check()
 
 
 def test_whole_array_check_reports_a_rejected_row():
@@ -657,6 +680,30 @@ def test_completeness_probe_reports_finite_time_blowup():
         assert row["agree"]
         overshoot.append(row["base_time"] - 1.0)
     # the last finite nodes converge to the blowup time, at order 1 in h
+    assert overshoot[0] > 0.0
+    for coarse, fine in zip(overshoot, overshoot[1:]):
+        assert 1.9 < coarse / fine < 2.1
+
+
+def test_completeness_probe_blows_up_in_some_directions_only():
+    # acceleration (v1**2, 0): x1 blows up at t = 1/v1 when v1 > 0 and
+    # stays finite otherwise, whatever v2 is
+    s = Spray(level=0, dim=2, coeff_fn=lambda x, v: [-0.5 * v[0] * v[0], 0.0 * v[1]],
+              tag="squared-first-speed")
+    cases = [{"label": str(v0), "x0": [0.0, 0.0], "v0": v0, "alpha": 1.0, "beta": 0.5}
+             for v0 in ([1.0, 1.0], [0.0, 1.0], [-1.0, 1.0])]
+    overshoot = []
+    for h in (0.04, 0.02, 0.01):
+        rows = sub.completeness_probe(s, cases, 2.0, h)
+        assert all(row["agree"] for row in rows)
+        blown, *finite = rows
+        assert blown["base_exit"] == "blowup" and blown["sub_exit"] == "blowup"
+        assert blown["base_time"] == blown["sub_time"]
+        overshoot.append(blown["base_time"] - 1.0)
+        for row in finite:
+            assert row["base_exit"] is None and row["sub_exit"] is None
+            assert row["base_time"] == row["sub_time"] == 2.0
+    # the blowup time converges to 1 as h halves, at order 1 in h
     assert overshoot[0] > 0.0
     for coarse, fine in zip(overshoot, overshoot[1:]):
         assert 1.9 < coarse / fine < 2.1
