@@ -4,8 +4,9 @@ A Jacobi field along a level-r geodesic is here exactly a geodesic of the
 once-lifted spray whose projection is the base geodesic; no variational
 equation is ever special-cased.  Finite-difference variations serve as
 independent oracles, the doubly lifted spray decomposes into the three
-coupled fields it transports, and conjugate points are located through the
-determinant of a fundamental system of lifted geodesics.
+coupled fields it transports, and conjugate points are located where the
+fiber matrix of a fundamental system of lifted geodesics loses rank, at the
+minima of its absolute determinant.
 
 Fields that share their base geodesic run as one trajectory of the lift's
 fan program (:meth:`Spray.fan`): the state is the carrier followed by each
@@ -38,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidLevelError
-from .geodesic import Trajectory, _integrate, integrate, residual
+from .geodesic import Trajectory, _integrate, _minima, integrate, residual
 from .jetspace import JetPoint, _dproject_idx, _kappa_idx, _liouville_rows, kappa
 from .spray import Spray, complete_lift
 
@@ -279,39 +280,31 @@ def _fan_run(s: Spray, starts: list[JetPoint], t_span: tuple[float, float],
     return _integrate(lifted, per_start if fan is None else fanned, x, v, t_span, h)
 
 
-_BRACKET = 1e-6  # conjugate_search's bisection bracket; roots closer than 10 brackets are one
-
-
 @dataclass
 class ConjugateScan:
-    """Conjugate times along a geodesic and the determinant samples behind them.
-
-    ``bisections`` counts the determinant evaluations of the bisection; it
-    depends only on the inputs and is left out of the runner's report.
-    """
+    """Conjugate times along a geodesic and the determinant samples behind them."""
 
     times: list[float]
     multiplicities: list[int]
     sample_times: np.ndarray
     sample_dets: np.ndarray
     exit_reason: str | None
-    bisections: int
 
 
 def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float) -> ConjugateScan:
     """Scan for conjugate points along the geodesic through ``init``.
 
     A fundamental system of Jacobi fields with zero value and coordinate
-    basis rates is propagated; zeros of its fiber determinant mark the
-    conjugate times.  Sign changes between nodes are refined by bisection
-    on the dense output, down to a bracket of :data:`_BRACKET` or a
-    midpoint where the determinant is exactly zero; no threshold on its
-    size ends the bisection, since a root of multiplicity k makes it
-    small like the k-th power of the distance.  Multiplicity is the rank
-    deficiency of the fiber matrix at the root.
+    basis rates is propagated, and its fiber matrix (fields as columns)
+    sampled at every node.  The node-local minima of ``|det|`` are refined
+    on the dense output (:func:`~sprayjets.geodesic._minima`); a refined
+    minimum is a conjugate time when the fiber matrix there has singular
+    values below 1e-6 of the largest, and their count is its multiplicity.
+    Minima, unlike sign changes, find roots of every multiplicity and those
+    of lifted sprays, whose determinant is a square.
 
     The m fields share the geodesic as their carrier, so they run as one
-    trajectory of the lift (:func:`_fan_run`), and each bisection step
+    trajectory of the lift (:func:`_fan_run`), and each refinement step
     takes all m fibers from one dense-output evaluation.  Field k is
     bitwise its own :func:`jacobi_from_initial` run, so the scan, or the
     exception, is that of m separate runs.  A negative ``t_max`` scans
@@ -324,56 +317,22 @@ def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float) -> Conjug
     starts = [JetPoint(s.level + 2, s.dim, np.concatenate([x0, np.zeros(m), v0, e]))
               for e in np.eye(m)]
     fan = _fan_run(s, starts, (0.0, t_max), h)
-    times = fan.times
-    nodes = len(times)
+    nodes = len(fan.times)
     # column m*(k+1) + i is fiber i of field k; the matrices hold fields as columns
-    fibers = fan.positions[:, m:].reshape(nodes, m, m).transpose(0, 2, 1)
+    dets = np.linalg.det(fan.positions[:, m:].reshape(nodes, m, m).transpose(0, 2, 1))
 
     def fibers_at(t: float) -> np.ndarray:
         return fan.position_at(t)[m:].reshape(m, m).T
 
-    dets = np.linalg.det(fibers)
-
-    roots: list[float] = []
-    mults: list[int] = []
-    bisections = 0
-    for i in range(1, nodes - 1):
-        a, b = float(times[i]), float(times[i + 1])
-        da, db = float(dets[i]), float(dets[i + 1])
-        if da == 0.0:
-            root = a
-        elif da * db < 0.0:
-            root = None
-            while abs(b - a) > _BRACKET:
-                mid = 0.5 * (a + b)
-                dm = float(np.linalg.det(fibers_at(mid)))
-                bisections += 1
-                if dm == 0.0:
-                    root = mid
-                    break
-                if da * dm < 0.0:
-                    b = mid
-                else:
-                    a, da = mid, dm
-            if root is None:
-                root = 0.5 * (a + b)
-        else:
-            continue
-        if roots and abs(root - roots[-1]) < 10.0 * _BRACKET:
-            continue
-        sv = np.linalg.svd(fibers_at(root), compute_uv=False)
+    roots, mults = [], []
+    for t in _minima(fan, np.abs(dets), lambda t: abs(np.linalg.det(fibers_at(t)))):
+        sv = np.linalg.svd(fibers_at(t), compute_uv=False)
         deficiency = int(np.sum(sv < 1e-6 * sv[0])) if sv[0] > 0 else m
-        roots.append(root)
-        mults.append(max(1, deficiency))
+        if deficiency:
+            roots.append(t)
+            mults.append(deficiency)
 
-    return ConjugateScan(
-        times=roots,
-        multiplicities=mults,
-        sample_times=times.copy(),
-        sample_dets=dets.copy(),
-        exit_reason=fan.exit_reason,
-        bisections=bisections,
-    )
+    return ConjugateScan(roots, mults, fan.times.copy(), dets, fan.exit_reason)
 
 
 # --- conjugate pairs upstairs ---------------------------------------------

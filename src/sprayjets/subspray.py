@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InconsistentTrajectoryError, IntegrationBlowupError
-from .geodesic import Trajectory, integrate
+from .geodesic import Trajectory, _minima, integrate
 from .jets import Dual, jet_du, jet_re, unnest
 from .jetspace import EPS_SLASHED, JetPoint
 from .spray import Spray, acceleration_jet, complete_lift
@@ -340,7 +340,10 @@ def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: floa
     that ndarray arithmetic on sigma gives arrays of ``Dual`` entries.  One
     run of the third lift from the jet and its sigma-derivative gives the
     field as its tangent half and the centre curve as its carrier, bitwise
-    the run of :func:`geodesic`.
+    the run of :func:`geodesic`.  The zeros are the node-local minima of
+    the field's norm, refined on the dense output
+    (:func:`~sprayjets.geodesic._minima`), where the norm is at most 1e-6
+    of its supremum over the nodes; the start node is never one.
     """
 
     x0, v0, al, be = family(np.array(Dual(0.0, 1.0), dtype=object))
@@ -351,16 +354,16 @@ def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: floa
     tr = integrate(complete_lift(lifted2), JetPoint(s.level + 4, s.dim, init), t_span, h)
     center = _checked(s, tr.columns(slice(0, n), lifted2), float(jet_re(al)), float(jet_re(be)),
                       np.inf, False)
-    vals, times = tr.positions[:, n:], tr.times
+    vals = tr.positions[:, n:]
     norms = np.linalg.norm(vals, axis=1)
+    sup = float(np.max(norms))
 
-    zeros: list[float] = []
-    for k in range(len(times)):
-        if norms[k] <= 1e-8:
-            if not zeros or times[k] - zeros[-1] > 1e-3:
-                zeros.append(float(times[k]))
-    return ParallelJacobi(times=times, values=vals, sup_norm=float(np.max(norms)),
-                          zero_times=zeros, center=center)
+    def norm_at(t: float) -> float:
+        return float(np.linalg.norm(tr.position_at(t)[n:]))
+
+    zeros = [t for t in _minima(tr, norms, norm_at) if norm_at(t) <= 1e-6 * sup]
+    return ParallelJacobi(times=tr.times, values=vals, sup_norm=sup, zero_times=zeros,
+                          center=center)
 
 
 @dataclass
@@ -374,16 +377,15 @@ class NoConjugateReport:
 def no_conjugate_check(s: Spray, family, t_span: tuple[float, float], h: float) -> NoConjugateReport:
     """Two distinct zeros of a family field force the whole field to vanish.
 
-    A family whose field has fewer than two zeros passes vacuously; with
-    two or more the field must be trivial throughout, otherwise the check
-    fails and reports the offending supremum.
+    The zeros are those of :func:`parallel_jacobi_curve`, relative to the
+    field's own scale.  A field with fewer than two passes vacuously; a
+    field with two or more is a conjugate pair and fails.  A trivial field
+    has no strict dip, hence no zeros, and passes.
     """
 
     pj = parallel_jacobi_curve(s, family, t_span, h)
-    if len(pj.zero_times) < 2:
-        return NoConjugateReport(pj.zero_times, pj.sup_norm, vacuous=True, ok=True)
-    return NoConjugateReport(pj.zero_times, pj.sup_norm, vacuous=False,
-                             ok=pj.sup_norm <= 1e-6)
+    ok = len(pj.zero_times) < 2
+    return NoConjugateReport(pj.zero_times, pj.sup_norm, vacuous=ok, ok=ok)
 
 
 @dataclass

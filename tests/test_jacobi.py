@@ -114,29 +114,74 @@ def test_backward_scan_mirrors_the_forward_scan():
     assert len(forward.times) == 1 and abs(forward.times[0] - np.pi) < 1e-6
     assert len(backward.times) == 1 and abs(backward.times[0] + np.pi) < 1e-6
     assert backward.multiplicities == forward.multiplicities == [1]
-    assert backward.bisections == forward.bisections > 0
 
 
-def test_odd_multiplicity_above_one_bisects_to_the_bracket():
-    # on S^4 the determinant vanishes to third order at pi, so it is tiny
-    # long before the bracket is; bisection goes on down to the bracket
-    s = make_round_sphere(4)
-    init = JetPoint(1, 4, np.array([np.pi / 2, np.pi / 2, np.pi / 2, 0.0, 0.0, 0.0, 0.0, 1.0]))
+def _equator(n):
+    """The great circle of round S^n through (pi/2, ..., pi/2, 0) along the longitude."""
+    return JetPoint(1, n, [np.pi / 2] * (n - 1) + [0.0] + [0.0] * (n - 1) + [1.0])
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_round_sphere_has_multiplicity_n_minus_1_at_pi(n, h):
+    # det vanishes to order n - 1 at pi, so its sign changes only for even n;
+    # S^3 and S^5 once reported nothing
+    s = make_round_sphere(n)
+    for t_max in (3.5, -3.5):
+        scan = conjugate_search(s, _equator(n), t_max, h)
+        assert scan.exit_reason is None
+        assert len(scan.times) == 1 and abs(scan.times[0] - math.copysign(np.pi, t_max)) < 1e-6
+        assert scan.multiplicities == [n - 1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_root_in_the_last_step_is_found(n):
+    # pi lies in the last step of each scan; the last node is a minimum of |det|
+    s = make_round_sphere(n)
+    for t_max in (np.pi + 1e-3, -np.pi - 1e-3):
+        scan = conjugate_search(s, _equator(n), t_max, 1e-2)
+        assert abs(scan.sample_times[-2]) < np.pi < abs(scan.sample_times[-1])
+        assert len(scan.times) == 1 and abs(scan.times[0] - math.copysign(np.pi, t_max)) < 1e-6
+        assert scan.multiplicities == [n - 1]
+
+
+LIFTED_START = [np.pi / 2, 0.0, 0.1, -0.2, 0.0, 1.0, 0.3, 0.2]
+
+
+@pytest.mark.parametrize("lifts", [1, 2])
+def test_lifted_sphere_has_the_base_conjugate_time(lifts):
+    # a lift's fiber matrix is block triangular with the base one twice on its
+    # diagonal, so its determinant is a square and never changes sign
+    s = complete_lift(make_sphere())
+    init = JetPoint(2, 2, LIFTED_START)
+    if lifts == 2:
+        s = complete_lift(s)
+        init = JetPoint(3, 2, LIFTED_START[:4] + [0.05, 0.1, -0.1, 0.2]
+                        + LIFTED_START[4:] + [0.1, -0.2, 0.3, 0.1])
     scan = conjugate_search(s, init, 3.5, 1e-2)
+    assert scan.exit_reason is None
     assert len(scan.times) == 1 and abs(scan.times[0] - np.pi) < 1e-6
-    assert scan.multiplicities == [3]
-    # a simple root on S^2: the same root and bisection count either way
+    assert scan.multiplicities[0] >= 1
+
+
+def test_minimum_is_refined_to_a_bracket_of_1e_6(monkeypatch):
+    # one minimum of |det| on [0, 3.5]: golden section from a two-step bracket
+    # of 2e-2 takes 2 + 21 evaluations to reach 1e-6 (19 for 1e-5, 29 for
+    # 1e-7), and the rank test one more
+    calls = []
+    real = Trajectory.position_at
+    monkeypatch.setattr(Trajectory, "position_at", lambda tr, t: calls.append(t) or real(tr, t))
     eq = JetPoint(1, 2, np.array([np.pi / 2, 0.0, 0.0, 1.0]))
-    simple = conjugate_search(make_sphere(), eq, 3.5, 1e-2)
-    assert simple.times == [3.1415927124023435]
-    assert simple.multiplicities == [1]
-    assert simple.bisections == 14
+    scan = conjugate_search(make_sphere(), eq, 3.5, 1e-2)
+    assert len(scan.times) == 1
+    assert len(calls) == 24
 
 
 def test_multiplicity_counts_singular_values_below_1e_6_of_the_largest(monkeypatch):
     # a fan whose field k has fiber d_k(t) e_k, d = (t - 1.125, 1, 3e-6, 3e-7):
-    # dense output is exact on it, so the first bisection midpoint is the root,
-    # where the singular values relative to the largest are 3e-6, 3e-7 and 0
+    # dense output is exact on it, so |det| is refined to within 1e-6 of the
+    # root, where the singular values relative to the largest are 3e-6, 3e-7
+    # and below 1e-6
     s, t = make_flat(4), np.arange(9) * 0.25
     d = np.stack([t - 1.125] + [np.full_like(t, c) for c in (1.0, 3e-6, 3e-7)], axis=1)
     fibers = np.einsum("nk,kl->nkl", d, np.eye(4)).reshape(len(t), 16)
@@ -148,7 +193,7 @@ def test_multiplicity_counts_singular_values_below_1e_6_of_the_largest(monkeypat
                      accelerations=np.zeros((len(t), 20)), h=0.25)
     monkeypatch.setattr(jacobi, "_fan_run", lambda *args: fan)
     scan = conjugate_search(s, JetPoint(1, 4, [0.0] * 4 + [1.0, 0.0, 0.0, 0.0]), 2.0, 0.25)
-    assert scan.times == [1.125] and scan.bisections == 1
+    assert len(scan.times) == 1 and abs(scan.times[0] - 1.125) < 1e-6
     assert scan.multiplicities == [2]
 
 
@@ -357,7 +402,7 @@ def test_suite_rejects_base_trajectory():
 
 
 def reference_conjugate_search(s, init, t_max, h, bracket_tol=1e-6, rank_rtol=1e-6):
-    """The scan as it was before the fan run: m separate lifted runs, bisected per field."""
+    """The scan on m separate lifted runs: the minima of |det|, refined by golden section."""
     m = (1 << s.level) * s.dim
     half = init.coords.size // 2
     x0, v0 = init.coords[:half], init.coords[half:]
@@ -384,34 +429,33 @@ def reference_conjugate_search(s, init, t_max, h, bracket_tol=1e-6, rank_rtol=1e
         cols = [f.fiber_at(t) for f in fields]
         return np.stack(cols, axis=1)
 
+    def size(t):
+        return abs(np.linalg.det(det_at(t)))
+
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
     roots, mults = [], []
-    for i in range(1, nodes - 1):
-        a, b = float(times[i]), float(times[i + 1])
-        da, db = float(dets[i]), float(dets[i + 1])
-        if da == 0.0:
-            root = a
-        elif da * db < 0.0:
-            root = None
-            while b - a > bracket_tol:
-                mid = 0.5 * (a + b)
-                dm = float(np.linalg.det(det_at(mid)))
-                if dm == 0.0:
-                    root = mid
-                    break
-                if da * dm < 0.0:
-                    b = mid
-                else:
-                    a, da = mid, dm
-            if root is None:
-                root = 0.5 * (a + b)
-        else:
+    for i in range(1, nodes):
+        last = i == nodes - 1
+        if not (abs(dets[i]) < abs(dets[i - 1]) and (last or abs(dets[i]) <= abs(dets[i + 1]))):
             continue
-        if roots and abs(root - roots[-1]) < 10.0 * bracket_tol:
-            continue
+        a, b = float(times[i - 1]), float(times[i if last else i + 1])
+        c, d = b - golden * (b - a), a + golden * (b - a)
+        fc, fd = size(c), size(d)
+        while abs(b - a) > bracket_tol:
+            if fc <= fd:
+                b, d, fd = d, c, fc
+                c = b - golden * (b - a)
+                fc = size(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + golden * (b - a)
+                fd = size(d)
+        root = 0.5 * (a + b)
         sv = np.linalg.svd(det_at(root), compute_uv=False)
         deficiency = int(np.sum(sv < rank_rtol * sv[0])) if sv[0] > 0 else m
-        roots.append(root)
-        mults.append(max(1, deficiency))
+        if deficiency:
+            roots.append(root)
+            mults.append(deficiency)
     return roots, mults, times.copy(), dets.copy(), exit_reason
 
 
@@ -476,7 +520,7 @@ def test_fan_scan_is_the_per_field_scan(monkeypatch, case):
     scan = assert_scan_is_reference(monkeypatch, s, init, t_max, h)
     assert scan.exit_reason is None
     if case in ("criterion 7 sphere", "runner sphere", "refused trace"):
-        assert len(scan.times) >= 1 and scan.bisections > 0
+        assert len(scan.times) >= 1
 
 
 def test_fan_fields_are_their_own_runs():
@@ -600,16 +644,6 @@ def test_rejected_scan_raises_the_per_field_error(coords, t_max, h):
     assert str(got.value) == str(want.value)
 
 
-def test_scan_bisections_repeat():
-    s = make_sphere()
-    eq = JetPoint(1, 2, [np.pi / 2, 0.0, 0.0, 1.0])
-    first = conjugate_search(s, eq, 6.5, 1e-2)
-    assert first.bisections > 0
-    assert conjugate_search(s, eq, 6.5, 1e-2).bisections == first.bisections
-    assert conjugate_search(make_flat(2), JetPoint(1, 2, [0.0, 0.0, 1.0, 0.3]),
-                            3.5, 1e-2).bisections == 0
-
-
 def test_fan_scan_on_round_three_sphere(monkeypatch):
     # three fields in three dimensions along a great circle
     s = make_round_sphere(3)
@@ -617,6 +651,7 @@ def test_fan_scan_on_round_three_sphere(monkeypatch):
     scan = assert_scan_is_reference(monkeypatch, s, init, 3.5, 1e-2)
     assert scan.exit_reason is None
     assert scan.sample_dets.shape == (351,)
+    assert scan.multiplicities == [2]
 
 
 def reference_fd_gap(s, jac, eps_var=1e-4):

@@ -346,6 +346,24 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _fold(x):
+    """(|x1|, x2): a chart that branches on the primal value of its first coordinate."""
+    primal = x[0]
+    while primal is not jet_re(primal):
+        primal = jet_re(primal)
+    return [x[0] if primal >= 0.0 else -x[0], x[1]]
+
+
+@dataclass
+class _Scaled:
+    """A chart map with value equality, hence unhashable and not weakly keyed."""
+
+    c: float
+
+    def __call__(self, x):
+        return [self.c * x[0] * x[1], x[1]]
+
+
 COMPILED_MAPS = {
     "shear": shear_chart().forward,
     "shear-inverse": shear_chart().inverse,
@@ -354,6 +372,9 @@ COMPILED_MAPS = {
     "exp": exp_chart().forward,
     # the log of a non-positive first coordinate raises ValueError on both paths
     "exp-inverse": exp_chart().inverse,
+    # a branch on a primal value, and a map that can be neither hashed nor weakly keyed
+    "fold": _fold,
+    "scaled": _Scaled(2.0),
 }
 
 
@@ -369,42 +390,6 @@ def test_compiled_jet_apply_is_bitwise_the_dual_path(name, level):
         assert _outcome(jet_apply, fn, coords, level, 2, 2) == want
 
     check()
-
-
-def _fold(x):
-    """(|x1|, x2): a chart that branches on the primal value of its first coordinate."""
-    primal = x[0]
-    while primal is not jet_re(primal):
-        primal = jet_re(primal)
-    return [x[0] if primal >= 0.0 else -x[0], x[1]]
-
-
-@pytest.mark.parametrize("level", [1, 2])
-def test_chart_that_branches_keeps_the_dual_path(level):
-    rng = np.random.default_rng(4)
-    for sign in (1.0, -1.0, 1.0, -1.0):
-        coords = rng.uniform(0.5, 2.0, 2 << level).tolist()
-        coords[0] *= sign
-        # a branch baked in at tracing time would give the wrong sign on one side
-        out = jet_apply(_fold, coords, level, 2, 2)
-        assert np.array(out).tobytes() == np.array(_dual_jet_apply(_fold, coords, level)).tobytes()
-        assert out[0] == abs(coords[0])
-
-
-@dataclass
-class _Scaled:
-    """A chart map with value equality, hence unhashable and not weakly keyed."""
-
-    c: float
-
-    def __call__(self, x):
-        return [self.c * x[0] * x[1], x[1]]
-
-
-def test_unhashable_map_keeps_the_dual_path():
-    coords = [0.3, -1.2, 0.7, 0.4]
-    want = np.array(_dual_jet_apply(_Scaled(2.0), coords, 1))
-    assert np.array(jet_apply(_Scaled(2.0), coords, 1, 2, 2)).tobytes() == want.tobytes()
 
 
 class _Cubic:

@@ -13,6 +13,7 @@ from sprayjets import (EPS_SLASHED, DomainError, InconsistentTrajectoryError,
                        make_finsler_example, make_flat, make_sphere, pushforward,
                        pushforward_spray, shear_chart)
 from sprayjets import subspray as sub
+from sprayjets.geodesic import Trajectory
 from sprayjets.jets import Dual, jet_re
 from sprayjets.subspray import CONSTRAINTS, MembershipRejection, MembershipResult
 
@@ -503,40 +504,53 @@ def _line_family(eps):
     return lambda sig: (np.zeros(2), np.array([1.0, 0.0]), 0.0, 1.0 + eps * sig)
 
 
-def test_node_zeros_are_norms_up_to_1e_8():
-    f = make_flat(2)
-    small = sub.parallel_jacobi_curve(f, _line_family(5e-9), (0.0, 1.0), 0.1)
-    assert small.zero_times == small.times.tolist()
-    assert sub.parallel_jacobi_curve(f, _line_family(2e-8), (0.0, 1.0), 0.1).zero_times == []
+@pytest.mark.parametrize("t_end", [40.0, 400.0])
+@pytest.mark.parametrize("eps", [5e-9, 1.0, 1e6])
+def test_verdict_does_not_depend_on_the_family_scale(eps, t_end):
+    # the field never vanishes; an absolute node rule once found zeros at
+    # t = 0 and 1 for eps = 5e-9, and failed t_end = 400 on its supremum
+    rep = sub.no_conjugate_check(make_flat(2), _line_family(eps), (0.0, t_end), 1.0)
+    assert rep.zero_times == []
+    assert rep.sup_norm == pytest.approx(eps * math.hypot(1.0, t_end))
+    assert rep.ok and rep.vacuous
 
 
-def test_node_zeros_are_kept_more_than_1e_3_apart():
-    # every node of a trivial field is a zero; at a step of 4e-4 every third one is kept
-    pj = sub.parallel_jacobi_curve(make_flat(2), _line_family(0.0), (0.0, 0.02), 4e-4)
-    assert pj.sup_norm == 0.0
-    assert pj.zero_times == pj.times[::3].tolist()
+@pytest.mark.parametrize("offset, zero", [(3e-7, True), (3e-6, False)])
+def test_field_zero_is_a_norm_within_1e_6_of_the_supremum(monkeypatch, offset, zero):
+    # the flat line's run with its field replaced by (t - 1.125, offset * 1.125, 0, ...):
+    # dense output is exact on it, the supremum over the nodes is 1.125 (+ offset),
+    # and the norm at the refined minimum is about offset * 1.125
+    real = sub.integrate
 
+    def run(*args):
+        tr = real(*args)
+        n = tr.positions.shape[1] // 2
+        field = np.zeros((len(tr.times), n))
+        field[:, 0], field[:, 1] = tr.times - 1.125, offset * 1.125
+        rate = np.zeros_like(field)
+        rate[:, 0] = 1.0
+        return Trajectory(tr.spray, tr.times, np.hstack([tr.positions[:, :n], field]),
+                          np.hstack([tr.velocities[:, :n], rate]),
+                          np.hstack([tr.accelerations[:, :n], np.zeros_like(field)]), tr.h)
 
-@pytest.mark.parametrize("t_end, ok", [(40.0, True), (400.0, False)])
-def test_two_zeros_need_a_field_within_1e_6(t_end, ok):
-    # zeros at t = 0 and 1 only; the supremum 5e-9 sqrt(1 + t_end^2) is 2e-7 or 2e-6
-    rep = sub.no_conjugate_check(make_flat(2), _line_family(5e-9), (0.0, t_end), 1.0)
-    assert rep.zero_times == [0.0, 1.0] and not rep.vacuous
-    assert rep.sup_norm == pytest.approx(5e-9 * math.hypot(1.0, t_end))
-    assert rep.ok == ok
+    monkeypatch.setattr(sub, "integrate", run)
+    pj = sub.parallel_jacobi_curve(make_flat(2), _line_family(1.0), (0.0, 2.0), 0.25)
+    assert pj.sup_norm == pytest.approx(1.125)
+    assert len(pj.zero_times) == zero
+    if zero:
+        assert abs(pj.zero_times[0] - 1.125) < 1e-6
 
 
 def test_constant_family_is_trivial_but_passes():
+    # a field that is zero everywhere has no strict dip, so no zeros
     s = make_sphere()
 
     def fam(sig):
         return np.array(SPHERE_X0), np.array(SPHERE_V0), 1.0, 0.5
 
     rep = sub.no_conjugate_check(s, fam, (0.0, 2.0), 1e-2)
-    assert not rep.vacuous
-    assert rep.ok
     assert rep.sup_norm == 0.0
-    assert len(rep.zero_times) >= 2
+    assert rep.ok
 
 
 def test_parallel_jacobi_curve_values():
