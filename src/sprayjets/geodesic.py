@@ -31,9 +31,8 @@ Every failed step of a run, single or shared, ends in
 :func:`_failed_step`, which replays the step's stages in plain floats,
 with the template's operations in the template's order, to learn where
 they lie.  The residual evaluates every step midpoint and then takes all
-the defect norms in one ``np.vecdot``.  Zeros along a run are found by one
-minimum scan, :func:`_minima`, which refines the node-local minima of a
-size by golden section on the dense output.
+the defect norms in one ``np.vecdot``.  Zeros along a run are found by
+:func:`_minima`'s golden-section scan, on brackets set by the size's time scale.
 
 The generated code, and the replay, carry the order invariant.  Each
 element is computed by the same IEEE double operations, in the same order
@@ -528,37 +527,40 @@ def _hermite_d1(y0, d0, y1, d1, tau, dt):
             + (-6 * t2 + 6 * tau) * y1 / dt + (3 * t2 - 2 * tau) * d1)
 
 
-_MINIMUM_BRACKET = 1e-6  # _minima's golden-section bracket
+_MINIMUM_BRACKET = 1e-6  # _minima's bracket, in units of the size's time scale
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _minima(tr: Trajectory, sizes: np.ndarray, size_at: Callable[[float], float]) -> list[float]:
-    """The times of the node-local minima of a non-negative size along ``tr``.
+def _minima(times: np.ndarray, sizes: np.ndarray, size_at: Callable[[float], float],
+            scales: np.ndarray, floor: float) -> list[float]:
+    """The times where node-local minima of a non-negative size fall to ``floor``.
 
-    ``sizes[i]`` is the size at node i and ``size_at(t)`` its value on the
-    dense output.  Node i >= 1 is a minimum when its size is below node
-    i - 1's and at most node i + 1's; the last node needs only the first.
-    Each is refined by golden section on ``[times[i - 1], times[i + 1]]``
-    (the last step, for the last node), in either time order, down to a
-    bracket of _MINIMUM_BRACKET, whose midpoint is returned.
+    Node i >= 1 is a minimum when ``sizes[i]`` is below node i - 1's and at
+    most node i + 1's (the last node: below its predecessor).  Golden section
+    on the dense output ``size_at`` refines it over its two steps, in either
+    time order, to ``_MINIMUM_BRACKET * scales[i]`` (the size's time scale
+    there) or the float spacing, and keeps its smallest sample if at most
+    ``floor``.  On a size convex over the bracket, the minimum is at least
+    the smaller inner sample less _GOLDEN times its rise to the larger end,
+    so a minimum with that bound above ``floor`` is dropped at once.
     """
-    times = tr.times
     after = np.append(sizes, np.inf)[2:]
     found = []
     for i in np.flatnonzero((sizes[1:] < sizes[:-1]) & (sizes[1:] <= after)) + 1:
-        a, b = float(times[i - 1]), float(times[min(i + 1, len(times) - 1)])
+        j = min(i + 1, len(times) - 1)
+        a, b, fa, fb = float(times[i - 1]), float(times[j]), sizes[i - 1], sizes[j]
+        bracket = max(4.0 * math.ulp(abs(a) + abs(b)), _MINIMUM_BRACKET * scales[i])
         c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
         fc, fd = size_at(c), size_at(d)
-        while abs(b - a) > _MINIMUM_BRACKET:
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = size_at(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = size_at(d)
-        found.append(0.5 * (a + b))
+        while abs(b - a) > bracket and (
+                min(fc, fd) * (1.0 + _GOLDEN) - _GOLDEN * max(fa, fb) <= floor):
+            if fc > fd:  # the minimum lies in [c, b]: mirror the bracket to keep [a, d]
+                a, b, fa, fb, c, d, fc, fd = b, a, fb, fa, d, c, fd, fc
+            b, fb, d, fd = d, fd, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = size_at(c)
+        if min(fc, fd) <= floor:
+            found.append(c if fc <= fd else d)
     return found
 
 

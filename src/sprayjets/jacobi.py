@@ -4,9 +4,8 @@ A Jacobi field along a level-r geodesic is here exactly a geodesic of the
 once-lifted spray whose projection is the base geodesic; no variational
 equation is ever special-cased.  Finite-difference variations serve as
 independent oracles, the doubly lifted spray decomposes into the three
-coupled fields it transports, and conjugate points are located where the
-fiber matrix of a fundamental system of lifted geodesics loses rank, at the
-minima of its absolute determinant.
+coupled fields it transports, and conjugate points are located at minima of
+the fiber determinant of a fundamental system of lifted geodesics.
 
 Fields that share their base geodesic run as one trajectory of the lift's
 fan program (:meth:`Spray.fan`): the state is the carrier followed by each
@@ -296,10 +295,10 @@ def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float) -> Conjug
 
     A fundamental system of Jacobi fields with zero value and coordinate
     basis rates is propagated, and its fiber matrix (fields as columns)
-    sampled at every node.  The node-local minima of ``|det|`` are refined
-    on the dense output (:func:`~sprayjets.geodesic._minima`); a refined
-    minimum is a conjugate time when the fiber matrix there has singular
-    values below 1e-6 of the largest, and their count is its multiplicity.
+    sampled at every node.  :func:`~sprayjets.geodesic._minima` refines the
+    node-local minima of ``|det|`` to a bracket on the matrix's own time
+    scale, where a root passes the rank test: singular values below 1e-6 of
+    the largest make a conjugate time, and their count its multiplicity.
     Minima, unlike sign changes, find roots of every multiplicity and those
     of lifted sprays, whose determinant is a square.
 
@@ -317,15 +316,21 @@ def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float) -> Conjug
     starts = [JetPoint(s.level + 2, s.dim, np.concatenate([x0, np.zeros(m), v0, e]))
               for e in np.eye(m)]
     fan = _fan_run(s, starts, (0.0, t_max), h)
-    nodes = len(fan.times)
     # column m*(k+1) + i is fiber i of field k; the matrices hold fields as columns
-    dets = np.linalg.det(fan.positions[:, m:].reshape(nodes, m, m).transpose(0, 2, 1))
+    fibers = fan.positions[:, m:]
+    dets = np.linalg.det(fibers.reshape(-1, m, m).transpose(0, 2, 1))
+    # sigma_max >= |M|_F / sqrt(m) and |M'|_2 <= |M'|_F, so within a bracket of
+    # _MINIMUM_BRACKET times this scale sigma_min / sigma_max moves by at most that
+    scales = np.linalg.norm(fibers, axis=1) / (
+        np.sqrt(m) * np.linalg.norm(fan.velocities[:, m:], axis=1))
 
     def fibers_at(t: float) -> np.ndarray:
         return fan.position_at(t)[m:].reshape(m, m).T
 
     roots, mults = [], []
-    for t in _minima(fan, np.abs(dets), lambda t: abs(np.linalg.det(fibers_at(t)))):
+    # no floor: every minimum of |det| is refined, and the rank test decides
+    for t in _minima(fan.times, np.abs(dets), lambda t: abs(np.linalg.det(fibers_at(t))),
+                     scales, np.inf):
         sv = np.linalg.svd(fibers_at(t), compute_uv=False)
         deficiency = int(np.sum(sv < 1e-6 * sv[0])) if sv[0] > 0 else m
         if deficiency:

@@ -340,10 +340,9 @@ def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: floa
     that ndarray arithmetic on sigma gives arrays of ``Dual`` entries.  One
     run of the third lift from the jet and its sigma-derivative gives the
     field as its tangent half and the centre curve as its carrier, bitwise
-    the run of :func:`geodesic`.  The zeros are the node-local minima of
-    the field's norm, refined on the dense output
-    (:func:`~sprayjets.geodesic._minima`), where the norm is at most 1e-6
-    of its supremum over the nodes; the start node is never one.
+    the run of :func:`geodesic`.  Its zeros are the minima of its norm that
+    :func:`~sprayjets.geodesic._minima` refines to at most 1e-6 of the norm's
+    node supremum, on the time scale supremum / largest rate.
     """
 
     x0, v0, al, be = family(np.array(Dual(0.0, 1.0), dtype=object))
@@ -357,13 +356,11 @@ def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: floa
     vals = tr.positions[:, n:]
     norms = np.linalg.norm(vals, axis=1)
     sup = float(np.max(norms))
-
-    def norm_at(t: float) -> float:
-        return float(np.linalg.norm(tr.position_at(t)[n:]))
-
-    zeros = [t for t in _minima(tr, norms, norm_at) if norm_at(t) <= 1e-6 * sup]
-    return ParallelJacobi(times=tr.times, values=vals, sup_norm=sup, zero_times=zeros,
-                          center=center)
+    rate = float(np.max(np.linalg.norm(tr.velocities[:, n:], axis=1)))
+    # a field constant in time has no strict dip, hence no zeros
+    zeros = _minima(tr.times, norms, lambda t: np.linalg.norm(tr.position_at(t)[n:]),
+                    np.full(len(tr.times), sup / rate), 1e-6 * sup) if rate > 0 else []
+    return ParallelJacobi(tr.times, vals, sup, zeros, center)
 
 
 @dataclass
@@ -377,10 +374,9 @@ class NoConjugateReport:
 def no_conjugate_check(s: Spray, family, t_span: tuple[float, float], h: float) -> NoConjugateReport:
     """Two distinct zeros of a family field force the whole field to vanish.
 
-    The zeros are those of :func:`parallel_jacobi_curve`, relative to the
-    field's own scale.  A field with fewer than two passes vacuously; a
-    field with two or more is a conjugate pair and fails.  A trivial field
-    has no strict dip, hence no zeros, and passes.
+    A field with fewer than two zeros (:func:`parallel_jacobi_curve`'s, on
+    its own scale) passes vacuously; with two or more it is a conjugate pair
+    and fails.  A trivial field has no strict dip, hence no zeros.
     """
 
     pj = parallel_jacobi_curve(s, family, t_span, h)

@@ -165,23 +165,40 @@ def test_lifted_sphere_has_the_base_conjugate_time(lifts):
 
 
 def test_minimum_is_refined_to_a_bracket_of_1e_6(monkeypatch):
-    # one minimum of |det| on [0, 3.5]: golden section from a two-step bracket
-    # of 2e-2 takes 2 + 21 evaluations to reach 1e-6 (19 for 1e-5, 29 for
-    # 1e-7), and the rank test one more
+    # one minimum on [0, 3.5], where the fiber matrix's time scale is about
+    # pi / 2: golden section from a two-step bracket of 2e-2 takes 2 + 20
+    # evaluations to reach 1.6e-6 (17 for a constant of 1e-5, 27 for 1e-7),
+    # and the rank test one more
     calls = []
     real = Trajectory.position_at
     monkeypatch.setattr(Trajectory, "position_at", lambda tr, t: calls.append(t) or real(tr, t))
     eq = JetPoint(1, 2, np.array([np.pi / 2, 0.0, 0.0, 1.0]))
     scan = conjugate_search(make_sphere(), eq, 3.5, 1e-2)
     assert len(scan.times) == 1
-    assert len(calls) == 24
+    assert len(calls) == 23
+
+
+@pytest.mark.parametrize("speed", [10.0, 30.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_fast_great_circle_has_its_conjugate_time(n, speed):
+    # the bracket follows the fiber matrix's time scale, pi / speed here; an
+    # absolute bracket of 1e-6 once lost the root at speed 30, where the rank
+    # test needs the time to within about 1e-7
+    s = make_sphere() if n == 2 else make_round_sphere(n)
+    start = _equator(n).coords.copy()
+    start[-1] = speed
+    for t_max in (3.5 / speed, -3.5 / speed):
+        scan = conjugate_search(s, JetPoint(1, n, start), t_max, 1e-3)
+        assert len(scan.times) == 1
+        assert abs(scan.times[0] - math.copysign(np.pi / speed, t_max)) < 1e-6
+        assert scan.multiplicities == [n - 1]
 
 
 def test_multiplicity_counts_singular_values_below_1e_6_of_the_largest(monkeypatch):
     # a fan whose field k has fiber d_k(t) e_k, d = (t - 1.125, 1, 3e-6, 3e-7):
-    # dense output is exact on it, so |det| is refined to within 1e-6 of the
-    # root, where the singular values relative to the largest are 3e-6, 3e-7
-    # and below 1e-6
+    # dense output is exact on it, so the minimum is refined to within 1e-6 of
+    # the root, where the singular values relative to the largest are 3e-6,
+    # 3e-7 and below 1e-6
     s, t = make_flat(4), np.arange(9) * 0.25
     d = np.stack([t - 1.125] + [np.full_like(t, c) for c in (1.0, 3e-6, 3e-7)], axis=1)
     fibers = np.einsum("nk,kl->nkl", d, np.eye(4)).reshape(len(t), 16)
@@ -401,8 +418,8 @@ def test_suite_rejects_base_trajectory():
 # --- one fan run for fields over a shared carrier ---------------------------
 
 
-def reference_conjugate_search(s, init, t_max, h, bracket_tol=1e-6, rank_rtol=1e-6):
-    """The scan on m separate lifted runs: the minima of |det|, refined by golden section."""
+def reference_conjugate_search(s, init, t_max, h, bracket=1e-6, rank_rtol=1e-6):
+    """The scan on m separate lifted runs, with the minimum scan written out."""
     m = (1 << s.level) * s.dim
     half = init.coords.size // 2
     x0, v0 = init.coords[:half], init.coords[half:]
@@ -424,6 +441,9 @@ def reference_conjugate_search(s, init, t_max, h, bracket_tol=1e-6, rank_rtol=1e
 
     fibers = np.stack([f.fiber_nodes()[:nodes] for f in fields], axis=2)  # (nodes, m, m)
     dets = np.linalg.det(fibers)
+    # the fiber matrix's time scale; norms flattened field by field, as the fan's columns are
+    norms = np.linalg.norm(np.hstack([f.fiber_nodes()[:nodes] for f in fields]), axis=1)
+    rates = np.linalg.norm(np.hstack([f.fiber_rate_nodes()[:nodes] for f in fields]), axis=1)
 
     def det_at(t):
         cols = [f.fiber_at(t) for f in fields]
@@ -432,6 +452,7 @@ def reference_conjugate_search(s, init, t_max, h, bracket_tol=1e-6, rank_rtol=1e
     def size(t):
         return abs(np.linalg.det(det_at(t)))
 
+    # every minimum of |det| is refined to its bracket; the rank test decides
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     roots, mults = [], []
     for i in range(1, nodes):
@@ -439,9 +460,10 @@ def reference_conjugate_search(s, init, t_max, h, bracket_tol=1e-6, rank_rtol=1e
         if not (abs(dets[i]) < abs(dets[i - 1]) and (last or abs(dets[i]) <= abs(dets[i + 1]))):
             continue
         a, b = float(times[i - 1]), float(times[i if last else i + 1])
+        width = max(4.0 * math.ulp(abs(a) + abs(b)), bracket * norms[i] / (np.sqrt(m) * rates[i]))
         c, d = b - golden * (b - a), a + golden * (b - a)
         fc, fd = size(c), size(d)
-        while abs(b - a) > bracket_tol:
+        while abs(b - a) > width:
             if fc <= fd:
                 b, d, fd = d, c, fc
                 c = b - golden * (b - a)
@@ -450,7 +472,7 @@ def reference_conjugate_search(s, init, t_max, h, bracket_tol=1e-6, rank_rtol=1e
                 a, c, fc = c, d, fd
                 d = a + golden * (b - a)
                 fd = size(d)
-        root = 0.5 * (a + b)
+        root = c if fc <= fd else d
         sv = np.linalg.svd(det_at(root), compute_uv=False)
         deficiency = int(np.sum(sv < rank_rtol * sv[0])) if sv[0] > 0 else m
         if deficiency:

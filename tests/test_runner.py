@@ -169,7 +169,7 @@ def test_scenario_catalog_is_stable():
 # sha256 of every default report on stdout, and of the determinant sidecar of
 # each conjugate scan written with --out (its report embeds the sidecar's path)
 REPORT_DIGESTS = {
-    ("conjugate-scan", "sphere"): "c8cfce9a7e5447520db5a74a233397771b0f9e96e2ba973873b7c5eb4ece4492",
+    ("conjugate-scan", "sphere"): "aac85fa62e1763e15229a69c26d5739a5d586aab8d4b7f4af853edc6be359b33",
     ("conjugate-scan", "flat"): "9d3ded6d68945c1a2256723d199b3bda13a3d951e36246904c43a127f3e32678",
     ("conjugate-scan", "finsler"): "47c22ab23608822f86733890a90849a60c24dc9171a694444cd4341f2571e904",
     ("lift-verify", "sphere"): "b30b655269ed3a3f8a4a9ce212cdd9ec9ce5d9b4d394fd16ae0a94921c4eff15",

@@ -515,30 +515,49 @@ def test_verdict_does_not_depend_on_the_family_scale(eps, t_end):
     assert rep.ok and rep.vacuous
 
 
+@pytest.mark.parametrize("speed", [1.0, 10.0, 30.0])
 @pytest.mark.parametrize("offset, zero", [(3e-7, True), (3e-6, False)])
-def test_field_zero_is_a_norm_within_1e_6_of_the_supremum(monkeypatch, offset, zero):
-    # the flat line's run with its field replaced by (t - 1.125, offset * 1.125, 0, ...):
+def test_field_zero_is_a_norm_within_1e_6_of_the_supremum(monkeypatch, offset, zero, speed):
+    # the flat line's run with its field replaced by (speed t - 1.125, offset * 1.125, 0, ...):
     # dense output is exact on it, the supremum over the nodes is 1.125 (+ offset),
-    # and the norm at the refined minimum is about offset * 1.125
+    # and the norm at the refined minimum is about offset * 1.125.  The bracket
+    # follows the field's time scale, 1.125 / speed; an absolute bracket of 1e-6
+    # once lost the zero at speed 30
     real = sub.integrate
 
     def run(*args):
         tr = real(*args)
         n = tr.positions.shape[1] // 2
         field = np.zeros((len(tr.times), n))
-        field[:, 0], field[:, 1] = tr.times - 1.125, offset * 1.125
+        field[:, 0], field[:, 1] = speed * tr.times - 1.125, offset * 1.125
         rate = np.zeros_like(field)
-        rate[:, 0] = 1.0
+        rate[:, 0] = speed
         return Trajectory(tr.spray, tr.times, np.hstack([tr.positions[:, :n], field]),
                           np.hstack([tr.velocities[:, :n], rate]),
                           np.hstack([tr.accelerations[:, :n], np.zeros_like(field)]), tr.h)
 
     monkeypatch.setattr(sub, "integrate", run)
-    pj = sub.parallel_jacobi_curve(make_flat(2), _line_family(1.0), (0.0, 2.0), 0.25)
+    pj = sub.parallel_jacobi_curve(make_flat(2), _line_family(1.0), (0.0, 2.0 / speed),
+                                   0.25 / speed)
     assert pj.sup_norm == pytest.approx(1.125)
     assert len(pj.zero_times) == zero
     if zero:
-        assert abs(pj.zero_times[0] - 1.125) < 1e-6
+        assert abs(pj.zero_times[0] - 1.125 / speed) < 1e-6 / speed
+
+
+@pytest.mark.parametrize("seed, calls_made", [(0, 8), (6, 14)])
+def test_minima_far_from_zero_are_dropped_early(monkeypatch, seed, calls_made):
+    # each family's field norm has four node-local minima, at 1e-4 to 0.16 of
+    # the supremum.  A minimum is dropped once its samples bound it above 1e-6
+    # of the supremum: on its first two dense samples, except seed 6's first
+    # two, which take 4 and 6 (a bound with twice the golden factor takes 17)
+    calls = []
+    real = Trajectory.position_at
+    monkeypatch.setattr(Trajectory, "position_at", lambda tr, t: calls.append(t) or real(tr, t))
+    pj = sub.parallel_jacobi_curve(make_sphere(), _random_family(seed), (0.0, 4.0), 1e-2)
+    norms = np.linalg.norm(pj.values, axis=1)
+    assert np.sum((norms[1:] < norms[:-1]) & (norms[1:] <= np.append(norms[2:], np.inf))) == 4
+    assert pj.zero_times == [] and len(calls) == calls_made
 
 
 def test_constant_family_is_trivial_but_passes():
