@@ -11,10 +11,11 @@ Fields that share their base geodesic run as one trajectory of the lift's
 fan program (:meth:`Spray.fan`): the state is the carrier followed by each
 field's fiber half, the carrier statements run once per evaluation and the
 tangent statements once per field.  Each field's columns are bitwise its
-own run of the lift (see :func:`~sprayjets.jets.fan_program`).  An
-evaluation at which the fan raises is repeated with the lift's kernel
-once per field, and a lift without a fan program is evaluated that way
-throughout, so exceptions and exit reasons are those of the separate runs.
+own run of the lift, and the fan raises exactly the exception that the
+lift's kernel raises first on the fields in turn (see
+:func:`~sprayjets.jets.fan_program`); a lift without a fan program runs
+its kernel once per field.  So exceptions and exit reasons are those of
+the separate runs.
 
 Finite differences are only oracles, all one stencil,
 :func:`_central_difference`, handed a function that returns the two runs
@@ -252,8 +253,9 @@ def _fan_run(s: Spray, starts: list[JetPoint], t_span: tuple[float, float],
     exception, since every field shares the carrier's domain exits.  A step
     size :func:`integrate` refuses raises its :class:`DomainError`.
 
-    The evaluator is the lift's fan program for ``len(starts)`` tangents;
-    when the lift has none, it is the lift's kernel once per start.
+    The evaluator is the lift's fan program for ``len(starts)`` tangents,
+    which raises what the kernel raises first on the starts in turn; when
+    the lift has none, it is the lift's kernel once per start.
     """
 
     lifted = complete_lift(s)
@@ -266,17 +268,10 @@ def _fan_run(s: Spray, starts: list[JetPoint], t_span: tuple[float, float],
             out += a if k == 0 else a[n:]
         return out
 
-    def fanned(x: list, v: list) -> list:
-        try:
-            return fan(x, v)
-        except (ArithmeticError, ValueError):
-            # the fan may meet another failing statement first; the kernel raises the field's own
-            return per_start(x, v)
-
     coords = [p.coords.tolist() for p in starts]
     x = coords[0][:n] + [z for c in coords for z in c[n:2 * n]]
     v = coords[0][2 * n:3 * n] + [z for c in coords for z in c[3 * n:]]
-    return _integrate(lifted, per_start if fan is None else fanned, x, v, t_span, h)
+    return _integrate(lifted, per_start if fan is None else fan, x, v, t_span, h)
 
 
 @dataclass

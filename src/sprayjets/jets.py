@@ -35,9 +35,12 @@ evaluator is then not compiled.
 The program keeps its recording, and :func:`fan_program` builds from it
 the program of several tangents over one carrier: vector forward mode,
 with the statements that read only the carrier run once and the others
-once per tangent, each copy bitwise the program on its own tangent.  Both
-emit their statements through :func:`kept_lines`, and so does the RK4
-run loop of :mod:`sprayjets.geodesic`, which inlines copies of a kernel.
+once per tangent, each copy bitwise the program on its own tangent.  The
+first copy is the program itself, in its own order, so the fan raises
+exactly the exception the program raises first on the tangents in turn.
+Both emit their statements through :func:`kept_lines`, and so does the
+RK4 run loop of :mod:`sprayjets.geodesic`, which inlines copies of a
+kernel.
 """
 
 from __future__ import annotations
@@ -403,48 +406,48 @@ def fan_program(tape: _Tape, m: int, filename: str):
     ``tape`` is the recording kept by :func:`compile_trace`; the first half
     of each of its inputs is the carrier and the second half the tangent,
     as in a complete lift, whose primal half is the parent's point.  The
-    fan program takes ``pos`` and ``vel`` laid out as (carrier, tangent 1,
-    ..., tangent m) and returns the carrier half of the outputs, then the
-    tangent half for each tangent in turn.
+    fan program takes ``pos`` and ``vel`` laid out as (carrier, tangent 0,
+    ..., tangent m - 1) and returns the carrier half of the outputs, then
+    the tangent half for each tangent in turn.
 
     A statement is carrier-only when each operand is a carrier input, a
-    bound constant or the target of a carrier-only statement.  Those
-    statements are emitted once, in tape order; then, for each tangent in
-    turn, the other statements, renamed to that copy and in tape order.
-    Repeats are dropped and locals reused as in :func:`compile_trace`.
-    Every statement of copy k applies the same operator to the same
-    values as the tape does on (carrier, tangent k), since a carrier-only
-    value never depends on a tangent, so copy k's outputs are bitwise
-    those of the tape's own program.  This is vector forward mode: the
-    primal once, the tangent statements once per direction.
+    bound constant or the target of a carrier-only statement.  Copy 0 is
+    the whole tape in tape order, with the statements that are not
+    carrier-only renamed to copy 0; each copy k > 0 follows with those
+    statements only, renamed to copy k and in tape order.  Repeats are
+    dropped and locals reused as in :func:`compile_trace`.  Every statement
+    of copy k applies the same operator to the same values as the tape does
+    on (carrier, tangent k), since a carrier-only value never depends on a
+    tangent, so copy k's outputs are bitwise those of the tape's own
+    program.  This is vector forward mode: the primal once, the tangent
+    statements once per direction.
 
-    Only the order of statements changes: carrier-only statements move
-    ahead of tangent statements they do not depend on, and copies run one
-    after another.  So on inputs where the tape's program raises, the fan
-    raises too, but possibly a different exception first; callers that
-    must report the program's own exception run it again per tangent
-    (``jacobi._fan_run`` repeats a failed call with the kernel).  Returns
-    None when a carrier-half output depends on a tangent input.
+    Copy 0 is the tape's program on (carrier, tangent 0), and copy k > 0 is
+    that program on (carrier, tangent k) less the carrier-only statements,
+    which copy 0 has run without raising.  So the fan raises exactly the
+    exception that the program raises first when run on each tangent in
+    turn.  Returns None when a carrier-half output depends on a tangent
+    input.
     """
 
     pos, vel = tape.inputs
     half_pos, half_vel, half_out = len(pos) // 2, len(vel) // 2, len(tape.outputs) // 2
     shared = set(tape.namespace) | set(pos[:half_pos]) | set(vel[:half_vel])
-    carrier, tangent = [], []
-    for stmt in tape.stmts:
-        if shared.issuperset(stmt[2]):
-            shared.add(stmt[0])
-            carrier.append(stmt)
-        else:
-            tangent.append(stmt)
+    for target, _, operands in tape.stmts:
+        if shared.issuperset(operands):
+            shared.add(target)
     if not shared.issuperset(tape.outputs[:half_out]):
         return None
 
-    def copies(names):
-        return [z if z in shared else f"{z}_{k}" for k in range(m) for z in names]
+    def renamed(z, k):
+        return z if z in shared else f"{z}_{k}"
 
-    stmts = carrier + [(f"{target}_{k}", op, tuple(a if a in shared else f"{a}_{k}" for a in operands))
-                       for k in range(m) for target, op, operands in tangent]
+    def copies(names):
+        return [renamed(z, k) for k in range(m) for z in names]
+
+    stmts = [(renamed(target, k), op, tuple(renamed(a, k) for a in operands))
+             for k in range(m) for target, op, operands in tape.stmts
+             if k == 0 or target not in shared]
     return _program(stmts, pos[:half_pos] + copies(pos[half_pos:]),
                     vel[:half_vel] + copies(vel[half_vel:]),
                     tape.outputs[:half_out] + copies(tape.outputs[half_out:]),

@@ -74,7 +74,7 @@ class JetPoint:
         return self.coords[: self.dim]
 
     def __repr__(self):
-        inner = ", ".join(str(tuple(b)) for b in self.blocks())
+        inner = ", ".join(str(tuple(b.tolist())) for b in self.blocks())
         return f"JetPoint(level={self.level}, dim={self.dim}, blocks=[{inner}])"
 
 

@@ -118,7 +118,8 @@ class Spray:
         Built by :func:`~sprayjets.jets.fan_program` from the tape the
         traced :attr:`kernel` keeps, once per ``m``; None when the kernel
         is not traced or its carrier half reads a tangent.  On a complete
-        lift, copy k of its result is bitwise ``kernel(carrier, tangent k)``.
+        lift, copy k of its result is bitwise ``kernel(carrier, tangent k)``,
+        and it raises exactly what those calls, made in turn, raise first.
         """
         fans = self._fans
         if m not in fans:

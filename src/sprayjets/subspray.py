@@ -367,7 +367,6 @@ def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: floa
 class NoConjugateReport:
     zero_times: list[float]
     sup_norm: float
-    vacuous: bool
     ok: bool
 
 
@@ -380,8 +379,7 @@ def no_conjugate_check(s: Spray, family, t_span: tuple[float, float], h: float) 
     """
 
     pj = parallel_jacobi_curve(s, family, t_span, h)
-    ok = len(pj.zero_times) < 2
-    return NoConjugateReport(pj.zero_times, pj.sup_norm, vacuous=ok, ok=ok)
+    return NoConjugateReport(pj.zero_times, pj.sup_norm, ok=len(pj.zero_times) < 2)
 
 
 @dataclass

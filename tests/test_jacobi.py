@@ -584,11 +584,12 @@ def _sqrt_log(pos, vel):
 def test_fan_failure_inside_the_domain_raises_the_per_field_error():
     s = Spray(level=0, dim=2, coeff_fn=_sqrt_log, tag="sqrt-log")
     init = JetPoint(1, 2, [1.0, 1.0, -1.0, -1.0])
-    # the fan meets the carrier's log first, each separate run the tangent's division
+    # the fan runs the kernel's statements in the kernel's order, so it meets
+    # the tangent's division before the carrier's log, as each separate run does
     lifted = complete_lift(s)
     with pytest.raises(ZeroDivisionError):
         lifted.kernel([0.0, 0.0, 0.0, 0.0], [-1.0, -1.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroDivisionError):
         lifted.fan(2)([0.0] * 6, [-1.0, -1.0, 1.0, 0.0, 0.0, 1.0])
     with pytest.raises(IntegrationBlowupError) as want:
         reference_conjugate_search(s, init, 2.0, 0.5)

@@ -39,6 +39,11 @@ def test_blocks_by_mask():
         p.block(4)
 
 
+def test_repr_prints_plain_floats():
+    p = JetPoint(1, 2, [1, 2, 3, 4])
+    assert repr(p) == "JetPoint(level=1, dim=2, blocks=[(1.0, 2.0), (3.0, 4.0)])"
+
+
 def test_coords_read_only():
     p = JetPoint(1, 1, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
@@ -157,6 +162,16 @@ def test_vertical_and_complete_lift_values():
     p = np.array([1.0, 2.0, 3.0, 4.0])
     assert vlift(f, 2)(p) == 2.0
     assert clift(f, 2)(p) == 2.0 * 3.0 + 1.0 * 4.0
+
+
+def test_lift_fn_values():
+    def f(c):
+        return c[0] * c[0] * c[1]
+
+    p = JetPoint(1, 2, [1.0, 2.0, 0.5, -1.0])
+    assert vlift_fn(f, p) == 2.0
+    # the derivative 2 x0 x1 dx0 + x0^2 dx1 along (0.5, -1)
+    assert clift_fn(f, p) == 1.0
 
 
 def test_lift_fn_requires_slashed():
@@ -364,7 +379,7 @@ class _Scaled:
         return [self.c * x[0] * x[1], x[1]]
 
 
-COMPILED_MAPS = {
+CHART_MAPS = {
     "shear": shear_chart().forward,
     "shear-inverse": shear_chart().inverse,
     "identity": identity_chart(2).forward,
@@ -379,9 +394,9 @@ COMPILED_MAPS = {
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
-@pytest.mark.parametrize("name", list(COMPILED_MAPS))
-def test_compiled_jet_apply_is_bitwise_the_dual_path(name, level):
-    fn = COMPILED_MAPS[name]
+@pytest.mark.parametrize("name", list(CHART_MAPS))
+def test_float_jet_apply_is_bitwise_the_dual_evaluation(name, level):
+    fn = CHART_MAPS[name]
 
     @settings(max_examples=30)
     @given(st.lists(st.floats(-3.0, 3.0), min_size=2 << level, max_size=2 << level))
