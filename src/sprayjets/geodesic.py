@@ -17,8 +17,8 @@ levels in ``_FUSED_LEVELS``, the run uses the inlining loop instead, built
 once per kernel: each stage, and the new node, runs an inlined copy of the
 kernel's statements, so its steps make no call.  :mod:`sprayjets.jacobi`
 runs the calling loop on the state of several lifted fields over one
-carrier, evaluated by the lift's fan program or, when that fails or is
-missing, by its kernel once per field.
+carrier, evaluated by the lift's fan program, or by its kernel once per
+field when the lift has no fan.
 
 The loop checks each node in plain Python floats, by prefilters: the sum
 of its entries is finite, the Python sum of squares of its base velocity
@@ -27,23 +27,22 @@ spray has one, holds it.  A node that fails a prefilter meets the exact
 tests in the loop (the entrywise or numpy test runs only near the
 threshold or on an overflowing sum), which end the run or let it go on.
 The loop runs the whole span in one call and returns how the run ended.
-Every failed step of a run, single or shared, ends in
-:func:`_failed_step`, which replays the step's stages in plain floats,
-with the template's operations in the template's order, to learn where
-they lie.  The residual evaluates every step midpoint and then takes all
-the defect norms in one ``np.vecdot``.  Zeros along a run are found by
+A step that fails, by an evaluation that raises or a node that is not
+finite, hands :func:`_failed_step` the stage positions it evaluated at,
+which decides the run's end from them and evaluates nothing.  The
+residual evaluates every step midpoint and then takes all the defect
+norms in one ``np.vecdot``.  Zeros along a run are found by
 :func:`_minima`'s golden-section scan, on brackets set by the size's time scale.
 
-The generated code, and the replay, carry the order invariant.  Each
-element is computed by the same IEEE double operations, in the same order
-and association, as the numpy expressions ``x + 0.5*dt*v`` and
+The generated code carries the order invariant.  Each element is
+computed by the same IEEE double operations, in the same order and
+association, as the numpy expressions ``x + 0.5*dt*v`` and
 ``x + dt*(k1 + 2.0*k2 + 2.0*k3 + k4)/6.0``.  That order is not a detail:
 the carrier columns of a lifted run (the leading ``dim`` positions and
 velocities) must equal the run of the base spray bit for bit, because the
 primal part of jet arithmetic repeats the float computation and
 ``subspray.geodesic`` takes its base geodesic from the lifted run.
-Neither the generator nor the replay may reorder, merge or regroup any of
-these operations.
+The generator may not reorder, merge or regroup any of these operations.
 """
 
 from __future__ import annotations
@@ -227,7 +226,7 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
          filename: str | None = None) -> Callable:
     """The RK4 run loop for ``n`` positions, ``dim`` of them the base's.
 
-    It is ``loop(f, g, failed, node_exit, in_domain, floor, times, xs, vs,
+    It is ``loop(f, failed, node_exit, in_domain, floor, times, xs, vs,
     accs, nsteps, t1, sign, h)``, which runs the ``nsteps`` steps of
     :func:`_integrate` from the one node in the lists, keeping the state
     in locals, and returns the run's exit reason.  ``f(x, v)`` is the
@@ -240,23 +239,23 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
     squares of its leading ``dim`` velocities lies above ``floor``, and
     ``in_domain`` (unless None) accepts its position.  A node (xn, vn)
     that fails one meets the exact checks: the loop returns
-    ``node_exit(xn, vn)`` when it is not None and otherwise goes on.
-    Each node that goes on is appended with ``g(xn, vn)``, its
-    acceleration.  A step that raises ``ArithmeticError`` or
-    ``ValueError``, or whose node is not finite (:func:`_finite`), ends the
-    run with ``failed(x, v, a1, dt)`` from its start node, which returns an
-    exit reason or raises.  The loop returns None past the last step.
+    ``failed([x2, x3, x4], None)`` when the node is not finite
+    (:func:`_finite`), then ``node_exit(xn, vn)`` when it is not None, and
+    otherwise goes on.  Each node that goes on is appended with
+    ``f(xn, vn)``, its acceleration.  An evaluation that raises
+    ``ArithmeticError`` or ``ValueError`` returns ``failed(stages, exc)``,
+    ``stages`` being ``[x2]``, ``[x2, x3]``, ``[x2, x3, x4]`` or ``[xn]``:
+    the step's positions evaluated so far.  ``failed`` returns an exit
+    reason or raises.  The loop returns None past the last step.
 
     ``tape`` is the recording a traced kernel keeps
     (:func:`~sprayjets.jets.compile_trace`).  With it, each stage
     evaluation and the node's acceleration run their own copy of the
     kernel's kept statements (:func:`~sprayjets.jets.kept_lines`) instead
-    of calling ``f`` and ``g``; a stage copy that raises counts as a
-    raising step, and a node copy that raises calls ``g``, which raises
-    the calling loop's error.  The copies perform the kernel's operations
-    on the same values, so every result is bitwise that of the loop
-    calling the kernel.  The loop's source is registered under
-    ``filename``.
+    of calling ``f``, and a copy that raises ends the run as a call that
+    raises would.  The copies perform the kernel's operations on the same
+    values, so every result is bitwise that of the loop calling the
+    kernel.  The loop's source is registered under ``filename``.
     """
 
     def each(template: str) -> list[str]:
@@ -276,42 +275,42 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
     def indent(depth: int, lines: list[str]) -> list[str]:
         return [" " * depth + line for line in lines]
 
+    def guarded(lines: list[str], stages: str) -> list[str]:
+        # ``lines`` evaluate at the last of ``stages``; if they raise, the loop ends
+        return ["try:", *indent(4, lines), "except (ArithmeticError, ValueError) as exc:",
+                f"    return failed([{stages}], exc)"]
+
     body = ["c = 0.5 * dt"]
+    stages = []
     for k, c, d, a in (("2", "c", "v", "a1"), ("3", "c", "v2", "a2"), ("4", "dt", "v3", "a3")):
         body += each(f"x{k}_# = x_# + {c} * {d}_#")
         body += each(f"v{k}_# = v_# + {c} * {a}_#")
-        body += evaluate(k, f"x{k}_#", f"v{k}_#")
+        stages.append(f"[{row(f'x{k}_#')}]")
+        body += guarded(evaluate(k, f"x{k}_#", f"v{k}_#"), ", ".join(stages))
     body += each("xn_# = x_# + dt * (v_# + 2.0 * v2_# + 2.0 * v3_# + v4_#) / 6.0")
     body += each("vn_# = v_# + dt * (a1_# + 2.0 * a2_# + 2.0 * a3_# + a4_#) / 6.0")
     if tape is None:
-        node = [f"{row('a1_#')}, = an = g(xn, vn)"]
+        node = guarded([f"{row('a1_#')}, = an = f(xn, vn)"], "xn")
     else:
-        node = ["try:", *indent(4, evaluate("1", "xn_#", "vn_#")),
-                "except (ArithmeticError, ValueError):",
-                f"    {row('a1_#')}, = g(xn, vn)",
-                f"an = [{row('a1_#')}]"]
+        node = guarded(evaluate("1", "xn_#", "vn_#"), "xn") + [f"an = [{row('a1_#')}]"]
     squares = " + ".join(f"vn_{i} * vn_{i}" for i in range(dim))
-    lines = ["def loop(f, g, failed, node_exit, in_domain, floor, times, xs, vs, accs, nsteps,",
-             "         t1, sign, h):",
+    lines = ["def loop(f, failed, node_exit, in_domain, floor, times, xs, vs, accs, nsteps, t1,",
+             "         sign, h):",
              f"    {row('x_#')}, = xs[0]",
              f"    {row('v_#')}, = vs[0]",
              f"    {row('a1_#')}, = accs[0]",
              "    t = t0 = times[0]",
-             "    k = 0",
-             "    while k < nsteps:",
+             "    for k in range(nsteps):",
              "        t_next = t1 if k == nsteps - 1 else t0 + sign * (k + 1) * h",
              "        dt = t_next - t",
-             "        try:",
-             *indent(12, body),
-             "        except (ArithmeticError, ValueError):",
-             "            break",
+             *indent(8, body),
              f"        xn = [{row('xn_#')}]",
              f"        vn = [{row('vn_#')}]",
              f"        if (not isfinite({row('xn_#').replace(',', ' +')} + "
              f"{row('vn_#').replace(',', ' +')}) or {squares} <= floor",
              "                or in_domain is not None and not in_domain(xn)):",
              "            if not finite(xn, vn):",
-             "                break",
+             f"                return failed([{', '.join(stages)}], None)",
              "            reason = node_exit(xn, vn)",
              "            if reason is not None:",
              "                return reason",
@@ -322,10 +321,7 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
              "        accs.append(an)",
              *indent(8, each("x_# = xn_#") + each("v_# = vn_#")),
              "        t = t_next",
-             "        k += 1",
-             "    else:",
-             "        return None",
-             "    return failed(xs[-1], vs[-1], accs[-1], dt)"]
+             "    return None"]
     namespace = {"isfinite": math.isfinite, "finite": _finite}
     if tape is None:
         filename = f"<rk4 loop n={n} dim={dim}>"
@@ -366,33 +362,20 @@ def _run_loop(s: Spray, f: Callable, n: int) -> Callable:
     return loop
 
 
-def _failed_step(s: Spray, f, x: list, v: list, a1: list, dt: float) -> str:
-    """How a run ends whose step from (x, v) raised or reached a non-finite node.
+def _failed_step(s: Spray, stages: list, exc: Exception | None) -> str:
+    """How a run ends whose step raised ``exc``, or reached a non-finite node if it is None.
 
-    The step's stages are replayed with the template's operations in the
-    template's order (see :func:`_rk4`), so ``f`` sees the stage points the
-    loop handed it, bit for bit, and each stage position is recorded before
-    its evaluation.  The update is not replayed: it calls nothing, float
-    arithmetic does not raise, and only the stage positions classify.  A
-    coefficient failure at a stage outside the chart ends the run with
-    ``"domain"``, and so does a non-finite node when one of the step's
-    finite stage positions lies outside the chart; anything else raises
-    :class:`IntegrationBlowupError`.
+    ``stages`` are the positions the step evaluated at, in order, ``exc``
+    raised at the last.  An evaluation that raises outside the chart ends
+    the run with ``"domain"``, and so does a non-finite node when one of
+    the step's finite stage positions lies outside the chart; anything
+    else raises :class:`IntegrationBlowupError`.
     """
 
-    stages = []
-    c = 0.5 * dt
-    vk, a = v, a1
-    for ck in (c, c, dt):
-        xk = [xi + ck * vi for xi, vi in zip(x, vk)]
-        vk = [vi + ck * ai for vi, ai in zip(v, a)]
-        stages.append(xk)
-        try:
-            a = f(xk, vk)
-        except (ArithmeticError, ValueError) as exc:
-            if not s.in_domain(xk):
-                return EXIT_DOMAIN
-            raise IntegrationBlowupError(f"coefficient evaluation failed: {exc!r}") from exc
+    if exc is not None:
+        if not s.in_domain(stages[-1]):
+            return EXIT_DOMAIN
+        raise IntegrationBlowupError(f"coefficient evaluation failed: {exc!r}") from exc
     # a NaN stage position is not outside: a NaN made inside the chart is a blowup
     if any(all(map(math.isfinite, xp)) and not s.in_domain(xp) for xp in stages):
         return EXIT_DOMAIN
@@ -453,19 +436,17 @@ def _integrate(s: Spray, f: Callable, x: list, v: list, t_span: tuple[float, flo
     nsteps = max(1, math.ceil(ratio - 1e-12)) if span != 0.0 else 0
     sign = 1.0 if span >= 0.0 else -1.0
 
-    def node_acceleration(xp: list, vp: list) -> list:
-        try:
-            return f(xp, vp)
-        except (ArithmeticError, ValueError) as exc:
-            raise IntegrationBlowupError(f"coefficient evaluation failed: {exc!r}") from exc
-
+    try:
+        a = f(x, v)
+    except (ArithmeticError, ValueError) as exc:
+        _failed_step(s, [x], exc)  # the start is in the chart, so this raises
     times = [t0]
     xs = [x]
     vs = [v]
-    accs = [node_acceleration(x, v)]
+    accs = [a]
     try:
         exit_reason = _run_loop(s, f, len(x))(
-            f, node_acceleration, partial(_failed_step, s, f), partial(_node_exit, s),
+            f, partial(_failed_step, s), partial(_node_exit, s),
             s.in_domain if s.domain is not None else None, _NOT_SLASHED_ABOVE,
             times, xs, vs, accs, nsteps, t1, sign, h)
     except IntegrationBlowupError as exc:

@@ -255,6 +255,36 @@ def test_constants_reach_the_program_exactly():
     assert math.copysign(1.0, lifted.kernel(padded(2.0, 0.0), padded(1.0, 0.0))[0]) == 1.0
 
 
+def _caught_branch(pos, vel):
+    # the evaluator catches the TraceError of its branch and takes the other one
+    try:
+        sign = 1.0 if pos[0] > 0 else -1.0
+    except TypeError:
+        sign = 1.0
+    return [sign * vel[0] * vel[0]]
+
+
+def test_a_caught_refusal_is_still_refused():
+    assert compile_trace(_caught_branch, 1, 1, "<caught-branch>") is None
+    s = Spray(level=0, dim=1, coeff_fn=_caught_branch, tag="caught-branch")
+    assert not hasattr(s.kernel, "tape")
+    # -2 times -(2.0 * 2.0); a trace of the caught branch would give -8.0
+    assert s.kernel([-0.3], [2.0]) == [8.0]
+
+
+def test_a_non_scalar_output_is_not_traced():
+    assert compile_trace(lambda pos, vel: [pos[0], (vel[0], vel[0])], 1, 1, "<pair>") is None
+
+
+def test_sym_repr_and_non_scalar_operands():
+    tape = _Tape()
+    z = tape.fresh()
+    assert repr(z) == "Sym(t0)"
+    with pytest.raises(TypeError):
+        z + "x"
+    assert tape.stmts == []
+
+
 def test_sym_defers_numpy_scalars_to_the_tape():
     tape = _Tape()
     assert isinstance(np.float64(2.0) * tape.fresh(), Sym)

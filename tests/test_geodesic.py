@@ -270,9 +270,8 @@ def test_tangent_flow_level_guard():
 def _record_accelerations(monkeypatch):
     """Log (level, caller) for every ``Spray.acceleration`` call.
 
-    In ``integrate`` the caller is ``loop`` for a stage of the generated
-    RK4 run loop, ``node_acceleration`` for a stored node and
-    ``_failed_step`` for a stage of a failed step replayed.  A loop that
+    In ``integrate`` the caller is ``_integrate`` for node 0 and ``loop``
+    for a stage or a later node of the generated RK4 run loop.  A loop that
     inlines the kernel calls nothing.
     """
     calls = []
@@ -290,9 +289,9 @@ def _callers(calls):
     return [caller for _, caller in calls]
 
 
-# node 0; step 1 inlined; step 2 inlined, whose last stage raises, then
-# replayed
-FAILED_SECOND_STEP = ["node_acceleration"] + ["_failed_step"] * 3
+# node 0; step 1 inlined; step 2 inlined, whose last stage raises: no
+# evaluation is repeated
+FAILED_SECOND_STEP = ["_integrate"]
 
 
 def test_stage_on_pole_is_domain_exit(monkeypatch):
@@ -325,12 +324,12 @@ def test_stage_failure_inside_domain_raises_blowup(monkeypatch):
         integrate(singular, JetPoint(1, 1, [0.5, -1.0]), (0.0, 2.0), 0.25)
     assert isinstance(err.value.__cause__, ZeroDivisionError)
     assert _callers(calls) == FAILED_SECOND_STEP
-    # the replay calls the kernel, which is in linecache, so the traceback
-    # passes through _failed_step and ends on the kernel's division
+    # the loop inlines the kernel and is in linecache, so the traceback
+    # ends on the loop's own copy of the kernel's division
     frames = traceback.extract_tb(err.value.__cause__.__traceback__)
-    assert [fr.name for fr in frames][0] == "_failed_step"
-    assert frames[-1].filename == "<singular L0>"
-    assert frames[-1].line == "t0 = t1 / t0"
+    assert [fr.name for fr in frames] == ["loop"]
+    assert frames[-1].filename == "<rk4 loop singular L0>"
+    assert frames[-1].line == "t0_4 = t1_4 / t0_4"
 
 
 def _pole_stage_spray(domain):
@@ -340,9 +339,9 @@ def _pole_stage_spray(domain):
                  coeff_fn=lambda x, v: [np.float64(0.0) * v[0] / (np.float64(x[0]) - 1.0)])
 
 
-# np.float64(x[0]) refuses tracing: node 0, the three stages of step 1,
-# whose node is NaN, then that step's stages replayed
-NONFINITE_FIRST_STEP = ["node_acceleration"] + ["loop"] * 3 + ["_failed_step"] * 3
+# np.float64(x[0]) refuses tracing: node 0, then the three stages of step
+# 1, whose node is NaN
+NONFINITE_FIRST_STEP = ["_integrate"] + ["loop"] * 3
 
 
 def test_nonfinite_stage_outside_domain_is_domain_exit(monkeypatch):
@@ -388,7 +387,7 @@ def test_blowup_error_carries_the_last_finite_node_time():
     assert err.value.t_end is None
 
 
-def _replay_case(name):
+def _failed_step_case(name):
     # runs that end in _failed_step after a calling loop: each spray refuses
     # tracing (float() of a traced scalar) or is lifted, so the loop calls f
     # at every stage
@@ -412,30 +411,36 @@ def _replay_case(name):
 @pytest.mark.parametrize("name", ["raise-inside", "raise-outside-L1", "nonfinite-outside",
                                   "nonfinite-inside", "inf-stage"])
 def test_failed_step_replays_the_stages_the_loop_evaluated(monkeypatch, name):
-    s, init, h, outcome = _replay_case(name)
+    s, init, h, outcome = _failed_step_case(name)
     assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is geodesic._calling(
         s.fiber_dim, s.dim)
-    calls = []
-    orig = Spray.acceleration
+    calls, received = [], []
+    orig, failed_step = Spray.acceleration, geodesic._failed_step
 
     def logged(self, x, v):
-        # bitwise images of the arguments, so NaN and -0.0 compare exactly
-        calls.append((sys._getframe(1).f_code.co_name,
-                      np.array(x, dtype=float).tobytes(), np.array(v, dtype=float).tobytes()))
+        # bitwise images of the positions, so NaN and -0.0 compare exactly
+        calls.append((sys._getframe(1).f_code.co_name, np.array(x, dtype=float).tobytes()))
         return orig(self, x, v)
 
+    def receiving(s, stages, exc):
+        received.append([np.array(xp, dtype=float).tobytes() for xp in stages])
+        return failed_step(s, stages, exc)
+
     monkeypatch.setattr(Spray, "acceleration", logged)
+    monkeypatch.setattr(geodesic, "_failed_step", receiving)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if outcome == "domain":
             assert integrate(s, init, (0.0, 2.0), h).exit_reason == "domain"
         else:
             with pytest.raises(outcome):
                 integrate(s, init, (0.0, 2.0), h)
-    replayed = [c[1:] for c in calls if c[0] == "_failed_step"]
-    looped = [c[1:] for c in calls if c[0] == "loop"]
-    # the failed step's evaluations are the loop's last ones: as many, at the same points
-    assert 1 <= len(replayed) <= 3 and len(looped) % 3 == len(replayed) % 3
-    assert replayed == looped[-len(replayed):]
+    # _failed_step evaluates nothing and is handed the step's stage positions:
+    # the loop's last evaluation points, bitwise, one to three of them
+    assert [caller for caller, _ in calls] == ["_integrate"] + ["loop"] * (len(calls) - 1)
+    [stages] = received
+    looped = [x for caller, x in calls if caller == "loop"]
+    assert 1 <= len(stages) <= 3 and len(looped) % 4 == len(stages) % 4
+    assert stages == looped[-len(stages):]
 
 
 @pytest.mark.parametrize("t_span, h", [
@@ -657,11 +662,13 @@ def test_every_step_through_the_handback_is_the_loop(monkeypatch, case):
     calling = geodesic._calling(s.fiber_dim, s.dim)
     if geodesic._run_loop(s, s.acceleration, s.fiber_dim) is not calling:
         # the stages and nodes run inlined; only node 0 calls f
-        assert _callers(calls) == ["node_acceleration"]
+        assert _callers(calls) == ["_integrate"]
     else:
-        # no stage runs twice: the same evaluations, in the same order
+        # no stage runs twice: the same evaluations, in the same order, three
+        # stages and a node per stored step and three stages for an exit
         assert _callers(calls) == loop_calls
-        assert loop_calls.count("loop") == 3 * (len(got.times) - 1 + (got.exit_reason is not None))
+        assert loop_calls.count("loop") == (4 * (len(got.times) - 1)
+                                            + 3 * (got.exit_reason is not None))
 
 
 @pytest.mark.parametrize("coords", [
@@ -694,10 +701,11 @@ def test_acceleration_calls_per_step(monkeypatch, level):
     assert tr.complete and steps == 5
     # the wrapped kernel keeps no tape, so no loop inlines it: three stage
     # evaluations per step and one per stored node, each through
-    # Spray.acceleration and each running the kernel once
+    # Spray.acceleration and each running the kernel once; the loop makes
+    # all but node 0's
     assert len(calls) == 3 * steps + len(tr.times) == 4 * steps + 1
     assert {lvl for lvl, _ in calls} == {level}
-    assert _callers(calls).count("loop") == 3 * steps
+    assert _callers(calls).count("loop") == 4 * steps
     assert len(kernel_runs) == 4 * steps + 1
     calls.clear()
     residual(s, tr)
@@ -709,7 +717,7 @@ def test_fused_level0_run_calls_the_evaluator_for_node_0_only(monkeypatch):
     calls = _record_accelerations(monkeypatch)
     tr = integrate(s, tilted_init(), (0.0, 1.0), 1e-2)
     assert tr.complete and len(tr.times) == 101
-    assert calls == [(0, "node_acceleration")]
+    assert calls == [(0, "_integrate")]
 
 
 # node 1 of the drag run 0.1*v*v from (0, 1) at h = 0.25, where the trap
@@ -775,9 +783,18 @@ def test_trap_node_failure_is_a_blowup():
     drag = Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.1 * v[0] * v[0]], tag="drag")
     init = JetPoint(1, 1, [0.0, 1.0])
     assert integrate(drag, init, (0.0, 1.0), 0.25).positions[1, 0] == TRAP_X
-    assert _run_outcome(FUSED_SPRAYS["trap"], init, 1.0, 0.25) == (
-        IntegrationBlowupError, "coefficient evaluation failed: ZeroDivisionError('float division "
-        "by zero')", ZeroDivisionError)
+    trap = FUSED_SPRAYS["trap"]
+    lifted = complete_lift(trap)
+    assert geodesic._run_loop(lifted, lifted.acceleration, 2) is geodesic._calling(2, 1)
+    # node 1 raises in the inlining loop and, once lifted, in the calling
+    # loop; node 0 is the last stored node
+    for s, p in ((trap, init), (lifted, JetPoint(2, 1, [0.0, 0.3, 1.0, -0.2]))):
+        with pytest.raises(IntegrationBlowupError) as err:
+            integrate(s, p, (0.0, 1.0), 0.25)
+        assert str(err.value) == ("coefficient evaluation failed: ZeroDivisionError('float "
+                                  "division by zero')")
+        assert type(err.value.__cause__) is ZeroDivisionError
+        assert err.value.t_end == 0.0
 
 
 def test_residual_matches_step_loop():

@@ -107,6 +107,12 @@ def test_dual_arithmetic_basics():
     np.testing.assert_allclose(2.0 * c.re * c.du, 3.0)
 
 
+def test_dual_repr_and_dual_exponent():
+    assert repr(Dual(1.0, 2.0)) == "Dual(1.0, 2.0)"
+    with pytest.raises(TypeError):
+        Dual(1.0, 1.0) ** Dual(2.0, 0.0)
+
+
 def test_dual_nesting_second_derivative():
     # two layers recover f'' of a scalar function
     x = Dual(Dual(1.5, 1.0), Dual(1.0, 0.0))

@@ -131,11 +131,15 @@ def test_failing_check_exits_one(tmp_path, capsys):
     assert by_name["energy-drift"] is False
 
 
-def test_bad_config_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("line, message", [
+    ("scenario=warp", "unknown scenario"), ("manifold = torus", "unknown manifold"),
+    ("dim = 0", "dim must be at least 1"),
+], ids=["scenario", "manifold", "dim"])
+def test_bad_config_exits_two(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("scenario=warp\n", encoding="utf-8")
+    cfg.write_text(line + "\n", encoding="utf-8")
     assert main(["--config", str(cfg)]) == 2
-    assert "unknown scenario" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_missing_config_exits_two(tmp_path, capsys):
