@@ -103,10 +103,11 @@ class Trajectory:
     def _bracket(self, t):
         """Index i of the step [times[i], times[i + 1]] holding ``t``.
 
-        ``t`` is a float or an array of floats; both :meth:`state_at` and
-        :meth:`states_at` take their span check and step index from here.
-        A time outside the span (by more than _SPAN_SLACK) raises
-        :class:`DomainError`.  A single-node trajectory gives index 0.
+        ``t`` is a float or an array of floats; :meth:`state_at`,
+        :meth:`position_at` and :meth:`states_at` take their span check and
+        step index from here.  A time outside the span (by more than
+        _SPAN_SLACK) raises :class:`DomainError`.  A single-node trajectory
+        gives index 0.
         """
         ts = self.times
         n = len(ts)
@@ -130,16 +131,21 @@ class Trajectory:
             return np.searchsorted(ts[1:-1], t, side="right")
         return n - 2 - np.searchsorted(ts[-2:0:-1], t, side="left")
 
-    def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def _hermites(self, t: float, *pairs) -> list[np.ndarray]:
+        """The Hermite interpolant at ``t`` of each (values, rates) pair of node arrays.
+
+        A single-node trajectory gives each pair's values at its node.
+        """
         i = self._bracket(t)
         if len(self.times) == 1:
-            return self.positions[0], self.velocities[0]
+            return [y[0] for y, _ in pairs]
         dt = self.times[i + 1] - self.times[i]
         tau = (t - self.times[i]) / dt
-        x = _hermite(self.positions[i], self.velocities[i],
-                     self.positions[i + 1], self.velocities[i + 1], tau, dt)
-        v = _hermite(self.velocities[i], self.accelerations[i],
-                     self.velocities[i + 1], self.accelerations[i + 1], tau, dt)
+        return [_hermite(y[i], d[i], y[i + 1], d[i + 1], tau, dt) for y, d in pairs]
+
+    def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        x, v = self._hermites(t, (self.positions, self.velocities),
+                              (self.velocities, self.accelerations))
         return x, v
 
     def states_at(self, times) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +168,8 @@ class Trajectory:
         return x, v
 
     def position_at(self, t: float) -> np.ndarray:
-        return self.state_at(t)[0]
+        """``state_at(t)[0]``, bit for bit, without the velocity interpolant."""
+        return self._hermites(t, (self.positions, self.velocities))[0]
 
     def jet_at(self, t: float) -> JetPoint:
         x, v = self.state_at(t)

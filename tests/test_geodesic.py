@@ -4,6 +4,7 @@ import math
 import sys
 import traceback
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from sprayjets import (EPS_SLASHED, DomainError, IntegrationBlowupError,
 from sprayjets import geodesic
 from sprayjets.geodesic import _node_exit
 from sprayjets.jacobi import _fan_run
-from sprayjets.jets import jet_re
+from sprayjets.jets import jet_re, nest, unnest
 
 TILT, OMEGA = 0.3, 3.0
 
@@ -410,7 +411,7 @@ def _failed_step_case(name):
 
 @pytest.mark.parametrize("name", ["raise-inside", "raise-outside-L1", "nonfinite-outside",
                                   "nonfinite-inside", "inf-stage"])
-def test_failed_step_replays_the_stages_the_loop_evaluated(monkeypatch, name):
+def test_failed_step_gets_the_stages_the_loop_evaluated(monkeypatch, name):
     s, init, h, outcome = _failed_step_case(name)
     assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is geodesic._calling(
         s.fiber_dim, s.dim)
@@ -472,49 +473,55 @@ def _reference_acceleration(s, x, v):
     return -2.0 * np.asarray(s.coeff_fn(x, v), dtype=float)
 
 
+def _reference_times(t_span, h):
+    """The node times of a run over ``t_span`` in steps of ``h``."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    span = t1 - t0
+    nsteps = max(1, int(np.ceil(abs(span) / h - 1e-12))) if span != 0.0 else 0
+    sign = 1.0 if span >= 0.0 else -1.0
+    return [t0] + [t1 if k == nsteps - 1 else t0 + sign * (k + 1) * h for k in range(nsteps)]
+
+
+def _reference_step(acc, x, v, a1, dt):
+    """One RK4 step from (x, v), whose acceleration is ``a1``, as elementwise array arithmetic."""
+    x2 = x + 0.5 * dt * v
+    v2 = v + 0.5 * dt * a1
+    a2 = acc(x2, v2)
+    x3 = x + 0.5 * dt * v2
+    v3 = v + 0.5 * dt * a2
+    a3 = acc(x3, v3)
+    x4 = x + dt * v3
+    v4 = v + dt * a3
+    a4 = acc(x4, v4)
+    xn = x + dt * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
+    vn = v + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+    return xn, vn
+
+
 def _reference_integrate(s, init, t_span, h):
     half = init.coords.size // 2
     x = init.coords[:half].copy()
     v = init.coords[half:].copy()
-    t0, t1 = float(t_span[0]), float(t_span[1])
 
     bad = _reference_check_state(s, x, v)
     if bad is not None:
         raise DomainError(f"initial state rejected: {bad}")
 
-    span = t1 - t0
-    nsteps = max(1, int(np.ceil(abs(span) / h - 1e-12))) if span != 0.0 else 0
-    sign = 1.0 if span >= 0.0 else -1.0
-
-    times = [t0]
+    ts = _reference_times(t_span, h)
+    times = [ts[0]]
     xs = [x]
     vs = [v]
     accs = [_reference_acceleration(s, x, v)]
     exit_reason = None
 
-    t = t0
-    for k in range(nsteps):
-        t_next = t1 if k == nsteps - 1 else t0 + sign * (k + 1) * h
-        dt = t_next - t
-        a1 = accs[-1]
-        x2 = x + 0.5 * dt * v
-        v2 = v + 0.5 * dt * a1
-        a2 = _reference_acceleration(s, x2, v2)
-        x3 = x + 0.5 * dt * v2
-        v3 = v + 0.5 * dt * a2
-        a3 = _reference_acceleration(s, x3, v3)
-        x4 = x + dt * v3
-        v4 = v + dt * a3
-        a4 = _reference_acceleration(s, x4, v4)
-        xn = x + dt * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-        vn = v + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-
+    for t, t_next in zip(ts, ts[1:]):
+        xn, vn = _reference_step(partial(_reference_acceleration, s), x, v, accs[-1], t_next - t)
         reason = _reference_check_state(s, xn, vn)
         if reason is not None:
             exit_reason = reason
             break
-        x, v, t = xn, vn, t_next
-        times.append(t)
+        x, v = xn, vn
+        times.append(t_next)
         xs.append(x)
         vs.append(v)
         accs.append(_reference_acceleration(s, x, v))
@@ -528,6 +535,31 @@ def _reference_integrate(s, init, t_span, h):
         h=h,
         exit_reason=exit_reason,
     )
+
+
+def _dual_reference_integrate(s, init, t_span, h):
+    """The run of ``complete_lift(s)`` from ``init``, as the RK4 run of ``s`` on ``Dual`` numbers.
+
+    ``init`` packs (x, dx; v, dv).  :func:`_reference_step` runs on object
+    arrays of the pairs x + eps dx and v + eps dv, with ``-2.0 * coeff_fn``
+    as the acceleration and no node checks.  Returns times, positions,
+    velocities and accelerations, each node laid out as the lift's blocks:
+    the value part, then the eps part.
+    """
+
+    def acc(x, v):
+        return np.array([-2.0 * g for g in s.coeff_fn(list(x), list(v))], dtype=object)
+
+    half = init.coords.size // 2
+    x = np.array(nest(init.coords[:half].tolist(), 1), dtype=object)
+    v = np.array(nest(init.coords[half:].tolist(), 1), dtype=object)
+    ts = _reference_times(t_span, h)
+    nodes = [(x, v, acc(x, v))]
+    for t, t_next in zip(ts, ts[1:]):
+        x, v = _reference_step(acc, x, v, nodes[-1][2], t_next - t)
+        nodes.append((x, v, acc(x, v)))
+    blocks = [np.array([unnest(node[k], 1) for node in nodes]) for k in range(3)]
+    return (np.array(ts), *blocks)
 
 
 def _lifted_sphere(level):
@@ -617,6 +649,48 @@ def test_integrate_matches_reference_loop_bitwise(case, direction):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
         assert getattr(got, name).dtype == np.float64
     assert got.exit_reason == want.exit_reason == EXPECTED_EXIT.get(case)
+
+
+# (spray, its initial jet, span, step): each lift runs from that jet and drawn fibers
+LIFT_CASES = {
+    "sphere-L0": (make_sphere(), tilted_init(), 1.0, 1e-2),
+    "flat-L0": (make_flat(2), JetPoint(1, 2, [0.2, -0.4, 1.5, 0.7]), 1.0, 1e-2),
+    # run backward, this drag becomes a push whose speed blows up near t = -0.8
+    "finsler-L0": (make_finsler_example((0.3, 1.0)), JetPoint(1, 2, [0.1, 0.2, 0.9, -0.4]),
+                   0.5, 1e-2),
+    "round-S3-L0": (make_round_sphere(3), JetPoint(1, 3, [1.2, 1.4, 0.3, 0.2, -0.4, 0.9]),
+                    1.0, 1e-2),
+    "pushed-sphere-L0": (PUSHED_SPHERE, JetPoint(1, 2, PUSHED_START), 0.5, 1e-2),
+    "sphere-L1": (_lifted_sphere(1), _lifted_init(1), 0.5, 2e-2),
+    "flat-L1": (complete_lift(make_flat(2)), _lifted_init(1, [0.2, -0.4, 1.5, 0.7]), 0.5, 2e-2),
+    "finsler-L1": (complete_lift(make_finsler_example((0.3, 1.0))),
+                   _lifted_init(1, [0.1, 0.2, 0.9, -0.4]), 0.5, 2e-2),
+    "round-S3-L1": (complete_lift(make_round_sphere(3)),
+                    _lifted_init(1, [1.2, 1.4, 0.3, 0.2, -0.4, 0.9]), 0.5, 2e-2),
+    "pushed-sphere-L1": (complete_lift(PUSHED_SPHERE), _lifted_init(1, PUSHED_START), 0.5, 2e-2),
+    "sphere-L2": (_lifted_sphere(2), _lifted_init(2), 0.2, 5e-2),
+}
+
+
+@pytest.mark.parametrize("case", list(LIFT_CASES))
+@settings(max_examples=4)
+@given(data=st.data())
+def test_lift_of_an_rk4_run_is_the_run_of_the_lift(case, data):
+    # RK4 commutes with forming the variational equation, here bit for bit:
+    # the lift's run from (x, dx; v, dv) is the run of the spray on the Dual
+    # coordinates x + eps dx, v + eps dv, value part and eps part
+    s, start, span, h = LIFT_CASES[case]
+    n = s.fiber_dim
+    x, v = start.coords[:n].tolist(), start.coords[n:].tolist()
+    fiber = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n))
+    direction = data.draw(st.sampled_from([1.0, -1.0]))
+    init = JetPoint(s.level + 2, s.dim, x + fiber[:n] + v + fiber[n:])
+    got = integrate(complete_lift(s), init, (0.0, direction * span), h)
+    want = _dual_reference_integrate(s, init, (0.0, direction * span), h)
+    assert got.complete
+    for name, nodes in zip(("times", "positions", "velocities", "accelerations"), want):
+        assert getattr(got, name).shape == nodes.shape, name
+        assert np.max(np.abs(getattr(got, name) - nodes)) == 0.0, name
 
 
 def test_backward_fan_run_exits_at_the_chart_edge_as_its_fields_do():
@@ -902,8 +976,26 @@ def test_states_at_rows_are_state_at(case, direction):
 
 
 @pytest.mark.parametrize("direction", [1.0, -1.0], ids=["forward", "reversed"])
+@pytest.mark.parametrize("case", ["sphere-L0", "sphere-L2", "flat"])
+def test_position_at_is_the_position_of_state_at(case, direction):
+    s, init, span, h = REFERENCE_CASES[case]
+    for tr in (integrate(s, init, (0.0, direction * 0.93 * span), h),
+               integrate(s, init, (0.0, 0.0), h)):
+        ts = tr.times
+        lo, hi = sorted((ts[0], ts[-1]))
+        # nodes, step midpoints, and times within the span slack of either end
+        times = np.concatenate([ts, (ts[:-1] + ts[1:]) / 2,
+                                [lo - 1e-12, hi + 1e-12, lo - 5e-13, hi + 5e-13]])
+        for t in times.tolist():
+            assert tr.position_at(t).tobytes() == tr.state_at(t)[0].tobytes(), t
+        for bad in (lo - 1e-11, hi + 1e-11, math.nan):
+            with pytest.raises(DomainError):
+                tr.position_at(bad)
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0], ids=["forward", "reversed"])
 def test_bracket_is_the_clamped_node_count(direction):
-    # state_at and states_at share _bracket, so pin it to its definition:
+    # the dense outputs share _bracket, so pin it to its definition:
     # the step starts at the last node reached, clamped to the first and
     # last steps
     s, init, span, h = REFERENCE_CASES["sphere-L0"]

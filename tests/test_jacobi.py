@@ -17,6 +17,7 @@ from sprayjets.jacobi import (JacobiField, _fan_run, conjugate_search, decompose
                               new_from_old_suite, variation_oracle)
 from sprayjets.jets import jet_re, jlog, jsqrt
 from sprayjets.samples import random_slashed_jet, sphere_phase
+from test_geodesic import _dual_reference_integrate
 
 
 def equator_field(rate, t_end=np.pi, h=1e-3):
@@ -278,14 +279,29 @@ def test_outer_field_is_zero_up_to_1e_12(scale, invariant):
     assert decompose_double_lift(s, tr).mixed_is_chart_invariant == invariant
 
 
-def test_lifted_conjugate_witnesses():
+def test_lifted_conjugate_witnesses(monkeypatch):
     s, jac = equator_field((1.0, 0.0))
+    runs = []
+    monkeypatch.setattr(jacobi, "integrate", lambda *args: runs.append(integrate(*args)) or runs[-1])
     rep = lift_conjugate_check(s, jac)
     assert rep.liouville_deviation < 1e-9
     assert rep.velocity_deviation < 1e-12
-    assert rep.fd_gap < 1e-10
     assert max(rep.end_fiber_norms) < 1e-10
     assert min(rep.interior_sup) > 0.5
+    # the velocity witness is the exact variation limit: its eps blocks,
+    # (0, J), are those of the Dual RK4 run of S^c from
+    # (x, v + eps J(0); v, a + eps J'(0)), bit for bit
+    witness = runs[1]
+    start = JetPoint(3, 2, np.concatenate([witness.positions[0], witness.velocities[0]]))
+    zeros = np.zeros(2)
+    assert start.coords.tobytes() == np.concatenate(
+        [jac.base.positions[0], jac.base.velocities[0], zeros, jac.fiber_nodes()[0],
+         jac.base.velocities[0], jac.base.accelerations[0], zeros,
+         jac.fiber_rate_nodes()[0]]).tobytes()
+    _, positions, _, _ = _dual_reference_integrate(complete_lift(s), start,
+                                                   (jac.field.t0, jac.field.t_end), jac.field.h)
+    assert positions.shape == witness.positions.shape
+    assert np.max(np.abs(witness.positions[:, 4:] - positions[:, 4:])) == 0.0
 
 
 def _fabricated_sine_field(s, h=math.pi / 300, amp=1.0):
@@ -677,36 +693,19 @@ def test_fan_scan_on_round_three_sphere(monkeypatch):
     assert scan.multiplicities == [2]
 
 
-def reference_fd_gap(s, jac, eps_var=1e-4):
-    """``lift_conjugate_check``'s finite-difference gap from two separate lifted runs."""
-    gpos, gvel, gacc = jac.base.positions, jac.base.velocities, jac.base.accelerations
-    jfib, jrate = jac.fiber_nodes(), jac.fiber_rate_nodes()
-    zeros = np.zeros_like(gpos)
-    span, h, lifted = (jac.field.t0, jac.field.t_end), jac.field.h, complete_lift(s)
-    z0 = np.concatenate([gpos[0], gvel[0] + eps_var * jfib[0],
-                         gvel[0], gacc[0] + eps_var * jrate[0]])
-    z1 = np.concatenate([gpos[0], gvel[0] - eps_var * jfib[0],
-                         gvel[0], gacc[0] - eps_var * jrate[0]])
-    pl = integrate(lifted, JetPoint(s.level + 2, s.dim, z0), span, h)
-    mi = integrate(lifted, JetPoint(s.level + 2, s.dim, z1), span, h)
-    n3 = min(len(pl.times), len(mi.times), len(gpos))
-    fd_fiber = (pl.positions[:n3] - mi.positions[:n3]) / (2.0 * eps_var)
-    return float(np.max(np.abs(fd_fiber - np.hstack([zeros, jfib])[:n3])))
-
-
-def test_lifted_conjugate_fd_pair_is_the_separate_runs(monkeypatch):
-    # criterion 7's sine field
+def test_lifted_conjugate_check_runs_only_the_two_witnesses(monkeypatch):
+    # criterion 7's sine field: two level-2 runs, and no fan or finite difference
     s = make_sphere()
     sine = jacobi_from_initial(s, JetPoint(2, 2, [np.pi / 2, 0, 0, 0, 0, 1, 1, 0.0]),
                                (0.0, np.pi), 1e-3)
-    runs = []
+    runs, others = [], []
     monkeypatch.setattr(jacobi, "integrate", lambda sp, *args: runs.append(sp.level) or integrate(sp, *args))
-    rep = lift_conjugate_check(s, sine, end_tol=1e-5)
-    monkeypatch.undo()
-    # the two level-2 witnesses run alone, the level-1 pair as one fan
+    _log_calls(monkeypatch, jacobi, "_fan_run", others)
+    _log_calls(monkeypatch, jacobi, "_integrate", others)
+    _log_calls(monkeypatch, jacobi, "_central_difference", others)
+    lift_conjugate_check(s, sine, end_tol=1e-5)
     assert runs == [2, 2]
-    assert np.float64(rep.fd_gap).tobytes() == np.float64(reference_fd_gap(s, sine)).tobytes()
-    assert rep.fd_gap < 1e-9
+    assert others == []
 
 
 # --- the one finite-difference stencil --------------------------------------
