@@ -13,7 +13,7 @@ from .spray import (ChristoffelField, Spray, acceleration_jet, complete_lift,
                     homogeneity_check, make_finsler_example, make_flat,
                     make_riemannian, make_round_sphere, make_sphere, project_spray,
                     pushforward_spray, sphere_christoffels, spray_value)
-from .geodesic import Trajectory, flow, integrate, residual, write_trajectory_csv
+from .geodesic import Trajectory, flow, integrate, residual
 from .jacobi import (ConjugateScan, JacobiField, conjugate_search,
                      decompose_double_lift, flow_tangent_fd, jacobi_from_initial,
                      lift_conjugate_check, new_from_old_suite, variation_oracle)
@@ -32,7 +32,6 @@ __all__ = [
     "make_riemannian", "make_round_sphere", "make_sphere", "project_spray",
     "pushforward_spray", "sphere_christoffels", "spray_value",
     "Trajectory", "flow", "flow_tangent_fd", "integrate", "residual",
-    "write_trajectory_csv",
     "ConjugateScan", "JacobiField", "conjugate_search",
     "decompose_double_lift", "jacobi_from_initial", "lift_conjugate_check",
     "new_from_old_suite", "variation_oracle",

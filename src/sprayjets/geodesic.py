@@ -32,7 +32,8 @@ finite, hands :func:`_failed_step` the stage positions it evaluated at,
 which decides the run's end from them and evaluates nothing.  The
 residual evaluates every step midpoint and then takes all the defect
 norms in one ``np.vecdot``.  Zeros along a run are found by
-:func:`_minima`'s golden-section scan, on brackets set by the size's time scale.
+:func:`_minima`, which refines each node-local minimum of a size by the
+caller's Newton step.
 
 The generated code carries the order invariant.  Each element is
 computed by the same IEEE double operations, in the same order and
@@ -103,11 +104,10 @@ class Trajectory:
     def _bracket(self, t):
         """Index i of the step [times[i], times[i + 1]] holding ``t``.
 
-        ``t`` is a float or an array of floats; :meth:`state_at`,
-        :meth:`position_at` and :meth:`states_at` take their span check and
-        step index from here.  A time outside the span (by more than
-        _SPAN_SLACK) raises :class:`DomainError`.  A single-node trajectory
-        gives index 0.
+        ``t`` is a float or an array of floats; both :meth:`state_at` and
+        :meth:`states_at` take their span check and step index from here.
+        A time outside the span (by more than _SPAN_SLACK) raises
+        :class:`DomainError`.  A single-node trajectory gives index 0.
         """
         ts = self.times
         n = len(ts)
@@ -131,21 +131,16 @@ class Trajectory:
             return np.searchsorted(ts[1:-1], t, side="right")
         return n - 2 - np.searchsorted(ts[-2:0:-1], t, side="left")
 
-    def _hermites(self, t: float, *pairs) -> list[np.ndarray]:
-        """The Hermite interpolant at ``t`` of each (values, rates) pair of node arrays.
-
-        A single-node trajectory gives each pair's values at its node.
-        """
+    def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         i = self._bracket(t)
         if len(self.times) == 1:
-            return [y[0] for y, _ in pairs]
+            return self.positions[0], self.velocities[0]
         dt = self.times[i + 1] - self.times[i]
         tau = (t - self.times[i]) / dt
-        return [_hermite(y[i], d[i], y[i + 1], d[i + 1], tau, dt) for y, d in pairs]
-
-    def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        x, v = self._hermites(t, (self.positions, self.velocities),
-                              (self.velocities, self.accelerations))
+        x = _hermite(self.positions[i], self.velocities[i],
+                     self.positions[i + 1], self.velocities[i + 1], tau, dt)
+        v = _hermite(self.velocities[i], self.accelerations[i],
+                     self.velocities[i + 1], self.accelerations[i + 1], tau, dt)
         return x, v
 
     def states_at(self, times) -> tuple[np.ndarray, np.ndarray]:
@@ -168,8 +163,7 @@ class Trajectory:
         return x, v
 
     def position_at(self, t: float) -> np.ndarray:
-        """``state_at(t)[0]``, bit for bit, without the velocity interpolant."""
-        return self._hermites(t, (self.positions, self.velocities))[0]
+        return self.state_at(t)[0]
 
     def jet_at(self, t: float) -> JetPoint:
         x, v = self.state_at(t)
@@ -515,53 +509,27 @@ def _hermite_d1(y0, d0, y1, d1, tau, dt):
             + (-6 * t2 + 6 * tau) * y1 / dt + (3 * t2 - 2 * tau) * d1)
 
 
-_MINIMUM_BRACKET = 1e-6  # _minima's bracket, in units of the size's time scale
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _minima(times: np.ndarray, sizes: np.ndarray, size_at: Callable[[float], float],
-            scales: np.ndarray, floor: float) -> list[float]:
-    """The times where node-local minima of a non-negative size fall to ``floor``.
+def _minima(times: np.ndarray, sizes: np.ndarray,
+            step_at: Callable[[float], float]) -> list[float]:
+    """Node-local minima of a non-negative size, refined by Newton steps.
 
     Node i >= 1 is a minimum when ``sizes[i]`` is below node i - 1's and at
-    most node i + 1's (the last node: below its predecessor).  Golden section
-    on the dense output ``size_at`` refines it over its two steps, in either
-    time order, to ``_MINIMUM_BRACKET * scales[i]`` (the size's time scale
-    there) or the float spacing, and keeps its smallest sample if at most
-    ``floor``.  On a size convex over the bracket, the minimum is at least
-    the smaller inner sample less _GOLDEN times its rise to the larger end,
-    so a minimum with that bound above ``floor`` is dropped at once.
+    most node i + 1's (the last node: below its predecessor).  From its time,
+    three steps ``t += step_at(t)`` refine it; ``step_at`` is the caller's
+    Newton step toward the zero that the size measures, which converges to
+    the integrator's accuracy.  A minimum whose iterate leaves its two steps,
+    ``times[i - 1]`` to ``times[i + 1]`` in either time order, is dropped;
+    the caller judges each refined time it gets back.
     """
     after = np.append(sizes, np.inf)[2:]
     found = []
     for i in np.flatnonzero((sizes[1:] < sizes[:-1]) & (sizes[1:] <= after)) + 1:
-        j = min(i + 1, len(times) - 1)
-        a, b, fa, fb = float(times[i - 1]), float(times[j]), sizes[i - 1], sizes[j]
-        bracket = max(4.0 * math.ulp(abs(a) + abs(b)), _MINIMUM_BRACKET * scales[i])
-        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-        fc, fd = size_at(c), size_at(d)
-        while abs(b - a) > bracket and (
-                min(fc, fd) * (1.0 + _GOLDEN) - _GOLDEN * max(fa, fb) <= floor):
-            if fc > fd:  # the minimum lies in [c, b]: mirror the bracket to keep [a, d]
-                a, b, fa, fb, c, d, fc, fd = b, a, fb, fa, d, c, fd, fc
-            b, fb, d, fd = d, fd, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = size_at(c)
-        if min(fc, fd) <= floor:
-            found.append(c if fc <= fd else d)
+        lo, hi = sorted((times[i - 1], times[min(i + 1, len(times) - 1)]))
+        t = float(times[i])
+        for _ in range(3):
+            t += float(step_at(t))
+            if not lo <= t <= hi:  # also a NaN step
+                break
+        else:
+            found.append(t)
     return found
-
-
-def write_trajectory_csv(tr: Trajectory, path) -> None:
-    """Write nodes as CSV: metadata line, header, then one row per node."""
-    m = tr.positions.shape[1]
-    cols = ["t"] + [f"x_{i}" for i in range(m)] + [f"v_{i}" for i in range(m)]
-    lines = [f"# level={tr.spray.level},dim={tr.spray.dim},spray={tr.spray.tag}",
-             ",".join(cols)]
-    for k in range(len(tr.times)):
-        row = [repr(float(tr.times[k]))]
-        row += [repr(float(z)) for z in tr.positions[k]]
-        row += [repr(float(z)) for z in tr.velocities[k]]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -75,17 +75,6 @@ class JacobiField:
     def fiber_at(self, t: float) -> np.ndarray:
         return self.field.position_at(t)[self._m :]
 
-    def validate(self) -> dict:
-        """Own-equation residual and projection consistency."""
-        proj_gap = float(
-            np.max(np.abs(self.field.positions[:, : self._m] - self.base.positions))
-        )
-        return {
-            "field_residual": residual(self.field.spray, self.field),
-            "base_residual": residual(self.base.spray, self.base),
-            "projection_gap": proj_gap,
-        }
-
 
 def jacobi_from_initial(s: Spray, init: JetPoint, t_span: tuple[float, float],
                         h: float) -> JacobiField:
@@ -295,15 +284,18 @@ def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float) -> Conjug
     A fundamental system of Jacobi fields with zero value and coordinate
     basis rates is propagated, and its fiber matrix (fields as columns)
     sampled at every node.  :func:`~sprayjets.geodesic._minima` refines the
-    node-local minima of ``|det|`` to a bracket on the matrix's own time
-    scale, where a root passes the rank test: singular values below 1e-6 of
-    the largest make a conjugate time, and their count its multiplicity.
-    Minima, unlike sign changes, find roots of every multiplicity and those
-    of lifted sprays, whose determinant is a square.
+    node-local minima of ``|det|`` by Ruhe's successive linear problems:
+    linearising M(t + d) u = 0 gives the pencil M(t) u = -d M'(t) u, whose d
+    of least modulus is -1 / mu for the eigenvalue mu of M^-1 M' of largest
+    modulus (its real part is the step), with M' the fan's fiber rates.  At a
+    refined time, singular values below 1e-6 of the largest make a conjugate
+    time, and their count its multiplicity.  Minima, unlike sign changes, find
+    roots of every multiplicity and those of lifted sprays, whose determinant
+    is a square.
 
     The m fields share the geodesic as their carrier, so they run as one
-    trajectory of the lift (:func:`_fan_run`), and each refinement step
-    takes all m fibers from one dense-output evaluation.  Field k is
+    trajectory of the lift (:func:`_fan_run`), and each Newton step takes all
+    m fibers and their rates from one dense-output evaluation.  Field k is
     bitwise its own :func:`jacobi_from_initial` run, so the scan, or the
     exception, is that of m separate runs.  A negative ``t_max`` scans
     backward in time.
@@ -318,19 +310,22 @@ def conjugate_search(s: Spray, init: JetPoint, t_max: float, h: float) -> Conjug
     # column m*(k+1) + i is fiber i of field k; the matrices hold fields as columns
     fibers = fan.positions[:, m:]
     dets = np.linalg.det(fibers.reshape(-1, m, m).transpose(0, 2, 1))
-    # sigma_max >= |M|_F / sqrt(m) and |M'|_2 <= |M'|_F, so within a bracket of
-    # _MINIMUM_BRACKET times this scale sigma_min / sigma_max moves by at most that
-    scales = np.linalg.norm(fibers, axis=1) / (
-        np.sqrt(m) * np.linalg.norm(fan.velocities[:, m:], axis=1))
 
-    def fibers_at(t: float) -> np.ndarray:
-        return fan.position_at(t)[m:].reshape(m, m).T
+    def matrix(state: np.ndarray) -> np.ndarray:
+        return state[m:].reshape(m, m).T
+
+    def step_at(t: float) -> float:
+        x, v = fan.state_at(t)
+        try:
+            mu = np.linalg.eigvals(np.linalg.solve(matrix(x), matrix(v)))
+        except np.linalg.LinAlgError:  # M(t) is singular: t is a root
+            return 0.0
+        return -1.0 / mu[np.argmax(np.abs(mu))].real
 
     roots, mults = [], []
-    # no floor: every minimum of |det| is refined, and the rank test decides
-    for t in _minima(fan.times, np.abs(dets), lambda t: abs(np.linalg.det(fibers_at(t))),
-                     scales, np.inf):
-        sv = np.linalg.svd(fibers_at(t), compute_uv=False)
+    # every minimum of |det| that the Newton steps keep is judged by the rank test
+    for t in _minima(fan.times, np.abs(dets), step_at):
+        sv = np.linalg.svd(matrix(fan.position_at(t)), compute_uv=False)
         deficiency = int(np.sum(sv < 1e-6 * sv[0])) if sv[0] > 0 else m
         if deficiency:
             roots.append(t)

@@ -63,12 +63,6 @@ def delta_coordinates(s: Spray, x0, v0, alpha, beta) -> np.ndarray:
     return np.array(pos + vel)
 
 
-def configuration_point(s: Spray, x0, v0, alpha: float, beta: float) -> JetPoint:
-    """Level-two position reached by the parallel curve, the position half of its jet."""
-    coords = delta_coordinates(s, x0, v0, alpha, beta)[: 4 * s.fiber_dim]
-    return JetPoint(s.level + 2, s.dim, coords)
-
-
 CONSTRAINTS = (
     "slashed",
     "base-velocity",
@@ -341,8 +335,9 @@ def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: floa
     run of the third lift from the jet and its sigma-derivative gives the
     field as its tangent half and the centre curve as its carrier, bitwise
     the run of :func:`geodesic`.  Its zeros are the minima of its norm that
-    :func:`~sprayjets.geodesic._minima` refines to at most 1e-6 of the norm's
-    node supremum, on the time scale supremum / largest rate.
+    :func:`~sprayjets.geodesic._minima` refines by the one-column Newton step
+    -<J, J'> / |J'|^2 and whose norm is then at most 1e-6 of the norm's node
+    supremum.
     """
 
     x0, v0, al, be = family(np.array(Dual(0.0, 1.0), dtype=object))
@@ -356,10 +351,14 @@ def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: floa
     vals = tr.positions[:, n:]
     norms = np.linalg.norm(vals, axis=1)
     sup = float(np.max(norms))
-    rate = float(np.max(np.linalg.norm(tr.velocities[:, n:], axis=1)))
+
+    def step_at(t: float) -> float:
+        x, v = tr.state_at(t)
+        return -(x[n:] @ v[n:]) / (v[n:] @ v[n:])
+
     # a field constant in time has no strict dip, hence no zeros
-    zeros = _minima(tr.times, norms, lambda t: np.linalg.norm(tr.position_at(t)[n:]),
-                    np.full(len(tr.times), sup / rate), 1e-6 * sup) if rate > 0 else []
+    zeros = [t for t in _minima(tr.times, norms, step_at)
+             if np.linalg.norm(tr.position_at(t)[n:]) <= 1e-6 * sup]
     return ParallelJacobi(tr.times, vals, sup, zeros, center)
 
 

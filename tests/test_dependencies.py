@@ -1,0 +1,32 @@
+"""The library imports nothing beyond the standard library and numpy."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sprayjets"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "sprayjets"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The absolute imports in ``source`` outside ALLOWED; relative imports are the package's own."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] not in ALLOWED]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_module_imports_only_the_standard_library_and_numpy(path):
+    # pyproject.toml declares numpy as the only dependency
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_scipy_import_is_caught():
+    source = "import numpy as np\nfrom . import jets\nif True:\n    from scipy.linalg import eig\n"
+    assert foreign_imports(source) == ["scipy.linalg"]

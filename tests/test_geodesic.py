@@ -16,8 +16,7 @@ from sprayjets import (EPS_SLASHED, DomainError, IntegrationBlowupError,
                        InvalidLevelError, JetPoint, Spray, Trajectory,
                        complete_lift, flow, flow_tangent_fd, integrate,
                        make_finsler_example, make_flat, make_round_sphere,
-                       make_sphere, pushforward_spray, residual, shear_chart,
-                       write_trajectory_csv)
+                       make_sphere, pushforward_spray, residual, shear_chart)
 from sprayjets import geodesic
 from sprayjets.geodesic import _node_exit
 from sprayjets.jacobi import _fan_run
@@ -233,22 +232,6 @@ def test_jet_accessors():
     f = tr.final_jet()
     np.testing.assert_array_equal(f.coords,
                                   np.concatenate([tr.positions[-1], tr.velocities[-1]]))
-
-
-def test_csv_round_trip(tmp_path):
-    s = make_sphere()
-    tr = integrate(s, tilted_init(), (0.0, 0.3), 0.1)
-    path = tmp_path / "arc.csv"
-    write_trajectory_csv(tr, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "# level=0,dim=2,spray=sphere"
-    assert lines[1] == "t,x_0,x_1,v_0,v_1"
-    assert len(lines) == len(tr.times) + 2
-    for k, line in enumerate(lines[2:]):
-        vals = [float(z) for z in line.split(",")]
-        assert vals[0] == tr.times[k]
-        np.testing.assert_array_equal(vals[1:3], tr.positions[k])
-        np.testing.assert_array_equal(vals[3:5], tr.velocities[k])
 
 
 def test_tangent_flow_matches_lifted_flow():
@@ -669,6 +652,10 @@ LIFT_CASES = {
                     _lifted_init(1, [1.2, 1.4, 0.3, 0.2, -0.4, 0.9]), 0.5, 2e-2),
     "pushed-sphere-L1": (complete_lift(PUSHED_SPHERE), _lifted_init(1, PUSHED_START), 0.5, 2e-2),
     "sphere-L2": (_lifted_sphere(2), _lifted_init(2), 0.2, 5e-2),
+    "finsler-L2": (complete_lift(complete_lift(make_finsler_example((0.3, 1.0)))),
+                   _lifted_init(2, [0.1, 0.2, 0.9, -0.4]), 0.2, 5e-2),
+    "pushed-sphere-L2": (complete_lift(complete_lift(PUSHED_SPHERE)),
+                         _lifted_init(2, PUSHED_START), 0.2, 5e-2),
 }
 
 

@@ -43,14 +43,6 @@ def test_equator_tangential_field_grows_linearly():
     np.testing.assert_allclose(jac.fiber_nodes()[:, 1], jac.times, atol=1e-10)
 
 
-def test_field_validate():
-    s, jac = equator_field((1.0, 0.0))
-    rep = jac.validate()
-    assert rep["projection_gap"] == 0.0
-    assert rep["field_residual"] < 1e-6
-    assert rep["base_residual"] < 1e-12
-
-
 def test_initial_level_guard():
     s = make_sphere()
     with pytest.raises(InvalidLevelError):
@@ -165,41 +157,90 @@ def test_lifted_sphere_has_the_base_conjugate_time(lifts):
     assert scan.multiplicities[0] >= 1
 
 
-def test_minimum_is_refined_to_a_bracket_of_1e_6(monkeypatch):
-    # one minimum on [0, 3.5], where the fiber matrix's time scale is about
-    # pi / 2: golden section from a two-step bracket of 2e-2 takes 2 + 20
-    # evaluations to reach 1.6e-6 (17 for a constant of 1e-5, 27 for 1e-7),
-    # and the rank test one more
-    calls = []
-    real = Trajectory.position_at
-    monkeypatch.setattr(Trajectory, "position_at", lambda tr, t: calls.append(t) or real(tr, t))
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("n", [2, 3])
+def test_zero_carrier_fiber_multiplies_the_multiplicity_by_2_per_lift(n, level):
+    # from a carrier whose fibers are zero, the lifted fiber matrix is block
+    # diagonal with 2^level copies of the base one, so each base root counts
+    # 2^level times
+    x, v = _equator(n).coords[:n].tolist(), _equator(n).coords[n:].tolist()
+    zeros = [0.0] * (((1 << level) - 1) * n)
+    s = make_round_sphere(n)
+    for _ in range(level):
+        s = complete_lift(s)
+    base = conjugate_search(make_round_sphere(n), _equator(n), 3.5, 2e-2)
+    scan = conjugate_search(s, JetPoint(level + 1, n, x + zeros + v + zeros), 3.5, 2e-2)
+    assert base.multiplicities == [n - 1]
+    assert scan.times == base.times
+    assert scan.multiplicities == [(1 << level) * (n - 1)]
+
+
+def test_sphere_scan_makes_three_newton_evaluations_and_one_rank_evaluation(monkeypatch):
+    # one minimum on [0, 3.5]: three pencil steps each take the fibers and
+    # their rates from one state_at, and the rank test takes the fibers from
+    # one position_at, which is a state_at too
+    states, positions = [], []
+    state_at, position_at = Trajectory.state_at, Trajectory.position_at
+    monkeypatch.setattr(Trajectory, "state_at", lambda tr, t: states.append(t) or state_at(tr, t))
+    monkeypatch.setattr(Trajectory, "position_at",
+                        lambda tr, t: positions.append(t) or position_at(tr, t))
     eq = JetPoint(1, 2, np.array([np.pi / 2, 0.0, 0.0, 1.0]))
     scan = conjugate_search(make_sphere(), eq, 3.5, 1e-2)
     assert len(scan.times) == 1
-    assert len(calls) == 23
+    assert len(states) == 4 and positions == [scan.times[0]]
+
+
+def _fast_circle(n, speed):
+    start = _equator(n).coords.copy()
+    start[-1] = speed
+    return JetPoint(1, n, start)
 
 
 @pytest.mark.parametrize("speed", [10.0, 30.0])
 @pytest.mark.parametrize("n", [2, 3])
 def test_fast_great_circle_has_its_conjugate_time(n, speed):
-    # the bracket follows the fiber matrix's time scale, pi / speed here; an
-    # absolute bracket of 1e-6 once lost the root at speed 30, where the rank
-    # test needs the time to within about 1e-7
+    # the rank test needs the time to within about 1e-7 at speed 30; an
+    # absolute refinement bracket of 1e-6 once lost this root
     s = make_sphere() if n == 2 else make_round_sphere(n)
-    start = _equator(n).coords.copy()
-    start[-1] = speed
     for t_max in (3.5 / speed, -3.5 / speed):
-        scan = conjugate_search(s, JetPoint(1, n, start), t_max, 1e-3)
+        scan = conjugate_search(s, _fast_circle(n, speed), t_max, 1e-3)
         assert len(scan.times) == 1
         assert abs(scan.times[0] - math.copysign(np.pi / speed, t_max)) < 1e-6
         assert scan.multiplicities == [n - 1]
 
 
+ORDER_CASES = {
+    **{f"S^{n}": (make_sphere() if n == 2 else make_round_sphere(n), _equator(n), 1.0)
+       for n in (2, 3, 4, 5)},
+    "speed 10": (make_sphere(), _fast_circle(2, 10.0), 10.0),
+    "speed 30": (make_sphere(), _fast_circle(2, 30.0), 30.0),
+    "lifted sphere": (complete_lift(make_sphere()), JetPoint(2, 2, LIFTED_START), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(ORDER_CASES))
+def test_conjugate_time_converges_with_the_integrator(case):
+    # the pencil steps converge to the root of the discrete run, so the
+    # time's error is RK4's: order 4, a factor of 16 per halving of h.  A
+    # backward scan mirrors the forward one
+    s, init, speed = ORDER_CASES[case]
+    errors = []
+    for h in (2e-2, 1e-2, 5e-3):
+        forward, backward = (conjugate_search(s, init, t_max, h)
+                             for t_max in (3.5 / speed, -3.5 / speed))
+        assert len(forward.times) == 1
+        assert backward.times == [-forward.times[0]]
+        assert backward.multiplicities == forward.multiplicities
+        errors.append(abs(forward.times[0] - np.pi / speed))
+    assert errors[0] > 10.0 * errors[1] > 100.0 * errors[2] > 0.0
+
+
 def test_multiplicity_counts_singular_values_below_1e_6_of_the_largest(monkeypatch):
     # a fan whose field k has fiber d_k(t) e_k, d = (t - 1.125, 1, 3e-6, 3e-7):
-    # dense output is exact on it, so the minimum is refined to within 1e-6 of
-    # the root, where the singular values relative to the largest are 3e-6,
-    # 3e-7 and below 1e-6
+    # dense output is exact on it, so the first pencil step from the node
+    # minimum at t = 1 lands on 1.125 exactly, where the fiber matrix is
+    # singular and the next steps are 0.  There the singular values relative
+    # to the largest are 3e-6, 3e-7 and 0
     s, t = make_flat(4), np.arange(9) * 0.25
     d = np.stack([t - 1.125] + [np.full_like(t, c) for c in (1.0, 3e-6, 3e-7)], axis=1)
     fibers = np.einsum("nk,kl->nkl", d, np.eye(4)).reshape(len(t), 16)
@@ -211,7 +252,7 @@ def test_multiplicity_counts_singular_values_below_1e_6_of_the_largest(monkeypat
                      accelerations=np.zeros((len(t), 20)), h=0.25)
     monkeypatch.setattr(jacobi, "_fan_run", lambda *args: fan)
     scan = conjugate_search(s, JetPoint(1, 4, [0.0] * 4 + [1.0, 0.0, 0.0, 0.0]), 2.0, 0.25)
-    assert len(scan.times) == 1 and abs(scan.times[0] - 1.125) < 1e-6
+    assert scan.times == [1.125]
     assert scan.multiplicities == [2]
 
 
@@ -434,8 +475,8 @@ def test_suite_rejects_base_trajectory():
 # --- one fan run for fields over a shared carrier ---------------------------
 
 
-def reference_conjugate_search(s, init, t_max, h, bracket=1e-6, rank_rtol=1e-6):
-    """The scan on m separate lifted runs, with the minimum scan written out."""
+def reference_conjugate_search(s, init, t_max, h, rank_rtol=1e-6):
+    """The scan on m separate lifted runs, with the minimum scan and the pencil step written out."""
     m = (1 << s.level) * s.dim
     half = init.coords.size // 2
     x0, v0 = init.coords[:half], init.coords[half:]
@@ -457,43 +498,38 @@ def reference_conjugate_search(s, init, t_max, h, bracket=1e-6, rank_rtol=1e-6):
 
     fibers = np.stack([f.fiber_nodes()[:nodes] for f in fields], axis=2)  # (nodes, m, m)
     dets = np.linalg.det(fibers)
-    # the fiber matrix's time scale; norms flattened field by field, as the fan's columns are
-    norms = np.linalg.norm(np.hstack([f.fiber_nodes()[:nodes] for f in fields]), axis=1)
-    rates = np.linalg.norm(np.hstack([f.fiber_rate_nodes()[:nodes] for f in fields]), axis=1)
 
-    def det_at(t):
-        cols = [f.fiber_at(t) for f in fields]
-        return np.stack(cols, axis=1)
+    def fibers_and_rates_at(t):
+        states = [f.field.state_at(t) for f in fields]
+        return (np.stack([x[m:] for x, _ in states], axis=1),
+                np.stack([v[m:] for _, v in states], axis=1))
 
-    def size(t):
-        return abs(np.linalg.det(det_at(t)))
-
-    # every minimum of |det| is refined to its bracket; the rank test decides
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    # three steps of Ruhe's method from every minimum of |det|: M(t) u = -d M'(t) u
+    # for the d of least modulus, that is -1 / Re mu for the eigenvalue mu of
+    # M^-1 M' of largest modulus, and d = 0 where M(t) is singular; a minimum
+    # whose iterate leaves its two steps is dropped, the rank test decides the rest
     roots, mults = [], []
     for i in range(1, nodes):
         last = i == nodes - 1
         if not (abs(dets[i]) < abs(dets[i - 1]) and (last or abs(dets[i]) <= abs(dets[i + 1]))):
             continue
-        a, b = float(times[i - 1]), float(times[i if last else i + 1])
-        width = max(4.0 * math.ulp(abs(a) + abs(b)), bracket * norms[i] / (np.sqrt(m) * rates[i]))
-        c, d = b - golden * (b - a), a + golden * (b - a)
-        fc, fd = size(c), size(d)
-        while abs(b - a) > width:
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - golden * (b - a)
-                fc = size(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + golden * (b - a)
-                fd = size(d)
-        root = c if fc <= fd else d
-        sv = np.linalg.svd(det_at(root), compute_uv=False)
-        deficiency = int(np.sum(sv < rank_rtol * sv[0])) if sv[0] > 0 else m
-        if deficiency:
-            roots.append(root)
-            mults.append(deficiency)
+        lo, hi = sorted((times[i - 1], times[i if last else i + 1]))
+        t = float(times[i])
+        for _ in range(3):
+            fib, rate = fibers_and_rates_at(t)
+            try:
+                mu = np.linalg.eigvals(np.linalg.solve(fib, rate))
+                t += float(-1.0 / mu[np.argmax(np.abs(mu))].real)
+            except np.linalg.LinAlgError:
+                pass
+            if not lo <= t <= hi:
+                break
+        else:
+            sv = np.linalg.svd(fibers_and_rates_at(t)[0], compute_uv=False)
+            deficiency = int(np.sum(sv < rank_rtol * sv[0])) if sv[0] > 0 else m
+            if deficiency:
+                roots.append(t)
+                mults.append(deficiency)
     return roots, mults, times.copy(), dets.copy(), exit_reason
 
 
@@ -580,6 +616,31 @@ def test_fan_fields_are_their_own_runs():
         assert field_k.times.tobytes() == own.times.tobytes()
         for field in ("positions", "velocities", "accelerations"):
             assert getattr(field_k, field).tobytes() == getattr(own, field).tobytes()
+
+
+@pytest.mark.parametrize("case", ["sphere", "round S^3 backward", "level-1 spray"])
+def test_scan_fan_columns_are_the_dual_rk4_run(monkeypatch, case):
+    # each fan column pair is the RK4 run of the spray on Dual coordinates,
+    # so the fiber rates the pencil reads are the exact derivative of the
+    # discrete run
+    if case == "sphere":
+        s, init, t_max, h = make_sphere(), _equator(2), 3.5, 1e-2
+    elif case == "round S^3 backward":
+        s, init, t_max, h = make_round_sphere(3), _equator(3), -3.5, 5e-2
+    else:
+        s, init, t_max, h = complete_lift(make_sphere()), JetPoint(2, 2, LIFTED_START), 1.0, 5e-2
+    runs = []
+    monkeypatch.setattr(jacobi, "_fan_run",
+                        lambda *args: runs.append((args, _fan_run(*args))) or runs[-1][1])
+    conjugate_search(s, init, t_max, h)
+    (_, starts, t_span, _), fan = runs[0]
+    m = s.fiber_dim
+    for k, start in enumerate(starts):
+        cols = np.r_[:m, m * (k + 1):m * (k + 2)]
+        times, *nodes = _dual_reference_integrate(s, start, t_span, h)
+        assert np.max(np.abs(fan.times - times)) == 0.0
+        for name, want in zip(("positions", "velocities", "accelerations"), nodes):
+            assert np.max(np.abs(getattr(fan, name)[:, cols] - want)) == 0.0, (k, name)
 
 
 def test_fan_stage_on_the_pole_falls_back_to_the_same_domain_exit(monkeypatch):

@@ -86,9 +86,6 @@ def test_flat_delta_coordinates_frozen():
                      1.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0])
     np.testing.assert_allclose(sub.delta_coordinates(f, [0, 0], [1, 0], 2.0, 3.0),
                                want, atol=0.0)
-    cfg = sub.configuration_point(f, [0, 0], [1, 0], 2.0, 3.0)
-    assert cfg.level == 2
-    np.testing.assert_array_equal(cfg.coords, want[:8])
 
 
 def test_membership_accepts_generated_jet():
@@ -530,9 +527,9 @@ def test_verdict_does_not_depend_on_the_family_scale(eps, t_end):
 def test_field_zero_is_a_norm_within_1e_6_of_the_supremum(monkeypatch, offset, zero, speed):
     # the flat line's run with its field replaced by (speed t - 1.125, offset * 1.125, 0, ...):
     # dense output is exact on it, the supremum over the nodes is 1.125 (+ offset),
-    # and the norm at the refined minimum is about offset * 1.125.  The bracket
-    # follows the field's time scale, 1.125 / speed; an absolute bracket of 1e-6
-    # once lost the zero at speed 30
+    # and the norm at the refined minimum is about offset * 1.125.  On a linear
+    # field the first Newton step lands on the minimum at 1.125 / speed; an
+    # absolute refinement bracket of 1e-6 once lost the zero at speed 30
     real = sub.integrate
 
     def run(*args):
@@ -555,19 +552,33 @@ def test_field_zero_is_a_norm_within_1e_6_of_the_supremum(monkeypatch, offset, z
         assert abs(pj.zero_times[0] - 1.125 / speed) < 1e-6 / speed
 
 
-@pytest.mark.parametrize("seed, calls_made", [(0, 8), (6, 14)])
-def test_minima_far_from_zero_are_dropped_early(monkeypatch, seed, calls_made):
+@pytest.mark.parametrize("seed", [0, 6])
+def test_newton_keeps_minima_far_from_zero_and_the_floor_drops_them(monkeypatch, seed):
     # each family's field norm has four node-local minima, at 1e-4 to 0.16 of
-    # the supremum.  A minimum is dropped once its samples bound it above 1e-6
-    # of the supremum: on its first two dense samples, except seed 6's first
-    # two, which take 4 and 6 (a bound with twice the golden factor takes 17)
-    calls = []
-    real = Trajectory.position_at
-    monkeypatch.setattr(Trajectory, "position_at", lambda tr, t: calls.append(t) or real(tr, t))
+    # the supremum.  The one-column step -<J, J'> / |J'|^2 is Gauss-Newton on
+    # |J|^2: it keeps every minimum within its two steps and moves it to where
+    # J is nearly orthogonal to J'.  The norm there is above 1e-6 of the
+    # supremum, so no zero is reported.  Each minimum costs three Newton
+    # evaluations and one norm evaluation
+    runs, kept, states, positions = [], [], [], []
+    state_at, position_at = Trajectory.state_at, Trajectory.position_at
+    monkeypatch.setattr(Trajectory, "state_at", lambda tr, t: states.append(t) or state_at(tr, t))
+    monkeypatch.setattr(Trajectory, "position_at",
+                        lambda tr, t: positions.append(t) or position_at(tr, t))
+    for module, name, out in ((sub, "integrate", runs), (sub, "_minima", kept)):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, out=out: out.append(real(*args)) or out[-1])
     pj = sub.parallel_jacobi_curve(make_sphere(), _random_family(seed), (0.0, 4.0), 1e-2)
     norms = np.linalg.norm(pj.values, axis=1)
-    assert np.sum((norms[1:] < norms[:-1]) & (norms[1:] <= np.append(norms[2:], np.inf))) == 4
-    assert pj.zero_times == [] and len(calls) == calls_made
+    nodes = np.flatnonzero((norms[1:] < norms[:-1]) & (norms[1:] <= np.append(norms[2:], np.inf))) + 1
+    assert len(nodes) == 4 and len(kept[0]) == 4
+    assert pj.zero_times == [] and len(states) == 16 and positions == kept[0]
+    tr, n = runs[0], pj.values.shape[1]
+    for i, t in zip(nodes, kept[0]):
+        assert pj.times[i - 1] <= t <= pj.times[i + 1]
+        x, v = state_at(tr, t)
+        assert abs(x[n:] @ v[n:]) < 1e-2 * np.linalg.norm(x[n:]) * np.linalg.norm(v[n:])
+        assert np.linalg.norm(x[n:]) > 1e-6 * pj.sup_norm
 
 
 def test_constant_family_is_trivial_but_passes():
