@@ -165,10 +165,6 @@ class Trajectory:
     def position_at(self, t: float) -> np.ndarray:
         return self.state_at(t)[0]
 
-    def jet_at(self, t: float) -> JetPoint:
-        x, v = self.state_at(t)
-        return JetPoint(self.spray.level + 1, self.spray.dim, np.concatenate([x, v]))
-
     def final_jet(self) -> JetPoint:
         return JetPoint(self.spray.level + 1, self.spray.dim,
                         np.concatenate([self.positions[-1], self.velocities[-1]]))

@@ -3,8 +3,7 @@
 A Jacobi field along a level-r geodesic is here exactly a geodesic of the
 once-lifted spray whose projection is the base geodesic; no variational
 equation is ever special-cased.  Finite-difference variations serve as
-independent oracles, the doubly lifted spray decomposes into the three
-coupled fields it transports, and conjugate points are located at minima of
+independent oracles, and conjugate points are located at minima of
 the fiber determinant of a fundamental system of lifted geodesics.
 
 Fields that share their base geodesic run as one trajectory of the lift's
@@ -41,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidLevelError
-from .geodesic import Trajectory, _integrate, _minima, integrate, residual
+from .geodesic import Trajectory, _integrate, _minima, integrate
 from .jetspace import JetPoint, _dproject_idx, _kappa_idx, _liouville_rows, kappa
 from .spray import Spray, complete_lift
 
@@ -71,9 +70,6 @@ class JacobiField:
 
     def fiber_rate_nodes(self) -> np.ndarray:
         return self.field.velocities[:, self._m :]
-
-    def fiber_at(self, t: float) -> np.ndarray:
-        return self.field.position_at(t)[self._m :]
 
 
 def jacobi_from_initial(s: Spray, init: JetPoint, t_span: tuple[float, float],
@@ -172,63 +168,6 @@ def flow_tangent_fd(s: Spray, p: JetPoint, t: float, h: float,
         raise DomainError(f"tangent flow stopped ({field.exit_reason}) at t={field.t_end:.6g} "
                           f"before {t}")
     return field.final_jet()
-
-
-@dataclass
-class DoubleLiftDecomposition:
-    """The three coupled fields inside a doubly lifted geodesic.
-
-    ``carrier`` is the underlying geodesic, ``inner`` and ``outer`` the two
-    Jacobi fields it transports.  ``mixed_blocks`` collects the remaining
-    block group; its values are chart-dependent and are exposed only for
-    inspection, except that when the outer field has identically zero
-    fiber the pair (carrier, mixed) is itself a Jacobi field.
-    """
-
-    carrier: Trajectory
-    inner: Trajectory
-    outer: Trajectory
-    mixed_blocks: np.ndarray
-    mixed_is_chart_invariant: bool
-    residuals: dict
-
-
-def decompose_double_lift(s: Spray, tr: Trajectory) -> DoubleLiftDecomposition:
-    """Split a trajectory of the doubly lifted spray into its parts."""
-
-    lifted = complete_lift(s)
-    quarter = tr.positions.shape[1] // 4
-    level2 = s.level + 2
-    idx_c = np.arange(quarter)
-    idx_inner = np.arange(2 * quarter)
-    idx_outer = _dproject_idx(level2, s.dim)
-
-    carrier = tr.columns(idx_c, s)
-    inner = tr.columns(idx_inner, lifted)
-    outer = tr.columns(idx_outer, lifted)
-    mixed = tr.positions[:, 3 * quarter :]
-
-    outer_fiber_sup = float(np.max(np.abs(tr.positions[:, 2 * quarter : 3 * quarter])))
-    outer_rate_sup = float(np.max(np.abs(tr.velocities[:, 2 * quarter : 3 * quarter])))
-    invariant = outer_fiber_sup <= 1e-12 and outer_rate_sup <= 1e-12
-
-    res = {
-        "carrier": residual(s, carrier),
-        "inner": residual(lifted, inner),
-        "outer": residual(lifted, outer),
-    }
-    if invariant:
-        mixed_tr = tr.columns(np.r_[0:quarter, 3 * quarter : 4 * quarter], lifted)
-        res["mixed_as_jacobi"] = residual(lifted, mixed_tr)
-
-    return DoubleLiftDecomposition(
-        carrier=carrier,
-        inner=inner,
-        outer=outer,
-        mixed_blocks=mixed,
-        mixed_is_chart_invariant=invariant,
-        residuals=res,
-    )
 
 
 # --- conjugate points -----------------------------------------------------

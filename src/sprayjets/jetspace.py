@@ -246,24 +246,6 @@ def clift(f: Callable, dim: int) -> Callable:
     return fc
 
 
-def _check_lift_point(p: JetPoint):
-    _require_level(p, 1, "function lift")
-    if not is_slashed(p):
-        raise DomainError("function lifts are defined away from the zero section")
-
-
-def vlift_fn(f: Callable, p: JetPoint) -> float:
-    """Value of the vertical lift of ``f`` at ``p`` (one level above ``f``)."""
-    _check_lift_point(p)
-    return float(vlift(f, p.dim)(p.coords))
-
-
-def clift_fn(f: Callable, p: JetPoint) -> float:
-    """Value of the complete lift of ``f`` at ``p`` (one level above ``f``)."""
-    _check_lift_point(p)
-    return float(clift(f, p.dim)(p.coords))
-
-
 # --- chart transitions ----------------------------------------------------
 
 
@@ -315,41 +297,6 @@ def pushforward(t: ChartTransition, p: JetPoint) -> JetPoint:
     if t.domain is not None and not t.domain(p.base_block()):
         raise DomainError("base block outside the transition domain")
     return JetPoint(p.level, p.dim, jet_apply(t.forward, p.coords.tolist(), p.level, p.dim, p.dim))
-
-
-def inverse_transition(t: ChartTransition) -> ChartTransition:
-    def inv_jacobian(x):
-        return np.linalg.inv(np.asarray(t.jacobian(t.inverse(x)), dtype=float))
-
-    def inv_hessian(x):
-        # d2(inverse) from the forward derivatives via the inverse rule
-        y = t.inverse(x)
-        J = np.asarray(t.jacobian(y), dtype=float)
-        H = np.asarray(t.hessian(y), dtype=float)
-        Ji = np.linalg.inv(J)
-        return -np.einsum("ia,abc,bj,ck->ijk", Ji, H, Ji, Ji)
-
-    return ChartTransition(
-        dim=t.dim,
-        forward=t.inverse,
-        inverse=t.forward,
-        jacobian=inv_jacobian,
-        hessian=inv_hessian,
-        name=f"{t.name}-inverse",
-    )
-
-
-def identity_chart(dim: int) -> ChartTransition:
-    eye = np.eye(dim)
-    zeros = np.zeros((dim, dim, dim))
-    return ChartTransition(
-        dim=dim,
-        forward=lambda x: list(x),
-        inverse=lambda x: list(x),
-        jacobian=lambda x: eye,
-        hessian=lambda x: zeros,
-        name="identity",
-    )
 
 
 def shear_chart() -> ChartTransition:

@@ -7,11 +7,6 @@ import numpy as np
 from .jetspace import JetPoint
 
 
-def random_jet(rng: np.random.Generator, level: int, dim: int) -> JetPoint:
-    """Random jet with standard normal coordinates."""
-    return JetPoint(level, dim, rng.standard_normal((1 << level) * dim))
-
-
 def random_slashed_jet(rng: np.random.Generator, level: int, dim: int) -> JetPoint:
     """Random jet whose top-level block has norm at least 0.1.
 

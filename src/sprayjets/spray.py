@@ -35,7 +35,7 @@ copies of a traced kernel's statements instead, with the same results.  On
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -53,7 +53,6 @@ class Spray:
     ``coeff_fn(pos, vel)`` returns the quadratic coefficients as a sequence
     of ``2**level * dim`` scalars.  ``domain``, when set, restricts the
     base chart: it receives the leading ``dim`` coordinates of a position.
-    ``parent`` records the spray a lift or a projection was derived from.
     """
 
     level: int
@@ -61,7 +60,6 @@ class Spray:
     coeff_fn: Callable
     tag: str
     domain: Callable | None = None
-    parent: "Spray | None" = None
 
     @property
     def fiber_dim(self) -> int:
@@ -148,16 +146,7 @@ class Spray:
             coeff_fn=dual_lift(self.coeff_fn),
             tag=f"lifted({self.tag})",
             domain=self.domain,
-            parent=self,
         )
-
-
-def spray_value(s: Spray, p: JetPoint) -> JetPoint:
-    """The spray's defining jet at ``p``: blocks (x, y, y, -2 G(x, y))."""
-    g = s.coeffs(p)
-    half = p.coords.size // 2
-    out = np.concatenate([p.coords, p.coords[half:], -2.0 * g])
-    return JetPoint(p.level + 1, p.dim, out)
 
 
 def homogeneity_check(s: Spray, p: JetPoint, lam: float) -> float:
@@ -218,7 +207,6 @@ def project_spray(s: Spray) -> Spray:
         coeff_fn=projected,
         tag=f"projected({s.tag})",
         domain=s.domain,
-        parent=s,
     )
 
 
@@ -252,7 +240,6 @@ class ChristoffelField:
 
     dim: int
     fn: Callable
-    name: str = "christoffel"
 
 
 def make_flat(dim: int, domain: Callable | None = None) -> Spray:
@@ -288,21 +275,13 @@ def make_riemannian(chris: ChristoffelField, tag: str = "riemannian",
     return Spray(level=0, dim=n, coeff_fn=coeff, tag=tag, domain=domain)
 
 
-def sphere_christoffels() -> ChristoffelField:
-    """Round unit sphere in colatitude/longitude coordinates, the field of :func:`make_sphere`.
-
-    It is :func:`round_sphere_christoffels` at n = 2, named "sphere".
-    """
-    return replace(round_sphere_christoffels(2), name="sphere")
-
-
 def make_sphere(pole_margin: float = 1e-8) -> Spray:
     lo, hi = pole_margin, np.pi - pole_margin
 
     def domain(x):
         return lo < float(x[0]) < hi
 
-    return make_riemannian(sphere_christoffels(), tag="sphere", domain=domain)
+    return make_riemannian(round_sphere_christoffels(2), tag="sphere", domain=domain)
 
 
 def round_sphere_christoffels(n: int) -> ChristoffelField:
@@ -311,8 +290,8 @@ def round_sphere_christoffels(n: int) -> ChristoffelField:
     The metric is diagonal, g_kk = prod_{j<k} sin(theta_j)**2, so the only
     nonzero symbols are Gamma^k_jk = Gamma^k_kj = cot(theta_j) for j < k
     and Gamma^j_kk = -sin(theta_j) cos(theta_j) prod_{j<l<k} sin(theta_l)**2
-    for j < k.  At n = 2 they are the sphere's symbols, which
-    :func:`sphere_christoffels` returns under the name "sphere".
+    for j < k.  At n = 2 they are the symbols of :func:`make_sphere` in
+    colatitude/longitude coordinates.
     """
 
     if n < 1:
@@ -332,7 +311,7 @@ def round_sphere_christoffels(n: int) -> ChristoffelField:
                     w = w * s[k] * s[k]
         return gamma
 
-    return ChristoffelField(dim=n, fn=fn, name=f"round-sphere-{n}")
+    return ChristoffelField(dim=n, fn=fn)
 
 
 def make_round_sphere(n: int, pole_margin: float = 1e-8) -> Spray:
@@ -406,5 +385,4 @@ def pushforward_spray(t, s: Spray) -> Spray:
         coeff_fn=coeff,
         tag=f"pushed({s.tag},{t.name})",
         domain=None if s.domain is None else domain,
-        parent=s,
     )

@@ -275,12 +275,10 @@ def _checked(s: Spray, tr: Trajectory, alpha: float, beta: float, tol: float,
 
 @dataclass
 class UniquenessReport:
-    """Both recoveries of the scalars from one initial jet, and their gap."""
+    """The sequential recovery of the scalars from one initial jet, and its gap to the joint one."""
 
     alpha_sequential: float
     beta_sequential: float
-    alpha_joint: float
-    beta_joint: float
     parameter_gap: float
 
 
@@ -313,7 +311,7 @@ def uniqueness_check(s: Spray, x0, v0, alpha: float, beta: float,
     a_joint, b_joint = float(sol[0]), float(sol[1])
 
     gap = max(abs(seq.alpha - a_joint), abs(seq.beta - b_joint))
-    return UniquenessReport(seq.alpha, seq.beta, a_joint, b_joint, gap)
+    return UniquenessReport(seq.alpha, seq.beta, gap)
 
 
 @dataclass

@@ -91,7 +91,8 @@ def _interpreted(coeff_fn):
 def test_compiled_lift_is_bitwise_the_dual_path(name, level):
     s = _lift(BASES[name], level)
     # at level 0 the base coefficients, above it dual_lift of the parent's
-    reference = _interpreted(s.coeff_fn if level == 0 else dual_lift(s.parent.coeff_fn))
+    reference = _interpreted(s.coeff_fn if level == 0
+                             else dual_lift(_lift(BASES[name], level - 1).coeff_fn))
     # traced everywhere, the pushed spray included
     assert _kernel_name(s.kernel) == f"<{s.tag} L{level}>"
     assert s.kernel.tape is not None
@@ -196,13 +197,14 @@ def test_unhashable_coefficient_is_lifted_once(monkeypatch):
 def test_lifted_stage_on_pole_is_domain_exit(monkeypatch, level):
     # carrier as in test_stage_on_pole_is_domain_exit: the 4th stage of step
     # 2 lands on colatitude 0.0, where sin(theta) = 0 divides
-    lifted = _lift(make_sphere(), level)
+    parent = _lift(make_sphere(), level - 1)
+    lifted = complete_lift(parent)
     half = (1 << level) * 2
     coords = np.full(2 * half, 0.1)
     coords[:2] = [0.5, 0.0]
     coords[half:half + 2] = [-1.0, 0.0]
     init = JetPoint(level + 1, 2, coords)
-    reference = Spray(level=lifted.level, dim=2, coeff_fn=dual_lift(lifted.parent.coeff_fn),
+    reference = Spray(level=lifted.level, dim=2, coeff_fn=dual_lift(parent.coeff_fn),
                       tag="dual", domain=lifted.domain)
     # the reference evaluates the Dual path at every stage, untraced
     monkeypatch.setitem(vars(reference), "kernel",

@@ -1,10 +1,12 @@
-"""The library imports nothing beyond the standard library and numpy."""
+"""The library imports nothing beyond the standard library and numpy, and exports what it defines."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+import sprayjets
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sprayjets"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "sprayjets"}
@@ -30,3 +32,9 @@ def test_module_imports_only_the_standard_library_and_numpy(path):
 def test_a_scipy_import_is_caught():
     source = "import numpy as np\nfrom . import jets\nif True:\n    from scipy.linalg import eig\n"
     assert foreign_imports(source) == ["scipy.linalg"]
+
+
+def test_every_exported_name_is_defined_once():
+    # a name deleted from the package but left in __all__ fails only at `import *`
+    assert sorted(set(sprayjets.__all__)) == sorted(sprayjets.__all__)
+    assert [name for name in sprayjets.__all__ if not hasattr(sprayjets, name)] == []

@@ -12,12 +12,13 @@ from sprayjets import (DomainError, IntegrationBlowupError, InvalidLevelError, J
                        make_finsler_example, make_flat, make_round_sphere, make_sphere)
 from sprayjets import jacobi, subspray
 from sprayjets.geodesic import Trajectory, residual
-from sprayjets.jacobi import (JacobiField, _fan_run, conjugate_search, decompose_double_lift,
-                              jacobi_from_initial, lift_conjugate_check,
-                              new_from_old_suite, variation_oracle)
+from sprayjets.jacobi import (JacobiField, _fan_run, conjugate_search, jacobi_from_initial,
+                              lift_conjugate_check, new_from_old_suite, variation_oracle)
 from sprayjets.jets import jet_re, jlog, jsqrt
+from sprayjets.jetspace import _dproject_idx
 from sprayjets.samples import random_slashed_jet, sphere_phase
 from test_geodesic import _dual_reference_integrate
+from test_spray import projective
 
 
 def equator_field(rate, t_end=np.pi, h=1e-3):
@@ -33,7 +34,7 @@ def test_equator_sine_field():
     norms = np.linalg.norm(jac.fiber_nodes(), axis=1)
     np.testing.assert_allclose(norms, np.abs(np.sin(jac.times)), atol=1e-10)
     np.testing.assert_allclose(jac.fiber_nodes()[:, 1], 0.0, atol=1e-12)
-    np.testing.assert_allclose(jac.fiber_at(np.pi / 2), [1.0, 0.0], atol=1e-10)
+    np.testing.assert_allclose(jac.field.position_at(np.pi / 2)[2:], [1.0, 0.0], atol=1e-10)
 
 
 def test_equator_tangential_field_grows_linearly():
@@ -235,6 +236,29 @@ def test_conjugate_time_converges_with_the_integrator(case):
     assert errors[0] > 10.0 * errors[1] > 100.0 * errors[2] > 0.0
 
 
+@pytest.mark.parametrize("h", [1e-2, 1e-3])
+def test_projective_sphere_conjugate_times_are_not_mirrored(h):
+    # G + 0.1 |y| y keeps the equator as a trace and moves it at speed
+    # 1 / (1 + 0.2 t), so arc length is 5 log(1 + 0.2 t) and the conjugate
+    # points at arc length +pi and -pi come at 5 (exp(+-pi / 5) - 1):
+    # 4.37228044 forward, -2.33255954 backward.  Backward, the speed blows
+    # up at t = -5, where the conjugate points at arc length -k pi accumulate
+    s = projective(make_sphere(), 0.1)
+    forward = conjugate_search(s, _equator(2), 8.0, h)
+    assert len(forward.times) == 1
+    assert abs(forward.times[0] - 5.0 * math.expm1(math.pi / 5.0)) <= 1e-9
+    assert forward.multiplicities == [1] and forward.exit_reason is None
+    backward = conjugate_search(s, _equator(2), -8.0, h)
+    assert abs(backward.times[0] - 5.0 * math.expm1(-math.pi / 5.0)) <= 1e-9
+    assert abs(backward.times[0] + forward.times[0]) > 1.0
+    assert backward.exit_reason == "domain"
+    end = backward.sample_times[-1]
+    assert abs(end + 5.0) <= 2.0 * h
+    steps = np.diff([0.0, *backward.times, end])
+    assert np.all(steps < 0.0)
+    assert np.all(np.diff(steps[:-1]) > 0.0)
+
+
 def test_multiplicity_counts_singular_values_below_1e_6_of_the_largest(monkeypatch):
     # a fan whose field k has fiber d_k(t) e_k, d = (t - 1.125, 1, 3e-6, 3e-7):
     # dense output is exact on it, so the first pencil step from the node
@@ -270,18 +294,20 @@ GENERIC16 = np.array([1.1, 0.6, 0.2, -0.3, 0.4, 0.1, -0.2, 0.5,
 
 
 def test_double_lift_decomposition_generic():
+    # a run of S^cc carries the base geodesic and two Jacobi fields along it:
+    # the inner field in the first half, the outer one in the dproject columns
     s = make_sphere()
-    scc = complete_lift(complete_lift(s))
-    tr = integrate(scc, JetPoint(3, 2, GENERIC16), (0.0, 0.5), 1e-3)
-    d = decompose_double_lift(s, tr)
-    assert d.carrier.positions.shape[1] == 2
-    assert d.inner.positions.shape[1] == 4
-    assert d.outer.positions.shape[1] == 4
-    assert d.mixed_blocks.shape == (len(tr.times), 2)
-    assert not d.mixed_is_chart_invariant
-    assert "mixed_as_jacobi" not in d.residuals
-    for key in ("carrier", "inner", "outer"):
-        assert d.residuals[key] < 1e-5
+    lifted = complete_lift(s)
+    tr = integrate(complete_lift(lifted), JetPoint(3, 2, GENERIC16), (0.0, 0.5), 1e-3)
+    q = 2
+    carrier = tr.columns(np.arange(q), s)
+    inner = tr.columns(np.arange(2 * q), lifted)
+    outer = tr.columns(_dproject_idx(2, q), lifted)
+    assert outer.positions.shape[1] == 4
+    assert np.max(np.abs(outer.velocities[:, q:])) > 1e-12
+    assert residual(s, carrier) < 1e-5
+    assert residual(lifted, inner) < 1e-5
+    assert residual(lifted, outer) < 1e-5
 
 
 def test_double_lift_decomposition_zero_outer():
@@ -292,11 +318,12 @@ def test_double_lift_decomposition_zero_outer():
     z[4:6] = 0.0
     z[12:14] = 0.0
     tr = integrate(scc, JetPoint(3, 2, z), (0.0, 0.5), 1e-3)
-    d = decompose_double_lift(s, tr)
-    assert d.mixed_is_chart_invariant
-    assert d.residuals["mixed_as_jacobi"] < 1e-5
-    # the carrier and mixed columns, assembled block by block, give the same residual
     lifted, q = complete_lift(s), 2
+    # the outer field's fiber stays exactly zero
+    assert not np.any(tr.positions[:, 2 * q:3 * q]) and not np.any(tr.velocities[:, 2 * q:3 * q])
+    got = residual(lifted, tr.columns(np.r_[0:q, 3 * q:4 * q], lifted))
+    assert got < 1e-5
+    # the carrier and mixed columns, assembled block by block, give the same residual
     mixed_tr = Trajectory(
         spray=lifted, times=tr.times,
         positions=np.hstack([tr.positions[:, :q], tr.positions[:, 3 * q:]]),
@@ -304,20 +331,7 @@ def test_double_lift_decomposition_zero_outer():
         accelerations=np.hstack([tr.accelerations[:, :q], tr.accelerations[:, 3 * q:]]),
         h=tr.h, exit_reason=tr.exit_reason)
     want = residual(lifted, mixed_tr)
-    assert np.float64(d.residuals["mixed_as_jacobi"]).tobytes() == np.float64(want).tobytes()
-
-
-@pytest.mark.parametrize("scale, invariant", [(5e-13, True), (5e-12, False)])
-def test_outer_field_is_zero_up_to_1e_12(scale, invariant):
-    # the zero-outer start with its outer group scaled instead of zeroed: the
-    # outer field's supremum is its initial rate, 0.6 * scale
-    s = make_sphere()
-    z = GENERIC16.copy()
-    z[4:6] *= scale
-    z[12:14] *= scale
-    tr = integrate(complete_lift(complete_lift(s)), JetPoint(3, 2, z), (0.0, 0.5), 1e-2)
-    assert float(np.max(np.abs(tr.velocities[:, 4:6]))) == pytest.approx(0.6 * scale)
-    assert decompose_double_lift(s, tr).mixed_is_chart_invariant == invariant
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_lifted_conjugate_witnesses(monkeypatch):

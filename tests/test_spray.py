@@ -10,10 +10,10 @@ from sprayjets import (DomainError, InvalidLevelError, JetPoint, Spray,
                        acceleration_jet, complete_lift, dkappa,
                        homogeneity_check, integrate, make_finsler_example, make_flat,
                        make_riemannian, make_round_sphere, make_sphere, project_spray, pushforward, pushforward_spray,
-                       shear_chart, spray_value, sphere_christoffels)
+                       shear_chart)
 from sprayjets import geodesic
 from sprayjets import spray as spray_mod
-from sprayjets.jets import Dual, jcos, jet_du, jet_re, jsin, nest, unnest
+from sprayjets.jets import Dual, jcos, jet_du, jet_re, jnorm, jsin, nest, unnest
 from sprayjets.samples import random_slashed_jet, sphere_phase
 
 
@@ -68,17 +68,6 @@ def test_coeffs_rejects_unslashed_and_wrong_level():
         s.coeffs(JetPoint(2, 2, np.arange(8.0)))
 
 
-def test_spray_value_blocks():
-    s = make_sphere()
-    p = JetPoint(1, 2, np.array([np.pi / 3, 0.0, 0.0, 1.0]))
-    val = spray_value(s, p)
-    assert val.level == 2
-    np.testing.assert_array_equal(val.coords[:4], p.coords)
-    np.testing.assert_array_equal(val.block(2), p.coords[2:])
-    np.testing.assert_allclose(val.block(3),
-                               [2.0 * np.sqrt(3.0) / 8.0, 0.0], rtol=1e-14)
-
-
 @pytest.mark.parametrize("lam", [0.5, 2.0, 7.3])
 def test_homogeneity_of_builtin_sprays(lam):
     rng = np.random.default_rng(int(lam * 10))
@@ -87,6 +76,29 @@ def test_homogeneity_of_builtin_sprays(lam):
         for _ in range(20):
             p = sphere_phase(rng) if s.tag == "sphere" else random_slashed_jet(rng, 1, 2)
             assert homogeneity_check(s, p, lam) <= 1e-12
+
+
+def projective(s: Spray, c: float) -> Spray:
+    """The projective change G + c |y| y of the level-0 spray ``s``.
+
+    P = c |y| is positively 1-homogeneous, so the geodesic traces stay and
+    their parametrisation changes (Shen, *Differential Geometry of Spray and
+    Finsler Spaces*, 2001).  The new spray is neither reversible nor quadratic.
+    """
+
+    def coeff(pos, vel):
+        speed = jnorm(vel)
+        return [g + c * speed * y for g, y in zip(s.coeff_fn(pos, vel), vel)]
+
+    return Spray(level=0, dim=s.dim, coeff_fn=coeff, tag=f"projective({s.tag},{c})",
+                 domain=s.domain)
+
+
+@pytest.mark.parametrize("lam", [2.0, 0.5])
+def test_projective_sphere_is_exactly_2_homogeneous(lam):
+    # the scalings by powers of 2 are exact, and so is sqrt on them
+    s = projective(make_sphere(), 0.1)
+    assert homogeneity_check(s, JetPoint(1, 2, [1.2, 0.4, 0.3, 1.0]), lam) == 0.0
 
 
 def test_homogeneity_rejects_nonpositive_scale():
@@ -301,7 +313,7 @@ def test_acceleration_jet_traces_the_lift_once(monkeypatch):
 
 
 def test_riemannian_assembly_uses_christoffels():
-    chris = sphere_christoffels()
+    chris = spray_mod.round_sphere_christoffels(2)
     s = make_riemannian(chris, tag="sphere-by-hand")
     sph = make_sphere()
     rng = np.random.default_rng(3)
@@ -352,7 +364,6 @@ def test_pushforward_spray_preserves_geodesic_images():
 def test_lift_tags_and_parents():
     s = make_sphere()
     lifted = complete_lift(s)
-    assert lifted.parent is s
     assert "sphere" in lifted.tag
     back = project_spray(lifted)
     assert "sphere" in back.tag

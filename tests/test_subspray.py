@@ -9,13 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sprayjets import (EPS_SLASHED, DomainError, InconsistentTrajectoryError,
-                       IntegrationBlowupError, JetPoint, Spray, acceleration_jet, integrate,
-                       make_finsler_example, make_flat, make_sphere, pushforward,
+                       IntegrationBlowupError, JetPoint, Spray, acceleration_jet, complete_lift,
+                       integrate, make_finsler_example, make_flat, make_sphere, pushforward,
                        pushforward_spray, shear_chart)
 from sprayjets import subspray as sub
 from sprayjets.geodesic import Trajectory
-from sprayjets.jets import Dual, jet_re
+from sprayjets.jets import Dual, jet_du, jet_re
 from sprayjets.subspray import CONSTRAINTS, MembershipRejection, MembershipResult
+from test_geodesic import _dual_reference_integrate
+from test_spray import projective
 
 SPHERE_X0, SPHERE_V0 = [1.2, 0.4], [0.3, 1.0]
 
@@ -657,6 +659,92 @@ def test_parallel_jacobi_curve_is_one_run_whose_carrier_is_the_centre(monkeypatc
     assert pj.center.reintegration_deviation == centre.reintegration_deviation
 
 
+# spray, base point, base velocity; the Finsler start is slow enough that its
+# drag does not blow up within t = -1
+FAMILY_CASES = {
+    "sphere": CURVES["sphere"],
+    "finsler": (make_finsler_example((0.3, 1.0)), [0.1, 0.2], [0.3, -0.2]),
+    "pushed-sphere": CURVES["pushed"],
+    "flat": CURVES["flat"],
+}
+
+
+def _family_through(x0, v0, d):
+    """The family through (x0, v0, 1.1, -0.3) whose sigma-derivative is d = (dx, dv, dalpha, dbeta)."""
+    x0, v0, d = np.asarray(x0, dtype=float), np.asarray(v0, dtype=float), np.asarray(d, dtype=float)
+    return lambda sig: (x0 + sig * d[0:2], v0 + sig * d[2:4], 1.1 + sig * d[4], -0.3 + sig * d[5])
+
+
+def _value_and_rate(z):
+    """The primal and tangent parts of the entries of ``z``, a Dual or an array of them."""
+    z = np.ravel(z)
+    return [jet_re(w) for w in z], [jet_du(w) for w in z]
+
+
+@pytest.mark.parametrize("span", [1.0, -1.0])
+@pytest.mark.parametrize("name", list(FAMILY_CASES))
+def test_family_field_is_the_dual_rk4_run(name, span):
+    # the field is exactly the sigma-derivative of the discrete run: the RK4
+    # run of S^cc on the Dual jet delta_coordinates(family(Dual(0, 1))), whose
+    # value part is the centre curve and whose eps part is the field
+    s, x0, v0 = FAMILY_CASES[name]
+    fam = _family_through(x0, v0, 0.3 * np.random.default_rng(0).standard_normal(6))
+    pj = sub.parallel_jacobi_curve(s, fam, (0.0, span), 1e-2)
+    xi = sub.delta_coordinates(s, *fam(np.array(Dual(0.0, 1.0), dtype=object)))
+    n = xi.size // 2
+    (x, dx), (v, dv) = _value_and_rate(xi[:n]), _value_and_rate(xi[n:])
+    times, positions, *_ = _dual_reference_integrate(
+        complete_lift(complete_lift(s)), JetPoint(s.level + 4, s.dim, x + dx + v + dv),
+        (0.0, span), 1e-2)
+    assert pj.values.shape == (len(times), n)
+    assert np.max(np.abs(pj.times - times)) == 0.0
+    assert np.max(np.abs(pj.center.traj.positions - positions[:, :n])) == 0.0
+    assert np.max(np.abs(pj.values - positions[:, n:])) == 0.0
+
+
+def _closed_form_family_field(s, family, t_span, h):
+    """Property 1's family field at sigma = 0, from one run of the lift.
+
+    The P-geodesic through (x0, v0, alpha, beta) is (x, v, A v, A a + beta v)
+    with A = alpha + beta t, so the field is
+    (J, J', dA v + A J', dA a + A J'' + dbeta v + beta J') with
+    dA = dalpha + dbeta t, and J, J', J'' come from the run of the lift from
+    (x0, dx0; v0, dv0).
+    """
+    x0, v0, al, be = family(np.array(Dual(0.0, 1.0), dtype=object))
+    (x, dx), (v, dv) = _value_and_rate(x0), _value_and_rate(v0)
+    ((al,), (dal,)), ((be,), (dbe,)) = _value_and_rate(al), _value_and_rate(be)
+    tr = integrate(complete_lift(s), JetPoint(s.level + 2, s.dim, x + dx + v + dv), t_span, h)
+    m = s.fiber_dim
+    t = tr.times[:, None]
+    vel, jac = tr.velocities[:, :m], tr.positions[:, m:]
+    acc, rate, jolt = tr.accelerations[:, :m], tr.velocities[:, m:], tr.accelerations[:, m:]
+    a, da = al + be * t, dal + dbe * t
+    return np.hstack([jac, rate, da * vel + a * rate, da * acc + a * jolt + dbe * vel + be * rate])
+
+
+@pytest.mark.parametrize("name", ["sphere", "finsler", "pushed-sphere"])
+@settings(max_examples=3)
+@given(d=st.lists(st.floats(-1.0, -0.1) | st.floats(0.1, 1.0), min_size=6, max_size=6))
+def test_family_field_converges_to_the_closed_form_at_order_4(name, d):
+    # J is bitwise the first block of both.  The other three are positions of
+    # the P-geodesic run that the closed form takes from the lift's velocities
+    # and accelerations, so their gap is RK4's error: a factor of 16 per
+    # halving of h.  A shift along a symmetry of the spray (the longitude on
+    # the sphere, any dx0 on the Finsler example) has a gap of exactly 0, so
+    # every component of d is kept away from 0.  On flat RK4 is exact on the
+    # field, which leaves rounding
+    s, x0, v0 = FAMILY_CASES[name]
+    fam = _family_through(x0, v0, d)
+    gaps = []
+    for h in (4e-2, 2e-2, 1e-2, 5e-3):
+        gap = (sub.parallel_jacobi_curve(s, fam, (0.0, 2.0), h).values
+               - _closed_form_family_field(s, fam, (0.0, 2.0), h))
+        assert not np.any(gap[:, :s.fiber_dim])
+        gaps.append(np.max(np.abs(gap)))
+    assert all(coarse >= 12.0 * fine for coarse, fine in zip(gaps, gaps[1:]))
+
+
 @pytest.mark.parametrize("name", list(CURVES))
 def test_dual_entries_keep_the_float_jet_as_primal(name):
     s, x0, v0 = CURVES[name]
@@ -772,6 +860,19 @@ def test_completeness_probe_raises_a_coefficient_failure():
             singular, [{"label": "pole", "x0": [0.5], "v0": [-1.0], "alpha": 1.0, "beta": 0.5}],
             2.0, 0.25)
     assert isinstance(err.value.__cause__, ZeroDivisionError)
+
+
+def test_projective_sphere_leaves_the_chart_backward_in_both_runs():
+    # G + 0.1 |y| y speeds a geodesic up without bound backward (at t = -5
+    # on the unit-speed equator); both runs leave the chart at the same node
+    s = projective(make_sphere(), 0.1)
+    rows = sub.completeness_probe(
+        s, [{"label": "equator", "x0": [np.pi / 2, 0.0], "v0": [0.0, 1.0], "alpha": 1.3, "beta": -0.7},
+            {"label": "tilted", "x0": [1.2, 0.4], "v0": [0.3, 1.0], "alpha": 1.3, "beta": -0.7}],
+        -8.0, 1e-2)
+    for row, end in zip(rows, (-5.01, -4.79)):
+        assert row["base_exit"] == row["sub_exit"] == "domain"
+        assert row["base_time"] == row["sub_time"] == pytest.approx(end, abs=1e-12)
 
 
 def test_dimension_probe_ranks():
