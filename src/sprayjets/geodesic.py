@@ -248,11 +248,12 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
     ``tape`` is the recording a traced kernel keeps
     (:func:`~sprayjets.jets.compile_trace`).  With it, each stage
     evaluation and the node's acceleration run their own copy of the
-    kernel's kept statements (:func:`~sprayjets.jets.kept_lines`) instead
-    of calling ``f``, and a copy that raises ends the run as a call that
-    raises would.  The copies perform the kernel's operations on the same
-    values, so every result is bitwise that of the loop calling the
-    kernel.  The loop's source is registered under ``filename``.
+    kernel's lines (:func:`~sprayjets.jets.kept_lines`: its kept
+    statements, folded as in the kernel) instead of calling ``f``, and a
+    copy that raises ends the run as a call that raises would.  The copies
+    perform the kernel's operations on the same values, so every result is
+    bitwise that of the loop calling the kernel.  The loop's source is
+    registered under ``filename``.
     """
 
     def each(template: str) -> list[str]:

@@ -20,17 +20,22 @@ lift the outer lift's layer sits inside the inner one's.
 have a name but no value, and records every float operation and math call
 that the nested ``Dual`` arithmetic performs, in order and with its exact
 operands.  The recording becomes one function of straight-line float
-statements, with two savings: a statement that repeats an earlier one
-(same operator, same operands, same order) is dropped and its readers
-read the earlier result, and a temporary's local is reused once its last
-reader has run.  No operation is moved, reordered or added.  On float
-inputs the function performs the same IEEE operations in the same order
-as the ``Dual`` evaluation, less the repeats, whose results it already
-holds, so every component of its result, primal, tangent and mixed, is
-bitwise equal by construction.  Control flow that depends on a value
-cannot be recorded: a ``Sym`` raises :class:`~sprayjets.errors.TraceError`
-when it is compared, tested for truth or converted to a number, and the
-evaluator is then not compiled.
+code, with three savings: a statement that repeats an earlier one (same
+operator, same operands, same order) is dropped and its readers read the
+earlier result; a temporary that cannot raise and has one reader is
+written into that reader's expression, not on a line of its own; and a
+local is reused once its last reader has run.  No operation is added.
+On float inputs the function performs the same IEEE operations on the
+same operands as the ``Dual`` evaluation, less the repeats, whose results
+it already holds, so every component of its result, primal, tangent and
+mixed, is bitwise equal by construction.  Parentheses keep the recorded
+association, and only operations that cannot raise are moved: those that
+can (division, powers, math calls) run in the recorded order, each on its
+own line, so the function raises the exception the evaluation raises
+first and its traceback shows that line.  Control flow that depends on a
+value cannot be recorded: a ``Sym`` raises
+:class:`~sprayjets.errors.TraceError` when it is compared, tested for
+truth or converted to a number, and the evaluator is then not compiled.
 
 The program keeps its recording, and :func:`fan_program` builds from it
 the program of several tangents over one carrier: vector forward mode,
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 import linecache
 import math
+from collections import Counter
 
 from .errors import TraceError
 
@@ -235,14 +241,6 @@ class _Tape:
         return self.fresh(op, x, y)
 
 
-def _line(target: str, op: str, operands: tuple[str, ...]) -> str:
-    if len(operands) == 2:
-        return f"{target} = {operands[0]} {op} {operands[1]}"
-    if op == "-":
-        return f"{target} = -{operands[0]}"
-    return f"{target} = {op}({operands[0]})"
-
-
 class Sym:
     """A traced scalar: a name on a tape, with no value.
 
@@ -337,6 +335,64 @@ def _drop_repeats(stmts, outputs):
     return kept, [alias.get(z, z) for z in outputs]
 
 
+# How tightly Python binds a binary operator's expression; unary minus
+# binds tighter than any but **, and a name or a call tightest.
+_BINDS = {"+": 1, "-": 1, "*": 2, "/": 2, "**": 4}
+_NEG, _ATOM = 3, 5
+
+# The deepest a line nests folded statements: far inside the parser's
+# limit of nested parentheses and the compiler's recursion limit.
+_MAX_DEPTH = 32
+
+
+def _expression(op: str, parts):
+    """The template of ``op`` on ``parts``, each a (template, binding) pair, and its binding.
+
+    Operands are parenthesised so that Python groups the expression as
+    the tape recorded it: a left operand that binds less tightly than the
+    operator, a right one that binds no more tightly (so every base and
+    exponent of ``**`` that is not a name), and an operand of unary minus
+    that is not a name.
+    """
+    if len(parts) == 2:
+        (left, lb), (right, rb) = parts
+        binds = _BINDS[op]
+        left = left if lb >= binds else f"({left})"
+        right = right if rb > binds else f"({right})"
+        return f"{left} {op} {right}", binds
+    (arg, binds), = parts
+    if op == "-":
+        return (f"-{arg}" if binds == _ATOM else f"-({arg})"), _NEG
+    return f"{op}({arg})", _ATOM
+
+
+def _fold(stmts, outputs, quiet):
+    """``stmts`` as lines ``(target, template, reads)``, quiet temporaries folded into their reader.
+
+    A statement is folded when its op is in ``quiet`` (ops that cannot
+    raise), its target is read by exactly one operand of one statement and
+    is no output, and it nests fewer than ``_MAX_DEPTH`` statements.  Its
+    expression then stands in its reader's line in place of its name, so
+    it runs later than recorded, but on the same values, and a raising
+    statement, which always keeps a line, still runs in tape order.  Each
+    line is ``target = template.format(*reads)``, ``reads`` naming the
+    values the line reads, from left to right.
+    """
+    readers = Counter(a for _, _, operands in stmts for a in operands)
+    held = {}  # folded target -> template, reads, binding, depth
+    lines = []
+    for target, op, operands in stmts:
+        parts = [held.pop(a, ("{}", (a,), _ATOM, 0)) for a in operands]
+        template, binds = _expression(op, [(t, b) for t, _, b, _ in parts])
+        reads = tuple(r for _, rs, _, _ in parts for r in rs)
+        depth = 1 + max(d for *_, d in parts)
+        if op in quiet and readers[target] == 1 and target not in outputs and depth < _MAX_DEPTH:
+            held[target] = template, reads, binds, depth
+        else:
+            lines.append((target, template, reads))
+    return lines
+
+
 def _reuse_locals(stmts, inputs, outputs):
     """``stmts`` and ``outputs`` with each local reused once its value is dead.
 
@@ -375,13 +431,15 @@ def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
     ``fn`` itself and meets the same failure there if it was a real one.
 
     Between recording and code generation, statements that repeat an
-    earlier one are dropped (:func:`_drop_repeats`) and locals are reused
-    (:func:`_reuse_locals`); no operation is moved, merged or added.  The
-    source is registered with :mod:`linecache` under ``filename``, one
-    statement per line, so tracebacks show the failing statement; its
-    first line gives the recorded and kept statement counts.  The function
-    keeps its recording as its ``tape`` attribute, from which
-    :func:`fan_program` builds without tracing again.
+    earlier one are dropped (:func:`_drop_repeats`), quiet temporaries are
+    folded into their one reader (:func:`_fold`) and locals are reused
+    (:func:`_reuse_locals`); no operation is added, and none that can raise
+    is moved.  The source is registered with :mod:`linecache` under
+    ``filename``, each operation that can raise on a line of its own, so
+    tracebacks show the failing statement; its first line gives the
+    recorded and kept statement counts.  The function keeps its recording
+    as its ``tape`` attribute, from which :func:`fan_program` builds
+    without tracing again.
     """
 
     tape = _Tape()
@@ -415,12 +473,13 @@ def fan_program(tape: _Tape, m: int, filename: str):
     the whole tape in tape order, with the statements that are not
     carrier-only renamed to copy 0; each copy k > 0 follows with those
     statements only, renamed to copy k and in tape order.  Repeats are
-    dropped and locals reused as in :func:`compile_trace`.  Every statement
-    of copy k applies the same operator to the same values as the tape does
-    on (carrier, tangent k), since a carrier-only value never depends on a
-    tangent, so copy k's outputs are bitwise those of the tape's own
-    program.  This is vector forward mode: the primal once, the tangent
-    statements once per direction.
+    dropped, temporaries folded and locals reused as in
+    :func:`compile_trace`.  Every statement of copy k applies the same
+    operator to the same values as the tape does on (carrier, tangent k),
+    since a carrier-only value never depends on a tangent, so copy k's
+    outputs are bitwise those of the tape's own program.  This is vector
+    forward mode: the primal once, the tangent statements once per
+    direction.
 
     Copy 0 is the tape's program on (carrier, tangent 0), and copy k > 0 is
     that program on (carrier, tangent k) less the carrier-only statements,
@@ -474,18 +533,27 @@ def kept_lines(stmts, pos, vel, out, namespace, sources, suffix=""):
 
     The first line is a comment with the recorded and kept statement
     counts.  The next two unpack the inputs ``pos`` and ``vel`` from the
-    expressions ``sources`` (two sequences); the rest are the statements
-    that :func:`_drop_repeats` keeps, with locals reused by
-    :func:`_reuse_locals`.  Every name that ``namespace`` does not bind
-    gets ``suffix``, so copies with different suffixes can run in one
-    function without sharing a local.  The expressions give ``out`` in
-    order; when ``namespace`` binds a numpy scalar constant, which makes
-    numpy scalars of what it touches, each is wrapped in ``float(...)``,
-    the Python float of the same value.
+    expressions ``sources`` (two sequences); the rest run the statements
+    that :func:`_drop_repeats` keeps, folded by :func:`_fold`, with locals
+    reused by :func:`_reuse_locals`.  Binary ``+``, ``-`` and ``*`` and
+    unary minus are folded when every constant is a Python float or an int
+    below 2**1023 in magnitude: then they cannot raise on float inputs.  Every
+    name that ``namespace`` does not bind gets ``suffix``, so copies with
+    different suffixes can run in one function without sharing a local.
+    The expressions give ``out`` in order; when ``namespace`` binds a numpy
+    scalar constant, which makes numpy scalars of what it touches and can
+    raise on any operation under ``np.errstate``, nothing is folded and
+    each output is wrapped in ``float(...)``, the Python float of the same
+    value.
     """
 
     kept, out = _drop_repeats(stmts, out)
-    kept, out = _reuse_locals(kept, pos + vel, out)
+    consts = [c for c in namespace.values() if not callable(c)]
+    numeric = all(type(c) in _NUMERIC for c in consts)
+    # an int operand raises only when it is too large for a float
+    quiet = ("+", "-", "*") if numeric and all(
+        type(c) is float or abs(c) < 2 ** 1023 for c in consts) else ()
+    folded, out = _reuse_locals(_fold(kept, set(out), quiet), pos + vel, out)
 
     def local(z):
         return z if z in namespace else z + suffix
@@ -493,10 +561,10 @@ def kept_lines(stmts, pos, vel, out, namespace, sources, suffix=""):
     lines = [f"# {len(stmts)} recorded, {len(kept)} kept"]
     lines += [f"{''.join(local(z) + ', ' for z in names)}= {src}"
               for names, src in zip((pos, vel), sources)]
-    lines += [_line(local(target), op, tuple(map(local, operands)))
-              for target, op, operands in kept]
+    lines += [f"{local(target)} = {template.format(*map(local, reads))}"
+              for target, template, reads in folded]
     out = [local(z) for z in out]
-    if any(type(c) not in _NUMERIC for c in namespace.values() if not callable(c)):
+    if not numeric:
         out = [f"float({z})" for z in out]
     return lines, out
 

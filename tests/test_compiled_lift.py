@@ -5,6 +5,7 @@ from its coefficient evaluator, at level 0 as well as on the nested
 ``Dual`` evaluation of a lift and through the chart jets of a pushed spray.
 """
 
+import ast
 import linecache
 import math
 import operator
@@ -22,7 +23,8 @@ from sprayjets import (IntegrationBlowupError, JetPoint, Spray, acceleration_jet
                        pushforward_spray, shear_chart)
 from sprayjets import spray as spray_mod
 from sprayjets.errors import TraceError
-from sprayjets.jets import Sym, _Tape, compile_trace, jet_re, jexp, jlog, jsqrt
+from sprayjets.jets import (Sym, _Tape, compile_trace, fan_program, jdot, jet_re, jexp, jlog, jsin,
+                            jsqrt)
 from sprayjets.spray import dual_lift
 
 
@@ -323,7 +325,7 @@ def test_numpy_constant_leaves_the_state_python_floats():
     assert isinstance(err.value.__cause__, ZeroDivisionError)
 
 
-# --- the lean program: repeats dropped, locals reused ------------------------
+# --- the lean program: repeats dropped, temporaries folded, locals reused ---
 
 
 def _source(program):
@@ -373,21 +375,201 @@ def test_repeated_numpy_constant_returns_python_floats():
     assert _outcome(program, [3.0], [1.0]) == _outcome(fn, [3.0], [1.0])
 
 
+# the lines that run the kept statements of the sphere kernel at each level
+SPHERE_LINES = {1: 15, 2: 35, 3: 75}
+
+
+def _operations(source):
+    """The operators and calls in ``source``: one per kept statement it runs."""
+    return sum(isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call))
+               for node in ast.walk(ast.parse("".join(source))))
+
+
 @pytest.mark.parametrize("level, recorded, kept", [(1, 53, 50), (2, 162, 150), (3, 498, 458)])
 def test_sphere_programs_evaluate_each_operand_once(level, recorded, kept):
     kernel = _lift(make_sphere(), level).kernel
     source = _source(kernel)
     assert source[0] == f"# {recorded} recorded, {kept} kept\n"
-    # the def, two unpacking lines, one line per kept statement, the return
-    assert len(source) == 1 + 3 + kept + 1
+    # the def, two unpacking lines, the kept statements folded into fewer
+    # lines, the return; each kept statement runs once, none is added
+    assert len(source) == 1 + 3 + SPHERE_LINES[level] + 1
+    assert _operations(source) == kept
     # sin and cos of the colatitude, once each at every level
     text = "".join(source)
     assert text.count("sin(") == text.count("cos(") == 1
 
 
 def test_sphere_level3_program_reuses_its_locals():
-    # one local per recorded temporary would be 532
-    assert _lift(make_sphere(), 3).kernel.__code__.co_nlocals <= 70
+    # one local per recorded temporary would be 532; 84 measured
+    assert _lift(make_sphere(), 3).kernel.__code__.co_nlocals <= 84
+
+
+def _result(fn, *args):
+    """The result bytes, or the type and message of the exception raised."""
+    try:
+        return np.asarray(fn(*args), dtype=float).tobytes()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _nested_differences(pos, vel):
+    # v299 - (v298 - (... - (v0 - x))): each right operand is the previous difference
+    acc = pos[0]
+    for v in vel:
+        acc = v - acc
+    return [acc]
+
+
+@pytest.mark.parametrize("fn, n_pos, n_vel", [(lambda pos, vel: [jdot(pos, vel)], 3000, 3000),
+                                              (_nested_differences, 1, 300)])
+def test_long_single_reader_chains_compile(fn, n_pos, n_vel):
+    # folded whole, the 3000-term dot product would overflow the compiler's
+    # recursion and the 300-deep difference the parser's nested parentheses
+    program = compile_trace(fn, n_pos, n_vel, "<chain>")
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        pos, vel = rng.normal(size=n_pos).tolist(), rng.normal(size=n_vel).tolist()
+        assert _result(program, pos, vel) == _result(fn, pos, vel)
+
+
+def _product_then_division(pos, vel):
+    # the product's one reader is the second division, which runs after the
+    # sqrt; the first division's one reader runs after both
+    p = pos[0] * vel[0]
+    q = vel[0] / pos[0]
+    return [jsqrt(pos[1]), p / vel[1] + q]
+
+
+def test_folded_product_keeps_the_first_exception():
+    program = compile_trace(_product_then_division, 2, 2, "<product-then-division>")
+    # the product is folded into the division; the divisions and the sqrt keep their lines
+    assert "".join(_source(program)[4:8]) == ("    t5 = t2 / t0\n"
+                                              "    t1 = sqrt(t1)\n"
+                                              "    t3 = t0 * t2 / t3\n"
+                                              "    t5 = t3 + t5\n")
+    for x in (0.0, 2.0):
+        for pos, vel in (([x, -1.0], [3.0, 0.0]), ([x, 1.0], [3.0, 0.0]),
+                         ([x, -1.0], [3.0, 4.0]), ([x, 1.0], [3.0, 4.0])):
+            assert _result(program, pos, vel) == _result(_product_then_division, pos, vel)
+    assert _result(program, [0.0, -1.0], [3.0, 0.0])[0] is ZeroDivisionError
+    assert _result(program, [2.0, -1.0], [3.0, 0.0])[0] is ValueError
+    assert _result(program, [2.0, 1.0], [3.0, 0.0])[0] is ZeroDivisionError
+
+
+def _numpy_overflow(pos, vel):
+    # the numpy product overflows before the sqrt fails; folded into the
+    # last line, it would run after the sqrt
+    p = np.float64(1e300) * pos[0]
+    return [jsqrt(vel[0]), p * pos[0]]
+
+
+def _huge_int(pos, vel):
+    # a float times an int too large for a float raises OverflowError
+    p = 10 ** 400 * pos[0]
+    return [jsqrt(vel[0]), p * pos[0]]
+
+
+@pytest.mark.parametrize("fn, first", [(_numpy_overflow, FloatingPointError),
+                                       (_huge_int, OverflowError)])
+def test_constants_that_can_raise_fold_nothing(fn, first):
+    program = compile_trace(fn, 1, 1, f"<{fn.__name__}>")
+    source = _source(program)
+    assert source[0] == "# 3 recorded, 3 kept\n"
+    assert len(source) == 1 + 3 + 3 + 1
+    with np.errstate(all="raise"):
+        for pos, vel in (([1e10], [-1.0]), ([1e10], [4.0]), ([2.0], [-1.0]), ([2.0], [4.0])):
+            assert _result(program, pos, vel) == _result(fn, pos, vel)
+        assert _result(program, [1e10], [-1.0])[0] is first
+
+
+# an int constant other than 0 could grow without bound in the int
+# arithmetic done while tracing, and inf would hide most values behind inf
+# and nan; the inputs still draw inf and nan
+_DAG_CONSTANTS = (0.0, -0.0, 0, 1.0, -2.5)
+_DAG_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+            "neg": operator.neg, "sin": jsin, "sqrt": jsqrt}
+
+
+@st.composite
+def _dags(draw):
+    """(h, nodes, outputs): an expression DAG on 2h positions and 2h velocities.
+
+    The values are the positions, the velocities, ``_DAG_CONSTANTS`` and
+    each node in turn; a node is an op of ``_DAG_OPS`` and the indices of
+    the values it reads.  The second half of the outputs is some values
+    and every node that no node reads, so that each node reaches an
+    output; the first half, as long, is carrier-only: it reads only the
+    first h of each input, so a fan exists.
+    """
+    h = draw(st.integers(1, 2))
+    carrier = [*range(h), *range(2 * h, 3 * h),
+               *range(4 * h, 4 * h + len(_DAG_CONSTANTS))]
+    size, nodes = 4 * h + len(_DAG_CONSTANTS), []
+    for _ in range(draw(st.integers(1, 30))):
+        op = draw(st.sampled_from(sorted(_DAG_OPS)))
+        # the newest value half the time, so that chains of single readers form
+        pick = st.one_of(st.just(size - 1), st.integers(0, size - 1))
+        args = tuple(draw(pick) for _ in range(2 if op in "+-*/" else 1))
+        if all(a in carrier for a in args):
+            carrier.append(size)
+        nodes.append((op, args))
+        size += 1
+    read = {a for _, args in nodes for a in args}
+    tangent = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3))
+    tangent += [i for i in range(size - len(nodes), size) if i not in read]
+    n = len(tangent)
+    return h, nodes, draw(st.lists(st.sampled_from(carrier), min_size=n, max_size=n)) + tangent
+
+
+def _dag_fn(nodes, outputs):
+    def fn(pos, vel):
+        values = [*pos, *vel, *_DAG_CONSTANTS]
+        for op, args in nodes:
+            values.append(_DAG_OPS[op](*(values[a] for a in args)))
+        return [values[a] for a in outputs]
+
+    return fn
+
+
+_DAG_VALUE = st.one_of(st.sampled_from([0.0, -0.0, -1.0, math.inf, math.nan]),
+                       st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dags(), st.data())
+def test_random_dag_programs_are_the_plain_evaluation(dag, data):
+    h, nodes, outputs = dag
+    fn = _dag_fn(nodes, outputs)
+    half = st.lists(_DAG_VALUE, min_size=h, max_size=h)
+    program = compile_trace(fn, 2 * h, 2 * h, "<dag>")
+    if program is None:
+        # an operation on constants alone failed while tracing, and fails everywhere
+        pos, vel = data.draw(half) * 2, data.draw(half) * 2
+        assert isinstance(_result(fn, pos, vel), tuple)
+        return
+    x, v = data.draw(half), data.draw(half)
+    tangents = data.draw(st.lists(st.tuples(half, half), min_size=3, max_size=3))
+    for xi, eta in tangents:
+        assert _result(program, x + xi, v + eta) == _result(fn, x + xi, v + eta)
+    for m in range(1, 4):
+        fan = fan_program(program.tape, m, f"<dag fan m={m}>")
+        want = []
+        for xi, eta in tangents[:m]:
+            want.append(_result(fn, x + xi, v + eta))
+            if isinstance(want[-1], tuple):
+                # the exception of the first tangent whose evaluation raises
+                want = want[-1]
+                break
+        got = _result(fan, x + [z for xi, _ in tangents[:m] for z in xi],
+                      v + [z for _, eta in tangents[:m] for z in eta])
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert isinstance(got, bytes)
+        k = len(outputs) // 2
+        out = np.frombuffer(got, dtype=float)
+        for j, w in enumerate(want):
+            assert np.concatenate([out[:k], out[(j + 1) * k:(j + 2) * k]]).tobytes() == w
 
 
 # --- the fan program: one carrier, m tangents -------------------------------
