@@ -20,11 +20,12 @@ lift the outer lift's layer sits inside the inner one's.
 have a name but no value, and records every float operation and math call
 that the nested ``Dual`` arithmetic performs, in order and with its exact
 operands.  The recording becomes one function of straight-line float
-code, with three savings: a statement that repeats an earlier one (same
-operator, same operands, same order) is dropped and its readers read the
-earlier result; a temporary that cannot raise and has one reader is
-written into that reader's expression, not on a line of its own; and a
-local is reused once its last reader has run.  No operation is added.
+code, emitted in two passes: a statement that repeats an earlier one
+(same operator, same operands, same order) is dropped and its readers
+read the earlier result; then a temporary that cannot raise and has one
+reader is written into that reader's expression, not on a line of its
+own.  Every other statement keeps a line, which assigns the statement's
+tape name.  No operation is added.
 On float inputs the function performs the same IEEE operations on the
 same operands as the ``Dual`` evaluation, less the repeats, whose results
 it already holds, so every component of its result, primal, tangent and
@@ -393,31 +394,6 @@ def _fold(stmts, outputs, quiet):
     return lines
 
 
-def _reuse_locals(stmts, inputs, outputs):
-    """``stmts`` and ``outputs`` with each local reused once its value is dead.
-
-    A value dies at its last reader (an unread one at once); outputs live
-    until the return, and the names of constants are left alone.  A
-    statement may write to the local of an operand it reads for the last
-    time, since Python evaluates the right side first.
-    """
-    last = {a: i for i, (_, _, operands) in enumerate(stmts) for a in operands}
-    last.update((z, len(stmts)) for z in outputs)
-    local = {name: name for name in inputs}
-    free = [name for name in reversed(inputs) if name not in last]
-    renamed = []
-    for i, (target, op, operands) in enumerate(stmts):
-        reads = tuple(local.get(a, a) for a in operands)
-        for a in dict.fromkeys(operands):
-            if last[a] == i and a in local:
-                free.append(local.pop(a))
-        local[target] = free.pop() if free else target
-        renamed.append((local[target], op, reads))
-        if target not in last:
-            free.append(local.pop(target))
-    return renamed, [local.get(z, z) for z in outputs]
-
-
 def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
     """Straight-line float code recorded from one evaluation of ``fn(pos, vel)``.
 
@@ -431,15 +407,15 @@ def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
     ``fn`` itself and meets the same failure there if it was a real one.
 
     Between recording and code generation, statements that repeat an
-    earlier one are dropped (:func:`_drop_repeats`), quiet temporaries are
-    folded into their one reader (:func:`_fold`) and locals are reused
-    (:func:`_reuse_locals`); no operation is added, and none that can raise
-    is moved.  The source is registered with :mod:`linecache` under
-    ``filename``, each operation that can raise on a line of its own, so
-    tracebacks show the failing statement; its first line gives the
-    recorded and kept statement counts.  The function keeps its recording
-    as its ``tape`` attribute, from which :func:`fan_program` builds
-    without tracing again.
+    earlier one are dropped (:func:`_drop_repeats`) and quiet temporaries
+    are folded into their one reader (:func:`_fold`); no operation is
+    added, and none that can raise is moved.  Each line assigns the tape
+    name of its statement.  The source is registered with
+    :mod:`linecache` under ``filename``, each operation that can raise on
+    a line of its own, so tracebacks show the failing statement; its first
+    line gives the recorded and kept statement counts.  The function keeps
+    its recording as its ``tape`` attribute, from which :func:`fan_program`
+    builds without tracing again.
     """
 
     tape = _Tape()
@@ -473,13 +449,12 @@ def fan_program(tape: _Tape, m: int, filename: str):
     the whole tape in tape order, with the statements that are not
     carrier-only renamed to copy 0; each copy k > 0 follows with those
     statements only, renamed to copy k and in tape order.  Repeats are
-    dropped, temporaries folded and locals reused as in
-    :func:`compile_trace`.  Every statement of copy k applies the same
-    operator to the same values as the tape does on (carrier, tangent k),
-    since a carrier-only value never depends on a tangent, so copy k's
-    outputs are bitwise those of the tape's own program.  This is vector
-    forward mode: the primal once, the tangent statements once per
-    direction.
+    dropped and temporaries folded as in :func:`compile_trace`.  Every
+    statement of copy k applies the same operator to the same values as
+    the tape does on (carrier, tangent k), since a carrier-only value
+    never depends on a tangent, so copy k's outputs are bitwise those of
+    the tape's own program.  This is vector forward mode: the primal once,
+    the tangent statements once per direction.
 
     Copy 0 is the tape's program on (carrier, tangent 0), and copy k > 0 is
     that program on (carrier, tangent k) less the carrier-only statements,
@@ -534,8 +509,8 @@ def kept_lines(stmts, pos, vel, out, namespace, sources, suffix=""):
     The first line is a comment with the recorded and kept statement
     counts.  The next two unpack the inputs ``pos`` and ``vel`` from the
     expressions ``sources`` (two sequences); the rest run the statements
-    that :func:`_drop_repeats` keeps, folded by :func:`_fold`, with locals
-    reused by :func:`_reuse_locals`.  Binary ``+``, ``-`` and ``*`` and
+    that :func:`_drop_repeats` keeps, folded by :func:`_fold`, each line
+    assigning its statement's tape name.  Binary ``+``, ``-`` and ``*`` and
     unary minus are folded when every constant is a Python float or an int
     below 2**1023 in magnitude: then they cannot raise on float inputs.  Every
     name that ``namespace`` does not bind gets ``suffix``, so copies with
@@ -553,7 +528,7 @@ def kept_lines(stmts, pos, vel, out, namespace, sources, suffix=""):
     # an int operand raises only when it is too large for a float
     quiet = ("+", "-", "*") if numeric and all(
         type(c) is float or abs(c) < 2 ** 1023 for c in consts) else ()
-    folded, out = _reuse_locals(_fold(kept, set(out), quiet), pos + vel, out)
+    folded = _fold(kept, set(out), quiet)
 
     def local(z):
         return z if z in namespace else z + suffix

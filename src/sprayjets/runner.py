@@ -83,6 +83,8 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
         raise ValueError(f"unknown manifold {cfg.manifold!r}; pick one of {MANIFOLDS}")
     if cfg.dim < 1:
         raise ValueError("dim must be at least 1")
+    if cfg.seed < 0:
+        raise ValueError("seed must be non-negative")
     return cfg
 
 

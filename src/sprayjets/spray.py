@@ -16,11 +16,14 @@ always runs it.  Float accelerations run instead each spray's
 spray's first float evaluation.  Level-0, lifted, projected and pushed
 sprays have one, since tracing runs straight through nested ``Dual``
 arithmetic and ``jet_apply``.  The program is a recording of the same
-operations in the same order, with repeated statements dropped and
-locals reused but no operation moved, so its results are bitwise equal
-by construction.  An evaluator whose control flow depends on a value (a
-branch on ``jet_re(...)``, a comparison) refuses tracing, and its kernel
-evaluates ``coeff_fn`` itself.
+operations on the same operands, with repeated statements dropped and
+each operation that cannot raise and has one reader folded into that
+reader's expression; operations that can raise keep their own lines in
+tape order.  So its results are bitwise equal by construction, and it
+raises the exception the ``Dual`` evaluation raises first.  An evaluator
+whose control flow depends on a value (a branch on ``jet_re(...)``, a
+comparison) refuses tracing, and its kernel evaluates ``coeff_fn``
+itself.
 
 Every float acceleration runs compiled statements, so outside the
 kernels of refused evaluators no acceleration runs ``Dual`` arithmetic

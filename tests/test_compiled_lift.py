@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from sprayjets import (IntegrationBlowupError, JetPoint, Spray, acceleration_jet, complete_lift,
                        conjugate_search, integrate, make_finsler_example, make_flat, make_sphere,
                        pushforward_spray, shear_chart)
+from sprayjets import geodesic
 from sprayjets import spray as spray_mod
 from sprayjets.errors import TraceError
 from sprayjets.jets import (Sym, _Tape, compile_trace, fan_program, jdot, jet_re, jexp, jlog, jsin,
@@ -325,7 +326,7 @@ def test_numpy_constant_leaves_the_state_python_floats():
     assert isinstance(err.value.__cause__, ZeroDivisionError)
 
 
-# --- the lean program: repeats dropped, temporaries folded, locals reused ---
+# --- the lean program: repeats dropped, temporaries folded, tape names kept ---
 
 
 def _source(program):
@@ -344,7 +345,7 @@ def test_repeated_division_by_zero_still_raises():
 
 
 def _odd_outputs(pos, vel):
-    # vel[2] is never read, so its local is free from the start
+    # vel[2] is never read
     p = pos[0] * vel[0]
     q = pos[0] * vel[0]
     r = (p + vel[1]) * (q - pos[1]) / (p - vel[1])
@@ -399,9 +400,51 @@ def test_sphere_programs_evaluate_each_operand_once(level, recorded, kept):
     assert text.count("sin(") == text.count("cos(") == 1
 
 
-def test_sphere_level3_program_reuses_its_locals():
-    # one local per recorded temporary would be 532; 84 measured
-    assert _lift(make_sphere(), 3).kernel.__code__.co_nlocals <= 84
+def _assigned(source):
+    """The names that ``source`` assigns, once per assignment."""
+    return [node.id for node in ast.walk(ast.parse("".join(source)))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+
+
+@pytest.mark.parametrize("level, nlocals", [(0, 11), (1, 25), (2, 53), (3, 109)])
+def test_sphere_programs_assign_each_tape_name_once(level, nlocals):
+    s = _lift(make_sphere(), level)
+    kernel = s.kernel
+    tape = kernel.tape
+    inputs = tape.inputs[0] + tape.inputs[1]
+    source = _source(kernel)
+    # pos, vel, the inputs and one local per line between the unpacking and the return
+    assert kernel.__code__.co_nlocals == 2 + len(inputs) + len(source) - 5 == nlocals
+    programs = [kernel] + ([s.fan(2)] if level else [])
+    for program in programs:
+        names = _assigned(_source(program))
+        assert len(names) == len(set(names))
+    if level == 0:
+        # the inlined run loop: a copy of the kernel's assignments per
+        # evaluation, suffixed _1 to _4, each name assigned once
+        loop = geodesic._run_loop(s, s.acceleration, s.fiber_dim)
+        tape_names = set(inputs) | {target for target, _, _ in tape.stmts}
+        copies = [name for name in _assigned(_source(loop))
+                  if name.rpartition("_")[0] in tape_names]
+        assert len(copies) == len(set(copies))
+        kernel_names = _assigned(source)
+        assert sorted(copies) == sorted(f"{z}_{k}" for k in range(1, 5) for z in kernel_names)
+
+
+def test_programs_of_one_name_keep_their_own_source():
+    # two sprays of one tag: the second source is registered under "#2"
+    # beside the first, and each traceback shows the line of its own program
+    divides = Spray(level=0, dim=1, coeff_fn=lambda x, v: [v[0] * v[0] / x[0]], tag="t")
+    roots = Spray(level=0, dim=1, coeff_fn=lambda x, v: [v[0] * jsqrt(x[0])], tag="t")
+    for s, x, error, filename, line in (
+            (divides, 0.0, ZeroDivisionError, "<t L0>", "t3 = t1 * t1 / t0"),
+            (roots, -1.0, ValueError, "<t L0> #2", "t2 = sqrt(t0)")):
+        assert s.kernel.__code__.co_filename == filename
+        assert f"    {line}\n" in linecache.getlines(filename)
+        with pytest.raises(error) as err:
+            s.kernel([x], [1.0])
+        frame = traceback.extract_tb(err.value.__traceback__)[-1]
+        assert (frame.filename, frame.line) == (filename, line)
 
 
 def _result(fn, *args):
@@ -443,10 +486,11 @@ def _product_then_division(pos, vel):
 def test_folded_product_keeps_the_first_exception():
     program = compile_trace(_product_then_division, 2, 2, "<product-then-division>")
     # the product is folded into the division; the divisions and the sqrt keep their lines
+    # each line assigns its statement's tape name
     assert "".join(_source(program)[4:8]) == ("    t5 = t2 / t0\n"
-                                              "    t1 = sqrt(t1)\n"
-                                              "    t3 = t0 * t2 / t3\n"
-                                              "    t5 = t3 + t5\n")
+                                              "    t6 = sqrt(t1)\n"
+                                              "    t7 = t0 * t2 / t3\n"
+                                              "    t8 = t7 + t5\n")
     for x in (0.0, 2.0):
         for pos, vel in (([x, -1.0], [3.0, 0.0]), ([x, 1.0], [3.0, 0.0]),
                          ([x, -1.0], [3.0, 4.0]), ([x, 1.0], [3.0, 4.0])):

@@ -310,8 +310,9 @@ def test_stage_failure_inside_domain_raises_blowup(monkeypatch):
     frames = traceback.extract_tb(err.value.__cause__.__traceback__)
     assert [fr.name for fr in frames] == ["loop"]
     assert frames[-1].filename == "<rk4 loop singular L0>"
-    # the product 0.0 * v folded into the division's line
-    assert frames[-1].line == "t0_4 = c0 * t1_4 / t0_4"
+    # the product 0.0 * v folded into the division's line, which assigns
+    # the division's tape name in the fourth stage's copy
+    assert frames[-1].line == "t3_4 = c0 * t1_4 / t0_4"
 
 
 def _pole_stage_spray(domain):

@@ -133,13 +133,19 @@ def test_failing_check_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("line, message", [
     ("scenario=warp", "unknown scenario"), ("manifold = torus", "unknown manifold"),
-    ("dim = 0", "dim must be at least 1"),
-], ids=["scenario", "manifold", "dim"])
+    ("dim = 0", "dim must be at least 1"), ("seed = -1", "seed must be non-negative"),
+], ids=["scenario", "manifold", "dim", "seed"])
 def test_bad_config_exits_two(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
     assert main(["--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exits_two(capsys):
+    # numpy's default_rng would raise ValueError from inside the scenario
+    assert main(["--scenario", "flow-check", "--seed", "-1"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
 
 
 def test_missing_config_exits_two(tmp_path, capsys):
