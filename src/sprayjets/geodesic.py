@@ -23,9 +23,10 @@ field when the lift has no fan.
 The loop checks each node in plain Python floats, by prefilters: the sum
 of its entries is finite, the Python sum of squares of its base velocity
 lies clearly above ``EPS_SLASHED**2``, and the chart domain, when the
-spray has one, holds it.  A node that fails a prefilter meets the exact
-tests in the loop (the entrywise or numpy test runs only near the
-threshold or on an overflowing sum), which end the run or let it go on.
+spray has one, holds the list of its ``dim`` base position floats.  A
+node that fails a prefilter meets the exact tests in the loop (the
+entrywise or numpy test runs only near the threshold or on an
+overflowing sum), which end the run or let it go on.
 The loop runs the whole span in one call and returns how the run ended.
 A step that fails, by an evaluation that raises or a node that is not
 finite, hands :func:`_failed_step` the stage positions it evaluated at,
@@ -223,7 +224,7 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
          filename: str | None = None) -> Callable:
     """The RK4 run loop for ``n`` positions, ``dim`` of them the base's.
 
-    It is ``loop(f, failed, node_exit, in_domain, floor, times, xs, vs,
+    It is ``loop(f, failed, node_exit, domain, floor, times, xs, vs,
     accs, nsteps, t1, sign, h)``, which runs the ``nsteps`` steps of
     :func:`_integrate` from the one node in the lists, keeping the state
     in locals, and returns the run's exit reason.  ``f(x, v)`` is the
@@ -234,8 +235,8 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
     for v.  Each step is those statements, then the node checks'
     prefilters: the sum of the node's entries is finite, the sum of
     squares of its leading ``dim`` velocities lies above ``floor``, and
-    ``in_domain`` (unless None) accepts its position.  A node (xn, vn)
-    that fails one meets the exact checks: the loop returns
+    ``domain`` (unless None) holds the list of its ``dim`` base positions.
+    A node (xn, vn) that fails one meets the exact checks: the loop returns
     ``failed([x2, x3, x4], None)`` when the node is not finite
     (:func:`_finite`), then ``node_exit(xn, vn)`` when it is not None, and
     otherwise goes on.  Each node that goes on is appended with
@@ -292,7 +293,8 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
     else:
         node = guarded(evaluate("1", "xn_#", "vn_#"), "xn") + [f"an = [{row('a1_#')}]"]
     squares = " + ".join(f"vn_{i} * vn_{i}" for i in range(dim))
-    lines = ["def loop(f, failed, node_exit, in_domain, floor, times, xs, vs, accs, nsteps, t1,",
+    base = ", ".join(each("xn_#")[:dim])
+    lines = ["def loop(f, failed, node_exit, domain, floor, times, xs, vs, accs, nsteps, t1,",
              "         sign, h):",
              f"    {row('x_#')}, = xs[0]",
              f"    {row('v_#')}, = vs[0]",
@@ -306,7 +308,7 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
              f"        vn = [{row('vn_#')}]",
              f"        if (not isfinite({row('xn_#').replace(',', ' +')} + "
              f"{row('vn_#').replace(',', ' +')}) or {squares} <= floor",
-             "                or in_domain is not None and not in_domain(xn)):",
+             f"                or domain is not None and not domain([{base}])):",
              "            if not finite(xn, vn):",
              f"                return failed([{', '.join(stages)}], None)",
              "            reason = node_exit(xn, vn)",
@@ -444,8 +446,7 @@ def _integrate(s: Spray, f: Callable, x: list, v: list, t_span: tuple[float, flo
     accs = [a]
     try:
         exit_reason = _run_loop(s, f, len(x))(
-            f, partial(_failed_step, s), partial(_node_exit, s),
-            s.in_domain if s.domain is not None else None, _NOT_SLASHED_ABOVE,
+            f, partial(_failed_step, s), partial(_node_exit, s), s.domain, _NOT_SLASHED_ABOVE,
             times, xs, vs, accs, nsteps, t1, sign, h)
     except IntegrationBlowupError as exc:
         exc.t_end = times[-1]

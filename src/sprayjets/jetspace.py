@@ -256,6 +256,7 @@ class ChartTransition:
     ``forward`` and ``inverse`` must accept sequences of generic scalars
     (floats or Duals) and return sequences of the same length; ``jacobian``
     and ``hessian`` are analytic derivatives used only as test oracles.
+    ``domain``, as a spray's, receives a list of the base block's floats.
     """
 
     dim: int
@@ -294,7 +295,7 @@ def pushforward(t: ChartTransition, p: JetPoint) -> JetPoint:
     """Act on a jet with the iterated tangent functor of ``t.forward``."""
     if t.dim != p.dim:
         raise InvalidLevelError(f"transition dimension {t.dim} != point dimension {p.dim}")
-    if t.domain is not None and not t.domain(p.base_block()):
+    if t.domain is not None and not t.domain(p.base_block().tolist()):
         raise DomainError("base block outside the transition domain")
     return JetPoint(p.level, p.dim, jet_apply(t.forward, p.coords.tolist(), p.level, p.dim, p.dim))
 

@@ -55,7 +55,7 @@ class Spray:
 
     ``coeff_fn(pos, vel)`` returns the quadratic coefficients as a sequence
     of ``2**level * dim`` scalars.  ``domain``, when set, restricts the
-    base chart: it receives the leading ``dim`` coordinates of a position.
+    base chart: it receives a list of a position's ``dim`` leading floats.
     """
 
     level: int
@@ -77,7 +77,7 @@ class Spray:
             raise DomainError("spray coefficients need finite coordinates")
         if not is_slashed(p):
             raise DomainError("spray coefficients need a slashed point")
-        if not self.in_domain(p.coords):
+        if not self.in_domain(p.coords.tolist()):
             raise DomainError("point lies outside the spray's chart domain")
         half = p.coords.size // 2
         return np.asarray(self.coeff_fn(p.coords[:half], p.coords[half:]), dtype=float)
@@ -133,12 +133,9 @@ class Spray:
     def _fans(self) -> dict:
         return {}
 
-    def in_domain(self, x: Sequence[float]) -> bool:
-        """Whether the base point of the position ``x`` lies in the chart.
-
-        ``domain`` receives an ndarray of the leading ``dim`` coordinates.
-        """
-        return self.domain is None or bool(self.domain(np.asarray(x[: self.dim])))
+    def in_domain(self, x: list[float]) -> bool:
+        """Whether the float list ``x`` lies in the chart: ``domain`` of its ``dim`` leading floats."""
+        return self.domain is None or bool(self.domain(x[: self.dim]))
 
     @cached_property
     def lift(self) -> "Spray":
@@ -380,7 +377,7 @@ def pushforward_spray(t, s: Spray) -> Spray:
         return [-0.5 * z for z in pushed[3 * n :]]
 
     def domain(x):
-        return s.in_domain(t.inverse(x.tolist()))
+        return s.in_domain(t.inverse(x))
 
     return Spray(
         level=s.level,

@@ -302,7 +302,7 @@ def test_criterion_09_subspray():
     figures.append("ranks (6, 6, 4)")
 
     # exit-time agreement on a chart with the origin disk removed
-    ann = make_flat(2, domain=lambda x: 0.04 < float(x @ x) < 4.0)
+    ann = make_flat(2, domain=lambda x: 0.04 < float(np.dot(x, x)) < 4.0)
     rows = sub.completeness_probe(ann, [
         {"label": "outward", "x0": [0.3, 0.0], "v0": [1.0, 0.0],
          "alpha": 1.0, "beta": 0.5},

@@ -1,5 +1,6 @@
 """Fixed-step integration, dense output, exit handling, and the flow map."""
 
+import linecache
 import math
 import sys
 import traceback
@@ -16,10 +17,11 @@ from sprayjets import (EPS_SLASHED, DomainError, IntegrationBlowupError,
                        InvalidLevelError, JetPoint, Spray, Trajectory,
                        complete_lift, flow, flow_tangent_fd, integrate,
                        make_finsler_example, make_flat, make_round_sphere,
-                       make_sphere, pushforward_spray, residual, shear_chart)
+                       make_sphere, pushforward, pushforward_spray, residual,
+                       shear_chart)
 from sprayjets import geodesic
 from sprayjets.geodesic import _node_exit
-from sprayjets.jacobi import _fan_run
+from sprayjets.jacobi import _fan_run, conjugate_search
 from sprayjets.jets import jet_re, nest, unnest
 
 TILT, OMEGA = 0.3, 3.0
@@ -576,7 +578,7 @@ def _scalar_types(pos, vel):
 
 
 SWITCHING = Spray(level=0, dim=1, coeff_fn=_switching_drag, tag="switching-drag")
-DISK = make_flat(2, domain=lambda x: float(x @ x) < 4.0)
+DISK = make_flat(2, domain=lambda x: float(np.dot(x, x)) < 4.0)
 # the chart keeps colatitude above 0.3; from this start the geodesic heads
 # for the pole and leaves the chart near t = 0.4
 EDGE_SPHERE = make_sphere(pole_margin=0.3)
@@ -933,6 +935,91 @@ def test_slashed_decision_at_the_threshold(dim, ulps):
             v[k] = sign * y
             assert np.linalg.norm(v) == y
             assert _slashed_decision(v + [1.0], dim) == ("slashed" if ulps <= 0 else None)
+
+
+# --- the domain contract -----------------------------------------------------
+
+
+def _disk_calls(run):
+    """Each call a radius-2 disk domain gets while ``run(disk)`` runs.
+
+    A call is recorded as (argument, names of the three calling functions,
+    innermost last, and the filename of the innermost).
+    """
+    calls = []
+
+    def disk(x):
+        stack = traceback.extract_stack(limit=4)[:-1]
+        calls.append((x, tuple(fr.name for fr in stack), stack[-1].filename))
+        return float(np.dot(x, x)) < 4.0
+
+    run(disk)
+    return calls
+
+
+def _rim_spray(domain):
+    # raises ValueError outside the radius-2 disk; from (1.5, 0) at h = 1
+    # the 4th stage of the first step sits at (2.5, 0)
+    return Spray(level=0, dim=2, tag="rim", domain=domain,
+                 coeff_fn=lambda x, v: [0.0 * math.sqrt(4.0 - x[0] * x[0] - x[1] * x[1])] * 2)
+
+
+OUTWARD = [0.0, 0.0, 1.0, 0.0]
+
+# each caller of a domain: (run, the calling functions, the innermost's
+# filename or None); a loop of another spray of the same tag may hold the
+# plain filename, so a loop's filename is matched by its prefix
+DOMAIN_CALLERS = {
+    "fused-L0-loop": (lambda d: integrate(make_flat(2, d), JetPoint(1, 2, OUTWARD),
+                                          (0.0, 3.0), 0.25),
+                      ("_integrate", "loop"), "<rk4 loop flat L0>"),
+    "calling-L1-loop": (lambda d: integrate(complete_lift(make_flat(2, d)),
+                                            _lifted_init(1, OUTWARD), (0.0, 3.0), 0.25),
+                        ("_integrate", "loop"), "<rk4 loop n=4 dim=2>"),
+    "calling-L2-loop": (lambda d: integrate(complete_lift(complete_lift(make_flat(2, d))),
+                                            _lifted_init(2, OUTWARD), (0.0, 3.0), 0.25),
+                        ("_integrate", "loop"), "<rk4 loop n=8 dim=2>"),
+    "fan-run": (lambda d: conjugate_search(make_flat(2, d), JetPoint(1, 2, OUTWARD), 3.0, 0.25),
+                ("_fan_run", "_integrate", "loop"), "<rk4 loop n=6 dim=2>"),
+    "start-check": (lambda d: integrate(make_flat(2, d), JetPoint(1, 2, OUTWARD), (0.0, 1.0), 0.25),
+                    ("_integrate", "_node_exit", "in_domain"), None),
+    "failed-step": (lambda d: integrate(_rim_spray(d), JetPoint(1, 2, [1.5, 0.0, 1.0, 0.0]),
+                                        (0.0, 2.0), 1.0),
+                    ("_failed_step", "in_domain"), None),
+    "coeffs": (lambda d: make_flat(2, d).coeffs(JetPoint(1, 2, [0.5, 0.5, 1.0, 0.0])),
+               ("coeffs", "in_domain"), None),
+    "pushed-spray": (lambda d: integrate(pushforward_spray(shear_chart(), make_flat(2, d)),
+                                         JetPoint(1, 2, OUTWARD), (0.0, 3.0), 0.25),
+                     ("loop", "domain", "in_domain"), None),
+    "chart-transition": (lambda d: pushforward(replace(shear_chart(), domain=d),
+                                               JetPoint(1, 2, [0.5, 0.5, 1.0, 0.0])),
+                         ("pushforward",), None),
+}
+
+
+@pytest.mark.parametrize("caller", list(DOMAIN_CALLERS))
+def test_every_domain_call_gets_a_list_of_dim_floats(caller):
+    run, names, filename = DOMAIN_CALLERS[caller]
+    calls = _disk_calls(run)
+    assert any(got[-len(names):] == names and (filename is None or file.startswith(filename))
+               for _, got, file in calls)
+    for x, _, _ in calls:
+        assert type(x) is list and len(x) == 2
+        assert all(type(z) is float for z in x)
+
+
+def test_sphere_loop_checks_each_node_on_its_base_list():
+    sphere = make_sphere()
+    calls = []
+    s = replace(sphere, domain=lambda x: calls.append(x) or sphere.domain(x))
+    tr = integrate(s, tilted_init(), (0.0, 1.0), 1e-2)
+    # once for the start, once for each of the 100 accepted nodes
+    assert tr.complete and len(tr.times) == 101
+    assert len(calls) == 101
+    loop = geodesic._run_loop(s, s.acceleration, 2)
+    source = "".join(linecache.getlines(loop.__code__.co_filename))
+    assert "domain([xn_0, xn_1])" in source
+    assert "in_domain" not in source and "asarray" not in source
 
 
 # --- whole-array dense output ------------------------------------------------

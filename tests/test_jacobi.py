@@ -836,7 +836,7 @@ def test_flow_tangent_fd_is_the_three_flow_stencil(name):
     # the variation oracle's end jet, bit for bit, or the same exception type; on
     # the unit disk, and for the Finsler spray backward, some runs raise
     s = {"sphere": make_sphere(), "finsler": make_finsler_example((0.0, 1.0)),
-         "flat": make_flat(2, domain=lambda x: float(x @ x) < 1.0),
+         "flat": make_flat(2, domain=lambda x: float(np.dot(x, x)) < 1.0),
          "sphere-L1": complete_lift(make_sphere())}[name]
 
     def outcome(fn, p, t):

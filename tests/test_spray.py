@@ -324,9 +324,9 @@ def test_riemannian_assembly_uses_christoffels():
 
 def test_sphere_domain_guard():
     s = make_sphere()
-    assert s.in_domain(np.array([1.0, 0.0]))
-    assert not s.in_domain(np.array([0.0, 0.0]))
-    assert not s.in_domain(np.array([np.pi, 0.0]))
+    assert s.in_domain([1.0, 0.0])
+    assert not s.in_domain([0.0, 0.0])
+    assert not s.in_domain([np.pi, 0.0])
     with pytest.raises(DomainError):
         s.coeffs(JetPoint(1, 2, np.array([0.0, 0.0, 1.0, 0.0])))
 
@@ -438,7 +438,7 @@ def _dual_pushed(t, s: Spray) -> Spray:
     """``pushforward_spray(t, s)`` on the Dual path alone, the reference.
 
     Both chart jets run nested Duals, the base coefficients come from
-    ``coeff_fn``, and the domain converts through ndarrays.  The
+    ``coeff_fn``, and the domain pulls the base list back.  The
     coefficient reads a value, so its trace is refused and the kernel
     runs this Dual path too.
     """
@@ -458,7 +458,7 @@ def _dual_pushed(t, s: Spray) -> Spray:
         return [-0.5 * z for z in pushed[3 * n:]]
 
     def domain(x):
-        return s.in_domain(np.asarray(t.inverse(list(np.asarray(x, dtype=float))), dtype=float))
+        return s.in_domain(t.inverse(x))
 
     return Spray(level=s.level, dim=s.dim, coeff_fn=coeff, tag="dual-pushed",
                  domain=None if s.domain is None else domain)

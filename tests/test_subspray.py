@@ -781,7 +781,7 @@ def test_completeness_probe_flat():
 
 
 def test_completeness_probe_punctured_chart():
-    disk = make_flat(2, domain=lambda x: float(x @ x) < 4.0)
+    disk = make_flat(2, domain=lambda x: float(np.dot(x, x)) < 4.0)
     rows = sub.completeness_probe(
         disk, [{"label": "radial", "x0": [0, 0], "v0": [1, 0], "alpha": 1.0, "beta": 0.0}],
         3.0, 1e-3)
