@@ -17,8 +17,7 @@ levels in ``_FUSED_LEVELS``, the run uses the inlining loop instead, built
 once per kernel: each stage, and the new node, runs an inlined copy of the
 kernel's statements, so its steps make no call.  :mod:`sprayjets.jacobi`
 runs the calling loop on the state of several lifted fields over one
-carrier, evaluated by the lift's fan program, or by its kernel once per
-field when the lift has no fan.
+carrier, evaluated by the lift's fan (:meth:`Spray.fan`).
 
 The loop checks each node in plain Python floats, by prefilters: the sum
 of its entries is finite, the Python sum of squares of its base velocity

@@ -7,23 +7,20 @@ independent oracles, and conjugate points are located at minima of
 the fiber determinant of a fundamental system of lifted geodesics.
 
 Fields that share their base geodesic run as one trajectory of the lift's
-fan program (:meth:`Spray.fan`): the state is the carrier followed by each
-field's fiber half, the carrier statements run once per evaluation and the
-tangent statements once per field.  Each field's columns are bitwise its
-own run of the lift, and the fan raises exactly the exception that the
-lift's kernel raises first on the fields in turn (see
-:func:`~sprayjets.jets.fan_program`); a lift without a fan program runs
-its kernel once per field.  So exceptions and exit reasons are those of
-the separate runs.
+fan (:meth:`Spray.fan`): the state is the carrier followed by each field's
+fiber half, the carrier statements run once per evaluation and the tangent
+statements once per field.  Each field's columns are bitwise its own run of
+the lift, and the fan raises exactly the exception that the lift's kernel
+raises first on the fields in turn.  So exceptions and exit reasons are
+those of the separate runs.
 
-Finite differences are only oracles: :func:`variation_oracle` and its end
-jet :func:`flow_tangent_fd`, which share one stencil,
-:func:`_central_difference`, handed a function that returns the two runs
-perturbed by ``+eps`` and ``-eps``.  Everything else differentiates
-exactly.  RK4 commutes with forming the variational equation, and here bit
-for bit, since a lifted kernel performs the base's operations on ``Dual``
-values: a run of the lift is the exact derivative of the discrete base
-run, and :mod:`sprayjets.subspray` differentiates with ``Dual`` entries.
+Finite differences are only oracles: :func:`variation_oracle`, the central
+difference of the two runs perturbed by ``+eps`` and ``-eps``, and its end
+jet :func:`flow_tangent_fd`.  Everything else differentiates exactly.  RK4
+commutes with forming the variational equation, and here bit for bit,
+since a lifted kernel performs the base's operations on ``Dual`` values: a
+run of the lift is the exact derivative of the discrete base run, and
+:mod:`sprayjets.subspray` differentiates with ``Dual`` entries.
 A step that is not positive and finite raises :class:`DomainError` before
 either run starts: a zero step divides by zero, and a NaN one makes every
 comparison with a tolerance false, so a check would pass silently.  Only
@@ -35,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -89,22 +85,6 @@ def jacobi_from_initial(s: Spray, init: JetPoint, t_span: tuple[float, float],
     return JacobiField(field=tr, base=tr.columns(np.arange(tr.positions.shape[1] // 2), s))
 
 
-def _central_difference(ends: Callable[[float], tuple[np.ndarray, np.ndarray]],
-                        eps: float) -> np.ndarray:
-    """``(plus - minus) / (2 eps)`` on the rows both of ``ends(eps) -> (plus, minus)`` have.
-
-    The stencil of the two finite-difference oracles, :func:`variation_oracle`
-    and :func:`flow_tangent_fd`.  A step that is not positive and finite
-    raises before ``ends`` runs.
-    """
-
-    if not 0.0 < eps < math.inf:
-        raise DomainError(f"finite-difference step must be positive and finite, got {eps}")
-    plus, minus = ends(eps)
-    n = min(len(plus), len(minus))
-    return (plus[:n] - minus[:n]) / (2.0 * eps)
-
-
 def variation_oracle(s: Spray, gamma: Trajectory, w, eps: float = 1e-4) -> JacobiField:
     """Central-difference geodesic variation around ``gamma``.
 
@@ -121,23 +101,23 @@ def variation_oracle(s: Spray, gamma: Trajectory, w, eps: float = 1e-4) -> Jacob
     z0 = np.concatenate([gamma.positions[0], gamma.velocities[0]])
     if w.shape != z0.shape:
         raise InvalidLevelError(f"perturbation shape {w.shape} does not match phase {z0.shape}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"finite-difference step must be positive and finite, got {eps}")
     span = (gamma.t0, gamma.t_end)
-
-    def ends(e: float) -> list[np.ndarray]:
-        plus = integrate(s, JetPoint(s.level + 1, s.dim, z0 + e * w), span, h)
-        minus = integrate(s, JetPoint(s.level + 1, s.dim, z0 - e * w), span, h)
-        return [np.hstack([tr.positions, tr.velocities, tr.accelerations]) for tr in (plus, minus)]
-
-    dpos, dvel, dacc = np.hsplit(_central_difference(ends, eps)[: len(gamma.times)], 3)
-    sl = slice(0, len(dpos))
+    plus = integrate(s, JetPoint(s.level + 1, s.dim, z0 + eps * w), span, h)
+    minus = integrate(s, JetPoint(s.level + 1, s.dim, z0 - eps * w), span, h)
+    # the rows both runs have, on gamma's nodes
+    n = min(len(plus.times), len(minus.times), len(gamma.times))
+    dpos, dvel, dacc = ((getattr(plus, name)[:n] - getattr(minus, name)[:n]) / (2.0 * eps)
+                        for name in ("positions", "velocities", "accelerations"))
     field = Trajectory(
         spray=complete_lift(s),
-        times=gamma.times[sl],
-        positions=np.hstack([gamma.positions[sl], dpos]),
-        velocities=np.hstack([gamma.velocities[sl], dvel]),
-        accelerations=np.hstack([gamma.accelerations[sl], dacc]),
+        times=gamma.times[:n],
+        positions=np.hstack([gamma.positions[:n], dpos]),
+        velocities=np.hstack([gamma.velocities[:n], dvel]),
+        accelerations=np.hstack([gamma.accelerations[:n], dacc]),
         h=h,
-        exit_reason=None if len(dpos) == len(gamma.times) else "truncated",
+        exit_reason=None if n == len(gamma.times) else "truncated",
     )
     base = gamma.columns(np.arange(gamma.positions.shape[1]), s)
     return JacobiField(field=field, base=base)
@@ -185,25 +165,15 @@ def _fan_run(s: Spray, starts: list[JetPoint], t_span: tuple[float, float],
     exception, since every field shares the carrier's domain exits.  A step
     size :func:`integrate` refuses raises its :class:`DomainError`.
 
-    The evaluator is the lift's fan program for ``len(starts)`` tangents,
-    which raises what the kernel raises first on the starts in turn; when
-    the lift has none, it is the lift's kernel once per start.
+    The evaluator is the lift's fan for ``len(starts)`` tangents, which
+    raises what the kernel raises first on the starts in turn.
     """
 
-    lifted = complete_lift(s)
-    kernel, fan, n = lifted.kernel, lifted.fan(len(starts)), s.fiber_dim
-
-    def per_start(x: list, v: list) -> list:
-        out = []
-        for k in range(len(starts)):
-            a = kernel(x[:n] + x[(k + 1) * n:(k + 2) * n], v[:n] + v[(k + 1) * n:(k + 2) * n])
-            out += a if k == 0 else a[n:]
-        return out
-
+    lifted, n = complete_lift(s), s.fiber_dim
     coords = [p.coords.tolist() for p in starts]
     x = coords[0][:n] + [z for c in coords for z in c[n:2 * n]]
     v = coords[0][2 * n:3 * n] + [z for c in coords for z in c[3 * n:]]
-    return _integrate(lifted, per_start if fan is None else fan, x, v, t_span, h)
+    return _integrate(lifted, lifted.fan(len(starts)), x, v, t_span, h)
 
 
 @dataclass

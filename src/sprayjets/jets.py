@@ -38,15 +38,12 @@ value cannot be recorded: a ``Sym`` raises
 :class:`~sprayjets.errors.TraceError` when it is compared, tested for
 truth or converted to a number, and the evaluator is then not compiled.
 
-The program keeps its recording, and :func:`fan_program` builds from it
-the program of several tangents over one carrier: vector forward mode,
-with the statements that read only the carrier run once and the others
-once per tangent, each copy bitwise the program on its own tangent.  The
-first copy is the program itself, in its own order, so the fan raises
-exactly the exception the program raises first on the tangents in turn.
-Both emit their statements through :func:`kept_lines`, and so does the
-RK4 run loop of :mod:`sprayjets.geodesic`, which inlines copies of a
-kernel.
+The program keeps its recording, from which the RK4 run loop of
+:mod:`sprayjets.geodesic` inlines copies of a kernel; both emit their
+statements through :func:`kept_lines`.  An evaluation that runs the same
+evaluator on several inputs sharing a carrier records the carrier's
+statements once per run, and dropping the repeats leaves them once: this
+is how :meth:`~sprayjets.spray.Spray.fan` gets vector forward mode.
 """
 
 from __future__ import annotations
@@ -414,8 +411,7 @@ def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
     :mod:`linecache` under ``filename``, each operation that can raise on
     a line of its own, so tracebacks show the failing statement; its first
     line gives the recorded and kept statement counts.  The function keeps
-    its recording as its ``tape`` attribute, from which :func:`fan_program`
-    builds without tracing again.
+    its recording as its ``tape`` attribute.
     """
 
     tape = _Tape()
@@ -429,78 +425,13 @@ def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
         return None
     tape.inputs = [z.name for z in pos], [z.name for z in vel]
     tape.outputs = out
-    program = _program(tape.stmts, *tape.inputs, out, tape.namespace, filename)
+    (note, *body), out = kept_lines(tape.stmts, *tape.inputs, out, tape.namespace, ("pos", "vel"))
+    lines = [note, "def program(pos, vel):", *(f"    {line}" for line in body),
+             f"    return [{', '.join(out)}]"]
+    # a copy: exec adds its own names to the namespace it runs in
+    program = compile_source("\n".join(lines) + "\n", filename, dict(tape.namespace), "program")
     program.tape = tape
     return program
-
-
-def fan_program(tape: _Tape, m: int, filename: str):
-    """The program of ``tape`` for one carrier and ``m`` tangents, or None.
-
-    ``tape`` is the recording kept by :func:`compile_trace`; the first half
-    of each of its inputs is the carrier and the second half the tangent,
-    as in a complete lift, whose primal half is the parent's point.  The
-    fan program takes ``pos`` and ``vel`` laid out as (carrier, tangent 0,
-    ..., tangent m - 1) and returns the carrier half of the outputs, then
-    the tangent half for each tangent in turn.
-
-    A statement is carrier-only when each operand is a carrier input, a
-    bound constant or the target of a carrier-only statement.  Copy 0 is
-    the whole tape in tape order, with the statements that are not
-    carrier-only renamed to copy 0; each copy k > 0 follows with those
-    statements only, renamed to copy k and in tape order.  Repeats are
-    dropped and temporaries folded as in :func:`compile_trace`.  Every
-    statement of copy k applies the same operator to the same values as
-    the tape does on (carrier, tangent k), since a carrier-only value
-    never depends on a tangent, so copy k's outputs are bitwise those of
-    the tape's own program.  This is vector forward mode: the primal once,
-    the tangent statements once per direction.
-
-    Copy 0 is the tape's program on (carrier, tangent 0), and copy k > 0 is
-    that program on (carrier, tangent k) less the carrier-only statements,
-    which copy 0 has run without raising.  So the fan raises exactly the
-    exception that the program raises first when run on each tangent in
-    turn.  Returns None when a carrier-half output depends on a tangent
-    input.
-    """
-
-    pos, vel = tape.inputs
-    half_pos, half_vel, half_out = len(pos) // 2, len(vel) // 2, len(tape.outputs) // 2
-    shared = set(tape.namespace) | set(pos[:half_pos]) | set(vel[:half_vel])
-    for target, _, operands in tape.stmts:
-        if shared.issuperset(operands):
-            shared.add(target)
-    if not shared.issuperset(tape.outputs[:half_out]):
-        return None
-
-    def renamed(z, k):
-        return z if z in shared else f"{z}_{k}"
-
-    def copies(names):
-        return [renamed(z, k) for k in range(m) for z in names]
-
-    stmts = [(renamed(target, k), op, tuple(renamed(a, k) for a in operands))
-             for k in range(m) for target, op, operands in tape.stmts
-             if k == 0 or target not in shared]
-    return _program(stmts, pos[:half_pos] + copies(pos[half_pos:]),
-                    vel[:half_vel] + copies(vel[half_vel:]),
-                    tape.outputs[:half_out] + copies(tape.outputs[half_out:]),
-                    tape.namespace, filename)
-
-
-def _program(stmts, pos, vel, out, namespace, filename):
-    """The function ``program(pos, vel)`` that runs ``stmts`` and returns ``out``.
-
-    ``pos`` and ``vel`` name the inputs; ``namespace`` binds the constants
-    and math functions the statements name, and is copied, not changed.
-    The body is :func:`kept_lines` reading the two arguments, the same
-    emitter that inlines a kernel into an RK4 run loop.
-    """
-
-    (note, *body), out = kept_lines(stmts, pos, vel, out, namespace, ("pos", "vel"))
-    lines = [note, "def program(pos, vel):"] + [f"    {line}" for line in body]
-    lines.append(f"    return [{', '.join(out)}]")
-    return compile_source("\n".join(lines) + "\n", filename, dict(namespace), "program")
 
 
 def kept_lines(stmts, pos, vel, out, namespace, sources, suffix=""):

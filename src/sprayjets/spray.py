@@ -23,7 +23,11 @@ tape order.  So its results are bitwise equal by construction, and it
 raises the exception the ``Dual`` evaluation raises first.  An evaluator
 whose control flow depends on a value (a branch on ``jet_re(...)``, a
 comparison) refuses tracing, and its kernel evaluates ``coeff_fn``
-itself.
+itself.  The kernel is the one-tangent case of :meth:`Spray.fan`, which
+records ``-2 * coeff_fn`` on one carrier and several tangents in turn; on
+a complete lift the later copies' carrier statements repeat the first's
+and are dropped, so Jacobi fields along one geodesic run as one state
+whose carrier is evaluated once.
 
 Every float acceleration runs compiled statements, so outside the
 kernels of refused evaluators no acceleration runs ``Dual`` arithmetic
@@ -46,7 +50,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidLevelError
 from .jetspace import JetPoint, is_slashed
-from .jets import compile_trace, fan_program, jcos, jnorm, jsin, nest, unnest
+from .jets import compile_trace, jcos, jnorm, jsin, nest, unnest
 
 
 @dataclass(frozen=True)
@@ -88,45 +92,53 @@ class Spray:
 
     @cached_property
     def kernel(self) -> Callable:
-        """The acceleration as a function of two float lists, returning floats.
+        """The acceleration as a function of two float lists, returning floats: ``fan(1)``.
 
-        Traced from ``coeff_fn`` at its first use and kept on the spray, so
-        every caller of a memoized :attr:`lift` shares it.  Equals
-        ``-2.0 * np.asarray(coeff_fn(x, v))`` bit for bit; when tracing is
-        refused it evaluates ``coeff_fn`` and returns ``float(-2.0 * g)``
-        of each coefficient.  A traced kernel keeps its recording as its
-        ``tape``, from which :meth:`fan` and the RK4 run loop of
-        :mod:`sprayjets.geodesic` generate their own code; so a loop that
-        inlines it never calls it.
+        Equals ``-2.0 * np.asarray(coeff_fn(x, v))`` bit for bit.  Kept on
+        the spray, so every caller of a memoized :attr:`lift` shares it; a
+        traced kernel keeps its recording as its ``tape``, from which the
+        RK4 run loop of :mod:`sprayjets.geodesic` generates its own code, so
+        a loop that inlines it never calls it.
         """
-        coeff_fn, n = self.coeff_fn, self.fiber_dim
+        return self.fan(1)
 
-        def negated(pos, vel):
-            return [-2.0 * g for g in coeff_fn(pos, vel)]
+    def fan(self, m: int) -> Callable:
+        """The acceleration for one carrier and ``m`` tangents, built once per ``m``.
 
-        program = compile_trace(negated, n, n, f"<{self.tag} L{self.level}>")
-        if program is not None:
-            return program
-
-        def interpreted(pos, vel):
-            return [float(-2.0 * g) for g in coeff_fn(pos, vel)]
-
-        return interpreted
-
-    def fan(self, m: int) -> Callable | None:
-        """The kernel for one carrier and ``m`` tangents, or None.
-
-        Built by :func:`~sprayjets.jets.fan_program` from the tape the
-        traced :attr:`kernel` keeps, once per ``m``; None when the kernel
-        is not traced or its carrier half reads a tangent.  On a complete
-        lift, copy k of its result is bitwise ``kernel(carrier, tangent k)``,
-        and it raises exactly what those calls, made in turn, raise first.
+        It takes ``pos`` and ``vel`` laid out as (carrier, tangent 0, ...,
+        tangent m - 1), the carrier being the first half of each input, and
+        evaluates ``-2 * coeff_fn`` on (carrier, tangent k) for each k in
+        turn, keeping the whole result of copy 0 and the second half of each
+        later one.  That evaluation is traced by
+        :func:`~sprayjets.jets.compile_trace` at the first use; on a complete
+        lift copy k > 0 repeats copy 0's carrier statements, which the trace
+        drops, so the carrier runs once and the tangent statements once per
+        copy (vector forward mode).  When tracing is refused, the evaluation
+        itself runs on the floats and returns ``float`` of each entry.  Either
+        way copy k of the result is bitwise ``kernel(carrier, tangent k)``,
+        and the fan raises exactly what those calls, made in turn, raise
+        first.
         """
         fans = self._fans
         if m not in fans:
-            tape = getattr(self.kernel, "tape", None)
-            fans[m] = None if tape is None else fan_program(
-                tape, m, f"<{self.tag} L{self.level} fan m={m}>")
+            coeff_fn, n = self.coeff_fn, self.fiber_dim
+            c, w = n // 2, n - n // 2
+
+            def copies(pos, vel):
+                out = []
+                for k in range(m):
+                    tangent = slice(c + k * w, c + (k + 1) * w)
+                    a = [-2.0 * g for g in coeff_fn([*pos[:c], *pos[tangent]],
+                                                    [*vel[:c], *vel[tangent]])]
+                    out += a if k == 0 else a[len(a) // 2:]
+                return out
+
+            name = f"<{self.tag} L{self.level}{'' if m == 1 else f' fan m={m}'}>"
+            program = compile_trace(copies, c + m * w, c + m * w, name)
+            if program is None:
+                def program(pos, vel):
+                    return [float(g) for g in copies(pos, vel)]
+            fans[m] = program
         return fans[m]
 
     @cached_property

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, InconsistentTrajectoryError, IntegrationBlowupError
 from .geodesic import Trajectory, _minima, integrate
-from .jets import Dual, jet_du, jet_re, unnest
+from .jets import Dual, jet_du, unnest
 from .jetspace import EPS_SLASHED, JetPoint
 from .spray import Spray, acceleration_jet, complete_lift
 
@@ -322,7 +322,6 @@ class ParallelJacobi:
     values: np.ndarray
     sup_norm: float
     zero_times: list[float]
-    center: SubsprayGeodesic
 
 
 def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: float) -> ParallelJacobi:
@@ -342,10 +341,8 @@ def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: floa
     xi = delta_coordinates(s, x0, v0, al, be).tolist()
     n = 4 * s.fiber_dim
     init = unnest(xi[:n], 1) + unnest(xi[n:], 1)
-    lifted2 = complete_lift(complete_lift(s))
-    tr = integrate(complete_lift(lifted2), JetPoint(s.level + 4, s.dim, init), t_span, h)
-    center = _checked(s, tr.columns(slice(0, n), lifted2), float(jet_re(al)), float(jet_re(be)),
-                      np.inf, False)
+    lifted3 = complete_lift(complete_lift(complete_lift(s)))
+    tr = integrate(lifted3, JetPoint(s.level + 4, s.dim, init), t_span, h)
     vals = tr.positions[:, n:]
     norms = np.linalg.norm(vals, axis=1)
     sup = float(np.max(norms))
@@ -357,7 +354,7 @@ def parallel_jacobi_curve(s: Spray, family, t_span: tuple[float, float], h: floa
     # a field constant in time has no strict dip, hence no zeros
     zeros = [t for t in _minima(tr.times, norms, step_at)
              if np.linalg.norm(tr.position_at(t)[n:]) <= 1e-6 * sup]
-    return ParallelJacobi(tr.times, vals, sup, zeros, center)
+    return ParallelJacobi(tr.times, vals, sup, zeros)
 
 
 @dataclass

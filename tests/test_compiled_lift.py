@@ -19,12 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sprayjets import (IntegrationBlowupError, JetPoint, Spray, acceleration_jet, complete_lift,
-                       conjugate_search, integrate, make_finsler_example, make_flat, make_sphere,
-                       pushforward_spray, shear_chart)
+                       conjugate_search, integrate, make_finsler_example, make_flat,
+                       make_round_sphere, make_sphere, pushforward_spray, shear_chart)
 from sprayjets import geodesic
 from sprayjets import spray as spray_mod
 from sprayjets.errors import TraceError
-from sprayjets.jets import (Sym, _Tape, compile_trace, fan_program, jdot, jet_re, jexp, jlog, jsin,
+from sprayjets.jets import (Sym, _Tape, compile_trace, jdot, jet_re, jexp, jlog, jsin,
                             jsqrt)
 from sprayjets.spray import dual_lift
 
@@ -169,8 +169,9 @@ def test_lifts_are_memoized_and_traced_once(monkeypatch):
     for _ in range(2):
         scan = conjugate_search(s, init, 3.5, 1e-2)
         assert len(scan.times) == 1
-    assert [name for name, _ in traces] == ["<lifted(sphere) L1>"]
-    assert complete_lift(s).kernel is traces[0][1]
+    # the scan runs the lift's fan, a trace of its own; the kernel is not traced
+    assert [name for name, _ in traces] == ["<lifted(sphere) L1 fan m=2>"]
+    assert complete_lift(s).fan(2) is traces[0][1]
 
 
 @dataclass
@@ -543,7 +544,7 @@ def _dags(draw):
     the values it reads.  The second half of the outputs is some values
     and every node that no node reads, so that each node reaches an
     output; the first half, as long, is carrier-only: it reads only the
-    first h of each input, so a fan exists.
+    first h of each input, so a fan's copy 0 holds it for every tangent.
     """
     h = draw(st.integers(1, 2))
     carrier = [*range(h), *range(2 * h, 3 * h),
@@ -595,11 +596,15 @@ def test_random_dag_programs_are_the_plain_evaluation(dag, data):
     tangents = data.draw(st.lists(st.tuples(half, half), min_size=3, max_size=3))
     for xi, eta in tangents:
         assert _result(program, x + xi, v + eta) == _result(fn, x + xi, v + eta)
+
+    def negated(pos, vel):
+        return [-2.0 * g for g in fn(pos, vel)]
+
     for m in range(1, 4):
-        fan = fan_program(program.tape, m, f"<dag fan m={m}>")
+        fan = Spray(level=1, dim=h, coeff_fn=fn, tag="dag").fan(m)
         want = []
         for xi, eta in tangents[:m]:
-            want.append(_result(fn, x + xi, v + eta))
+            want.append(_result(negated, x + xi, v + eta))
             if isinstance(want[-1], tuple):
                 # the exception of the first tangent whose evaluation raises
                 want = want[-1]
@@ -661,10 +666,36 @@ def test_fan_copies_are_the_kernel_on_each_tangent(name, level, m):
 
 def test_fan_shares_the_carrier_statements():
     lifted = _lift(make_sphere(), 1)
-    # the level-1 tape: 21 carrier-only statements and 32 tangent statements
+    # the level-1 tape: 53 statements, 21 of them carrier-only; the second
+    # copy's carrier statements repeat the first's and are dropped
     assert _source(lifted.fan(1))[0] == "# 53 recorded, 50 kept\n"
-    assert _source(lifted.fan(2))[0] == "# 85 recorded, 82 kept\n"
+    assert _source(lifted.fan(2))[0] == "# 106 recorded, 82 kept\n"
     assert lifted.fan(2).__code__.co_filename == "<lifted(sphere) L1 fan m=2>"
+
+
+# kept statements of the fan for m = 1, 2, 3 and 6 at lift levels 1 and 2
+FAN_KEPT = {
+    ("sphere", 1): (50, 82, 114, 210), ("sphere", 2): (150, 250, 350, 650),
+    ("finsler", 1): (29, 47, 65, 119), ("finsler", 2): (85, 140, 195, 360),
+    ("round S^3", 1): (131, 218, 305, 566), ("round S^3", 2): (405, 679, 953, 1775),
+    ("pushed", 1): (100, 163, 226, 415), ("pushed", 2): (286, 472, 658, 1216),
+}
+FAN_BASES = {"sphere": make_sphere(), "finsler": make_finsler_example((0.3, 1.0)),
+             "round S^3": make_round_sphere(3),
+             "pushed": pushforward_spray(shear_chart(), make_sphere())}
+
+
+@pytest.mark.parametrize("name, level", sorted(FAN_KEPT))
+def test_fan_kept_statements_grow_linearly_in_m(name, level):
+    # the carrier runs once whatever m is: a constant made afresh by each
+    # copy would defeat the dropping of the carrier repeats and break this
+    s = _lift(FAN_BASES[name], level)
+    kept = {}
+    for m in range(1, 7):
+        kept[m] = int(re.fullmatch(r"# (\d+) recorded, (\d+) kept\n", _source(s.fan(m))[0])[2])
+    assert [kept[m] for m in (1, 2, 3, 6)] == list(FAN_KEPT[name, level])
+    for m in range(1, 7):
+        assert kept[m] == kept[1] + (m - 1) * (kept[2] - kept[1])
 
 
 def _mixing(pos, vel):
@@ -676,12 +707,58 @@ def _mixing_refused(pos, vel):
     return [float(pos[1]) * vel[0], vel[1] * vel[1]]
 
 
-def test_fan_refuses_a_carrier_that_reads_a_tangent():
-    # a level-1 spray whose first output, the carrier half, reads pos[1]
-    s = Spray(level=1, dim=1, coeff_fn=_mixing, tag="mixing")
-    assert s.kernel.tape is not None
-    assert s.fan(2) is None
-    # an untraced kernel keeps no tape
-    refused = Spray(level=1, dim=1, coeff_fn=_mixing_refused, tag="mixing-refused")
-    assert getattr(refused.kernel, "tape", None) is None
-    assert refused.fan(2) is None
+def test_kernel_is_the_one_tangent_fan():
+    for s in (make_sphere(), _lift(make_sphere(), 2), complete_lift(SQRT_LOG),
+              Spray(level=1, dim=1, coeff_fn=_mixing_refused, tag="mixing-refused")):
+        assert s.kernel is s.fan(1)
+
+
+def test_fan_of_a_carrier_that_reads_a_tangent_is_the_kernel_in_turn():
+    # a level-1 spray whose first output, the carrier half, reads pos[1]:
+    # the fan is copy 0's whole output, then each later copy's second half
+    x, v = [0.7], [-1.3]
+    tangents = [([0.2], [1.5]), ([-3.0], [0.25]), ([4.5], [2.0])]
+    for coeff in (_mixing, _mixing_refused):
+        s = Spray(level=1, dim=1, coeff_fn=coeff, tag=coeff.__name__)
+        fan = s.fan(3)
+        # an untraced fan keeps no tape
+        assert hasattr(fan, "tape") == hasattr(s.kernel, "tape") == (coeff is _mixing)
+        want = [s.kernel(x + xi, v + eta) for xi, eta in tangents]
+        for (xi, eta), w in zip(tangents, want):
+            assert np.asarray(w).tobytes() == _interpreted(coeff)(x + xi, v + eta).tobytes()
+        out = fan(x + [xi[0] for xi, _ in tangents], v + [eta[0] for _, eta in tangents])
+        assert np.asarray(out).tobytes() == np.asarray(want[0] + want[1][1:] + want[2][1:]).tobytes()
+
+
+def _tangent_log_refused(pos, vel):
+    # float() refuses tracing; the carrier's division fails at pos[0] = 0,
+    # the tangent's log where pos[1] <= 0
+    return [vel[0] * vel[0] / float(pos[0]), jlog(pos[1]) * vel[1]]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_refused_fan_is_the_interpreted_kernel_on_each_tangent(m):
+    s = Spray(level=1, dim=1, coeff_fn=_tangent_log_refused, tag="tangent-log-refused")
+    fan = s.fan(m)
+    assert not hasattr(fan, "tape") and not hasattr(s.kernel, "tape")
+    interpreted = _interpreted(s.coeff_fn)
+    for x, v, tangents in (
+            ([0.5], [1.5], [([2.0], [-1.0]), ([0.25], [3.0]), ([7.0], [0.5])]),
+            # the second tangent's log fails first
+            ([0.5], [1.5], [([2.0], [-1.0]), ([-1.0], [3.0]), ([0.0], [0.5])]),
+            # the carrier's division fails on every tangent, before the first log
+            ([0.0], [1.5], [([-2.0], [-1.0]), ([1.0], [3.0]), ([1.0], [0.5])])):
+        want = []
+        for xi, eta in tangents[:m]:
+            want.append(_result(interpreted, x + xi, v + eta))
+            if isinstance(want[-1], tuple):
+                break
+        got = _result(fan, x + [xi[0] for xi, _ in tangents[:m]],
+                      v + [eta[0] for _, eta in tangents[:m]])
+        if isinstance(want[-1], tuple):
+            # the exception of the first tangent whose kernel raises
+            assert got == want[-1]
+            continue
+        out = np.frombuffer(got, dtype=float)
+        for k, w in enumerate(want):
+            assert np.concatenate([out[:1], out[k + 1:k + 2]]).tobytes() == w

@@ -602,9 +602,9 @@ def test_fan_scan_is_the_per_field_scan(monkeypatch, case):
         s, t_max, h = complete_lift(make_sphere()), 3.5, 1e-2
         init = JetPoint(2, 2, [np.pi / 2, 0.0, 0.1, -0.2, 0.0, 1.0, 0.3, 0.2])
     else:
-        # the lift has no fan program, so its kernel evaluates each field
+        # the lift's fan is not traced: it evaluates each field's kernel on floats
         s, init, t_max, h = SWITCHING_SPHERE, JetPoint(1, 2, [np.pi / 2, 0.0, 0.0, 1.0]), 3.5, 1e-2
-        assert complete_lift(s).fan(2) is None
+        assert not hasattr(complete_lift(s).fan(2), "tape")
     scan = assert_scan_is_reference(monkeypatch, s, init, t_max, h)
     assert scan.exit_reason is None
     if case in ("criterion 7 sphere", "runner sphere", "refused trace"):
@@ -777,7 +777,6 @@ def test_lifted_conjugate_check_runs_only_the_two_witnesses(monkeypatch):
     monkeypatch.setattr(jacobi, "integrate", lambda sp, *args: runs.append(sp.level) or integrate(sp, *args))
     _log_calls(monkeypatch, jacobi, "_fan_run", others)
     _log_calls(monkeypatch, jacobi, "_integrate", others)
-    _log_calls(monkeypatch, jacobi, "_central_difference", others)
     lift_conjugate_check(s, sine, end_tol=1e-5)
     assert runs == [2, 2]
     assert others == []

@@ -595,13 +595,24 @@ def test_constant_family_is_trivial_but_passes():
     assert rep.ok
 
 
-def test_parallel_jacobi_curve_values():
+def _runs_of_integrate(monkeypatch):
+    """A list that collects every run :func:`sub.integrate` makes from now on."""
+    runs, real = [], sub.integrate
+    monkeypatch.setattr(sub, "integrate", lambda *args: runs.append(real(*args)) or runs[-1])
+    return runs
+
+
+def test_parallel_jacobi_curve_values(monkeypatch):
     s = make_sphere()
+    runs = _runs_of_integrate(monkeypatch)
     pj = sub.parallel_jacobi_curve(s, _random_family(3), (0.0, 1.0), 1e-2)
     assert pj.values.shape == (len(pj.times), 8)
     assert pj.sup_norm > 0.0
     assert pj.zero_times == []
-    assert pj.center.alpha == pytest.approx(_random_family(3)(0.0)[2])
+    # the run's carrier is the centre curve, whose jet at t = 0 has the family's alpha
+    n = pj.values.shape[1]
+    start = np.concatenate([runs[0].positions[0, :n], runs[0].velocities[0, :n]])
+    assert sub.membership(s, start, tol=np.inf).alpha == pytest.approx(_random_family(3)(0.0)[2])
 
 
 def _fd_family_field(s, family, eps, t_span=(0.0, 1.0), h=1e-2):
@@ -646,17 +657,20 @@ def test_ndarray_family_gives_the_field_of_scalar_arithmetic():
 
 def test_parallel_jacobi_curve_is_one_run_whose_carrier_is_the_centre(monkeypatch):
     s, fam = make_sphere(), _random_family(3)
-    runs = []
     real = sub.integrate
-    monkeypatch.setattr(sub, "integrate", lambda *args: runs.append(args[0].level) or real(*args))
+    runs = _runs_of_integrate(monkeypatch)
     pj = sub.parallel_jacobi_curve(s, fam, (0.0, 1.0), 1e-2)
-    assert runs == [3]
+    assert [tr.spray.level for tr in runs] == [3]
     monkeypatch.setattr(sub, "integrate", real)
     x0, v0, al, be = fam(0.0)
     centre = sub.geodesic(s, x0, v0, al, be, (0.0, 1.0), 1e-2, tol=np.inf, node_checks=False)
+    # the first 4m columns of the run, checked as geodesic checks its own run
+    n = pj.values.shape[1]
+    carrier = sub._checked(s, runs[0].columns(slice(0, n), complete_lift(complete_lift(s))),
+                           al, be, np.inf, False)
     for name in ("positions", "velocities", "accelerations"):
-        assert getattr(pj.center.traj, name).tobytes() == getattr(centre.traj, name).tobytes()
-    assert pj.center.reintegration_deviation == centre.reintegration_deviation
+        assert getattr(carrier.traj, name).tobytes() == getattr(centre.traj, name).tobytes()
+    assert carrier.reintegration_deviation == centre.reintegration_deviation
 
 
 # spray, base point, base velocity; the Finsler start is slow enough that its
@@ -683,12 +697,13 @@ def _value_and_rate(z):
 
 @pytest.mark.parametrize("span", [1.0, -1.0])
 @pytest.mark.parametrize("name", list(FAMILY_CASES))
-def test_family_field_is_the_dual_rk4_run(name, span):
+def test_family_field_is_the_dual_rk4_run(monkeypatch, name, span):
     # the field is exactly the sigma-derivative of the discrete run: the RK4
     # run of S^cc on the Dual jet delta_coordinates(family(Dual(0, 1))), whose
     # value part is the centre curve and whose eps part is the field
     s, x0, v0 = FAMILY_CASES[name]
     fam = _family_through(x0, v0, 0.3 * np.random.default_rng(0).standard_normal(6))
+    runs = _runs_of_integrate(monkeypatch)
     pj = sub.parallel_jacobi_curve(s, fam, (0.0, span), 1e-2)
     xi = sub.delta_coordinates(s, *fam(np.array(Dual(0.0, 1.0), dtype=object)))
     n = xi.size // 2
@@ -698,7 +713,7 @@ def test_family_field_is_the_dual_rk4_run(name, span):
         (0.0, span), 1e-2)
     assert pj.values.shape == (len(times), n)
     assert np.max(np.abs(pj.times - times)) == 0.0
-    assert np.max(np.abs(pj.center.traj.positions - positions[:, :n])) == 0.0
+    assert np.max(np.abs(runs[0].positions[:, :n] - positions[:, :n])) == 0.0
     assert np.max(np.abs(pj.values - positions[:, n:])) == 0.0
 
 
