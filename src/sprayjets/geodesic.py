@@ -8,10 +8,13 @@ flow identity checks rely on.  Dense output is cubic Hermite per step.
 The run is straight-line code generated from one template (:func:`_rk4`):
 a loop whose steps each hold the three stage evaluations and the stage
 and update arithmetic on Python floats, one statement per element, then
-the node checks, and append each node.  The state stays in locals from
-step to step.  The calling loop, built once per state length, calls the
-evaluator at each stage and at each new node; for a plain run that is
-:meth:`Spray.acceleration` on float lists, which runs the spray's kernel.
+the node checks, and store each node as one packed row of doubles (its
+positions, velocities and acceleration) in a byte buffer, from which
+:func:`_integrate` copies the trajectory's arrays.  The state stays in
+locals from step to step.  The calling loop, built once per state
+length, calls the evaluator at each stage and at each new node; for a
+plain run that is :meth:`Spray.acceleration` on float lists, which runs
+the spray's kernel.
 When the evaluator is the spray's own and its kernel is traced, at the
 levels in ``_FUSED_LEVELS``, the run uses the inlining loop instead, built
 once per kernel: each stage, and the new node, runs an inlined copy of the
@@ -49,8 +52,10 @@ The generator may not reorder, merge or regroup any of these operations.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import cache, partial
+from itertools import chain
 from typing import Callable
 from weakref import WeakKeyDictionary
 
@@ -223,27 +228,30 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
          filename: str | None = None) -> Callable:
     """The RK4 run loop for ``n`` positions, ``dim`` of them the base's.
 
-    It is ``loop(f, failed, node_exit, domain, floor, times, xs, vs,
-    accs, nsteps, t1, sign, h)``, which runs the ``nsteps`` steps of
-    :func:`_integrate` from the one node in the lists, keeping the state
-    in locals, and returns the run's exit reason.  ``f(x, v)`` is the
-    acceleration as a list.  From the node (x, v) with acceleration a1,
-    stage k is ``xk = x + c*d``, ``vk = v + c*a`` with (c, d, a) =
+    It is ``loop(f, failed, node_exit, domain, floor, times, buf, nsteps,
+    t1, sign, h)``, which runs the ``nsteps`` steps of :func:`_integrate`
+    from the one node in ``times`` and ``buf``, keeping the state in
+    locals, and returns the run's exit reason.  ``buf`` is a ``bytearray``
+    of stored nodes, each one row packed by :func:`_node_row`.  ``f(x, v)``
+    is the acceleration as a list.  From the node (x, v) with acceleration
+    a1, stage k is ``xk = x + c*d``, ``vk = v + c*a`` with (c, d, a) =
     (0.5*dt, v, a1), (0.5*dt, v2, a2), (dt, v3, a3), and ak is ``f`` there;
     the update is ``x + dt*(v + 2.0*v2 + 2.0*v3 + v4)/6.0`` and likewise
     for v.  Each step is those statements, then the node checks'
     prefilters: the sum of the node's entries is finite, the sum of
     squares of its leading ``dim`` velocities lies above ``floor``, and
     ``domain`` (unless None) holds the list of its ``dim`` base positions.
-    A node (xn, vn) that fails one meets the exact checks: the loop returns
-    ``failed([x2, x3, x4], None)`` when the node is not finite
-    (:func:`_finite`), then ``node_exit(xn, vn)`` when it is not None, and
-    otherwise goes on.  Each node that goes on is appended with
-    ``f(xn, vn)``, its acceleration.  An evaluation that raises
-    ``ArithmeticError`` or ``ValueError`` returns ``failed(stages, exc)``,
-    ``stages`` being ``[x2]``, ``[x2, x3]``, ``[x2, x3, x4]`` or ``[xn]``:
-    the step's positions evaluated so far.  ``failed`` returns an exit
-    reason or raises.  The loop returns None past the last step.
+    A node (xn, vn) that fails one meets the exact checks, on lists built
+    only there: the loop returns ``failed([x2, x3, x4], None)`` when the
+    node is not finite (:func:`_finite`), then ``node_exit(xn, vn)`` when
+    it is not None, and otherwise goes on.  A node that goes on is
+    evaluated, ``an = f(xn, vn)``; then its time is appended to ``times``
+    and the row (xn, vn, an) to ``buf``, and no other list is kept for it.
+    An evaluation that raises ``ArithmeticError`` or ``ValueError``
+    returns ``failed(stages, exc)``, ``stages`` being ``[x2]``,
+    ``[x2, x3]``, ``[x2, x3, x4]`` or ``[xn]``: the step's positions
+    evaluated so far.  ``failed`` returns an exit reason or raises.  The
+    loop returns None past the last step.
 
     ``tape`` is the recording a traced kernel keeps
     (:func:`~sprayjets.jets.compile_trace`).  With it, each stage
@@ -287,46 +295,45 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
         body += guarded(evaluate(k, f"x{k}_#", f"v{k}_#"), ", ".join(stages))
     body += each("xn_# = x_# + dt * (v_# + 2.0 * v2_# + 2.0 * v3_# + v4_#) / 6.0")
     body += each("vn_# = v_# + dt * (a1_# + 2.0 * a2_# + 2.0 * a3_# + a4_#) / 6.0")
-    if tape is None:
-        node = guarded([f"{row('a1_#')}, = an = f(xn, vn)"], "xn")
-    else:
-        node = guarded(evaluate("1", "xn_#", "vn_#"), "xn") + [f"an = [{row('a1_#')}]"]
     squares = " + ".join(f"vn_{i} * vn_{i}" for i in range(dim))
     base = ", ".join(each("xn_#")[:dim])
-    lines = ["def loop(f, failed, node_exit, domain, floor, times, xs, vs, accs, nsteps, t1,",
-             "         sign, h):",
-             f"    {row('x_#')}, = xs[0]",
-             f"    {row('v_#')}, = vs[0]",
-             f"    {row('a1_#')}, = accs[0]",
+    lines = ["def loop(f, failed, node_exit, domain, floor, times, buf, nsteps, t1, sign, h):",
+             f"    {row('x_#')}, {row('v_#')}, {row('a1_#')}, = unpack(buf)",
              "    t = t0 = times[0]",
              "    for k in range(nsteps):",
              "        t_next = t1 if k == nsteps - 1 else t0 + sign * (k + 1) * h",
              "        dt = t_next - t",
              *indent(8, body),
-             f"        xn = [{row('xn_#')}]",
-             f"        vn = [{row('vn_#')}]",
              f"        if (not isfinite({row('xn_#').replace(',', ' +')} + "
              f"{row('vn_#').replace(',', ' +')}) or {squares} <= floor",
              f"                or domain is not None and not domain([{base}])):",
+             f"            xn = [{row('xn_#')}]",
+             f"            vn = [{row('vn_#')}]",
              "            if not finite(xn, vn):",
              f"                return failed([{', '.join(stages)}], None)",
              "            reason = node_exit(xn, vn)",
              "            if reason is not None:",
              "                return reason",
-             *indent(8, node),
+             *indent(8, guarded(evaluate("1", "xn_#", "vn_#"), f"[{row('xn_#')}]")),
              "        times.append(t_next)",
-             "        xs.append(xn)",
-             "        vs.append(vn)",
-             "        accs.append(an)",
+             f"        buf += pack({row('xn_#')}, {row('vn_#')}, {row('a1_#')})",
              *indent(8, each("x_# = xn_#") + each("v_# = vn_#")),
              "        t = t_next",
              "    return None"]
-    namespace = {"isfinite": math.isfinite, "finite": _finite}
+    node = _node_row(n)
+    namespace = {"isfinite": math.isfinite, "finite": _finite, "pack": node.pack,
+                 "unpack": node.unpack}
     if tape is None:
         filename = f"<rk4 loop n={n} dim={dim}>"
     else:
         namespace.update(tape.namespace)
     return compile_source("\n".join(lines) + "\n", filename, namespace, "loop")
+
+
+@cache
+def _node_row(n: int) -> struct.Struct:
+    """The packing of one stored node of ``n`` positions: x, then v, then a, as doubles."""
+    return struct.Struct(f"{3 * n}d")
 
 
 @cache
@@ -439,24 +446,25 @@ def _integrate(s: Spray, f: Callable, x: list, v: list, t_span: tuple[float, flo
         a = f(x, v)
     except (ArithmeticError, ValueError) as exc:
         _failed_step(s, [x], exc)  # the start is in the chart, so this raises
+    n = len(x)
     times = [t0]
-    xs = [x]
-    vs = [v]
-    accs = [a]
+    buf = bytearray(_node_row(n).pack(*x, *v, *a))
     try:
-        exit_reason = _run_loop(s, f, len(x))(
+        exit_reason = _run_loop(s, f, n)(
             f, partial(_failed_step, s), partial(_node_exit, s), s.domain, _NOT_SLASHED_ABOVE,
-            times, xs, vs, accs, nsteps, t1, sign, h)
+            times, buf, nsteps, t1, sign, h)
     except IntegrationBlowupError as exc:
         exc.t_end = times[-1]
         raise
 
+    # one row (x, v, a) per stored node; each block is copied, so no array is a view of buf
+    nodes = np.frombuffer(buf).reshape(len(times), 3 * n)
     return Trajectory(
         spray=s,
-        times=np.asarray(times),
-        positions=np.asarray(xs),
-        velocities=np.asarray(vs),
-        accelerations=np.asarray(accs),
+        times=np.array(times),
+        positions=nodes[:, :n].copy(),
+        velocities=nodes[:, n : 2 * n].copy(),
+        accelerations=nodes[:, 2 * n :].copy(),
         h=h,
         exit_reason=exit_reason,
     )
@@ -493,11 +501,20 @@ def residual(s: Spray, tr: Trajectory) -> float:
         acc = [f(x, v) for x, v in zip(xm.tolist(), vm.tolist())]
     except (ArithmeticError, ValueError):
         return math.nan
-    d = curv - np.array(acc, dtype=float).reshape(curv.shape)
+    d = curv - _stacked(acc, curv.shape)
     norms = np.sqrt(np.vecdot(d, d))  # np.linalg.norm of each row, bit for bit
     # numpy's max propagates a NaN norm; Python's max() would skip it and
     # report a broken run as clean
     return float(norms.max(initial=0.0))
+
+
+def _stacked(rows: list, shape: tuple[int, int]) -> np.ndarray:
+    """The float array of ``shape`` whose rows are ``rows``, lists of ``shape[1]`` numbers.
+
+    The entries are read flat, each converted to a double as ``np.array``
+    would convert it.
+    """
+    return np.fromiter(chain.from_iterable(rows), float, shape[0] * shape[1]).reshape(shape)
 
 
 def _hermite_d1(y0, d0, y1, d1, tau, dt):

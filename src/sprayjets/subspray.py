@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InconsistentTrajectoryError, IntegrationBlowupError
-from .geodesic import Trajectory, _minima, integrate
+from .geodesic import Trajectory, _minima, _stacked, integrate
 from .jets import Dual, jet_du, unnest
 from .jetspace import EPS_SLASHED, JetPoint
 from .spray import Spray, acceleration_jet, complete_lift
@@ -158,7 +158,7 @@ def _check_jets(s: Spray, jets: np.ndarray, tol: float) -> _JetChecks:
     if out.stops(0, speed, speed <= EPS_SLASHED) or out.misfits(1, b[4] - b[1], tol):
         return out
     x, v = b[0].tolist(), b[1].tolist()
-    a = np.array([s.acceleration(xr, vr) for xr, vr in zip(x, v)])
+    a = _stacked([s.acceleration(xr, vr) for xr, vr in zip(x, v)], b[5].shape)
     if out.misfits(2, b[5] - a, tol):
         return out
     out.alpha = np.vecdot(b[2], b[1]) / np.vecdot(b[1], b[1])
@@ -171,7 +171,8 @@ def _check_jets(s: Spray, jets: np.ndarray, tol: float) -> _JetChecks:
             or out.misfits(5, b[6] - be * b[1] - al * a, tol)):
         return out
     lift = complete_lift(s).acceleration
-    jolt = np.array([lift(xr + vr, vr + ar)[m:] for xr, vr, ar in zip(x, v, a.tolist())])
+    jolt = _stacked([lift(xr + vr, vr + ar)[m:] for xr, vr, ar in zip(x, v, a.tolist())],
+                    b[7].shape)
     out.misfits(6, b[7] - al * jolt - 2.0 * be * a, tol)
     return out
 

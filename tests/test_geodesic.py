@@ -1,8 +1,12 @@
 """Fixed-step integration, dense output, exit handling, and the flow map."""
 
+import hashlib
+import inspect
 import linecache
 import math
+import re
 import sys
+import tracemalloc
 import traceback
 from dataclasses import replace
 from functools import partial
@@ -19,7 +23,7 @@ from sprayjets import (EPS_SLASHED, DomainError, IntegrationBlowupError,
                        make_finsler_example, make_flat, make_round_sphere,
                        make_sphere, pushforward, pushforward_spray, residual,
                        shear_chart)
-from sprayjets import geodesic
+from sprayjets import geodesic, jacobi, subspray
 from sprayjets.geodesic import _node_exit
 from sprayjets.jacobi import _fan_run, conjugate_search
 from sprayjets.jets import jet_re, nest, unnest
@@ -1097,3 +1101,169 @@ def test_states_at_single_node():
             tr.state_at(bad)
         with pytest.raises(DomainError):
             tr.states_at([0.0, bad])
+
+
+# --- the stored nodes --------------------------------------------------------
+
+
+def _scan_fan(s, init, t_max, h):
+    """The one fan run :func:`conjugate_search` makes for its scan."""
+    runs = []
+    fan_run = jacobi._fan_run
+
+    def recording(*args):
+        runs.append(fan_run(*args))
+        return runs[-1]
+
+    with mock.patch.object(jacobi, "_fan_run", recording):
+        conjugate_search(s, init, t_max, h)
+    [fan] = runs
+    return fan
+
+
+def _case_run(case, direction=1.0):
+    s, init, span, h = REFERENCE_CASES[case]
+    return integrate(s, init, (0.0, direction * span), h)
+
+
+NODE_ARRAYS = ("times", "positions", "velocities", "accelerations")
+
+# runs through the inlining loop (L0), the calling loop (L1-L3), a fan and
+# each way a run ends
+PINNED_RUNS = {
+    "sphere-L0": lambda: _case_run("sphere-L0"),
+    "flat-L0": lambda: _case_run("flat"),
+    "finsler-L0": lambda: _case_run("finsler"),
+    "sphere-L1": lambda: _case_run("sphere-L1"),
+    "sphere-L2": lambda: _case_run("sphere-L2"),
+    "sphere-L3": lambda: _case_run("sphere-L3"),
+    "scan-fan": lambda: _scan_fan(make_sphere(), tilted_init(), 1.5, 1e-2),
+    "pushed-sphere": lambda: _case_run("pushed-sphere"),
+    "pole-domain": lambda: integrate(make_sphere(), JetPoint(1, 2, [0.5, 0.0, -1.0, 0.0]),
+                                     (0.0, 2.0), 0.25),
+    "slashed": lambda: _case_run("brake-slashed-exit"),
+    "zero-span": lambda: integrate(make_sphere(), tilted_init(), (0.4, 0.4), 1e-2),
+    "backward": lambda: _case_run("sphere-L0", -1.0),
+}
+
+# each run's exit reason and the SHA-256 of its node arrays' shapes and
+# bytes, as recorded before the nodes were packed into one buffer
+PINNED_DIGESTS = {
+    "sphere-L0": (None,
+        "8a8d939eed6ffc250b383b4f4497957fcf821cf712561846eb0920d2e48a801a"),
+    "flat-L0": (None,
+        "99d1cc5dd98e53dc5363ccf15feb0a8193ca7259f38a1196565628f0b5981409"),
+    "finsler-L0": (None,
+        "a94b1eefd24e6d25c189b376082b34e56c20baa1cfd27bfae3e966b9d20aeb8f"),
+    "sphere-L1": (None,
+        "6513238ca710a3d8e63c8ef7a1ed931a1db435e5522ded24208229fa2fd9d1d2"),
+    "sphere-L2": (None,
+        "06f214d74eed7d572b01869095824c9a2009c5985b8b2fef86658dca3ff9784e"),
+    "sphere-L3": (None,
+        "3f2046b9be72c59cb331ed6336a04e60ce1eb913351158e9325e994e47938e36"),
+    "scan-fan": (None,
+        "7ec8a0b67eb3f2c384c92e5b7da658f9effaebc85b67c8b6494a60f3f7ee456b"),
+    "pushed-sphere": (None,
+        "b929d26341adadf8895a93f27ab509b0d5dfdfc1f9242bd7b38f373c24211641"),
+    "pole-domain": ("domain",
+        "f8adc60615a541f8b8fec7fa810e1807dc3566b7d83a1132a035ae156187e8f6"),
+    "slashed": ("slashed",
+        "5d895ee3a11eb0e1757da8efcefc6928d6467224795f33209b0073ab50ea9455"),
+    "zero-span": (None,
+        "870555c3df2ea5aa5c2b6aa0dd3684f15456f3c0d6ea7f1d359b9269f645e7ec"),
+    "backward": (None,
+        "1741ba8a3739b0e4f88cb1451d19cd563f947022842668ce625121b7e31dd626"),
+}
+
+
+def _node_digest(tr):
+    digest = hashlib.sha256()
+    for name in NODE_ARRAYS:
+        array = getattr(tr, name)
+        digest.update(repr(array.shape).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(PINNED_RUNS))
+def test_stored_nodes_are_pinned(name):
+    tr = PINNED_RUNS[name]()
+    assert (tr.exit_reason, _node_digest(tr)) == PINNED_DIGESTS[name]
+    for array in map(partial(getattr, tr), NODE_ARRAYS):
+        # each array is its own: no view into a buffer the run shares
+        assert array.dtype == np.float64
+        assert array.flags.c_contiguous and array.flags.writeable and array.flags.owndata
+
+
+# the squared-speed run blows up in the inlining loop, the lifted trap in
+# the calling loop; t_end is the time of the last finite node
+PINNED_BLOWUPS = {
+    "squared-speed": (Spray(level=0, dim=1, coeff_fn=lambda x, v: [-0.5 * v[0] * v[0]],
+                            tag="squared-speed"), JetPoint(1, 1, [0.0, 1.0]), 0.04),
+    "trap-L1": (complete_lift(FUSED_SPRAYS["trap"]), JetPoint(2, 1, [0.0, 0.3, 1.0, -0.2]), 0.25),
+}
+
+PINNED_BLOWUP_ENDS = {"squared-speed": 1.08, "trap-L1": 0.0}
+
+
+@pytest.mark.parametrize("name", list(PINNED_BLOWUPS))
+def test_blowup_end_is_pinned(name):
+    s, init, h = PINNED_BLOWUPS[name]
+    with pytest.raises(IntegrationBlowupError) as err:
+        integrate(s, init, (0.0, 3.0), h)
+    assert type(err.value) is IntegrationBlowupError
+    assert type(err.value.t_end) is float
+    assert err.value.t_end == PINNED_BLOWUP_ENDS[name]
+
+
+def test_allocation_follows_the_nodes_reached():
+    # from colatitude 0.5 toward the pole the run leaves the chart after
+    # some 500 steps, so a span of 1e12 steps must not cost more memory
+    # than a span of 1000
+    s, init = make_sphere(), JetPoint(1, 2, [0.5, 0.0, -1.0, 0.0])
+    want = integrate(s, init, (0.0, 1.0), 1e-3)  # also builds the run loop
+    tracemalloc.start()
+    try:
+        got = integrate(s, init, (0.0, 1e9), 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert got.exit_reason == want.exit_reason == "domain"
+    assert 400 < len(got.times) < 1000
+    for name in NODE_ARRAYS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def _loop_source(loop):
+    return "".join(linecache.getlines(loop.__code__.co_filename))
+
+
+def test_run_loops_pack_each_node_once():
+    s = make_sphere()
+    integrate(s, tilted_init(), (0.0, 0.1), 1e-2)  # builds the inlining loop
+    inlined = geodesic._run_loop(s, s.acceleration, 2)
+    calling = geodesic._calling(8, 2)
+    assert inlined is not geodesic._calling(2, 2)
+    for loop in (inlined, calling):
+        source = _loop_source(loop)
+        # the times are the only list that grows; each node goes into the
+        # buffer by one pack
+        assert source.count(".append(") == source.count("times.append(") == 1
+        assert len(re.findall(r"\bpack\(", source)) == source.count("buf += pack(") == 1
+    assert "asarray" not in inspect.getsource(geodesic._integrate)
+    for fn in (geodesic.residual, subspray._check_jets):
+        assert "np.array(" not in inspect.getsource(fn), fn.__name__
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (1, 3), (5, 2), (3, 16)])
+def test_stacked_rows_are_the_nested_array(shape):
+    rng = np.random.default_rng(shape[0] * 17 + shape[1])
+    special = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 3, True]
+    flat = [special[k] if k < len(special) else float(z)
+            for k, z in enumerate(rng.standard_normal(shape[0] * shape[1]))]
+    rows = [flat[i * shape[1]:(i + 1) * shape[1]] for i in range(shape[0])]
+    got = geodesic._stacked(rows, shape)
+    want = np.array(rows, dtype=float).reshape(shape)
+    assert got.dtype == np.float64 and got.shape == shape
+    assert got.tobytes() == want.tobytes()
