@@ -11,16 +11,15 @@ and update arithmetic on Python floats, one statement per element, then
 the node checks, and store each node as one packed row of doubles (its
 positions, velocities and acceleration) in a byte buffer, from which
 :func:`_integrate` copies the trajectory's arrays.  The state stays in
-locals from step to step.  The calling loop, built once per state
-length, calls the evaluator at each stage and at each new node; for a
-plain run that is :meth:`Spray.acceleration` on float lists, which runs
-the spray's kernel.
-When the evaluator is the spray's own and its kernel is traced, at the
-levels in ``_FUSED_LEVELS``, the run uses the inlining loop instead, built
-once per kernel: each stage, and the new node, runs an inlined copy of the
-kernel's statements, so its steps make no call.  :mod:`sprayjets.jacobi`
-runs the calling loop on the state of several lifted fields over one
-carrier, evaluated by the lift's fan (:meth:`Spray.fan`).
+locals from step to step.  The evaluator is :meth:`Spray.acceleration`
+on float lists for a plain run, which runs the spray's kernel, and the
+lift's fan (:meth:`Spray.fan`) for a run of :mod:`sprayjets.jacobi` on the
+state of several lifted fields over one carrier.  A run at a level in
+``_FUSED_LEVELS`` whose evaluator's program is traced (the kernel, or the
+fan itself) uses the inlining loop, built once per program: each stage, and
+the new node, runs an inlined copy of the program's statements, so its
+steps make no call.  Every other run uses the calling loop, built once per
+state length, which calls the evaluator at each stage and at each new node.
 
 The loop checks each node in plain Python floats, by prefilters: the sum
 of its entries is finite, the Python sum of squares of its base velocity
@@ -168,7 +167,13 @@ class Trajectory:
         return x, v
 
     def position_at(self, t: float) -> np.ndarray:
-        return self.state_at(t)[0]
+        """The position of :meth:`state_at` at ``t``, bit for bit, without its velocity."""
+        i = self._bracket(t)
+        if len(self.times) == 1:
+            return self.positions[0]
+        dt = self.times[i + 1] - self.times[i]
+        return _hermite(self.positions[i], self.velocities[i], self.positions[i + 1],
+                        self.velocities[i + 1], (t - self.times[i]) / dt, dt)
 
     def final_jet(self) -> JetPoint:
         return JetPoint(self.spray.level + 1, self.spray.dim,
@@ -253,14 +258,14 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
     evaluated so far.  ``failed`` returns an exit reason or raises.  The
     loop returns None past the last step.
 
-    ``tape`` is the recording a traced kernel keeps
+    ``tape`` is the recording a traced kernel or fan keeps
     (:func:`~sprayjets.jets.compile_trace`).  With it, each stage
     evaluation and the node's acceleration run their own copy of the
-    kernel's lines (:func:`~sprayjets.jets.kept_lines`: its kept
-    statements, folded as in the kernel) instead of calling ``f``, and a
+    program's lines (:func:`~sprayjets.jets.kept_lines`: its kept
+    statements, folded as in the program) instead of calling ``f``, and a
     copy that raises ends the run as a call that raises would.  The copies
-    perform the kernel's operations on the same values, so every result is
-    bitwise that of the loop calling the kernel.  The loop's source is
+    perform the program's operations on the same values, so every result
+    is bitwise that of the loop calling the program.  The loop's source is
     registered under ``filename``.
     """
 
@@ -342,30 +347,47 @@ def _calling(n: int, dim: int) -> Callable:
     return _rk4(n, dim)
 
 
-# The lift levels whose run loops inline a traced kernel.  Level 0 measured
-# about a fifth faster per step; levels 1-2 gained 2-3% end to end for 1-4%
-# more peak memory, and level 3 was slower per step.
-_FUSED_LEVELS = frozenset({0})
+# The lift levels whose run loops inline a traced program.  Inlining pays
+# while the loop's locals fit CPython's one-byte local index.  The loops of
+# the sphere, flat and Finsler sprays at levels 0-1, kernel and ``fan(2)``,
+# have at most 233 locals and no EXTENDED_ARG on a local; a 100-step inlined
+# run took 0.81 (flat L1), 0.86 (Finsler L1), 0.90-0.92 (sphere L1) and
+# 0.93-0.94 (sphere L1 fan(2)) of the calling run's time (best of 80
+# interleaved runs each, CPython 3.11, 2-vCPU host).  The sphere's level-2
+# loop has 337 locals and 363 EXTENDED_ARG in 3086 instructions; it ran at
+# 0.93, but its fan(2) at 1.02-1.03, and fusing level 2 moved no end-to-end
+# metric beyond the runs' spread while peak memory grew.  The level-3 loop
+# has 673 locals and 2240 EXTENDED_ARG in 8756 instructions (1.06).  Round
+# S^3's level-1 fan(3), with 509 locals, ran at 1.05; only tests run it.
+_FUSED_LEVELS = frozenset({0, 1})
 
-# The inlined run loop of each traced kernel, dropped with the kernel.
+# The inlined run loop of each traced kernel or fan, dropped with the program.
 _inlined_loops: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _run_loop(s: Spray, f: Callable, n: int) -> Callable:
     """The :func:`_rk4` loop for a run of ``s`` stepping with ``f`` on ``n`` positions.
 
-    It inlines the kernel when ``f`` is ``s.acceleration``, the level is in
-    _FUSED_LEVELS and the kernel keeps a tape (it is traced); that loop is
-    built at the kernel's first run.  Otherwise it is the calling loop.
+    A run whose level is in _FUSED_LEVELS inlines its evaluator's program
+    when that keeps a tape (it is traced): the kernel when ``f`` is
+    ``s.acceleration``, otherwise ``f`` itself, the lift's fan of a run of
+    :mod:`sprayjets.jacobi` (:meth:`Spray.fan`), whose run reads no
+    :attr:`Spray.kernel`.  That loop is built at the program's first run and
+    named after it.  Every other run gets the calling loop.
     """
-    fused = f == s.acceleration and s.level in _FUSED_LEVELS
-    tape = getattr(s.kernel, "tape", None) if fused else None
-    if tape is None:
-        return _calling(n, s.dim)
-    loop = _inlined_loops.get(s.kernel)
-    if loop is None:
-        loop = _inlined_loops[s.kernel] = _rk4(n, s.dim, tape, f"<rk4 loop {s.tag} L{s.level}>")
-    return loop
+    if s.level in _FUSED_LEVELS:
+        program = s.kernel if f == s.acceleration else f
+        tape = getattr(program, "tape", None)
+        if tape is not None:
+            loop = _inlined_loops.get(program)
+            if loop is None:
+                # n is the carrier's c positions and the m tangents' w each, as in Spray.fan
+                c = s.fiber_dim // 2
+                m = (n - c) // (s.fiber_dim - c)
+                name = f"<rk4 loop {s.tag} L{s.level}{'' if m == 1 else f' fan m={m}'}>"
+                loop = _inlined_loops[program] = _rk4(n, s.dim, tape, name)
+            return loop
+    return _calling(n, s.dim)
 
 
 def _failed_step(s: Spray, stages: list, exc: Exception | None) -> str:

@@ -12,7 +12,9 @@ fiber half, the carrier statements run once per evaluation and the tangent
 statements once per field.  Each field's columns are bitwise its own run of
 the lift, and the fan raises exactly the exception that the lift's kernel
 raises first on the fields in turn.  So exceptions and exit reasons are
-those of the separate runs.
+those of the separate runs.  Along a level-0 geodesic the fan is the
+level-1 lift's, whose statements the run loop inlines (see
+:func:`~sprayjets.geodesic._run_loop`); the loop calls a deeper fan.
 
 Finite differences are only oracles: :func:`variation_oracle`, the central
 difference of the two runs perturbed by ``+eps`` and ``-eps``, and its end
@@ -166,7 +168,8 @@ def _fan_run(s: Spray, starts: list[JetPoint], t_span: tuple[float, float],
     size :func:`integrate` refuses raises its :class:`DomainError`.
 
     The evaluator is the lift's fan for ``len(starts)`` tangents, which
-    raises what the kernel raises first on the starts in turn.
+    raises what the kernel raises first on the starts in turn.  The run
+    reads no kernel; for a level-0 ``s`` the run loop inlines the fan.
     """
 
     lifted, n = complete_lift(s), s.fiber_dim

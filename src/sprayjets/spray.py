@@ -35,9 +35,10 @@ on floats; chart actions on jets (``jet_apply``, ``pushforward``) always
 do.  The time derivative of the acceleration
 (:func:`acceleration_jet`) is read off the complete lift's kernel rather
 than evaluated on ``Dual`` pairs.  Most run through a call of the
-kernel; a level-0 RK4 run loop (:mod:`sprayjets.geodesic`) runs inlined
-copies of a traced kernel's statements instead, with the same results.  On
-``Dual`` entries :func:`acceleration_jet` runs ``coeff_fn`` itself.
+kernel or fan; an RK4 run loop at level 0 or 1 (:mod:`sprayjets.geodesic`)
+runs inlined copies of a traced kernel's or fan's statements instead, with
+the same results.  On ``Dual`` entries :func:`acceleration_jet` runs
+``coeff_fn`` itself.
 """
 
 from __future__ import annotations

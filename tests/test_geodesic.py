@@ -401,8 +401,6 @@ def _failed_step_case(name):
                                   "nonfinite-inside", "inf-stage"])
 def test_failed_step_gets_the_stages_the_loop_evaluated(monkeypatch, name):
     s, init, h, outcome = _failed_step_case(name)
-    assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is geodesic._calling(
-        s.fiber_dim, s.dim)
     calls, received = [], []
     orig, failed_step = Spray.acceleration, geodesic._failed_step
 
@@ -415,14 +413,22 @@ def test_failed_step_gets_the_stages_the_loop_evaluated(monkeypatch, name):
         received.append([np.array(xp, dtype=float).tobytes() for xp in stages])
         return failed_step(s, stages, exc)
 
+    def run():
+        calls.clear()
+        received.clear()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if outcome == "domain":
+                assert integrate(s, init, (0.0, 2.0), h).exit_reason == "domain"
+            else:
+                with pytest.raises(outcome):
+                    integrate(s, init, (0.0, 2.0), h)
+
     monkeypatch.setattr(Spray, "acceleration", logged)
     monkeypatch.setattr(geodesic, "_failed_step", receiving)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if outcome == "domain":
-            assert integrate(s, init, (0.0, 2.0), h).exit_reason == "domain"
-        else:
-            with pytest.raises(outcome):
-                integrate(s, init, (0.0, 2.0), h)
+    calling = geodesic._calling(s.fiber_dim, s.dim)
+    with mock.patch.object(geodesic, "_FUSED_LEVELS", frozenset()):
+        assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is calling
+        run()
     # _failed_step evaluates nothing and is handed the step's stage positions:
     # the loop's last evaluation points, bitwise, one to three of them
     assert [caller for caller, _ in calls] == ["_integrate"] + ["loop"] * (len(calls) - 1)
@@ -430,6 +436,14 @@ def test_failed_step_gets_the_stages_the_loop_evaluated(monkeypatch, name):
     looped = [x for caller, x in calls if caller == "loop"]
     assert 1 <= len(stages) <= 3 and len(looped) % 4 == len(stages) % 4
     assert stages == looped[-len(stages):]
+    # the traced L1 spray runs the inlining loop, which calls f for node 0
+    # only and hands over the same stage positions, bitwise
+    inlined = geodesic._run_loop(s, s.acceleration, s.fiber_dim) is not calling
+    assert inlined == (name == "raise-outside-L1")
+    run()
+    assert [caller for caller, _ in calls] == (["_integrate"] if inlined else
+                                                ["_integrate"] + ["loop"] * len(looped))
+    assert received == [stages]
 
 
 @pytest.mark.parametrize("t_span, h", [
@@ -815,14 +829,15 @@ def _fused_cases(draw):
     return name, level, coords, span, draw(st.sampled_from([0.05, 0.25, 0.5]))
 
 
-def _run_outcome(s, init, span, h):
+def _outcome(run, *args):
+    """What ``run(*args)`` gives: the fields of its result but the spray, each
+    array as its bytes, or the type, message and cause of what it raises."""
     try:
-        tr = integrate(s, init, (0.0, span), h)
+        out = run(*args)
     except Exception as exc:
-        return type(exc), str(exc), type(exc.__cause__)
-    return (tuple(getattr(tr, name).tobytes() for name in ("times", "positions", "velocities",
-                                                           "accelerations"))
-            + (tr.exit_reason,))
+        return type(exc), str(exc), type(exc.__cause__), str(exc.__cause__)
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v
+                 for k, v in vars(out).items() if k != "spray")
 
 
 @settings(max_examples=300)
@@ -838,11 +853,119 @@ def test_fused_run_is_the_unfused_run(case):
         s = complete_lift(s)
     init = JetPoint(level + 1, s.dim, coords)
     calling = geodesic._calling(s.fiber_dim, s.dim)
-    inlined = _run_outcome(s, init, span, h)
+    inlined = _outcome(integrate, s, init, (0.0, span), h)
     assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is not calling
     with mock.patch.object(geodesic, "_FUSED_LEVELS", frozenset()):
         assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is calling
-        assert inlined == _run_outcome(s, init, span, h)
+        assert inlined == _outcome(integrate, s, init, (0.0, span), h)
+
+
+FAN_SPRAYS = {"sphere": FUSED_SPRAYS["sphere"], "disk": DISK, "finsler": FUSED_SPRAYS["finsler"],
+              "trap": FUSED_SPRAYS["trap"], "round-sphere-3": FUSED_SPRAYS["round-sphere-3"]}
+
+
+@st.composite
+def _fan_cases(draw):
+    """(name, carrier, fibers, span, h): ``dim`` starts on one carrier in the
+    chart, sphere carriers near a pole."""
+    name = draw(st.sampled_from(sorted(FAN_SPRAYS)))
+    s = FAN_SPRAYS[name]
+    jets = st.lists(st.floats(-2.0, 2.0), min_size=2 * s.dim, max_size=2 * s.dim)
+    carrier = draw(jets)
+    if name in ("sphere", "round-sphere-3"):
+        # colatitudes within 0.3 of a pole, the longitude anywhere
+        for i in range(s.dim - 1):
+            near = draw(st.floats(1e-3, 0.3))
+            carrier[i] = draw(st.sampled_from([near, math.pi - near]))
+    assume(s.in_domain(carrier) and math.hypot(*carrier[s.dim:]) > 0.1)
+    fibers = draw(st.lists(jets, min_size=s.dim, max_size=s.dim))
+    span = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.5, 4.0))
+    return name, carrier, fibers, span, draw(st.sampled_from([0.05, 0.25, 0.5]))
+
+
+@settings(max_examples=200)
+@given(_fan_cases())
+# the carrier's 4th stage of step 2 lands on the pole
+@example(("sphere", [0.5, 0.0, -1.0, 0.0], [[0.1, 0.0, 0.2, 0.3], [0.0, 1.0, 0.0, 0.0]], 2.0,
+          0.25))
+# the carrier's node 1 is TRAP_X, where the fan raises
+@example(("trap", [0.0, 1.0], [[0.3, -0.2]], 1.0, 0.25))
+def test_fused_fan_run_is_the_unfused_run(case):
+    # the scan's fan of dim starts, one per basis rate, run by the inlining
+    # loop and by the calling loop
+    name, carrier, fibers, span, h = case
+    s = FAN_SPRAYS[name]
+    dim = s.dim
+    starts = [JetPoint(2, dim, carrier[:dim] + f[:dim] + carrier[dim:] + f[dim:]) for f in fibers]
+    lifted, n = complete_lift(s), dim + dim * dim
+    calling = geodesic._calling(n, dim)
+    inlined = _outcome(_fan_run, s, starts, (0.0, span), h)
+    assert geodesic._run_loop(lifted, lifted.fan(dim), n) is not calling
+    with mock.patch.object(geodesic, "_FUSED_LEVELS", frozenset()):
+        assert geodesic._run_loop(lifted, lifted.fan(dim), n) is calling
+        assert inlined == _outcome(_fan_run, s, starts, (0.0, span), h)
+
+
+SCAN_CASES = {
+    "sphere": (make_sphere(), tilted_init(), 1.5, 1e-2),
+    "disk": (DISK, JetPoint(1, 2, [0.0, 0.0, 1.0, 0.0]), 3.0, 1e-2),
+    # backward, the drag pushes and the speed blows up near t = -0.8
+    "finsler": (make_finsler_example((0.3, 1.0)), JetPoint(1, 2, [0.1, 0.2, 0.9, -0.4]), -1.0,
+                1e-2),
+    "round-sphere-3": (make_round_sphere(3),
+                       JetPoint(1, 3, [math.pi / 2, math.pi / 2, 0.0, 0.0, 0.0, 1.0]), 3.5, 1e-2),
+}
+
+
+@pytest.mark.parametrize("case", list(SCAN_CASES))
+def test_fused_conjugate_scan_is_the_unfused_scan(case):
+    s, init, t_max, h = SCAN_CASES[case]
+    got = _outcome(conjugate_search, s, init, t_max, h)
+    with mock.patch.object(geodesic, "_FUSED_LEVELS", frozenset()):
+        assert got == _outcome(conjugate_search, s, init, t_max, h)
+    if case in ("sphere", "round-sphere-3"):
+        assert len(got[0]) == 1
+
+
+def test_level2_kernel_and_fan_runs_call_their_evaluator(monkeypatch):
+    # level-2 loops outgrow the one-byte local index (see _FUSED_LEVELS): a
+    # level-2 kernel run, and the fan(4) of a scan along a level-1 geodesic,
+    # run the calling loop
+    assert 2 not in geodesic._FUSED_LEVELS
+    loops = []
+    run_loop = geodesic._run_loop
+    monkeypatch.setattr(geodesic, "_run_loop",
+                        lambda s, f, n: loops.append((s.level, n, run_loop(s, f, n))) or loops[-1][2])
+    s, init, span, h = REFERENCE_CASES["sphere-L2"]
+    integrate(s, init, (0.0, span), h)
+    conjugate_search(_lifted_sphere(1), _lifted_init(1), 0.5, 2e-2)
+    assert loops == [(2, 8, geodesic._calling(8, 2)), (2, 20, geodesic._calling(20, 2))]
+
+
+def test_inlined_fan_loop_calls_no_evaluator():
+    s = complete_lift(make_sphere())
+    fan = s.fan(2)
+    loop = geodesic._run_loop(s, fan, 6)
+    assert loop is geodesic._inlined_loops[fan] is geodesic._run_loop(s, fan, 6)
+    assert loop.__code__.co_filename.startswith("<rk4 loop lifted(sphere) L1 fan m=2>")
+    assert not re.search(r"\bf\(", _loop_source(loop))
+    assert re.search(r"\bf\(", _loop_source(geodesic._calling(6, 2)))
+
+
+@pytest.mark.parametrize("name", ["sphere", "flat", "finsler"])
+def test_inlined_loops_fit_the_one_byte_local_index(name):
+    # past 256 locals a loop's loads and stores of locals need EXTENDED_ARG,
+    # where inlining starts to lose (see _FUSED_LEVELS); the runner's sprays
+    # at levels 0-1, kernel and fan(2), stay below
+    s = {"sphere": make_sphere(), "flat": make_flat(2),
+         "finsler": make_finsler_example((0.0, 1.0))}[name]
+    lifted = complete_lift(s)
+    loops = [geodesic._run_loop(s, s.acceleration, 2),
+             geodesic._run_loop(lifted, lifted.acceleration, 4),
+             geodesic._run_loop(lifted, lifted.fan(2), 6)]
+    assert not {geodesic._calling(n, 2) for n in (2, 4, 6)} & set(loops)
+    for loop in loops:
+        assert loop.__code__.co_nlocals <= 256, loop.__code__.co_filename
 
 
 def test_trap_node_failure_is_a_blowup():
@@ -851,16 +974,20 @@ def test_trap_node_failure_is_a_blowup():
     assert integrate(drag, init, (0.0, 1.0), 0.25).positions[1, 0] == TRAP_X
     trap = FUSED_SPRAYS["trap"]
     lifted = complete_lift(trap)
-    assert geodesic._run_loop(lifted, lifted.acceleration, 2) is geodesic._calling(2, 1)
-    # node 1 raises in the inlining loop and, once lifted, in the calling
-    # loop; node 0 is the last stored node
-    for s, p in ((trap, init), (lifted, JetPoint(2, 1, [0.0, 0.3, 1.0, -0.2]))):
-        with pytest.raises(IntegrationBlowupError) as err:
-            integrate(s, p, (0.0, 1.0), 0.25)
-        assert str(err.value) == ("coefficient evaluation failed: ZeroDivisionError('float "
-                                  "division by zero')")
-        assert type(err.value.__cause__) is ZeroDivisionError
-        assert err.value.t_end == 0.0
+    # node 1 raises in the inlining loop at the fused levels and in the
+    # calling loop once no level is fused; node 0 is the last stored node
+    for fused in (geodesic._FUSED_LEVELS, frozenset()):
+        with mock.patch.object(geodesic, "_FUSED_LEVELS", fused):
+            for s, p in ((trap, init), (lifted, JetPoint(2, 1, [0.0, 0.3, 1.0, -0.2]))):
+                calling = geodesic._calling(s.fiber_dim, s.dim)
+                assert (geodesic._run_loop(s, s.acceleration, s.fiber_dim) is calling) == (
+                    s.level not in fused)
+                with pytest.raises(IntegrationBlowupError) as err:
+                    integrate(s, p, (0.0, 1.0), 0.25)
+                assert str(err.value) == ("coefficient evaluation failed: ZeroDivisionError("
+                                          "'float division by zero')")
+                assert type(err.value.__cause__) is ZeroDivisionError
+                assert err.value.t_end == 0.0
 
 
 def test_residual_matches_step_loop():
@@ -972,19 +1099,20 @@ OUTWARD = [0.0, 0.0, 1.0, 0.0]
 
 # each caller of a domain: (run, the calling functions, the innermost's
 # filename or None); a loop of another spray of the same tag may hold the
-# plain filename, so a loop's filename is matched by its prefix
+# plain filename, so a loop's filename is matched by its prefix.  A level-1
+# run inlines its kernel or fan; UNFUSED_LOOPS names its calling loop.
 DOMAIN_CALLERS = {
     "fused-L0-loop": (lambda d: integrate(make_flat(2, d), JetPoint(1, 2, OUTWARD),
                                           (0.0, 3.0), 0.25),
                       ("_integrate", "loop"), "<rk4 loop flat L0>"),
     "calling-L1-loop": (lambda d: integrate(complete_lift(make_flat(2, d)),
                                             _lifted_init(1, OUTWARD), (0.0, 3.0), 0.25),
-                        ("_integrate", "loop"), "<rk4 loop n=4 dim=2>"),
+                        ("_integrate", "loop"), "<rk4 loop lifted(flat) L1>"),
     "calling-L2-loop": (lambda d: integrate(complete_lift(complete_lift(make_flat(2, d))),
                                             _lifted_init(2, OUTWARD), (0.0, 3.0), 0.25),
                         ("_integrate", "loop"), "<rk4 loop n=8 dim=2>"),
     "fan-run": (lambda d: conjugate_search(make_flat(2, d), JetPoint(1, 2, OUTWARD), 3.0, 0.25),
-                ("_fan_run", "_integrate", "loop"), "<rk4 loop n=6 dim=2>"),
+                ("_fan_run", "_integrate", "loop"), "<rk4 loop lifted(flat) L1 fan m=2>"),
     "start-check": (lambda d: integrate(make_flat(2, d), JetPoint(1, 2, OUTWARD), (0.0, 1.0), 0.25),
                     ("_integrate", "_node_exit", "in_domain"), None),
     "failed-step": (lambda d: integrate(_rim_spray(d), JetPoint(1, 2, [1.5, 0.0, 1.0, 0.0]),
@@ -1001,15 +1129,23 @@ DOMAIN_CALLERS = {
 }
 
 
+UNFUSED_LOOPS = {"calling-L1-loop": "<rk4 loop n=4 dim=2>", "fan-run": "<rk4 loop n=6 dim=2>"}
+
+
 @pytest.mark.parametrize("caller", list(DOMAIN_CALLERS))
 def test_every_domain_call_gets_a_list_of_dim_floats(caller):
     run, names, filename = DOMAIN_CALLERS[caller]
-    calls = _disk_calls(run)
-    assert any(got[-len(names):] == names and (filename is None or file.startswith(filename))
-               for _, got, file in calls)
-    for x, _, _ in calls:
-        assert type(x) is list and len(x) == 2
-        assert all(type(z) is float for z in x)
+    loops = [(geodesic._FUSED_LEVELS, filename)]
+    if caller in UNFUSED_LOOPS:
+        loops.append((frozenset(), UNFUSED_LOOPS[caller]))
+    for fused, filename in loops:
+        with mock.patch.object(geodesic, "_FUSED_LEVELS", fused):
+            calls = _disk_calls(run)
+        assert any(got[-len(names):] == names and (filename is None or file.startswith(filename))
+                   for _, got, file in calls)
+        for x, _, _ in calls:
+            assert type(x) is list and len(x) == 2
+            assert all(type(z) is float for z in x)
 
 
 def test_sphere_loop_checks_each_node_on_its_base_list():
@@ -1066,8 +1202,15 @@ def test_position_at_is_the_position_of_state_at(case, direction):
         for t in times.tolist():
             assert tr.position_at(t).tobytes() == tr.state_at(t)[0].tobytes(), t
         for bad in (lo - 1e-11, hi + 1e-11, math.nan):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError) as want:
+                tr.state_at(bad)
+            with pytest.raises(DomainError) as got:
                 tr.position_at(bad)
+            assert str(got.value) == str(want.value)
+        # only the position's Hermite interpolant is evaluated
+        with mock.patch.object(geodesic, "_hermite", wraps=geodesic._hermite) as hermite:
+            tr.position_at(float(ts[-1]))
+        assert hermite.call_count == (len(ts) > 1)
 
 
 @pytest.mark.parametrize("direction", [1.0, -1.0], ids=["forward", "reversed"])
@@ -1195,8 +1338,8 @@ def test_stored_nodes_are_pinned(name):
         assert array.flags.c_contiguous and array.flags.writeable and array.flags.owndata
 
 
-# the squared-speed run blows up in the inlining loop, the lifted trap in
-# the calling loop; t_end is the time of the last finite node
+# the squared-speed run blows up in the inlining loop at level 0, the lifted
+# trap in the one at level 1; t_end is the time of the last finite node
 PINNED_BLOWUPS = {
     "squared-speed": (Spray(level=0, dim=1, coeff_fn=lambda x, v: [-0.5 * v[0] * v[0]],
                             tag="squared-speed"), JetPoint(1, 1, [0.0, 1.0]), 0.04),
