@@ -16,7 +16,8 @@ on float lists for a plain run, which runs the spray's kernel, and the
 lift's fan (:meth:`Spray.fan`) for a run of :mod:`sprayjets.jacobi` on the
 state of several lifted fields over one carrier.  A run at a level in
 ``_FUSED_LEVELS`` whose evaluator's program is traced (the kernel, or the
-fan itself) uses the inlining loop, built once per program: each stage, and
+fan itself) uses the inlining loop when that loop has at most
+``_MAX_LOCALS`` locals.  It is built once per program, and each stage, and
 the new node, runs an inlined copy of the program's statements, so its
 steps make no call.  Every other run uses the calling loop, built once per
 state length, which calls the evaluator at each stage and at each new node.
@@ -136,13 +137,10 @@ class Trajectory:
         return n - 2 - np.searchsorted(ts[-2:0:-1], t, side="left")
 
     def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        i = self._bracket(t)
-        if len(self.times) == 1:
-            return self.positions[0], self.velocities[0]
-        dt = self.times[i + 1] - self.times[i]
-        tau = (t - self.times[i]) / dt
-        x = _hermite(self.positions[i], self.velocities[i],
-                     self.positions[i + 1], self.velocities[i + 1], tau, dt)
+        x, step = self._position_step(t)
+        if step is None:
+            return x, self.velocities[0]
+        i, tau, dt = step
         v = _hermite(self.velocities[i], self.accelerations[i],
                      self.velocities[i + 1], self.accelerations[i + 1], tau, dt)
         return x, v
@@ -168,12 +166,19 @@ class Trajectory:
 
     def position_at(self, t: float) -> np.ndarray:
         """The position of :meth:`state_at` at ``t``, bit for bit, without its velocity."""
+        return self._position_step(t)[0]
+
+    def _position_step(self, t: float):
+        """The position at ``t``, and (i, tau, dt): its step, where it lies in the
+        step and the step's length, or None on a single-node trajectory."""
         i = self._bracket(t)
         if len(self.times) == 1:
-            return self.positions[0]
+            return self.positions[0], None
         dt = self.times[i + 1] - self.times[i]
-        return _hermite(self.positions[i], self.velocities[i], self.positions[i + 1],
-                        self.velocities[i + 1], (t - self.times[i]) / dt, dt)
+        tau = (t - self.times[i]) / dt
+        x = _hermite(self.positions[i], self.velocities[i],
+                     self.positions[i + 1], self.velocities[i + 1], tau, dt)
+        return x, (i, tau, dt)
 
     def final_jet(self) -> JetPoint:
         return JetPoint(self.spray.level + 1, self.spray.dim,
@@ -347,18 +352,23 @@ def _calling(n: int, dim: int) -> Callable:
     return _rk4(n, dim)
 
 
-# The lift levels whose run loops inline a traced program.  Inlining pays
-# while the loop's locals fit CPython's one-byte local index.  The loops of
-# the sphere, flat and Finsler sprays at levels 0-1, kernel and ``fan(2)``,
-# have at most 233 locals and no EXTENDED_ARG on a local; a 100-step inlined
-# run took 0.81 (flat L1), 0.86 (Finsler L1), 0.90-0.92 (sphere L1) and
-# 0.93-0.94 (sphere L1 fan(2)) of the calling run's time (best of 80
-# interleaved runs each, CPython 3.11, 2-vCPU host).  The sphere's level-2
-# loop has 337 locals and 363 EXTENDED_ARG in 3086 instructions; it ran at
-# 0.93, but its fan(2) at 1.02-1.03, and fusing level 2 moved no end-to-end
-# metric beyond the runs' spread while peak memory grew.  The level-3 loop
-# has 673 locals and 2240 EXTENDED_ARG in 8756 instructions (1.06).  Round
-# S^3's level-1 fan(3), with 509 locals, ran at 1.05; only tests run it.
+# The most locals an inlined run loop may have: CPython's one-byte local
+# index.  Past it, loads and stores of locals need EXTENDED_ARG: the
+# sphere's level-2 loop has 337 locals and 363 EXTENDED_ARG in 3086
+# instructions, its level-3 loop 673 and 2240 in 8756.  A 100-step inlined
+# run took this share of the calling run's time (best of 40-80 interleaved
+# runs each, CPython 3.11, 2-vCPU host), by the loop's locals: flat L1 (109)
+# 0.81, Finsler L1 (141) 0.86, sphere L1 (169) 0.90-0.92, flat L2 (197)
+# 0.85, sphere L1 fan(2) (233) 0.93-0.94; past the limit, Finsler L2 (273)
+# 0.91, round S^3 L1 (289) 0.94, sphere L2 (337) 0.93, 4-D flat L1 fan(4)
+# (461) 0.99, sphere L2 fan(2) (485) 1.02-1.03, round S^3 L1 fan(3) (509)
+# 1.05 and sphere L3 (673) 1.06.  So the limit is safe rather than tight.
+_MAX_LOCALS = 256
+
+# The lift levels whose runs may inline.  Level 2 and deeper keep calling,
+# even where the loop fits (flat L2): fusing them moved no end-to-end metric
+# beyond the runs' spread while peak memory grew, and their calls are what
+# the benchmark's level-2 acceleration counters count.
 _FUSED_LEVELS = frozenset({0, 1})
 
 # The inlined run loop of each traced kernel or fan, dropped with the program.
@@ -368,26 +378,30 @@ _inlined_loops: WeakKeyDictionary = WeakKeyDictionary()
 def _run_loop(s: Spray, f: Callable, n: int) -> Callable:
     """The :func:`_rk4` loop for a run of ``s`` stepping with ``f`` on ``n`` positions.
 
-    A run whose level is in _FUSED_LEVELS inlines its evaluator's program
-    when that keeps a tape (it is traced): the kernel when ``f`` is
-    ``s.acceleration``, otherwise ``f`` itself, the lift's fan of a run of
-    :mod:`sprayjets.jacobi` (:meth:`Spray.fan`), whose run reads no
-    :attr:`Spray.kernel`.  That loop is built at the program's first run and
-    named after it.  Every other run gets the calling loop.
+    The run's program is the kernel when ``f`` is ``s.acceleration``,
+    otherwise ``f`` itself, the lift's fan of a run of :mod:`sprayjets.jacobi`
+    (:meth:`Spray.fan`), whose run reads no :attr:`Spray.kernel`.  At a
+    level in _FUSED_LEVELS, a traced program (one that keeps a tape) is
+    inlined when the loop that inlines it has at most _MAX_LOCALS locals.
+    Each of a step's four evaluations adds the program's locals but its two
+    arguments to the calling loop's, so the count is known before the loop
+    is built, and a loop past the limit is never built.  A loop that fits
+    is built at the program's first run and named after it.  Every other run
+    gets the calling loop.
     """
-    if s.level in _FUSED_LEVELS:
-        program = s.kernel if f == s.acceleration else f
-        tape = getattr(program, "tape", None)
-        if tape is not None:
-            loop = _inlined_loops.get(program)
-            if loop is None:
-                # n is the carrier's c positions and the m tangents' w each, as in Spray.fan
-                c = s.fiber_dim // 2
-                m = (n - c) // (s.fiber_dim - c)
-                name = f"<rk4 loop {s.tag} L{s.level}{'' if m == 1 else f' fan m={m}'}>"
-                loop = _inlined_loops[program] = _rk4(n, s.dim, tape, name)
-            return loop
-    return _calling(n, s.dim)
+    calling = _calling(n, s.dim)
+    if s.level not in _FUSED_LEVELS:
+        return calling
+    program = s.kernel if f == s.acceleration else f
+    tape = getattr(program, "tape", None)
+    if tape is None or (calling.__code__.co_nlocals + 4 * (program.__code__.co_nlocals - 2)
+                        > _MAX_LOCALS):
+        return calling
+    loop = _inlined_loops.get(program)
+    if loop is None:
+        name = "<rk4 loop " + program.__code__.co_filename[1:]
+        loop = _inlined_loops[program] = _rk4(n, s.dim, tape, name)
+    return loop
 
 
 def _failed_step(s: Spray, stages: list, exc: Exception | None) -> str:

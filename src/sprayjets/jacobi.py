@@ -13,8 +13,9 @@ statements once per field.  Each field's columns are bitwise its own run of
 the lift, and the fan raises exactly the exception that the lift's kernel
 raises first on the fields in turn.  So exceptions and exit reasons are
 those of the separate runs.  Along a level-0 geodesic the fan is the
-level-1 lift's, whose statements the run loop inlines (see
-:func:`~sprayjets.geodesic._run_loop`); the loop calls a deeper fan.
+level-1 lift's, whose statements the run loop inlines while the loop stays
+within its local limit, as for ``fan(2)`` of a 2-D spray; the loop calls a
+larger or deeper fan (see :func:`~sprayjets.geodesic._run_loop`).
 
 Finite differences are only oracles: :func:`variation_oracle`, the central
 difference of the two runs perturbed by ``+eps`` and ``-eps``, and its end
@@ -169,7 +170,8 @@ def _fan_run(s: Spray, starts: list[JetPoint], t_span: tuple[float, float],
 
     The evaluator is the lift's fan for ``len(starts)`` tangents, which
     raises what the kernel raises first on the starts in turn.  The run
-    reads no kernel; for a level-0 ``s`` the run loop inlines the fan.
+    reads no kernel; for a level-0 ``s`` the run loop inlines the fan when
+    it fits.
     """
 
     lifted, n = complete_lift(s), s.fiber_dim

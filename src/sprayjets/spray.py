@@ -36,8 +36,8 @@ do.  The time derivative of the acceleration
 (:func:`acceleration_jet`) is read off the complete lift's kernel rather
 than evaluated on ``Dual`` pairs.  Most run through a call of the
 kernel or fan; an RK4 run loop at level 0 or 1 (:mod:`sprayjets.geodesic`)
-runs inlined copies of a traced kernel's or fan's statements instead, with
-the same results.  On ``Dual`` entries :func:`acceleration_jet` runs
+that stays within its local limit runs inlined copies of a traced kernel's or fan's
+statements instead, with the same results.  On ``Dual`` entries :func:`acceleration_jet` runs
 ``coeff_fn`` itself.
 """
 

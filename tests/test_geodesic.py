@@ -377,9 +377,10 @@ def test_blowup_error_carries_the_last_finite_node_time():
 
 
 def _failed_step_case(name):
-    # runs that end in _failed_step after a calling loop: each spray refuses
-    # tracing (float() of a traced scalar) or is lifted, so the loop calls f
-    # at every stage
+    # runs that end in _failed_step: each spray but the lifted sphere refuses
+    # tracing (float() of a traced scalar), so its loop calls f at every
+    # stage; the lifted sphere's run goes through the inlining loop, and
+    # through the calling loop when _MAX_LOCALS is 0
     if name == "raise-inside":
         s = Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.0 * v[0] / float(x[0])],
                   tag="singular-refused")
@@ -426,7 +427,7 @@ def test_failed_step_gets_the_stages_the_loop_evaluated(monkeypatch, name):
     monkeypatch.setattr(Spray, "acceleration", logged)
     monkeypatch.setattr(geodesic, "_failed_step", receiving)
     calling = geodesic._calling(s.fiber_dim, s.dim)
-    with mock.patch.object(geodesic, "_FUSED_LEVELS", frozenset()):
+    with mock.patch.object(geodesic, "_MAX_LOCALS", 0):
         assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is calling
         run()
     # _failed_step evaluates nothing and is handed the step's stage positions:
@@ -853,9 +854,11 @@ def test_fused_run_is_the_unfused_run(case):
         s = complete_lift(s)
     init = JetPoint(level + 1, s.dim, coords)
     calling = geodesic._calling(s.fiber_dim, s.dim)
-    inlined = _outcome(integrate, s, init, (0.0, span), h)
-    assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is not calling
-    with mock.patch.object(geodesic, "_FUSED_LEVELS", frozenset()):
+    # every traced kernel at a fused level is inlined when no loop is too large
+    with mock.patch.object(geodesic, "_MAX_LOCALS", math.inf):
+        assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is not calling
+        inlined = _outcome(integrate, s, init, (0.0, span), h)
+    with mock.patch.object(geodesic, "_MAX_LOCALS", 0):
         assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is calling
         assert inlined == _outcome(integrate, s, init, (0.0, span), h)
 
@@ -899,9 +902,11 @@ def test_fused_fan_run_is_the_unfused_run(case):
     starts = [JetPoint(2, dim, carrier[:dim] + f[:dim] + carrier[dim:] + f[dim:]) for f in fibers]
     lifted, n = complete_lift(s), dim + dim * dim
     calling = geodesic._calling(n, dim)
-    inlined = _outcome(_fan_run, s, starts, (0.0, span), h)
-    assert geodesic._run_loop(lifted, lifted.fan(dim), n) is not calling
-    with mock.patch.object(geodesic, "_FUSED_LEVELS", frozenset()):
+    # round S^3's fan(3) is past _MAX_LOCALS, so no limit makes it inlined
+    with mock.patch.object(geodesic, "_MAX_LOCALS", math.inf):
+        assert geodesic._run_loop(lifted, lifted.fan(dim), n) is not calling
+        inlined = _outcome(_fan_run, s, starts, (0.0, span), h)
+    with mock.patch.object(geodesic, "_MAX_LOCALS", 0):
         assert geodesic._run_loop(lifted, lifted.fan(dim), n) is calling
         assert inlined == _outcome(_fan_run, s, starts, (0.0, span), h)
 
@@ -921,17 +926,20 @@ SCAN_CASES = {
 def test_fused_conjugate_scan_is_the_unfused_scan(case):
     s, init, t_max, h = SCAN_CASES[case]
     got = _outcome(conjugate_search, s, init, t_max, h)
-    with mock.patch.object(geodesic, "_FUSED_LEVELS", frozenset()):
-        assert got == _outcome(conjugate_search, s, init, t_max, h)
+    for limit in (0, math.inf):
+        with mock.patch.object(geodesic, "_MAX_LOCALS", limit):
+            assert got == _outcome(conjugate_search, s, init, t_max, h)
     if case in ("sphere", "round-sphere-3"):
         assert len(got[0]) == 1
 
 
 def test_level2_kernel_and_fan_runs_call_their_evaluator(monkeypatch):
-    # level-2 loops outgrow the one-byte local index (see _FUSED_LEVELS): a
-    # level-2 kernel run, and the fan(4) of a scan along a level-1 geodesic,
-    # run the calling loop
-    assert 2 not in geodesic._FUSED_LEVELS
+    # level 2 is not fused (see _FUSED_LEVELS): a level-2 kernel run, and the
+    # fan(4) of a scan along a level-1 geodesic, run the calling loop, and so
+    # does the flat level-2 run, whose inlined loop would fit _MAX_LOCALS
+    flat = complete_lift(complete_lift(make_flat(2)))
+    with mock.patch.object(geodesic, "_MAX_LOCALS", math.inf):
+        assert geodesic._run_loop(flat, flat.acceleration, 8) is geodesic._calling(8, 2)
     loops = []
     run_loop = geodesic._run_loop
     monkeypatch.setattr(geodesic, "_run_loop",
@@ -954,9 +962,9 @@ def test_inlined_fan_loop_calls_no_evaluator():
 
 @pytest.mark.parametrize("name", ["sphere", "flat", "finsler"])
 def test_inlined_loops_fit_the_one_byte_local_index(name):
-    # past 256 locals a loop's loads and stores of locals need EXTENDED_ARG,
-    # where inlining starts to lose (see _FUSED_LEVELS); the runner's sprays
-    # at levels 0-1, kernel and fan(2), stay below
+    # past 256 locals a loop's loads and stores of locals need EXTENDED_ARG
+    # (see _MAX_LOCALS); the runner's sprays at levels 0-1, kernel and
+    # fan(2), stay below and run inlined
     s = {"sphere": make_sphere(), "flat": make_flat(2),
          "finsler": make_finsler_example((0.0, 1.0))}[name]
     lifted = complete_lift(s)
@@ -968,20 +976,40 @@ def test_inlined_loops_fit_the_one_byte_local_index(name):
         assert loop.__code__.co_nlocals <= 256, loop.__code__.co_filename
 
 
+
+@pytest.mark.parametrize("name, m", [
+    ("sphere", 1), ("sphere", 2), ("finsler", 2), ("round-sphere-3", 1), ("round-sphere-3", 3),
+    ("flat-3", 3), ("flat-4", 1), ("flat-4", 4)])
+def test_run_loop_inlines_the_loops_that_fit_max_locals(name, m):
+    # the rule counts the inlined loop's locals before building it: a level-1
+    # run inlines exactly when the loop built from its kernel or fan(m) has
+    # at most _MAX_LOCALS locals
+    sprays = {"flat-3": make_flat(3), "flat-4": make_flat(4), **FUSED_SPRAYS}
+    s = complete_lift(sprays[name])
+    c = s.fiber_dim // 2
+    program, n = s.fan(m), c + m * (s.fiber_dim - c)
+    f = s.acceleration if m == 1 else program
+    built = geodesic._rk4(n, s.dim, program.tape, "<rk4 loop built>")
+    loop = geodesic._run_loop(s, f, n)
+    assert (loop is not geodesic._calling(n, s.dim)) == (
+        built.__code__.co_nlocals <= geodesic._MAX_LOCALS)
+    with mock.patch.object(geodesic, "_MAX_LOCALS", math.inf):
+        assert geodesic._run_loop(s, f, n).__code__.co_nlocals == built.__code__.co_nlocals
+
 def test_trap_node_failure_is_a_blowup():
     drag = Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.1 * v[0] * v[0]], tag="drag")
     init = JetPoint(1, 1, [0.0, 1.0])
     assert integrate(drag, init, (0.0, 1.0), 0.25).positions[1, 0] == TRAP_X
     trap = FUSED_SPRAYS["trap"]
     lifted = complete_lift(trap)
-    # node 1 raises in the inlining loop at the fused levels and in the
-    # calling loop once no level is fused; node 0 is the last stored node
-    for fused in (geodesic._FUSED_LEVELS, frozenset()):
-        with mock.patch.object(geodesic, "_FUSED_LEVELS", fused):
+    # node 1 raises in the inlining loop, and in the calling loop when
+    # _MAX_LOCALS is 0; node 0 is the last stored node
+    for limit in (geodesic._MAX_LOCALS, 0):
+        with mock.patch.object(geodesic, "_MAX_LOCALS", limit):
             for s, p in ((trap, init), (lifted, JetPoint(2, 1, [0.0, 0.3, 1.0, -0.2]))):
                 calling = geodesic._calling(s.fiber_dim, s.dim)
                 assert (geodesic._run_loop(s, s.acceleration, s.fiber_dim) is calling) == (
-                    s.level not in fused)
+                    limit == 0)
                 with pytest.raises(IntegrationBlowupError) as err:
                     integrate(s, p, (0.0, 1.0), 0.25)
                 assert str(err.value) == ("coefficient evaluation failed: ZeroDivisionError("
@@ -1100,7 +1128,8 @@ OUTWARD = [0.0, 0.0, 1.0, 0.0]
 # each caller of a domain: (run, the calling functions, the innermost's
 # filename or None); a loop of another spray of the same tag may hold the
 # plain filename, so a loop's filename is matched by its prefix.  A level-1
-# run inlines its kernel or fan; UNFUSED_LOOPS names its calling loop.
+# run inlines its kernel or fan (the ids name the loops they ran before);
+# UNFUSED_LOOPS names its calling loop.
 DOMAIN_CALLERS = {
     "fused-L0-loop": (lambda d: integrate(make_flat(2, d), JetPoint(1, 2, OUTWARD),
                                           (0.0, 3.0), 0.25),
@@ -1135,11 +1164,11 @@ UNFUSED_LOOPS = {"calling-L1-loop": "<rk4 loop n=4 dim=2>", "fan-run": "<rk4 loo
 @pytest.mark.parametrize("caller", list(DOMAIN_CALLERS))
 def test_every_domain_call_gets_a_list_of_dim_floats(caller):
     run, names, filename = DOMAIN_CALLERS[caller]
-    loops = [(geodesic._FUSED_LEVELS, filename)]
+    loops = [(geodesic._MAX_LOCALS, filename)]
     if caller in UNFUSED_LOOPS:
-        loops.append((frozenset(), UNFUSED_LOOPS[caller]))
-    for fused, filename in loops:
-        with mock.patch.object(geodesic, "_FUSED_LEVELS", fused):
+        loops.append((0, UNFUSED_LOOPS[caller]))
+    for limit, filename in loops:
+        with mock.patch.object(geodesic, "_MAX_LOCALS", limit):
             calls = _disk_calls(run)
         assert any(got[-len(names):] == names and (filename is None or file.startswith(filename))
                    for _, got, file in calls)
@@ -1271,8 +1300,8 @@ def _case_run(case, direction=1.0):
 
 NODE_ARRAYS = ("times", "positions", "velocities", "accelerations")
 
-# runs through the inlining loop (L0), the calling loop (L1-L3), a fan and
-# each way a run ends
+# runs through the inlining loop (L0-L1), the calling loop (L2-L3), a fan
+# and each way a run ends
 PINNED_RUNS = {
     "sphere-L0": lambda: _case_run("sphere-L0"),
     "flat-L0": lambda: _case_run("flat"),
