@@ -14,13 +14,13 @@ positions, velocities and acceleration) in a byte buffer, from which
 locals from step to step.  The evaluator is :meth:`Spray.acceleration`
 on float lists for a plain run, which runs the spray's kernel, and the
 lift's fan (:meth:`Spray.fan`) for a run of :mod:`sprayjets.jacobi` on the
-state of several lifted fields over one carrier.  A run at a level in
-``_FUSED_LEVELS`` whose evaluator's program is traced (the kernel, or the
-fan itself) uses the inlining loop when that loop has at most
-``_MAX_LOCALS`` locals.  It is built once per program, and each stage, and
-the new node, runs an inlined copy of the program's statements, so its
-steps make no call.  Every other run uses the calling loop, built once per
-state length, which calls the evaluator at each stage and at each new node.
+state of several lifted fields over one carrier.  A run, at any lift
+level, whose evaluator's program is traced (the kernel, or the fan itself)
+uses the inlining loop when that loop has at most ``_MAX_LOCALS`` locals.
+It is built once per program, and each stage, and the new node, runs an
+inlined copy of the program's statements, so its steps make no call.
+Every other run uses the calling loop, built once per state length, which
+calls the evaluator at each stage and at each new node.
 
 The loop checks each node in plain Python floats, by prefilters: the sum
 of its entries is finite, the Python sum of squares of its base velocity
@@ -352,24 +352,19 @@ def _calling(n: int, dim: int) -> Callable:
     return _rk4(n, dim)
 
 
-# The most locals an inlined run loop may have: CPython's one-byte local
-# index.  Past it, loads and stores of locals need EXTENDED_ARG: the
-# sphere's level-2 loop has 337 locals and 363 EXTENDED_ARG in 3086
-# instructions, its level-3 loop 673 and 2240 in 8756.  A 100-step inlined
-# run took this share of the calling run's time (best of 40-80 interleaved
-# runs each, CPython 3.11, 2-vCPU host), by the loop's locals: flat L1 (109)
-# 0.81, Finsler L1 (141) 0.86, sphere L1 (169) 0.90-0.92, flat L2 (197)
-# 0.85, sphere L1 fan(2) (233) 0.93-0.94; past the limit, Finsler L2 (273)
-# 0.91, round S^3 L1 (289) 0.94, sphere L2 (337) 0.93, 4-D flat L1 fan(4)
-# (461) 0.99, sphere L2 fan(2) (485) 1.02-1.03, round S^3 L1 fan(3) (509)
-# 1.05 and sphere L3 (673) 1.06.  So the limit is safe rather than tight.
+# The most locals an inlined run loop may have, at any lift level:
+# CPython's one-byte local index.  Past it, loads and stores of locals need
+# EXTENDED_ARG: the sphere's level-2 loop has 337 locals and 363
+# EXTENDED_ARG in 3086 instructions, its level-3 loop 673 and 2240 in 8756.
+# A 100-step inlined run took this share of the calling run's time (best of
+# 40-80 interleaved runs each, CPython 3.11, 2-vCPU host), by the loop's
+# locals: flat L1 (109) 0.81, Finsler L1 (141) 0.86, sphere L1 (169)
+# 0.90-0.92, flat L2 (197) 0.85-0.88, sphere L1 fan(2) (233) 0.93-0.94;
+# past the limit, Finsler L2 (273) 0.91, round S^3 L1 (289) 0.94, sphere L2
+# (337) 0.93, 4-D flat L1 fan(4) (461) 0.99, sphere L2 fan(2) (485)
+# 1.02-1.03, round S^3 L1 fan(3) (509) 1.05 and sphere L3 (673) 1.06.  So
+# the limit is safe rather than tight.
 _MAX_LOCALS = 256
-
-# The lift levels whose runs may inline.  Level 2 and deeper keep calling,
-# even where the loop fits (flat L2): fusing them moved no end-to-end metric
-# beyond the runs' spread while peak memory grew, and their calls are what
-# the benchmark's level-2 acceleration counters count.
-_FUSED_LEVELS = frozenset({0, 1})
 
 # The inlined run loop of each traced kernel or fan, dropped with the program.
 _inlined_loops: WeakKeyDictionary = WeakKeyDictionary()
@@ -380,9 +375,9 @@ def _run_loop(s: Spray, f: Callable, n: int) -> Callable:
 
     The run's program is the kernel when ``f`` is ``s.acceleration``,
     otherwise ``f`` itself, the lift's fan of a run of :mod:`sprayjets.jacobi`
-    (:meth:`Spray.fan`), whose run reads no :attr:`Spray.kernel`.  At a
-    level in _FUSED_LEVELS, a traced program (one that keeps a tape) is
-    inlined when the loop that inlines it has at most _MAX_LOCALS locals.
+    (:meth:`Spray.fan`), whose run reads no :attr:`Spray.kernel`.  At any
+    level, a traced program (one that keeps a tape) is inlined when the
+    loop that inlines it has at most _MAX_LOCALS locals.
     Each of a step's four evaluations adds the program's locals but its two
     arguments to the calling loop's, so the count is known before the loop
     is built, and a loop past the limit is never built.  A loop that fits
@@ -390,8 +385,6 @@ def _run_loop(s: Spray, f: Callable, n: int) -> Callable:
     gets the calling loop.
     """
     calling = _calling(n, s.dim)
-    if s.level not in _FUSED_LEVELS:
-        return calling
     program = s.kernel if f == s.acceleration else f
     tape = getattr(program, "tape", None)
     if tape is None or (calling.__code__.co_nlocals + 4 * (program.__code__.co_nlocals - 2)

@@ -12,10 +12,10 @@ fiber half, the carrier statements run once per evaluation and the tangent
 statements once per field.  Each field's columns are bitwise its own run of
 the lift, and the fan raises exactly the exception that the lift's kernel
 raises first on the fields in turn.  So exceptions and exit reasons are
-those of the separate runs.  Along a level-0 geodesic the fan is the
-level-1 lift's, whose statements the run loop inlines while the loop stays
-within its local limit, as for ``fan(2)`` of a 2-D spray; the loop calls a
-larger or deeper fan (see :func:`~sprayjets.geodesic._run_loop`).
+those of the separate runs.  The run loop inlines a fan's statements
+while the loop stays within its local limit, as for ``fan(2)`` of a 2-D
+spray along a level-0 geodesic, and calls a larger fan, such as its
+``fan(4)`` along a level-1 geodesic (see :func:`~sprayjets.geodesic._run_loop`).
 
 Finite differences are only oracles: :func:`variation_oracle`, the central
 difference of the two runs perturbed by ``+eps`` and ``-eps``, and its end

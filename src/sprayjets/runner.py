@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -85,6 +86,10 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
         raise ValueError("dim must be at least 1")
     if cfg.seed < 0:
         raise ValueError("seed must be non-negative")
+    for key in ("h", "t_max", "alpha", "beta"):
+        val = getattr(cfg, key)
+        if not math.isfinite(val):
+            raise ValueError(f"{key} must be finite, got {val}")
     return cfg
 
 

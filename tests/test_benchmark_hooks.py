@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -37,18 +38,45 @@ def test_traced_name_resolves(module, attr):
 
 
 def _traced_pass(workload, names):
-    """The named per-layer counters of one traced pass of ``workload`` at seed 1."""
+    """The named per-layer counters of one traced pass of ``workload`` at seed 1.
+
+    Every run loop the pass gets is checked against the rule of
+    ``geodesic._run_loop``: a run inlines exactly when its program is traced
+    and the loop built from it has at most 256 locals, the one-byte local
+    index.  So a change of which runs inline, and hence of what the
+    acceleration counters see, fails here with the loop that moved.
+    """
     spans, workloads = _load("spans"), _load("workloads")
     for sub in ("geodesic", "jacobi", "jetspace", "samples", "spray", "subspray"):
         importlib.import_module(f"sprayjets.{sub}")
+    geodesic = sprayjets.geodesic
+    run_loop = geodesic._run_loop
+    runs = {}
+
+    def spy(s, f, n):
+        # the tracer rebinds Spray.acceleration, so the program is read here
+        program = s.kernel if f == s.acceleration else f
+        loop = run_loop(s, f, n)
+        runs[id(program), n] = (program, n, s.dim, loop)
+        return loop
+
     tracer = spans.Tracer()
     tracer.install(sprayjets)
     try:
-        wl = workloads.build(sprayjets, workload, 1)
-        for task in wl.tasks:
-            assert workloads.run_task(sprayjets, wl, task).failures == []
+        with mock.patch.object(geodesic, "_run_loop", spy):
+            wl = workloads.build(sprayjets, workload, 1)
+            for task in wl.tasks:
+                assert workloads.run_task(sprayjets, wl, task).failures == []
     finally:
         tracer.uninstall()
+    assert runs
+    for program, n, dim, loop in runs.values():
+        tape = getattr(program, "tape", None)
+        where = (program.__code__.co_filename, n)
+        if loop is not geodesic._calling(n, dim):
+            assert tape is not None and loop.__code__.co_nlocals <= 256, where
+        elif tape is not None:
+            assert geodesic._rk4(n, dim, tape, "<rk4 loop checked>").__code__.co_nlocals > 256, where
     counts = tracer.layer_metrics(1, 1.0, 1.0, 0.0)
     return {name: counts[name] for name in names}
 
@@ -86,6 +114,6 @@ def test_parallel_curves_pass_keeps_its_counts():
     expected = {
         "geodesic.integrate.calls": 18,
         "subspray.geodesic.calls": 9,
-        "spray.acceleration.L2.calls": 6573,
+        "spray.acceleration.L2.calls": 5453,
     }
     assert _traced_pass("parallel-curves", expected) == expected

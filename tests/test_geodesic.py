@@ -816,7 +816,7 @@ FUSED_SPRAYS = {"sphere": make_sphere(), "flat": make_flat(2),
 def _fused_cases(draw):
     """(name, level, coords, span, h), with sphere carriers near a pole."""
     name = draw(st.sampled_from(sorted(FUSED_SPRAYS)))
-    level = draw(st.sampled_from(sorted(geodesic._FUSED_LEVELS)))
+    level = draw(st.sampled_from((0, 1, 2)))
     dim = FUSED_SPRAYS[name].dim
     half = (1 << level) * dim
     coords = draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * half, max_size=2 * half))
@@ -854,7 +854,7 @@ def test_fused_run_is_the_unfused_run(case):
         s = complete_lift(s)
     init = JetPoint(level + 1, s.dim, coords)
     calling = geodesic._calling(s.fiber_dim, s.dim)
-    # every traced kernel at a fused level is inlined when no loop is too large
+    # every traced kernel is inlined when no loop is too large
     with mock.patch.object(geodesic, "_MAX_LOCALS", math.inf):
         assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is not calling
         inlined = _outcome(integrate, s, init, (0.0, span), h)
@@ -934,12 +934,14 @@ def test_fused_conjugate_scan_is_the_unfused_scan(case):
 
 
 def test_level2_kernel_and_fan_runs_call_their_evaluator(monkeypatch):
-    # level 2 is not fused (see _FUSED_LEVELS): a level-2 kernel run, and the
-    # fan(4) of a scan along a level-1 geodesic, run the calling loop, and so
-    # does the flat level-2 run, whose inlined loop would fit _MAX_LOCALS
+    # the level decides nothing: the flat level-2 run inlines, its loop within
+    # _MAX_LOCALS, while the sphere's level-2 kernel run and the fan(4) of a
+    # scan along a level-1 geodesic, whose loops would be past it, run the
+    # calling loop
     flat = complete_lift(complete_lift(make_flat(2)))
-    with mock.patch.object(geodesic, "_MAX_LOCALS", math.inf):
-        assert geodesic._run_loop(flat, flat.acceleration, 8) is geodesic._calling(8, 2)
+    loop = geodesic._run_loop(flat, flat.acceleration, 8)
+    assert loop is not geodesic._calling(8, 2)
+    assert loop.__code__.co_nlocals == 197
     loops = []
     run_loop = geodesic._run_loop
     monkeypatch.setattr(geodesic, "_run_loop",
@@ -977,15 +979,25 @@ def test_inlined_loops_fit_the_one_byte_local_index(name):
 
 
 
-@pytest.mark.parametrize("name, m", [
-    ("sphere", 1), ("sphere", 2), ("finsler", 2), ("round-sphere-3", 1), ("round-sphere-3", 3),
-    ("flat-3", 3), ("flat-4", 1), ("flat-4", 4)])
-def test_run_loop_inlines_the_loops_that_fit_max_locals(name, m):
-    # the rule counts the inlined loop's locals before building it: a level-1
-    # run inlines exactly when the loop built from its kernel or fan(m) has
-    # at most _MAX_LOCALS locals
-    sprays = {"flat-3": make_flat(3), "flat-4": make_flat(4), **FUSED_SPRAYS}
-    s = complete_lift(sprays[name])
+# (spray, m, level): the run of fan(m) of the spray's level-th lift, m = 1
+# being the kernel's; an id names the level past 1
+LOCALS_CASES = [
+    ("sphere", 1, 1), ("sphere", 2, 1), ("finsler", 2, 1), ("round-sphere-3", 1, 1),
+    ("round-sphere-3", 3, 1), ("flat-3", 3, 1), ("flat-4", 1, 1), ("flat-4", 4, 1),
+    ("flat", 1, 2), ("finsler", 1, 2), ("sphere", 1, 2), ("flat-1", 1, 3), ("flat", 1, 3)]
+
+
+@pytest.mark.parametrize("name, m, level", LOCALS_CASES, ids=[
+    f"{name}-{m}" + (f"-L{level}" if level > 1 else "") for name, m, level in LOCALS_CASES])
+def test_run_loop_inlines_the_loops_that_fit_max_locals(name, m, level):
+    # the rule counts the inlined loop's locals before building it: a run at
+    # any level inlines exactly when the loop built from its kernel or fan(m)
+    # has at most _MAX_LOCALS locals
+    sprays = {"flat-1": make_flat(1), "flat-3": make_flat(3), "flat-4": make_flat(4),
+              **FUSED_SPRAYS}
+    s = sprays[name]
+    for _ in range(level):
+        s = complete_lift(s)
     c = s.fiber_dim // 2
     program, n = s.fan(m), c + m * (s.fiber_dim - c)
     f = s.acceleration if m == 1 else program
@@ -1127,9 +1139,9 @@ OUTWARD = [0.0, 0.0, 1.0, 0.0]
 
 # each caller of a domain: (run, the calling functions, the innermost's
 # filename or None); a loop of another spray of the same tag may hold the
-# plain filename, so a loop's filename is matched by its prefix.  A level-1
-# run inlines its kernel or fan (the ids name the loops they ran before);
-# UNFUSED_LOOPS names its calling loop.
+# plain filename, so a loop's filename is matched by its prefix.  A run whose
+# loop fits _MAX_LOCALS inlines its kernel or fan (the ids name the loops
+# they ran before); UNFUSED_LOOPS names its calling loop.
 DOMAIN_CALLERS = {
     "fused-L0-loop": (lambda d: integrate(make_flat(2, d), JetPoint(1, 2, OUTWARD),
                                           (0.0, 3.0), 0.25),
@@ -1139,7 +1151,7 @@ DOMAIN_CALLERS = {
                         ("_integrate", "loop"), "<rk4 loop lifted(flat) L1>"),
     "calling-L2-loop": (lambda d: integrate(complete_lift(complete_lift(make_flat(2, d))),
                                             _lifted_init(2, OUTWARD), (0.0, 3.0), 0.25),
-                        ("_integrate", "loop"), "<rk4 loop n=8 dim=2>"),
+                        ("_integrate", "loop"), "<rk4 loop lifted(lifted(flat)) L2>"),
     "fan-run": (lambda d: conjugate_search(make_flat(2, d), JetPoint(1, 2, OUTWARD), 3.0, 0.25),
                 ("_fan_run", "_integrate", "loop"), "<rk4 loop lifted(flat) L1 fan m=2>"),
     "start-check": (lambda d: integrate(make_flat(2, d), JetPoint(1, 2, OUTWARD), (0.0, 1.0), 0.25),
@@ -1158,7 +1170,8 @@ DOMAIN_CALLERS = {
 }
 
 
-UNFUSED_LOOPS = {"calling-L1-loop": "<rk4 loop n=4 dim=2>", "fan-run": "<rk4 loop n=6 dim=2>"}
+UNFUSED_LOOPS = {"calling-L1-loop": "<rk4 loop n=4 dim=2>", "calling-L2-loop": "<rk4 loop n=8 dim=2>",
+                 "fan-run": "<rk4 loop n=6 dim=2>"}
 
 
 @pytest.mark.parametrize("caller", list(DOMAIN_CALLERS))

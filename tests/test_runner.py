@@ -134,7 +134,10 @@ def test_failing_check_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("line, message", [
     ("scenario=warp", "unknown scenario"), ("manifold = torus", "unknown manifold"),
     ("dim = 0", "dim must be at least 1"), ("seed = -1", "seed must be non-negative"),
-], ids=["scenario", "manifold", "dim", "seed"])
+    ("h = nan", "h must be finite"), ("t_max = nan", "t_max must be finite"),
+    ("t-max = -inf", "t_max must be finite"), ("alpha = inf", "alpha must be finite"),
+    ("beta = nan", "beta must be finite"),
+], ids=["scenario", "manifold", "dim", "seed", "h", "t_max", "t_max-inf", "alpha", "beta"])
 def test_bad_config_exits_two(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
@@ -146,6 +149,17 @@ def test_negative_seed_flag_exits_two(capsys):
     # numpy's default_rng would raise ValueError from inside the scenario
     assert main(["--scenario", "flow-check", "--seed", "-1"]) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, flag", [
+    ("flow-check", "--t-max"), ("lift-verify", "--t-max"), ("subspray-demo", "--t-max"),
+    ("invariant-suite", "--h"),
+])
+def test_non_finite_flag_exits_two(capsys, scenario, flag):
+    # a NaN t_max would run to t = 1, since min(1.0, nan) is 1.0, and its
+    # report would hold "t_max": NaN, which is not JSON
+    assert main(["--scenario", scenario, flag, "nan"]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_missing_config_exits_two(tmp_path, capsys):
