@@ -270,8 +270,14 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
     statements, folded as in the program) instead of calling ``f``, and a
     copy that raises ends the run as a call that raises would.  The copies
     perform the program's operations on the same values, so every result
-    is bitwise that of the loop calling the program.  The loop's source is
-    registered under ``filename``.
+    is bitwise that of the loop calling the program.  The four copies share
+    one set of names, the program's with the suffix ``_e``: each copy is
+    straight-line code that assigns every name before reading it, and its
+    outputs are copied into ``a{k}_#`` before the next copy starts.  So the
+    loop has the calling loop's locals plus the program's but its two
+    arguments, not four times those.  The price is that a traceback line no
+    longer says which copy raised; the ``stages`` list handed to ``failed``
+    still does.  The loop's source is registered under ``filename``.
     """
 
     def each(template: str) -> list[str]:
@@ -285,7 +291,7 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
         if tape is None:
             return [f"{row(f'a{k}_#')}, = f([{row(x)}], [{row(v)}])"]
         lines, out = kept_lines(tape.stmts, *tape.inputs, tape.outputs, tape.namespace,
-                                (row(x) + ",", row(v) + ","), f"_{k}")
+                                (row(x) + ",", row(v) + ","), "_e")
         return lines + [f"{row(f'a{k}_#')}, = {', '.join(out)},"]
 
     def indent(depth: int, lines: list[str]) -> list[str]:
@@ -354,16 +360,19 @@ def _calling(n: int, dim: int) -> Callable:
 
 # The most locals an inlined run loop may have, at any lift level:
 # CPython's one-byte local index.  Past it, loads and stores of locals need
-# EXTENDED_ARG: the sphere's level-2 loop has 337 locals and 363
-# EXTENDED_ARG in 3086 instructions, its level-3 loop 673 and 2240 in 8756.
-# A 100-step inlined run took this share of the calling run's time (best of
-# 40-80 interleaved runs each, CPython 3.11, 2-vCPU host), by the loop's
-# locals: flat L1 (109) 0.81, Finsler L1 (141) 0.86, sphere L1 (169)
-# 0.90-0.92, flat L2 (197) 0.85-0.88, sphere L1 fan(2) (233) 0.93-0.94;
-# past the limit, Finsler L2 (273) 0.91, round S^3 L1 (289) 0.94, sphere L2
-# (337) 0.93, 4-D flat L1 fan(4) (461) 0.99, sphere L2 fan(2) (485)
-# 1.02-1.03, round S^3 L1 fan(3) (509) 1.05 and sphere L3 (673) 1.06.  So
-# the limit is safe rather than tight.
+# EXTENDED_ARG: when each copy had its own names, the sphere's level-2 loop
+# had 337 locals and 363 EXTENDED_ARG in 3086 instructions, its level-3
+# loop 673 and 2240 in 8756.  A 100-step inlined run took this share of the
+# calling run's time (best of 30-80 interleaved runs each, CPython 3.11,
+# 2-vCPU host), by the loop's locals.  With a name set per copy: flat L1
+# (109) 0.81, Finsler L1 (141) 0.86, sphere L1 (169) 0.90-0.92, flat L2
+# (197) 0.85-0.88, sphere L1 fan(2) (233) 0.93-0.94; past the limit,
+# Finsler L2 (273) 0.91, round S^3 L1 (289) 0.94, sphere L2 (337) 0.93, 4-D
+# flat L1 fan(4) (461) 0.99, sphere L2 fan(2) (485) 1.02-1.03, round S^3
+# L1 fan(3) (509) 1.05 and sphere L3 (673) 1.06.  With the copies sharing
+# one set (today's loops): sphere L1 (100) 0.88, flat L2 (149) 0.87,
+# Finsler L2 (168) 0.82-0.92 and sphere L2 (184) 0.91-0.92.  So the limit
+# is safe rather than tight.
 _MAX_LOCALS = 256
 
 # The inlined run loop of each traced kernel or fan, dropped with the program.
@@ -378,17 +387,16 @@ def _run_loop(s: Spray, f: Callable, n: int) -> Callable:
     (:meth:`Spray.fan`), whose run reads no :attr:`Spray.kernel`.  At any
     level, a traced program (one that keeps a tape) is inlined when the
     loop that inlines it has at most _MAX_LOCALS locals.
-    Each of a step's four evaluations adds the program's locals but its two
-    arguments to the calling loop's, so the count is known before the loop
-    is built, and a loop past the limit is never built.  A loop that fits
-    is built at the program's first run and named after it.  Every other run
-    gets the calling loop.
+    A step's four evaluations share one set of names, which adds the
+    program's locals but its two arguments to the calling loop's, so the
+    count is known before the loop is built, and a loop past the limit is
+    never built.  A loop that fits is built at the program's first run and
+    named after it.  Every other run gets the calling loop.
     """
     calling = _calling(n, s.dim)
     program = s.kernel if f == s.acceleration else f
     tape = getattr(program, "tape", None)
-    if tape is None or (calling.__code__.co_nlocals + 4 * (program.__code__.co_nlocals - 2)
-                        > _MAX_LOCALS):
+    if tape is None or calling.__code__.co_nlocals + program.__code__.co_nlocals - 2 > _MAX_LOCALS:
         return calling
     loop = _inlined_loops.get(program)
     if loop is None:

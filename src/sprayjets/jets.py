@@ -444,8 +444,9 @@ def kept_lines(stmts, pos, vel, out, namespace, sources, suffix=""):
     assigning its statement's tape name.  Binary ``+``, ``-`` and ``*`` and
     unary minus are folded when every constant is a Python float or an int
     below 2**1023 in magnitude: then they cannot raise on float inputs.  Every
-    name that ``namespace`` does not bind gets ``suffix``, so copies with
-    different suffixes can run in one function without sharing a local.
+    name that ``namespace`` does not bind gets ``suffix``, which keeps the
+    copy's names apart from those of the function it runs in.  Copies of one
+    suffix share their locals: each assigns every name before it reads it.
     The expressions give ``out`` in order; when ``namespace`` binds a numpy
     scalar constant, which makes numpy scalars of what it touches and can
     raise on any operation under ``np.errstate``, nothing is folded and

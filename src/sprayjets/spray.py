@@ -327,21 +327,6 @@ def round_sphere_christoffels(n: int) -> ChristoffelField:
     return ChristoffelField(dim=n, fn=fn)
 
 
-def make_round_sphere(n: int, pole_margin: float = 1e-8) -> Spray:
-    """Geodesic spray of round unit ``S^n`` in hyperspherical coordinates.
-
-    The chart keeps theta_1, ..., theta_{n-1} inside (0, pi), ``pole_margin``
-    away from the ends; theta_n is the longitude.
-    """
-
-    lo, hi = pole_margin, np.pi - pole_margin
-
-    def domain(x):
-        return all(lo < float(z) < hi for z in x[: n - 1])
-
-    return make_riemannian(round_sphere_christoffels(n), tag=f"round-sphere-{n}", domain=domain)
-
-
 def make_finsler_example(c: Sequence[float]) -> Spray:
     """Direction-dependent drag coefficients G_i = c_i |y| y_i.
 

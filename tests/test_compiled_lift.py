@@ -20,13 +20,15 @@ from hypothesis import strategies as st
 
 from sprayjets import (IntegrationBlowupError, JetPoint, Spray, acceleration_jet, complete_lift,
                        conjugate_search, integrate, make_finsler_example, make_flat,
-                       make_round_sphere, make_sphere, pushforward_spray, shear_chart)
+                       make_sphere, pushforward_spray, shear_chart)
 from sprayjets import geodesic
 from sprayjets import spray as spray_mod
 from sprayjets.errors import TraceError
 from sprayjets.jets import (Sym, _Tape, compile_trace, jdot, jet_re, jexp, jlog, jsin,
                             jsqrt)
 from sprayjets.spray import dual_lift
+from test_geodesic import _evaluation_copies
+from test_spray import make_round_sphere
 
 
 def _arithmetic(pos, vel):
@@ -422,14 +424,19 @@ def test_sphere_programs_assign_each_tape_name_once(level, nlocals):
         assert len(names) == len(set(names))
     if level == 0:
         # the inlined run loop: a copy of the kernel's assignments per
-        # evaluation, suffixed _1 to _4, each name assigned once
+        # evaluation, all four suffixed _e, each name assigned once per copy
         loop = geodesic._run_loop(s, s.acceleration, s.fiber_dim)
+        loop_source = _source(loop)
         tape_names = set(inputs) | {target for target, _, _ in tape.stmts}
-        copies = [name for name in _assigned(_source(loop))
+        kernel_names = sorted(f"{z}_e" for z in _assigned(source))
+        copies = [name for name in _assigned(loop_source)
                   if name.rpartition("_")[0] in tape_names]
-        assert len(copies) == len(set(copies))
-        kernel_names = _assigned(source)
-        assert sorted(copies) == sorted(f"{z}_{k}" for k in range(1, 5) for z in kernel_names)
+        assert sorted(copies) == sorted(4 * kernel_names)
+        spans = _evaluation_copies("".join(loop_source))
+        assert len(spans) == 4
+        for first, last in spans:
+            copy = [line.strip() + "\n" for line in loop_source[first:last]]
+            assert sorted(name for name in _assigned(copy) if name.endswith("_e")) == kernel_names
 
 
 def test_programs_of_one_name_keep_their_own_source():

@@ -1,5 +1,6 @@
 """Fixed-step integration, dense output, exit handling, and the flow map."""
 
+import ast
 import hashlib
 import inspect
 import linecache
@@ -10,6 +11,7 @@ import tracemalloc
 import traceback
 from dataclasses import replace
 from functools import partial
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -20,13 +22,13 @@ from hypothesis import strategies as st
 from sprayjets import (EPS_SLASHED, DomainError, IntegrationBlowupError,
                        InvalidLevelError, JetPoint, Spray, Trajectory,
                        complete_lift, flow, flow_tangent_fd, integrate,
-                       make_finsler_example, make_flat, make_round_sphere,
-                       make_sphere, pushforward, pushforward_spray, residual,
-                       shear_chart)
+                       make_finsler_example, make_flat, make_sphere, pushforward,
+                       pushforward_spray, residual, shear_chart)
 from sprayjets import geodesic, jacobi, subspray
 from sprayjets.geodesic import _node_exit
 from sprayjets.jacobi import _fan_run, conjugate_search
 from sprayjets.jets import jet_re, nest, unnest
+from test_spray import conformal_sphere, make_round_sphere
 
 TILT, OMEGA = 0.3, 3.0
 
@@ -307,18 +309,26 @@ def test_stage_failure_inside_domain_raises_blowup(monkeypatch):
     singular = Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.0 * v[0] / x[0]], tag="singular")
     assert singular.kernel.__code__.co_filename == "<singular L0>"
     calls = _record_accelerations(monkeypatch)
+    failed = []
+    failed_step = geodesic._failed_step
+    monkeypatch.setattr(geodesic, "_failed_step", lambda s, stages, exc: failed.append(
+        (stages, type(exc))) or failed_step(s, stages, exc))
     with pytest.raises(IntegrationBlowupError) as err:
         integrate(singular, JetPoint(1, 1, [0.5, -1.0]), (0.0, 2.0), 0.25)
     assert isinstance(err.value.__cause__, ZeroDivisionError)
     assert _callers(calls) == FAILED_SECOND_STEP
+    # x = 0.5 - t, so step 2's stages sit at 0.125, 0.125 and 0.0: the
+    # fourth raises, and the loop hands over the three stage positions
+    assert failed == [([[0.125], [0.125], [0.0]], ZeroDivisionError)]
     # the loop inlines the kernel and is in linecache, so the traceback
     # ends on the loop's own copy of the kernel's division
     frames = traceback.extract_tb(err.value.__cause__.__traceback__)
     assert [fr.name for fr in frames] == ["loop"]
     assert frames[-1].filename == "<rk4 loop singular L0>"
     # the product 0.0 * v folded into the division's line, which assigns
-    # the division's tape name in the fourth stage's copy
-    assert frames[-1].line == "t3_4 = c0 * t1_4 / t0_4"
+    # the division's tape name with the suffix all four copies share; the
+    # line does not tell the stage, the stage list above does
+    assert frames[-1].line == "t3_e = c0 * t1_e / t0_e"
 
 
 def _pole_stage_spray(domain):
@@ -604,6 +614,8 @@ EDGE_SPHERE = make_sphere(pole_margin=0.3)
 EDGE_START = [0.6, 0.0, -0.8, 0.3]
 PUSHED_SPHERE = pushforward_spray(shear_chart(), make_sphere())
 PUSHED_START = [1.2 + 0.4 ** 2, 0.4, 0.3, 1.0]
+CONFORMAL = conformal_sphere(0)
+CONFORMAL_START = [1.2, 0.3, 0.4, 0.9]
 
 
 REFERENCE_CASES = {
@@ -664,6 +676,7 @@ LIFT_CASES = {
     "round-S3-L0": (make_round_sphere(3), JetPoint(1, 3, [1.2, 1.4, 0.3, 0.2, -0.4, 0.9]),
                     1.0, 1e-2),
     "pushed-sphere-L0": (PUSHED_SPHERE, JetPoint(1, 2, PUSHED_START), 0.5, 1e-2),
+    "conformal-L0": (CONFORMAL, JetPoint(1, 2, CONFORMAL_START), 1.0, 1e-2),
     "sphere-L1": (_lifted_sphere(1), _lifted_init(1), 0.5, 2e-2),
     "flat-L1": (complete_lift(make_flat(2)), _lifted_init(1, [0.2, -0.4, 1.5, 0.7]), 0.5, 2e-2),
     "finsler-L1": (complete_lift(make_finsler_example((0.3, 1.0))),
@@ -671,11 +684,14 @@ LIFT_CASES = {
     "round-S3-L1": (complete_lift(make_round_sphere(3)),
                     _lifted_init(1, [1.2, 1.4, 0.3, 0.2, -0.4, 0.9]), 0.5, 2e-2),
     "pushed-sphere-L1": (complete_lift(PUSHED_SPHERE), _lifted_init(1, PUSHED_START), 0.5, 2e-2),
+    "conformal-L1": (complete_lift(CONFORMAL), _lifted_init(1, CONFORMAL_START), 0.5, 2e-2),
     "sphere-L2": (_lifted_sphere(2), _lifted_init(2), 0.2, 5e-2),
     "finsler-L2": (complete_lift(complete_lift(make_finsler_example((0.3, 1.0)))),
                    _lifted_init(2, [0.1, 0.2, 0.9, -0.4]), 0.2, 5e-2),
     "pushed-sphere-L2": (complete_lift(complete_lift(PUSHED_SPHERE)),
                          _lifted_init(2, PUSHED_START), 0.2, 5e-2),
+    "conformal-L2": (complete_lift(complete_lift(CONFORMAL)), _lifted_init(2, CONFORMAL_START),
+                     0.2, 5e-2),
 }
 
 
@@ -807,7 +823,7 @@ TRAP_X = 0.24395071134389243
 
 FUSED_SPRAYS = {"sphere": make_sphere(), "flat": make_flat(2),
                 "finsler": make_finsler_example((0.3, -0.2)),
-                "round-sphere-3": make_round_sphere(3),
+                "round-sphere-3": make_round_sphere(3), "conformal": CONFORMAL,
                 "trap": Spray(level=0, dim=1, tag="trap",
                               coeff_fn=lambda x, v: [0.1 * v[0] * v[0] + 0.0 / (x[0] - TRAP_X)])}
 
@@ -820,7 +836,7 @@ def _fused_cases(draw):
     dim = FUSED_SPRAYS[name].dim
     half = (1 << level) * dim
     coords = draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * half, max_size=2 * half))
-    if name in ("sphere", "round-sphere-3"):
+    if name in ("sphere", "round-sphere-3", "conformal"):
         # colatitudes within 0.3 of a pole, the longitude anywhere
         for i in range(dim - 1):
             near = draw(st.floats(1e-3, 0.3))
@@ -933,15 +949,15 @@ def test_fused_conjugate_scan_is_the_unfused_scan(case):
         assert len(got[0]) == 1
 
 
-def test_level2_kernel_and_fan_runs_call_their_evaluator(monkeypatch):
-    # the level decides nothing: the flat level-2 run inlines, its loop within
-    # _MAX_LOCALS, while the sphere's level-2 kernel run and the fan(4) of a
-    # scan along a level-1 geodesic, whose loops would be past it, run the
+def test_level2_kernel_runs_inline_and_a_wide_fan_calls(monkeypatch):
+    # the level decides nothing: the flat and sphere level-2 kernel runs
+    # inline, their loops within _MAX_LOCALS, while the fan(4) of a scan
+    # along a level-1 geodesic, whose loop would be past it, runs the
     # calling loop
     flat = complete_lift(complete_lift(make_flat(2)))
     loop = geodesic._run_loop(flat, flat.acceleration, 8)
     assert loop is not geodesic._calling(8, 2)
-    assert loop.__code__.co_nlocals == 197
+    assert loop.__code__.co_nlocals == 149
     loops = []
     run_loop = geodesic._run_loop
     monkeypatch.setattr(geodesic, "_run_loop",
@@ -949,7 +965,9 @@ def test_level2_kernel_and_fan_runs_call_their_evaluator(monkeypatch):
     s, init, span, h = REFERENCE_CASES["sphere-L2"]
     integrate(s, init, (0.0, span), h)
     conjugate_search(_lifted_sphere(1), _lifted_init(1), 0.5, 2e-2)
-    assert loops == [(2, 8, geodesic._calling(8, 2)), (2, 20, geodesic._calling(20, 2))]
+    sphere = geodesic._inlined_loops[s.kernel]
+    assert sphere.__code__.co_nlocals == 184
+    assert loops == [(2, 8, sphere), (2, 20, geodesic._calling(20, 2))]
 
 
 def test_inlined_fan_loop_calls_no_evaluator():
@@ -978,13 +996,63 @@ def test_inlined_loops_fit_the_one_byte_local_index(name):
         assert loop.__code__.co_nlocals <= 256, loop.__code__.co_filename
 
 
+def _evaluation_copies(source):
+    """The line spans (first, last) of the inlined program copies in a loop's ``source``.
+
+    A copy starts at its comment ``# r recorded, k kept`` and ends at the
+    line that copies its outputs into ``a{k}_#``; lines count from 1.
+    """
+    spans, first = [], None
+    for number, line in enumerate(source.splitlines(), 1):
+        text = line.strip()
+        if re.fullmatch(r"# \d+ recorded, \d+ kept", text):
+            first = number
+        elif first is not None and re.match(r"a[1-4]_0\b", text):
+            spans.append((first, number))
+            first = None
+    return spans
+
+
+@pytest.mark.parametrize("level, m", [(0, 1), (1, 1), (2, 1), (1, 2)])
+def test_inlined_copies_assign_each_shared_name_before_reading_it(level, m):
+    # a step's four copies of the program share one set of names, the tape's
+    # with one suffix; that is safe because each copy is straight-line code
+    # that assigns every such name before its first read, and no line
+    # outside the copies reads one
+    s = _lifted_sphere(level)
+    program = s.fan(m)
+    c = s.fiber_dim // 2
+    n = c + m * (s.fiber_dim - c)
+    loop = geodesic._run_loop(s, s.acceleration if m == 1 else program, n)
+    assert loop is not geodesic._calling(n, s.dim)
+    tape = program.tape
+    shared = {z + "_e" for z in chain(*tape.inputs, (target for target, _, _ in tape.stmts))}
+    source = _loop_source(loop)
+    spans = _evaluation_copies(source)
+    assert len(spans) == 4
+    statements = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.stmt)]
+    for first, last in spans:
+        assigned = set()
+        for stmt in sorted((node for node in statements if first < node.lineno <= last),
+                           key=lambda node: node.lineno):
+            assert isinstance(stmt, ast.Assign)
+            reads = {z.id for z in ast.walk(stmt.value) if isinstance(z, ast.Name)}
+            assert reads & shared <= assigned, (stmt.lineno, reads & shared - assigned)
+            assigned |= {z.id for t in stmt.targets for z in ast.walk(t) if isinstance(z, ast.Name)}
+        assert assigned & shared
+    for z in ast.walk(ast.parse(source)):
+        if isinstance(z, ast.Name) and isinstance(z.ctx, ast.Load) and z.id in shared:
+            assert any(first < z.lineno <= last for first, last in spans), (z.lineno, z.id)
+
 
 # (spray, m, level): the run of fan(m) of the spray's level-th lift, m = 1
 # being the kernel's; an id names the level past 1
 LOCALS_CASES = [
     ("sphere", 1, 1), ("sphere", 2, 1), ("finsler", 2, 1), ("round-sphere-3", 1, 1),
     ("round-sphere-3", 3, 1), ("flat-3", 3, 1), ("flat-4", 1, 1), ("flat-4", 4, 1),
-    ("flat", 1, 2), ("finsler", 1, 2), ("sphere", 1, 2), ("flat-1", 1, 3), ("flat", 1, 3)]
+    ("pushed-sphere", 1, 1), ("flat", 1, 2), ("finsler", 1, 2), ("finsler", 2, 2),
+    ("sphere", 1, 2), ("sphere", 2, 2), ("pushed-sphere", 1, 2), ("flat-1", 1, 3),
+    ("flat", 1, 3)]
 
 
 @pytest.mark.parametrize("name, m, level", LOCALS_CASES, ids=[
@@ -994,7 +1062,7 @@ def test_run_loop_inlines_the_loops_that_fit_max_locals(name, m, level):
     # any level inlines exactly when the loop built from its kernel or fan(m)
     # has at most _MAX_LOCALS locals
     sprays = {"flat-1": make_flat(1), "flat-3": make_flat(3), "flat-4": make_flat(4),
-              **FUSED_SPRAYS}
+              "pushed-sphere": PUSHED_SPHERE, **FUSED_SPRAYS}
     s = sprays[name]
     for _ in range(level):
         s = complete_lift(s)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sprayjets import (DomainError, IntegrationBlowupError, InvalidLevelError, JetPoint, Spray,
                        complete_lift, flow, flow_tangent_fd, integrate, kappa,
-                       make_finsler_example, make_flat, make_round_sphere, make_sphere)
+                       make_finsler_example, make_flat, make_sphere)
 from sprayjets import jacobi, subspray
 from sprayjets.geodesic import Trajectory, residual
 from sprayjets.jacobi import (JacobiField, _fan_run, conjugate_search, jacobi_from_initial,
@@ -18,7 +18,7 @@ from sprayjets.jets import jet_re, jlog, jsqrt
 from sprayjets.jetspace import _dproject_idx
 from sprayjets.samples import random_slashed_jet, sphere_phase
 from test_geodesic import _dual_reference_integrate
-from test_spray import projective
+from test_spray import make_round_sphere, projective
 
 
 def equator_field(rate, t_end=np.pi, h=1e-3):

@@ -6,15 +6,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from sprayjets import (DomainError, InvalidLevelError, JetPoint, Spray,
+from sprayjets import (ChristoffelField, DomainError, InvalidLevelError, JetPoint, Spray,
                        acceleration_jet, complete_lift, dkappa,
                        homogeneity_check, integrate, make_finsler_example, make_flat,
-                       make_riemannian, make_round_sphere, make_sphere, project_spray, pushforward, pushforward_spray,
+                       make_riemannian, make_sphere, project_spray, pushforward, pushforward_spray,
                        shear_chart)
 from sprayjets import geodesic
 from sprayjets import spray as spray_mod
 from sprayjets.jets import Dual, jcos, jet_du, jet_re, jnorm, jsin, nest, unnest
 from sprayjets.samples import random_slashed_jet, sphere_phase
+from sprayjets.spray import round_sphere_christoffels
 
 
 def test_flat_spray_is_zero():
@@ -92,6 +93,81 @@ def projective(s: Spray, c: float) -> Spray:
 
     return Spray(level=0, dim=s.dim, coeff_fn=coeff, tag=f"projective({s.tag},{c})",
                  domain=s.domain)
+
+
+def make_round_sphere(n: int, pole_margin: float = 1e-8) -> Spray:
+    """Geodesic spray of round unit ``S^n`` in hyperspherical coordinates.
+
+    The chart keeps theta_1, ..., theta_{n-1} inside (0, pi), ``pole_margin``
+    away from the ends; theta_n is the longitude.
+    """
+
+    lo, hi = pole_margin, np.pi - pole_margin
+
+    def domain(x):
+        return all(lo < float(z) < hi for z in x[: n - 1])
+
+    return make_riemannian(round_sphere_christoffels(n), tag=f"round-sphere-{n}", domain=domain)
+
+
+def conformal_sphere(seed: int, eps: float = 0.3) -> Spray:
+    """The geodesic spray of e^(2 phi) g_sphere, phi a seeded trigonometric polynomial.
+
+    phi(theta, lon) is the sum of a_jk p_j(theta) q_k(lon) over p, q in
+    (1, cos, sin), but the constant, each a_jk drawn from [-eps, eps].  The
+    Christoffels are Gamma^i_jk + delta^i_j d_k phi + delta^i_k d_j phi
+    - g_jk g^il d_l phi over ``round_sphere_christoffels(2)``, with
+    g = diag(1, sin(theta)^2); the chart is the sphere's.  A geodesic keeps
+    e^phi |v|_g constant, so its round-sphere speed |v|_g swings with phi.
+    """
+
+    a = np.random.default_rng(seed).uniform(-eps, eps, (3, 3)).tolist()
+    sphere = round_sphere_christoffels(2)
+
+    def fn(pos):
+        p, q = [1.0, jcos(pos[0]), jsin(pos[0])], [1.0, jcos(pos[1]), jsin(pos[1])]
+        dp, dq = [0.0, -p[2], p[1]], [0.0, -q[2], q[1]]
+        dphi = [0.0, 0.0]
+        for j in range(3):
+            for k in range(3):
+                if j:
+                    dphi[0] = dphi[0] + a[j][k] * dp[j] * q[k]
+                if k:
+                    dphi[1] = dphi[1] + a[j][k] * p[j] * dq[k]
+        metric = [1.0, p[2] * p[2]]
+        gamma = sphere.fn(pos)
+        for i in range(2):
+            for j in range(2):
+                for k in range(2):
+                    g = gamma[i][j][k]
+                    if i == j:
+                        g = g + dphi[k]
+                    if i == k:
+                        g = g + dphi[j]
+                    if j == k:
+                        g = g - metric[j] / metric[i] * dphi[i]
+                    gamma[i][j][k] = g
+        return gamma
+
+    return make_riemannian(ChristoffelField(dim=2, fn=fn), tag=f"conformal-sphere-{seed}",
+                           domain=make_sphere().domain)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_conformal_sphere_geodesics_keep_their_conformal_speed(seed):
+    # e^phi |v|_g is constant along a geodesic of e^(2 phi) g, while |v|_g
+    # itself moves by 0.3 or more from the equator start
+    s = conformal_sphere(seed)
+    tr = integrate(s, JetPoint(1, 2, [np.pi / 2, 0.0, 0.0, 1.0]), (0.0, 4.0), 1e-2)
+    assert tr.complete
+    a = np.random.default_rng(seed).uniform(-0.3, 0.3, (3, 3))
+    theta, lon = tr.positions.T
+    p = [np.ones_like(theta), np.cos(theta), np.sin(theta)]
+    q = [np.ones_like(lon), np.cos(lon), np.sin(lon)]
+    phi = sum(a[j, k] * p[j] * q[k] for j in range(3) for k in range(3) if j or k)
+    speed = np.hypot(tr.velocities[:, 0], np.sin(theta) * tr.velocities[:, 1])
+    assert np.ptp(speed) > 0.3
+    assert np.ptp(np.exp(phi) * speed) < 1e-9
 
 
 @pytest.mark.parametrize("lam", [2.0, 0.5])
