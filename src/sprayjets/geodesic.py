@@ -33,8 +33,8 @@ The loop runs the whole span in one call and returns how the run ended.
 A step that fails, by an evaluation that raises or a node that is not
 finite, hands :func:`_failed_step` the stage positions it evaluated at,
 which decides the run's end from them and evaluates nothing.  The
-residual evaluates every step midpoint and then takes all the defect
-norms in one ``np.vecdot``.  Zeros along a run are found by
+residual evaluates all step midpoints as one stack and then takes all the
+defect norms in one ``np.vecdot``.  Zeros along a run are found by
 :func:`_minima`, which refines each node-local minimum of a size by the
 caller's Newton step.
 
@@ -55,7 +55,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import chain
 from typing import Callable
 from weakref import WeakKeyDictionary
 
@@ -522,9 +521,11 @@ def residual(s: Spray, tr: Trajectory) -> float:
 
     At each step midpoint the Hermite reconstruction provides position,
     velocity, and curvature from node data alone; the defect compares the
-    curvature against the spray acceleration there.  A NaN defect at any
-    step makes the result NaN, and so does a midpoint where the
-    coefficient evaluation fails (the NaN that numpy arithmetic would give).
+    curvature against the spray acceleration there, evaluated on the whole
+    stack of midpoints by one :meth:`~sprayjets.spray.Spray.accelerations`
+    call.  A NaN defect at any step makes the result NaN, and so does a
+    midpoint where the coefficient evaluation fails (the NaN that numpy
+    arithmetic would give).
     """
 
     p0, p1 = tr.positions[:-1], tr.positions[1:]
@@ -533,25 +534,15 @@ def residual(s: Spray, tr: Trajectory) -> float:
     xm = _hermite(p0, v0, p1, v1, 0.5, dt)
     vm = _hermite_d1(p0, v0, p1, v1, 0.5, dt)
     curv = (v1 - v0) / dt
-    f = s.acceleration
     try:
-        acc = [f(x, v) for x, v in zip(xm.tolist(), vm.tolist())]
+        acc = s.accelerations(xm, vm)
     except (ArithmeticError, ValueError):
         return math.nan
-    d = curv - _stacked(acc, curv.shape)
+    d = curv - acc
     norms = np.sqrt(np.vecdot(d, d))  # np.linalg.norm of each row, bit for bit
     # numpy's max propagates a NaN norm; Python's max() would skip it and
     # report a broken run as clean
     return float(norms.max(initial=0.0))
-
-
-def _stacked(rows: list, shape: tuple[int, int]) -> np.ndarray:
-    """The float array of ``shape`` whose rows are ``rows``, lists of ``shape[1]`` numbers.
-
-    The entries are read flat, each converted to a double as ``np.array``
-    would convert it.
-    """
-    return np.fromiter(chain.from_iterable(rows), float, shape[0] * shape[1]).reshape(shape)
 
 
 def _hermite_d1(y0, d0, y1, d1, tau, dt):

@@ -39,11 +39,14 @@ value cannot be recorded: a ``Sym`` raises
 truth or converted to a number, and the evaluator is then not compiled.
 
 The program keeps its recording, from which the RK4 run loop of
-:mod:`sprayjets.geodesic` inlines copies of a kernel; both emit their
-statements through :func:`kept_lines`.  An evaluation that runs the same
-evaluator on several inputs sharing a carrier records the carrier's
-statements once per run, and dropping the repeats leaves them once: this
-is how :meth:`~sprayjets.spray.Spray.fan` gets vector forward mode.
+:mod:`sprayjets.geodesic` inlines copies of a kernel and
+:func:`compile_stack` builds the kernel's stack twin, which runs the
+statements once over columns of a whole stack of inputs; all three emit
+their statements through :func:`kept_lines`.  An evaluation that runs
+the same evaluator on several inputs sharing a carrier records the
+carrier's statements once per run, and dropping the repeats leaves them
+once: this is how :meth:`~sprayjets.spray.Spray.fan` gets vector forward
+mode.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ from __future__ import annotations
 import linecache
 import math
 from collections import Counter
+
+import numpy as np
 
 from .errors import TraceError
 
@@ -474,6 +479,58 @@ def kept_lines(stmts, pos, vel, out, namespace, sources, suffix=""):
     if not numeric:
         out = [f"float({z})" for z in out]
     return lines, out
+
+
+def compile_stack(tape: _Tape, filename: str):
+    """The program of ``tape`` over a stack of inputs, or None where it could differ from the rows.
+
+    The result, ``stack(pos, vel, out)``, takes the inputs as two float64
+    arrays of columns, of shapes (n_pos, N) and (n_vel, N), and fills the
+    (N, k) array ``out``, row r with the recorded program's result on
+    column r.  The lines are those of :func:`kept_lines`, each recorded
+    ``+ - * /`` and unary minus one float64 ufunc over the columns, which
+    IEEE arithmetic makes exactly the scalar operation; each
+    ``sqrt sin cos exp log`` runs entry by entry through Python's
+    :mod:`math`, since numpy's SIMD transcendentals need not round as the
+    C library does.  From finite entries and constants an operation leaves
+    the finite numbers only with an IEEE flag (overflow, division by zero,
+    invalid), and a Python float operation raises only on a division by
+    zero, which flags too.  So a run on finite columns under
+    ``np.errstate(all="raise")`` that raises nothing gives every row's
+    result bit for bit; on any exception the caller runs the rows.
+
+    None when the tape records ``**``, whose Python float exceptions no
+    ufunc flag stands for, or binds a constant that is not a finite Python
+    float or int (an int is bound as its float, the operand Python
+    converts it to).
+    """
+
+    if any(op == "**" for _, op, _ in tape.stmts):
+        return None
+    namespace = {name: _entrywise(getattr(math, name)) for name in _MATH}
+    for name, c in tape.namespace.items():
+        if callable(c):
+            continue
+        try:
+            c = float(c) if type(c) in _NUMERIC else math.nan
+        except OverflowError:  # an int too large for a float, which Python refuses too
+            return None
+        if not math.isfinite(c):
+            return None
+        namespace[name] = c
+    (note, *body), out = kept_lines(tape.stmts, *tape.inputs, tape.outputs, namespace, ("pos", "vel"))
+    lines = [note, "def stack(pos, vel, out):", *(f"    {line}" for line in body),
+             *(f"    out[:, {k}] = {z}" for k, z in enumerate(out)), "    return out"]
+    return compile_source("\n".join(lines) + "\n", filename, namespace, "stack")
+
+
+def _entrywise(f):
+    """``f`` on each entry of a float64 array, in order, as a float64 array."""
+
+    def column(a):
+        return np.fromiter(map(f, a.tolist()), float, len(a))
+
+    return column
 
 
 def compile_source(source: str, filename: str, namespace: dict, fn_name: str):

@@ -37,21 +37,27 @@ do.  The time derivative of the acceleration
 than evaluated on ``Dual`` pairs.  Most run through a call of the
 kernel or fan; an RK4 run loop (:mod:`sprayjets.geodesic`) that stays
 within its local limit, at any level, runs inlined copies of a traced
-kernel's or fan's statements instead, with the same results.  On ``Dual``
-entries :func:`acceleration_jet` runs ``coeff_fn`` itself.
+kernel's or fan's statements instead, with the same results.  A stack of
+points, such as the node jets of a parallel curve or the step midpoints
+of a residual, goes through :meth:`Spray.accelerations`, which runs the
+kernel's statements once over numpy columns of the whole stack (its stack
+twin), with the same bits as a call per row.  On ``Dual`` entries
+:func:`acceleration_jet` runs ``coeff_fn`` itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InvalidLevelError
 from .jetspace import JetPoint, is_slashed
-from .jets import compile_trace, jcos, jnorm, jsin, nest, unnest
+from .jets import compile_stack, compile_trace, jcos, jnorm, jsin, nest, unnest
 
 
 @dataclass(frozen=True)
@@ -90,6 +96,40 @@ class Spray:
     def acceleration(self, x: list[float], v: list[float]) -> list[float]:
         """The acceleration -2 G(x, v) at two lists of floats, run by :attr:`kernel`."""
         return self.kernel(x, v)
+
+    def accelerations(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The accelerations at the rows of two ``(N, fiber_dim)`` float arrays, as one.
+
+        Row r is bitwise ``acceleration(x[r].tolist(), v[r].tolist())``, and
+        the call raises what those calls, made in row order, raise first.  A
+        stack of two or more finite rows runs the kernel's stack twin
+        (:func:`~sprayjets.jets.compile_stack`) once, under
+        ``np.errstate(all="raise")``.  The rows run one by one through
+        :meth:`acceleration` instead when the kernel has no twin, when an
+        entry is not finite (where IEEE division by zero need not flag, while
+        Python raises), when the twin raises anything, and for a stack of one
+        row, for which the twin costs more than the call.
+        """
+        stack = self._stack if len(x) > 1 else None
+        if stack is not None:
+            pos, vel = x.T.copy(), v.T.copy()
+            try:
+                with np.errstate(all="raise"):
+                    # the twin takes finite entries only, and their sum is
+                    # finite only if they are
+                    if math.isfinite(pos.sum() + vel.sum()):
+                        return stack(pos, vel, np.empty((len(x), self.fiber_dim)))
+            except Exception:
+                pass  # the rows give the twin's bits or raise what the first failing row raises
+        f = self.acceleration
+        return _stacked([f(xr, vr) for xr, vr in zip(x.tolist(), v.tolist())],
+                        (len(x), self.fiber_dim))
+
+    @cached_property
+    def _stack(self) -> Callable | None:
+        """The stack twin of the kernel's tape, built at the first stack; None without a tape."""
+        tape = getattr(self.kernel, "tape", None)
+        return None if tape is None else compile_stack(tape, f"<{self.tag} L{self.level} stack>")
 
     @cached_property
     def kernel(self) -> Callable:
@@ -160,6 +200,15 @@ class Spray:
             tag=f"lifted({self.tag})",
             domain=self.domain,
         )
+
+
+def _stacked(rows: list, shape: tuple[int, int]) -> np.ndarray:
+    """The float array of ``shape`` whose rows are ``rows``, lists of ``shape[1]`` numbers.
+
+    The entries are read flat, each converted to a double as ``np.array``
+    would convert it.
+    """
+    return np.fromiter(chain.from_iterable(rows), float, shape[0] * shape[1]).reshape(shape)
 
 
 def homogeneity_check(s: Spray, p: JetPoint, lam: float) -> float:

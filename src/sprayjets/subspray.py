@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InconsistentTrajectoryError, IntegrationBlowupError
-from .geodesic import Trajectory, _minima, _stacked, integrate
+from .geodesic import Trajectory, _minima, integrate
 from .jets import Dual, jet_du, unnest
 from .jetspace import EPS_SLASHED, JetPoint
 from .spray import Spray, acceleration_jet, complete_lift
@@ -133,10 +133,11 @@ def _check_jets(s: Spray, jets: np.ndarray, tol: float) -> _JetChecks:
 
     The check stops after the first constraint that any row fails, so the
     stack meets the coefficients only past the cheaper constraints before
-    them: its base accelerations (one ``s.acceleration`` call a row) after
-    "base-velocity", its jolts (the tangent half of one call of the complete
-    lift's acceleration, see :func:`~sprayjets.spray.acceleration_jet`)
-    after "fiber-velocity".
+    them: its base accelerations after "base-velocity", its jolts (the
+    tangent half of the complete lift's acceleration, see
+    :func:`~sprayjets.spray.acceleration_jet`) after "fiber-velocity".
+    Each is one :meth:`~sprayjets.spray.Spray.accelerations` call on the
+    whole stack, bitwise a call per row.
 
     Dots and norms are ``np.vecdot`` over ``(rows, m)`` blocks, which takes
     on each row the same dot as ``b @ b`` and ``np.linalg.norm`` (whose
@@ -157,8 +158,7 @@ def _check_jets(s: Spray, jets: np.ndarray, tol: float) -> _JetChecks:
     speed = _norms(b[1])
     if out.stops(0, speed, speed <= EPS_SLASHED) or out.misfits(1, b[4] - b[1], tol):
         return out
-    x, v = b[0].tolist(), b[1].tolist()
-    a = _stacked([s.acceleration(xr, vr) for xr, vr in zip(x, v)], b[5].shape)
+    a = s.accelerations(b[0], b[1])
     if out.misfits(2, b[5] - a, tol):
         return out
     out.alpha = np.vecdot(b[2], b[1]) / np.vecdot(b[1], b[1])
@@ -170,9 +170,7 @@ def _check_jets(s: Spray, jets: np.ndarray, tol: float) -> _JetChecks:
     if (out.misfits(4, b[3] - al * a - be * b[1], tol)
             or out.misfits(5, b[6] - be * b[1] - al * a, tol)):
         return out
-    lift = complete_lift(s).acceleration
-    jolt = _stacked([lift(xr + vr, vr + ar)[m:] for xr, vr, ar in zip(x, v, a.tolist())],
-                    b[7].shape)
+    jolt = complete_lift(s).accelerations(np.hstack([b[0], b[1]]), np.hstack([b[1], a]))[:, m:]
     out.misfits(6, b[7] - al * jolt - 2.0 * be * a, tol)
     return out
 

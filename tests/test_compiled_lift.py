@@ -27,7 +27,7 @@ from sprayjets.errors import TraceError
 from sprayjets.jets import (Sym, _Tape, compile_trace, jdot, jet_re, jexp, jlog, jsin,
                             jsqrt)
 from sprayjets.spray import dual_lift
-from test_geodesic import _evaluation_copies
+from test_geodesic import FUSED_SPRAYS, TRAP_X, _evaluation_copies
 from test_spray import make_round_sphere
 
 
@@ -769,3 +769,179 @@ def test_refused_fan_is_the_interpreted_kernel_on_each_tangent(m):
         out = np.frombuffer(got, dtype=float)
         for k, w in enumerate(want):
             assert np.concatenate([out[:1], out[k + 1:k + 2]]).tobytes() == w
+
+
+# --- the stack twin: the kernel over the columns of a stack -----------------
+
+
+def _rows(s):
+    """The kernel called on each row of two arrays in turn, as one array."""
+    return lambda x, v: [s.kernel(xr, vr) for xr, vr in zip(x.tolist(), v.tolist())]
+
+
+_POLAR = ("sphere", "round-sphere-3", "conformal")
+
+
+@st.composite
+def _stacks(draw):
+    """(name, level, x, v): 2 to 6 rows of a lift of a ``FUSED_SPRAYS`` spray.
+
+    Colatitudes lie within 0.3 of a pole or on the pole 0.0, where the
+    kernels divide by zero, and a trap row may sit on ``TRAP_X``; an entry
+    of 1e200 makes products overflow to inf, which Python floats reach
+    without raising.
+    """
+    name = draw(st.sampled_from(sorted(FUSED_SPRAYS)))
+    level = draw(st.sampled_from((0, 1, 2)))
+    dim = FUSED_SPRAYS[name].dim
+    n, rows = (1 << level) * dim, draw(st.integers(2, 6))
+    entry = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1e200]))
+    half = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=rows, max_size=rows)
+    x, v = np.array(draw(half)), np.array(draw(half))
+    for r in range(rows):
+        if name in _POLAR:
+            for i in range(dim - 1):
+                near = draw(st.one_of(st.floats(1e-3, 0.3), st.just(0.0)))
+                x[r, i] = draw(st.sampled_from([near, math.pi - near]))
+        elif name == "trap" and draw(st.booleans()):
+            x[r, 0] = TRAP_X
+    return name, level, x, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacks())
+def test_stack_is_the_kernel_on_each_row(case):
+    name, level, x, v = case
+    s = _lift(FUSED_SPRAYS[name], level)
+    assert s._stack is not None
+    # the same bytes, or the type and message of the first failing row's exception
+    assert _result(s.accelerations, x, v) == _result(_rows(s), x, v)
+
+
+def _sqrt_then_division(pos, vel):
+    # the square root runs before the division: at x = -1 the stack's first
+    # failing statement, at x = 0.5 the division fails
+    return [jsqrt(pos[0]) * vel[0] + vel[0] / (pos[0] - 0.5)]
+
+
+@pytest.mark.parametrize("column, first", [([0.5, -1.0], ZeroDivisionError),
+                                           ([2.0, -1.0, 0.5], ValueError)])
+def test_stack_raises_what_the_first_failing_row_raises(column, first):
+    # the twin meets the later row's square root first, and the rows then
+    # raise the first failing row's exception, from its kernel line
+    s = Spray(level=0, dim=1, coeff_fn=_sqrt_then_division, tag="sqrt-division")
+    x, v = np.array(column)[:, None], np.ones((len(column), 1))
+    assert s._stack is not None
+    with pytest.raises(first) as got:
+        s.accelerations(x, v)
+    row = next(r for r, z in enumerate(column) if z in (0.5, -1.0))
+    with pytest.raises(first) as want:
+        s.kernel([column[row]], [1.0])
+    assert str(got.value) == str(want.value)
+    assert got.value.__context__ is None
+    assert traceback.extract_tb(got.tb)[-1][:3] == traceback.extract_tb(want.tb)[-1][:3]
+    # the sphere kernel divides by sin(theta) on the pole in a later row
+    sphere = make_sphere()
+    x = np.array([[1.0, 0.0], [0.0, 0.3], [2.0, 0.1]])
+    v = np.array([[0.3, 1.0], [1.0, 0.0], [0.2, 0.5]])
+    assert _result(sphere.accelerations, x, v) == _result(_rows(sphere), x, v)
+    assert _result(sphere.accelerations, x, v)[0] is ZeroDivisionError
+
+
+def _count_calls(monkeypatch):
+    """Log every ``Spray.acceleration`` call, the per-row path of a stack."""
+    calls = []
+    orig = Spray.acceleration
+    monkeypatch.setattr(Spray, "acceleration", lambda self, x, v: calls.append(1) or orig(self, x, v))
+    return calls
+
+
+def _cubic_power(pos, vel):
+    return [pos[0] ** 3 * vel[0] * vel[0]]
+
+
+def _branching(pos, vel):
+    return [vel[0] * vel[0] if pos[0] > 0.0 else -vel[0] * vel[0]]
+
+
+def _infinite_constant(pos, vel):
+    # inf / 0.0 raises in Python, but flags nothing in IEEE arithmetic
+    return [math.inf / pos[0]]
+
+
+@pytest.mark.parametrize("coeff, calls", [(_cubic_power, 4), (_branching, 4), (_infinite_constant, 2)])
+def test_kernel_without_a_twin_runs_the_rows(monkeypatch, coeff, calls):
+    # a recorded ** or a constant that is not finite has no twin; a branch
+    # on a value refuses tracing
+    s = Spray(level=0, dim=1, coeff_fn=coeff, tag=coeff.__name__)
+    assert s._stack is None
+    x = np.array([[-1.5], [0.0], [0.7], [2.0]])
+    v = np.array([[0.3], [-1.0], [2.5], [1e200]])
+    made = _count_calls(monkeypatch)
+    got = _result(s.accelerations, x, v)
+    assert len(made) == calls
+    assert got == _result(_rows(s), x, v)
+
+
+def test_one_row_and_non_finite_stacks_run_the_rows(monkeypatch):
+    s = make_sphere()
+    x = np.array([[1.0, 0.0], [1.2, 0.3], [2.0, 0.1]])
+    v = np.array([[0.3, 1.0], [1.0, 0.0], [0.2, 0.5]])
+    calls = _count_calls(monkeypatch)
+    assert _result(s.accelerations, x, v) == _result(_rows(s), x, v)
+    assert calls == []
+    assert _result(s.accelerations, x[:1], v[:1]) == _result(_rows(s), x[:1], v[:1])
+    assert len(calls) == 1
+    # the sum of the entries overflows: the rows decide, each finite
+    for bad in (math.nan, math.inf, 1.7e308):
+        calls.clear()
+        v[1, 0] = v[2, 0] = bad
+        assert _result(s.accelerations, x, v) == _result(_rows(s), x, v)
+        assert len(calls) == 3
+    assert s.accelerations(np.empty((0, 2)), np.empty((0, 2))).shape == (0, 2)
+
+
+def test_twin_runs_math_calls_entry_by_entry():
+    """No stack twin calls a numpy transcendental or a power.
+
+    On a host with AVX-512, numpy's ``np.sin``, ``np.cos``, ``np.exp`` and
+    ``np.log`` run SIMD (SVML-style) loops whose results can differ from the
+    C library's ``math`` functions in the last bit, so a twin that called
+    them would not be bitwise the scalar kernel.  Every math call of a twin
+    goes through Python's :mod:`math`, one entry at a time, and a tape that
+    records ``**`` gets no twin.
+    """
+    sprays = [_lift(spray, level) for spray in [*FUSED_SPRAYS.values(), *BASES.values()]
+              for level in range(3)]
+    twins = [s._stack for s in sprays if s._stack is not None]
+    assert len(twins) >= 3 * len(FUSED_SPRAYS)
+    # enough entries that a SIMD loop would differ from math in some of them
+    z = np.linspace(0.01, 20.0, 2001)
+    for twin in twins:
+        source = "".join(linecache.getlines(twin.__code__.co_filename))
+        assert source.startswith("# ") and "def stack(pos, vel, out):" in source
+        assert re.search(r"np\.|numpy|power|\*\*", source) is None, source
+        for name in ("sqrt", "sin", "cos", "exp", "log"):
+            got = twin.__globals__[name](z)
+            assert got.tobytes() == np.array([getattr(math, name)(e) for e in z.tolist()]).tobytes()
+    assert BASES["arithmetic"]._stack is None  # pos[1] ** 3
+
+
+_STACK_VALUE = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 1e300]), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dags(), st.data())
+def test_random_dag_stacks_are_the_rows(dag, data):
+    h, nodes, outputs = dag
+    fn = _dag_fn(nodes, outputs)
+    # a level-0 spray on 2h coordinates needs 2h outputs
+    fn = (lambda f, k: lambda pos, vel: (f(pos, vel) * k)[:k])(fn, 2 * h)
+    s = Spray(level=0, dim=2 * h, coeff_fn=fn, tag="dag")
+    rows = data.draw(st.integers(2, 5))
+    half = st.lists(st.lists(_STACK_VALUE, min_size=2 * h, max_size=2 * h),
+                    min_size=rows, max_size=rows)
+    x, v = np.array(data.draw(half)), np.array(data.draw(half))
+    if data.draw(st.booleans()):
+        x[data.draw(st.integers(0, rows - 1)), 0] = data.draw(st.sampled_from([math.inf, math.nan]))
+    assert _result(s.accelerations, x, v) == _result(_rows(s), x, v)

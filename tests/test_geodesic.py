@@ -25,6 +25,7 @@ from sprayjets import (EPS_SLASHED, DomainError, IntegrationBlowupError,
                        make_finsler_example, make_flat, make_sphere, pushforward,
                        pushforward_spray, residual, shear_chart)
 from sprayjets import geodesic, jacobi, subspray
+from sprayjets import spray as spray_mod
 from sprayjets.geodesic import _node_exit
 from sprayjets.jacobi import _fan_run, conjugate_search
 from sprayjets.jets import jet_re, nest, unnest
@@ -135,6 +136,22 @@ def test_residual_is_nan_where_the_coefficients_fail_at_a_midpoint():
     with pytest.raises(ZeroDivisionError):
         inverse.acceleration([0.0], [1.0])
     assert math.isnan(residual(inverse, line))
+
+
+def test_residual_is_nan_where_a_midpoint_stack_crosses_the_pole():
+    # a unit-speed flat run along the colatitude through the pole: nodes at
+    # -0.75, -0.25, 0.25, 0.75, so the second of the three midpoints is the
+    # pole 0.0 exactly, where the sphere kernel divides by sin(theta) = 0
+    line = integrate(make_flat(2), JetPoint(1, 2, [-0.75, 0.3, 1.0, 0.0]), (0.0, 1.5), 0.5)
+    assert line.positions[:, 0].tolist() == [-0.75, -0.25, 0.25, 0.75]
+    s = make_sphere()
+    assert math.isnan(residual(s, line))
+    mid = line.states_at(line.times[:-1] + 0.25)
+    with pytest.raises(ZeroDivisionError):
+        s.accelerations(*mid)
+    # off the pole, the same stack is clean
+    shifted = replace(line, positions=line.positions + [0.9, 0.0])
+    assert 0.0 <= residual(s, shifted) < math.inf
 
 
 def test_domain_exit_truncates():
@@ -1516,7 +1533,7 @@ def test_stacked_rows_are_the_nested_array(shape):
     flat = [special[k] if k < len(special) else float(z)
             for k, z in enumerate(rng.standard_normal(shape[0] * shape[1]))]
     rows = [flat[i * shape[1]:(i + 1) * shape[1]] for i in range(shape[0])]
-    got = geodesic._stacked(rows, shape)
+    got = spray_mod._stacked(rows, shape)
     want = np.array(rows, dtype=float).reshape(shape)
     assert got.dtype == np.float64 and got.shape == shape
     assert got.tobytes() == want.tobytes()

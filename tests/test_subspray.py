@@ -141,15 +141,19 @@ def test_membership_rejects_each_constraint(name):
 
 
 def _count_accelerations(monkeypatch):
-    """Log the spray level of every ``Spray.acceleration`` call."""
+    """Log the spray level once for every row that ``Spray.accelerations`` evaluates.
+
+    The node checks evaluate their stacks there, whether the stack runs the
+    kernel's twin or its rows one by one.
+    """
     levels = []
-    orig = Spray.acceleration
+    orig = Spray.accelerations
 
     def counted(self, x, v):
-        levels.append(self.level)
+        levels.extend([self.level] * len(x))
         return orig(self, x, v)
 
-    monkeypatch.setattr(Spray, "acceleration", counted)
+    monkeypatch.setattr(Spray, "accelerations", counted)
     return levels
 
 
@@ -180,6 +184,40 @@ def test_stack_skips_the_coefficients_of_rejected_rows(monkeypatch):
     assert checks.failed == CONSTRAINTS.index("fiber-velocity")
     assert checks.rejected.tolist() == [False, True]
     assert levels == [0, 0]
+
+
+def _row_bytes(checks, r, k):
+    """Row ``r`` of a stack's checks as bytes, cut where a stop at constraint ``k`` cuts them."""
+    values, alpha, beta = checks.values[r].copy(), checks.alpha[r], checks.beta[r]
+    if k >= 0:
+        values[k + 1:] = np.nan
+        alpha = alpha if k >= CONSTRAINTS.index("alpha-fit") else np.nan
+        beta = beta if k >= CONSTRAINTS.index("beta-fit") else np.nan
+    return values.tobytes(), np.float64(alpha).tobytes(), np.float64(beta).tobytes()
+
+
+@pytest.mark.parametrize("tol", [1e-8, np.inf])
+@pytest.mark.parametrize("first", [*CONSTRAINTS, None])
+def test_stack_of_broken_rows_is_each_row_checked_alone(first, tol):
+    # rows broken at "first" and at every later constraint, between slice
+    # jets: the stack stops at "first" (tol 1e-8), or at "slashed" or not
+    # at all (tol inf), and each row's figures up to there are its own
+    s = make_sphere()
+    k = -1 if first is None else CONSTRAINTS.index(first)
+    good = [sub.delta_coordinates(s, SPHERE_X0, SPHERE_V0, al, be)
+            for al, be in ((1.0, 0.5), (-0.3, 2.0))]
+    stack = np.stack([good[0], *(_broken_jet(name) for name in CONSTRAINTS[k:] if k >= 0), good[1]])
+    checks = sub._check_jets(s, stack, tol)
+    alone = [sub._check_jets(s, xi[None], tol) for xi in stack]
+    stop = min((c.failed for c in alone if c.failed >= 0), default=-1)
+    assert checks.failed == stop == (k if tol == 1e-8 or k <= 0 else -1)
+    assert checks.rejected.tolist() == [c.failed == stop >= 0 for c in alone]
+    n = stop + 1 if stop >= 0 else len(CONSTRAINTS)
+    for r, (c, xi) in enumerate(zip(alone, stack)):
+        assert _row_bytes(checks, r, stop) == _row_bytes(c, 0, stop)
+        # and membership's figures, which run the same check on the row alone
+        reached = list(sub.membership(s, xi, tol=tol).constraints.values())
+        assert checks.values[r, :n].tolist() == reached[:n]
 
 
 def test_slashed_finsler_jet_is_rejected_without_evaluation():
