@@ -289,8 +289,7 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
         # the lines that set a{k}_# to the acceleration at (x_#, v_#)
         if tape is None:
             return [f"{row(f'a{k}_#')}, = f([{row(x)}], [{row(v)}])"]
-        lines, out = kept_lines(tape.stmts, *tape.inputs, tape.outputs, tape.namespace,
-                                (row(x) + ",", row(v) + ","), "_e")
+        lines, out = kept_lines(tape, (row(x) + ",", row(v) + ","), "_e")
         return lines + [f"{row(f'a{k}_#')}, = {', '.join(out)},"]
 
     def indent(depth: int, lines: list[str]) -> list[str]:
@@ -359,19 +358,13 @@ def _calling(n: int, dim: int) -> Callable:
 
 # The most locals an inlined run loop may have, at any lift level:
 # CPython's one-byte local index.  Past it, loads and stores of locals need
-# EXTENDED_ARG: when each copy had its own names, the sphere's level-2 loop
-# had 337 locals and 363 EXTENDED_ARG in 3086 instructions, its level-3
-# loop 673 and 2240 in 8756.  A 100-step inlined run took this share of the
-# calling run's time (best of 30-80 interleaved runs each, CPython 3.11,
-# 2-vCPU host), by the loop's locals.  With a name set per copy: flat L1
-# (109) 0.81, Finsler L1 (141) 0.86, sphere L1 (169) 0.90-0.92, flat L2
-# (197) 0.85-0.88, sphere L1 fan(2) (233) 0.93-0.94; past the limit,
-# Finsler L2 (273) 0.91, round S^3 L1 (289) 0.94, sphere L2 (337) 0.93, 4-D
-# flat L1 fan(4) (461) 0.99, sphere L2 fan(2) (485) 1.02-1.03, round S^3
-# L1 fan(3) (509) 1.05 and sphere L3 (673) 1.06.  With the copies sharing
-# one set (today's loops): sphere L1 (100) 0.88, flat L2 (149) 0.87,
-# Finsler L2 (168) 0.82-0.92 and sphere L2 (184) 0.91-0.92.  So the limit
-# is safe rather than tight.
+# EXTENDED_ARG and inlining stops paying: a 100-step inlined run took 0.81-0.94
+# of the calling run's time within the limit and 0.91-1.06 past it (best of
+# 30-80 interleaved runs, CPython 3.11, 2-vCPU host; ROADMAP.md lists each
+# loop under "Measured and not pursued").  Today's loops, whose copies share
+# one set of names: sphere L1 (100 locals) 0.88, flat L2 (149) 0.87, Finsler
+# L2 (168) 0.82-0.92, sphere L2 (184) 0.91-0.92.  So the limit is safe rather
+# than tight.
 _MAX_LOCALS = 256
 
 # The inlined run loop of each traced kernel or fan, dropped with the program.

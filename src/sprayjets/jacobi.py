@@ -270,12 +270,13 @@ def lift_conjugate_check(s: Spray, jac: JacobiField, end_tol: float = 1e-6) -> L
     bitwise the derivative in ``e`` of the lift's run from
     (``gamma(0)``, ``gamma'(0) + e J(0)``; ``gamma'(0)``, ``gamma''(0) + e J'(0)``),
     so its J block is that variation's exact limit, which
-    ``velocity_deviation`` compares with J.
+    ``velocity_deviation`` compares with J.  ``s`` may be at any level, and
+    ``jac`` must run on its lift (:class:`InvalidLevelError` otherwise).
     """
 
-    if s.level + 2 > 2:
-        raise InvalidLevelError("witnesses run two lifts above the spray, so only base sprays "
-                                "are checked: a cost policy, not a limit of the jet type")
+    if jac.field.spray.level != s.level + 1:
+        raise InvalidLevelError(f"a field of a level-{s.level} spray runs at level {s.level + 1}, "
+                                f"got one at level {jac.field.spray.level}")
     fib = jac.fiber_nodes()
     norms = np.linalg.norm(fib, axis=1)
     if norms[0] > end_tol or norms[-1] > end_tol:

@@ -37,6 +37,9 @@ first and its traceback shows that line.  Control flow that depends on a
 value cannot be recorded: a ``Sym`` raises
 :class:`~sprayjets.errors.TraceError` when it is compared, tested for
 truth or converted to a number, and the evaluator is then not compiled.
+The code has one dialect, Python floats: the tape binds each constant as
+one (an int as the float Python converts it to) and refuses the trace on
+any other constant, such as a numpy scalar or an int too large for a float.
 
 The program keeps its recording, from which the RK4 run loop of
 :mod:`sprayjets.geodesic` inlines copies of a kernel and
@@ -54,6 +57,7 @@ from __future__ import annotations
 import linecache
 import math
 from collections import Counter
+from numbers import Number
 
 import numpy as np
 
@@ -208,7 +212,7 @@ class _Tape:
     def __init__(self):
         self.stmts: list[tuple[str, str, tuple[str, ...]]] = []
         self.namespace = {name: getattr(math, name) for name in _MATH}
-        self._consts: dict[int, str] = {}
+        self._consts: dict[int, tuple[str, object]] = {}
         self._count = 0
         self.refused = False
         # the names of the inputs and outputs, set once the evaluation is recorded
@@ -223,19 +227,29 @@ class _Tape:
         return Sym(self, name)
 
     def operand(self, z) -> str | None:
-        """The name of ``z`` in the generated code; None if it is no scalar."""
+        """The name of ``z`` in the generated code; None if it is no scalar.
+
+        A constant is bound as a Python float, an int as the float Python
+        converts it to; any other number refuses the trace (``TraceError``).
+        """
         if isinstance(z, Sym):
             return z.name
-        if not isinstance(z, _NUMERIC):
+        if not isinstance(z, Number):
             return None
-        # Constants are bound by identity, never written as literals, so
-        # int and float, -0.0, inf and nan reach the program exactly.  The
-        # namespace keeps each one alive, so its id is never reused.
-        name = self._consts.get(id(z))
-        if name is None:
-            name = self._consts[id(z)] = f"c{len(self._consts)}"
-            self.namespace[name] = z
-        return name
+        # Constants are bound by identity, never written as literals, so -0.0,
+        # inf and nan reach the program exactly; kept here, each keeps its id.
+        bound = self._consts.get(id(z))
+        if bound is None:
+            try:
+                value = z if type(z) is float else float(z) if isinstance(z, int) else None
+            except OverflowError:  # an int too large for a float
+                value = None
+            if value is None:
+                self.refused = True
+                raise TraceError(f"the constant {z!r} is no Python float")
+            bound = self._consts[id(z)] = f"c{len(self._consts)}", z
+            self.namespace[bound[0]] = value
+        return bound[0]
 
     def binary(self, a, op: str, b):
         x, y = self.operand(a), self.operand(b)
@@ -253,7 +267,7 @@ class Sym:
 
     __slots__ = ("tape", "name")
     # numpy scalars defer to the reflected methods below instead of
-    # wrapping a Sym in an object array, so their type reaches the tape.
+    # wrapping a Sym in an object array, so the tape sees them and refuses.
     __array_ufunc__ = None
 
     def __init__(self, tape: _Tape, name: str):
@@ -343,6 +357,8 @@ def _drop_repeats(stmts, outputs):
 _BINDS = {"+": 1, "-": 1, "*": 2, "/": 2, "**": 4}
 _NEG, _ATOM = 3, 5
 
+_QUIET = ("+", "-", "*")  # the operators that cannot raise on float operands
+
 # The deepest a line nests folded statements: far inside the parser's
 # limit of nested parentheses and the compiler's recursion limit.
 _MAX_DEPTH = 32
@@ -369,11 +385,11 @@ def _expression(op: str, parts):
     return f"{op}({arg})", _ATOM
 
 
-def _fold(stmts, outputs, quiet):
+def _fold(stmts, outputs):
     """``stmts`` as lines ``(target, template, reads)``, quiet temporaries folded into their reader.
 
-    A statement is folded when its op is in ``quiet`` (ops that cannot
-    raise), its target is read by exactly one operand of one statement and
+    A statement is folded when its op is binary ``+ - *`` or unary minus,
+    which cannot raise on floats, its target is read by exactly one operand of one statement and
     is no output, and it nests fewer than ``_MAX_DEPTH`` statements.  Its
     expression then stands in its reader's line in place of its name, so
     it runs later than recorded, but on the same values, and a raising
@@ -389,7 +405,7 @@ def _fold(stmts, outputs, quiet):
         template, binds = _expression(op, [(t, b) for t, _, b, _ in parts])
         reads = tuple(r for _, rs, _, _ in parts for r in rs)
         depth = 1 + max(d for *_, d in parts)
-        if op in quiet and readers[target] == 1 and target not in outputs and depth < _MAX_DEPTH:
+        if op in _QUIET and readers[target] == 1 and target not in outputs and depth < _MAX_DEPTH:
             held[target] = template, reads, binds, depth
         else:
             lines.append((target, template, reads))
@@ -402,11 +418,11 @@ def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
     ``fn`` runs once on ``n_pos`` and ``n_vel`` symbolic scalars and must
     return a sequence of scalars.  The result is a function of two float
     sequences of those lengths that returns the same list ``fn`` would,
-    bit for bit; a numpy scalar that a numpy constant made is returned
-    as the Python float of the same value.  Returns None when the
-    evaluation cannot be recorded: it needed a value (``TraceError``) or
-    failed in any other way, in which case the caller keeps evaluating
-    ``fn`` itself and meets the same failure there if it was a real one.
+    bit for bit, and computes Python floats only (:meth:`_Tape.operand`).
+    Returns None when the evaluation cannot be recorded: it needed a value
+    or met a constant that is no Python float, such as a numpy scalar
+    (``TraceError``), or failed in any other way; the caller then keeps
+    evaluating ``fn`` itself and meets the same failure if it was real.
 
     Between recording and code generation, statements that repeat an
     earlier one are dropped (:func:`_drop_repeats`) and quiet temporaries
@@ -430,7 +446,7 @@ def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
         return None
     tape.inputs = [z.name for z in pos], [z.name for z in vel]
     tape.outputs = out
-    (note, *body), out = kept_lines(tape.stmts, *tape.inputs, out, tape.namespace, ("pos", "vel"))
+    (note, *body), out = kept_lines(tape, ("pos", "vel"))
     lines = [note, "def program(pos, vel):", *(f"    {line}" for line in body),
              f"    return [{', '.join(out)}]"]
     # a copy: exec adds its own names to the namespace it runs in
@@ -439,46 +455,32 @@ def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
     return program
 
 
-def kept_lines(stmts, pos, vel, out, namespace, sources, suffix=""):
-    """Source lines that run the kept ``stmts`` on ``sources``, and the output expressions.
+def kept_lines(tape: _Tape, sources, suffix=""):
+    """Source lines that run the kept statements of ``tape`` on ``sources``, and the output names.
 
     The first line is a comment with the recorded and kept statement
-    counts.  The next two unpack the inputs ``pos`` and ``vel`` from the
-    expressions ``sources`` (two sequences); the rest run the statements
-    that :func:`_drop_repeats` keeps, folded by :func:`_fold`, each line
-    assigning its statement's tape name.  Binary ``+``, ``-`` and ``*`` and
-    unary minus are folded when every constant is a Python float or an int
-    below 2**1023 in magnitude: then they cannot raise on float inputs.  Every
-    name that ``namespace`` does not bind gets ``suffix``, which keeps the
-    copy's names apart from those of the function it runs in.  Copies of one
-    suffix share their locals: each assigns every name before it reads it.
-    The expressions give ``out`` in order; when ``namespace`` binds a numpy
-    scalar constant, which makes numpy scalars of what it touches and can
-    raise on any operation under ``np.errstate``, nothing is folded and
-    each output is wrapped in ``float(...)``, the Python float of the same
-    value.
+    counts.  The next two unpack the tape's inputs from the expressions
+    ``sources`` (two sequences); the rest run the statements that
+    :func:`_drop_repeats` keeps, folded by :func:`_fold`, each line
+    assigning its statement's tape name.  Every name that the tape's
+    namespace does not bind gets ``suffix``, which keeps the copy's names
+    apart from those of the function it runs in.  Copies of one suffix share
+    their locals: each assigns every name before it reads it.  The names
+    give the tape's outputs in order.
     """
 
-    kept, out = _drop_repeats(stmts, out)
-    consts = [c for c in namespace.values() if not callable(c)]
-    numeric = all(type(c) in _NUMERIC for c in consts)
-    # an int operand raises only when it is too large for a float
-    quiet = ("+", "-", "*") if numeric and all(
-        type(c) is float or abs(c) < 2 ** 1023 for c in consts) else ()
-    folded = _fold(kept, set(out), quiet)
+    kept, out = _drop_repeats(tape.stmts, tape.outputs)
+    folded = _fold(kept, set(out))
 
     def local(z):
-        return z if z in namespace else z + suffix
+        return z if z in tape.namespace else z + suffix
 
-    lines = [f"# {len(stmts)} recorded, {len(kept)} kept"]
+    lines = [f"# {len(tape.stmts)} recorded, {len(kept)} kept"]
     lines += [f"{''.join(local(z) + ', ' for z in names)}= {src}"
-              for names, src in zip((pos, vel), sources)]
+              for names, src in zip(tape.inputs, sources)]
     lines += [f"{local(target)} = {template.format(*map(local, reads))}"
               for target, template, reads in folded]
-    out = [local(z) for z in out]
-    if not numeric:
-        out = [f"float({z})" for z in out]
-    return lines, out
+    return lines, [local(z) for z in out]
 
 
 def compile_stack(tape: _Tape, filename: str):
@@ -500,25 +502,15 @@ def compile_stack(tape: _Tape, filename: str):
     result bit for bit; on any exception the caller runs the rows.
 
     None when the tape records ``**``, whose Python float exceptions no
-    ufunc flag stands for, or binds a constant that is not a finite Python
-    float or int (an int is bound as its float, the operand Python
-    converts it to).
+    ufunc flag stands for, or binds a constant that is not finite.  Every
+    constant is a Python float already, so the twin binds the tape's.
     """
 
-    if any(op == "**" for _, op, _ in tape.stmts):
+    consts = [c for c in tape.namespace.values() if not callable(c)]
+    if any(op == "**" for _, op, _ in tape.stmts) or not all(map(math.isfinite, consts)):
         return None
-    namespace = {name: _entrywise(getattr(math, name)) for name in _MATH}
-    for name, c in tape.namespace.items():
-        if callable(c):
-            continue
-        try:
-            c = float(c) if type(c) in _NUMERIC else math.nan
-        except OverflowError:  # an int too large for a float, which Python refuses too
-            return None
-        if not math.isfinite(c):
-            return None
-        namespace[name] = c
-    (note, *body), out = kept_lines(tape.stmts, *tape.inputs, tape.outputs, namespace, ("pos", "vel"))
+    namespace = {**tape.namespace, **{name: _entrywise(getattr(math, name)) for name in _MATH}}
+    (note, *body), out = kept_lines(tape, ("pos", "vel"))
     lines = [note, "def stack(pos, vel, out):", *(f"    {line}" for line in body),
              *(f"    out[:, {k}] = {z}" for k, z in enumerate(out)), "    return out"]
     return compile_source("\n".join(lines) + "\n", filename, namespace, "stack")

@@ -22,12 +22,13 @@ reader's expression; operations that can raise keep their own lines in
 tape order.  So its results are bitwise equal by construction, and it
 raises the exception the ``Dual`` evaluation raises first.  An evaluator
 whose control flow depends on a value (a branch on ``jet_re(...)``, a
-comparison) refuses tracing, and its kernel evaluates ``coeff_fn``
-itself.  The kernel is the one-tangent case of :meth:`Spray.fan`, which
-records ``-2 * coeff_fn`` on one carrier and several tangents in turn; on
-a complete lift the later copies' carrier statements repeat the first's
-and are dropped, so Jacobi fields along one geodesic run as one state
-whose carrier is evaluated once.
+comparison), or that uses a constant other than a Python float or an int
+a float can hold (a numpy scalar), refuses tracing, and its kernel
+evaluates ``coeff_fn`` itself.  The kernel is the one-tangent case of
+:meth:`Spray.fan`, which records ``-2 * coeff_fn`` on one carrier and
+several tangents in turn; on a complete lift the later copies' carrier
+statements repeat the first's and are dropped, so Jacobi fields along one
+geodesic run as one state whose carrier is evaluated once.
 
 Every float acceleration runs compiled statements, so outside the
 kernels of refused evaluators no acceleration runs ``Dual`` arithmetic
@@ -103,7 +104,8 @@ class Spray:
         Row r is bitwise ``acceleration(x[r].tolist(), v[r].tolist())``, and
         the call raises what those calls, made in row order, raise first.  A
         stack of two or more finite rows runs the kernel's stack twin
-        (:func:`~sprayjets.jets.compile_stack`) once, under
+        (:func:`~sprayjets.jets.compile_stack`: its float code, whose
+        constants are all Python floats, on float64 columns) once, under
         ``np.errstate(all="raise")``.  The rows run one by one through
         :meth:`acceleration` instead when the kernel has no twin, when an
         entry is not finite (where IEEE division by zero need not flag, while

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InconsistentTrajectoryError, IntegrationBlowupError
+from .errors import (DomainError, InconsistentTrajectoryError, IntegrationBlowupError,
+                     InvalidLevelError)
 from .geodesic import Trajectory, _minima, integrate
 from .jets import Dual, jet_du, unnest
 from .jetspace import EPS_SLASHED, JetPoint
@@ -46,6 +47,12 @@ def _entries(z) -> list:
     return [e if isinstance(e, Dual) else float(e) for e in np.asarray(z).tolist()]
 
 
+def _check_start(s: Spray, x0, v0) -> None:
+    if not len(x0) == len(v0) == s.fiber_dim:
+        raise InvalidLevelError(f"a start of the level-{s.level} spray takes {s.fiber_dim} "
+                                f"positions and {s.fiber_dim} velocities, got {len(x0)} and {len(v0)}")
+
+
 def delta_coordinates(s: Spray, x0, v0, alpha, beta) -> np.ndarray:
     """Full initial jet of the parallel curve, one level above its positions.
 
@@ -53,9 +60,12 @@ def delta_coordinates(s: Spray, x0, v0, alpha, beta) -> np.ndarray:
     (v, a, beta v + alpha a, alpha a' + 2 beta a), with the acceleration a
     and its time derivative from :func:`~sprayjets.spray.acceleration_jet`.
     With ``Dual`` entries it is an object array carrying exact tangents.
+    ``x0`` and ``v0`` of other lengths than ``s.fiber_dim`` raise
+    :class:`InvalidLevelError`, here and in :func:`dimension_probe`.
     """
 
     x, v = _entries(x0), _entries(v0)
+    _check_start(s, x, v)
     a, jolt = acceleration_jet(s, x, v)
     pos = x + v + [alpha * vi for vi in v] + [alpha * ai + beta * vi for ai, vi in zip(a, v)]
     vel = (v + a + [beta * vi + alpha * ai for vi, ai in zip(v, a)]
@@ -494,6 +504,7 @@ def dimension_probe(s: Spray, x0, v0, alpha: float, beta: float) -> DimensionRep
     velocity is not slashed, raises :class:`DomainError`.
     """
 
+    _check_start(s, x0, v0)
     m = s.fiber_dim
     p0 = np.concatenate([np.asarray(x0, float), np.asarray(v0, float), [alpha, beta]]).tolist()
     if not np.isfinite(p0).all():

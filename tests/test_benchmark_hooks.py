@@ -7,6 +7,7 @@ per-layer run.  The table is read from the file, not copied, and the
 benchmark modules are loaded from their files, never edited.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import sys
@@ -38,7 +39,14 @@ def test_traced_name_resolves(module, attr):
 
 
 def _traced_pass(workload, names):
-    """The named per-layer counters of one traced pass of ``workload`` at seed 1.
+    """The named per-layer counters of one traced pass of ``workload`` at seed 1,
+    and the SHA-256 of every trajectory the pass integrates.
+
+    The digest runs over each trajectory ``geodesic._integrate`` returns, in
+    call order: the bytes of its times, positions, velocities and
+    accelerations, then its exit reason.  ``jacobi`` imports ``_integrate``
+    by name, so it is patched there too.  A change that moves any result by
+    a bit, or adds, drops or reorders a run, changes the digest.
 
     Every run loop the pass gets is checked against the rule of
     ``geodesic._run_loop``: a run inlines exactly when its program is traced
@@ -51,7 +59,15 @@ def _traced_pass(workload, names):
         importlib.import_module(f"sprayjets.{sub}")
     geodesic = sprayjets.geodesic
     run_loop = geodesic._run_loop
-    runs = {}
+    integrate = geodesic._integrate
+    runs, digest = {}, hashlib.sha256()
+
+    def hashed(*args):
+        traj = integrate(*args)
+        for a in (traj.times, traj.positions, traj.velocities, traj.accelerations):
+            digest.update(a.tobytes())
+        digest.update(repr(traj.exit_reason).encode())
+        return traj
 
     def spy(s, f, n):
         # the tracer rebinds Spray.acceleration, so the program is read here
@@ -63,7 +79,9 @@ def _traced_pass(workload, names):
     tracer = spans.Tracer()
     tracer.install(sprayjets)
     try:
-        with mock.patch.object(geodesic, "_run_loop", spy):
+        with (mock.patch.object(geodesic, "_run_loop", spy),
+              mock.patch.object(geodesic, "_integrate", hashed),
+              mock.patch.object(sprayjets.jacobi, "_integrate", hashed)):
             wl = workloads.build(sprayjets, workload, 1)
             for task in wl.tasks:
                 assert workloads.run_task(sprayjets, wl, task).failures == []
@@ -78,7 +96,15 @@ def _traced_pass(workload, names):
         elif tape is not None:
             assert geodesic._rk4(n, dim, tape, "<rk4 loop checked>").__code__.co_nlocals > 256, where
     counts = tracer.layer_metrics(1, 1.0, 1.0, 0.0)
-    return {name: counts[name] for name in names}
+    return {name: counts[name] for name in names}, digest.hexdigest()
+
+
+# The digest of each workload's trajectories at seed 1, as _traced_pass forms it.
+TRAJECTORIES = {
+    "base-flow": "430f7dd5677e0e5584e4b77e3c61959b3ffa41705ad8b4b08850b0e023030bb4",
+    "lifted-jacobi": "a3fa0cf23619c82613cd87f5e49c9fffccd8cefcb180ed54089bcd8dfff5af95",
+    "parallel-curves": "e8b2329d1ffcedf5b9909bb32fcd7a21cd98acb9bd200bfb7f98c41c2d0c4543",
+}
 
 
 def test_base_flow_pass_keeps_its_counts():
@@ -93,7 +119,7 @@ def test_base_flow_pass_keeps_its_counts():
         "spray.acceleration.L0.calls": 36,
         "spray.acceleration.L1.calls": 0,
     }
-    assert _traced_pass("base-flow", expected) == expected
+    assert _traced_pass("base-flow", expected) == (expected, TRAJECTORIES["base-flow"])
 
 
 def test_lifted_jacobi_pass_keeps_its_counts():
@@ -107,7 +133,7 @@ def test_lifted_jacobi_pass_keeps_its_counts():
         "jetspace.jet_apply.L2.calls": 1,
         "jetspace.pushforward.calls": 202,
     }
-    assert _traced_pass("lifted-jacobi", expected) == expected
+    assert _traced_pass("lifted-jacobi", expected) == (expected, TRAJECTORIES["lifted-jacobi"])
 
 
 def test_parallel_curves_pass_keeps_its_counts():
@@ -119,4 +145,4 @@ def test_parallel_curves_pass_keeps_its_counts():
         "subspray.geodesic.calls": 9,
         "spray.acceleration.L2.calls": 13,
     }
-    assert _traced_pass("parallel-curves", expected) == expected
+    assert _traced_pass("parallel-curves", expected) == (expected, TRAJECTORIES["parallel-curves"])

@@ -20,12 +20,11 @@ from hypothesis import strategies as st
 
 from sprayjets import (IntegrationBlowupError, JetPoint, Spray, acceleration_jet, complete_lift,
                        conjugate_search, integrate, make_finsler_example, make_flat,
-                       make_sphere, pushforward_spray, shear_chart)
+                       make_sphere, project_spray, pushforward_spray, shear_chart)
 from sprayjets import geodesic
 from sprayjets import spray as spray_mod
 from sprayjets.errors import TraceError
-from sprayjets.jets import (Sym, _Tape, compile_trace, jdot, jet_re, jexp, jlog, jsin,
-                            jsqrt)
+from sprayjets.jets import _Tape, compile_trace, jdot, jet_re, jexp, jlog, jsin, jsqrt
 from sprayjets.spray import dual_lift
 from test_geodesic import FUSED_SPRAYS, TRAP_X, _evaluation_copies
 from test_spray import make_round_sphere
@@ -293,29 +292,92 @@ def test_sym_repr_and_non_scalar_operands():
     assert tape.stmts == []
 
 
-def test_sym_defers_numpy_scalars_to_the_tape():
+def _assert_refused(fn, points):
+    """``fn`` is not compiled, its tape is refused, and the kernel evaluates it itself.
+
+    The tape binds only Python floats, so a numpy scalar constant, or an
+    int too large for a float, refuses the trace; the kernel of a level-0
+    spray of ``fn`` then gives the interpreted evaluation's result, or its
+    first exception, at each (pos, vel) of ``points``.
+    """
+    n_pos, n_vel = (len(z) for z in points[0])
+    assert compile_trace(fn, n_pos, n_vel, f"<{fn.__name__}>") is None
     tape = _Tape()
-    assert isinstance(np.float64(2.0) * tape.fresh(), Sym)
-    assert tape.stmts == [("t1", "*", ("c0", "t0"))]
-    assert type(tape.namespace["c0"]) is np.float64
+    with pytest.raises(TraceError):
+        fn([tape.fresh() for _ in range(n_pos)], [tape.fresh() for _ in range(n_vel)])
+    assert tape.refused
+    s = Spray(level=0, dim=n_pos, coeff_fn=fn, tag=fn.__name__)
+    assert not hasattr(s.kernel, "tape")
+    for pos, vel in points:
+        assert _outcome(s.kernel, pos, vel) == _outcome(_interpreted(fn), pos, vel)
+    return s
+
+
+def _int_constants(pos, vel):
+    # 2**1023 + 1 rounds to 2**1023 as a float, as Python converts it
+    return [3 * pos[0] - (2 ** 1023 + 1) * vel[0], pos[0] / 2]
+
+
+def test_int_constants_bind_as_their_float():
+    program = compile_trace(_int_constants, 1, 1, "<int-constants>")
+    consts = [c for c in program.tape.namespace.values() if not callable(c)]
+    assert consts == [3.0, 2.0 ** 1023, 2.0] and all(type(c) is float for c in consts)
+    for pos, vel in (([1.5], [1e-300]), ([-0.0], [2.0]), ([1e308], [-1.0])):
+        assert _outcome(program, pos, vel) == _outcome(_int_constants, pos, vel)
+
+
+def _numpy_times_input(pos, vel):
+    return [np.float64(2.0) * pos[0]]
+
+
+def test_sym_defers_numpy_scalars_to_the_tape():
+    # the numpy scalar defers to the Sym's reflected product, and the tape
+    # refuses it instead of binding it
+    tape = _Tape()
+    with pytest.raises(TraceError):
+        np.float64(2.0) * tape.fresh()
+    assert tape.refused and tape.stmts == []
+    _assert_refused(_numpy_times_input, [([3.0], [1.0]), ([-0.0], [1.0])])
 
 
 def _numpy_constant(pos, vel):
-    # a numpy scalar constant: the traced program computes numpy scalars
+    # a numpy scalar constant: a traced program would compute numpy scalars
     return [0.0 * (1.0 / pos[0]) + np.float64(0.0) * vel[0]]
 
 
 def test_kernel_returns_python_floats():
-    s = Spray(level=0, dim=1, coeff_fn=_numpy_constant, tag="numpy-constant")
-    assert s.kernel.__code__.co_filename == "<numpy-constant L0>"
+    s = _assert_refused(_numpy_constant, [([-1.0], [1.0]), ([0.0], [1.0])])
     out = s.kernel([-1.0], [1.0])
     assert [type(a) for a in out] == [float]
     # float lists in, the kernel's list out: the integrator's evaluations
     assert s.acceleration([-1.0], [1.0]) == out
     assert type(s.acceleration([-1.0], [1.0])) is list
-    assert _outcome(s.kernel, [-1.0], [1.0]) == _outcome(_interpreted(_numpy_constant), [-1.0], [1.0])
     with pytest.raises(ZeroDivisionError):
         s.kernel([0.0], [1.0])
+
+
+# the library sprays the benchmark and the runner integrate
+LIBRARY_SPRAYS = {
+    "sphere": make_sphere(),
+    "flat": make_flat(2),
+    "finsler": make_finsler_example((0.0, 1.0)),
+    "pushed": pushforward_spray(shear_chart(), make_sphere()),
+    "round-sphere-3": make_round_sphere(3),
+    "projected": project_spray(complete_lift(make_sphere())),
+}
+
+
+@pytest.mark.parametrize("name, level", [(name, level) for name in LIBRARY_SPRAYS
+                                         for level in range(4)])
+def test_library_sprays_keep_to_the_dialect(name, level):
+    # each is traced, kernel and fan alike, binds Python floats only and has
+    # a stack twin: a dialect rule that refused one would send its runs to
+    # the interpreted evaluation without failing anything else
+    s = _lift(LIBRARY_SPRAYS[name], level)
+    for program in (s.kernel, s.fan(2)):
+        consts = [c for c in program.tape.namespace.values() if not callable(c)]
+        assert consts and all(type(c) is float for c in consts)
+    assert s._stack is not None
 
 
 def test_numpy_constant_leaves_the_state_python_floats():
@@ -366,17 +428,14 @@ def test_outputs_that_are_inputs_constants_or_repeats():
     assert math.copysign(1.0, program([1.0, 1.0, 1.0], [1.0, 2.0, 1.0])[1]) == -1.0
 
 
-def test_repeated_numpy_constant_returns_python_floats():
+def _repeated_numpy_constant(pos, vel):
     c = np.float64(0.5)
+    return [c * pos[0], c * pos[0] + vel[0], pos[0]]
 
-    def fn(pos, vel):
-        return [c * pos[0], c * pos[0] + vel[0], pos[0]]
 
-    program = compile_trace(fn, 1, 1, "<numpy-repeat>")
-    assert _source(program)[0] == "# 3 recorded, 2 kept\n"
-    out = program([3.0], [1.0])
-    assert [type(z) for z in out] == [float, float, float]
-    assert _outcome(program, [3.0], [1.0]) == _outcome(fn, [3.0], [1.0])
+def test_repeated_numpy_constant_returns_python_floats():
+    s = _assert_refused(_repeated_numpy_constant, [([3.0], [1.0]), ([-2.5], [0.0])])
+    assert [type(z) for z in s.kernel([3.0], [1.0])] == [float, float, float]
 
 
 # the lines that run the kept statements of the sphere kernel at each level
@@ -509,8 +568,8 @@ def test_folded_product_keeps_the_first_exception():
 
 
 def _numpy_overflow(pos, vel):
-    # the numpy product overflows before the sqrt fails; folded into the
-    # last line, it would run after the sqrt
+    # the numpy product overflows before the sqrt fails; a program that
+    # folded it into the last line would run it after the sqrt
     p = np.float64(1e300) * pos[0]
     return [jsqrt(vel[0]), p * pos[0]]
 
@@ -524,14 +583,12 @@ def _huge_int(pos, vel):
 @pytest.mark.parametrize("fn, first", [(_numpy_overflow, FloatingPointError),
                                        (_huge_int, OverflowError)])
 def test_constants_that_can_raise_fold_nothing(fn, first):
-    program = compile_trace(fn, 1, 1, f"<{fn.__name__}>")
-    source = _source(program)
-    assert source[0] == "# 3 recorded, 3 kept\n"
-    assert len(source) == 1 + 3 + 3 + 1
+    # nothing is folded because nothing is compiled: the kernel runs the
+    # evaluation itself and raises its first exception
+    points = [([1e10], [-1.0]), ([1e10], [4.0]), ([2.0], [-1.0]), ([2.0], [4.0])]
     with np.errstate(all="raise"):
-        for pos, vel in (([1e10], [-1.0]), ([1e10], [4.0]), ([2.0], [-1.0]), ([2.0], [4.0])):
-            assert _result(program, pos, vel) == _result(fn, pos, vel)
-        assert _result(program, [1e10], [-1.0])[0] is first
+        s = _assert_refused(fn, points)
+        assert _outcome(s.kernel, [1e10], [-1.0]) is first
 
 
 # an int constant other than 0 could grow without bound in the int

@@ -412,9 +412,33 @@ def test_lifted_conjugate_zero_field_is_up_to_1e_8():
 
 
 def test_lifted_conjugate_level_budget():
+    # a field must run on the lift of the spray it is checked against; a
+    # mismatched pair is refused before any witness is built
     s, jac = equator_field((1.0, 0.0), t_end=0.2, h=1e-2)
-    with pytest.raises(InvalidLevelError):
+    with pytest.raises(InvalidLevelError, match="level-1 spray runs at level 2, got one at level 1"):
         lift_conjugate_check(complete_lift(s), jac)
+    lifted_jac = jacobi_from_initial(complete_lift(s), _equator_lifted_init(), (0.0, 0.2), 1e-2)
+    with pytest.raises(InvalidLevelError, match="level-0 spray runs at level 1, got one at level 2"):
+        lift_conjugate_check(s, lifted_jac)
+
+
+def _equator_lifted_init():
+    """The level-3 start of the equator's normal field, one lift up: its
+    J block (fiber rate (1, 0)) with every other tangent block zero."""
+    return JetPoint(3, 2, [math.pi / 2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                           0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+
+
+def test_lifted_conjugate_witnesses_of_a_level_1_field():
+    # the witnesses run three lifts above the sphere; the field is the
+    # equator's sine field one level up, vanishing at 0 and pi
+    s = complete_lift(make_sphere())
+    jac = jacobi_from_initial(s, _equator_lifted_init(), (0.0, math.pi), 1e-2)
+    rep = lift_conjugate_check(s, jac)
+    assert rep.liouville_deviation < 1e-12
+    assert rep.velocity_deviation < 1e-12
+    assert max(rep.end_fiber_norms) < 1e-8
+    assert min(rep.interior_sup) > 0.99
 
 
 def test_derived_geodesics_first_lift():

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sprayjets import (EPS_SLASHED, DomainError, InconsistentTrajectoryError,
-                       IntegrationBlowupError, JetPoint, Spray, acceleration_jet, complete_lift,
-                       integrate, make_finsler_example, make_flat, make_sphere, pushforward,
-                       pushforward_spray, shear_chart)
+                       IntegrationBlowupError, InvalidLevelError, JetPoint, Spray,
+                       acceleration_jet, complete_lift, integrate, make_finsler_example,
+                       make_flat, make_sphere, pushforward, pushforward_spray, shear_chart)
 from sprayjets import subspray as sub
 from sprayjets.geodesic import Trajectory
 from sprayjets.jets import Dual, jet_du, jet_re
@@ -978,3 +978,25 @@ def test_dimension_probe_rejects_a_start_that_is_not_finite(x0, alpha, beta):
     # a non-finite entry would reach _rank's SVD, which does not converge
     with pytest.raises(DomainError, match="finite"):
         sub.dimension_probe(make_flat(3), x0, [1.0, 0.2, -0.3], alpha, beta)
+
+
+# each entry point that takes a start (x0, v0), called on the sphere
+START_ENTRY_POINTS = {
+    "delta_coordinates": lambda s, x0, v0: sub.delta_coordinates(s, x0, v0, 1.0, 0.5),
+    "dimension_probe": lambda s, x0, v0: sub.dimension_probe(s, x0, v0, 1.0, 0.5),
+    "geodesic": lambda s, x0, v0: sub.geodesic(s, x0, v0, 1.0, 0.5, (0.0, 1.0), 0.1),
+    "uniqueness_check": lambda s, x0, v0: sub.uniqueness_check(s, x0, v0, 1.0, 0.5, (0.0, 1.0), 0.1),
+    "parallel_jacobi_curve": lambda s, x0, v0: sub.parallel_jacobi_curve(
+        s, lambda sigma: (np.array(x0) + sigma, np.array(v0), 1.0, 0.5), (0.0, 1.0), 0.1),
+}
+
+
+@pytest.mark.parametrize("entry", START_ENTRY_POINTS)
+@pytest.mark.parametrize("x0, v0", [([1.2, 0.4, 0.3], [1.0]), ([1.2, 0.4, 0.3], [0.3, 1.0, 0.0]),
+                                    ([1.2], [0.3, 1.0])], ids=["3-1", "3-3", "1-2"])
+def test_a_start_of_the_wrong_length_is_refused(entry, x0, v0):
+    # the sphere's fiber has 2 entries: a start of other lengths was once
+    # read misaligned (dimension_probe reported ok) or failed to unpack in
+    # generated code
+    with pytest.raises(InvalidLevelError, match="takes 2 positions and 2 velocities"):
+        START_ENTRY_POINTS[entry](make_sphere(), x0, v0)
