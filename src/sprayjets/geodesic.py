@@ -18,7 +18,9 @@ state of several lifted fields over one carrier.  A run, at any lift
 level, whose evaluator's program is traced (the kernel, or the fan itself)
 uses the inlining loop when that loop has at most ``_MAX_LOCALS`` locals.
 It is built once per program, and each stage, and the new node, runs an
-inlined copy of the program's statements, so its steps make no call.
+inlined copy of the program's statements, so its steps make no call; a
+copy reads the stage's positions and velocities by their own names and
+assigns the acceleration's, so it builds and unpacks no tuple either.
 Every other run uses the calling loop, built once per state length, which
 calls the evaluator at each stage and at each new node.
 
@@ -61,7 +63,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .errors import DomainError, IntegrationBlowupError, InvalidLevelError
-from .jets import _Tape, compile_source, kept_lines
+from .jets import _Tape, compile_source, copy_locals, kept_lines
 from .jetspace import EPS_SLASHED, JetPoint
 from .spray import Spray
 
@@ -269,14 +271,16 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
     statements, folded as in the program) instead of calling ``f``, and a
     copy that raises ends the run as a call that raises would.  The copies
     perform the program's operations on the same values, so every result
-    is bitwise that of the loop calling the program.  The four copies share
-    one set of names, the program's with the suffix ``_e``: each copy is
-    straight-line code that assigns every name before reading it, and its
-    outputs are copied into ``a{k}_#`` before the next copy starts.  So the
-    loop has the calling loop's locals plus the program's but its two
-    arguments, not four times those.  The price is that a traceback line no
-    longer says which copy raised; the ``stages`` list handed to ``failed``
-    still does.  The loop's source is registered under ``filename``.
+    is bitwise that of the loop calling the program.  A copy reads the
+    program's inputs as the stage's ``xk_#`` and ``vk_#`` (``xn_#`` and
+    ``vn_#`` for the node) and its output lines assign ``ak_#`` (``a1_#``)
+    directly, so no line packs or unpacks a tuple.  The four copies share
+    one set of temporaries, the program's other names with the suffix
+    ``_e``: each copy is straight-line code that assigns every name before
+    reading it.  So the loop has the calling loop's locals plus one copy's
+    temporaries (:func:`~sprayjets.jets.copy_locals`), not four times
+    those.  The line a traceback shows reads its stage's names.  The loop's
+    source is registered under ``filename``.
     """
 
     def each(template: str) -> list[str]:
@@ -289,8 +293,7 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
         # the lines that set a{k}_# to the acceleration at (x_#, v_#)
         if tape is None:
             return [f"{row(f'a{k}_#')}, = f([{row(x)}], [{row(v)}])"]
-        lines, out = kept_lines(tape, (row(x) + ",", row(v) + ","), "_e")
-        return lines + [f"{row(f'a{k}_#')}, = {', '.join(out)},"]
+        return kept_lines(tape, (each(x), each(v)), "_e", each(f"a{k}_#"))[0]
 
     def indent(depth: int, lines: list[str]) -> list[str]:
         return [" " * depth + line for line in lines]
@@ -358,13 +361,17 @@ def _calling(n: int, dim: int) -> Callable:
 
 # The most locals an inlined run loop may have, at any lift level:
 # CPython's one-byte local index.  Past it, loads and stores of locals need
-# EXTENDED_ARG and inlining stops paying: a 100-step inlined run took 0.81-0.94
-# of the calling run's time within the limit and 0.91-1.06 past it (best of
-# 30-80 interleaved runs, CPython 3.11, 2-vCPU host; ROADMAP.md lists each
-# loop under "Measured and not pursued").  Today's loops, whose copies share
-# one set of names: sphere L1 (100 locals) 0.88, flat L2 (149) 0.87, Finsler
-# L2 (168) 0.82-0.92, sphere L2 (184) 0.91-0.92.  So the limit is safe rather
-# than tight.
+# EXTENDED_ARG and inlining stops paying: with copies that still unpacked
+# tuples, a 100-step inlined run took 0.81-0.94 of the calling run's time
+# within the limit and 0.91-1.06 past it (best of 30-80 interleaved runs,
+# CPython 3.11, 2-vCPU host; ROADMAP.md lists each loop under "Measured and
+# not pursued").  Since the copies read the stage's names and share one set
+# of temporaries, the same measure (best of 40-60, three rounds) gives:
+# sphere L1 (88 locals) 0.77-0.79, flat L2 (133) 0.71-0.74, Finsler L2 (144)
+# 0.79-0.82, sphere L2 (160) 0.80-0.86, sphere L2 fan(2) (227) 0.88-0.91,
+# round S^3 L1 fan(3) (233) 0.88-0.93, and flat L3, flat L2 fan(3), 4-D flat
+# L2 and 4-D flat L1 fan(3) (245 each) 0.73-0.84.  So the limit is safe
+# rather than tight.
 _MAX_LOCALS = 256
 
 # The inlined run loop of each traced kernel or fan, dropped with the program.
@@ -379,16 +386,17 @@ def _run_loop(s: Spray, f: Callable, n: int) -> Callable:
     (:meth:`Spray.fan`), whose run reads no :attr:`Spray.kernel`.  At any
     level, a traced program (one that keeps a tape) is inlined when the
     loop that inlines it has at most _MAX_LOCALS locals.
-    A step's four evaluations share one set of names, which adds the
-    program's locals but its two arguments to the calling loop's, so the
-    count is known before the loop is built, and a loop past the limit is
-    never built.  A loop that fits is built at the program's first run and
-    named after it.  Every other run gets the calling loop.
+    A step's four evaluations share one set of temporaries, so that loop has
+    the calling loop's locals plus :func:`~sprayjets.jets.copy_locals` of
+    the program's tape: the count is known before the loop is built, and a
+    loop past the limit is never built.  A loop that fits is built at the
+    program's first run and named after it.  Every other run gets the
+    calling loop.
     """
     calling = _calling(n, s.dim)
     program = s.kernel if f == s.acceleration else f
     tape = getattr(program, "tape", None)
-    if tape is None or calling.__code__.co_nlocals + program.__code__.co_nlocals - 2 > _MAX_LOCALS:
+    if tape is None or calling.__code__.co_nlocals + copy_locals(tape) > _MAX_LOCALS:
         return calling
     loop = _inlined_loops.get(program)
     if loop is None:

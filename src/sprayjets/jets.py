@@ -45,11 +45,15 @@ The program keeps its recording, from which the RK4 run loop of
 :mod:`sprayjets.geodesic` inlines copies of a kernel and
 :func:`compile_stack` builds the kernel's stack twin, which runs the
 statements once over columns of a whole stack of inputs; all three emit
-their statements through :func:`kept_lines`.  An evaluation that runs
-the same evaluator on several inputs sharing a carrier records the
-carrier's statements once per run, and dropping the repeats leaves them
-once: this is how :meth:`~sprayjets.spray.Spray.fan` gets vector forward
-mode.
+their statements through :func:`kept_lines`.  The program and the twin
+unpack their arguments into the tape's input names and return or store
+the outputs; a copy reads the loop's own names for the inputs and assigns
+the loop's names for the outputs, so it adds only its temporaries to the
+loop's locals (:func:`copy_locals`) and builds no tuple.  An evaluation
+that runs the same evaluator on several inputs sharing a carrier records
+the carrier's statements once per run, and dropping the repeats leaves
+them once: this is how :meth:`~sprayjets.spray.Spray.fan` gets vector
+forward mode.
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ from __future__ import annotations
 import linecache
 import math
 from collections import Counter
+from functools import cached_property
+from itertools import chain
 from numbers import Number
 
 import numpy as np
@@ -218,6 +224,20 @@ class _Tape:
         # the names of the inputs and outputs, set once the evaluation is recorded
         self.inputs: tuple[list[str], list[str]] = ([], [])
         self.outputs: list[str] = []
+
+    @cached_property
+    def folded(self):
+        """``(kept, lines, outputs)``: the count of statements :func:`_drop_repeats`
+        keeps, their lines (:func:`_fold`) and the names of the outputs among
+        them; worked out once, when the first program is emitted."""
+        kept, out = _drop_repeats(self.stmts, self.outputs)
+        return len(kept), _fold(kept, set(out)), out
+
+    @cached_property
+    def temporaries(self) -> int:
+        """The lines of :attr:`folded` that assign no output (:func:`copy_locals`)."""
+        _, lines, out = self.folded
+        return sum(target not in out for target, _, _ in lines)
 
     def fresh(self, op: str | None = None, *operands: str) -> "Sym":
         name = f"t{self._count}"
@@ -446,8 +466,8 @@ def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
         return None
     tape.inputs = [z.name for z in pos], [z.name for z in vel]
     tape.outputs = out
-    (note, *body), out = kept_lines(tape, ("pos", "vel"))
-    lines = [note, "def program(pos, vel):", *(f"    {line}" for line in body),
+    (note, *body), out = kept_lines(tape, tape.inputs)
+    lines = [note, "def program(pos, vel):", *(f"    {line}" for line in _unpack(tape) + body),
              f"    return [{', '.join(out)}]"]
     # a copy: exec adds its own names to the namespace it runs in
     program = compile_source("\n".join(lines) + "\n", filename, dict(tape.namespace), "program")
@@ -455,32 +475,60 @@ def compile_trace(fn, n_pos: int, n_vel: int, filename: str):
     return program
 
 
-def kept_lines(tape: _Tape, sources, suffix=""):
-    """Source lines that run the kept statements of ``tape`` on ``sources``, and the output names.
+def kept_lines(tape: _Tape, inputs, suffix="", outputs=None):
+    """Source lines that run the kept statements of ``tape`` on ``inputs``, and the output names.
 
     The first line is a comment with the recorded and kept statement
-    counts.  The next two unpack the tape's inputs from the expressions
-    ``sources`` (two sequences); the rest run the statements that
-    :func:`_drop_repeats` keeps, folded by :func:`_fold`, each line
-    assigning its statement's tape name.  Every name that the tape's
-    namespace does not bind gets ``suffix``, which keeps the copy's names
-    apart from those of the function it runs in.  Copies of one suffix share
-    their locals: each assigns every name before it reads it.  The names
-    give the tape's outputs in order.
+    counts; the rest run the statements that :func:`_drop_repeats` keeps,
+    folded by :func:`_fold`, one line each.  ``inputs`` are two lists of
+    names that stand for the tape's inputs wherever a line reads one; no
+    line unpacks them.  ``outputs``, when given, are the names that receive
+    the tape's outputs: the line of an output's statement assigns that name
+    instead of the statement's tape name, and an output that no line
+    assigns first (a constant, an input, or a repeat of an earlier output)
+    is copied into its name by a line at the end.  Every other line assigns
+    its statement's tape name with ``suffix``, which keeps the copy's names
+    apart from those of the function it runs in; there the copy adds
+    :func:`copy_locals` locals.  Copies of one suffix share those locals:
+    each assigns every such name before it reads it.  The names returned
+    hold the tape's outputs in order.
     """
 
-    kept, out = _drop_repeats(tape.stmts, tape.outputs)
-    folded = _fold(kept, set(out))
+    kept, folded, out = tape.folded
+    names = dict(zip(chain(*tape.inputs), chain(*inputs)))
+    copies = []
+    if outputs is not None:
+        assigned = {target for target, _, _ in folded}
+        for z, name in zip(out, outputs):
+            if z in assigned and z not in names:
+                names[z] = name
+            else:
+                copies.append((name, z))
 
     def local(z):
-        return z if z in tape.namespace else z + suffix
+        return z if z in tape.namespace else names.get(z, z + suffix)
 
-    lines = [f"# {len(tape.stmts)} recorded, {len(kept)} kept"]
-    lines += [f"{''.join(local(z) + ', ' for z in names)}= {src}"
-              for names, src in zip(tape.inputs, sources)]
+    lines = [f"# {len(tape.stmts)} recorded, {kept} kept"]
     lines += [f"{local(target)} = {template.format(*map(local, reads))}"
               for target, template, reads in folded]
-    return lines, [local(z) for z in out]
+    if outputs is None:
+        return lines, [local(z) for z in out]
+    return lines + [f"{name} = {local(z)}" for name, z in copies], list(outputs)
+
+
+def copy_locals(tape: _Tape) -> int:
+    """The locals that a copy of :func:`kept_lines` with ``outputs`` adds to its function.
+
+    Its inputs and outputs are the function's own names, so these are the
+    suffixed temporaries: one per line that assigns no output.
+    """
+    return tape.temporaries
+
+
+def _unpack(tape: _Tape) -> list[str]:
+    """The two lines that bind the tape's input names from the arguments ``pos`` and ``vel``."""
+    return [f"{''.join(z + ', ' for z in names)}= {src}"
+            for names, src in zip(tape.inputs, ("pos", "vel"))]
 
 
 def compile_stack(tape: _Tape, filename: str):
@@ -510,8 +558,8 @@ def compile_stack(tape: _Tape, filename: str):
     if any(op == "**" for _, op, _ in tape.stmts) or not all(map(math.isfinite, consts)):
         return None
     namespace = {**tape.namespace, **{name: _entrywise(getattr(math, name)) for name in _MATH}}
-    (note, *body), out = kept_lines(tape, ("pos", "vel"))
-    lines = [note, "def stack(pos, vel, out):", *(f"    {line}" for line in body),
+    (note, *body), out = kept_lines(tape, tape.inputs)
+    lines = [note, "def stack(pos, vel, out):", *(f"    {line}" for line in _unpack(tape) + body),
              *(f"    out[:, {k}] = {z}" for k, z in enumerate(out)), "    return out"]
     return compile_source("\n".join(lines) + "\n", filename, namespace, "stack")
 

@@ -90,6 +90,8 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
         val = getattr(cfg, key)
         if not math.isfinite(val):
             raise ValueError(f"{key} must be finite, got {val}")
+    if cfg.h <= 0.0:
+        raise ValueError(f"h must be positive, got {cfg.h}")
     return cfg
 
 

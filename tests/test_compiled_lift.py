@@ -483,19 +483,23 @@ def test_sphere_programs_assign_each_tape_name_once(level, nlocals):
         assert len(names) == len(set(names))
     if level == 0:
         # the inlined run loop: a copy of the kernel's assignments per
-        # evaluation, all four suffixed _e, each name assigned once per copy
+        # evaluation, but the unpacking of the inputs, which the copy reads
+        # as its stage's names; the outputs' lines assign the stage's
+        # accelerations a{k}_# and the rest the kernel's names suffixed _e,
+        # each name assigned once per copy
         loop = geodesic._run_loop(s, s.acceleration, s.fiber_dim)
         loop_source = _source(loop)
-        tape_names = set(inputs) | {target for target, _, _ in tape.stmts}
-        kernel_names = sorted(f"{z}_e" for z in _assigned(source))
-        copies = [name for name in _assigned(loop_source)
-                  if name.rpartition("_")[0] in tape_names]
-        assert sorted(copies) == sorted(4 * kernel_names)
+        outputs = set(tape.outputs)
+        temporaries = sorted(f"{z}_e" for z in _assigned(source)
+                             if z not in inputs and z not in outputs)
+        assert len(temporaries) == len(source) - 5 - len(outputs)
+        copies = [name for name in _assigned(loop_source) if name.endswith("_e")]
+        assert sorted(copies) == sorted(4 * temporaries)
         spans = _evaluation_copies("".join(loop_source))
         assert len(spans) == 4
-        for first, last in spans:
+        for (first, last), k in zip(spans, "2341"):
             copy = [line.strip() + "\n" for line in loop_source[first:last]]
-            assert sorted(name for name in _assigned(copy) if name.endswith("_e")) == kernel_names
+            assert sorted(_assigned(copy)) == sorted(temporaries + [f"a{k}_0", f"a{k}_1"])
 
 
 def test_programs_of_one_name_keep_their_own_source():

@@ -1,6 +1,7 @@
 """Fixed-step integration, dense output, exit handling, and the flow map."""
 
 import ast
+import dis
 import hashlib
 import inspect
 import linecache
@@ -11,7 +12,6 @@ import tracemalloc
 import traceback
 from dataclasses import replace
 from functools import partial
-from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -28,7 +28,7 @@ from sprayjets import geodesic, jacobi, subspray
 from sprayjets import spray as spray_mod
 from sprayjets.geodesic import _node_exit
 from sprayjets.jacobi import _fan_run, conjugate_search
-from sprayjets.jets import jet_re, nest, unnest
+from sprayjets.jets import copy_locals, jet_re, nest, unnest
 from test_spray import conformal_sphere, make_round_sphere
 
 TILT, OMEGA = 0.3, 3.0
@@ -343,9 +343,9 @@ def test_stage_failure_inside_domain_raises_blowup(monkeypatch):
     assert [fr.name for fr in frames] == ["loop"]
     assert frames[-1].filename == "<rk4 loop singular L0>"
     # the product 0.0 * v folded into the division's line, which assigns
-    # the division's tape name with the suffix all four copies share; the
-    # line does not tell the stage, the stage list above does
-    assert frames[-1].line == "t3_e = c0 * t1_e / t0_e"
+    # the division's tape name with the suffix all four copies share and
+    # reads the fourth stage's names, so the line tells the stage
+    assert frames[-1].line == "t3_e = c0 * v4_0 / x4_0"
 
 
 def _pole_stage_spray(domain):
@@ -935,7 +935,7 @@ def test_fused_fan_run_is_the_unfused_run(case):
     starts = [JetPoint(2, dim, carrier[:dim] + f[:dim] + carrier[dim:] + f[dim:]) for f in fibers]
     lifted, n = complete_lift(s), dim + dim * dim
     calling = geodesic._calling(n, dim)
-    # round S^3's fan(3) is past _MAX_LOCALS, so no limit makes it inlined
+    # with no limit, every fan here runs inlined
     with mock.patch.object(geodesic, "_MAX_LOCALS", math.inf):
         assert geodesic._run_loop(lifted, lifted.fan(dim), n) is not calling
         inlined = _outcome(_fan_run, s, starts, (0.0, span), h)
@@ -974,7 +974,7 @@ def test_level2_kernel_runs_inline_and_a_wide_fan_calls(monkeypatch):
     flat = complete_lift(complete_lift(make_flat(2)))
     loop = geodesic._run_loop(flat, flat.acceleration, 8)
     assert loop is not geodesic._calling(8, 2)
-    assert loop.__code__.co_nlocals == 149
+    assert loop.__code__.co_nlocals == 133
     loops = []
     run_loop = geodesic._run_loop
     monkeypatch.setattr(geodesic, "_run_loop",
@@ -983,7 +983,7 @@ def test_level2_kernel_runs_inline_and_a_wide_fan_calls(monkeypatch):
     integrate(s, init, (0.0, span), h)
     conjugate_search(_lifted_sphere(1), _lifted_init(1), 0.5, 2e-2)
     sphere = geodesic._inlined_loops[s.kernel]
-    assert sphere.__code__.co_nlocals == 184
+    assert sphere.__code__.co_nlocals == 160
     assert loops == [(2, 8, sphere), (2, 20, geodesic._calling(20, 2))]
 
 
@@ -1017,25 +1017,28 @@ def _evaluation_copies(source):
     """The line spans (first, last) of the inlined program copies in a loop's ``source``.
 
     A copy starts at its comment ``# r recorded, k kept`` and ends at the
-    line that copies its outputs into ``a{k}_#``; lines count from 1.
+    line before the ``except`` of the ``try`` that holds it; lines count
+    from 1.
     """
     spans, first = [], None
     for number, line in enumerate(source.splitlines(), 1):
         text = line.strip()
         if re.fullmatch(r"# \d+ recorded, \d+ kept", text):
             first = number
-        elif first is not None and re.match(r"a[1-4]_0\b", text):
-            spans.append((first, number))
+        elif first is not None and text.startswith("except "):
+            spans.append((first, number - 1))
             first = None
     return spans
 
 
 @pytest.mark.parametrize("level, m", [(0, 1), (1, 1), (2, 1), (1, 2)])
 def test_inlined_copies_assign_each_shared_name_before_reading_it(level, m):
-    # a step's four copies of the program share one set of names, the tape's
-    # with one suffix; that is safe because each copy is straight-line code
-    # that assigns every such name before its first read, and no line
-    # outside the copies reads one
+    # a step's four copies of the program share one set of temporaries, the
+    # tape's names with one suffix; that is safe because each copy is
+    # straight-line code that assigns every such name before its first
+    # read, and no line outside the copies reads one.  Besides those, a copy
+    # reads only its stage's positions and velocities and the tape's
+    # namespace, and assigns only its stage's accelerations, each once
     s = _lifted_sphere(level)
     program = s.fan(m)
     c = s.fiber_dim // 2
@@ -1043,20 +1046,25 @@ def test_inlined_copies_assign_each_shared_name_before_reading_it(level, m):
     loop = geodesic._run_loop(s, s.acceleration if m == 1 else program, n)
     assert loop is not geodesic._calling(n, s.dim)
     tape = program.tape
-    shared = {z + "_e" for z in chain(*tape.inputs, (target for target, _, _ in tape.stmts))}
+    shared = {target + "_e" for target, _, _ in tape.stmts}
     source = _loop_source(loop)
     spans = _evaluation_copies(source)
     assert len(spans) == 4
     statements = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.stmt)]
-    for first, last in spans:
+    for (first, last), (k, stage) in zip(spans, [("2", "2"), ("3", "3"), ("4", "4"), ("1", "n")]):
+        stage_names = {f"{z}{stage}_{i}" for z in "xv" for i in range(n)}
+        outputs = {f"a{k}_{i}" for i in range(n)}
         assigned = set()
         for stmt in sorted((node for node in statements if first < node.lineno <= last),
                            key=lambda node: node.lineno):
             assert isinstance(stmt, ast.Assign)
+            [target] = stmt.targets
+            assert isinstance(target, ast.Name) and target.id in (shared | outputs) - assigned
             reads = {z.id for z in ast.walk(stmt.value) if isinstance(z, ast.Name)}
-            assert reads & shared <= assigned, (stmt.lineno, reads & shared - assigned)
-            assigned |= {z.id for t in stmt.targets for z in ast.walk(t) if isinstance(z, ast.Name)}
-        assert assigned & shared
+            assert reads <= assigned | stage_names | set(tape.namespace), (
+                stmt.lineno, reads - assigned - stage_names - set(tape.namespace))
+            assigned.add(target.id)
+        assert outputs <= assigned and assigned & shared
     for z in ast.walk(ast.parse(source)):
         if isinstance(z, ast.Name) and isinstance(z.ctx, ast.Load) and z.id in shared:
             assert any(first < z.lineno <= last for first, last in spans), (z.lineno, z.id)
@@ -1069,14 +1077,15 @@ LOCALS_CASES = [
     ("round-sphere-3", 3, 1), ("flat-3", 3, 1), ("flat-4", 1, 1), ("flat-4", 4, 1),
     ("pushed-sphere", 1, 1), ("flat", 1, 2), ("finsler", 1, 2), ("finsler", 2, 2),
     ("sphere", 1, 2), ("sphere", 2, 2), ("pushed-sphere", 1, 2), ("flat-1", 1, 3),
-    ("flat", 1, 3)]
+    ("flat", 1, 3), ("flat", 3, 2), ("flat-4", 1, 2), ("flat-4", 3, 1)]
 
 
 @pytest.mark.parametrize("name, m, level", LOCALS_CASES, ids=[
     f"{name}-{m}" + (f"-L{level}" if level > 1 else "") for name, m, level in LOCALS_CASES])
 def test_run_loop_inlines_the_loops_that_fit_max_locals(name, m, level):
-    # the rule counts the inlined loop's locals before building it: a run at
-    # any level inlines exactly when the loop built from its kernel or fan(m)
+    # the rule counts the inlined loop's locals before building it, exactly:
+    # the calling loop's and the temporaries of one copy.  A run at any
+    # level inlines exactly when the loop built from its kernel or fan(m)
     # has at most _MAX_LOCALS locals
     sprays = {"flat-1": make_flat(1), "flat-3": make_flat(3), "flat-4": make_flat(4),
               "pushed-sphere": PUSHED_SPHERE, **FUSED_SPRAYS}
@@ -1087,11 +1096,105 @@ def test_run_loop_inlines_the_loops_that_fit_max_locals(name, m, level):
     program, n = s.fan(m), c + m * (s.fiber_dim - c)
     f = s.acceleration if m == 1 else program
     built = geodesic._rk4(n, s.dim, program.tape, "<rk4 loop built>")
+    calling = geodesic._calling(n, s.dim)
+    assert (calling.__code__.co_nlocals + copy_locals(program.tape)
+            == built.__code__.co_nlocals)
     loop = geodesic._run_loop(s, f, n)
-    assert (loop is not geodesic._calling(n, s.dim)) == (
-        built.__code__.co_nlocals <= geodesic._MAX_LOCALS)
+    assert (loop is not calling) == (built.__code__.co_nlocals <= geodesic._MAX_LOCALS)
     with mock.patch.object(geodesic, "_MAX_LOCALS", math.inf):
         assert geodesic._run_loop(s, f, n).__code__.co_nlocals == built.__code__.co_nlocals
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("name", ["sphere", "flat", "finsler"])
+def test_inlined_copies_hold_no_tuple_assignment(name, level):
+    # a copy reads its stage's names and assigns its stage's accelerations
+    # one by one, so the loop's only tuple assignment, and its only
+    # UNPACK_SEQUENCE, is the unpacking of the start node before the steps
+    s = {"sphere": make_sphere(), "flat": make_flat(2),
+         "finsler": make_finsler_example((0.0, 1.0))}[name]
+    for _ in range(level):
+        s = complete_lift(s)
+    c = s.fiber_dim // 2
+    for m in (1, 2):
+        program, n = s.fan(m), c + m * (s.fiber_dim - c)
+        loop = geodesic._rk4(n, s.dim, program.tape, "<rk4 loop built>")
+        tree = ast.parse(_loop_source(loop))
+        spans = _evaluation_copies(_loop_source(loop))
+        assert len(spans) == 4
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(first < node.lineno <= last
+                                                    for first, last in spans):
+                assert [type(t) for t in node.targets] == [ast.Name], node.lineno
+        [unpacking] = [node for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                       and not isinstance(node.targets[0], ast.Name)]
+        assert ast.unparse(unpacking.value) == "unpack(buf)"
+        ops = [i.opname for i in dis.get_instructions(loop)]
+        assert ops.count("UNPACK_SEQUENCE") == 1
+
+
+REPEATED = Spray(level=0, dim=2, tag="repeated", coeff_fn=lambda x, v: [v[0] * v[1], v[0] * v[1]])
+
+
+def _copy_output_cases():
+    """(name, spray, evaluator, run): runs whose copies end on constant
+    outputs, a repeated output, or a fan's outputs; ``run()`` is the run."""
+    flat, flat1, sphere1 = make_flat(2), complete_lift(make_flat(2)), _lifted_sphere(1)
+    s3 = make_round_sphere(3)
+    s3_carrier = [1.2, 0.8, 0.3, 0.2, -0.5, 0.7]
+    s3_starts = [JetPoint(2, 3, s3_carrier[:3] + [float(i == j) for i in range(3)]
+                          + s3_carrier[3:] + [0.0] * 3) for j in range(3)]
+    fast = [0.0, 0.0, 1e308, 1e308]
+    return [
+        # the flat sprays' outputs are constants; from a speed of 1e308 the
+        # positions overflow after t = 1.8, a non-finite node
+        ("flat-L0", flat, flat.acceleration,
+         lambda: integrate(flat, JetPoint(1, 2, fast), (0.0, 3.0), 0.25)),
+        ("flat-L1", flat1, flat1.acceleration,
+         lambda: integrate(flat1, JetPoint(2, 2, fast[:2] + [0.1, 0.2] + fast[2:] + [1.0, 1.0]),
+                           (0.0, 3.0), 0.25)),
+        # both outputs are -2 v0 v1, one statement; backward, the speed
+        # blows up at t = -0.5
+        ("repeated", REPEATED, REPEATED.acceleration,
+         lambda: integrate(REPEATED, JetPoint(1, 2, [0.0, 0.0, 1.0, 1.0]), (0.0, -1.0), 0.05)),
+        ("repeated-forward", REPEATED, REPEATED.acceleration,
+         lambda: integrate(REPEATED, JetPoint(1, 2, [0.0, 0.0, 1.0, 1.0]), (0.0, 1.0), 0.05)),
+        # the carrier's 4th stage of step 2 lands on the pole, where the fan raises
+        ("sphere-fan", sphere1, sphere1.fan(2),
+         lambda: _fan_run(make_sphere(), [JetPoint(2, 2, [0.5, 0.0, 0.1, 0.0, -1.0, 0.0, 0.2, 0.3]),
+                                          JetPoint(2, 2, [0.5, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0])],
+                          (0.0, 2.0), 0.25)),
+        ("round-sphere-3-fan", complete_lift(s3), complete_lift(s3).fan(3),
+         lambda: _fan_run(s3, s3_starts, (0.0, 2.0), 0.05)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6), ids=[name for name, *_ in _copy_output_cases()])
+def test_copy_outputs_give_the_calling_loops_results(monkeypatch, case):
+    # a constant output is copied at the end of its copy, a repeat
+    # from the name its statement assigned; results, exceptions and the
+    # stage lists handed to _failed_step are bitwise the calling loop's
+    name, s, f, run = _copy_output_cases()[case]
+    received, failed_step = [], geodesic._failed_step
+
+    def receiving(s, stages, exc):
+        received.append([np.array(xp, dtype=float).tobytes() for xp in stages])
+        return failed_step(s, stages, exc)
+
+    monkeypatch.setattr(geodesic, "_failed_step", receiving)
+    n = s.fiber_dim if f == s.acceleration else len(f.tape.inputs[0])
+    calling = geodesic._calling(n, s.dim)
+    loop = geodesic._run_loop(s, f, n)
+    assert loop is not calling
+    copied = {"flat": "a2_0 = c0\n", "repeated": "a2_1 = a2_0\n"}.get(name.partition("-")[0])
+    assert copied is None or copied in _loop_source(loop)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inlined = _outcome(run), list(received)
+        received.clear()
+        with mock.patch.object(geodesic, "_MAX_LOCALS", 0):
+            assert geodesic._run_loop(s, f, n) is calling
+            assert (_outcome(run), received) == inlined
+    assert bool(inlined[1]) == (name not in ("repeated-forward", "round-sphere-3-fan"))
 
 def test_trap_node_failure_is_a_blowup():
     drag = Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.1 * v[0] * v[0]], tag="drag")

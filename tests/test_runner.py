@@ -136,8 +136,10 @@ def test_failing_check_exits_one(tmp_path, capsys):
     ("dim = 0", "dim must be at least 1"), ("seed = -1", "seed must be non-negative"),
     ("h = nan", "h must be finite"), ("t_max = nan", "t_max must be finite"),
     ("t-max = -inf", "t_max must be finite"), ("alpha = inf", "alpha must be finite"),
-    ("beta = nan", "beta must be finite"),
-], ids=["scenario", "manifold", "dim", "seed", "h", "t_max", "t_max-inf", "alpha", "beta"])
+    ("beta = nan", "beta must be finite"), ("h = 0", "h must be positive"),
+    ("h = -0.5", "h must be positive"),
+], ids=["scenario", "manifold", "dim", "seed", "h", "t_max", "t_max-inf", "alpha", "beta",
+        "h-zero", "h-negative"])
 def test_bad_config_exits_two(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
@@ -174,9 +176,12 @@ def test_unknown_flag_value_exits_two(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_negative_step_exits_three(capsys):
-    assert main(["--scenario", "flow-check", "--h", "-0.001"]) == 3
-    assert "step size" in capsys.readouterr().err
+@pytest.mark.parametrize("h", ["-0.001", "0"])
+def test_non_positive_step_flag_exits_two(capsys, h):
+    # refused with the configuration, before the scenario runs until
+    # integrate raises (exit 3)
+    assert main(["--scenario", "flow-check", "--h", h]) == 2
+    assert "h must be positive" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
