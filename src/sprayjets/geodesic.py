@@ -14,15 +14,15 @@ positions, velocities and acceleration) in a byte buffer, from which
 locals from step to step.  The evaluator is :meth:`Spray.acceleration`
 on float lists for a plain run, which runs the spray's kernel, and the
 lift's fan (:meth:`Spray.fan`) for a run of :mod:`sprayjets.jacobi` on the
-state of several lifted fields over one carrier.  A run, at any lift
-level, whose evaluator's program is traced (the kernel, or the fan itself)
-uses the inlining loop when that loop has at most ``_MAX_LOCALS`` locals.
-It is built once per program, and each stage, and the new node, runs an
-inlined copy of the program's statements, so its steps make no call; a
-copy reads the stage's positions and velocities by their own names and
-assigns the acceleration's, so it builds and unpacks no tuple either.
-Every other run uses the calling loop, built once per state length, which
-calls the evaluator at each stage and at each new node.
+state of several lifted fields over one carrier.  A run whose evaluator's
+program is traced (the kernel, or the fan itself), at any lift level and
+of any width, uses the inlining loop.  It is built once per program, and
+each stage, and the new node, runs an inlined copy of the program's
+statements, so its steps make no call; a copy reads the stage's positions
+and velocities by their own names and assigns the acceleration's, so it
+builds and unpacks no tuple either.  A run whose evaluator is not traced
+(its trace was refused) uses the calling loop, built once per state
+length, which calls the evaluator at each stage and at each new node.
 
 The loop checks each node in plain Python floats, by prefilters: the sum
 of its entries is finite, the Python sum of squares of its base velocity
@@ -63,7 +63,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .errors import DomainError, IntegrationBlowupError, InvalidLevelError
-from .jets import _Tape, compile_source, copy_locals, kept_lines
+from .jets import _Tape, compile_source, kept_lines
 from .jetspace import EPS_SLASHED, JetPoint
 from .spray import Spray
 
@@ -278,9 +278,9 @@ def _rk4(n: int, dim: int, tape: _Tape | None = None,
     one set of temporaries, the program's other names with the suffix
     ``_e``: each copy is straight-line code that assigns every name before
     reading it.  So the loop has the calling loop's locals plus one copy's
-    temporaries (:func:`~sprayjets.jets.copy_locals`), not four times
-    those.  The line a traceback shows reads its stage's names.  The loop's
-    source is registered under ``filename``.
+    temporaries, not four times those.  The line a traceback shows reads
+    its stage's names.  The loop's source is registered under
+    ``filename``.
     """
 
     def each(template: str) -> list[str]:
@@ -359,21 +359,6 @@ def _calling(n: int, dim: int) -> Callable:
     return _rk4(n, dim)
 
 
-# The most locals an inlined run loop may have, at any lift level:
-# CPython's one-byte local index.  Past it, loads and stores of locals need
-# EXTENDED_ARG and inlining stops paying: with copies that still unpacked
-# tuples, a 100-step inlined run took 0.81-0.94 of the calling run's time
-# within the limit and 0.91-1.06 past it (best of 30-80 interleaved runs,
-# CPython 3.11, 2-vCPU host; ROADMAP.md lists each loop under "Measured and
-# not pursued").  Since the copies read the stage's names and share one set
-# of temporaries, the same measure (best of 40-60, three rounds) gives:
-# sphere L1 (88 locals) 0.77-0.79, flat L2 (133) 0.71-0.74, Finsler L2 (144)
-# 0.79-0.82, sphere L2 (160) 0.80-0.86, sphere L2 fan(2) (227) 0.88-0.91,
-# round S^3 L1 fan(3) (233) 0.88-0.93, and flat L3, flat L2 fan(3), 4-D flat
-# L2 and 4-D flat L1 fan(3) (245 each) 0.73-0.84.  So the limit is safe
-# rather than tight.
-_MAX_LOCALS = 256
-
 # The inlined run loop of each traced kernel or fan, dropped with the program.
 _inlined_loops: WeakKeyDictionary = WeakKeyDictionary()
 
@@ -383,21 +368,19 @@ def _run_loop(s: Spray, f: Callable, n: int) -> Callable:
 
     The run's program is the kernel when ``f`` is ``s.acceleration``,
     otherwise ``f`` itself, the lift's fan of a run of :mod:`sprayjets.jacobi`
-    (:meth:`Spray.fan`), whose run reads no :attr:`Spray.kernel`.  At any
-    level, a traced program (one that keeps a tape) is inlined when the
-    loop that inlines it has at most _MAX_LOCALS locals.
-    A step's four evaluations share one set of temporaries, so that loop has
-    the calling loop's locals plus :func:`~sprayjets.jets.copy_locals` of
-    the program's tape: the count is known before the loop is built, and a
-    loop past the limit is never built.  A loop that fits is built at the
-    program's first run and named after it.  Every other run gets the
-    calling loop.
+    (:meth:`Spray.fan`), whose run reads no :attr:`Spray.kernel`.  A traced
+    program (one that keeps a tape) is inlined, at any level and of any
+    width: its loop is built at the program's first run and named after it.
+    A run whose program is not traced gets the calling loop.  Past
+    CPython's one-byte local index a loop's loads and stores of locals pay
+    ``EXTENDED_ARG``, but so do those of a wide calling loop, and every
+    inlined loop measured was no slower than its calling loop (ROADMAP.md,
+    "Measured and not pursued").
     """
-    calling = _calling(n, s.dim)
     program = s.kernel if f == s.acceleration else f
     tape = getattr(program, "tape", None)
-    if tape is None or calling.__code__.co_nlocals + copy_locals(tape) > _MAX_LOCALS:
-        return calling
+    if tape is None:
+        return _calling(n, s.dim)
     loop = _inlined_loops.get(program)
     if loop is None:
         name = "<rk4 loop " + program.__code__.co_filename[1:]

@@ -49,11 +49,10 @@ their statements through :func:`kept_lines`.  The program and the twin
 unpack their arguments into the tape's input names and return or store
 the outputs; a copy reads the loop's own names for the inputs and assigns
 the loop's names for the outputs, so it adds only its temporaries to the
-loop's locals (:func:`copy_locals`) and builds no tuple.  An evaluation
-that runs the same evaluator on several inputs sharing a carrier records
-the carrier's statements once per run, and dropping the repeats leaves
-them once: this is how :meth:`~sprayjets.spray.Spray.fan` gets vector
-forward mode.
+loop's locals and builds no tuple.  An evaluation that runs the same
+evaluator on several inputs sharing a carrier records the carrier's
+statements once per run, and dropping the repeats leaves them once: this
+is how :meth:`~sprayjets.spray.Spray.fan` gets vector forward mode.
 """
 
 from __future__ import annotations
@@ -232,12 +231,6 @@ class _Tape:
         them; worked out once, when the first program is emitted."""
         kept, out = _drop_repeats(self.stmts, self.outputs)
         return len(kept), _fold(kept, set(out)), out
-
-    @cached_property
-    def temporaries(self) -> int:
-        """The lines of :attr:`folded` that assign no output (:func:`copy_locals`)."""
-        _, lines, out = self.folded
-        return sum(target not in out for target, _, _ in lines)
 
     def fresh(self, op: str | None = None, *operands: str) -> "Sym":
         name = f"t{self._count}"
@@ -488,9 +481,9 @@ def kept_lines(tape: _Tape, inputs, suffix="", outputs=None):
     assigns first (a constant, an input, or a repeat of an earlier output)
     is copied into its name by a line at the end.  Every other line assigns
     its statement's tape name with ``suffix``, which keeps the copy's names
-    apart from those of the function it runs in; there the copy adds
-    :func:`copy_locals` locals.  Copies of one suffix share those locals:
-    each assigns every such name before it reads it.  The names returned
+    apart from those of the function it runs in; there the copy adds one
+    local per such line.  Copies of one suffix share those locals: each
+    assigns every such name before it reads it.  The names returned
     hold the tape's outputs in order.
     """
 
@@ -514,15 +507,6 @@ def kept_lines(tape: _Tape, inputs, suffix="", outputs=None):
     if outputs is None:
         return lines, [local(z) for z in out]
     return lines + [f"{name} = {local(z)}" for name, z in copies], list(outputs)
-
-
-def copy_locals(tape: _Tape) -> int:
-    """The locals that a copy of :func:`kept_lines` with ``outputs`` adds to its function.
-
-    Its inputs and outputs are the function's own names, so these are the
-    suffixed temporaries: one per line that assigns no output.
-    """
-    return tape.temporaries
 
 
 def _unpack(tape: _Tape) -> list[str]:

@@ -92,6 +92,8 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
             raise ValueError(f"{key} must be finite, got {val}")
     if cfg.h <= 0.0:
         raise ValueError(f"h must be positive, got {cfg.h}")
+    if cfg.t_max == 0.0:  # a negative t_max runs backward
+        raise ValueError("t_max must be nonzero: a run of no steps checks nothing")
     return cfg
 
 

@@ -36,14 +36,14 @@ on floats; chart actions on jets (``jet_apply``, ``pushforward``) always
 do.  The time derivative of the acceleration
 (:func:`acceleration_jet`) is read off the complete lift's kernel rather
 than evaluated on ``Dual`` pairs.  Most run through a call of the
-kernel or fan; an RK4 run loop (:mod:`sprayjets.geodesic`) that stays
-within its local limit, at any level, runs inlined copies of a traced
-kernel's or fan's statements instead, with the same results.  A stack of
-points, such as the node jets of a parallel curve or the step midpoints
-of a residual, goes through :meth:`Spray.accelerations`, which runs the
-kernel's statements once over numpy columns of the whole stack (its stack
-twin), with the same bits as a call per row.  On ``Dual`` entries
-:func:`acceleration_jet` runs ``coeff_fn`` itself.
+kernel or fan; the RK4 run loop (:mod:`sprayjets.geodesic`) of a traced
+kernel or fan, at any level, runs inlined copies of its statements
+instead, with the same results.  A stack of points, such as the node jets
+of a parallel curve or the step midpoints of a residual, goes through
+:meth:`Spray.accelerations`, which runs the kernel's statements once over
+numpy columns of the whole stack (its stack twin), with the same bits as
+a call per row.  On ``Dual`` entries :func:`acceleration_jet` runs
+``coeff_fn`` itself.
 """
 
 from __future__ import annotations

@@ -50,9 +50,9 @@ def _traced_pass(workload, names):
 
     Every run loop the pass gets is checked against the rule of
     ``geodesic._run_loop``: a run inlines exactly when its program is traced
-    and the loop built from it has at most 256 locals, the one-byte local
-    index.  So a change of which runs inline, and hence of what the
-    acceleration counters see, fails here with the loop that moved.
+    (keeps a tape), at any level and of any width.  So a change of which
+    runs inline, and hence of what the acceleration counters see, fails
+    here with the loop that moved.
     """
     spans, workloads = _load("spans"), _load("workloads")
     for sub in ("geodesic", "jacobi", "jetspace", "samples", "spray", "subspray"):
@@ -89,12 +89,8 @@ def _traced_pass(workload, names):
         tracer.uninstall()
     assert runs
     for program, n, dim, loop in runs.values():
-        tape = getattr(program, "tape", None)
-        where = (program.__code__.co_filename, n)
-        if loop is not geodesic._calling(n, dim):
-            assert tape is not None and loop.__code__.co_nlocals <= 256, where
-        elif tape is not None:
-            assert geodesic._rk4(n, dim, tape, "<rk4 loop checked>").__code__.co_nlocals > 256, where
+        traced = getattr(program, "tape", None) is not None
+        assert (loop is not geodesic._calling(n, dim)) == traced, (program.__code__.co_filename, n)
     counts = tracer.layer_metrics(1, 1.0, 1.0, 0.0)
     return {name: counts[name] for name in names}, digest.hexdigest()
 
@@ -138,11 +134,12 @@ def test_lifted_jacobi_pass_keeps_its_counts():
 
 def test_parallel_curves_pass_keeps_its_counts():
     # uniqueness_check integrates no curve of its own, so each parallel-curve
-    # task runs its P-geodesic once; the level-2 runs all inline, so the L2
-    # calls left are the node 0s of their runs
+    # task runs its P-geodesic once; the level-2 and level-3 runs all
+    # inline, so the L2 and L3 calls left are the node 0s of their runs
     expected = {
         "geodesic.integrate.calls": 18,
         "subspray.geodesic.calls": 9,
         "spray.acceleration.L2.calls": 13,
+        "spray.acceleration.L3.calls": 3,
     }
     assert _traced_pass("parallel-curves", expected) == (expected, TRAJECTORIES["parallel-curves"])

@@ -1,6 +1,7 @@
 """Fixed-step integration, dense output, exit handling, and the flow map."""
 
 import ast
+import contextlib
 import dis
 import hashlib
 import inspect
@@ -28,7 +29,7 @@ from sprayjets import geodesic, jacobi, subspray
 from sprayjets import spray as spray_mod
 from sprayjets.geodesic import _node_exit
 from sprayjets.jacobi import _fan_run, conjugate_search
-from sprayjets.jets import copy_locals, jet_re, nest, unnest
+from sprayjets.jets import jet_re, nest, unnest
 from test_spray import conformal_sphere, make_round_sphere
 
 TILT, OMEGA = 0.3, 3.0
@@ -403,11 +404,17 @@ def test_blowup_error_carries_the_last_finite_node_time():
     assert err.value.t_end is None
 
 
+def _calling_only():
+    """A patch of ``geodesic._run_loop`` under which every run gets
+    ``geodesic._calling(n, s.dim)``, the reference for the inlining loops."""
+    return mock.patch.object(geodesic, "_run_loop", lambda s, f, n: geodesic._calling(n, s.dim))
+
+
 def _failed_step_case(name):
     # runs that end in _failed_step: each spray but the lifted sphere refuses
     # tracing (float() of a traced scalar), so its loop calls f at every
     # stage; the lifted sphere's run goes through the inlining loop, and
-    # through the calling loop when _MAX_LOCALS is 0
+    # through the calling loop under _calling_only
     if name == "raise-inside":
         s = Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.0 * v[0] / float(x[0])],
                   tag="singular-refused")
@@ -454,8 +461,7 @@ def test_failed_step_gets_the_stages_the_loop_evaluated(monkeypatch, name):
     monkeypatch.setattr(Spray, "acceleration", logged)
     monkeypatch.setattr(geodesic, "_failed_step", receiving)
     calling = geodesic._calling(s.fiber_dim, s.dim)
-    with mock.patch.object(geodesic, "_MAX_LOCALS", 0):
-        assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is calling
+    with _calling_only():
         run()
     # _failed_step evaluates nothing and is handed the step's stage positions:
     # the loop's last evaluation points, bitwise, one to three of them
@@ -886,13 +892,11 @@ def test_fused_run_is_the_unfused_run(case):
     for _ in range(level):
         s = complete_lift(s)
     init = JetPoint(level + 1, s.dim, coords)
-    calling = geodesic._calling(s.fiber_dim, s.dim)
-    # every traced kernel is inlined when no loop is too large
-    with mock.patch.object(geodesic, "_MAX_LOCALS", math.inf):
-        assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is not calling
-        inlined = _outcome(integrate, s, init, (0.0, span), h)
-    with mock.patch.object(geodesic, "_MAX_LOCALS", 0):
-        assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is calling
+    # every kernel here is traced, so it is inlined
+    assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is not geodesic._calling(
+        s.fiber_dim, s.dim)
+    inlined = _outcome(integrate, s, init, (0.0, span), h)
+    with _calling_only():
         assert inlined == _outcome(integrate, s, init, (0.0, span), h)
 
 
@@ -934,13 +938,10 @@ def test_fused_fan_run_is_the_unfused_run(case):
     dim = s.dim
     starts = [JetPoint(2, dim, carrier[:dim] + f[:dim] + carrier[dim:] + f[dim:]) for f in fibers]
     lifted, n = complete_lift(s), dim + dim * dim
-    calling = geodesic._calling(n, dim)
-    # with no limit, every fan here runs inlined
-    with mock.patch.object(geodesic, "_MAX_LOCALS", math.inf):
-        assert geodesic._run_loop(lifted, lifted.fan(dim), n) is not calling
-        inlined = _outcome(_fan_run, s, starts, (0.0, span), h)
-    with mock.patch.object(geodesic, "_MAX_LOCALS", 0):
-        assert geodesic._run_loop(lifted, lifted.fan(dim), n) is calling
+    # every fan here is traced, so it runs inlined
+    assert geodesic._run_loop(lifted, lifted.fan(dim), n) is not geodesic._calling(n, dim)
+    inlined = _outcome(_fan_run, s, starts, (0.0, span), h)
+    with _calling_only():
         assert inlined == _outcome(_fan_run, s, starts, (0.0, span), h)
 
 
@@ -959,18 +960,16 @@ SCAN_CASES = {
 def test_fused_conjugate_scan_is_the_unfused_scan(case):
     s, init, t_max, h = SCAN_CASES[case]
     got = _outcome(conjugate_search, s, init, t_max, h)
-    for limit in (0, math.inf):
-        with mock.patch.object(geodesic, "_MAX_LOCALS", limit):
-            assert got == _outcome(conjugate_search, s, init, t_max, h)
+    with _calling_only():
+        assert got == _outcome(conjugate_search, s, init, t_max, h)
     if case in ("sphere", "round-sphere-3"):
         assert len(got[0]) == 1
 
 
-def test_level2_kernel_runs_inline_and_a_wide_fan_calls(monkeypatch):
-    # the level decides nothing: the flat and sphere level-2 kernel runs
-    # inline, their loops within _MAX_LOCALS, while the fan(4) of a scan
-    # along a level-1 geodesic, whose loop would be past it, runs the
-    # calling loop
+def test_level2_kernel_and_a_wide_fan_run_inline(monkeypatch):
+    # neither the level nor the width decides: the flat and sphere level-2
+    # kernels run inline, and so does the fan(4) of a scan along a level-1
+    # geodesic, whose loop is past CPython's one-byte local index
     flat = complete_lift(complete_lift(make_flat(2)))
     loop = geodesic._run_loop(flat, flat.acceleration, 8)
     assert loop is not geodesic._calling(8, 2)
@@ -984,7 +983,10 @@ def test_level2_kernel_runs_inline_and_a_wide_fan_calls(monkeypatch):
     conjugate_search(_lifted_sphere(1), _lifted_init(1), 0.5, 2e-2)
     sphere = geodesic._inlined_loops[s.kernel]
     assert sphere.__code__.co_nlocals == 160
-    assert loops == [(2, 8, sphere), (2, 20, geodesic._calling(20, 2))]
+    [(_, _, wide)] = loops[1:]
+    assert loops == [(2, 8, sphere), (2, 20, wide)] and wide is not geodesic._calling(20, 2)
+    assert wide.__code__.co_filename.startswith("<rk4 loop lifted(lifted(sphere)) L2 fan m=4>")
+    assert wide.__code__.co_nlocals == 361
 
 
 def test_inlined_fan_loop_calls_no_evaluator():
@@ -995,22 +997,6 @@ def test_inlined_fan_loop_calls_no_evaluator():
     assert loop.__code__.co_filename.startswith("<rk4 loop lifted(sphere) L1 fan m=2>")
     assert not re.search(r"\bf\(", _loop_source(loop))
     assert re.search(r"\bf\(", _loop_source(geodesic._calling(6, 2)))
-
-
-@pytest.mark.parametrize("name", ["sphere", "flat", "finsler"])
-def test_inlined_loops_fit_the_one_byte_local_index(name):
-    # past 256 locals a loop's loads and stores of locals need EXTENDED_ARG
-    # (see _MAX_LOCALS); the runner's sprays at levels 0-1, kernel and
-    # fan(2), stay below and run inlined
-    s = {"sphere": make_sphere(), "flat": make_flat(2),
-         "finsler": make_finsler_example((0.0, 1.0))}[name]
-    lifted = complete_lift(s)
-    loops = [geodesic._run_loop(s, s.acceleration, 2),
-             geodesic._run_loop(lifted, lifted.acceleration, 4),
-             geodesic._run_loop(lifted, lifted.fan(2), 6)]
-    assert not {geodesic._calling(n, 2) for n in (2, 4, 6)} & set(loops)
-    for loop in loops:
-        assert loop.__code__.co_nlocals <= 256, loop.__code__.co_filename
 
 
 def _evaluation_copies(source):
@@ -1071,38 +1057,44 @@ def test_inlined_copies_assign_each_shared_name_before_reading_it(level, m):
 
 
 # (spray, m, level): the run of fan(m) of the spray's level-th lift, m = 1
-# being the kernel's; an id names the level past 1
+# being the kernel's; an id names the level but 1.  The runner's sprays at
+# levels 0-1, kernel and fan(2), are among them, and the last five loops
+# pass 256 locals, CPython's one-byte local index
 LOCALS_CASES = [
     ("sphere", 1, 1), ("sphere", 2, 1), ("finsler", 2, 1), ("round-sphere-3", 1, 1),
     ("round-sphere-3", 3, 1), ("flat-3", 3, 1), ("flat-4", 1, 1), ("flat-4", 4, 1),
     ("pushed-sphere", 1, 1), ("flat", 1, 2), ("finsler", 1, 2), ("finsler", 2, 2),
     ("sphere", 1, 2), ("sphere", 2, 2), ("pushed-sphere", 1, 2), ("flat-1", 1, 3),
-    ("flat", 1, 3), ("flat", 3, 2), ("flat-4", 1, 2), ("flat-4", 3, 1)]
+    ("flat", 1, 3), ("flat", 3, 2), ("flat-4", 1, 2), ("flat-4", 3, 1),
+    ("sphere", 1, 0), ("flat", 1, 0), ("finsler-0-1", 1, 0), ("flat", 1, 1), ("flat", 2, 1),
+    ("finsler-0-1", 1, 1), ("finsler-0-1", 2, 1),
+    ("sphere", 1, 3), ("finsler-drag", 1, 3), ("round-sphere-3", 1, 2), ("pushed-sphere", 2, 2),
+    ("sphere", 4, 2)]
+LOCALS_SPRAYS = {"flat-1": make_flat(1), "flat-3": make_flat(3), "flat-4": make_flat(4),
+                 "pushed-sphere": PUSHED_SPHERE, "finsler-0-1": make_finsler_example((0.0, 1.0)),
+                 "finsler-drag": make_finsler_example((0.3, 1.0)), **FUSED_SPRAYS}
 
 
 @pytest.mark.parametrize("name, m, level", LOCALS_CASES, ids=[
-    f"{name}-{m}" + (f"-L{level}" if level > 1 else "") for name, m, level in LOCALS_CASES])
-def test_run_loop_inlines_the_loops_that_fit_max_locals(name, m, level):
-    # the rule counts the inlined loop's locals before building it, exactly:
-    # the calling loop's and the temporaries of one copy.  A run at any
-    # level inlines exactly when the loop built from its kernel or fan(m)
-    # has at most _MAX_LOCALS locals
-    sprays = {"flat-1": make_flat(1), "flat-3": make_flat(3), "flat-4": make_flat(4),
-              "pushed-sphere": PUSHED_SPHERE, **FUSED_SPRAYS}
-    s = sprays[name]
+    f"{name}-{m}" + (f"-L{level}" if level != 1 else "") for name, m, level in LOCALS_CASES])
+def test_run_loop_inlines_the_loops_that_fit_max_locals(monkeypatch, name, m, level):
+    # every traced kernel or fan(m) runs inlined, at any level and of any
+    # width: its loop is built once, at the program's first run, and has
+    # the locals of the loop _rk4 builds from the program's tape
+    s = LOCALS_SPRAYS[name]
     for _ in range(level):
         s = complete_lift(s)
     c = s.fiber_dim // 2
     program, n = s.fan(m), c + m * (s.fiber_dim - c)
     f = s.acceleration if m == 1 else program
-    built = geodesic._rk4(n, s.dim, program.tape, "<rk4 loop built>")
-    calling = geodesic._calling(n, s.dim)
-    assert (calling.__code__.co_nlocals + copy_locals(program.tape)
-            == built.__code__.co_nlocals)
+    geodesic._inlined_loops.pop(program, None)
+    built, rk4 = [], geodesic._rk4
+    monkeypatch.setattr(geodesic, "_rk4", lambda *args: built.append(rk4(*args)) or built[-1])
     loop = geodesic._run_loop(s, f, n)
-    assert (loop is not calling) == (built.__code__.co_nlocals <= geodesic._MAX_LOCALS)
-    with mock.patch.object(geodesic, "_MAX_LOCALS", math.inf):
-        assert geodesic._run_loop(s, f, n).__code__.co_nlocals == built.__code__.co_nlocals
+    assert loop is geodesic._run_loop(s, f, n) is geodesic._inlined_loops[program]
+    assert built == [loop] and loop is not geodesic._calling(n, s.dim)
+    reference = rk4(n, s.dim, program.tape, "<rk4 loop built>")
+    assert loop.__code__.co_nlocals == reference.__code__.co_nlocals
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
@@ -1136,15 +1128,33 @@ def test_inlined_copies_hold_no_tuple_assignment(name, level):
 REPEATED = Spray(level=0, dim=2, tag="repeated", coeff_fn=lambda x, v: [v[0] * v[1], v[0] * v[1]])
 
 
-def _copy_output_cases():
+def _scan_starts(s, carrier, rng):
+    """Lifted starts over one ``carrier`` jet of ``s``, one per fiber
+    direction, their fiber values and rates drawn from ``rng``."""
+    m = s.fiber_dim
+    x0, v0 = list(carrier[:m]), list(carrier[m:])
+    return [JetPoint(s.level + 2, s.dim, x0 + (0.3 * rng.standard_normal(m)).tolist() + v0
+                     + (0.3 * rng.standard_normal(m)).tolist()) for _ in range(m)]
+
+
+def _inlined_run_cases():
     """(name, spray, evaluator, run): runs whose copies end on constant
-    outputs, a repeated output, or a fan's outputs; ``run()`` is the run."""
+    outputs, a repeated output, or a fan's outputs, then runs whose inlined
+    loops pass 256 locals, CPython's one-byte local index (the names from
+    "sphere-L3" on); ``run()`` is the run."""
     flat, flat1, sphere1 = make_flat(2), complete_lift(make_flat(2)), _lifted_sphere(1)
     s3 = make_round_sphere(3)
     s3_carrier = [1.2, 0.8, 0.3, 0.2, -0.5, 0.7]
     s3_starts = [JetPoint(2, 3, s3_carrier[:3] + [float(i == j) for i in range(3)]
                           + s3_carrier[3:] + [0.0] * 3) for j in range(3)]
     fast = [0.0, 0.0, 1e308, 1e308]
+    sphere2, sphere3 = complete_lift(sphere1), _lifted_sphere(3)
+    pushed1 = complete_lift(PUSHED_SPHERE)
+    drag3 = complete_lift(complete_lift(complete_lift(make_finsler_example((0.3, 1.0)))))
+    s3_2 = complete_lift(complete_lift(s3))
+    rng = np.random.default_rng(40)
+    pushed_starts = _scan_starts(pushed1, _lifted_init(1, PUSHED_START).coords, rng)[:2]
+    sphere_starts = _scan_starts(sphere1, _lifted_init(1).coords, rng)
     return [
         # the flat sprays' outputs are constants; from a speed of 1e308 the
         # positions overflow after t = 1.8, a non-finite node
@@ -1166,15 +1176,33 @@ def _copy_output_cases():
                           (0.0, 2.0), 0.25)),
         ("round-sphere-3-fan", complete_lift(s3), complete_lift(s3).fan(3),
          lambda: _fan_run(s3, s3_starts, (0.0, 2.0), 0.05)),
+        ("sphere-L3", sphere3, sphere3.acceleration,
+         lambda: integrate(sphere3, _lifted_init(3), (0.0, 0.3), 0.1)),
+        # as in sphere-fan, the carrier's 4th stage of step 2 lands on the pole
+        ("sphere-L3-pole", sphere3, sphere3.acceleration,
+         lambda: integrate(sphere3, _lifted_init(3, [0.5, 0.0, -1.0, 0.0]), (0.0, 2.0), 0.25)),
+        ("finsler-drag-L3", drag3, drag3.acceleration,
+         lambda: integrate(drag3, _lifted_init(3, [0.1, 0.2, 0.9, -0.4]), (0.0, 0.3), 0.1)),
+        ("round-sphere-3-L2", s3_2, s3_2.acceleration,
+         lambda: integrate(s3_2, _lifted_init(2, [math.pi / 2, math.pi / 2, 0.0, 0.0, 0.0, 1.0]),
+                           (0.0, 0.5), 0.05)),
+        ("pushed-sphere-L2-fan", complete_lift(pushed1), complete_lift(pushed1).fan(2),
+         lambda: _fan_run(pushed1, pushed_starts, (0.0, 0.5), 0.05)),
+        ("sphere-L2-fan", sphere2, sphere2.fan(4),
+         lambda: _fan_run(sphere1, sphere_starts, (0.0, 0.5), 0.05)),
     ]
 
 
-@pytest.mark.parametrize("case", range(6), ids=[name for name, *_ in _copy_output_cases()])
+INLINED_RUN_NAMES = [name for name, *_ in _inlined_run_cases()]
+
+
+@pytest.mark.parametrize("case", range(len(INLINED_RUN_NAMES)), ids=INLINED_RUN_NAMES)
 def test_copy_outputs_give_the_calling_loops_results(monkeypatch, case):
     # a constant output is copied at the end of its copy, a repeat
-    # from the name its statement assigned; results, exceptions and the
-    # stage lists handed to _failed_step are bitwise the calling loop's
-    name, s, f, run = _copy_output_cases()[case]
+    # from the name its statement assigned; a loop past 256 locals inlines
+    # as well.  Results, exit reasons, exceptions and the stage lists
+    # handed to _failed_step are bitwise the calling loop's
+    name, s, f, run = _inlined_run_cases()[case]
     received, failed_step = [], geodesic._failed_step
 
     def receiving(s, stages, exc):
@@ -1183,18 +1211,35 @@ def test_copy_outputs_give_the_calling_loops_results(monkeypatch, case):
 
     monkeypatch.setattr(geodesic, "_failed_step", receiving)
     n = s.fiber_dim if f == s.acceleration else len(f.tape.inputs[0])
-    calling = geodesic._calling(n, s.dim)
     loop = geodesic._run_loop(s, f, n)
-    assert loop is not calling
+    assert loop is not geodesic._calling(n, s.dim)
+    assert (loop.__code__.co_nlocals > 256) == (case >= INLINED_RUN_NAMES.index("sphere-L3"))
     copied = {"flat": "a2_0 = c0\n", "repeated": "a2_1 = a2_0\n"}.get(name.partition("-")[0])
     assert copied is None or copied in _loop_source(loop)
     with np.errstate(over="ignore", invalid="ignore"):
         inlined = _outcome(run), list(received)
         received.clear()
-        with mock.patch.object(geodesic, "_MAX_LOCALS", 0):
-            assert geodesic._run_loop(s, f, n) is calling
+        with _calling_only():
             assert (_outcome(run), received) == inlined
-    assert bool(inlined[1]) == (name not in ("repeated-forward", "round-sphere-3-fan"))
+    assert bool(inlined[1]) == (name in ("flat-L0", "flat-L1", "repeated", "sphere-fan",
+                                         "sphere-L3-pole"))
+    if name == "sphere-L3-pole":
+        assert inlined[0][-1] == "domain" and len(inlined[1][0]) == 3
+
+
+def test_refused_trace_gets_the_calling_loop():
+    # a kernel or fan whose trace is refused keeps no tape, at any level,
+    # and its run gets the calling loop; no inlined loop is built for it
+    for s, m in ((SWITCHING, 1), (complete_lift(SWITCHING), 1), (complete_lift(SWITCHING), 2)):
+        c = s.fiber_dim // 2
+        program, n = s.fan(m), c + m * (s.fiber_dim - c)
+        f = s.acceleration if m == 1 else program
+        assert getattr(program, "tape", None) is None
+        assert geodesic._run_loop(s, f, n) is geodesic._calling(n, s.dim)
+        assert program not in geodesic._inlined_loops
+    tr = integrate(complete_lift(SWITCHING), _lifted_init(1, [-0.3, 1.0]), (0.0, 0.5), 1e-2)
+    assert tr.complete
+
 
 def test_trap_node_failure_is_a_blowup():
     drag = Spray(level=0, dim=1, coeff_fn=lambda x, v: [0.1 * v[0] * v[0]], tag="drag")
@@ -1202,20 +1247,19 @@ def test_trap_node_failure_is_a_blowup():
     assert integrate(drag, init, (0.0, 1.0), 0.25).positions[1, 0] == TRAP_X
     trap = FUSED_SPRAYS["trap"]
     lifted = complete_lift(trap)
-    # node 1 raises in the inlining loop, and in the calling loop when
-    # _MAX_LOCALS is 0; node 0 is the last stored node
-    for limit in (geodesic._MAX_LOCALS, 0):
-        with mock.patch.object(geodesic, "_MAX_LOCALS", limit):
-            for s, p in ((trap, init), (lifted, JetPoint(2, 1, [0.0, 0.3, 1.0, -0.2]))):
-                calling = geodesic._calling(s.fiber_dim, s.dim)
-                assert (geodesic._run_loop(s, s.acceleration, s.fiber_dim) is calling) == (
-                    limit == 0)
+    # node 1 raises in the inlining loop, and in the calling loop under
+    # _calling_only; node 0 is the last stored node
+    for s, p in ((trap, init), (lifted, JetPoint(2, 1, [0.0, 0.3, 1.0, -0.2]))):
+        assert geodesic._run_loop(s, s.acceleration, s.fiber_dim) is not geodesic._calling(
+            s.fiber_dim, s.dim)
+        for reference in (False, True):
+            with _calling_only() if reference else contextlib.nullcontext():
                 with pytest.raises(IntegrationBlowupError) as err:
                     integrate(s, p, (0.0, 1.0), 0.25)
-                assert str(err.value) == ("coefficient evaluation failed: ZeroDivisionError("
-                                          "'float division by zero')")
-                assert type(err.value.__cause__) is ZeroDivisionError
-                assert err.value.t_end == 0.0
+            assert str(err.value) == ("coefficient evaluation failed: ZeroDivisionError("
+                                      "'float division by zero')")
+            assert type(err.value.__cause__) is ZeroDivisionError
+            assert err.value.t_end == 0.0
 
 
 def test_residual_matches_step_loop():
@@ -1327,9 +1371,9 @@ OUTWARD = [0.0, 0.0, 1.0, 0.0]
 
 # each caller of a domain: (run, the calling functions, the innermost's
 # filename or None); a loop of another spray of the same tag may hold the
-# plain filename, so a loop's filename is matched by its prefix.  A run whose
-# loop fits _MAX_LOCALS inlines its kernel or fan (the ids name the loops
-# they ran before); UNFUSED_LOOPS names its calling loop.
+# plain filename, so a loop's filename is matched by its prefix.  A run of a
+# traced kernel or fan inlines it (the ids name the loops they ran before);
+# UNFUSED_LOOPS names its calling loop, which _calling_only hands it.
 DOMAIN_CALLERS = {
     "fused-L0-loop": (lambda d: integrate(make_flat(2, d), JetPoint(1, 2, OUTWARD),
                                           (0.0, 3.0), 0.25),
@@ -1365,11 +1409,11 @@ UNFUSED_LOOPS = {"calling-L1-loop": "<rk4 loop n=4 dim=2>", "calling-L2-loop": "
 @pytest.mark.parametrize("caller", list(DOMAIN_CALLERS))
 def test_every_domain_call_gets_a_list_of_dim_floats(caller):
     run, names, filename = DOMAIN_CALLERS[caller]
-    loops = [(geodesic._MAX_LOCALS, filename)]
+    loops = [(contextlib.nullcontext, filename)]
     if caller in UNFUSED_LOOPS:
-        loops.append((0, UNFUSED_LOOPS[caller]))
-    for limit, filename in loops:
-        with mock.patch.object(geodesic, "_MAX_LOCALS", limit):
+        loops.append((_calling_only, UNFUSED_LOOPS[caller]))
+    for loop, filename in loops:
+        with loop():
             calls = _disk_calls(run)
         assert any(got[-len(names):] == names and (filename is None or file.startswith(filename))
                    for _, got, file in calls)

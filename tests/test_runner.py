@@ -137,9 +137,9 @@ def test_failing_check_exits_one(tmp_path, capsys):
     ("h = nan", "h must be finite"), ("t_max = nan", "t_max must be finite"),
     ("t-max = -inf", "t_max must be finite"), ("alpha = inf", "alpha must be finite"),
     ("beta = nan", "beta must be finite"), ("h = 0", "h must be positive"),
-    ("h = -0.5", "h must be positive"),
+    ("h = -0.5", "h must be positive"), ("t_max = 0", "t_max must be nonzero"),
 ], ids=["scenario", "manifold", "dim", "seed", "h", "t_max", "t_max-inf", "alpha", "beta",
-        "h-zero", "h-negative"])
+        "h-zero", "h-negative", "t_max-zero"])
 def test_bad_config_exits_two(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
@@ -182,6 +182,21 @@ def test_non_positive_step_flag_exits_two(capsys, h):
     # integrate raises (exit 3)
     assert main(["--scenario", "flow-check", "--h", h]) == 2
     assert "h must be positive" in capsys.readouterr().err
+
+
+def test_zero_t_max_flag_exits_two(capsys):
+    # a run of no steps would check nothing: a scan of no steps finds no
+    # conjugate point, every residual reads 0.0, and the report passes
+    assert main(["--scenario", "conjugate-scan", "--t-max", "0"]) == 2
+    assert "t_max must be nonzero" in capsys.readouterr().err
+
+
+def test_negative_t_max_runs_backward(capsys):
+    # a negative t_max is no error: the runs go backward and check real values
+    assert main(["--scenario", "flow-check", "--t-max", "-1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    [defect] = [c for c in rep["checks"] if c["check"] == "defect"]
+    assert defect["params"]["t"] == -1.0 and 0.0 < defect["residuals"]["sup"] < 1e-6
 
 
 def test_help_exits_zero(capsys):
